@@ -20,7 +20,7 @@ from . import pipeline as pl
 from . import synthesis as syn
 from .training import TrainState, named_parameters
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "tensors.bin"
 
@@ -72,8 +72,6 @@ def _structure_dict(state: TrainState) -> dict:
         "synthesis": {
             "activation": state.synth_cfg.activation,
             "mode": state.synth_cfg.mode,
-            "epsilon": state.synth_cfg.epsilon,
-            "bmd_rate": state.synth_cfg.bmd_rate,
             "bmd_renormalize": state.synth_cfg.bmd_renormalize,
             "stabilizer_order": state.synth_cfg.stabilizer_order,
         },
@@ -141,7 +139,14 @@ def load_checkpoint(path, expect_config: dict | None = None, force: bool = False
         if manifest.get("config_sha256") != config_digest(expect_config):
             raise CheckpointError(
                 "checkpoint was produced by a different config (pass force to override)")
+    try:
+        state = _restore(manifest, path / BLOB_NAME)
+    except KeyError as err:
+        raise CheckpointError(f"manifest lacks key {err}") from err
+    return state, manifest.get("config")
 
+
+def _restore(manifest: dict, blob_path: Path) -> TrainState:
     structure = manifest["structure"]
     lm_d = structure["lm"]
     lm = pl.LightweightModel(
@@ -168,7 +173,7 @@ def load_checkpoint(path, expect_config: dict | None = None, force: bool = False
         for k, v in manifest.get("opt_state", {}).items()
     }
 
-    blob = (path / BLOB_NAME).read_bytes()
+    blob = blob_path.read_bytes()
     total = sum(e["nbytes"] for e in manifest["tensors"])
     if len(blob) != total:
         raise CheckpointError(f"blob is {len(blob)} bytes, manifest expects {total}")
@@ -195,4 +200,4 @@ def load_checkpoint(path, expect_config: dict | None = None, force: bool = False
     if missing:
         raise CheckpointError(f"checkpoint is missing tensors: {sorted(missing)}")
 
-    return state, manifest.get("config")
+    return state

@@ -21,6 +21,7 @@ from . import disturbance as di
 from . import experiment as ex
 from .config import ConfigError, load_config, parse_config
 from .data import DatasetError
+from .training import TrainingDiverged
 
 
 def _load_from_checkpoint(path):
@@ -50,26 +51,28 @@ def cmd_eval(args) -> int:
     state, cfg = _load_from_checkpoint(args.ckpt)
     _, evalset = ex.load_dataset(cfg)
     threshold = args.threshold if args.threshold is not None else cfg.default_threshold
-    acc = ex.pipeline_accuracy(state, evalset, threshold)
-    rate = ex.skip_rate(state, evalset, threshold)
+    point, lm_point, full_point = co.sweep(
+        state.lm, state.lm_params, state.bank, state.synth_cfg, evalset, [threshold, 0.0, 1.01])
     result = {
         "threshold": threshold,
-        "accuracy": acc,
-        "skip_rate": rate,
-        "accuracy_lm": ex.lm_accuracy(state, evalset),
-        "accuracy_full": ex.full_accuracy(state, evalset),
+        "accuracy": point.accuracy,
+        "skip_rate": point.skip_rate,
+        "accuracy_lm": lm_point.accuracy,
+        "accuracy_full": full_point.accuracy,
     }
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.output_dir / "eval.json"
     out.write_text(json.dumps(result, indent=1))
-    print(f"threshold {threshold}: accuracy {acc:.4f}, skip rate {rate:.4f} -> {out}")
+    print(f"threshold {threshold}: accuracy {point.accuracy:.4f}, "
+          f"skip rate {point.skip_rate:.4f} -> {out}")
     return 0
 
 
 def cmd_sweep(args) -> int:
     state, cfg = _load_from_checkpoint(args.ckpt)
     _, evalset = ex.load_dataset(cfg)
-    thresholds = [float(t) for t in args.thresholds.split(",") if t != ""]
+    thresholds = cfg.eval_thresholds if args.thresholds is None else [
+        float(t) for t in args.thresholds.split(",") if t != ""]
     if not thresholds:
         raise ValueError("no thresholds given")
     points = co.sweep(state.lm, state.lm_params, state.bank, state.synth_cfg,
@@ -93,6 +96,7 @@ def cmd_disturb(args) -> int:
     state, cfg = _load_from_checkpoint(args.ckpt)
     _, evalset = ex.load_dataset(cfg)
     model = (state.lm, state.lm_params, state.bank, state.synth_cfg)
+    seeds = args.seeds if args.seeds is not None else cfg.disturbance_seeds
 
     mean_table = None
     if args.kind == "mean":
@@ -102,7 +106,7 @@ def cmd_disturb(args) -> int:
     rows = [("correct", reference, 0.0)]
 
     if args.layer == "all":
-        sweep_rows = di.layer_sweep(*model, evalset, kind=args.kind, seeds=args.seeds)
+        sweep_rows = di.layer_sweep(*model, evalset, kind=args.kind, seeds=seeds)
         for row in sweep_rows:
             rows.append((f"L{row['layer']}", row["accuracy_mean"],
                          row["accuracy_mean"] - reference))
@@ -112,7 +116,7 @@ def cmd_disturb(args) -> int:
             di.evaluate_disturbed(*model, evalset,
                                   di.Disturbance(args.kind, layer=layer, seed=s),
                                   mean_table=mean_table)
-            for s in range(args.seeds)
+            for s in range(seeds)
         ]
         label = args.kind if layer is None else f"{args.kind}@L{layer}"
         rows.append((label, float(np.mean(accs)), float(np.mean(accs)) - reference))
@@ -168,14 +172,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="accuracy/cost across termination thresholds")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--thresholds", required=True, help="comma-separated list")
+    p.add_argument("--thresholds", help="comma-separated list (default: eval.thresholds)")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("disturb", help="corrupt coefficients and measure accuracy")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--kind", required=True, choices=list(di.KINDS))
     p.add_argument("--layer", default=None, help="layer index, or 'all' for a per-layer sweep")
-    p.add_argument("--seeds", type=int, default=5)
+    p.add_argument("--seeds", type=int, help="seeds to average (default: eval.disturbance_seeds)")
     p.set_defaults(fn=cmd_disturb)
 
     p = sub.add_parser("cost", help="print the itemized cost report for a config")
@@ -195,7 +199,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, DatasetError, ck.CheckpointError, ValueError, OSError) as err:
+    except (ConfigError, DatasetError, ck.CheckpointError, ValueError, OSError,
+            TrainingDiverged, AssertionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -77,7 +77,6 @@ class ExperimentConfig:
     teacher_checkpoint: Path | None
     eval_thresholds: list[float]
     default_threshold: float
-    disturbance_kinds: list[str]
     disturbance_seeds: int
     finetune_steps: int = 0
     distill_policy: str = "both"
@@ -219,8 +218,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"loss: {err}") from err
 
     eval_d = _take(top["eval"], "eval", {}, {
-        "thresholds": list, "default_threshold": float,
-        "disturbance_kinds": list, "disturbance_seeds": int,
+        "thresholds": list, "default_threshold": float, "disturbance_seeds": int,
     })
 
     return ExperimentConfig(
@@ -238,7 +236,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         teacher_checkpoint=teacher_checkpoint,
         eval_thresholds=[float(t) for t in eval_d.get("thresholds", [0.0, 0.5, 0.7, 0.9, 1.01])],
         default_threshold=eval_d.get("default_threshold", 0.7),
-        disturbance_kinds=[str(k) for k in eval_d.get("disturbance_kinds", ["correct", "shuffled"])],
         disturbance_seeds=eval_d.get("disturbance_seeds", 5),
         finetune_steps=finetune_steps,
         distill_policy=policy,

@@ -101,24 +101,29 @@ def sweep(lm: pl.LightweightModel, params: pl.LMParams, bank: syn.BasisBank,
           cfg: syn.SynthesisConfig, dataset: Dataset, thresholds) -> list[SweepPoint]:
     """Measure skip rate, accuracy, and average spend at each threshold.
 
-    Accuracy uses the initial prediction where the pipeline terminated and
-    the specialist prediction elsewhere. The measured average spend must
-    agree with expected_cost at the measured skip rate; this function
-    asserts that contract rather than trusting it.
+    One pipeline pass at the largest threshold serves every threshold as a
+    cut on the per-image confidence. Accuracy uses the initial prediction
+    where the pipeline terminated and the specialist prediction elsewhere.
+    The measured average spend must agree with expected_cost at the measured
+    skip rate; this function asserts that contract rather than trusting it.
     """
     if len(dataset) == 0:
         raise ValueError("sweep needs a non-empty dataset")
+    thresholds = [float(t) for t in thresholds]
+    if not all(t >= 0 for t in thresholds):  # also rejects NaN
+        raise ValueError(f"thresholds must be numbers >= 0, got {thresholds}")
     report = full_cost(lm, bank)
+    results = pl.infer_batch(lm, params, bank, cfg, dataset.images, max(thresholds, default=0.0))
     points = []
     for threshold in thresholds:
         skips = 0
         correct = 0
         spent = 0
-        for i in range(len(dataset)):
-            res = pl.infer(lm, params, bank, cfg, dataset.images[i:i + 1], threshold)
-            skips += res.terminated
-            correct += res.prediction == dataset.labels[i]
-            spent += res.madds_spent
+        for res, label in zip(results, dataset.labels):
+            stop = res.confidence >= threshold
+            skips += stop
+            correct += int(np.argmax(res.initial_logits if stop else res.final_logits)) == label
+            spent += report.lm_madds if stop else res.madds_spent
         p = skips / len(dataset)
         avg = spent / len(dataset)
         closed_form = expected_cost(p, report.lm_madds, report.total_madds)
@@ -126,7 +131,7 @@ def sweep(lm: pl.LightweightModel, params: pl.LMParams, bank: syn.BasisBank,
             raise AssertionError(
                 f"measured average {avg} disagrees with closed form {closed_form}")
         points.append(SweepPoint(
-            threshold=float(threshold), skip_rate=float(p),
+            threshold=threshold, skip_rate=float(p),
             avg_madds=float(avg), accuracy=float(correct / len(dataset)),
         ))
     return points

@@ -34,10 +34,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def image_shape(self) -> tuple[int, int, int]:
-        return tuple(self.images.shape[1:])
-
 
 # ---------------------------------------------------------------------------
 # synthetic coarse/fine blobs

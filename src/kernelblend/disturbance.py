@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backbone as bb
 from . import pipeline as pl
 from . import synthesis as syn
 from . import tensor as T
@@ -38,11 +37,8 @@ def mean_coefficients(lm: pl.LightweightModel, params: pl.LMParams,
                       dataset: Dataset) -> np.ndarray:
     """Per-layer mean coefficient rows over an evaluation set."""
     total = np.zeros((bank.n_coefficient_rows, bank.n_bases))
-    _, raw = pl.lm_forward(lm, params, T.Tensor(dataset.images))
-    for b in range(len(dataset)):
-        alpha = pl.coefficients_from_raw(
-            T.row(raw, b), cfg, bank.n_coefficient_rows, bank.n_bases)
-        total += alpha.values.data
+    for res in pl.infer_batch(lm, params, bank, cfg, dataset.images, 1.01):
+        total += res.coefficients.values.data
     return total / len(dataset)
 
 
@@ -95,15 +91,10 @@ def evaluate_disturbed(lm: pl.LightweightModel, params: pl.LMParams,
         mean_table = mean_coefficients(lm, params, bank, cfg, dataset)
     rows = _rows_for_layer(bank, disturbance.layer)
     rng = np.random.default_rng([disturbance.seed, 0x5F])
-    correct = 0
-    _, raw = pl.lm_forward(lm, params, T.Tensor(dataset.images))
-    for b in range(len(dataset)):
-        alpha = pl.coefficients_from_raw(
-            T.row(raw, b), cfg, bank.n_coefficient_rows, bank.n_bases)
-        alpha = disturb(alpha, disturbance, rows=rows, mean_table=mean_table, rng=rng)
-        logits = bb.forward(syn.synthesize(bank, alpha), bank.spec,
-                            T.Tensor(dataset.images[b:b + 1]))
-        correct += int(np.argmax(logits.data[0])) == dataset.labels[b]
+    results = pl.infer_batch(
+        lm, params, bank, cfg, dataset.images, 1.01,
+        edit=lambda alpha: disturb(alpha, disturbance, rows=rows, mean_table=mean_table, rng=rng))
+    correct = sum(res.prediction == label for res, label in zip(results, dataset.labels))
     return correct / len(dataset)
 
 

@@ -13,9 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ck
+from . import cost as co
 from . import pipeline as pl
 from . import synthesis as syn
-from . import tensor as T
 from . import training as tr
 from .config import ExperimentConfig
 from .data import Dataset, generate_synthetic, load_cifar10, load_mnist
@@ -63,16 +63,14 @@ def build_state(cfg: ExperimentConfig) -> tuple[tr.TrainState, tr.LossConfig]:
 
 
 def lm_accuracy(state: tr.TrainState, dataset: Dataset) -> float:
-    initial, _ = pl.lm_forward(state.lm, state.lm_params, T.Tensor(dataset.images))
-    return float(np.mean(np.argmax(initial.data, axis=1) == dataset.labels))
+    """Initial-prediction accuracy: at threshold 0 every image stops after stage one."""
+    return pipeline_accuracy(state, dataset, threshold=0.0)
 
 
 def pipeline_accuracy(state: tr.TrainState, dataset: Dataset, threshold: float) -> float:
-    hits = 0
-    for i in range(len(dataset)):
-        res = pl.infer(state.lm, state.lm_params, state.bank, state.synth_cfg,
-                       dataset.images[i:i + 1], threshold)
-        hits += res.prediction == dataset.labels[i]
+    results = pl.infer_batch(state.lm, state.lm_params, state.bank, state.synth_cfg,
+                             dataset.images, threshold)
+    hits = sum(res.prediction == label for res, label in zip(results, dataset.labels))
     return hits / len(dataset)
 
 
@@ -82,10 +80,10 @@ def full_accuracy(state: tr.TrainState, dataset: Dataset) -> float:
 
 
 def skip_rate(state: tr.TrainState, dataset: Dataset, threshold: float) -> float:
-    initial, _ = pl.lm_forward(state.lm, state.lm_params, T.Tensor(dataset.images))
-    skips = sum(
-        pl.confidence(initial.data[i]) >= threshold for i in range(len(dataset)))
-    return skips / len(dataset)
+    # a threshold-0 pass stops every image after stage one and records its confidence
+    results = pl.infer_batch(state.lm, state.lm_params, state.bank, state.synth_cfg,
+                             dataset.images, 0.0)
+    return sum(res.confidence >= threshold for res in results) / len(dataset)
 
 
 def _fmt(value) -> str:
@@ -101,15 +99,18 @@ def run_train(cfg: ExperimentConfig, log=None) -> dict:
     rows = []
 
     def record(metrics):
+        lm_point, default_point, full_point = co.sweep(
+            state.lm, state.lm_params, state.bank, state.synth_cfg, evalset,
+            [0.0, cfg.default_threshold, 1.01])
         rows.append({
             "step": state.step,
             "train_loss": metrics["loss"],
             "lm_loss": metrics["lm_loss"],
             "synth_loss": metrics["synth_loss"],
-            "eval_acc_lm": lm_accuracy(state, evalset),
-            "eval_acc_full": full_accuracy(state, evalset),
+            "eval_acc_lm": lm_point.accuracy,
+            "eval_acc_full": full_point.accuracy,
             "epsilon": metrics["epsilon"],
-            "skip_rate_at_default_threshold": skip_rate(state, evalset, cfg.default_threshold),
+            "skip_rate_at_default_threshold": default_point.skip_rate,
         })
         if log is not None:
             log(rows[-1])
@@ -163,19 +164,18 @@ def export_coefficients(state: tr.TrainState, dataset: Dataset, out_path) -> int
     out_path.parent.mkdir(parents=True, exist_ok=True)
     bank = state.bank
     nonshared = bank.nonshared_indices()
-    _, raw = pl.lm_forward(state.lm, state.lm_params, T.Tensor(dataset.images))
+    results = pl.infer_batch(state.lm, state.lm_params, bank, state.synth_cfg,
+                             dataset.images, 1.01)
     count = 0
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["image_id", "label", "layer", "basis", "coefficient"])
-        for i in range(len(dataset)):
-            alpha = pl.coefficients_from_raw(
-                T.row(raw, i), state.synth_cfg, bank.n_coefficient_rows, bank.n_bases)
+        for i, res in enumerate(results):
             for r, layer in enumerate(nonshared):
                 for n in range(bank.n_bases):
                     writer.writerow([
                         i, int(dataset.labels[i]), layer, n,
-                        repr(float(alpha.values.data[r, n])),
+                        repr(float(res.coefficients.values.data[r, n])),
                     ])
                     count += 1
     return count

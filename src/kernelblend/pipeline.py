@@ -11,7 +11,6 @@ coefficients only exist after layer k-1 has run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,8 +140,41 @@ def coefficients_from_raw(raw_row: T.Tensor, cfg: syn.SynthesisConfig,
     return alpha
 
 
-def stage2_madds(bank: syn.BasisBank) -> int:
-    return syn.synthesis_madds(bank) + bb.count_madds(bank.spec)
+def infer_batch(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
+                cfg: syn.SynthesisConfig, images: np.ndarray, threshold: float,
+                trace: list | None = None, edit=None) -> list[PipelineResult]:
+    """Run the pipeline over images (B, C, H, W); record i is ``infer`` on image i.
+
+    One batched lightweight pass scores every image; each image below the
+    threshold then gets its own coefficients, specialist and batch-1 stage
+    two. ``edit``, if given, maps each image's coefficient matrix to the one
+    synthesized in its place (the disturbance study).
+    """
+    if not threshold >= 0:  # also rejects NaN
+        raise ValueError(f"threshold must be a number >= 0, got {threshold}")
+    x = T.Tensor(images)
+    initial, raw = lm_forward(lm, params, x)
+    cost = lm_madds(lm)
+    results = []
+    for i in range(x.shape[0]):
+        logits = initial.data[i].copy()
+        conf = confidence(logits)
+        if conf >= threshold:
+            results.append(PipelineResult(logits, conf, terminated=True, madds_spent=cost))
+            continue
+        alpha = coefficients_from_raw(T.row(raw, i), cfg, bank.n_coefficient_rows, bank.n_bases)
+        if edit is not None:
+            alpha = edit(alpha)
+        if trace is not None:
+            for r, k in enumerate(bank.nonshared_indices()):
+                trace.append(("coefficients", k, alpha.values.data[r].copy()))
+        specialist = syn.synthesize(bank, alpha)
+        final = bb.forward(specialist, bank.spec, T.Tensor(x.data[i:i + 1]), trace)
+        results.append(PipelineResult(
+            logits, conf, terminated=False,
+            madds_spent=cost + syn.synthesis_madds(bank) + bb.count_madds(bank.spec),
+            coefficients=alpha, final_logits=final.data[0].copy()))
+    return results
 
 
 def infer(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
@@ -151,39 +183,12 @@ def infer(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
     """Run the full two-stage pipeline on a single image (1, C, H, W).
 
     Terminates after stage one when confidence >= threshold. Thresholds
-    above 1 are legal and mean "never terminate". The uniform-blend
-    stabilizer is a training device, so the config must carry epsilon 0.
+    above 1 are legal and mean "never terminate".
     """
-    if not isinstance(x, T.Tensor):
-        x = T.Tensor(x)
-    if x.data.ndim != 4 or x.shape[0] != 1:
+    x = np.asarray(x.data if isinstance(x, T.Tensor) else x)
+    if x.ndim != 4 or x.shape[0] != 1:
         raise T.ShapeError(f"infer expects a single (1, C, H, W) image, got {x.shape}")
-    if math.isnan(threshold) or threshold < 0:
-        raise ValueError(f"threshold must be a number >= 0, got {threshold}")
-    if cfg.epsilon != 0.0:
-        raise ValueError("inference requires epsilon 0; the blend schedule ends at 0")
-
-    initial, raw = lm_forward(lm, params, x)
-    conf = confidence(T.row(initial, 0))
-    cost = lm_madds(lm)
-
-    if conf >= threshold:
-        return PipelineResult(
-            initial_logits=initial.data[0].copy(), confidence=conf,
-            terminated=True, madds_spent=cost,
-        )
-
-    alpha = coefficients_from_raw(T.row(raw, 0), cfg, bank.n_coefficient_rows, bank.n_bases)
-    if trace is not None:
-        for r, k in enumerate(bank.nonshared_indices()):
-            trace.append(("coefficients", k, alpha.values.data[r].copy()))
-    specialist = syn.synthesize(bank, alpha)
-    final = bb.forward(specialist, bank.spec, x, trace)
-    return PipelineResult(
-        initial_logits=initial.data[0].copy(), confidence=conf,
-        terminated=False, madds_spent=cost + stage2_madds(bank),
-        coefficients=alpha, final_logits=final.data[0].copy(),
-    )
+    return infer_batch(lm, params, bank, cfg, x, threshold, trace)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,6 @@ ACTIVATIONS = ("softmax", "sigmoid")
 class SynthesisConfig:
     activation: str = "softmax"
     mode: str = "per_layer"
-    epsilon: float = 0.0
-    bmd_rate: float = 0.0
     bmd_renormalize: bool = True
     stabilizer_order: str = "epsilon_then_bmd"  # or "bmd_then_epsilon"
 
@@ -38,10 +36,6 @@ class SynthesisConfig:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if not 0.0 <= self.bmd_rate < 1.0:
-            raise ValueError(f"bmd_rate must be in [0, 1), got {self.bmd_rate}")
         if self.stabilizer_order not in ("epsilon_then_bmd", "bmd_then_epsilon"):
             raise ValueError(f"unknown stabilizer_order {self.stabilizer_order!r}")
 

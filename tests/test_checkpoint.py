@@ -120,6 +120,20 @@ class TestValidation:
         with pytest.raises(CK.CheckpointError, match="blob"):
             CK.load_checkpoint(tmp_path / "ckpt")
 
+    @pytest.mark.parametrize("key", ["structure", "tensors", "step", "opt_shapes"])
+    def test_missing_manifest_key_named(self, tmp_path, key):
+        state = toy_state(n_bases=2, seed=1)
+        train, _ = toy_dataset(train_size=32, eval_size=8)
+        state, _ = run_training(state, train, small_sched(steps=4, optimizer="rmsprop"),
+                                TR.LossConfig())
+        CK.save_checkpoint(state, tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / CK.MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        del manifest[key]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CK.CheckpointError, match=f"lacks key '{key}'"):
+            CK.load_checkpoint(tmp_path / "ckpt")
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(CK.CheckpointError, match="manifest"):
             CK.load_checkpoint(tmp_path / "nothing")

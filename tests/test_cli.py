@@ -7,6 +7,10 @@ import pytest
 
 from kernelblend.cli import main
 from kernelblend import checkpoint as CK
+from kernelblend import cost as CO
+from kernelblend import disturbance as DI
+from kernelblend import experiment as EX
+from kernelblend import training as TR
 
 from test_config import base_config
 
@@ -57,6 +61,14 @@ class TestTrain:
         assert main(["train", "--config", "missing.json"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_divergence_exits_one_with_one_line(self, config_path, capsys, monkeypatch):
+        def diverge(cfg, log=None):
+            raise TR.TrainingDiverged("training went non-finite at step 3 (lr=0.05): loss")
+        monkeypatch.setattr(EX, "run_train", diverge)
+        assert main(["train", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: training went non-finite at step 3 (lr=0.05): loss\n")
+
     def test_unknown_flag_rejected(self, config_path):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--config", str(config_path), "--fast"])
@@ -87,6 +99,20 @@ class TestSweep:
         rates = [float(r["skip_rate"]) for r in rows]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
 
+    def test_thresholds_default_to_config(self, workdir, trained_ckpt, capsys):
+        assert main(["sweep", "--ckpt", str(trained_ckpt)]) == 0
+        with open(workdir / "runs" / "demo" / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["threshold"]) for r in rows] == base_config()["eval"]["thresholds"]
+
+    def test_spend_contract_violation_exits_one(self, trained_ckpt, capsys, monkeypatch):
+        def broken(*args):
+            raise AssertionError("measured average 1.0 disagrees with closed form 2.0")
+        monkeypatch.setattr(CO, "sweep", broken)
+        assert main(["sweep", "--ckpt", str(trained_ckpt), "--thresholds", "0.5"]) == 1
+        assert capsys.readouterr().err == (
+            "error: measured average 1.0 disagrees with closed form 2.0\n")
+
     def test_sweep_csv_reparses_as_floats(self, workdir, trained_ckpt, capsys):
         assert main(["sweep", "--ckpt", str(trained_ckpt), "--thresholds", "0.5"]) == 0
         with open(workdir / "runs" / "demo" / "sweep.csv") as fh:
@@ -112,6 +138,25 @@ class TestDisturb:
             rows = list(csv.DictReader(fh))
         labels = [r["kind_or_layer"] for r in rows]
         assert labels == ["correct", "L0", "L1", "L2"]
+
+    def test_seeds_default_to_config(self, workdir, capsys, monkeypatch):
+        raw = base_config()
+        raw["output_dir"] = str(workdir / "runs" / "seeds")
+        raw["eval"]["disturbance_seeds"] = 3
+        path = workdir / "seeds.json"
+        path.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(path)]) == 0
+        evaluate = DI.evaluate_disturbed
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(args[5])
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(DI, "evaluate_disturbed", recording)
+        ckpt = workdir / "runs" / "seeds" / "checkpoint"
+        assert main(["disturb", "--ckpt", str(ckpt), "--kind", "shuffled"]) == 0
+        assert [d.seed for d in seen if d.kind == "shuffled"] == [0, 1, 2]
 
     def test_invalid_kind_rejected(self, trained_ckpt):
         with pytest.raises(SystemExit) as exc:

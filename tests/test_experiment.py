@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from kernelblend import checkpoint as CK
+from kernelblend import cost as C
 from kernelblend import experiment as EX
+from kernelblend import pipeline as P
 from kernelblend import training as TR
 from kernelblend.config import parse_config
 
@@ -90,15 +92,35 @@ class TestEvalHelpers:
         assert EX.pipeline_accuracy(state, evalset, 1.01) == EX.full_accuracy(state, evalset)
 
     def test_skip_rate_matches_infer_loop(self):
+        # the per-image infer loop is the reference the one-pass consumers reproduce
         state = toy_state(n_bases=2, seed=1)
         _, evalset = toy_dataset(train_size=8, eval_size=24)
-        from kernelblend import pipeline as P
-        manual = np.mean([
-            P.infer(state.lm, state.lm_params, state.bank, state.synth_cfg,
-                    evalset.images[i:i + 1], 0.4).terminated
-            for i in range(len(evalset))
-        ])
-        assert EX.skip_rate(state, evalset, 0.4) == manual
+        model = (state.lm, state.lm_params, state.bank, state.synth_cfg)
+
+        def infer_loop(threshold):
+            return [P.infer(*model, evalset.images[i:i + 1], threshold)
+                    for i in range(len(evalset))]
+
+        confs = sorted({res.confidence for res in infer_loop(0.0)})
+        # the extremes, one image's exact confidence, and cuts strictly between two images
+        thresholds = [0.0, (confs[0] + confs[1]) / 2, confs[len(confs) // 2],
+                      (confs[-2] + confs[-1]) / 2, 0.4, 1.01]
+        lm_forward = P.lm_forward
+        calls = []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(P, "lm_forward", lambda *args: calls.append(1) or lm_forward(*args))
+            points = C.sweep(*model, evalset, thresholds)
+        assert len(calls) == 1  # one pipeline pass serves every threshold
+
+        for threshold, point in zip(thresholds, points):
+            ref = infer_loop(threshold)
+            skip = np.mean([res.terminated for res in ref])
+            acc = np.mean([res.prediction == label for res, label in zip(ref, evalset.labels)])
+            spend = sum(res.madds_spent for res in ref) / len(evalset)
+            assert EX.skip_rate(state, evalset, threshold) == skip
+            assert EX.pipeline_accuracy(state, evalset, threshold) == acc
+            assert (point.skip_rate, point.accuracy, point.avg_madds) == (skip, acc, spend)
+        assert 0.0 < points[2].skip_rate < 1.0
 
 
 class TestExportCoefficients:

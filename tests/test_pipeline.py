@@ -41,7 +41,7 @@ def setup():
     bank = S.build_bank(bank_spec(), n_bases=3, shared_layers=[0], seed=0)
     lm = lm_for(bank)
     params = P.build_lm(lm, seed=1)
-    cfg = S.SynthesisConfig(activation="softmax", mode="per_layer", epsilon=0.0)
+    cfg = S.SynthesisConfig(activation="softmax", mode="per_layer")
     x = np.random.default_rng(2).random((1, 1, 16, 16))
     return lm, params, bank, cfg, x
 
@@ -135,12 +135,6 @@ class TestInfer:
         res = P.infer(lm, params, bank, cfg, x, threshold=1.01)
         oracle = B.forward(backbone_params, spec, T.Tensor(x))
         assert np.array_equal(res.final_logits, oracle.data[0])
-
-    def test_epsilon_must_be_zero(self, setup):
-        lm, params, bank, _, x = setup
-        cfg = S.SynthesisConfig(epsilon=0.3)
-        with pytest.raises(ValueError, match="epsilon"):
-            P.infer(lm, params, bank, cfg, x, threshold=0.5)
 
     def test_negative_threshold_rejected(self, setup):
         lm, params, bank, cfg, x = setup
