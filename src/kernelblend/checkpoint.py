@@ -9,6 +9,7 @@ bitwise exact by construction.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -163,6 +164,12 @@ def _restore(manifest: dict, blob_path: Path) -> TrainState:
         seed=0,
     )
     cfg_d = structure["synthesis"]
+    if not isinstance(cfg_d, dict):
+        raise CheckpointError(f"manifest synthesis section is {type(cfg_d).__name__}, not an object")
+    known = {f.name for f in dataclasses.fields(syn.SynthesisConfig)}
+    for key in cfg_d:
+        if key not in known:
+            raise CheckpointError(f"manifest synthesis section has unknown key {key!r}")
     synth_cfg = syn.SynthesisConfig(**cfg_d)
     lm_params = pl.build_lm(lm, seed=0)
 

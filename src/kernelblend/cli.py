@@ -97,10 +97,8 @@ def cmd_disturb(args) -> int:
     _, evalset = ex.load_dataset(cfg)
     model = (state.lm, state.lm_params, state.bank, state.synth_cfg)
     seeds = args.seeds if args.seeds is not None else cfg.disturbance_seeds
-
-    mean_table = None
-    if args.kind == "mean":
-        mean_table = di.mean_coefficients(*model, evalset)
+    if seeds < 1:
+        raise ValueError(f"--seeds must be >= 1, got {seeds}")
 
     reference = di.evaluate_disturbed(*model, evalset, di.Disturbance("correct"))
     rows = [("correct", reference, 0.0)]
@@ -112,6 +110,7 @@ def cmd_disturb(args) -> int:
                          row["accuracy_mean"] - reference))
     else:
         layer = int(args.layer) if args.layer is not None else None
+        mean_table = di.mean_coefficients(*model, evalset) if args.kind == "mean" else None
         accs = [
             di.evaluate_disturbed(*model, evalset,
                                   di.Disturbance(args.kind, layer=layer, seed=s),

@@ -220,6 +220,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     eval_d = _take(top["eval"], "eval", {}, {
         "thresholds": list, "default_threshold": float, "disturbance_seeds": int,
     })
+    disturbance_seeds = eval_d.get("disturbance_seeds", 5)
+    if disturbance_seeds < 1:
+        raise ConfigError(f"eval.disturbance_seeds must be >= 1, got {disturbance_seeds}")
 
     return ExperimentConfig(
         raw=raw,
@@ -236,7 +239,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         teacher_checkpoint=teacher_checkpoint,
         eval_thresholds=[float(t) for t in eval_d.get("thresholds", [0.0, 0.5, 0.7, 0.9, 1.01])],
         default_threshold=eval_d.get("default_threshold", 0.7),
-        disturbance_seeds=eval_d.get("disturbance_seeds", 5),
+        disturbance_seeds=disturbance_seeds,
         finetune_steps=finetune_steps,
         distill_policy=policy,
         distill_soft_weight=soft_weight,

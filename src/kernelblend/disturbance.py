@@ -102,11 +102,12 @@ def layer_sweep(lm: pl.LightweightModel, params: pl.LMParams, bank: syn.BasisBan
                 cfg: syn.SynthesisConfig, dataset: Dataset,
                 kind: str = "shuffled", seeds: int = 5) -> list[dict]:
     """Disturb one layer at a time; report mean and std accuracy over seeds."""
+    mean_table = mean_coefficients(lm, params, bank, cfg, dataset) if kind == "mean" else None
     results = []
     for layer in range(bank.spec.num_layers):
         accs = [
             evaluate_disturbed(lm, params, bank, cfg, dataset,
-                               Disturbance(kind=kind, layer=layer, seed=s))
+                               Disturbance(kind=kind, layer=layer, seed=s), mean_table)
             for s in range(seeds)
         ]
         results.append({

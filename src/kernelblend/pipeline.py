@@ -128,13 +128,18 @@ def confidence(logits) -> float:
     return float(e.max() / e.sum())
 
 
-def coefficients_from_raw(raw_row: T.Tensor, cfg: syn.SynthesisConfig,
+def coefficients_from_raw(raw: T.Tensor, cfg: syn.SynthesisConfig,
                           n_rows: int, n_bases: int) -> syn.CoefficientMatrix:
-    """Activate one sample's raw head output and apply the configured mode."""
+    """Activate raw head outputs and apply the configured mode.
+
+    ``raw`` is one sample's head output (width,), giving a (rows, N)
+    matrix, or a batch (B, width), giving (B, rows, N).
+    """
     if cfg.mode == "per_model":
-        alpha = syn.activate(T.reshape(raw_row, (1, n_bases)), cfg.activation)
-        return syn.per_model_matrix(T.row(alpha.values, 0), n_rows)
-    alpha = syn.activate(T.reshape(raw_row, (n_rows, n_bases)), cfg.activation)
+        # one row per sample, repeated for every layer before activation
+        alpha = syn.activate(T.tile_rows(raw, n_rows), cfg.activation)
+        return syn.CoefficientMatrix(values=alpha.values, mode="per_model")
+    alpha = syn.activate(T.reshape(raw, (*raw.shape[:-1], n_rows, n_bases)), cfg.activation)
     if cfg.mode == "one_hot":
         return syn.to_one_hot(alpha)
     return alpha
@@ -145,9 +150,10 @@ def infer_batch(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
                 trace: list | None = None, edit=None) -> list[PipelineResult]:
     """Run the pipeline over images (B, C, H, W); record i is ``infer`` on image i.
 
-    One batched lightweight pass scores every image; each image below the
-    threshold then gets its own coefficients, specialist and batch-1 stage
-    two. ``edit``, if given, maps each image's coefficient matrix to the one
+    One batched lightweight pass scores every image. The images below the
+    threshold then share one coefficient pass, one synthesis of per-image
+    specialists and one batched stage two. ``edit``, if given, maps each
+    image's (rows, N) coefficient matrix, in image order, to the one
     synthesized in its place (the disturbance study).
     """
     if not threshold >= 0:  # also rejects NaN
@@ -155,25 +161,33 @@ def infer_batch(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
     x = T.Tensor(images)
     initial, raw = lm_forward(lm, params, x)
     cost = lm_madds(lm)
-    results = []
-    for i in range(x.shape[0]):
-        logits = initial.data[i].copy()
-        conf = confidence(logits)
-        if conf >= threshold:
-            results.append(PipelineResult(logits, conf, terminated=True, madds_spent=cost))
-            continue
-        alpha = coefficients_from_raw(T.row(raw, i), cfg, bank.n_coefficient_rows, bank.n_bases)
-        if edit is not None:
-            alpha = edit(alpha)
-        if trace is not None:
+    confs = [confidence(row) for row in initial.data]
+    results = [PipelineResult(initial.data[i].copy(), conf, terminated=True, madds_spent=cost)
+               for i, conf in enumerate(confs)]
+    pending = [i for i, conf in enumerate(confs) if conf < threshold]
+    if not pending:
+        return results
+    if len(pending) < len(confs):
+        x, raw = T.Tensor(x.data[pending]), T.Tensor(raw.data[pending])
+
+    alpha = coefficients_from_raw(raw, cfg, bank.n_coefficient_rows, bank.n_bases)
+    per_image = [syn.CoefficientMatrix(values=T.Tensor(v), mode=alpha.mode)
+                 for v in alpha.values.data]
+    if edit is not None:
+        per_image = [edit(a) for a in per_image]
+        alpha = syn.CoefficientMatrix(
+            values=T.Tensor(np.stack([a.values.data for a in per_image])), mode=per_image[0].mode)
+    if trace is not None:
+        for a in per_image:
             for r, k in enumerate(bank.nonshared_indices()):
-                trace.append(("coefficients", k, alpha.values.data[r].copy()))
-        specialist = syn.synthesize(bank, alpha)
-        final = bb.forward(specialist, bank.spec, T.Tensor(x.data[i:i + 1]), trace)
-        results.append(PipelineResult(
-            logits, conf, terminated=False,
-            madds_spent=cost + syn.synthesis_madds(bank) + bb.count_madds(bank.spec),
-            coefficients=alpha, final_logits=final.data[0].copy()))
+                trace.append(("coefficients", k, a.values.data[r].copy()))
+    specialist = syn.synthesize(bank, alpha)
+    final = bb.forward(specialist, bank.spec, x, trace)
+    spent = cost + syn.synthesis_madds(bank) + bb.count_madds(bank.spec)
+    for j, i in enumerate(pending):
+        results[i] = PipelineResult(
+            results[i].initial_logits, confs[i], terminated=False, madds_spent=spent,
+            coefficients=per_image[j], final_logits=final.data[j].copy())
     return results
 
 
@@ -238,16 +252,16 @@ def condconv_forward(bank: syn.BasisBank, routers: list[RouterParams], x,
             pooled = T.global_avg_pool(out)
             logits = T.linear(pooled, routers[r].w, routers[r].b)
             if activation == "softmax":
-                coeffs = T.row(T.softmax(logits, axis=1), 0)
+                coeffs = T.softmax(logits, axis=1)
             elif activation == "sigmoid":
-                coeffs = T.row(T.sigmoid(logits), 0)
+                coeffs = T.sigmoid(logits)
             elif activation == "identity":
-                coeffs = T.row(logits, 0)
+                coeffs = logits
             else:
                 raise ValueError(f"unknown router activation {activation!r}")
             if trace is not None:
-                trace.append(("coefficients", k, coeffs.data.copy()))
-            kernel = T.weighted_sum(coeffs, bank.kernels[k])
+                trace.append(("coefficients", k, coeffs.data[0].copy()))
+            kernel = T.blend(coeffs, bank.kernels[k])
             r += 1
         if trace is not None:
             trace.append(("execute", k))

@@ -4,11 +4,12 @@ A bank stores N candidate kernel sets per non-shared layer (shared layers
 keep a single tensor referenced by every basis). A coefficient matrix, one
 row per non-shared layer, blends the candidates into one specialist kernel
 per layer: W_k = sum_n alpha[k, n] * W_k_n. Biases and the classifier head
-are always shared, so blending touches kernels only.
+are always shared, so blending touches kernels only. A batch of matrices,
+(B, rows, N), blends one specialist per sample in one op per layer.
 
 Also here: the coefficient post-processing used during training - row-wise
 activation, the uniform-blend stabilizer, basis dropout masking, and one-hot
-hardening for selection mode.
+hardening for selection mode - each working on one matrix or a batch.
 """
 
 from __future__ import annotations
@@ -42,31 +43,34 @@ class SynthesisConfig:
 
 @dataclass
 class CoefficientMatrix:
-    """Per-layer combination weights: one row per non-shared layer, N columns."""
+    """Per-layer combination weights: one row per non-shared layer, N columns.
+
+    ``values`` is (rows, N) for one image or (B, rows, N) for a batch.
+    """
 
     values: T.Tensor
     mode: str = "per_layer"
 
     def __post_init__(self):
-        if self.values.data.ndim != 2:
-            raise T.ShapeError(f"coefficients must be 2-D, got shape {self.values.shape}")
+        if self.values.data.ndim not in (2, 3):
+            raise T.ShapeError(f"coefficients must be (rows, N) or (B, rows, N), got shape {self.values.shape}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
     @property
     def n_bases(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     @property
     def n_rows(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
     def validate(self) -> None:
         v = self.values.data
-        if self.mode == "per_model" and not np.all(v == v[0]):
+        if self.mode == "per_model" and not np.all(v == v[..., :1, :]):
             raise ValueError("per_model coefficients must repeat one row for all layers")
         if self.mode == "one_hot":
-            ok = np.all(np.isin(v, (0.0, 1.0))) and np.all(v.sum(axis=1) == 1.0)
+            ok = np.all(np.isin(v, (0.0, 1.0))) and np.all(v.sum(axis=-1) == 1.0)
             if not ok:
                 raise ValueError("one_hot coefficients must have exactly one 1 per row")
 
@@ -165,11 +169,12 @@ def bank_from_backbone(spec: BackboneSpec, params: BackboneParams) -> BasisBank:
 
 
 def activate(raw: T.Tensor, activation: str) -> CoefficientMatrix:
-    """Turn raw head outputs into coefficients: row-wise softmax or elementwise sigmoid."""
-    if raw.data.ndim != 2:
-        raise T.ShapeError(f"raw coefficients must be 2-D, got shape {raw.shape}")
+    """Turn raw head outputs, (rows, N) or (B, rows, N), into coefficients:
+    row-wise softmax or elementwise sigmoid."""
+    if raw.data.ndim not in (2, 3):
+        raise T.ShapeError(f"raw coefficients must be (rows, N) or (B, rows, N), got shape {raw.shape}")
     if activation == "softmax":
-        values = T.softmax(raw, axis=1)
+        values = T.softmax(raw, axis=-1)
     elif activation == "sigmoid":
         values = T.sigmoid(raw)
     else:
@@ -190,18 +195,27 @@ def blend_epsilon(alpha: CoefficientMatrix, epsilon: float) -> CoefficientMatrix
 
 
 def apply_bmd(alpha: CoefficientMatrix, drop_mask: np.ndarray, renormalize: bool = True) -> CoefficientMatrix:
-    """Zero dropped bases' coefficients in every row; optionally rescale rows to sum 1."""
+    """Zero dropped bases' coefficients in every row; optionally rescale rows to sum 1.
+
+    ``drop_mask`` is (N,), one mask for every matrix, or (B, N), one mask
+    per sample of a (B, rows, N) batch. A sample whose mask drops nothing
+    keeps its coefficients exactly, unrescaled.
+    """
     drop = np.asarray(drop_mask, dtype=bool)
-    if drop.shape != (alpha.n_bases,):
-        raise T.ShapeError(f"drop mask shape {drop.shape} does not match {alpha.n_bases} bases")
-    if drop.all():
+    v = alpha.values
+    per_sample = drop.ndim == 2 and v.data.ndim == 3
+    if drop.shape != ((v.shape[0], alpha.n_bases) if per_sample else (alpha.n_bases,)):
+        raise T.ShapeError(f"drop mask shape {drop.shape} does not match coefficients {v.shape}")
+    if drop.all(axis=-1).any():
         raise ValueError("all bases dropped; at least one must survive")
     if not drop.any():
         return alpha
-    keep = T.Tensor(np.tile((~drop).astype(np.float64), (alpha.n_rows, 1)))
-    values = T.mul(alpha.values, keep)
+    if per_sample:
+        drop = drop[:, None, :]
+    keep = T.Tensor(np.broadcast_to(~drop, v.shape).astype(np.float64))
+    values = T.mul(v, keep)
     if renormalize:
-        values = T.normalize_rows(values)
+        values = T.normalize_rows(values, where=drop.any(axis=-1) if per_sample else None)
     return CoefficientMatrix(values=values, mode=alpha.mode)
 
 
@@ -210,16 +224,8 @@ def to_one_hot(alpha: CoefficientMatrix) -> CoefficientMatrix:
     if alpha.mode not in ("per_layer", "per_model"):
         raise ValueError(f"cannot harden {alpha.mode} coefficients")
     v = alpha.values.data
-    hard = np.zeros_like(v)
-    hard[np.arange(v.shape[0]), np.argmax(v, axis=1)] = 1.0
+    hard = (np.arange(v.shape[-1]) == np.argmax(v, axis=-1)[..., None]).astype(np.float64)
     return CoefficientMatrix(values=T.Tensor(hard), mode="one_hot")
-
-
-def per_model_matrix(row_values: T.Tensor, n_rows: int) -> CoefficientMatrix:
-    """Repeat a single activated coefficient row for every non-shared layer."""
-    if row_values.data.ndim != 1:
-        raise T.ShapeError(f"per-model coefficients must be 1-D, got {row_values.shape}")
-    return CoefficientMatrix(values=T.tile_rows(row_values, n_rows), mode="per_model")
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +235,13 @@ def per_model_matrix(row_values: T.Tensor, n_rows: int) -> CoefficientMatrix:
 def synthesize(bank: BasisBank, alpha: CoefficientMatrix) -> BackboneParams:
     """Blend per-layer kernels into one specialist parameter set.
 
-    Shared layers pass their single kernel through untouched; biases and the
-    head are the bank's shared tensors. Differentiable w.r.t. both the
-    coefficients and every basis kernel.
+    A (B, rows, N) batch of coefficients gives per-sample (B, O, I, K, K)
+    kernels, one blend per layer, which ``conv2d`` runs as one batched call;
+    one image's (rows, N) matrix gives an ordinary specialist with (O, I,
+    K, K) kernels that runs on any batch. Shared layers pass their single
+    kernel through untouched; biases and the head are the bank's shared
+    tensors. Differentiable w.r.t. both the coefficients and every basis
+    kernel.
     """
     if alpha.n_bases != bank.n_bases:
         raise T.ShapeError(f"coefficients have {alpha.n_bases} bases, bank has {bank.n_bases}")
@@ -240,13 +250,17 @@ def synthesize(bank: BasisBank, alpha: CoefficientMatrix) -> BackboneParams:
         raise T.ShapeError(f"coefficients have {alpha.n_rows} rows, bank has {rows} non-shared layers")
     alpha.validate()
 
+    single = alpha.values.data.ndim == 2
+    values = T.reshape(alpha.values, (1, *alpha.values.shape)) if single else alpha.values
     params = BackboneParams(head_w=bank.head_w, head_b=bank.head_b)
     r = 0
     for k, shared in enumerate(bank.share_mask):
         if shared:
             kernel = bank.kernels[k][0]
         else:
-            kernel = T.weighted_sum(T.row(alpha.values, r), bank.kernels[k])
+            kernel = T.blend(T.take(values, r, axis=1), bank.kernels[k])
+            if single:
+                kernel = T.reshape(kernel, kernel.shape[1:])
             r += 1
         params.layers.append(LayerParams(kernel=kernel, bias=bank.biases[k]))
     return params

@@ -234,56 +234,51 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _result(a.data.reshape(shape), (a,), bwd)
 
 
-def row(a: Tensor, index: int) -> Tensor:
-    """Select index along the first axis (a row of a matrix, an element of a vector)."""
-    if not 0 <= index < a.shape[0]:
-        raise ShapeError(f"row index {index} out of range for shape {a.shape}")
+def take(a: Tensor, index: int, axis: int = 0) -> Tensor:
+    """Select ``index`` along ``axis``, dropping that axis (a row of a matrix,
+    an element of a vector, one layer's coefficients of every sample)."""
+    if not -a.data.ndim <= axis < a.data.ndim:
+        raise ShapeError(f"take axis {axis} out of bounds for shape {a.shape}")
+    if not 0 <= index < a.shape[axis]:
+        raise ShapeError(f"index {index} out of range for axis {axis} of shape {a.shape}")
 
     def bwd(g):
         full = np.zeros_like(a.data)
-        full[index] = g
+        np.moveaxis(full, axis, 0)[index] = g
         return ((a, full),)
 
-    return _result(np.array(a.data[index]), (a,), bwd)
-
-
-def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    """Stack equal-shaped tensors along a new leading axis."""
-    if not rows:
-        raise ShapeError("stack_rows needs at least one tensor")
-    first = rows[0].shape
-    for t in rows[1:]:
-        if t.shape != first:
-            raise ShapeError(f"stack_rows shape mismatch: {t.shape} vs {first}")
-
-    def bwd(g):
-        return tuple((t, g[i]) for i, t in enumerate(rows))
-
-    return _result(np.stack([t.data for t in rows]), tuple(rows), bwd)
+    return _result(np.take(a.data, index, axis=axis), (a,), bwd)
 
 
 def tile_rows(a: Tensor, count: int) -> Tensor:
-    """Repeat a 1-D tensor as ``count`` identical rows."""
-    if a.data.ndim != 1:
-        raise ShapeError(f"tile_rows expects a 1-D tensor, got shape {a.shape}")
+    """Repeat the last axis as ``count`` identical rows: (..., N) -> (..., count, N)."""
+    if a.data.ndim < 1:
+        raise ShapeError("tile_rows expects at least a 1-D tensor")
 
     def bwd(g):
-        return ((a, g.sum(axis=0)),)
+        return ((a, g.sum(axis=-2)),)
 
-    return _result(np.tile(a.data, (count, 1)), (a,), bwd)
+    return _result(np.repeat(a.data[..., None, :], count, axis=-2), (a,), bwd)
 
 
-def normalize_rows(a: Tensor) -> Tensor:
-    """Divide each row of a 2-D tensor by its own sum."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"normalize_rows expects a 2-D tensor, got shape {a.shape}")
-    sums = a.data.sum(axis=1, keepdims=True)
+def normalize_rows(a: Tensor, where=None) -> Tensor:
+    """Divide each row (a slice along the last axis) by its own sum.
+
+    ``where``, a boolean array over the rows (``a.shape[:-1]``, or any shape
+    that broadcasts to it), restricts the division to the selected rows;
+    the others pass through unchanged, values and gradient alike.
+    """
+    if a.data.ndim < 2:
+        raise ShapeError(f"normalize_rows expects at least a 2-D tensor, got shape {a.shape}")
+    sums = a.data.sum(axis=-1, keepdims=True)
+    selected = True if where is None else np.asarray(where, dtype=bool)[..., None]
+    sums = np.where(selected, sums, 1.0)
     if np.any(sums == 0.0):
         raise ShapeError("normalize_rows: a row sums to zero")
     out = a.data / sums
 
     def bwd(g):
-        inner = np.sum(g * out, axis=1, keepdims=True)
+        inner = np.where(selected, np.sum(g * out, axis=-1, keepdims=True), 0.0)
         return ((a, (g - inner) / sums),)
 
     return _result(out, (a,), bwd)
@@ -307,39 +302,38 @@ def sum_squares(a: Tensor) -> Tensor:
     return _result(np.array(np.sum(a.data * a.data)), (a,), bwd)
 
 
-def weighted_sum(coeffs: Tensor, tensors: Sequence[Tensor]) -> Tensor:
-    """Linear combination sum_n coeffs[n] * tensors[n].
+def blend(coeffs: Tensor, tensors: Sequence[Tensor]) -> Tensor:
+    """Per-sample linear combinations out[b] = sum_n coeffs[b, n] * tensors[n].
 
-    Exactly-zero coefficients are skipped in the forward accumulation, so a
-    one-hot coefficient vector returns the selected tensor's values bit for
-    bit, and a zeroed-out member contributes no gradient. The gradient
-    w.r.t. the coefficients themselves is computed for every position.
+    ``coeffs`` is (B, N) and the N tensors share one shape, so the result
+    is (B, *shape): one blended tensor per sample, from a single einsum.
+    The other terms of a one-hot row add exact zeros, so it returns the
+    selected tensor's values bit for bit. The coefficients get a
+    gradient at every position; a tensor whose coefficient is zero in every
+    row gets no gradient entry at all (not even a zero-filled one, which an
+    optimizer would still see).
     """
-    if coeffs.data.ndim != 1:
-        raise ShapeError(f"weighted_sum coeffs must be 1-D, got shape {coeffs.shape}")
-    n = coeffs.shape[0]
+    if coeffs.data.ndim != 2:
+        raise ShapeError(f"blend coeffs must be (B, N), got shape {coeffs.shape}")
+    n = coeffs.shape[1]
     if n != len(tensors):
         raise ShapeError(f"{n} coefficients for {len(tensors)} tensors")
     base = tensors[0].shape
     for t in tensors[1:]:
         if t.shape != base:
-            raise ShapeError(f"weighted_sum member shapes differ: {t.shape} vs {base}")
+            raise ShapeError(f"blend member shapes differ: {t.shape} vs {base}")
 
     c = coeffs.data
-    nonzero = [i for i in range(n) if c[i] != 0.0]
-    if len(nonzero) == 1 and c[nonzero[0]] == 1.0:
-        out = tensors[nonzero[0]].data.copy()
-    else:
-        out = np.zeros(base, dtype=np.float64)
-        for i in nonzero:
-            out += c[i] * tensors[i].data
+    flat = np.concatenate([t.data for t in tensors]).reshape(n, -1)
 
     def bwd(g):
-        gc = np.array([np.sum(g * t.data) for t in tensors])
-        contribs = [(coeffs, gc)]
-        contribs.extend((tensors[i], c[i] * g) for i in nonzero)
-        return tuple(contribs)
+        gflat = g.reshape(len(c), -1)
+        gc = np.einsum("bf,nf->bn", gflat, flat)
+        gt = np.einsum("bn,bf->nf", c, gflat)
+        used = np.flatnonzero(np.any(c != 0.0, axis=0))
+        return ((coeffs, gc), *((tensors[i], gt[i].reshape(base)) for i in used))
 
+    out = np.einsum("bn,nf->bf", c, flat).reshape(len(c), *base)
     return _result(out, (coeffs, *tensors), bwd)
 
 
@@ -350,17 +344,22 @@ def weighted_sum(coeffs: Tensor, tensors: Sequence[Tensor]) -> Tensor:
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of an NCHW input with an OIKK kernel.
 
-    Output spatial size is floor((H + 2*padding - K)/stride) + 1 per side.
-    Differentiable w.r.t. both the input and the kernel.
+    A (B, O, I, K, K) kernel gives each sample its own kernel: the whole
+    batch still runs as one einsum (CondConv's per-example kernels folded
+    into one call). Output spatial size is floor((H + 2*padding - K)/stride)
+    + 1 per side. Differentiable w.r.t. both the input and the kernel.
     """
-    if x.data.ndim != 4 or kernel.data.ndim != 4:
-        raise ShapeError(f"conv2d expects NCHW input and OIKK kernel, got {x.shape} and {kernel.shape}")
+    per_sample = kernel.data.ndim == 5
+    if x.data.ndim != 4 or kernel.data.ndim not in (4, 5):
+        raise ShapeError(f"conv2d expects NCHW input and OIKK or BOIKK kernel, got {x.shape} and {kernel.shape}")
     if stride < 1:
         raise ShapeError(f"stride must be >= 1, got {stride}")
     if padding < 0:
         raise ShapeError(f"padding must be >= 0, got {padding}")
     batch, in_c, h, w = x.shape
-    out_c, k_in, kh, kw = kernel.shape
+    out_c, k_in, kh, kw = kernel.shape[-4:]
+    if per_sample and kernel.shape[0] != batch:
+        raise ShapeError(f"conv2d per-sample kernel {kernel.shape} does not match batch of input {x.shape}")
     if in_c != k_in:
         raise ShapeError(f"conv2d channel mismatch: input {x.shape} has {in_c} channels, kernel {kernel.shape} expects {k_in}")
     if h + 2 * padding < kh or w + 2 * padding < kw:
@@ -374,14 +373,15 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     # reduction order, which the bit-determinism contract relies on.
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     windows = windows[:, :, ::stride, ::stride]
-    out = np.einsum("bcijkl,ockl->boij", windows, kernel.data)
+    k_sub = "bockl" if per_sample else "ockl"
+    out = np.einsum(f"bcijkl,{k_sub}->boij", windows, kernel.data)
 
     out_h, out_w = out.shape[2], out.shape[3]
     ph, pw = xp.shape[2], xp.shape[3]
 
     def bwd(g):
-        gk = np.einsum("boij,bcijkl->ockl", g, windows)
-        gcols = np.einsum("boij,ockl->bcijkl", g, kernel.data)
+        gk = np.einsum(f"boij,bcijkl->{k_sub}", g, windows)
+        gcols = np.einsum(f"boij,{k_sub}->bcijkl", g, kernel.data)
         gxp = np.zeros((batch, in_c, ph, pw))
         for ki in range(kh):
             for kj in range(kw):

@@ -1,12 +1,15 @@
 """Joint end-to-end training of the lightweight model and the basis bank.
 
-One step: sample a batch, run the shared lightweight trunk once, then per
-sample activate coefficients, apply the uniform-blend stabilizer at the
-scheduled strength, mask dropped bases, synthesize the specialist, and run
-stage two. The loss is CE(specialist) + lm_weight * CE(initial) + L2. The
-gradient routing the design calls for falls out of the graph itself: the
-initial-prediction term never touches basis kernels, while the specialist
-term reaches the lightweight model through the coefficient path.
+One step: sample a batch and run it through the model once, every stage
+batched. The lightweight trunk gives initial logits and raw coefficients;
+the coefficients are activated, blended toward uniform at the scheduled
+strength and masked for dropped bases (per sample when masks differ), then
+one synthesis blends a specialist per sample and one stage-two pass runs
+each sample through its own kernels. The loss is CE(specialist) +
+lm_weight * CE(initial) + L2. The gradient routing the design calls for
+falls out of the graph itself: the initial-prediction term never touches
+basis kernels, while the specialist term reaches the lightweight model
+through the coefficient path.
 
 All per-step randomness (batch choice, augmentation, dropout masks) derives
 from (seed, step), so any run is reproducible and resumable bit for bit.
@@ -176,45 +179,32 @@ def sample_batch(dataset: Dataset, schedule: TrainSchedule, step: int) -> tuple[
 
 def forward_training(state: TrainState, batch_x: np.ndarray, epsilon: float,
                      drop_masks: np.ndarray | None):
-    """Batched stage-one pass, per-sample synthesis and stage-two pass.
+    """Batched stage-one pass, synthesis and stage-two pass.
 
     ``drop_masks`` is (N,) to share one mask across the batch or (B, N) for
     per-sample masks; None disables basis dropout. Returns (final logits,
-    initial logits, per-sample coefficient matrices).
+    initial logits, the (B, rows, N) coefficients the specialists used).
     """
     cfg = state.synth_cfg
     x = T.Tensor(batch_x)
     initial, raw = pl.lm_forward(state.lm, state.lm_params, x)
+    alpha = pl.coefficients_from_raw(raw, cfg, state.bank.n_coefficient_rows, state.bank.n_bases)
+    if state.harden_one_hot and alpha.mode != "one_hot":
+        alpha = syn.to_one_hot(alpha)
 
-    batch = batch_x.shape[0]
-    if drop_masks is not None and drop_masks.ndim == 1:
-        drop_masks = np.tile(drop_masks, (batch, 1))
+    if alpha.mode != "one_hot":
+        stages = []
+        if epsilon > 0.0:
+            stages.append(lambda a: syn.blend_epsilon(a, epsilon))
+        if drop_masks is not None:
+            stages.append(lambda a: syn.apply_bmd(a, drop_masks, cfg.bmd_renormalize))
+        if cfg.stabilizer_order == "bmd_then_epsilon":
+            stages.reverse()
+        for stage in stages:
+            alpha = stage(alpha)
 
-    final_rows = []
-    alphas = []
-    for b in range(batch):
-        alpha = pl.coefficients_from_raw(
-            T.row(raw, b), cfg, state.bank.n_coefficient_rows, state.bank.n_bases)
-        if state.harden_one_hot and alpha.mode != "one_hot":
-            alpha = syn.to_one_hot(alpha)
-
-        if alpha.mode != "one_hot":
-            stages = []
-            if epsilon > 0.0:
-                stages.append(lambda a: syn.blend_epsilon(a, epsilon))
-            if drop_masks is not None and drop_masks[b].any():
-                mask = drop_masks[b]
-                stages.append(lambda a: syn.apply_bmd(a, mask, cfg.bmd_renormalize))
-            if cfg.stabilizer_order == "bmd_then_epsilon":
-                stages.reverse()
-            for stage in stages:
-                alpha = stage(alpha)
-
-        specialist = syn.synthesize(state.bank, alpha)
-        logits = bb.forward(specialist, state.bank.spec, T.Tensor(batch_x[b:b + 1]))
-        final_rows.append(T.row(logits, 0))
-        alphas.append(alpha)
-    return T.stack_rows(final_rows), initial, alphas
+    specialist = syn.synthesize(state.bank, alpha)
+    return bb.forward(specialist, state.bank.spec, x), initial, alpha
 
 
 def distill_targets(teacher_spec: bb.BackboneSpec, teacher_params: bb.BackboneParams,

@@ -103,3 +103,42 @@ def gradient_mismatch(analytic: np.ndarray, numeric: np.ndarray) -> float:
     a = np.asarray(analytic, dtype=np.float64)
     n = np.asarray(numeric, dtype=np.float64)
     return float(np.max(np.abs(a - n) / (1.0 + np.abs(n))))
+
+
+def per_image_forward(state, batch_x: np.ndarray, epsilon: float, drop_masks):
+    """Training forward one image at a time: the loop the batched path replaced.
+
+    One lightweight pass over the batch, then for each image its own raw
+    row, (rows, N) coefficient matrix, stabilizers in the configured order
+    (basis dropout only when that image's mask drops something), specialist
+    with ordinary 4-D kernels and batch-1 stage two. ``drop_masks`` is None,
+    (N,) for the whole batch or (B, N) per image. Returns (per-image (1, C)
+    final logits, initial logits, per-image coefficient matrices).
+    """
+    from kernelblend import backbone as bb
+    from kernelblend import pipeline as pl
+    from kernelblend import synthesis as syn
+    from kernelblend import tensor as T
+
+    cfg, bank = state.synth_cfg, state.bank
+    initial, raw = pl.lm_forward(state.lm, state.lm_params, T.Tensor(batch_x))
+    finals, alphas = [], []
+    for b in range(len(batch_x)):
+        alpha = pl.coefficients_from_raw(T.take(raw, b), cfg, bank.n_coefficient_rows, bank.n_bases)
+        if state.harden_one_hot and alpha.mode != "one_hot":
+            alpha = syn.to_one_hot(alpha)
+        if alpha.mode != "one_hot":
+            mask = drop_masks[b] if drop_masks is not None and drop_masks.ndim == 2 else drop_masks
+            stages = []
+            if epsilon > 0.0:
+                stages.append(lambda a: syn.blend_epsilon(a, epsilon))
+            if mask is not None and mask.any():
+                stages.append(lambda a: syn.apply_bmd(a, mask, cfg.bmd_renormalize))
+            if cfg.stabilizer_order == "bmd_then_epsilon":
+                stages.reverse()
+            for stage in stages:
+                alpha = stage(alpha)
+        specialist = syn.synthesize(bank, alpha)
+        finals.append(bb.forward(specialist, bank.spec, T.Tensor(batch_x[b:b + 1])))
+        alphas.append(alpha)
+    return finals, initial, alphas

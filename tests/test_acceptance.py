@@ -489,7 +489,7 @@ class TestCoefficientClustering:
             idx = np.flatnonzero(evalset.labels == cls)
             vecs = [
                 P.coefficients_from_raw(
-                    T.row(raw, int(i)), state.synth_cfg,
+                    T.take(raw, int(i)), state.synth_cfg,
                     state.bank.n_coefficient_rows, state.bank.n_bases,
                 ).values.data.ravel()
                 for i in idx

@@ -134,6 +134,21 @@ class TestValidation:
         with pytest.raises(CK.CheckpointError, match=f"lacks key '{key}'"):
             CK.load_checkpoint(tmp_path / "ckpt")
 
+    @pytest.mark.parametrize("edit,named", [
+        (lambda section: {**section, "temperature": 1.0}, "unknown key 'temperature'"),
+        (lambda section: list(section), "not an object"),
+    ], ids=["unknown_key", "not_an_object"])
+    def test_bad_synthesis_section_named(self, trained, tmp_path, edit, named):
+        state, _, _ = trained
+        CK.save_checkpoint(state, tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / CK.MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["structure"]["synthesis"] = edit(manifest["structure"]["synthesis"])
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CK.CheckpointError, match=named) as exc:
+            CK.load_checkpoint(tmp_path / "ckpt")
+        assert "\n" not in str(exc.value)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(CK.CheckpointError, match="manifest"):
             CK.load_checkpoint(tmp_path / "nothing")

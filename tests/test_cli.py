@@ -158,6 +158,13 @@ class TestDisturb:
         assert main(["disturb", "--ckpt", str(ckpt), "--kind", "shuffled"]) == 0
         assert [d.seed for d in seen if d.kind == "shuffled"] == [0, 1, 2]
 
+    def test_zero_seeds_exit_one_with_one_line(self, workdir, trained_ckpt, capsys):
+        assert main(["disturb", "--ckpt", str(trained_ckpt),
+                     "--kind", "uniform", "--seeds", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--seeds" in err
+        assert not (workdir / "runs" / "demo" / "disturbance.csv").exists()
+
     def test_invalid_kind_rejected(self, trained_ckpt):
         with pytest.raises(SystemExit) as exc:
             main(["disturb", "--ckpt", str(trained_ckpt), "--kind", "negate"])

@@ -117,6 +117,12 @@ class TestParsing:
         with pytest.raises(ConfigError, match="exceed"):
             parse_config(raw)
 
+    def test_zero_disturbance_seeds_rejected(self):
+        raw = base_config()
+        raw["eval"]["disturbance_seeds"] = 0
+        with pytest.raises(ConfigError, match="disturbance_seeds"):
+            parse_config(raw)
+
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(base_config()))

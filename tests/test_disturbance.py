@@ -131,3 +131,18 @@ class TestLayerSweep:
         for row in rows:
             assert 0.0 <= row["accuracy_mean"] <= 1.0
             assert row["accuracy_std"] >= 0.0
+
+    def test_mean_table_computed_once_per_sweep(self, monkeypatch):
+        state = toy_state(n_bases=3, seed=8)
+        _, evalset = toy_dataset(train_size=8, eval_size=12)
+        calls = []
+        mean_coefficients = DI.mean_coefficients
+
+        def counting(*args):
+            calls.append(1)
+            return mean_coefficients(*args)
+
+        monkeypatch.setattr(DI, "mean_coefficients", counting)
+        DI.layer_sweep(state.lm, state.lm_params, state.bank, state.synth_cfg,
+                       evalset, kind="mean", seeds=3)
+        assert len(calls) == 1

@@ -1,5 +1,7 @@
 """Two-stage inference: termination, accounting, trace order, and the router baseline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,44 @@ class TestInfer:
             )
             rates.append(skips / 12)
         assert all(a >= b for a, b in zip(rates, rates[1:]))
+
+    @pytest.mark.parametrize("mode", ["per_layer", "per_model", "one_hot"])
+    def test_batch_equals_per_image_infer(self, setup, mode):
+        _, _, bank, _, _ = setup
+        lm = dataclasses.replace(lm_for(bank), coeff_rows=1 if mode == "per_model" else bank.n_coefficient_rows)
+        params = P.build_lm(lm, seed=1)
+        cfg = S.SynthesisConfig(mode=mode)
+        images = np.random.default_rng(5).random((10, 1, 16, 16))
+        threshold = float(np.median([P.infer(lm, params, bank, cfg, images[i:i + 1], 0.0).confidence
+                                     for i in range(10)]))
+        batch = P.infer_batch(lm, params, bank, cfg, images, threshold)
+        assert sum(res.terminated for res in batch) == 5
+        for i, res in enumerate(batch):
+            one = P.infer(lm, params, bank, cfg, images[i:i + 1], threshold)
+            assert (res.terminated, res.confidence, res.madds_spent) == (
+                one.terminated, one.confidence, one.madds_spent)
+            assert res.initial_logits.tobytes() == one.initial_logits.tobytes()
+            if not res.terminated:
+                assert res.final_logits.tobytes() == one.final_logits.tobytes()
+                assert res.coefficients.values.data.tobytes() == one.coefficients.values.data.tobytes()
+
+        # ``edit`` sees each pending image's own matrix, in image order, and
+        # its result is what that image's specialist runs on
+        seen = []
+
+        def reverse_rows(alpha):
+            seen.append(alpha.values.data.copy())
+            return S.CoefficientMatrix(values=T.Tensor(alpha.values.data[:, ::-1]), mode=alpha.mode)
+
+        edited = P.infer_batch(lm, params, bank, cfg, images, threshold, edit=reverse_rows)
+        pending = [i for i, res in enumerate(batch) if not res.terminated]
+        assert [v.tobytes() for v in seen] == [
+            batch[i].coefficients.values.data.tobytes() for i in pending]
+        for i in pending:
+            alpha = edited[i].coefficients
+            assert np.array_equal(alpha.values.data, batch[i].coefficients.values.data[:, ::-1])
+            alone = B.forward(S.synthesize(bank, alpha), bank.spec, T.Tensor(images[i:i + 1]))
+            assert edited[i].final_logits.tobytes() == alone.data[0].tobytes()
 
 
 class TestCondConv:

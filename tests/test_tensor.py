@@ -75,6 +75,31 @@ class TestConv2d:
         assert gradient_mismatch(grads[x], finite_difference(loss_x, xv.copy())) < 1e-6
         assert gradient_mismatch(grads[k], finite_difference(loss_k, kv.copy())) < 1e-6
 
+    def test_per_sample_kernels_match_naive_loop(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((3, 2, 7, 6))
+        k = rng.standard_normal((3, 4, 2, 3, 3))
+        out = T.conv2d(T.Tensor(x), T.Tensor(k), stride=2, padding=1)
+        for b in range(3):
+            expected, _ = conv2d_reference(x[b:b + 1], k[b], 2, 1)
+            np.testing.assert_allclose(out.data[b:b + 1], expected, atol=1e-12)
+        with pytest.raises(T.ShapeError, match="per-sample"):
+            T.conv2d(T.Tensor(x), T.Tensor(k[:2]))
+
+    def test_per_sample_kernel_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(17)
+        xv = rng.standard_normal((2, 2, 5, 5))
+        kv = rng.standard_normal((2, 3, 2, 3, 3))
+        x = T.Tensor(xv.copy(), requires_grad=True)
+        k = T.Tensor(kv.copy(), requires_grad=True)
+        grads = grad_of(lambda: T.sum_squares(T.conv2d(x, k, stride=2, padding=1)), (x, k))
+
+        def loss(xs, ks):
+            return sum(np.sum(conv2d_reference(xs[b:b + 1], ks[b], 2, 1)[0] ** 2) for b in range(2))
+
+        assert gradient_mismatch(grads[x], finite_difference(lambda v: loss(v, kv), xv.copy())) < 1e-6
+        assert gradient_mismatch(grads[k], finite_difference(lambda v: loss(xv, v), kv.copy())) < 1e-6
+
     def test_linear_in_kernel(self):
         rng = np.random.default_rng(3)
         x = T.Tensor(rng.standard_normal((1, 2, 6, 6)))
@@ -149,7 +174,7 @@ class TestSoftmax:
 
         for i in range(5):
             x = T.Tensor(xv.copy(), requires_grad=True)
-            grads = grad_of(lambda: T.row(T.softmax(x, axis=0), i), (x,))
+            grads = grad_of(lambda: T.take(T.softmax(x, axis=0), i), (x,))
             numeric = finite_difference(lambda v: softmax_np(v)[i], xv.copy())
             assert gradient_mismatch(grads[x], numeric) < 1e-6
 
@@ -261,26 +286,33 @@ class TestStructuralOps:
     def test_row_and_reshape_roundtrip_gradients(self):
         xv = np.arange(6.0).reshape(2, 3)
         x = T.Tensor(xv.copy(), requires_grad=True)
-        grads = grad_of(lambda: T.sum_squares(T.row(T.reshape(x, (3, 2)), 1)), (x,))
+        grads = grad_of(lambda: T.sum_squares(T.take(T.reshape(x, (3, 2)), 1)), (x,))
         numeric = finite_difference(lambda v: np.sum(v.reshape(3, 2)[1] ** 2), xv.copy())
         assert gradient_mismatch(grads[x], numeric) < 1e-8
 
-    def test_stack_rows_inverts_rows(self):
-        a = T.Tensor([1.0, 2.0], requires_grad=True)
-        b = T.Tensor([3.0, 4.0], requires_grad=True)
+    def test_take_along_axis_scatters_gradient(self):
+        xv = np.arange(24.0).reshape(2, 3, 4)
+        x = T.Tensor(xv, requires_grad=True)
         tape = T.GradTape()
         with T.recording(tape):
-            stacked = T.stack_rows([a, b])
-            loss = T.sum_squares(stacked)
-        assert stacked.shape == (2, 2)
-        grads = T.backward(loss)
-        assert np.array_equal(grads[a], [2.0, 4.0])
-        assert np.array_equal(grads[b], [6.0, 8.0])
+            picked = T.take(x, 1, axis=1)
+            loss = T.sum_squares(picked)
+        assert np.array_equal(picked.data, xv[:, 1])
+        expected = np.zeros_like(xv)
+        expected[:, 1] = 2.0 * xv[:, 1]
+        assert np.array_equal(T.backward(loss)[x], expected)
+        with pytest.raises(T.ShapeError):
+            T.take(x, 3, axis=1)
 
     def test_tile_rows_sums_gradient(self):
         a = T.Tensor([1.0, -1.0], requires_grad=True)
         grads = grad_of(lambda: T.sum_all(T.tile_rows(a, 3)), (a,))
         assert np.array_equal(grads[a], [3.0, 3.0])
+        batch = T.Tensor([[1.0, -1.0], [2.0, 0.5]], requires_grad=True)
+        tiled = T.tile_rows(batch, 3)
+        assert tiled.shape == (2, 3, 2) and np.all(tiled.data == batch.data[:, None, :])
+        grads = grad_of(lambda: T.sum_squares(T.tile_rows(batch, 3)), (batch,))
+        assert np.array_equal(grads[batch], 6.0 * batch.data)
 
     def test_normalize_rows_values_and_gradient(self):
         xv = np.array([[1.0, 3.0], [2.0, 2.0]])
@@ -294,36 +326,55 @@ class TestStructuralOps:
         numeric = finite_difference(lambda v: np.sum((v / v.sum(axis=1, keepdims=True)) ** 2), xv.copy())
         assert gradient_mismatch(grads[x], numeric) < 1e-7
 
-    def test_weighted_sum_values_and_gradients(self):
+        # with ``where``, unselected rows pass through, values and gradient
+        x = T.Tensor(xv.copy(), requires_grad=True)
+        where = np.array([False, True])
+        grads = grad_of(lambda: T.sum_squares(T.normalize_rows(x, where=where)), (x,))
+        np.testing.assert_allclose(T.normalize_rows(x, where=where).data, [[1.0, 3.0], [0.5, 0.5]])
+
+        def loss_np(v):
+            return np.sum(v[0] ** 2) + np.sum((v[1] / v[1].sum()) ** 2)
+
+        assert gradient_mismatch(grads[x], finite_difference(loss_np, xv.copy())) < 1e-7
+
+    def test_blend_values_and_gradients(self):
         rng = np.random.default_rng(6)
         bank = [rng.standard_normal((2, 1, 3, 3)) for _ in range(3)]
-        cv = np.array([0.5, 0.3, 0.2])
+        cv = np.array([[0.5, 0.3, 0.2], [0.1, 0.0, 0.9]])
         c = T.Tensor(cv.copy(), requires_grad=True)
         kernels = [T.Tensor(k.copy(), requires_grad=True) for k in bank]
-        grads = grad_of(lambda: T.sum_squares(T.weighted_sum(c, kernels)), (c, *kernels))
+        grads = grad_of(lambda: T.sum_squares(T.blend(c, kernels)), (c, *kernels))
 
-        def loss_c(v):
-            return np.sum(sum(v[i] * bank[i] for i in range(3)) ** 2)
+        def mix(v, ks):
+            return np.stack([sum(v[b, i] * ks[i] for i in range(3)) for b in range(2)])
 
-        assert gradient_mismatch(grads[c], finite_difference(loss_c, cv.copy())) < 1e-7
-        blended = sum(cv[i] * bank[i] for i in range(3))
+        out = T.blend(T.Tensor(cv), kernels).data
+        np.testing.assert_allclose(out, mix(cv, bank), atol=1e-15)
+        # the coefficients' gradient covers every position, the zero one too
+        numeric_c = finite_difference(lambda v: np.sum(mix(v, bank) ** 2), cv.copy())
+        assert gradient_mismatch(grads[c], numeric_c) < 1e-7
         for i, k in enumerate(kernels):
-            np.testing.assert_allclose(grads[k], cv[i] * 2 * blended, atol=1e-12)
+            def loss_k(v, i=i):
+                return np.sum(mix(cv, bank[:i] + [v] + bank[i + 1:]) ** 2)
+            assert gradient_mismatch(grads[k], finite_difference(loss_k, bank[i].copy())) < 1e-7
 
-    def test_weighted_sum_one_hot_is_bitwise_selection(self):
+    def test_blend_one_hot_is_bitwise_selection(self):
         rng = np.random.default_rng(8)
         bank = [T.Tensor(rng.standard_normal((4, 2, 3, 3))) for _ in range(4)]
-        onehot = T.Tensor([0.0, 0.0, 1.0, 0.0])
-        out = T.weighted_sum(onehot, bank)
-        assert np.array_equal(out.data, bank[2].data)
+        onehot = T.Tensor([[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+        out = T.blend(onehot, bank)
+        for b, n in enumerate((2, 0, 2)):
+            assert out.data[b].tobytes() == bank[n].data.tobytes()
 
-    def test_weighted_sum_zero_coefficient_blocks_gradient(self):
-        c = T.Tensor([0.0, 1.0])
-        a = T.Tensor(np.ones((2, 2)), requires_grad=True)
-        b = T.Tensor(np.ones((2, 2)), requires_grad=True)
-        grads = grad_of(lambda: T.sum_all(T.weighted_sum(c, [a, b])), (a, b))
+    def test_blend_zero_coefficient_blocks_gradient(self):
+        # a basis with a zero coefficient in every row gets no gradient entry,
+        # one with a nonzero coefficient in any row gets one
+        c = T.Tensor([[0.0, 1.0, 0.0], [0.0, 0.5, 0.5]])
+        a, b, d = (T.Tensor(np.ones((2, 2)), requires_grad=True) for _ in range(3))
+        grads = grad_of(lambda: T.sum_all(T.blend(c, [a, b, d])), (a, b, d))
         assert a not in grads
-        assert np.array_equal(grads[b], np.ones((2, 2)))
+        assert np.array_equal(grads[b], np.full((2, 2), 1.5))
+        assert np.array_equal(grads[d], np.full((2, 2), 0.5))
 
 
 class TestNumericSafety:
@@ -366,12 +417,12 @@ class TestGradientSweep:
                 b = T.Tensor(bv)
                 h = T.add(T.mul(T.relu(a), T.sigmoid(b)), T.scale(b, 0.25))
                 probs = T.softmax(h, axis=1)
-                stacked = T.stack_rows([T.row(probs, 0), T.row(probs, 1), T.row(probs, 0)])
-                tiled = T.tile_rows(T.row(stacked, 2), 2)
-                normed = T.normalize_rows(T.add(tiled, T.Tensor(np.full((2, 6), 0.5))))
+                tiled = T.tile_rows(T.take(probs, 1), 2)
+                picked = T.take(T.tile_rows(probs, 3), 2, axis=1)
+                normed = T.normalize_rows(T.add(T.add(tiled, picked), T.Tensor(np.full((2, 6), 0.5))))
                 flat = T.reshape(normed, (12,))
-                blend = T.weighted_sum(w, [flat, T.scale(flat, -0.5),
-                                           T.Tensor(np.linspace(0, 1, 12))])
+                blend = T.blend(T.reshape(w, (1, 3)), [flat, T.scale(flat, -0.5),
+                                                      T.Tensor(np.linspace(0, 1, 12))])
                 return T.add(T.sum_squares(blend), T.sum_all(normed))
 
             a = T.Tensor(av.copy(), requires_grad=True)

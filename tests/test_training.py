@@ -8,6 +8,7 @@ from kernelblend import synthesis as S
 from kernelblend import tensor as T
 from kernelblend import training as TR
 
+from oracles import per_image_forward
 from toys import run_training, toy_dataset, toy_state
 
 
@@ -235,6 +236,10 @@ class TestTrainStep:
         rng = TR.step_rng(s, 0, stream=2)
         masks = np.stack([TR.sample_bmd_mask(4, 0.4, rng) for _ in range(8)])
         assert len({m.tobytes() for m in masks}) > 1
+        # each sample's dropped bases are zero in its own rows only
+        _, _, alpha = TR.forward_training(state, train.images[:8], 0.0, masks)
+        for v, mask in zip(alpha.values.data, masks):
+            assert np.all(v[:, mask] == 0.0) and np.all(v[:, ~mask] > 0.0)
 
     def test_rmsprop_updates_and_keeps_accumulators(self):
         state = toy_state(n_bases=2, seed=8)
@@ -255,6 +260,65 @@ class TestTrainStep:
             delta = p.data - before[name]
             total += float(np.sum(delta * delta))
         assert np.sqrt(total) <= 0.1 + 1e-9
+
+
+class TestBatchedMatchesPerImage:
+    """forward_training against the per-image oracle: logits bitwise, gradients to 1e-12."""
+
+    SHARED = np.array([False, True, False, False])
+    PER_SAMPLE = np.array([[False, True, False, False], [False, False, False, False],
+                           [True, False, False, True], [False, True, True, False],
+                           [False, False, False, False]])
+    DROP_FIRST = np.array([[True, False, False, False], [True, True, False, False],
+                           [True, False, False, True], [True, False, False, False],
+                           [True, False, True, False]])
+
+    @pytest.mark.parametrize("mode,activation,harden,eps,masks,order", [
+        ("per_layer", "softmax", False, 0.0, None, "epsilon_then_bmd"),
+        ("per_layer", "softmax", False, 0.4, "shared", "epsilon_then_bmd"),
+        ("per_layer", "softmax", False, 0.4, "per_sample", "epsilon_then_bmd"),
+        ("per_layer", "softmax", False, 0.4, "per_sample", "bmd_then_epsilon"),
+        ("per_layer", "softmax", False, 1.0, "per_sample", "epsilon_then_bmd"),
+        ("per_layer", "softmax", False, 0.0, "drop_first", "epsilon_then_bmd"),
+        ("per_layer", "softmax", False, 0.4, "drop_first", "bmd_then_epsilon"),
+        ("per_layer", "sigmoid", False, 0.4, "per_sample", "bmd_then_epsilon"),
+        ("per_model", "softmax", False, 0.4, "per_sample", "epsilon_then_bmd"),
+        ("per_model", "softmax", False, 0.0, "shared", "bmd_then_epsilon"),
+        ("one_hot", "softmax", False, 0.4, "per_sample", "epsilon_then_bmd"),
+        ("per_layer", "softmax", True, 0.4, None, "epsilon_then_bmd"),
+    ])
+    def test_logits_bitwise_and_gradients_close(self, mode, activation, harden, eps,
+                                                masks, order):
+        cfg = S.SynthesisConfig(activation=activation, mode=mode, stabilizer_order=order)
+        state = toy_state(n_bases=4, seed=30, synth_cfg=cfg)
+        state.harden_one_hot = harden
+        train, _ = toy_dataset(train_size=16, eval_size=8)
+        x, y = train.images[:5], train.labels[:5]
+        drop = {None: None, "shared": self.SHARED, "per_sample": self.PER_SAMPLE,
+                "drop_first": self.DROP_FIRST}[masks]
+        params = [p for _, p in TR.named_parameters(state)]
+
+        tape = T.GradTape()
+        with T.recording(tape):
+            final, initial, alpha = TR.forward_training(state, x, eps, drop)
+            loss = T.add(T.cross_entropy(final, y), T.cross_entropy(initial, y))
+        grads = T.backward(loss)
+
+        tape = T.GradTape()
+        with T.recording(tape):
+            finals, ref_initial, ref_alphas = per_image_forward(state, x, eps, drop)
+            ref_loss = T.cross_entropy(ref_initial, y)
+            for b, logits in enumerate(finals):
+                ref_loss = T.add(ref_loss, T.scale(T.cross_entropy(logits, y[b:b + 1]), 1 / len(x)))
+        ref_grads = T.backward(ref_loss)
+
+        assert final.data.tobytes() == np.concatenate([f.data for f in finals]).tobytes()
+        assert alpha.values.data.tobytes() == np.stack(
+            [a.values.data for a in ref_alphas]).tobytes()
+        assert [p in grads for p in params] == [p in ref_grads for p in params]
+        for p in params:
+            if p in grads:
+                np.testing.assert_allclose(grads[p], ref_grads[p], rtol=1e-12, atol=1e-12)
 
 
 class TestDistillation:
@@ -341,10 +405,10 @@ class TestFinetuneOneHot:
                 assert p.data.tobytes() == lm_before[n].tobytes()
         assert not np.array_equal(state.bank.kernels[1][0].data, bank_before)
 
-        _, _, alphas = TR.forward_training(state, train.images[:3], 0.0, None)
-        for alpha in alphas:
-            v = alpha.values.data
-            assert np.all(np.isin(v, (0.0, 1.0))) and np.all(v.sum(axis=1) == 1.0)
+        _, _, alpha = TR.forward_training(state, train.images[:3], 0.0, None)
+        v = alpha.values.data
+        assert v.shape[0] == 3
+        assert np.all(np.isin(v, (0.0, 1.0))) and np.all(v.sum(axis=-1) == 1.0)
 
 
 class TestCoefficientModes:
@@ -357,10 +421,10 @@ class TestCoefficientModes:
             state, (train.images[:4], train.labels[:4]),
             sched(lr_base=0.01, batch_size=4), TR.LossConfig())
         assert np.isfinite(metrics["loss"])
-        _, _, alphas = TR.forward_training(state, train.images[:2], 0.0, None)
-        for alpha in alphas:
-            assert alpha.mode == "per_model"
-            assert np.all(alpha.values.data == alpha.values.data[0])
+        _, _, alpha = TR.forward_training(state, train.images[:2], 0.0, None)
+        v = alpha.values.data
+        assert alpha.mode == "per_model" and v.shape == (2, 2, 3)
+        assert np.all(v == v[:, :1])
 
     def test_one_hot_mode_trains_bases_only_path(self):
         cfg = S.SynthesisConfig(mode="one_hot")
@@ -370,17 +434,15 @@ class TestCoefficientModes:
             state, (train.images[:4], train.labels[:4]),
             sched(lr_base=0.01, batch_size=4), TR.LossConfig())
         assert np.isfinite(metrics["loss"])
-        _, _, alphas = TR.forward_training(state, train.images[:2], 0.0, None)
-        for alpha in alphas:
-            v = alpha.values.data
-            assert np.all(np.isin(v, (0.0, 1.0)))
+        _, _, alpha = TR.forward_training(state, train.images[:2], 0.0, None)
+        assert np.all(np.isin(alpha.values.data, (0.0, 1.0)))
 
     def test_sigmoid_coefficients_stay_unnormalized(self):
         cfg = S.SynthesisConfig(activation="sigmoid")
         state = toy_state(n_bases=3, seed=22, synth_cfg=cfg)
         train, _ = toy_dataset(train_size=16, eval_size=8)
-        _, _, alphas = TR.forward_training(state, train.images[:2], 0.0, None)
-        sums = alphas[0].values.data.sum(axis=1)
+        _, _, alpha = TR.forward_training(state, train.images[:2], 0.0, None)
+        sums = alpha.values.data[0].sum(axis=1)
         assert not np.allclose(sums, 1.0)
 
 
