@@ -10,7 +10,6 @@ from .backbone import BackboneSpec, LayerSpec, build, count_madds, count_params,
 from .pipeline import LightweightModel, PipelineResult, condconv_forward, confidence, infer
 from .synthesis import (
     BasisBank,
-    CoefficientMatrix,
     SynthesisConfig,
     activate,
     apply_bmd,
@@ -26,8 +25,8 @@ from .training import LossConfig, TrainSchedule, TrainState, epsilon_at, train_s
 __all__ = [
     "BackboneSpec", "LayerSpec", "build", "count_madds", "count_params", "forward",
     "LightweightModel", "PipelineResult", "condconv_forward", "confidence", "infer",
-    "BasisBank", "CoefficientMatrix", "SynthesisConfig", "activate", "apply_bmd",
-    "blend_epsilon", "build_bank", "synthesize", "synthesis_madds", "to_one_hot",
+    "BasisBank", "SynthesisConfig", "activate", "apply_bmd", "blend_epsilon",
+    "build_bank", "synthesize", "synthesis_madds", "to_one_hot",
     "GradTape", "NonFiniteError", "ShapeError", "Tensor", "backward", "recording",
     "LossConfig", "TrainSchedule", "TrainState", "epsilon_at", "train_step",
 ]

@@ -24,8 +24,20 @@ class ConfigError(ValueError):
     """The experiment config failed validation."""
 
 
+def _cast(value, caster, name: str):
+    """Cast one value, turning a failure into a ConfigError that names the key.
+    A bool key takes only JSON true or false."""
+    if caster is bool and not isinstance(value, bool):
+        raise ConfigError(f"{name}: expected true or false, got {json.dumps(value)}")
+    try:
+        return caster(value)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{name}: expected {caster.__name__}, got {json.dumps(value)}") from err
+
+
 def _take(section: dict, where: str, required: dict, optional: dict | None = None) -> dict:
-    """Pull typed keys out of a dict, rejecting unknown ones."""
+    """Pull typed keys out of a dict, rejecting unknown ones. An optional key
+    set to null counts as absent."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where}: expected an object, got {type(section).__name__}")
     optional = optional or {}
@@ -37,11 +49,17 @@ def _take(section: dict, where: str, required: dict, optional: dict | None = Non
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
     out = {}
     for key, caster in required.items():
-        out[key] = caster(section[key])
+        out[key] = _cast(section[key], caster, f"{where}.{key}")
     for key, caster in optional.items():
-        if key in section:
-            out[key] = caster(section[key]) if section[key] is not None else None
+        if section.get(key) is not None:
+            out[key] = _cast(section[key], caster, f"{where}.{key}")
     return out
+
+
+def _shape(raw: list, where: str) -> tuple[int, ...]:
+    if len(raw) != 3:
+        raise ConfigError(f"{where}: expected [C, H, W], got {json.dumps(raw)}")
+    return tuple(_cast(v, int, where) for v in raw)
 
 
 def _layers(raw, where: str) -> tuple[bb.LayerSpec, ...]:
@@ -121,7 +139,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     }, {"shared": list})
     try:
         bank_spec = bb.BackboneSpec(
-            input_shape=tuple(bank_d["input_shape"]),
+            input_shape=_shape(bank_d["input_shape"], "bank.input_shape"),
             layers=_layers(bank_d["layers"], "bank.layers"),
             num_classes=bank_d["num_classes"],
         )
@@ -132,7 +150,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for rng in bank_d.get("shared") or []:
         if not isinstance(rng, list) or len(rng) != 2:
             raise ConfigError("bank.shared must be a list of [lo, hi] ranges")
-        lo, hi = int(rng[0]), int(rng[1])
+        lo, hi = (_cast(v, int, "bank.shared") for v in rng)
         if not (0 <= lo <= hi < bank_spec.num_layers):
             raise ConfigError(
                 f"bank.shared range [{lo}, {hi}] outside layers [0, {bank_spec.num_layers})")
@@ -153,7 +171,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     downsample = lm_d.get("downsample", 1)
     try:
         trunk = bb.BackboneSpec(
-            input_shape=tuple(lm_d["input_shape"]),
+            input_shape=_shape(lm_d["input_shape"], "lightweight.input_shape"),
             layers=_layers(lm_d["layers"], "lightweight.layers"),
             num_classes=bank_spec.num_classes,
         )
@@ -237,7 +255,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         schedule=schedule,
         loss=loss,
         teacher_checkpoint=teacher_checkpoint,
-        eval_thresholds=[float(t) for t in eval_d.get("thresholds", [0.0, 0.5, 0.7, 0.9, 1.01])],
+        eval_thresholds=[_cast(t, float, "eval.thresholds")
+                         for t in eval_d.get("thresholds", [0.0, 0.5, 0.7, 0.9, 1.01])],
         default_threshold=eval_d.get("default_threshold", 0.7),
         disturbance_seeds=disturbance_seeds,
         finetune_steps=finetune_steps,

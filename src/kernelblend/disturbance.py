@@ -4,7 +4,9 @@ Each disturbance replaces the predicted coefficients before synthesis -
 with their argmax one-hot, the dataset mean, a uniform blend, or a random
 within-row shuffle - either at every non-shared layer or at a single one.
 Early termination is disabled throughout; the question is about the
-specialist, not the gate.
+specialist, not the gate. The edit is ``infer_batch``'s ``edit`` hook: it
+takes the whole (B, rows, N) coefficient tensor and returns the disturbed
+one, in any synthesis mode.
 """
 
 from __future__ import annotations
@@ -36,40 +38,41 @@ def mean_coefficients(lm: pl.LightweightModel, params: pl.LMParams,
                       bank: syn.BasisBank, cfg: syn.SynthesisConfig,
                       dataset: Dataset) -> np.ndarray:
     """Per-layer mean coefficient rows over an evaluation set."""
-    total = np.zeros((bank.n_coefficient_rows, bank.n_bases))
-    for res in pl.infer_batch(lm, params, bank, cfg, dataset.images, 1.01):
-        total += res.coefficients.values.data
-    return total / len(dataset)
+    results = pl.infer_batch(lm, params, bank, cfg, dataset.images, 1.01)
+    return sum(res.coefficients.data for res in results) / len(dataset)
 
 
-def disturb(alpha: syn.CoefficientMatrix, disturbance: Disturbance,
+def disturb(alpha: T.Tensor, disturbance: Disturbance,
             rows: list[int] | None = None,
             mean_table: np.ndarray | None = None,
-            rng: np.random.Generator | None = None) -> syn.CoefficientMatrix:
-    """Corrupt the selected rows (all by default) of one coefficient matrix."""
+            rng: np.random.Generator | None = None) -> T.Tensor:
+    """Corrupt the selected rows (all by default) of one (rows, N) matrix or
+    of every image's in a (B, rows, N) batch; returns a new tensor.
+
+    ``shuffled`` draws one permutation per selected row, image by image in
+    order, so a batch takes the same draws from ``rng`` as its images would
+    one after another.
+    """
     if disturbance.kind == "correct":
         return alpha
-    v = alpha.values.data.copy()
-    targets = range(v.shape[0]) if rows is None else rows
+    v = alpha.data.copy()
+    n = v.shape[-1]
+    targets = slice(None) if rows is None else rows
     if disturbance.kind == "top1":
-        for r in targets:
-            hard = np.zeros_like(v[r])
-            hard[np.argmax(v[r])] = 1.0
-            v[r] = hard
+        v[..., targets, :] = np.arange(n) == np.argmax(v[..., targets, :], axis=-1)[..., None]
     elif disturbance.kind == "uniform":
-        for r in targets:
-            v[r] = 1.0 / alpha.n_bases
+        v[..., targets, :] = 1.0 / n
     elif disturbance.kind == "mean":
         if mean_table is None:
             raise ValueError("mean disturbance requires a precomputed mean table")
-        for r in targets:
-            v[r] = mean_table[r]
+        v[..., targets, :] = mean_table[targets]
     elif disturbance.kind == "shuffled":
         if rng is None:
             rng = np.random.default_rng(disturbance.seed)
-        for r in targets:
-            v[r] = v[r, rng.permutation(alpha.n_bases)]
-    return syn.CoefficientMatrix(values=T.Tensor(v), mode=alpha.mode)
+        for image in v.reshape(-1, *v.shape[-2:]):
+            for r in range(len(image)) if rows is None else rows:
+                image[r] = image[r, rng.permutation(n)]
+    return T.Tensor(v)
 
 
 def _rows_for_layer(bank: syn.BasisBank, layer: int | None) -> list[int] | None:

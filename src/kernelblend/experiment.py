@@ -175,7 +175,7 @@ def export_coefficients(state: tr.TrainState, dataset: Dataset, out_path) -> int
                 for n in range(bank.n_bases):
                     writer.writerow([
                         i, int(dataset.labels[i]), layer, n,
-                        repr(float(res.coefficients.values.data[r, n])),
+                        repr(float(res.coefficients.data[r, n])),
                     ])
                     count += 1
     return count

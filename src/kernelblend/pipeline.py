@@ -57,7 +57,7 @@ class PipelineResult:
     confidence: float
     terminated: bool
     madds_spent: int
-    coefficients: syn.CoefficientMatrix | None = None
+    coefficients: T.Tensor | None = None  # this image's (rows, N) coefficients
     final_logits: np.ndarray | None = None
 
     def __post_init__(self):
@@ -129,7 +129,7 @@ def confidence(logits) -> float:
 
 
 def coefficients_from_raw(raw: T.Tensor, cfg: syn.SynthesisConfig,
-                          n_rows: int, n_bases: int) -> syn.CoefficientMatrix:
+                          n_rows: int, n_bases: int) -> T.Tensor:
     """Activate raw head outputs and apply the configured mode.
 
     ``raw`` is one sample's head output (width,), giving a (rows, N)
@@ -137,12 +137,9 @@ def coefficients_from_raw(raw: T.Tensor, cfg: syn.SynthesisConfig,
     """
     if cfg.mode == "per_model":
         # one row per sample, repeated for every layer before activation
-        alpha = syn.activate(T.tile_rows(raw, n_rows), cfg.activation)
-        return syn.CoefficientMatrix(values=alpha.values, mode="per_model")
+        return syn.activate(T.tile_rows(raw, n_rows), cfg.activation)
     alpha = syn.activate(T.reshape(raw, (*raw.shape[:-1], n_rows, n_bases)), cfg.activation)
-    if cfg.mode == "one_hot":
-        return syn.to_one_hot(alpha)
-    return alpha
+    return syn.to_one_hot(alpha) if cfg.mode == "one_hot" else alpha
 
 
 def infer_batch(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
@@ -152,9 +149,11 @@ def infer_batch(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
 
     One batched lightweight pass scores every image. The images below the
     threshold then share one coefficient pass, one synthesis of per-image
-    specialists and one batched stage two. ``edit``, if given, maps each
-    image's (rows, N) coefficient matrix, in image order, to the one
-    synthesized in its place (the disturbance study).
+    specialists and one batched stage two. ``edit``, if given, is called
+    once with the (P, rows, N) coefficient tensor of the P images below the
+    threshold, in image order, and returns the (P, rows, N) tensor that is
+    synthesized in its place (the disturbance study). Each such image's
+    result carries its (rows, N) slice of the synthesized tensor.
     """
     if not threshold >= 0:  # also rejects NaN
         raise ValueError(f"threshold must be a number >= 0, got {threshold}")
@@ -171,23 +170,19 @@ def infer_batch(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
         x, raw = T.Tensor(x.data[pending]), T.Tensor(raw.data[pending])
 
     alpha = coefficients_from_raw(raw, cfg, bank.n_coefficient_rows, bank.n_bases)
-    per_image = [syn.CoefficientMatrix(values=T.Tensor(v), mode=alpha.mode)
-                 for v in alpha.values.data]
     if edit is not None:
-        per_image = [edit(a) for a in per_image]
-        alpha = syn.CoefficientMatrix(
-            values=T.Tensor(np.stack([a.values.data for a in per_image])), mode=per_image[0].mode)
+        alpha = edit(alpha)
     if trace is not None:
-        for a in per_image:
+        for a in alpha.data:
             for r, k in enumerate(bank.nonshared_indices()):
-                trace.append(("coefficients", k, a.values.data[r].copy()))
+                trace.append(("coefficients", k, a[r].copy()))
     specialist = syn.synthesize(bank, alpha)
     final = bb.forward(specialist, bank.spec, x, trace)
     spent = cost + syn.synthesis_madds(bank) + bb.count_madds(bank.spec)
     for j, i in enumerate(pending):
         results[i] = PipelineResult(
             results[i].initial_logits, confs[i], terminated=False, madds_spent=spent,
-            coefficients=per_image[j], final_logits=final.data[j].copy())
+            coefficients=T.Tensor(alpha.data[j]), final_logits=final.data[j].copy())
     return results
 
 
@@ -251,14 +246,7 @@ def condconv_forward(bank: syn.BasisBank, routers: list[RouterParams], x,
         else:
             pooled = T.global_avg_pool(out)
             logits = T.linear(pooled, routers[r].w, routers[r].b)
-            if activation == "softmax":
-                coeffs = T.softmax(logits, axis=1)
-            elif activation == "sigmoid":
-                coeffs = T.sigmoid(logits)
-            elif activation == "identity":
-                coeffs = logits
-            else:
-                raise ValueError(f"unknown router activation {activation!r}")
+            coeffs = logits if activation == "identity" else syn.activate(logits, activation)
             if trace is not None:
                 trace.append(("coefficients", k, coeffs.data[0].copy()))
             kernel = T.blend(coeffs, bank.kernels[k])

@@ -1,15 +1,19 @@
 """Basis kernel banks and input-conditioned kernel synthesis.
 
 A bank stores N candidate kernel sets per non-shared layer (shared layers
-keep a single tensor referenced by every basis). A coefficient matrix, one
-row per non-shared layer, blends the candidates into one specialist kernel
-per layer: W_k = sum_n alpha[k, n] * W_k_n. Biases and the classifier head
-are always shared, so blending touches kernels only. A batch of matrices,
-(B, rows, N), blends one specialist per sample in one op per layer.
+keep a single tensor referenced by every basis). Coefficients are a plain
+(rows, N) tensor, one row per non-shared layer, that blends the candidates
+into one specialist kernel per layer: W_k = sum_n alpha[k, n] * W_k_n.
+Biases and the classifier head are always shared, so blending touches
+kernels only. A (B, rows, N) batch blends one specialist per sample in one
+op per layer.
 
 Also here: the coefficient post-processing used during training - row-wise
 activation, the uniform-blend stabilizer, basis dropout masking, and one-hot
-hardening for selection mode - each working on one matrix or a batch.
+hardening for selection mode - each taking and returning one matrix or a
+batch. Which of them apply is decided by the caller from its
+``SynthesisConfig`` (and fine-tuning state); the tensors carry no mode, so
+an edited matrix, such as a disturbed one, synthesizes like any other.
 """
 
 from __future__ import annotations
@@ -39,40 +43,6 @@ class SynthesisConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.stabilizer_order not in ("epsilon_then_bmd", "bmd_then_epsilon"):
             raise ValueError(f"unknown stabilizer_order {self.stabilizer_order!r}")
-
-
-@dataclass
-class CoefficientMatrix:
-    """Per-layer combination weights: one row per non-shared layer, N columns.
-
-    ``values`` is (rows, N) for one image or (B, rows, N) for a batch.
-    """
-
-    values: T.Tensor
-    mode: str = "per_layer"
-
-    def __post_init__(self):
-        if self.values.data.ndim not in (2, 3):
-            raise T.ShapeError(f"coefficients must be (rows, N) or (B, rows, N), got shape {self.values.shape}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-
-    @property
-    def n_bases(self) -> int:
-        return self.values.shape[-1]
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[-2]
-
-    def validate(self) -> None:
-        v = self.values.data
-        if self.mode == "per_model" and not np.all(v == v[..., :1, :]):
-            raise ValueError("per_model coefficients must repeat one row for all layers")
-        if self.mode == "one_hot":
-            ok = np.all(np.isin(v, (0.0, 1.0))) and np.all(v.sum(axis=-1) == 1.0)
-            if not ok:
-                raise ValueError("one_hot coefficients must have exactly one 1 per row")
 
 
 @dataclass
@@ -168,33 +138,27 @@ def bank_from_backbone(spec: BackboneSpec, params: BackboneParams) -> BasisBank:
 # coefficient pipeline
 
 
-def activate(raw: T.Tensor, activation: str) -> CoefficientMatrix:
+def activate(raw: T.Tensor, activation: str) -> T.Tensor:
     """Turn raw head outputs, (rows, N) or (B, rows, N), into coefficients:
     row-wise softmax or elementwise sigmoid."""
     if raw.data.ndim not in (2, 3):
         raise T.ShapeError(f"raw coefficients must be (rows, N) or (B, rows, N), got shape {raw.shape}")
     if activation == "softmax":
-        values = T.softmax(raw, axis=-1)
-    elif activation == "sigmoid":
-        values = T.sigmoid(raw)
-    else:
-        raise ValueError(f"unknown activation {activation!r}")
-    return CoefficientMatrix(values=values, mode="per_layer")
+        return T.softmax(raw, axis=-1)
+    if activation == "sigmoid":
+        return T.sigmoid(raw)
+    raise ValueError(f"unknown activation {activation!r}")
 
 
-def blend_epsilon(alpha: CoefficientMatrix, epsilon: float) -> CoefficientMatrix:
+def blend_epsilon(alpha: T.Tensor, epsilon: float) -> T.Tensor:
     """Interpolate toward the uniform combination: eps/N + (1-eps)*alpha."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-    if alpha.mode == "one_hot":
-        raise ValueError("uniform blending does not apply to one_hot coefficients")
-    n = alpha.n_bases
-    uniform = T.Tensor(np.full(alpha.values.shape, epsilon / n))
-    values = T.add(uniform, T.scale(alpha.values, 1.0 - epsilon))
-    return CoefficientMatrix(values=values, mode=alpha.mode)
+    uniform = T.Tensor(np.full(alpha.shape, epsilon / alpha.shape[-1]))
+    return T.add(uniform, T.scale(alpha, 1.0 - epsilon))
 
 
-def apply_bmd(alpha: CoefficientMatrix, drop_mask: np.ndarray, renormalize: bool = True) -> CoefficientMatrix:
+def apply_bmd(alpha: T.Tensor, drop_mask: np.ndarray, renormalize: bool = True) -> T.Tensor:
     """Zero dropped bases' coefficients in every row; optionally rescale rows to sum 1.
 
     ``drop_mask`` is (N,), one mask for every matrix, or (B, N), one mask
@@ -202,37 +166,33 @@ def apply_bmd(alpha: CoefficientMatrix, drop_mask: np.ndarray, renormalize: bool
     keeps its coefficients exactly, unrescaled.
     """
     drop = np.asarray(drop_mask, dtype=bool)
-    v = alpha.values
-    per_sample = drop.ndim == 2 and v.data.ndim == 3
-    if drop.shape != ((v.shape[0], alpha.n_bases) if per_sample else (alpha.n_bases,)):
-        raise T.ShapeError(f"drop mask shape {drop.shape} does not match coefficients {v.shape}")
+    per_sample = drop.ndim == 2 and alpha.data.ndim == 3
+    if drop.shape != ((alpha.shape[0], alpha.shape[-1]) if per_sample else (alpha.shape[-1],)):
+        raise T.ShapeError(f"drop mask shape {drop.shape} does not match coefficients {alpha.shape}")
     if drop.all(axis=-1).any():
         raise ValueError("all bases dropped; at least one must survive")
     if not drop.any():
         return alpha
     if per_sample:
         drop = drop[:, None, :]
-    keep = T.Tensor(np.broadcast_to(~drop, v.shape).astype(np.float64))
-    values = T.mul(v, keep)
+    keep = T.Tensor(np.broadcast_to(~drop, alpha.shape).astype(np.float64))
+    values = T.mul(alpha, keep)
     if renormalize:
         values = T.normalize_rows(values, where=drop.any(axis=-1) if per_sample else None)
-    return CoefficientMatrix(values=values, mode=alpha.mode)
+    return values
 
 
-def to_one_hot(alpha: CoefficientMatrix) -> CoefficientMatrix:
+def to_one_hot(alpha: T.Tensor) -> T.Tensor:
     """Harden each row to its argmax (ties go to the lowest basis index)."""
-    if alpha.mode not in ("per_layer", "per_model"):
-        raise ValueError(f"cannot harden {alpha.mode} coefficients")
-    v = alpha.values.data
-    hard = (np.arange(v.shape[-1]) == np.argmax(v, axis=-1)[..., None]).astype(np.float64)
-    return CoefficientMatrix(values=T.Tensor(hard), mode="one_hot")
+    v = alpha.data
+    return T.Tensor((np.arange(v.shape[-1]) == np.argmax(v, axis=-1)[..., None]).astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
 # synthesis
 
 
-def synthesize(bank: BasisBank, alpha: CoefficientMatrix) -> BackboneParams:
+def synthesize(bank: BasisBank, alpha: T.Tensor) -> BackboneParams:
     """Blend per-layer kernels into one specialist parameter set.
 
     A (B, rows, N) batch of coefficients gives per-sample (B, O, I, K, K)
@@ -243,15 +203,16 @@ def synthesize(bank: BasisBank, alpha: CoefficientMatrix) -> BackboneParams:
     tensors. Differentiable w.r.t. both the coefficients and every basis
     kernel.
     """
-    if alpha.n_bases != bank.n_bases:
-        raise T.ShapeError(f"coefficients have {alpha.n_bases} bases, bank has {bank.n_bases}")
+    if alpha.data.ndim not in (2, 3):
+        raise T.ShapeError(f"coefficients must be (rows, N) or (B, rows, N), got shape {alpha.shape}")
+    if alpha.shape[-1] != bank.n_bases:
+        raise T.ShapeError(f"coefficients have {alpha.shape[-1]} bases, bank has {bank.n_bases}")
     rows = bank.n_coefficient_rows
-    if alpha.n_rows != rows:
-        raise T.ShapeError(f"coefficients have {alpha.n_rows} rows, bank has {rows} non-shared layers")
-    alpha.validate()
+    if alpha.shape[-2] != rows:
+        raise T.ShapeError(f"coefficients have {alpha.shape[-2]} rows, bank has {rows} non-shared layers")
 
-    single = alpha.values.data.ndim == 2
-    values = T.reshape(alpha.values, (1, *alpha.values.shape)) if single else alpha.values
+    single = alpha.data.ndim == 2
+    values = T.reshape(alpha, (1, *alpha.shape)) if single else alpha
     params = BackboneParams(head_w=bank.head_w, head_b=bank.head_b)
     r = 0
     for k, shared in enumerate(bank.share_mask):
@@ -292,16 +253,3 @@ def synthesis_madds(bank: BasisBank) -> int:
     return bank.n_bases * sum(
         kernel_param_count(bank.spec.layers[k]) for k in bank.nonshared_indices()
     )
-
-
-def effective_synthesis_madds(bank: BasisBank, alpha: CoefficientMatrix) -> int:
-    """Multiplies given actual coefficients: zero entries cost nothing and a
-    one-hot row is pure selection (no multiplies at all)."""
-    total = 0
-    v = alpha.values.data
-    for r, k in enumerate(bank.nonshared_indices()):
-        nonzero = np.flatnonzero(v[r])
-        if nonzero.size == 1 and v[r, nonzero[0]] == 1.0:
-            continue
-        total += int(nonzero.size) * kernel_param_count(bank.spec.layers[k])
-    return total

@@ -189,10 +189,10 @@ def forward_training(state: TrainState, batch_x: np.ndarray, epsilon: float,
     x = T.Tensor(batch_x)
     initial, raw = pl.lm_forward(state.lm, state.lm_params, x)
     alpha = pl.coefficients_from_raw(raw, cfg, state.bank.n_coefficient_rows, state.bank.n_bases)
-    if state.harden_one_hot and alpha.mode != "one_hot":
+    if cfg.mode == "one_hot" or state.harden_one_hot:
+        # selection: one-hot coefficients get no uniform blend and no dropout
         alpha = syn.to_one_hot(alpha)
-
-    if alpha.mode != "one_hot":
+    else:
         stages = []
         if epsilon > 0.0:
             stages.append(lambda a: syn.blend_epsilon(a, epsilon))

@@ -125,9 +125,9 @@ def per_image_forward(state, batch_x: np.ndarray, epsilon: float, drop_masks):
     finals, alphas = [], []
     for b in range(len(batch_x)):
         alpha = pl.coefficients_from_raw(T.take(raw, b), cfg, bank.n_coefficient_rows, bank.n_bases)
-        if state.harden_one_hot and alpha.mode != "one_hot":
+        if state.harden_one_hot and cfg.mode != "one_hot":
             alpha = syn.to_one_hot(alpha)
-        if alpha.mode != "one_hot":
+        if not (cfg.mode == "one_hot" or state.harden_one_hot):
             mask = drop_masks[b] if drop_masks is not None and drop_masks.ndim == 2 else drop_masks
             stages = []
             if epsilon > 0.0:

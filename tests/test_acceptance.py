@@ -127,8 +127,7 @@ class TestKernelLinearity:
             x = T.Tensor(rng.standard_normal((1, 2, 5, 5)))
             w = rng.random(3)
             alpha = w / w.sum()
-            cm = S.CoefficientMatrix(values=T.Tensor(alpha[None, :]))
-            blended = B.forward(S.synthesize(bank, cm), spec, x).data
+            blended = B.forward(S.synthesize(bank, T.Tensor(alpha[None, :])), spec, x).data
             mixture = sum(
                 alpha[n] * B.forward(S.select_params(bank, [n]), spec, x).data
                 for n in range(3)
@@ -217,20 +216,18 @@ class TestGradientSuite:
             tape = T.GradTape()
             with T.recording(tape):
                 out = T.sum_squares(B.forward(
-                    S.synthesize(bank, S.CoefficientMatrix(values=alpha)), spec, T.Tensor(xv)))
+                    S.synthesize(bank, alpha), spec, T.Tensor(xv)))
             grads = T.backward(out)
 
             def loss_alpha(v):
-                cmx = S.CoefficientMatrix(values=T.Tensor(v))
-                t = B.forward(S.synthesize(bank, cmx), spec, T.Tensor(xv))
+                t = B.forward(S.synthesize(bank, T.Tensor(v)), spec, T.Tensor(xv))
                 return float(np.sum(t.data * t.data))
 
             wa = max(wa, gradient_mismatch(grads[alpha], finite_difference(loss_alpha, av.copy())))
 
             def loss_kernel(v):
                 bank.kernels[0][1].apply_update(v)
-                cmx = S.CoefficientMatrix(values=T.Tensor(av))
-                t = B.forward(S.synthesize(bank, cmx), spec, T.Tensor(xv))
+                t = B.forward(S.synthesize(bank, T.Tensor(av)), spec, T.Tensor(xv))
                 bank.kernels[0][1].apply_update(kv)
                 return float(np.sum(t.data * t.data))
 
@@ -289,8 +286,7 @@ class TestExactEqualities:
             choices = rng.integers(0, 5, size=2)
             hard = np.zeros((2, 5))
             hard[np.arange(2), choices] = 1.0
-            via = B.forward(S.synthesize(
-                bank, S.CoefficientMatrix(values=T.Tensor(hard), mode="one_hot")), spec, x)
+            via = B.forward(S.synthesize(bank, T.Tensor(hard)), spec, x)
             direct = B.forward(S.select_params(bank, choices), spec, x)
             ok = ok and via.data.tobytes() == direct.data.tobytes()
         report(6, ok, "one-hot synthesis bitwise equals direct basis selection (25 draws)")
@@ -491,7 +487,7 @@ class TestCoefficientClustering:
                 P.coefficients_from_raw(
                     T.take(raw, int(i)), state.synth_cfg,
                     state.bank.n_coefficient_rows, state.bank.n_bases,
-                ).values.data.ravel()
+                ).data.ravel()
                 for i in idx
             ]
             means[cls] = np.mean(vecs, axis=0)

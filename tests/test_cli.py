@@ -69,6 +69,14 @@ class TestTrain:
         assert capsys.readouterr().err == (
             "error: training went non-finite at step 3 (lr=0.05): loss\n")
 
+    def test_bad_config_value_exits_one_with_one_line(self, workdir, capsys):
+        raw = base_config()
+        raw["seed"] = None
+        path = workdir / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "error: config.seed: expected int, got null\n"
+
     def test_unknown_flag_rejected(self, config_path):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--config", str(config_path), "--fast"])

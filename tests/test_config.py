@@ -1,6 +1,7 @@
 """Config schema: strict key checking, range validation, and parsing."""
 
 import json
+import re
 
 import pytest
 
@@ -122,6 +123,32 @@ class TestParsing:
         raw["eval"]["disturbance_seeds"] = 0
         with pytest.raises(ConfigError, match="disturbance_seeds"):
             parse_config(raw)
+
+    @pytest.mark.parametrize("path,value,named", [
+        (("seed",), None, "config.seed"),
+        (("schedule", "total_steps"), [1], "schedule.total_steps"),
+        (("schedule", "learning_rate"), {"base": "x"}, "schedule.learning_rate.base"),
+        (("synthesis", "bmd_renormalize"), "false", "synthesis.bmd_renormalize"),
+        (("bank", "layers", 0, "in"), None, "bank.layers[0].in"),
+        (("bank", "input_shape"), [1, None, 12], "bank.input_shape"),
+        (("bank", "shared"), [[0, None]], "bank.shared"),
+        (("eval", "thresholds"), [None], "eval.thresholds"),
+    ])
+    def test_bad_value_names_its_key(self, path, value, named):
+        raw = base_config()
+        target = raw
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ConfigError, match=rf"^(bank: )?{re.escape(named)}: expected"):
+            parse_config(raw)
+
+    def test_optional_null_counts_as_absent(self):
+        raw = base_config()
+        raw["schedule"]["bmd_rate"] = None
+        raw["schedule"]["clip_norm"] = None
+        cfg = parse_config(raw)
+        assert cfg.schedule.bmd_rate == 0.0 and cfg.schedule.clip_norm is None
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "config.json"

@@ -12,7 +12,7 @@ from toys import toy_dataset, toy_state
 
 
 def cm(rows):
-    return S.CoefficientMatrix(values=T.Tensor(np.array(rows, dtype=float)))
+    return T.Tensor(np.array(rows, dtype=float))
 
 
 class TestDisturb:
@@ -22,24 +22,24 @@ class TestDisturb:
 
     def test_uniform_rows(self):
         out = DI.disturb(cm([[0.9, 0.05, 0.03, 0.02]]), DI.Disturbance("uniform"))
-        assert np.array_equal(out.values.data, [[0.25, 0.25, 0.25, 0.25]])
+        assert np.array_equal(out.data, [[0.25, 0.25, 0.25, 0.25]])
 
     def test_top1(self):
         out = DI.disturb(cm([[0.1, 0.6, 0.3]]), DI.Disturbance("top1"))
-        assert np.array_equal(out.values.data, [[0.0, 1.0, 0.0]])
+        assert np.array_equal(out.data, [[0.0, 1.0, 0.0]])
 
     def test_shuffle_preserves_multiset_and_sum(self):
         rows = [[0.5, 0.3, 0.15, 0.05], [0.25, 0.25, 0.4, 0.1]]
         out = DI.disturb(cm(rows), DI.Disturbance("shuffled", seed=3))
         for r in range(2):
-            assert sorted(out.values.data[r]) == sorted(rows[r])
-            assert out.values.data[r].sum() == pytest.approx(sum(rows[r]))
+            assert sorted(out.data[r]) == sorted(rows[r])
+            assert out.data[r].sum() == pytest.approx(sum(rows[r]))
 
     def test_shuffle_deterministic_for_seed(self):
         rows = [[0.5, 0.3, 0.2]]
         a = DI.disturb(cm(rows), DI.Disturbance("shuffled", seed=7))
         b = DI.disturb(cm(rows), DI.Disturbance("shuffled", seed=7))
-        assert np.array_equal(a.values.data, b.values.data)
+        assert np.array_equal(a.data, b.data)
 
     def test_mean_requires_table(self):
         with pytest.raises(ValueError, match="mean"):
@@ -48,7 +48,7 @@ class TestDisturb:
     def test_mean_applies_table(self):
         table = np.array([[0.7, 0.3]])
         out = DI.disturb(cm([[0.1, 0.9]]), DI.Disturbance("mean"), mean_table=table)
-        assert np.array_equal(out.values.data, table)
+        assert np.array_equal(out.data, table)
 
     def test_idempotent_kinds(self):
         rows = [[0.3, 0.45, 0.25]]
@@ -56,11 +56,24 @@ class TestDisturb:
         for kind, kw in (("top1", {}), ("uniform", {}), ("mean", {"mean_table": table})):
             once = DI.disturb(cm(rows), DI.Disturbance(kind), **kw)
             twice = DI.disturb(once, DI.Disturbance(kind), **kw)
-            assert np.array_equal(once.values.data, twice.values.data)
+            assert np.array_equal(once.data, twice.data)
 
     def test_row_subset_only_touches_targets(self):
         out = DI.disturb(cm([[0.8, 0.2], [0.3, 0.7]]), DI.Disturbance("uniform"), rows=[1])
-        assert np.array_equal(out.values.data, [[0.8, 0.2], [0.5, 0.5]])
+        assert np.array_equal(out.data, [[0.8, 0.2], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("kind", DI.KINDS)
+    @pytest.mark.parametrize("rows", [None, [1]])
+    def test_batch_equals_each_image_in_turn(self, kind, rows):
+        batch = np.random.default_rng(0).random((4, 3, 5))
+        table = np.random.default_rng(1).random((3, 5))
+        d = DI.Disturbance(kind)
+        out = DI.disturb(T.Tensor(batch), d, rows=rows, mean_table=table,
+                         rng=np.random.default_rng(9))
+        rng = np.random.default_rng(9)  # one generator across the images, as in a batch
+        each = [DI.disturb(T.Tensor(v), d, rows=rows, mean_table=table, rng=rng).data
+                for v in batch]
+        assert out.data.tobytes() == np.stack(each).tobytes()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -94,6 +107,19 @@ class TestEvaluateDisturbed:
             for kind in DI.KINDS
         }
         assert len(set(accs.values())) == 1
+
+    @pytest.mark.parametrize("mode,kind,layer", [
+        ("per_model", "shuffled", None),
+        ("per_model", "shuffled", 1),
+        ("per_model", "uniform", 1),
+        ("one_hot", "uniform", 1),
+    ])
+    def test_edited_coefficients_synthesize_in_every_mode(self, mode, kind, layer):
+        state = toy_state(n_bases=3, seed=4, synth_cfg=S.SynthesisConfig(mode=mode))
+        _, evalset = toy_dataset(train_size=8, eval_size=12)
+        acc = DI.evaluate_disturbed(state.lm, state.lm_params, state.bank, state.synth_cfg,
+                                    evalset, DI.Disturbance(kind, layer=layer, seed=2))
+        assert 0.0 <= acc <= 1.0
 
     def test_out_of_range_layer_rejected(self, model):
         state, evalset = model

@@ -156,7 +156,7 @@ class TestInfer:
         lm, params, bank, _, x = setup
         cfg = S.SynthesisConfig(mode="one_hot")
         res = P.infer(lm, params, bank, cfg, x, threshold=1.01)
-        v = res.coefficients.values.data
+        v = res.coefficients.data
         assert np.all(np.isin(v, (0.0, 1.0))) and np.all(v.sum(axis=1) == 1.0)
 
     def test_result_invariant_enforced(self):
@@ -202,23 +202,24 @@ class TestInfer:
             assert res.initial_logits.tobytes() == one.initial_logits.tobytes()
             if not res.terminated:
                 assert res.final_logits.tobytes() == one.final_logits.tobytes()
-                assert res.coefficients.values.data.tobytes() == one.coefficients.values.data.tobytes()
+                assert res.coefficients.data.tobytes() == one.coefficients.data.tobytes()
 
-        # ``edit`` sees each pending image's own matrix, in image order, and
-        # its result is what that image's specialist runs on
+        # ``edit`` is called once with the pending images' (P, rows, N)
+        # tensor, in image order, and each image's specialist runs on its
+        # slice of the tensor that ``edit`` returns
         seen = []
 
-        def reverse_rows(alpha):
-            seen.append(alpha.values.data.copy())
-            return S.CoefficientMatrix(values=T.Tensor(alpha.values.data[:, ::-1]), mode=alpha.mode)
+        def reverse_bases(alpha):
+            seen.append(alpha.data.copy())
+            return T.Tensor(alpha.data[..., ::-1])
 
-        edited = P.infer_batch(lm, params, bank, cfg, images, threshold, edit=reverse_rows)
+        edited = P.infer_batch(lm, params, bank, cfg, images, threshold, edit=reverse_bases)
         pending = [i for i, res in enumerate(batch) if not res.terminated]
-        assert [v.tobytes() for v in seen] == [
-            batch[i].coefficients.values.data.tobytes() for i in pending]
+        assert len(seen) == 1
+        assert seen[0].tobytes() == np.stack([batch[i].coefficients.data for i in pending]).tobytes()
         for i in pending:
             alpha = edited[i].coefficients
-            assert np.array_equal(alpha.values.data, batch[i].coefficients.values.data[:, ::-1])
+            assert np.array_equal(alpha.data, batch[i].coefficients.data[:, ::-1])
             alone = B.forward(S.synthesize(bank, alpha), bank.spec, T.Tensor(images[i:i + 1]))
             assert edited[i].final_logits.tobytes() == alone.data[0].tobytes()
 

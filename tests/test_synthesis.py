@@ -21,55 +21,51 @@ def two_layer_spec():
     )
 
 
-def cm(rows, mode="per_layer"):
-    return S.CoefficientMatrix(values=T.Tensor(np.array(rows, dtype=float)), mode=mode)
+def cm(rows):
+    return T.Tensor(np.array(rows, dtype=float))
 
 
 class TestActivate:
     def test_softmax_on_zeros_is_uniform(self):
         out = S.activate(T.Tensor(np.zeros((3, 4))), "softmax")
-        assert np.array_equal(out.values.data, np.full((3, 4), 0.25))
+        assert np.array_equal(out.data, np.full((3, 4), 0.25))
 
     def test_sigmoid_on_zeros_is_half(self):
         out = S.activate(T.Tensor(np.zeros((2, 5))), "sigmoid")
-        assert np.array_equal(out.values.data, np.full((2, 5), 0.5))
+        assert np.array_equal(out.data, np.full((2, 5), 0.5))
 
     def test_peaked_row_keeps_argmax(self):
         raw = np.array([[10.0, 0.0, 0.0, 0.0]])
         out = S.activate(T.Tensor(raw), "softmax")
         direct = np.exp(raw[0] - 10.0)
         direct = direct / direct.sum()
-        np.testing.assert_allclose(out.values.data[0], direct, atol=1e-15)
-        assert out.values.data[0, 0] > 0.999
-        assert np.argmax(out.values.data[0]) == 0
+        np.testing.assert_allclose(out.data[0], direct, atol=1e-15)
+        assert out.data[0, 0] > 0.999
+        assert np.argmax(out.data[0]) == 0
 
     def test_sigmoid_rows_need_not_sum_to_one(self):
         out = S.activate(T.Tensor(np.array([[3.0, 3.0]])), "sigmoid")
-        assert out.values.data.sum() > 1.5
+        assert out.data.sum() > 1.5
 
 
 class TestBlendEpsilon:
     def test_eps_one_forces_uniform(self):
         alpha = cm([[0.9, 0.1], [0.0, 1.0]])
         out = S.blend_epsilon(alpha, 1.0)
-        assert np.array_equal(out.values.data, np.full((2, 2), 0.5))
+        assert np.array_equal(out.data, np.full((2, 2), 0.5))
 
     def test_eps_zero_is_identity(self):
         alpha = cm([[0.9, 0.1]])
         out = S.blend_epsilon(alpha, 0.0)
-        assert np.array_equal(out.values.data, alpha.values.data)
+        assert np.array_equal(out.data, alpha.data)
 
     def test_half_blend_arithmetic(self):
         out = S.blend_epsilon(cm([[1.0, 0.0]]), 0.5)
-        assert np.array_equal(out.values.data, [[0.75, 0.25]])
+        assert np.array_equal(out.data, [[0.75, 0.25]])
 
     def test_epsilon_out_of_range(self):
         with pytest.raises(ValueError):
             S.blend_epsilon(cm([[1.0, 0.0]]), 1.5)
-
-    def test_one_hot_mode_rejected(self):
-        with pytest.raises(ValueError):
-            S.blend_epsilon(cm([[1.0, 0.0]], mode="one_hot"), 0.5)
 
     def test_simplex_rows_stay_simplex(self):
         rng = np.random.default_rng(0)
@@ -77,27 +73,27 @@ class TestBlendEpsilon:
             raw = rng.standard_normal((4, 5))
             alpha = S.activate(T.Tensor(raw), "softmax")
             out = S.blend_epsilon(alpha, eps)
-            assert np.all(out.values.data >= 0)
-            np.testing.assert_allclose(out.values.data.sum(axis=1), 1.0, atol=1e-9)
+            assert np.all(out.data >= 0)
+            np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestApplyBmd:
     def test_drop_none_is_identity(self):
         alpha = cm([[0.6, 0.4]])
         out = S.apply_bmd(alpha, np.array([False, False]))
-        assert out.values is alpha.values
+        assert out is alpha
 
     def test_drop_and_renormalize(self):
         out = S.apply_bmd(cm([[0.6, 0.4]]), np.array([False, True]), renormalize=True)
-        np.testing.assert_allclose(out.values.data, [[1.0, 0.0]], atol=1e-15)
+        np.testing.assert_allclose(out.data, [[1.0, 0.0]], atol=1e-15)
 
     def test_uniform_drop_one(self):
         out = S.apply_bmd(cm([[0.25] * 4]), np.array([False, False, False, True]), renormalize=True)
-        np.testing.assert_allclose(out.values.data, [[1 / 3, 1 / 3, 1 / 3, 0.0]], atol=1e-15)
+        np.testing.assert_allclose(out.data, [[1 / 3, 1 / 3, 1 / 3, 0.0]], atol=1e-15)
 
     def test_no_renormalize_keeps_survivors(self):
         out = S.apply_bmd(cm([[0.6, 0.4]]), np.array([False, True]), renormalize=False)
-        assert np.array_equal(out.values.data, [[0.6, 0.0]])
+        assert np.array_equal(out.data, [[0.6, 0.0]])
 
     def test_all_dropped_is_an_error(self):
         with pytest.raises(ValueError, match="survive"):
@@ -107,23 +103,23 @@ class TestApplyBmd:
         rng = np.random.default_rng(1)
         alpha = S.activate(T.Tensor(rng.standard_normal((3, 6))), "softmax")
         out = S.apply_bmd(alpha, np.array([True, False, False, True, False, False]))
-        assert np.all(out.values.data >= 0)
-        np.testing.assert_allclose(out.values.data.sum(axis=1), 1.0, atol=1e-9)
+        assert np.all(out.data >= 0)
+        np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestToOneHot:
     def test_argmax_row(self):
         out = S.to_one_hot(cm([[0.7, 0.2, 0.1]]))
-        assert np.array_equal(out.values.data, [[1.0, 0.0, 0.0]])
+        assert np.array_equal(out.data, [[1.0, 0.0, 0.0]])
 
     def test_tie_breaks_to_lowest_index(self):
         out = S.to_one_hot(cm([[0.5, 0.5]]))
-        assert np.array_equal(out.values.data, [[1.0, 0.0]])
+        assert np.array_equal(out.data, [[1.0, 0.0]])
 
     def test_one_hot_input_is_fixed_point(self):
         hard = S.to_one_hot(cm([[0.1, 0.8, 0.1]]))
-        again = S.to_one_hot(S.CoefficientMatrix(values=hard.values, mode="per_layer"))
-        assert np.array_equal(again.values.data, hard.values.data)
+        again = S.to_one_hot(hard)
+        assert np.array_equal(again.data, hard.data)
 
     def test_argmax_commutes_with_softmax(self):
         rng = np.random.default_rng(2)
@@ -131,7 +127,7 @@ class TestToOneHot:
         via_softmax = S.to_one_hot(S.activate(T.Tensor(raw), "softmax"))
         direct = np.zeros_like(raw)
         direct[np.arange(5), np.argmax(raw, axis=1)] = 1.0
-        assert np.array_equal(via_softmax.values.data, direct)
+        assert np.array_equal(via_softmax.data, direct)
 
 
 class TestBankStructure:
@@ -155,7 +151,7 @@ class TestBankStructure:
 class TestSynthesize:
     def test_one_hot_selection_is_bitwise(self):
         bank = S.build_bank(two_layer_spec(), 4, [0], seed=3)
-        alpha = cm([[0.0, 0.0, 1.0, 0.0]], mode="one_hot")
+        alpha = cm([[0.0, 0.0, 1.0, 0.0]])
         params = S.synthesize(bank, alpha)
         assert params.layers[1].kernel.data.tobytes() == bank.kernels[1][2].data.tobytes()
         assert params.layers[0].kernel is bank.kernels[0][0]
@@ -221,7 +217,7 @@ class TestSynthesize:
             choices = rng.integers(0, 5, size=2)
             hard = np.zeros((2, 5))
             hard[np.arange(2), choices] = 1.0
-            via_synth = B.forward(S.synthesize(bank, cm(hard, mode="one_hot")), spec, x)
+            via_synth = B.forward(S.synthesize(bank, cm(hard)), spec, x)
             direct = B.forward(S.select_params(bank, choices), spec, x)
             assert via_synth.data.tobytes() == direct.data.tobytes()
 
@@ -232,7 +228,7 @@ class TestSynthesize:
         raw = T.Tensor(np.random.default_rng(0).standard_normal((2, 1)))
         alpha = S.activate(raw, "softmax")  # softmax over one logit is exactly 1.0
         x = T.Tensor(np.random.default_rng(1).standard_normal((3, 2, 6, 6)))
-        assert np.array_equal(alpha.values.data, np.ones((2, 1)))
+        assert np.array_equal(alpha.data, np.ones((2, 1)))
         a = B.forward(S.synthesize(bank, alpha), spec, x)
         b = B.forward(params, spec, x)
         assert a.data.tobytes() == b.data.tobytes()
@@ -281,13 +277,3 @@ class TestAccounting:
         banks_np = [[k.data for k in bank.kernels[1]]]
         _, mults = synthesis_reference(rows, banks_np)
         assert S.synthesis_madds(bank) == mults
-
-    def test_effective_cost_of_one_hot_is_zero(self):
-        bank = S.build_bank(two_layer_spec(), 4, [0], seed=2)
-        alpha = cm([[0.0, 1.0, 0.0, 0.0]], mode="one_hot")
-        assert S.effective_synthesis_madds(bank, alpha) == 0
-
-    def test_effective_cost_counts_nonzeros(self):
-        bank = S.build_bank(two_layer_spec(), 4, [0], seed=2)
-        alpha = cm([[0.5, 0.5, 0.0, 0.0]])
-        assert S.effective_synthesis_madds(bank, alpha) == 2 * 4 * 4 * 9

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kernelblend import backbone as B
+from kernelblend import pipeline as P
 from kernelblend import synthesis as S
 from kernelblend import tensor as T
 from kernelblend import training as TR
@@ -207,10 +208,7 @@ class TestTrainStep:
         s = sched(total_steps=5, batch_size=4)
         state, _ = run_training(state, train, s, TR.LossConfig())
         assert len(state.bank.kernels[0]) == 1
-        specialist = S.synthesize(
-            state.bank,
-            S.CoefficientMatrix(values=T.Tensor(np.full((2, 3), 1 / 3))),
-        )
+        specialist = S.synthesize(state.bank, T.Tensor(np.full((2, 3), 1 / 3)))
         assert specialist.layers[0].kernel is state.bank.kernels[0][0]
 
     def test_nan_divergence_raises_with_diagnostics(self):
@@ -238,7 +236,7 @@ class TestTrainStep:
         assert len({m.tobytes() for m in masks}) > 1
         # each sample's dropped bases are zero in its own rows only
         _, _, alpha = TR.forward_training(state, train.images[:8], 0.0, masks)
-        for v, mask in zip(alpha.values.data, masks):
+        for v, mask in zip(alpha.data, masks):
             assert np.all(v[:, mask] == 0.0) and np.all(v[:, ~mask] > 0.0)
 
     def test_rmsprop_updates_and_keeps_accumulators(self):
@@ -313,8 +311,7 @@ class TestBatchedMatchesPerImage:
         ref_grads = T.backward(ref_loss)
 
         assert final.data.tobytes() == np.concatenate([f.data for f in finals]).tobytes()
-        assert alpha.values.data.tobytes() == np.stack(
-            [a.values.data for a in ref_alphas]).tobytes()
+        assert alpha.data.tobytes() == np.stack([a.data for a in ref_alphas]).tobytes()
         assert [p in grads for p in params] == [p in ref_grads for p in params]
         for p in params:
             if p in grads:
@@ -406,7 +403,7 @@ class TestFinetuneOneHot:
         assert not np.array_equal(state.bank.kernels[1][0].data, bank_before)
 
         _, _, alpha = TR.forward_training(state, train.images[:3], 0.0, None)
-        v = alpha.values.data
+        v = alpha.data
         assert v.shape[0] == 3
         assert np.all(np.isin(v, (0.0, 1.0))) and np.all(v.sum(axis=-1) == 1.0)
 
@@ -422,8 +419,8 @@ class TestCoefficientModes:
             sched(lr_base=0.01, batch_size=4), TR.LossConfig())
         assert np.isfinite(metrics["loss"])
         _, _, alpha = TR.forward_training(state, train.images[:2], 0.0, None)
-        v = alpha.values.data
-        assert alpha.mode == "per_model" and v.shape == (2, 2, 3)
+        v = alpha.data
+        assert v.shape == (2, 2, 3)
         assert np.all(v == v[:, :1])
 
     def test_one_hot_mode_trains_bases_only_path(self):
@@ -435,14 +432,26 @@ class TestCoefficientModes:
             sched(lr_base=0.01, batch_size=4), TR.LossConfig())
         assert np.isfinite(metrics["loss"])
         _, _, alpha = TR.forward_training(state, train.images[:2], 0.0, None)
-        assert np.all(np.isin(alpha.values.data, (0.0, 1.0)))
+        assert np.all(np.isin(alpha.data, (0.0, 1.0)))
+
+    @pytest.mark.parametrize("mode,harden", [("one_hot", False), ("per_layer", True)])
+    def test_hard_coefficients_skip_epsilon_and_dropout(self, mode, harden):
+        state = toy_state(n_bases=4, seed=24, synth_cfg=S.SynthesisConfig(mode=mode))
+        state.harden_one_hot = harden
+        train, _ = toy_dataset(train_size=16, eval_size=8)
+        x = train.images[:5]
+        _, _, alpha = TR.forward_training(state, x, 0.4, TestBatchedMatchesPerImage.PER_SAMPLE)
+        _, raw = P.lm_forward(state.lm, state.lm_params, T.Tensor(x))
+        soft = P.coefficients_from_raw(raw, S.SynthesisConfig(), 2, 4)
+        assert np.all(np.isin(alpha.data, (0.0, 1.0))) and np.all(alpha.data.sum(axis=-1) == 1.0)
+        assert np.array_equal(alpha.data, S.to_one_hot(soft).data)
 
     def test_sigmoid_coefficients_stay_unnormalized(self):
         cfg = S.SynthesisConfig(activation="sigmoid")
         state = toy_state(n_bases=3, seed=22, synth_cfg=cfg)
         train, _ = toy_dataset(train_size=16, eval_size=8)
         _, _, alpha = TR.forward_training(state, train.images[:2], 0.0, None)
-        sums = alpha.values.data[0].sum(axis=1)
+        sums = alpha.data[0].sum(axis=1)
         assert not np.allclose(sums, 1.0)
 
 
