@@ -2,9 +2,14 @@
 
 The manifest records the schema version, the structural model description,
 the training step, optimizer accumulators, and an index of named tensors
-(shape, byte offset, byte length). The blob holds every tensor's little-
-endian float64 bytes concatenated in manifest order, so a round trip is
-bitwise exact by construction.
+(shape, byte offset, byte length), and the blob's SHA-256. The blob holds
+every tensor's little-endian float64 bytes concatenated in manifest order, so
+a round trip is bitwise exact by construction.
+
+A save writes the blob, then the manifest, each to a temporary file that
+``os.replace`` moves into place. A crash therefore leaves either the old pair
+or a manifest whose hash does not match the blob, and a load refuses the
+latter.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +27,7 @@ from . import pipeline as pl
 from . import synthesis as syn
 from .training import TrainState, named_parameters
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "tensors.bin"
 
@@ -85,6 +91,12 @@ def config_digest(config: dict) -> str:
     ).hexdigest()
 
 
+def _replace_atomically(target: Path, data: bytes) -> None:
+    tmp = target.with_name(target.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, target)
+
+
 def save_checkpoint(state: TrainState, path, config: dict | None = None) -> None:
     """Write manifest.json and tensors.bin under ``path`` (a directory)."""
     path = Path(path)
@@ -103,6 +115,7 @@ def save_checkpoint(state: TrainState, path, config: dict | None = None) -> None
         })
         chunks.append(raw)
         offset += len(raw)
+    blob = b"".join(chunks)
 
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -114,9 +127,10 @@ def save_checkpoint(state: TrainState, path, config: dict | None = None) -> None
         "opt_state": {k: v.tolist() for k, v in state.opt_state.items()},
         "opt_shapes": {k: list(v.shape) for k, v in state.opt_state.items()},
         "tensors": entries,
+        "blob_sha256": hashlib.sha256(blob).hexdigest(),
     }
-    (path / MANIFEST_NAME).write_text(json.dumps(manifest, indent=1))
-    (path / BLOB_NAME).write_bytes(b"".join(chunks))
+    _replace_atomically(path / BLOB_NAME, blob)
+    _replace_atomically(path / MANIFEST_NAME, json.dumps(manifest, indent=1).encode())
 
 
 def load_checkpoint(path, expect_config: dict | None = None, force: bool = False):
@@ -129,7 +143,12 @@ def load_checkpoint(path, expect_config: dict | None = None, force: bool = False
     manifest_path = path / MANIFEST_NAME
     if not manifest_path.exists():
         raise CheckpointError(f"no {MANIFEST_NAME} under {path}")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as err:
+        raise CheckpointError(f"{manifest_path} is not valid JSON ({err})") from err
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{manifest_path} holds a JSON {type(manifest).__name__}, not an object")
 
     if manifest.get("schema_version") != SCHEMA_VERSION:
         raise CheckpointError(
@@ -181,6 +200,8 @@ def _restore(manifest: dict, blob_path: Path) -> TrainState:
     }
 
     blob = blob_path.read_bytes()
+    if hashlib.sha256(blob).hexdigest() != manifest["blob_sha256"]:
+        raise CheckpointError(f"{blob_path} does not match the SHA-256 its manifest records")
     total = sum(e["nbytes"] for e in manifest["tensors"])
     if len(blob) != total:
         raise CheckpointError(f"blob is {len(blob)} bytes, manifest expects {total}")

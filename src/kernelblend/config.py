@@ -25,14 +25,23 @@ class ConfigError(ValueError):
 
 
 def _cast(value, caster, name: str):
-    """Cast one value, turning a failure into a ConfigError that names the key.
-    A bool key takes only JSON true or false."""
-    if caster is bool and not isinstance(value, bool):
-        raise ConfigError(f"{name}: expected true or false, got {json.dumps(value)}")
-    try:
-        return caster(value)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{name}: expected {caster.__name__}, got {json.dumps(value)}") from err
+    """Cast one value, turning a mismatch into a ConfigError that names the key.
+    Each key takes only its own JSON kind: an int key a whole number, a float
+    key a number, a bool key true or false, a str key a string, a list key an
+    array and a dict key an object."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    fits = {
+        int: number and (isinstance(value, int) or value.is_integer()),
+        float: number,
+        bool: isinstance(value, bool),
+        str: isinstance(value, str),
+        list: isinstance(value, list),
+        dict: isinstance(value, dict),
+    }[caster]
+    if not fits:
+        wanted = "true or false" if caster is bool else caster.__name__
+        raise ConfigError(f"{name}: expected {wanted}, got {json.dumps(value)}")
+    return caster(value)
 
 
 def _take(section: dict, where: str, required: dict, optional: dict | None = None) -> dict:

@@ -366,13 +366,18 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         raise ShapeError(f"conv2d kernel {kernel.shape} larger than padded input {x.shape} (padding={padding})")
 
     if padding > 0:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        xp = np.zeros((batch, in_c, h + 2 * padding, w + 2 * padding), dtype=x.data.dtype)
+        xp[:, :, padding:padding + h, padding:padding + w] = x.data
     else:
         xp = x.data
-    # windows: (B, C, oH, oW, kh, kw); plain einsum keeps a fixed per-element
-    # reduction order, which the bit-determinism contract relies on.
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
+    # windows: (B, C, oH, oW, kh, kw), copied out of the strided view into one
+    # contiguous array (im2col). einsum over a strided view is several times
+    # slower, and its reduction order there can change with the batch size
+    # (1x1 maps, 1x1 kernels at stride 2); over a contiguous copy, plain einsum
+    # reduces each sample in the same order at any batch size, which the
+    # batch-equals-serial and bit-determinism contracts rely on.
+    windows = np.ascontiguousarray(
+        np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride])
     k_sub = "bockl" if per_sample else "ockl"
     out = np.einsum(f"bcijkl,{k_sub}->boij", windows, kernel.data)
 

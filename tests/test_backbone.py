@@ -92,15 +92,22 @@ class TestForward:
         swapped = B.forward(params, spec, T.Tensor(xv[::-1])).data
         assert np.array_equal(fwd[::-1], swapped)
 
-    def test_batch_equals_serial_bitwise(self):
-        spec = small_spec()
+    def _assert_batch_equals_serial(self, spec):
         params = B.build(spec, 5)
         rng = np.random.default_rng(2)
-        xv = rng.standard_normal((3, 3, 8, 8))
+        xv = rng.standard_normal((3,) + spec.input_shape)
         batched = B.forward(params, spec, T.Tensor(xv)).data
         for i in range(3):
             single = B.forward(params, spec, T.Tensor(xv[i:i + 1])).data
             assert batched[i:i + 1].tobytes() == single.tobytes()
+
+    def test_batch_equals_serial_bitwise(self):
+        self._assert_batch_equals_serial(small_spec())
+
+    def test_batch_equals_serial_bitwise_last_map_1x1(self):
+        spec = B.BackboneSpec((1, 4, 4), (B.LayerSpec(1, 4, 3, stride=2, padding=1),
+                                          B.LayerSpec(4, 1, 3, stride=2, padding=1)), 5)
+        self._assert_batch_equals_serial(spec)
 
     def test_input_shape_mismatch(self):
         spec = small_spec()

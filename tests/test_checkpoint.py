@@ -120,6 +120,47 @@ class TestValidation:
         with pytest.raises(CK.CheckpointError, match="blob"):
             CK.load_checkpoint(tmp_path / "ckpt")
 
+    def test_flipped_blob_byte_rejected(self, trained, tmp_path):
+        state, _, _ = trained
+        CK.save_checkpoint(state, tmp_path / "ckpt")
+        blob_path = tmp_path / "ckpt" / CK.BLOB_NAME
+        blob = bytearray(blob_path.read_bytes())
+        blob[len(blob) // 2] ^= 0x01
+        blob_path.write_bytes(bytes(blob))
+        with pytest.raises(CK.CheckpointError, match="SHA-256"):
+            CK.load_checkpoint(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda text: text[:200], "is not valid JSON"),
+        (lambda text: "[1]", "holds a JSON list, not an object"),
+    ], ids=["truncated", "not_an_object"])
+    def test_unreadable_manifest_named(self, trained, tmp_path, edit, named):
+        state, _, _ = trained
+        CK.save_checkpoint(state, tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / CK.MANIFEST_NAME
+        manifest_path.write_text(edit(manifest_path.read_text()))
+        with pytest.raises(CK.CheckpointError, match=f"{CK.MANIFEST_NAME} {named}") as exc:
+            CK.load_checkpoint(tmp_path / "ckpt")
+        assert "\n" not in str(exc.value)
+
+    def test_save_interrupted_before_manifest_is_detected(self, trained, tmp_path, monkeypatch):
+        state, _, _ = trained
+        CK.save_checkpoint(state, tmp_path / "ckpt")
+        _, tensor = TR.named_parameters(state)[0]
+        tensor.apply_update(tensor.data + 1.0)
+        real_replace = CK.os.replace
+
+        def crash_on_manifest(src, dst):
+            if str(dst).endswith(CK.MANIFEST_NAME):
+                raise OSError("killed")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(CK.os, "replace", crash_on_manifest)
+        with pytest.raises(OSError, match="killed"):
+            CK.save_checkpoint(state, tmp_path / "ckpt")
+        with pytest.raises(CK.CheckpointError, match="SHA-256"):
+            CK.load_checkpoint(tmp_path / "ckpt")
+
     @pytest.mark.parametrize("key", ["structure", "tensors", "step", "opt_shapes"])
     def test_missing_manifest_key_named(self, tmp_path, key):
         state = toy_state(n_bases=2, seed=1)

@@ -95,6 +95,17 @@ class TestEval:
         data = json.loads((workdir / "runs" / "demo" / "eval.json").read_text())
         assert data["threshold"] == 0.7
 
+    @pytest.mark.parametrize("name,corrupt", [
+        (CK.BLOB_NAME, lambda raw: raw[:100] + bytes([raw[100] ^ 0x01]) + raw[101:]),
+        (CK.MANIFEST_NAME, lambda raw: raw[:200]),
+    ], ids=["flipped_blob_byte", "truncated_manifest"])
+    def test_corrupt_checkpoint_exits_one_with_one_line(self, trained_ckpt, capsys, name, corrupt):
+        path = trained_ckpt / name
+        path.write_bytes(corrupt(path.read_bytes()))
+        assert main(["eval", "--ckpt", str(trained_ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and name in err
+
 
 class TestSweep:
     def test_sweep_rows_match_thresholds(self, workdir, trained_ckpt, capsys):

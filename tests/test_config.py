@@ -133,6 +133,13 @@ class TestParsing:
         (("bank", "input_shape"), [1, None, 12], "bank.input_shape"),
         (("bank", "shared"), [[0, None]], "bank.shared"),
         (("eval", "thresholds"), [None], "eval.thresholds"),
+        (("schedule", "total_steps"), 20.9, "schedule.total_steps"),
+        (("schedule", "batch_size"), True, "schedule.batch_size"),
+        (("schedule", "bmd_rate"), False, "schedule.bmd_rate"),
+        (("eval", "thresholds"), {"0.5": 1}, "eval.thresholds"),
+        (("bank", "input_shape"), "111", "bank.input_shape"),
+        (("synthesis", "mode"), 1, "synthesis.mode"),
+        (("output_dir",), ["runs"], "config.output_dir"),
     ])
     def test_bad_value_names_its_key(self, path, value, named):
         raw = base_config()

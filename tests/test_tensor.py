@@ -100,6 +100,37 @@ class TestConv2d:
         assert gradient_mismatch(grads[x], finite_difference(lambda v: loss(v, kv), xv.copy())) < 1e-6
         assert gradient_mismatch(grads[k], finite_difference(lambda v: loss(xv, v), kv.copy())) < 1e-6
 
+    @pytest.mark.parametrize("hw,k,padding", [(5, 1, 0), (2, 3, 1)], ids=["1x1-kernel", "1x1-map"])
+    def test_per_sample_batch_equals_serial_bitwise(self, hw, k, padding):
+        """At stride 2, the forward and the kernel gradient of a batch equal
+        one batch-1 call per sample, bit for bit."""
+        rng = np.random.default_rng(4)
+        xv = rng.standard_normal((5, 1, hw, hw))
+        kv = rng.standard_normal((5, 4, 1, k, k))
+
+        def run(xs, ks):
+            kern = T.Tensor(ks, requires_grad=True)
+            tape = T.GradTape()
+            with T.recording(tape):
+                out = T.conv2d(T.Tensor(xs), kern, stride=2, padding=padding)
+                grads = T.backward(T.sum_squares(out))
+            return out.data, grads[kern]
+
+        out, gk = run(xv, kv)
+        for b in range(5):
+            out_b, gk_b = run(xv[b:b + 1], kv[b:b + 1])
+            assert out[b:b + 1].tobytes() == out_b.tobytes()
+            assert gk[b:b + 1].tobytes() == gk_b.tobytes()
+
+    def test_shared_kernel_equals_per_sample_kernel_bitwise(self):
+        rng = np.random.default_rng(6)
+        xv = rng.standard_normal((2, 1, 2, 2))
+        kv = rng.standard_normal((4, 1, 3, 3))
+        shared = T.conv2d(T.Tensor(xv), T.Tensor(kv), stride=2, padding=1).data
+        for b in range(2):
+            own = T.conv2d(T.Tensor(xv[b:b + 1]), T.Tensor(kv[None]), stride=2, padding=1).data
+            assert shared[b:b + 1].tobytes() == own.tobytes()
+
     def test_linear_in_kernel(self):
         rng = np.random.default_rng(3)
         x = T.Tensor(rng.standard_normal((1, 2, 6, 6)))
