@@ -47,9 +47,6 @@ class LMParams:
     coeff_w: T.Tensor
     coeff_b: T.Tensor
 
-    def all_tensors(self) -> list[T.Tensor]:
-        return self.trunk.all_tensors() + [self.coeff_w, self.coeff_b]
-
 
 @dataclass
 class PipelineResult:

@@ -26,8 +26,9 @@ class NonFiniteError(ArithmeticError):
 
 
 def _contiguous(arr: np.ndarray) -> np.ndarray:
-    # ascontiguousarray promotes 0-d to 1-d; scalars must stay 0-d
-    return arr if arr.ndim == 0 else np.ascontiguousarray(arr)
+    # most op results are already C-contiguous, so the copy is rarely needed;
+    # a 0-d array always is (ascontiguousarray would promote it to 1-d)
+    return arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
 
 
 class Tensor:
@@ -42,7 +43,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = _contiguous(np.asarray(data, dtype=np.float64))
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError("tensor data contains NaN or Inf")
         self.data = arr
         self.requires_grad = requires_grad
@@ -64,7 +65,7 @@ class Tensor:
         arr = np.asarray(new_data, dtype=np.float64)
         if arr.shape != self.data.shape:
             raise ShapeError(f"update shape {arr.shape} != parameter shape {self.data.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError("parameter update contains NaN or Inf")
         self.data = _contiguous(arr)
 
@@ -103,7 +104,7 @@ def recording(tape: GradTape):
 
 def _result(data: np.ndarray, inputs: Sequence[Tensor], backward: Callable) -> Tensor:
     """Wrap an op result, enforce finiteness, and record it if a tape is live."""
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteError("forward operation produced NaN or Inf")
     out = Tensor.__new__(Tensor)
     out.data = _contiguous(data)
@@ -344,10 +345,13 @@ def blend(coeffs: Tensor, tensors: Sequence[Tensor]) -> Tensor:
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of an NCHW input with an OIKK kernel.
 
-    A (B, O, I, K, K) kernel gives each sample its own kernel: the whole
-    batch still runs as one einsum (CondConv's per-example kernels folded
-    into one call). Output spatial size is floor((H + 2*padding - K)/stride)
-    + 1 per side. Differentiable w.r.t. both the input and the kernel.
+    A (B, O, I, K, K) kernel gives each sample its own kernel (CondConv's
+    per-example kernels). Either kind runs as stacked matmuls in which B
+    stays the loop axis, one same-shape GEMM per sample, so that a sample's
+    result does not depend on the batch it runs in. Output spatial size is
+    floor((H + 2*padding - K)/stride) + 1 per side. Differentiable w.r.t.
+    both the input and the kernel; an input that does not require a
+    gradient gets none computed.
     """
     per_sample = kernel.data.ndim == 5
     if x.data.ndim != 4 or kernel.data.ndim not in (4, 5):
@@ -370,27 +374,34 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         xp[:, :, padding:padding + h, padding:padding + w] = x.data
     else:
         xp = x.data
-    # windows: (B, C, oH, oW, kh, kw), copied out of the strided view into one
-    # contiguous array (im2col). einsum over a strided view is several times
-    # slower, and its reduction order there can change with the batch size
-    # (1x1 maps, 1x1 kernels at stride 2); over a contiguous copy, plain einsum
-    # reduces each sample in the same order at any batch size, which the
-    # batch-equals-serial and bit-determinism contracts rely on.
-    windows = np.ascontiguousarray(
-        np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride])
-    k_sub = "bockl" if per_sample else "ockl"
-    out = np.einsum(f"bcijkl,{k_sub}->boij", windows, kernel.data)
-
-    out_h, out_w = out.shape[2], out.shape[3]
+    # im2col: copy the windows out of the strided view into one contiguous
+    # (B, C, kh, kw, oH, oW) array, which reshapes for free to the GEMM
+    # operand (B, C*kh*kw, oH*oW); this order copies faster than
+    # (B, oH, oW, C, kh, kw) at small channel counts. Each contraction is a
+    # stacked matmul with B as its loop axis: one GEMM call per sample, of the
+    # same shape at any batch size, so a sample reduces in the same order
+    # alone or in a batch (the batch-equals-serial and bit-determinism
+    # contracts). Folded into a GEMM dimension, B could change BLAS's blocking.
+    sw = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    windows = np.ascontiguousarray(sw.transpose(0, 1, 4, 5, 2, 3))
+    out_h, out_w = windows.shape[4:]
+    cols = windows.reshape(batch, in_c * kh * kw, out_h * out_w)
+    kmat = kernel.data.reshape(*kernel.shape[:-3], in_c * kh * kw)
+    out = np.matmul(kmat, cols).reshape(batch, out_c, out_h, out_w)
     ph, pw = xp.shape[2], xp.shape[3]
 
     def bwd(g):
-        gk = np.einsum(f"boij,bcijkl->{k_sub}", g, windows)
-        gcols = np.einsum(f"boij,{k_sub}->bcijkl", g, kernel.data)
+        g3 = g.reshape(batch, out_c, out_h * out_w)
+        gk = np.matmul(g3, cols.transpose(0, 2, 1))
+        # a shared kernel sums the per-sample products, in batch order
+        gk = (gk if per_sample else gk.sum(axis=0)).reshape(kernel.shape)
+        if not x.requires_grad:  # e.g. the image at layer 0: backward would drop it
+            return ((kernel, gk),)
+        gcols = np.matmul(np.swapaxes(kmat, -1, -2), g3).reshape(windows.shape)
         gxp = np.zeros((batch, in_c, ph, pw))
         for ki in range(kh):
             for kj in range(kw):
-                gxp[:, :, ki:ki + stride * out_h:stride, kj:kj + stride * out_w:stride] += gcols[:, :, :, :, ki, kj]
+                gxp[:, :, ki:ki + stride * out_h:stride, kj:kj + stride * out_w:stride] += gcols[:, :, ki, kj]
         if padding > 0:
             gx = gxp[:, :, padding:ph - padding, padding:pw - padding]
         else:

@@ -101,26 +101,56 @@ class TestConv2d:
         assert gradient_mismatch(grads[k], finite_difference(lambda v: loss(xv, v), kv.copy())) < 1e-6
 
     @pytest.mark.parametrize("hw,k,padding", [(5, 1, 0), (2, 3, 1)], ids=["1x1-kernel", "1x1-map"])
-    def test_per_sample_batch_equals_serial_bitwise(self, hw, k, padding):
-        """At stride 2, the forward and the kernel gradient of a batch equal
-        one batch-1 call per sample, bit for bit."""
+    @pytest.mark.parametrize("per_sample", [False, True], ids=["shared", "per-sample"])
+    def test_per_sample_batch_equals_serial_bitwise(self, per_sample, hw, k, padding):
+        """At stride 2, each sample's forward, input gradient and (for a
+        per-sample kernel) kernel gradient in a batch equal its own batch-1
+        call, bit for bit."""
         rng = np.random.default_rng(4)
         xv = rng.standard_normal((5, 1, hw, hw))
         kv = rng.standard_normal((5, 4, 1, k, k))
 
         def run(xs, ks):
+            x = T.Tensor(xs, requires_grad=True)
             kern = T.Tensor(ks, requires_grad=True)
             tape = T.GradTape()
             with T.recording(tape):
-                out = T.conv2d(T.Tensor(xs), kern, stride=2, padding=padding)
+                out = T.conv2d(x, kern, stride=2, padding=padding)
                 grads = T.backward(T.sum_squares(out))
-            return out.data, grads[kern]
+            return out.data, grads[x], grads[kern]
 
-        out, gk = run(xv, kv)
+        out, gx, gk = run(xv, kv if per_sample else kv[0])
         for b in range(5):
-            out_b, gk_b = run(xv[b:b + 1], kv[b:b + 1])
+            out_b, gx_b, gk_b = run(xv[b:b + 1], kv[b:b + 1] if per_sample else kv[0])
             assert out[b:b + 1].tobytes() == out_b.tobytes()
-            assert gk[b:b + 1].tobytes() == gk_b.tobytes()
+            assert gx[b:b + 1].tobytes() == gx_b.tobytes()
+            if per_sample:
+                assert gk[b:b + 1].tobytes() == gk_b.tobytes()
+
+    @pytest.mark.parametrize("per_sample", [False, True], ids=["shared", "per-sample"])
+    def test_input_without_grad_gets_no_gradient(self, per_sample):
+        """An input that does not require a gradient gets no entry and no
+        input-gradient work, and the kernel gradient is bitwise unchanged."""
+        rng = np.random.default_rng(8)
+        xv = rng.standard_normal((3, 2, 5, 5))
+        kv = rng.standard_normal((3, 4, 2, 3, 3) if per_sample else (4, 2, 3, 3))
+
+        def run(x_requires_grad):
+            x = T.Tensor(xv, requires_grad=x_requires_grad)
+            kern = T.Tensor(kv, requires_grad=True)
+            tape = T.GradTape()
+            with T.recording(tape):
+                out = T.conv2d(x, kern, stride=2, padding=1)
+                _, _, conv_bwd = tape.records[0]
+                contributions = [t for t, _ in conv_bwd(np.ones(out.shape))]
+                grads = T.backward(T.sum_squares(out))
+            return x, kern, grads, contributions
+
+        x, kern, grads, contributions = run(False)
+        assert x not in grads and contributions == [kern]
+        x_g, kern_g, grads_g, contributions_g = run(True)
+        assert x_g in grads_g and contributions_g == [x_g, kern_g]
+        assert grads[kern].tobytes() == grads_g[kern_g].tobytes()
 
     def test_shared_kernel_equals_per_sample_kernel_bitwise(self):
         rng = np.random.default_rng(6)
