@@ -76,12 +76,7 @@ def _structure_dict(state: TrainState) -> dict:
             "n_bases": state.bank.n_bases,
             "share_mask": list(state.bank.share_mask),
         },
-        "synthesis": {
-            "activation": state.synth_cfg.activation,
-            "mode": state.synth_cfg.mode,
-            "bmd_renormalize": state.synth_cfg.bmd_renormalize,
-            "stabilizer_order": state.synth_cfg.stabilizer_order,
-        },
+        "synthesis": dataclasses.asdict(state.synth_cfg),
     }
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
@@ -139,8 +140,9 @@ def cmd_cost(args) -> int:
     report = co.full_cost(state.lm, state.bank)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.output_dir / "cost.json"
-    out.write_text(json.dumps(report.to_dict(), indent=1))
-    print(json.dumps(report.to_dict(), indent=1))
+    text = json.dumps(dataclasses.asdict(report), indent=1)
+    out.write_text(text)
+    print(text)
     return 0
 
 

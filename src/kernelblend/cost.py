@@ -28,17 +28,6 @@ class CostReport:
     params_shared: int
     params_per_basis: int
 
-    def to_dict(self) -> dict:
-        return {
-            "lm_madds": self.lm_madds,
-            "stage2_madds": self.stage2_madds,
-            "synthesis_madds": self.synthesis_madds,
-            "total_madds": self.total_madds,
-            "params_total": self.params_total,
-            "params_shared": self.params_shared,
-            "params_per_basis": self.params_per_basis,
-        }
-
 
 @dataclass(frozen=True)
 class SweepPoint:

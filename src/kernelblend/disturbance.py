@@ -98,7 +98,7 @@ def evaluate_disturbed(lm: pl.LightweightModel, params: pl.LMParams,
         lm, params, bank, cfg, dataset.images, 1.01,
         edit=lambda alpha: disturb(alpha, disturbance, rows=rows, mean_table=mean_table, rng=rng))
     correct = sum(res.prediction == label for res, label in zip(results, dataset.labels))
-    return correct / len(dataset)
+    return float(correct / len(dataset))
 
 
 def layer_sweep(lm: pl.LightweightModel, params: pl.LMParams, bank: syn.BasisBank,

@@ -294,13 +294,21 @@ def sum_all(a: Tensor) -> Tensor:
     return _result(np.array(np.sum(a.data)), (a,), bwd)
 
 
-def sum_squares(a: Tensor) -> Tensor:
-    """Scalar sum of squared entries (the L2 regularizer building block)."""
+def sum_squares(*tensors: Tensor) -> Tensor:
+    """Scalar sum of the squared entries of every tensor (the L2 regulariser).
+
+    One record however many tensors: each tensor's sum is added left to
+    right, the same additions as a chain of per-tensor sums joined by
+    ``add``, and each tensor gets its own ``2 * t * g`` gradient term.
+    """
 
     def bwd(g):
-        return ((a, 2.0 * a.data * g),)
+        return tuple((t, 2.0 * t.data * g) for t in tensors)
 
-    return _result(np.array(np.sum(a.data * a.data)), (a,), bwd)
+    total = 0.0  # plain left-to-right adds: sum() compensates on Python >= 3.12
+    for t in tensors:
+        total = total + np.sum(t.data * t.data)
+    return _result(np.array(total), tensors, bwd)
 
 
 def blend(coeffs: Tensor, tensors: Sequence[Tensor]) -> Tensor:

@@ -12,7 +12,8 @@ basis kernels, while the specialist term reaches the lightweight model
 through the coefficient path.
 
 All per-step randomness (batch choice, augmentation, dropout masks) derives
-from (seed, step), so any run is reproducible and resumable bit for bit.
+from (seed, step), so any run is reproducible bit for bit and no step
+depends on a generator's state left by earlier steps.
 """
 
 from __future__ import annotations
@@ -247,10 +248,7 @@ def total_loss(final_logits: T.Tensor, initial_logits: T.Tensor, target: np.ndar
     loss = T.add(synth_loss, T.scale(lm_loss, cfg.lm_weight))
     l2_value = 0.0
     if cfg.l2_weight > 0.0:
-        reg = None
-        for p in params:
-            sq = T.sum_squares(p)
-            reg = sq if reg is None else T.add(reg, sq)
+        reg = T.sum_squares(*params)
         loss = T.add(loss, T.scale(reg, cfg.l2_weight))
         l2_value = cfg.l2_weight * reg.data.item()
     parts = {
@@ -265,26 +263,24 @@ def total_loss(final_logits: T.Tensor, initial_logits: T.Tensor, target: np.ndar
 # optimizer step
 
 
-def _clip_gradients(grads: dict[T.Tensor, np.ndarray], params, clip_norm: float):
-    total = 0.0
-    for _, p in params:
-        g = grads.get(p)
-        if g is not None:
-            total += float(np.sum(g * g))
-    norm = np.sqrt(total)
-    if norm > clip_norm and norm > 0:
-        factor = clip_norm / norm
+def _apply_updates(state: TrainState, grads, params, lr: float, schedule: TrainSchedule):
+    """One pass over the parameters. With ``clip_norm`` set and exceeded by
+    the global gradient norm, each gradient is scaled down to it first."""
+    factor = None
+    if schedule.clip_norm is not None:
+        total = 0.0  # plain left-to-right adds: sum() compensates on Python >= 3.12
         for _, p in params:
             if p in grads:
-                grads[p] = grads[p] * factor
-    return norm
-
-
-def _apply_updates(state: TrainState, grads, params, lr: float, schedule: TrainSchedule):
+                total += float(np.sum(grads[p] * grads[p]))
+        norm = np.sqrt(total)
+        if norm > schedule.clip_norm and norm > 0:
+            factor = schedule.clip_norm / norm
     for name, p in params:
         g = grads.get(p)
         if g is None:
             continue
+        if factor is not None:
+            g = g * factor
         if schedule.optimizer == "rmsprop":
             acc = state.opt_state.get(name)
             if acc is None:
@@ -328,8 +324,6 @@ def train_step(state: TrainState, batch: tuple[np.ndarray, np.ndarray],
             loss, parts = total_loss(
                 final, initial, batch_y, [p for _, p in params], loss_cfg, distill_soft)
         grads = T.backward(loss)
-        if schedule.clip_norm is not None:
-            _clip_gradients(grads, params, schedule.clip_norm)
         _apply_updates(state, grads, params, lr, schedule)
     except T.NonFiniteError as err:
         raise TrainingDiverged(

@@ -149,6 +149,9 @@ class TestDisturb:
         assert rows[0]["kind_or_layer"] == "correct"
         assert float(rows[0]["delta_vs_correct"]) == 0.0
         assert rows[1]["kind_or_layer"] == "shuffled"
+        for row in rows:
+            for column in ("accuracy", "delta_vs_correct"):
+                float(row[column])
 
     def test_layer_sweep_mode(self, workdir, trained_ckpt, capsys):
         assert main(["disturb", "--ckpt", str(trained_ckpt),
@@ -157,6 +160,9 @@ class TestDisturb:
             rows = list(csv.DictReader(fh))
         labels = [r["kind_or_layer"] for r in rows]
         assert labels == ["correct", "L0", "L1", "L2"]
+        for row in rows:
+            for column in ("accuracy", "delta_vs_correct"):
+                float(row[column])
 
     def test_seeds_default_to_config(self, workdir, capsys, monkeypatch):
         raw = base_config()

@@ -501,6 +501,34 @@ class TestGradientSweep:
             worst = max(worst, gradient_mismatch(grads[w], numeric_w))
         assert worst < 1e-4
 
+    def test_sum_squares_over_several_tensors(self):
+        # one record for several tensors, one of them passed twice: gradients
+        # against finite differences, value bitwise equal to the per-tensor chain
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            vals = [rng.standard_normal(s) for s in ((2, 3), (4,), (2, 2, 2))]
+
+            def build_loss(a, b, c):
+                return T.sum_squares(a, T.scale(b, -0.5), a, c)
+
+            ts = [T.Tensor(v.copy(), requires_grad=True) for v in vals]
+            tape = T.GradTape()
+            with T.recording(tape):
+                loss = build_loss(*ts)
+            assert len(tape.records) == 2  # the scale and the one sum_squares
+            grads = T.backward(loss)
+            for i, v in enumerate(vals):
+                def f(var, i=i):
+                    args = [T.Tensor(var if j == i else vals[j]) for j in range(3)]
+                    return build_loss(*args).item()
+                assert gradient_mismatch(grads[ts[i]], finite_difference(f, v.copy())) < 1e-7
+
+            a, b, c = (T.Tensor(v) for v in vals)
+            chain = T.sum_squares(a)
+            for t in (T.scale(b, -0.5), a, c):
+                chain = T.add(chain, T.sum_squares(t))
+            assert loss.data.tobytes() == chain.data.tobytes()
+
     def test_random_instance_sweep(self):
         rng = np.random.default_rng(100)
         for trial in range(20):

@@ -75,6 +75,50 @@ class TestTotalLoss:
                                  TR.LossConfig(l2_weight=0.5))
         assert parts["l2"] == pytest.approx(0.5 * 5.0)
 
+    def test_l2_bitwise_equals_per_parameter_chain(self):
+        # the one-op regulariser against one sum_squares per parameter joined
+        # by add: the loss and every gradient bit for bit
+        state = toy_state(n_bases=3, seed=11)
+        train, _ = toy_dataset(train_size=8, eval_size=8)
+        x, y = train.images[:4], train.labels[:4]
+        cfg = TR.LossConfig(lm_weight=0.7, l2_weight=1e-3)
+        params = [p for _, p in TR.named_parameters(state)]
+
+        def chain_loss(final, initial):
+            loss = T.add(T.cross_entropy(final, y), T.scale(T.cross_entropy(initial, y), cfg.lm_weight))
+            reg = T.sum_squares(params[0])
+            for p in params[1:]:
+                reg = T.add(reg, T.sum_squares(p))
+            return T.add(loss, T.scale(reg, cfg.l2_weight))
+
+        results = []
+        for build in (lambda f, i: TR.total_loss(f, i, y, params, cfg)[0], chain_loss):
+            tape = T.GradTape()
+            with T.recording(tape):
+                final, initial, _ = TR.forward_training(state, x, 0.0, None)
+                loss = build(final, initial)
+            results.append((loss, T.backward(loss)))
+        (loss, grads), (ref_loss, ref_grads) = results
+        assert loss.data.tobytes() == ref_loss.data.tobytes()
+        for p in params:
+            assert grads[p].tobytes() == ref_grads[p].tobytes()
+
+    def test_l2_tape_records_do_not_grow_with_parameter_count(self):
+        final, initial = self.make_logits()
+        final.requires_grad = initial.requires_grad = True
+        y = np.array([0, 1, 2, 3])
+        added = set()
+        for count in (1, 5, 25):
+            params = [T.Tensor(np.full(3, 0.5 + i), requires_grad=True) for i in range(count)]
+            records = []
+            for weight in (0.0, 1e-2):
+                tape = T.GradTape()
+                with T.recording(tape):
+                    TR.total_loss(final, initial, y, params, TR.LossConfig(l2_weight=weight))
+                records.append(len(tape.records))
+            added.add(records[1] - records[0])
+        assert added == {3}  # sum_squares, scale, add
+
 
 class TestBmdMask:
     def test_rate_zero_keeps_all(self):
@@ -258,6 +302,18 @@ class TestTrainStep:
             delta = p.data - before[name]
             total += float(np.sum(delta * delta))
         assert np.sqrt(total) <= 0.1 + 1e-9
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "rmsprop"])
+    def test_clip_above_gradient_norm_is_bitwise_unclipped(self, optimizer):
+        train, _ = toy_dataset(train_size=8, eval_size=8)
+        batch = (train.images[:2], train.labels[:2])
+        after = []
+        for clip_norm in (None, 1e6):
+            state = toy_state(n_bases=2, seed=9)
+            s = sched(lr_base=0.05, clip_norm=clip_norm, batch_size=2, optimizer=optimizer)
+            state, _ = TR.train_step(state, batch, s, TR.LossConfig(l2_weight=1e-3))
+            after.append([p.data.tobytes() for _, p in TR.named_parameters(state)])
+        assert after[0] == after[1]
 
 
 class TestBatchedMatchesPerImage:
