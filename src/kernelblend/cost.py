@@ -91,8 +91,9 @@ def sweep(lm: pl.LightweightModel, params: pl.LMParams, bank: syn.BasisBank,
     """Measure skip rate, accuracy, and average spend at each threshold.
 
     One pipeline pass at the largest threshold serves every threshold as a
-    cut on the per-image confidence. Accuracy uses the initial prediction
-    where the pipeline terminated and the specialist prediction elsewhere.
+    vectorised cut on its per-image confidences. Accuracy uses the initial
+    prediction where the pipeline terminated and the specialist prediction
+    elsewhere.
     The measured average spend must agree with expected_cost at the measured
     skip rate; this function asserts that contract rather than trusting it.
     """
@@ -102,25 +103,17 @@ def sweep(lm: pl.LightweightModel, params: pl.LMParams, bank: syn.BasisBank,
     if not all(t >= 0 for t in thresholds):  # also rejects NaN
         raise ValueError(f"thresholds must be numbers >= 0, got {thresholds}")
     report = full_cost(lm, bank)
-    results = pl.infer_batch(lm, params, bank, cfg, dataset.images, max(thresholds, default=0.0))
+    record = pl.infer_batch(lm, params, bank, cfg, dataset.images, max(thresholds, default=0.0))
+    n = len(dataset)
     points = []
     for threshold in thresholds:
-        skips = 0
-        correct = 0
-        spent = 0
-        for res, label in zip(results, dataset.labels):
-            stop = res.confidence >= threshold
-            skips += stop
-            correct += int(np.argmax(res.initial_logits if stop else res.final_logits)) == label
-            spent += report.lm_madds if stop else res.madds_spent
-        p = skips / len(dataset)
-        avg = spent / len(dataset)
+        stop = record.confidence >= threshold
+        p = int(np.count_nonzero(stop)) / n
+        avg = int(np.where(stop, report.lm_madds, record.madds_spent).sum()) / n  # exact integer spend
         closed_form = expected_cost(p, report.lm_madds, report.total_madds)
         if not np.isclose(avg, closed_form, rtol=1e-9, atol=1e-9):
             raise AssertionError(
                 f"measured average {avg} disagrees with closed form {closed_form}")
-        points.append(SweepPoint(
-            threshold=threshold, skip_rate=float(p),
-            avg_madds=float(avg), accuracy=float(correct / len(dataset)),
-        ))
+        points.append(SweepPoint(threshold=threshold, skip_rate=p, avg_madds=avg,
+                                 accuracy=record.accuracy(dataset.labels, threshold)))
     return points

@@ -38,8 +38,8 @@ def mean_coefficients(lm: pl.LightweightModel, params: pl.LMParams,
                       bank: syn.BasisBank, cfg: syn.SynthesisConfig,
                       dataset: Dataset) -> np.ndarray:
     """Per-layer mean coefficient rows over an evaluation set."""
-    results = pl.infer_batch(lm, params, bank, cfg, dataset.images, 1.01)
-    return sum(res.coefficients.data for res in results) / len(dataset)
+    record = pl.infer_batch(lm, params, bank, cfg, dataset.images, 1.01)
+    return record.coefficients.sum(axis=0) / len(dataset)
 
 
 def disturb(alpha: T.Tensor, disturbance: Disturbance,
@@ -94,11 +94,10 @@ def evaluate_disturbed(lm: pl.LightweightModel, params: pl.LMParams,
         mean_table = mean_coefficients(lm, params, bank, cfg, dataset)
     rows = _rows_for_layer(bank, disturbance.layer)
     rng = np.random.default_rng([disturbance.seed, 0x5F])
-    results = pl.infer_batch(
+    record = pl.infer_batch(
         lm, params, bank, cfg, dataset.images, 1.01,
         edit=lambda alpha: disturb(alpha, disturbance, rows=rows, mean_table=mean_table, rng=rng))
-    correct = sum(res.prediction == label for res, label in zip(results, dataset.labels))
-    return float(correct / len(dataset))
+    return record.accuracy(dataset.labels)
 
 
 def layer_sweep(lm: pl.LightweightModel, params: pl.LMParams, bank: syn.BasisBank,

@@ -68,10 +68,9 @@ def lm_accuracy(state: tr.TrainState, dataset: Dataset) -> float:
 
 
 def pipeline_accuracy(state: tr.TrainState, dataset: Dataset, threshold: float) -> float:
-    results = pl.infer_batch(state.lm, state.lm_params, state.bank, state.synth_cfg,
-                             dataset.images, threshold)
-    hits = sum(res.prediction == label for res, label in zip(results, dataset.labels))
-    return hits / len(dataset)
+    record = pl.infer_batch(state.lm, state.lm_params, state.bank, state.synth_cfg,
+                            dataset.images, threshold)
+    return record.accuracy(dataset.labels)
 
 
 def full_accuracy(state: tr.TrainState, dataset: Dataset) -> float:
@@ -81,9 +80,9 @@ def full_accuracy(state: tr.TrainState, dataset: Dataset) -> float:
 
 def skip_rate(state: tr.TrainState, dataset: Dataset, threshold: float) -> float:
     # a threshold-0 pass stops every image after stage one and records its confidence
-    results = pl.infer_batch(state.lm, state.lm_params, state.bank, state.synth_cfg,
-                             dataset.images, 0.0)
-    return sum(res.confidence >= threshold for res in results) / len(dataset)
+    record = pl.infer_batch(state.lm, state.lm_params, state.bank, state.synth_cfg,
+                            dataset.images, 0.0)
+    return int(np.count_nonzero(record.confidence >= threshold)) / len(dataset)
 
 
 def _fmt(value) -> str:
@@ -163,19 +162,16 @@ def export_coefficients(state: tr.TrainState, dataset: Dataset, out_path) -> int
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     bank = state.bank
-    nonshared = bank.nonshared_indices()
-    results = pl.infer_batch(state.lm, state.lm_params, bank, state.synth_cfg,
-                             dataset.images, 1.01)
-    count = 0
+    record = pl.infer_batch(state.lm, state.lm_params, bank, state.synth_cfg,
+                            dataset.images, 1.01)
+    # one row per coefficient cell, in (image, layer, basis) order
+    image, row, basis = np.indices(record.coefficients.shape).reshape(3, -1)
+    image = record.pending[image]
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["image_id", "label", "layer", "basis", "coefficient"])
-        for i, res in enumerate(results):
-            for r, layer in enumerate(nonshared):
-                for n in range(bank.n_bases):
-                    writer.writerow([
-                        i, int(dataset.labels[i]), layer, n,
-                        repr(float(res.coefficients.data[r, n])),
-                    ])
-                    count += 1
-    return count
+        writer.writerows(zip(
+            image.tolist(), dataset.labels[image].tolist(),
+            np.asarray(bank.nonshared_indices())[row].tolist(), basis.tolist(),
+            map(repr, record.coefficients.ravel().tolist())))
+    return len(image)

@@ -12,6 +12,7 @@ coefficients only exist after layer k-1 has run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -69,6 +70,44 @@ class PipelineResult:
         return int(np.argmax(logits))
 
 
+@dataclass(frozen=True)
+class BatchResult:
+    """``infer_batch`` over B images at ``threshold``, one array per field.
+
+    Stage two ran on the P images in ``pending`` (sorted image indices, the
+    ones below the threshold); ``final_logits`` and ``coefficients`` hold
+    their rows in that order.
+    """
+
+    threshold: float
+    confidence: np.ndarray  # (B,) max-softmax of the initial logits
+    initial_logits: np.ndarray  # (B, C)
+    terminated: np.ndarray  # (B,) bool, confidence >= threshold
+    madds_spent: np.ndarray  # (B,) int64
+    pending: np.ndarray  # (P,) int64
+    final_logits: np.ndarray  # (P, C)
+    coefficients: np.ndarray  # (P, rows, N), as synthesized
+
+    def predictions(self, threshold: float | None = None) -> np.ndarray:
+        """(B,) class per image: the initial prediction where the image stops,
+        the specialist's elsewhere. ``threshold`` cuts at another threshold,
+        no higher than this pass's; every image it does not stop ran stage two."""
+        stop = self.terminated
+        if threshold is not None:
+            if not 0 <= threshold <= self.threshold:  # also rejects NaN
+                raise ValueError(
+                    f"threshold {threshold} outside [0, {self.threshold}], the pass's range")
+            stop = self.confidence >= threshold
+        out = np.argmax(self.initial_logits, axis=1)
+        run = ~stop[self.pending]
+        out[self.pending[run]] = np.argmax(self.final_logits[run], axis=1)
+        return out
+
+    def accuracy(self, labels: np.ndarray, threshold: float | None = None) -> float:
+        """Fraction of ``predictions(threshold)`` equal to ``labels``."""
+        return int(np.count_nonzero(self.predictions(threshold) == labels)) / len(labels)
+
+
 def build_lm(lm: LightweightModel, seed: int) -> LMParams:
     rng = np.random.default_rng(seed)
     trunk = bb.build(lm.trunk, seed)
@@ -115,14 +154,19 @@ def lm_madds(lm: LightweightModel) -> int:
     return trunk_and_class_head + coeff_head
 
 
-def confidence(logits) -> float:
-    """Max softmax probability of a single logits vector."""
-    v = np.asarray(logits.data if isinstance(logits, T.Tensor) else logits, dtype=np.float64).reshape(-1)
-    if v.shape[0] < 2:
+def confidences(logits: np.ndarray) -> np.ndarray:
+    """Max softmax probability of each row of (B, C) logits."""
+    if logits.shape[-1] < 2:
         raise T.ShapeError("confidence needs at least 2 classes")
-    shifted = v - v.max()
-    e = np.exp(shifted)
-    return float(e.max() / e.sum())
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e.max(axis=-1) / e.sum(axis=-1)
+
+
+def confidence(logits) -> float:
+    """Max softmax probability of a single logits vector: ``confidences``
+    of one row."""
+    v = np.asarray(logits.data if isinstance(logits, T.Tensor) else logits, dtype=np.float64)
+    return float(confidences(v.reshape(1, -1))[0])
 
 
 def coefficients_from_raw(raw: T.Tensor, cfg: syn.SynthesisConfig,
@@ -141,29 +185,32 @@ def coefficients_from_raw(raw: T.Tensor, cfg: syn.SynthesisConfig,
 
 def infer_batch(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
                 cfg: syn.SynthesisConfig, images: np.ndarray, threshold: float,
-                trace: list | None = None, edit=None) -> list[PipelineResult]:
-    """Run the pipeline over images (B, C, H, W); record i is ``infer`` on image i.
+                trace: list | None = None, edit=None) -> BatchResult:
+    """Run the pipeline over images (B, C, H, W); row i is ``infer`` on image i.
 
     One batched lightweight pass scores every image. The images below the
     threshold then share one coefficient pass, one synthesis of per-image
     specialists and one batched stage two. ``edit``, if given, is called
     once with the (P, rows, N) coefficient tensor of the P images below the
     threshold, in image order, and returns the (P, rows, N) tensor that is
-    synthesized in its place (the disturbance study). Each such image's
-    result carries its (rows, N) slice of the synthesized tensor.
+    synthesized in its place (the disturbance study); the record carries
+    the returned tensor.
     """
     if not threshold >= 0:  # also rejects NaN
         raise ValueError(f"threshold must be a number >= 0, got {threshold}")
     x = T.Tensor(images)
     initial, raw = lm_forward(lm, params, x)
+    conf = confidences(initial.data)
+    terminated = conf >= threshold
+    pending = np.flatnonzero(~terminated)
     cost = lm_madds(lm)
-    confs = [confidence(row) for row in initial.data]
-    results = [PipelineResult(initial.data[i].copy(), conf, terminated=True, madds_spent=cost)
-               for i, conf in enumerate(confs)]
-    pending = [i for i, conf in enumerate(confs) if conf < threshold]
-    if not pending:
-        return results
-    if len(pending) < len(confs):
+    full = cost + syn.synthesis_madds(bank) + bb.count_madds(bank.spec)
+    record = partial(BatchResult, threshold, conf, initial.data, terminated,
+                     np.where(terminated, cost, full), pending)
+    if not len(pending):
+        return record(np.empty((0, initial.shape[1])),
+                      np.empty((0, bank.n_coefficient_rows, bank.n_bases)))
+    if len(pending) < len(conf):
         x, raw = T.Tensor(x.data[pending]), T.Tensor(raw.data[pending])
 
     alpha = coefficients_from_raw(raw, cfg, bank.n_coefficient_rows, bank.n_bases)
@@ -175,12 +222,7 @@ def infer_batch(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
                 trace.append(("coefficients", k, a[r].copy()))
     specialist = syn.synthesize(bank, alpha)
     final = bb.forward(specialist, bank.spec, x, trace)
-    spent = cost + syn.synthesis_madds(bank) + bb.count_madds(bank.spec)
-    for j, i in enumerate(pending):
-        results[i] = PipelineResult(
-            results[i].initial_logits, confs[i], terminated=False, madds_spent=spent,
-            coefficients=T.Tensor(alpha.data[j]), final_logits=final.data[j].copy())
-    return results
+    return record(final.data, alpha.data)
 
 
 def infer(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
@@ -189,12 +231,19 @@ def infer(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
     """Run the full two-stage pipeline on a single image (1, C, H, W).
 
     Terminates after stage one when confidence >= threshold. Thresholds
-    above 1 are legal and mean "never terminate".
+    above 1 are legal and mean "never terminate". The result is row 0 of
+    ``infer_batch``'s record, as plain scalars.
     """
     x = np.asarray(x.data if isinstance(x, T.Tensor) else x)
     if x.ndim != 4 or x.shape[0] != 1:
         raise T.ShapeError(f"infer expects a single (1, C, H, W) image, got {x.shape}")
-    return infer_batch(lm, params, bank, cfg, x, threshold, trace)[0]
+    record = infer_batch(lm, params, bank, cfg, x, threshold, trace)
+    stop = bool(record.terminated[0])
+    return PipelineResult(
+        record.initial_logits[0], float(record.confidence[0]), terminated=stop,
+        madds_spent=int(record.madds_spent[0]),
+        coefficients=None if stop else T.Tensor(record.coefficients[0]),
+        final_logits=None if stop else record.final_logits[0])
 
 
 # ---------------------------------------------------------------------------

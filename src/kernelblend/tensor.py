@@ -390,9 +390,15 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     # same shape at any batch size, so a sample reduces in the same order
     # alone or in a batch (the batch-equals-serial and bit-determinism
     # contracts). Folded into a GEMM dimension, B could change BLAS's blocking.
-    sw = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    windows = np.ascontiguousarray(sw.transpose(0, 1, 4, 5, 2, 3))
-    out_h, out_w = windows.shape[4:]
+    # xp is C-contiguous (a Tensor's data or the fresh padded buffer), so the
+    # window view is built from its strides directly; np.ndarray checks them
+    # against the buffer's extent.
+    out_h = (xp.shape[2] - kh) // stride + 1
+    out_w = (xp.shape[3] - kw) // stride + 1
+    sb, sc, sh, sw = xp.strides
+    view = np.ndarray((batch, in_c, kh, kw, out_h, out_w), xp.dtype, xp, 0,
+                      (sb, sc, sh, sw, sh * stride, sw * stride))
+    windows = np.ascontiguousarray(view)
     cols = windows.reshape(batch, in_c * kh * kw, out_h * out_w)
     kmat = kernel.data.reshape(*kernel.shape[:-3], in_c * kh * kw)
     out = np.matmul(kmat, cols).reshape(batch, out_c, out_h, out_w)

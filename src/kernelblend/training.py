@@ -85,6 +85,8 @@ class TrainSchedule:
             raise ValueError("bmd_rate must be in [0, 1)")
         if self.batch_size < 1 or self.total_steps < 0:
             raise ValueError("batch_size and total_steps must be positive")
+        if self.clip_norm is not None and not self.clip_norm > 0:  # also rejects NaN
+            raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
 
 
 @dataclass

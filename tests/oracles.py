@@ -142,3 +142,29 @@ def per_image_forward(state, batch_x: np.ndarray, epsilon: float, drop_masks):
         finals.append(bb.forward(specialist, bank.spec, T.Tensor(batch_x[b:b + 1])))
         alphas.append(alpha)
     return finals, initial, alphas
+
+
+def confidence_reference(logits) -> float:
+    """Max softmax probability of one logits vector, by the scalar formula
+    the pipeline once applied row by row."""
+    v = np.asarray(logits, dtype=np.float64).reshape(-1)
+    e = np.exp(v - v.max())
+    return float(e.max() / e.sum())
+
+
+def sweep_reference(results, labels, lm_madds: int, thresholds) -> list[tuple]:
+    """Threshold sweep as a loop over per-image pipeline results, all run at
+    the largest threshold: each threshold re-cuts every image by its
+    confidence. Returns (threshold, skip rate, average spend, accuracy) per
+    threshold."""
+    n = len(results)
+    points = []
+    for threshold in thresholds:
+        skips = correct = spent = 0
+        for res, label in zip(results, labels):
+            stop = confidence_reference(res.initial_logits) >= threshold
+            skips += stop
+            correct += int(np.argmax(res.initial_logits if stop else res.final_logits)) == label
+            spent += lm_madds if stop else res.madds_spent
+        points.append((float(threshold), skips / n, spent / n, correct / n))
+    return points

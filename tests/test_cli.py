@@ -77,6 +77,15 @@ class TestTrain:
         assert main(["train", "--config", str(path)]) == 1
         assert capsys.readouterr().err == "error: config.seed: expected int, got null\n"
 
+    def test_zero_clip_norm_exits_one_with_one_line(self, workdir, capsys):
+        raw = base_config()
+        raw["schedule"]["clip_norm"] = 0
+        path = workdir / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "error: schedule: clip_norm must be > 0, got 0.0\n"
+        assert not (workdir / "runs").exists()
+
     def test_unknown_flag_rejected(self, config_path):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--config", str(config_path), "--fast"])

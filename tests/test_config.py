@@ -118,6 +118,13 @@ class TestParsing:
         with pytest.raises(ConfigError, match="exceed"):
             parse_config(raw)
 
+    @pytest.mark.parametrize("clip_norm", [0, 0.0, -0.05, float("nan")])
+    def test_non_positive_clip_norm_rejected(self, clip_norm):
+        raw = base_config()
+        raw["schedule"]["clip_norm"] = clip_norm
+        with pytest.raises(ConfigError, match=r"^schedule: clip_norm must be > 0"):
+            parse_config(raw)
+
     def test_zero_disturbance_seeds_rejected(self):
         raw = base_config()
         raw["eval"]["disturbance_seeds"] = 0

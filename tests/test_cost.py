@@ -1,14 +1,21 @@
 """Cost model: mixture arithmetic, itemized reports, counter agreement, sweeps."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from kernelblend import backbone as B
 from kernelblend import cost as C
+from kernelblend import experiment as EX
 from kernelblend import pipeline as P
+from kernelblend import synthesis as S
+from kernelblend.config import load_config
 
-from oracles import conv2d_reference, linear_reference, synthesis_reference
+from oracles import conv2d_reference, linear_reference, sweep_reference, synthesis_reference
 from toys import toy_dataset, toy_state
+
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synthetic-demo.json"
 
 
 class TestExpectedCost:
@@ -166,3 +173,58 @@ class TestSweep:
         res = P.infer(state.lm, state.lm_params, state.bank, state.synth_cfg,
                       evalset.images[:1], 0.0)
         assert res.madds_spent == report.lm_madds
+
+
+class TestSweepAgainstPerResultLoop:
+    """``cost.sweep``'s vectorised cuts against the per-result loop they replaced."""
+
+    @staticmethod
+    def check(state, evalset, thresholds):
+        model = (state.lm, state.lm_params, state.bank, state.synth_cfg)
+        results = [P.infer(*model, evalset.images[i:i + 1], max(thresholds))
+                   for i in range(len(evalset))]
+        report = C.full_cost(state.lm, state.bank)
+        expected = sweep_reference(results, evalset.labels, report.lm_madds, thresholds)
+        points = C.sweep(*model, evalset, thresholds)
+        got = [(p.threshold, p.skip_rate, p.avg_madds, p.accuracy) for p in points]
+        assert got == expected
+        assert all(type(v) is float for point in got for v in point)
+        return results
+
+    def test_demo_model(self):
+        cfg = load_config(DEMO_CONFIG)
+        state, _ = EX.build_state(cfg)
+        _, evalset = EX.load_dataset(cfg)
+        model = (state.lm, state.lm_params, state.bank, state.synth_cfg)
+        confs = P.infer_batch(*model, evalset.images, 0.0).confidence
+        # the config's thresholds, cuts through the spread of confidences,
+        # and one image's exact confidence, at which that image stops
+        exact = float(np.sort(confs)[len(confs) // 2])
+        thresholds = [*cfg.eval_thresholds, *np.quantile(confs, [0.1, 0.5, 0.9]).tolist(), exact]
+        results = self.check(state, evalset, thresholds)
+        assert exact in {res.confidence for res in results}
+        skip = C.sweep(*model, evalset, [exact])[0].skip_rate
+        assert skip == np.count_nonzero(confs >= exact) / len(evalset)
+        assert 0.0 < skip < 1.0
+
+    def test_all_thresholds_zero_run_no_stage_two(self, monkeypatch):
+        state = toy_state(n_bases=2, seed=3)
+        _, evalset = toy_dataset(train_size=8, eval_size=24)
+        results = self.check(state, evalset, [0.0, 0.0])
+        assert all(res.terminated for res in results)
+
+        def no_stage_two(*args):
+            raise AssertionError("stage two ran at threshold 0")
+        monkeypatch.setattr(S, "synthesize", no_stage_two)
+        point, _ = C.sweep(state.lm, state.lm_params, state.bank, state.synth_cfg,
+                           evalset, [0.0, 0.0])
+        assert point.skip_rate == 1.0
+
+    @pytest.mark.parametrize("mode", ["one_hot", "per_model"])
+    def test_modes(self, mode):
+        state = toy_state(n_bases=3, seed=4, synth_cfg=S.SynthesisConfig(mode=mode))
+        _, evalset = toy_dataset(train_size=8, eval_size=40)
+        model = (state.lm, state.lm_params, state.bank, state.synth_cfg)
+        confs = np.sort(P.infer_batch(*model, evalset.images, 0.0).confidence)
+        thresholds = [0.0, float(confs[10]), float(confs[25] + confs[26]) / 2, 1.01, 0.5]
+        self.check(state, evalset, thresholds)

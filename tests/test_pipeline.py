@@ -10,7 +10,7 @@ from kernelblend import pipeline as P
 from kernelblend import synthesis as S
 from kernelblend import tensor as T
 
-from oracles import conv2d_reference, linear_reference
+from oracles import confidence_reference, conv2d_reference, linear_reference
 
 
 def bank_spec():
@@ -102,6 +102,25 @@ class TestConfidence:
     def test_needs_two_classes(self):
         with pytest.raises(T.ShapeError):
             P.confidence(np.array([1.0]))
+        with pytest.raises(T.ShapeError):
+            P.confidences(np.zeros((3, 1)))
+
+    def test_vectorised_equals_per_row_formula(self):
+        # bit for bit, over batch sizes, class counts (C=2 and past numpy's
+        # pairwise-summation blocks), magnitudes and tied logits
+        rng = np.random.default_rng(21)
+        cases = []
+        for b in (1, 2, 7, 64, 257):
+            for c in (2, 3, 6, 8, 9, 10, 17, 130, 300):
+                for scale in (1e-3, 1.0, 40.0, 1e3, 1e8):
+                    cases.append(scale * rng.standard_normal((b, c)))
+                cases.append(rng.integers(-2, 3, size=(b, c)).astype(np.float64))  # ties
+        cases += [np.zeros((4, 6)), np.full((3, 2), 1e300), np.array([[7.0, 7.0, -1.0]]),
+                  np.array([[1e307, -1e307], [-1e307, 1e307]])]
+        for logits in cases:
+            expected = np.array([confidence_reference(row) for row in logits])
+            assert P.confidences(logits).tobytes() == expected.tobytes()
+            assert P.confidence(logits[-1]) == expected[-1]
 
 
 class TestInfer:
@@ -159,6 +178,22 @@ class TestInfer:
         v = res.coefficients.data
         assert np.all(np.isin(v, (0.0, 1.0))) and np.all(v.sum(axis=1) == 1.0)
 
+    def test_result_fields_are_plain_scalars(self, setup):
+        lm, params, bank, cfg, x = setup
+        for threshold, stop in ((0.0, True), (1.01, False)):
+            res = P.infer(lm, params, bank, cfg, x, threshold)
+            assert res.terminated is stop
+            assert type(res.confidence) is float and type(res.madds_spent) is int
+            assert res.confidence == confidence_reference(res.initial_logits)
+            assert res.initial_logits.shape == (4,)
+            assert type(res.prediction) is int
+            if stop:
+                assert res.coefficients is None and res.final_logits is None
+            else:
+                assert isinstance(res.coefficients, T.Tensor)
+                assert res.coefficients.shape == (bank.n_coefficient_rows, bank.n_bases)
+                assert res.final_logits.shape == (4,)
+
     def test_result_invariant_enforced(self):
         with pytest.raises(ValueError):
             P.PipelineResult(
@@ -194,15 +229,18 @@ class TestInfer:
         threshold = float(np.median([P.infer(lm, params, bank, cfg, images[i:i + 1], 0.0).confidence
                                      for i in range(10)]))
         batch = P.infer_batch(lm, params, bank, cfg, images, threshold)
-        assert sum(res.terminated for res in batch) == 5
-        for i, res in enumerate(batch):
+        assert np.count_nonzero(batch.terminated) == 5
+        assert batch.pending.tolist() == np.flatnonzero(~batch.terminated).tolist()
+        row = {i: j for j, i in enumerate(batch.pending.tolist())}
+        for i in range(len(images)):
             one = P.infer(lm, params, bank, cfg, images[i:i + 1], threshold)
-            assert (res.terminated, res.confidence, res.madds_spent) == (
+            assert (batch.terminated[i], batch.confidence[i], batch.madds_spent[i]) == (
                 one.terminated, one.confidence, one.madds_spent)
-            assert res.initial_logits.tobytes() == one.initial_logits.tobytes()
-            if not res.terminated:
-                assert res.final_logits.tobytes() == one.final_logits.tobytes()
-                assert res.coefficients.data.tobytes() == one.coefficients.data.tobytes()
+            assert batch.initial_logits[i].tobytes() == one.initial_logits.tobytes()
+            assert batch.predictions()[i] == one.prediction
+            if not batch.terminated[i]:
+                assert batch.final_logits[row[i]].tobytes() == one.final_logits.tobytes()
+                assert batch.coefficients[row[i]].tobytes() == one.coefficients.data.tobytes()
 
         # ``edit`` is called once with the pending images' (P, rows, N)
         # tensor, in image order, and each image's specialist runs on its
@@ -214,14 +252,28 @@ class TestInfer:
             return T.Tensor(alpha.data[..., ::-1])
 
         edited = P.infer_batch(lm, params, bank, cfg, images, threshold, edit=reverse_bases)
-        pending = [i for i, res in enumerate(batch) if not res.terminated]
+        pending = batch.pending
         assert len(seen) == 1
-        assert seen[0].tobytes() == np.stack([batch[i].coefficients.data for i in pending]).tobytes()
-        for i in pending:
-            alpha = edited[i].coefficients
-            assert np.array_equal(alpha.data, batch[i].coefficients.data[:, ::-1])
+        assert seen[0].tobytes() == batch.coefficients.tobytes()
+        assert edited.pending.tolist() == pending.tolist()
+        for j, i in enumerate(pending):
+            alpha = T.Tensor(edited.coefficients[j])
+            assert np.array_equal(alpha.data, batch.coefficients[j][:, ::-1])
             alone = B.forward(S.synthesize(bank, alpha), bank.spec, T.Tensor(images[i:i + 1]))
-            assert edited[i].final_logits.tobytes() == alone.data[0].tobytes()
+            assert edited.final_logits[j].tobytes() == alone.data[0].tobytes()
+
+    def test_predictions_cut_below_the_pass_threshold(self, setup):
+        lm, params, bank, cfg, _ = setup
+        images = np.random.default_rng(6).random((12, 1, 16, 16))
+        full = P.infer_batch(lm, params, bank, cfg, images, 1.01)
+        for threshold in (0.0, float(np.median(full.confidence)), 1.01):
+            cut = P.infer_batch(lm, params, bank, cfg, images, threshold)
+            assert full.predictions(threshold).tolist() == cut.predictions().tolist()
+        with pytest.raises(ValueError, match="range"):
+            cut.predictions(1.02)
+        none_run = P.infer_batch(lm, params, bank, cfg, images, 0.0)
+        assert none_run.pending.shape == (0,) and none_run.final_logits.shape == (0, 4)
+        assert none_run.coefficients.shape == (0, bank.n_coefficient_rows, bank.n_bases)
 
 
 class TestCondConv:
