@@ -50,8 +50,8 @@ def disturb(alpha: T.Tensor, disturbance: Disturbance,
     of every image's in a (B, rows, N) batch; returns a new tensor.
 
     ``shuffled`` draws one permutation per selected row, image by image in
-    order, so a batch takes the same draws from ``rng`` as its images would
-    one after another.
+    order, in one call, so a batch takes the same draws from ``rng`` as its
+    images would one after another.
     """
     if disturbance.kind == "correct":
         return alpha
@@ -69,9 +69,9 @@ def disturb(alpha: T.Tensor, disturbance: Disturbance,
     elif disturbance.kind == "shuffled":
         if rng is None:
             rng = np.random.default_rng(disturbance.seed)
-        for image in v.reshape(-1, *v.shape[-2:]):
-            for r in range(len(image)) if rows is None else rows:
-                image[r] = image[r, rng.permutation(n)]
+        selected = v[..., targets, :]
+        order = rng.permuted(np.broadcast_to(np.arange(n), selected.shape), axis=-1)
+        v[..., targets, :] = np.take_along_axis(selected, order, axis=-1)
     return T.Tensor(v)
 
 

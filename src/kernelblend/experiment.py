@@ -1,8 +1,8 @@
 """Experiment orchestration: config to trained checkpoint plus metrics files.
 
-The train loop emits one metrics row per evaluation interval and writes
-metrics.csv with full-precision floats, so a repeated run with the same
-config produces a byte-identical file.
+The train loop emits one metrics row per evaluation interval, and one at
+the last fine-tuning step, in full-precision floats, so a repeated run with
+the same config produces a byte-identical metrics.csv.
 """
 
 from __future__ import annotations
@@ -132,7 +132,8 @@ def run_train(cfg: ExperimentConfig, log=None) -> dict:
             batch_size=schedule.batch_size, seed=schedule.seed,
             optimizer=schedule.optimizer, clip_norm=schedule.clip_norm,
             eval_interval=schedule.eval_interval)
-        state = tr.finetune_one_hot(state, train, finetune_schedule, loss_cfg)
+        state, metrics = tr.finetune_one_hot(state, train, finetune_schedule, loss_cfg)
+        record(metrics)
 
     metrics_path = cfg.output_dir / "metrics.csv"
     with open(metrics_path, "w", newline="") as fh:

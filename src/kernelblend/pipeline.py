@@ -171,15 +171,15 @@ def confidence(logits) -> float:
 
 def coefficients_from_raw(raw: T.Tensor, cfg: syn.SynthesisConfig,
                           n_rows: int, n_bases: int) -> T.Tensor:
-    """Activate raw head outputs and apply the configured mode.
+    """Activate raw head outputs; harden them to one-hot in ``one_hot`` mode.
 
     ``raw`` is one sample's head output (width,), giving a (rows, N)
-    matrix, or a batch (B, width), giving (B, rows, N).
+    matrix, or a batch (B, width), giving (B, rows, N). A head N wide (the
+    per-model head) is repeated for every layer before activation.
     """
-    if cfg.mode == "per_model":
-        # one row per sample, repeated for every layer before activation
-        return syn.activate(T.tile_rows(raw, n_rows), cfg.activation)
-    alpha = syn.activate(T.reshape(raw, (*raw.shape[:-1], n_rows, n_bases)), cfg.activation)
+    rows = (T.tile_rows(raw, n_rows) if raw.shape[-1] == n_bases
+            else T.reshape(raw, (*raw.shape[:-1], n_rows, n_bases)))
+    alpha = syn.activate(rows, cfg.activation)
     return syn.to_one_hot(alpha) if cfg.mode == "one_hot" else alpha
 
 

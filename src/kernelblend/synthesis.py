@@ -11,9 +11,9 @@ op per layer.
 Also here: the coefficient post-processing used during training - row-wise
 activation, the uniform-blend stabilizer, basis dropout masking, and one-hot
 hardening for selection mode - each taking and returning one matrix or a
-batch. Which of them apply is decided by the caller from its
-``SynthesisConfig`` (and fine-tuning state); the tensors carry no mode, so
-an edited matrix, such as a disturbed one, synthesizes like any other.
+batch. The caller's ``SynthesisConfig`` alone decides which apply (selection
+fine-tuning sets its ``one_hot`` mode); the tensors carry no mode, so an
+edited matrix, such as a disturbed one, synthesizes like any other.
 """
 
 from __future__ import annotations

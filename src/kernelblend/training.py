@@ -18,7 +18,7 @@ depends on a generator's state left by earlier steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -89,7 +89,7 @@ class TrainSchedule:
             raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
 
 
-@dataclass
+@dataclass(slots=True)
 class TrainState:
     lm: pl.LightweightModel
     lm_params: pl.LMParams
@@ -98,7 +98,6 @@ class TrainState:
     step: int = 0
     opt_state: dict = field(default_factory=dict)
     lm_frozen: bool = False
-    harden_one_hot: bool = False
 
 
 def named_parameters(state: TrainState) -> list[tuple[str, T.Tensor]]:
@@ -192,10 +191,7 @@ def forward_training(state: TrainState, batch_x: np.ndarray, epsilon: float,
     x = T.Tensor(batch_x)
     initial, raw = pl.lm_forward(state.lm, state.lm_params, x)
     alpha = pl.coefficients_from_raw(raw, cfg, state.bank.n_coefficient_rows, state.bank.n_bases)
-    if cfg.mode == "one_hot" or state.harden_one_hot:
-        # selection: one-hot coefficients get no uniform blend and no dropout
-        alpha = syn.to_one_hot(alpha)
-    else:
+    if cfg.mode != "one_hot":  # selection gets no uniform blend and no dropout
         stages = []
         if epsilon > 0.0:
             stages.append(lambda a: syn.blend_epsilon(a, epsilon))
@@ -302,7 +298,7 @@ def train_step(state: TrainState, batch: tuple[np.ndarray, np.ndarray],
     eps = epsilon_at(step, schedule)
 
     drop_masks = None
-    if schedule.bmd_rate > 0.0 and not state.harden_one_hot:
+    if schedule.bmd_rate > 0.0 and state.synth_cfg.mode != "one_hot":
         rng = step_rng(schedule, step, stream=2)
         if schedule.bmd_per_sample:
             drop_masks = np.stack([
@@ -338,19 +334,21 @@ def train_step(state: TrainState, batch: tuple[np.ndarray, np.ndarray],
 
 
 def finetune_one_hot(state: TrainState, dataset: Dataset, schedule: TrainSchedule,
-                     loss_cfg: LossConfig) -> TrainState:
-    """Selection fine-tuning: freeze the lightweight model, harden each
-    input's coefficients to one-hot, and keep training the stage-two
-    parameters for ``schedule.total_steps`` further steps."""
+                     loss_cfg: LossConfig) -> tuple[TrainState, dict | None]:
+    """Selection fine-tuning: freeze the lightweight model, set the synthesis
+    mode to ``one_hot`` (which the checkpoint records), and train the
+    stage-two parameters ``schedule.total_steps`` further steps. Returns
+    (state, the last step's metrics, or None if no step ran)."""
     if state.step == 0:
         raise ValueError("fine-tuning requires a trained state (step > 0)")
     state.lm_frozen = True
-    state.harden_one_hot = True
+    state.synth_cfg = replace(state.synth_cfg, mode="one_hot")
     end = state.step + schedule.total_steps
+    metrics = None
     while state.step < end:
         batch = sample_batch(dataset, schedule, state.step)
-        state, _ = train_step(state, batch, schedule, loss_cfg)
-    return state
+        state, metrics = train_step(state, batch, schedule, loss_cfg)
+    return state, metrics
 
 
 # ---------------------------------------------------------------------------

@@ -125,9 +125,7 @@ def per_image_forward(state, batch_x: np.ndarray, epsilon: float, drop_masks):
     finals, alphas = [], []
     for b in range(len(batch_x)):
         alpha = pl.coefficients_from_raw(T.take(raw, b), cfg, bank.n_coefficient_rows, bank.n_bases)
-        if state.harden_one_hot and cfg.mode != "one_hot":
-            alpha = syn.to_one_hot(alpha)
-        if not (cfg.mode == "one_hot" or state.harden_one_hot):
+        if cfg.mode != "one_hot":
             mask = drop_masks[b] if drop_masks is not None and drop_masks.ndim == 2 else drop_masks
             stages = []
             if epsilon > 0.0:
@@ -142,6 +140,18 @@ def per_image_forward(state, batch_x: np.ndarray, epsilon: float, drop_masks):
         finals.append(bb.forward(specialist, bank.spec, T.Tensor(batch_x[b:b + 1])))
         alphas.append(alpha)
     return finals, initial, alphas
+
+
+def shuffle_reference(values: np.ndarray, rows, rng: np.random.Generator) -> np.ndarray:
+    """The ``shuffled`` disturbance row by row: for each (rows, N) matrix in
+    order, one ``rng.permutation`` per selected row (all rows when ``rows``
+    is None). Returns a shuffled copy."""
+    v = np.array(values, dtype=np.float64)
+    n = v.shape[-1]
+    for matrix in v.reshape(-1, *v.shape[-2:]):
+        for r in range(len(matrix)) if rows is None else rows:
+            matrix[r] = matrix[r, rng.permutation(n)]
+    return v
 
 
 def confidence_reference(logits) -> float:

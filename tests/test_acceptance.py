@@ -464,8 +464,8 @@ class TestSelectionFinetune:
         ft_schedule = TR.TrainSchedule(
             total_steps=400, lr_base=0.01, lr_decay_factor=0.99, lr_decay_interval=100,
             batch_size=16, seed=101, optimizer="rmsprop")
-        ft_state = TR.finetune_one_hot(ft_state, train, ft_schedule,
-                                       TR.LossConfig(lm_weight=1.0, l2_weight=1e-5))
+        ft_state, _ = TR.finetune_one_hot(ft_state, train, ft_schedule,
+                                          TR.LossConfig(lm_weight=1.0, l2_weight=1e-5))
         finetuned = hardened_accuracy(ft_state)
         ok = finetuned >= posthoc
         print(f"[extra] selection fine-tune: post-hoc {posthoc:.4f} -> "

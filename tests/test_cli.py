@@ -1,6 +1,7 @@
 """CLI plumbing: every subcommand end to end on a miniature experiment."""
 
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -10,7 +11,9 @@ from kernelblend import checkpoint as CK
 from kernelblend import cost as CO
 from kernelblend import disturbance as DI
 from kernelblend import experiment as EX
+from kernelblend import pipeline as P
 from kernelblend import training as TR
+from kernelblend.config import parse_config
 
 from test_config import base_config
 
@@ -114,6 +117,35 @@ class TestEval:
         assert main(["eval", "--ckpt", str(trained_ckpt)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and name in err
+
+    @pytest.mark.parametrize("mode", ["per_layer", "per_model"])
+    def test_finetuned_checkpoint_evaluates_as_trained(self, workdir, capsys, mode):
+        # the last metrics row, eval and the in-process hardened accuracy
+        # all describe the fine-tuned selection the checkpoint holds
+        raw = base_config()
+        raw["output_dir"] = str(workdir / "runs" / "ft")
+        raw["synthesis"]["mode"] = mode
+        # trained far enough that the soft blend and the selection differ
+        raw["schedule"].update(total_steps=60, finetune_steps=10, optimizer="rmsprop")
+        raw["schedule"]["learning_rate"]["base"] = 0.01
+        path = workdir / "ft.json"
+        path.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(path)]) == 0
+        ckpt = workdir / "runs" / "ft" / "checkpoint"
+        assert main(["eval", "--ckpt", str(ckpt)]) == 0
+        with open(workdir / "runs" / "ft" / "metrics.csv") as fh:
+            last = list(csv.DictReader(fh))[-1]
+        result = json.loads((workdir / "runs" / "ft" / "eval.json").read_text())
+
+        state, _ = CK.load_checkpoint(ckpt)
+        cfg = parse_config(raw)
+        _, evalset = EX.load_dataset(cfg)
+        hard_cfg = dataclasses.replace(cfg.synth_cfg, mode="one_hot")
+        hardened = P.infer_batch(state.lm, state.lm_params, state.bank, hard_cfg,
+                                 evalset.images, 1.01).accuracy(evalset.labels)
+        assert result["accuracy_full"] == hardened
+        assert (int(last["step"]), float(last["eval_acc_full"])) == (70, hardened)
+        assert state.synth_cfg == hard_cfg
 
 
 class TestSweep:

@@ -8,6 +8,7 @@ from kernelblend import pipeline as P
 from kernelblend import synthesis as S
 from kernelblend import tensor as T
 
+from oracles import shuffle_reference
 from toys import toy_dataset, toy_state
 
 
@@ -74,6 +75,19 @@ class TestDisturb:
         each = [DI.disturb(T.Tensor(v), d, rows=rows, mean_table=table, rng=rng).data
                 for v in batch]
         assert out.data.tobytes() == np.stack(each).tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("shape,rows", [
+        ((3, 4), None), ((3, 4), [2]), ((256, 3, 4), None), ((256, 3, 4), [0]),
+        ((7, 5, 2), [4, 1]), ((6, 2, 5), []), ((0, 3, 4), None),
+    ])
+    def test_shuffle_matches_row_by_row_reference(self, seed, shape, rows):
+        values = np.random.default_rng(100 + seed).random(shape)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = DI.disturb(T.Tensor(values), DI.Disturbance("shuffled"), rows=rows, rng=rng)
+        assert out.data.tobytes() == shuffle_reference(values, rows, ref_rng).tobytes()
+        # both consumed the same draws: the generators stay in step
+        assert rng.random() == ref_rng.random()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -52,6 +52,12 @@ class TestRunTrain:
         assert summary["steps"] == 25
         state, _ = CK.load_checkpoint(summary["checkpoint"])
         assert state.step == 25
+        assert state.synth_cfg.mode == "one_hot"
+        with open(summary["metrics_csv"]) as fh:
+            rows = list(csv.DictReader(fh))
+        # fine-tuning writes one more row, which the summary reports
+        assert [int(r["step"]) for r in rows] == [10, 20, 25]
+        assert summary["final_eval_acc_full"] == float(rows[-1]["eval_acc_full"])
 
     def test_teacher_checkpoint_distillation(self, tmp_path):
         # first train a single-basis teacher

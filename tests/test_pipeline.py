@@ -219,10 +219,13 @@ class TestInfer:
             rates.append(skips / 12)
         assert all(a >= b for a, b in zip(rates, rates[1:]))
 
-    @pytest.mark.parametrize("mode", ["per_layer", "per_model", "one_hot"])
-    def test_batch_equals_per_image_infer(self, setup, mode):
+    # a one-row head is the per-model head; ``one_hot`` hardens either head
+    @pytest.mark.parametrize("mode,one_row_head", [
+        ("per_layer", False), ("per_model", True), ("one_hot", False), ("one_hot", True),
+    ])
+    def test_batch_equals_per_image_infer(self, setup, mode, one_row_head):
         _, _, bank, _, _ = setup
-        lm = dataclasses.replace(lm_for(bank), coeff_rows=1 if mode == "per_model" else bank.n_coefficient_rows)
+        lm = dataclasses.replace(lm_for(bank), coeff_rows=1 if one_row_head else bank.n_coefficient_rows)
         params = P.build_lm(lm, seed=1)
         cfg = S.SynthesisConfig(mode=mode)
         images = np.random.default_rng(5).random((10, 1, 16, 16))
@@ -241,6 +244,11 @@ class TestInfer:
             if not batch.terminated[i]:
                 assert batch.final_logits[row[i]].tobytes() == one.final_logits.tobytes()
                 assert batch.coefficients[row[i]].tobytes() == one.coefficients.data.tobytes()
+        if one_row_head:
+            assert np.all(batch.coefficients == batch.coefficients[:, :1])
+        if mode == "one_hot":
+            assert np.all(np.isin(batch.coefficients, (0.0, 1.0)))
+            assert np.all(batch.coefficients.sum(axis=-1) == 1.0)
 
         # ``edit`` is called once with the pending images' (P, rows, N)
         # tensor, in image order, and each image's specialist runs on its

@@ -327,25 +327,22 @@ class TestBatchedMatchesPerImage:
                            [True, False, False, True], [True, False, False, False],
                            [True, False, True, False]])
 
-    @pytest.mark.parametrize("mode,activation,harden,eps,masks,order", [
-        ("per_layer", "softmax", False, 0.0, None, "epsilon_then_bmd"),
-        ("per_layer", "softmax", False, 0.4, "shared", "epsilon_then_bmd"),
-        ("per_layer", "softmax", False, 0.4, "per_sample", "epsilon_then_bmd"),
-        ("per_layer", "softmax", False, 0.4, "per_sample", "bmd_then_epsilon"),
-        ("per_layer", "softmax", False, 1.0, "per_sample", "epsilon_then_bmd"),
-        ("per_layer", "softmax", False, 0.0, "drop_first", "epsilon_then_bmd"),
-        ("per_layer", "softmax", False, 0.4, "drop_first", "bmd_then_epsilon"),
-        ("per_layer", "sigmoid", False, 0.4, "per_sample", "bmd_then_epsilon"),
-        ("per_model", "softmax", False, 0.4, "per_sample", "epsilon_then_bmd"),
-        ("per_model", "softmax", False, 0.0, "shared", "bmd_then_epsilon"),
-        ("one_hot", "softmax", False, 0.4, "per_sample", "epsilon_then_bmd"),
-        ("per_layer", "softmax", True, 0.4, None, "epsilon_then_bmd"),
+    @pytest.mark.parametrize("mode,activation,eps,masks,order", [
+        ("per_layer", "softmax", 0.0, None, "epsilon_then_bmd"),
+        ("per_layer", "softmax", 0.4, "shared", "epsilon_then_bmd"),
+        ("per_layer", "softmax", 0.4, "per_sample", "epsilon_then_bmd"),
+        ("per_layer", "softmax", 0.4, "per_sample", "bmd_then_epsilon"),
+        ("per_layer", "softmax", 1.0, "per_sample", "epsilon_then_bmd"),
+        ("per_layer", "softmax", 0.0, "drop_first", "epsilon_then_bmd"),
+        ("per_layer", "softmax", 0.4, "drop_first", "bmd_then_epsilon"),
+        ("per_layer", "sigmoid", 0.4, "per_sample", "bmd_then_epsilon"),
+        ("per_model", "softmax", 0.4, "per_sample", "epsilon_then_bmd"),
+        ("per_model", "softmax", 0.0, "shared", "bmd_then_epsilon"),
+        ("one_hot", "softmax", 0.4, "per_sample", "epsilon_then_bmd"),
     ])
-    def test_logits_bitwise_and_gradients_close(self, mode, activation, harden, eps,
-                                                masks, order):
+    def test_logits_bitwise_and_gradients_close(self, mode, activation, eps, masks, order):
         cfg = S.SynthesisConfig(activation=activation, mode=mode, stabilizer_order=order)
         state = toy_state(n_bases=4, seed=30, synth_cfg=cfg)
-        state.harden_one_hot = harden
         train, _ = toy_dataset(train_size=16, eval_size=8)
         x, y = train.images[:5], train.labels[:5]
         drop = {None: None, "shared": self.SHARED, "per_sample": self.PER_SAMPLE,
@@ -432,8 +429,8 @@ class TestDistillation:
 
 
 class TestFinetuneOneHot:
-    def trained_state(self):
-        state = toy_state(n_bases=2, seed=10)
+    def trained_state(self, mode="per_layer"):
+        state = toy_state(n_bases=2, seed=10, synth_cfg=S.SynthesisConfig(mode=mode))
         train, _ = toy_dataset(train_size=64, eval_size=8)
         s = sched(total_steps=8, batch_size=4)
         state, _ = run_training(state, train, s, TR.LossConfig())
@@ -445,23 +442,36 @@ class TestFinetuneOneHot:
         with pytest.raises(ValueError, match="trained"):
             TR.finetune_one_hot(state, train, sched(total_steps=2, batch_size=2), TR.LossConfig())
 
-    def test_lm_frozen_bitwise_and_coefficients_hard(self):
-        state, train = self.trained_state()
+    @pytest.mark.parametrize("mode", ["per_layer", "per_model"])
+    def test_lm_frozen_bitwise_and_coefficients_hard(self, mode):
+        state, train = self.trained_state(mode)
         lm_before = {n: p.data.copy() for n, p in TR.named_parameters(state) if n.startswith("lm.")}
-        bank_before = state.bank.kernels[1][0].data.copy()
+        bank_before = [k.data.copy() for k in state.bank.kernels[1]]
 
-        state = TR.finetune_one_hot(state, train, sched(total_steps=6, batch_size=4, lr_base=0.05),
-                                    TR.LossConfig())
+        state, metrics = TR.finetune_one_hot(
+            state, train, sched(total_steps=6, batch_size=4, lr_base=0.05), TR.LossConfig())
 
+        assert state.synth_cfg.mode == "one_hot" and metrics["step"] == 13
         for n, p in TR.named_parameters(state):
             if n.startswith("lm."):
                 assert p.data.tobytes() == lm_before[n].tobytes()
-        assert not np.array_equal(state.bank.kernels[1][0].data, bank_before)
+        # the bases that were selected trained on
+        assert any(not np.array_equal(k.data, before)
+                   for k, before in zip(state.bank.kernels[1], bank_before))
 
         _, _, alpha = TR.forward_training(state, train.images[:3], 0.0, None)
         v = alpha.data
-        assert v.shape[0] == 3
+        assert v.shape == (3, 2, 2)
         assert np.all(np.isin(v, (0.0, 1.0))) and np.all(v.sum(axis=-1) == 1.0)
+        if mode == "per_model":  # the one-row head selects one basis for every layer
+            assert np.all(v == v[:, :1])
+
+    def test_state_rejects_unknown_attributes(self):
+        # a slotted dataclass: assigning a field it does not have raises
+        # rather than being silently ignored
+        state = toy_state(n_bases=2, seed=14)
+        with pytest.raises(AttributeError):
+            state.hard_selection = True
 
 
 class TestCoefficientModes:
@@ -490,10 +500,8 @@ class TestCoefficientModes:
         _, _, alpha = TR.forward_training(state, train.images[:2], 0.0, None)
         assert np.all(np.isin(alpha.data, (0.0, 1.0)))
 
-    @pytest.mark.parametrize("mode,harden", [("one_hot", False), ("per_layer", True)])
-    def test_hard_coefficients_skip_epsilon_and_dropout(self, mode, harden):
-        state = toy_state(n_bases=4, seed=24, synth_cfg=S.SynthesisConfig(mode=mode))
-        state.harden_one_hot = harden
+    def test_hard_coefficients_skip_epsilon_and_dropout(self):
+        state = toy_state(n_bases=4, seed=24, synth_cfg=S.SynthesisConfig(mode="one_hot"))
         train, _ = toy_dataset(train_size=16, eval_size=8)
         x = train.images[:5]
         _, _, alpha = TR.forward_training(state, x, 0.4, TestBatchedMatchesPerImage.PER_SAMPLE)
