@@ -174,8 +174,9 @@ def coefficients_from_raw(raw: T.Tensor, cfg: syn.SynthesisConfig,
     """Activate raw head outputs; harden them to one-hot in ``one_hot`` mode.
 
     ``raw`` is one sample's head output (width,), giving a (rows, N)
-    matrix, or a batch (B, width), giving (B, rows, N). A head N wide (the
-    per-model head) is repeated for every layer before activation.
+    matrix, or a batch (B, width), giving (B, rows, N). The head width, not
+    the mode, decides the layout: a head N wide (the per-model head) is
+    repeated for every layer before activation.
     """
     rows = (T.tile_rows(raw, n_rows) if raw.shape[-1] == n_bases
             else T.reshape(raw, (*raw.shape[:-1], n_rows, n_bases)))

@@ -334,17 +334,16 @@ def train_step(state: TrainState, batch: tuple[np.ndarray, np.ndarray],
 
 
 def finetune_one_hot(state: TrainState, dataset: Dataset, schedule: TrainSchedule,
-                     loss_cfg: LossConfig) -> tuple[TrainState, dict | None]:
+                     loss_cfg: LossConfig) -> tuple[TrainState, dict]:
     """Selection fine-tuning: freeze the lightweight model, set the synthesis
     mode to ``one_hot`` (which the checkpoint records), and train the
     stage-two parameters ``schedule.total_steps`` further steps. Returns
-    (state, the last step's metrics, or None if no step ran)."""
-    if state.step == 0:
-        raise ValueError("fine-tuning requires a trained state (step > 0)")
+    (state, the last step's metrics)."""
+    if state.step == 0 or schedule.total_steps < 1:
+        raise ValueError("fine-tuning requires a trained state (step > 0) and a step to run")
     state.lm_frozen = True
     state.synth_cfg = replace(state.synth_cfg, mode="one_hot")
     end = state.step + schedule.total_steps
-    metrics = None
     while state.step < end:
         batch = sample_batch(dataset, schedule, state.step)
         state, metrics = train_step(state, batch, schedule, loss_cfg)

@@ -442,6 +442,11 @@ class TestFinetuneOneHot:
         with pytest.raises(ValueError, match="trained"):
             TR.finetune_one_hot(state, train, sched(total_steps=2, batch_size=2), TR.LossConfig())
 
+    def test_requires_a_step(self):
+        state, train = self.trained_state()
+        with pytest.raises(ValueError, match="step to run"):
+            TR.finetune_one_hot(state, train, sched(total_steps=0, batch_size=2), TR.LossConfig())
+
     @pytest.mark.parametrize("mode", ["per_layer", "per_model"])
     def test_lm_frozen_bitwise_and_coefficients_hard(self, mode):
         state, train = self.trained_state(mode)
@@ -456,8 +461,11 @@ class TestFinetuneOneHot:
             if n.startswith("lm."):
                 assert p.data.tobytes() == lm_before[n].tobytes()
         # the bases that were selected trained on
-        assert any(not np.array_equal(k.data, before)
-                   for k, before in zip(state.bank.kernels[1], bank_before))
+        if mode == "per_layer":
+            assert not np.array_equal(state.bank.kernels[1][0].data, bank_before[0])
+        else:
+            assert any(not np.array_equal(k.data, before)
+                       for k, before in zip(state.bank.kernels[1], bank_before))
 
         _, _, alpha = TR.forward_training(state, train.images[:3], 0.0, None)
         v = alpha.data
