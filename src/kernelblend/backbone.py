@@ -69,9 +69,9 @@ class BackboneSpec:
     def feature_channels(self) -> int:
         return self.layers[-1].out_channels
 
-    def spatial_sizes(self, input_hw: tuple[int, int] | None = None) -> list[tuple[int, int]]:
-        """Per-layer output (H, W), starting from the spec input or an override."""
-        h, w = input_hw if input_hw is not None else self.input_shape[1:]
+    def spatial_sizes(self) -> list[tuple[int, int]]:
+        """Per-layer output (H, W), starting from the spec input."""
+        h, w = self.input_shape[1:]
         sizes = []
         for i, layer in enumerate(self.layers):
             h = (h + 2 * layer.padding - layer.kernel_size) // layer.stride + 1
@@ -167,9 +167,9 @@ def count_params(spec: BackboneSpec) -> int:
     return total
 
 
-def madds_per_layer(spec: BackboneSpec, input_hw: tuple[int, int] | None = None) -> list[int]:
+def madds_per_layer(spec: BackboneSpec) -> list[int]:
     """Multiplies per conv layer for one image; the classifier is appended last."""
-    sizes = spec.spatial_sizes(input_hw)
+    sizes = spec.spatial_sizes()
     counts = []
     for layer, (h, w) in zip(spec.layers, sizes):
         counts.append(h * w * layer.out_channels * layer.in_channels * layer.kernel_size ** 2)
@@ -177,5 +177,5 @@ def madds_per_layer(spec: BackboneSpec, input_hw: tuple[int, int] | None = None)
     return counts
 
 
-def count_madds(spec: BackboneSpec, input_hw: tuple[int, int] | None = None) -> int:
-    return sum(madds_per_layer(spec, input_hw))
+def count_madds(spec: BackboneSpec) -> int:
+    return sum(madds_per_layer(spec))

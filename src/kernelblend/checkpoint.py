@@ -80,12 +80,6 @@ def _structure_dict(state: TrainState) -> dict:
     }
 
 
-def config_digest(config: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
-
-
 def _replace_atomically(target: Path, data: bytes) -> None:
     tmp = target.with_name(target.name + ".tmp")
     tmp.write_bytes(data)
@@ -118,7 +112,6 @@ def save_checkpoint(state: TrainState, path, config: dict | None = None) -> None
         "step": state.step,
         "structure": _structure_dict(state),
         "config": config,
-        "config_sha256": config_digest(config) if config is not None else None,
         "opt_state": {k: v.tolist() for k, v in state.opt_state.items()},
         "opt_shapes": {k: list(v.shape) for k, v in state.opt_state.items()},
         "tensors": entries,
@@ -128,12 +121,8 @@ def save_checkpoint(state: TrainState, path, config: dict | None = None) -> None
     _replace_atomically(path / MANIFEST_NAME, json.dumps(manifest, indent=1).encode())
 
 
-def load_checkpoint(path, expect_config: dict | None = None, force: bool = False):
-    """Rebuild a TrainState from disk; returns (state, stored config dict).
-
-    A config hash mismatch against ``expect_config`` is an error unless
-    ``force`` is set.
-    """
+def load_checkpoint(path):
+    """Rebuild a TrainState from disk; returns (state, stored config dict)."""
     path = Path(path)
     manifest_path = path / MANIFEST_NAME
     if not manifest_path.exists():
@@ -150,10 +139,6 @@ def load_checkpoint(path, expect_config: dict | None = None, force: bool = False
             f"checkpoint schema {manifest.get('schema_version')} != supported {SCHEMA_VERSION}")
     if manifest.get("dtype") != "<f8":
         raise CheckpointError(f"unsupported dtype {manifest.get('dtype')!r}")
-    if expect_config is not None and not force:
-        if manifest.get("config_sha256") != config_digest(expect_config):
-            raise CheckpointError(
-                "checkpoint was produced by a different config (pass force to override)")
     try:
         state = _restore(manifest, path / BLOB_NAME)
     except KeyError as err:

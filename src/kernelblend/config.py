@@ -105,7 +105,6 @@ class ExperimentConfig:
     eval_thresholds: list[float]
     default_threshold: float
     disturbance_seeds: int
-    finetune_steps: int = 0
     distill_policy: str = "both"
     distill_soft_weight: float = 1.0
 
@@ -202,10 +201,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     })
     lr_d = _take(sched_d.get("learning_rate") or {"base": 0.1}, "schedule.learning_rate",
                  {"base": float}, {"decay_factor": float, "decay_interval": int})
-    finetune_steps = sched_d.pop("finetune_steps", 0)
     try:
         schedule = tr.TrainSchedule(
             total_steps=sched_d["total_steps"],
+            finetune_steps=sched_d.get("finetune_steps", 0),
             epsilon_hold_steps=sched_d.get("epsilon_hold_steps", 0),
             epsilon_decay_steps=sched_d.get("epsilon_decay_steps", 0),
             lr_base=lr_d["base"],
@@ -268,7 +267,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
                          for t in eval_d.get("thresholds", [0.0, 0.5, 0.7, 0.9, 1.01])],
         default_threshold=eval_d.get("default_threshold", 0.7),
         disturbance_seeds=disturbance_seeds,
-        finetune_steps=finetune_steps,
         distill_policy=policy,
         distill_soft_weight=soft_weight,
     )

@@ -1,8 +1,10 @@
 """Experiment orchestration: config to trained checkpoint plus metrics files.
 
-The train loop emits one metrics row per evaluation interval, and one at
-the last fine-tuning step, in full-precision floats, so a repeated run with
-the same config produces a byte-identical metrics.csv.
+The train loop runs the one schedule, joint steps then any selection
+fine-tuning steps, and emits a metrics row at every evaluation interval, at
+the end of joint training and at the last step, in full-precision floats,
+so a repeated run with the same config produces a byte-identical
+metrics.csv.
 """
 
 from __future__ import annotations
@@ -115,25 +117,13 @@ def run_train(cfg: ExperimentConfig, log=None) -> dict:
             log(rows[-1])
 
     schedule = cfg.schedule
-    metrics = None
-    while state.step < schedule.total_steps:
+    end = schedule.total_steps + schedule.finetune_steps
+    while state.step < end:
         batch = tr.sample_batch(train, schedule, state.step)
         state, metrics = tr.train_step(state, batch, schedule, loss_cfg)
-        if schedule.eval_interval > 0 and state.step % schedule.eval_interval == 0:
+        if ((schedule.eval_interval > 0 and state.step % schedule.eval_interval == 0)
+                or state.step in (schedule.total_steps, end)):
             record(metrics)
-    if metrics is not None and (not rows or rows[-1]["step"] != state.step):
-        record(metrics)
-
-    if cfg.finetune_steps > 0:
-        finetune_schedule = tr.TrainSchedule(
-            total_steps=cfg.finetune_steps,  # additional steps past state.step
-            lr_base=schedule.lr_base, lr_decay_factor=schedule.lr_decay_factor,
-            lr_decay_interval=schedule.lr_decay_interval,
-            batch_size=schedule.batch_size, seed=schedule.seed,
-            optimizer=schedule.optimizer, clip_norm=schedule.clip_norm,
-            eval_interval=schedule.eval_interval)
-        state, metrics = tr.finetune_one_hot(state, train, finetune_schedule, loss_cfg)
-        record(metrics)
 
     metrics_path = cfg.output_dir / "metrics.csv"
     with open(metrics_path, "w", newline="") as fh:

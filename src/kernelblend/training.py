@@ -11,6 +11,12 @@ falls out of the graph itself: the initial-prediction term never touches
 basis kernels, while the specialist term reaches the lightweight model
 through the coefficient path.
 
+Selection fine-tuning is the tail of the same schedule: the
+``finetune_steps`` steps after ``total_steps`` run with the synthesis mode
+set to ``one_hot`` and the lightweight model frozen. ``train_step`` decides
+that from (step, schedule) alone, so a state loaded from any checkpoint
+continues exactly as the uninterrupted run would.
+
 All per-step randomness (batch choice, augmentation, dropout masks) derives
 from (seed, step), so any run is reproducible bit for bit and no step
 depends on a generator's state left by earlier steps.
@@ -60,7 +66,9 @@ class LossConfig:
 
 @dataclass(frozen=True)
 class TrainSchedule:
+    """``total_steps`` joint steps, then ``finetune_steps`` selection steps."""
     total_steps: int
+    finetune_steps: int = 0
     epsilon_hold_steps: int = 0
     epsilon_decay_steps: int = 0
     lr_base: float = 0.1
@@ -83,8 +91,12 @@ class TrainSchedule:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if not 0.0 <= self.bmd_rate < 1.0:
             raise ValueError("bmd_rate must be in [0, 1)")
-        if self.batch_size < 1 or self.total_steps < 0:
-            raise ValueError("batch_size and total_steps must be positive")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.total_steps < 0 or self.finetune_steps < 0:
+            raise ValueError("total_steps and finetune_steps must be >= 0")
+        if self.finetune_steps > 0 and self.total_steps == 0:
+            raise ValueError("fine-tuning needs joint training first (total_steps > 0)")
         if self.clip_norm is not None and not self.clip_norm > 0:  # also rejects NaN
             raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
 
@@ -97,7 +109,6 @@ class TrainState:
     synth_cfg: syn.SynthesisConfig
     step: int = 0
     opt_state: dict = field(default_factory=dict)
-    lm_frozen: bool = False
 
 
 def named_parameters(state: TrainState) -> list[tuple[str, T.Tensor]]:
@@ -120,13 +131,6 @@ def named_parameters(state: TrainState) -> list[tuple[str, T.Tensor]]:
     out.append(("bank.head.w", state.bank.head_w))
     out.append(("bank.head.b", state.bank.head_b))
     return out
-
-
-def trainable_parameters(state: TrainState) -> list[tuple[str, T.Tensor]]:
-    params = named_parameters(state)
-    if state.lm_frozen:
-        params = [(name, p) for name, p in params if not name.startswith("lm.")]
-    return params
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +296,20 @@ def _apply_updates(state: TrainState, grads, params, lr: float, schedule: TrainS
 
 def train_step(state: TrainState, batch: tuple[np.ndarray, np.ndarray],
                schedule: TrainSchedule, loss_cfg: LossConfig) -> tuple[TrainState, dict]:
-    """One serialized optimization transaction; returns (state, metrics)."""
+    """One serialized optimization transaction; returns (state, metrics).
+
+    A step at or past ``schedule.total_steps`` of a schedule with
+    fine-tuning is a selection step: it sets the synthesis mode to
+    ``one_hot`` (which the checkpoint records) and leaves the lightweight
+    model out of the update and the L2 term.
+    """
     batch_x, batch_y = batch
     step = state.step
     eps = epsilon_at(step, schedule)
+    params = named_parameters(state)
+    if schedule.finetune_steps > 0 and step >= schedule.total_steps:
+        state.synth_cfg = replace(state.synth_cfg, mode="one_hot")
+        params = [(name, p) for name, p in params if not name.startswith("lm.")]
 
     drop_masks = None
     if schedule.bmd_rate > 0.0 and state.synth_cfg.mode != "one_hot":
@@ -313,7 +327,6 @@ def train_step(state: TrainState, batch: tuple[np.ndarray, np.ndarray],
         distill_soft = distill_targets(
             loss_cfg.distill.teacher_spec, loss_cfg.distill.teacher_params, batch_x)
 
-    params = trainable_parameters(state)
     lr = learning_rate_at(step, schedule)
     try:
         tape = T.GradTape()
@@ -330,23 +343,6 @@ def train_step(state: TrainState, batch: tuple[np.ndarray, np.ndarray],
 
     state.step = step + 1
     metrics = {"step": step, "loss": loss.data.item(), "epsilon": eps, "lr": lr, **parts}
-    return state, metrics
-
-
-def finetune_one_hot(state: TrainState, dataset: Dataset, schedule: TrainSchedule,
-                     loss_cfg: LossConfig) -> tuple[TrainState, dict]:
-    """Selection fine-tuning: freeze the lightweight model, set the synthesis
-    mode to ``one_hot`` (which the checkpoint records), and train the
-    stage-two parameters ``schedule.total_steps`` further steps. Returns
-    (state, the last step's metrics)."""
-    if state.step == 0 or schedule.total_steps < 1:
-        raise ValueError("fine-tuning requires a trained state (step > 0) and a step to run")
-    state.lm_frozen = True
-    state.synth_cfg = replace(state.synth_cfg, mode="one_hot")
-    end = state.step + schedule.total_steps
-    while state.step < end:
-        batch = sample_batch(dataset, schedule, state.step)
-        state, metrics = train_step(state, batch, schedule, loss_cfg)
     return state, metrics
 
 

@@ -22,7 +22,7 @@ from kernelblend import training as TR
 from kernelblend.config import parse_config
 
 from oracles import conv2d_reference, finite_difference, gradient_mismatch
-from toys import toy_dataset, toy_state
+from toys import run_training, toy_dataset, toy_state
 
 
 def report(number: int, ok: bool, detail: str):
@@ -462,10 +462,10 @@ class TestSelectionFinetune:
         posthoc = hardened_accuracy(state)
         ft_state = copy.deepcopy(state)
         ft_schedule = TR.TrainSchedule(
-            total_steps=400, lr_base=0.01, lr_decay_factor=0.99, lr_decay_interval=100,
-            batch_size=16, seed=101, optimizer="rmsprop")
-        ft_state, _ = TR.finetune_one_hot(ft_state, train, ft_schedule,
-                                          TR.LossConfig(lm_weight=1.0, l2_weight=1e-5))
+            total_steps=state.step, finetune_steps=400, lr_base=0.01, lr_decay_factor=0.99,
+            lr_decay_interval=100, batch_size=16, seed=101, optimizer="rmsprop")
+        ft_state, _ = run_training(ft_state, train, ft_schedule,
+                                   TR.LossConfig(lm_weight=1.0, l2_weight=1e-5))
         finetuned = hardened_accuracy(ft_state)
         ok = finetuned >= posthoc
         print(f"[extra] selection fine-tune: post-hoc {posthoc:.4f} -> "

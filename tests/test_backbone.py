@@ -148,9 +148,3 @@ class TestCounting:
         spec = small_spec()
         expected = (4 * 3 * 9 + 4) + (6 * 4 * 9 + 6) + (6 * 5 + 5)
         assert B.count_params(spec) == expected
-
-    def test_count_madds_with_downsampled_input(self):
-        spec = small_spec()
-        full = B.count_madds(spec)
-        small = B.count_madds(spec, input_hw=(4, 4))
-        assert small < full

@@ -89,6 +89,17 @@ class TestTrain:
         assert capsys.readouterr().err == "error: schedule: clip_norm must be > 0, got 0.0\n"
         assert not (workdir / "runs").exists()
 
+    def test_finetune_without_joint_steps_exits_one_with_one_line(self, workdir, capsys):
+        raw = base_config()
+        raw["schedule"].update(total_steps=0, finetune_steps=5,
+                               epsilon_hold_steps=0, epsilon_decay_steps=0)
+        path = workdir / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: schedule: fine-tuning needs joint training first (total_steps > 0)\n")
+        assert not (workdir / "runs").exists()
+
     def test_unknown_flag_rejected(self, config_path):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--config", str(config_path), "--fast"])

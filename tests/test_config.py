@@ -125,6 +125,17 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"^schedule: clip_norm must be > 0"):
             parse_config(raw)
 
+    @pytest.mark.parametrize("total_steps, finetune_steps, message", [
+        (0, 5, "fine-tuning needs joint training first"),
+        (20, -1, "total_steps and finetune_steps must be >= 0"),
+    ])
+    def test_bad_finetune_steps_rejected(self, total_steps, finetune_steps, message):
+        raw = base_config()
+        raw["schedule"].update(total_steps=total_steps, finetune_steps=finetune_steps,
+                               epsilon_hold_steps=0, epsilon_decay_steps=0)
+        with pytest.raises(ConfigError, match=f"^schedule: {message}"):
+            parse_config(raw)
+
     def test_zero_disturbance_seeds_rejected(self):
         raw = base_config()
         raw["eval"]["disturbance_seeds"] = 0

@@ -22,6 +22,17 @@ def make_cfg(tmp_path, **overrides):
     return parse_config(raw)
 
 
+def finetune_cfg(out_dir, finetune_steps, **schedule):
+    raw = base_config()
+    raw["output_dir"] = str(out_dir)
+    raw["schedule"].update(finetune_steps=finetune_steps, **schedule)
+    return parse_config(raw)
+
+
+def parameter_bytes(state):
+    return [(name, p.data.tobytes()) for name, p in TR.named_parameters(state)]
+
+
 class TestRunTrain:
     def test_produces_metrics_checkpoint_and_summary(self, tmp_path):
         cfg = make_cfg(tmp_path)
@@ -43,21 +54,48 @@ class TestRunTrain:
         assert float(rows[0]["epsilon"]) == TR.epsilon_at(9, cfg.schedule)
         assert float(rows[1]["epsilon"]) == TR.epsilon_at(19, cfg.schedule)
 
-    def test_finetune_phase_appends_steps_and_freezes_lm(self, tmp_path):
-        raw = base_config()
-        raw["output_dir"] = str(tmp_path / "out")
-        raw["schedule"]["finetune_steps"] = 5
-        cfg = parse_config(raw)
+    @pytest.mark.parametrize("finetune_steps, row_steps", [
+        (5, [10, 20, 25]),
+        (15, [10, 20, 30, 35]),  # fine-tuning crosses an eval multiple
+    ])
+    def test_finetune_phase_appends_steps_and_freezes_lm(self, tmp_path, finetune_steps,
+                                                         row_steps):
+        cfg = finetune_cfg(tmp_path / "out", finetune_steps)
         summary = EX.run_train(cfg)
-        assert summary["steps"] == 25
+        assert summary["steps"] == 20 + finetune_steps
         state, _ = CK.load_checkpoint(summary["checkpoint"])
-        assert state.step == 25
+        assert state.step == 20 + finetune_steps
         assert state.synth_cfg.mode == "one_hot"
         with open(summary["metrics_csv"]) as fh:
             rows = list(csv.DictReader(fh))
-        # fine-tuning writes one more row, which the summary reports
-        assert [int(r["step"]) for r in rows] == [10, 20, 25]
+        # fine-tuning writes a row at each eval multiple and at its last step,
+        # which the summary reports
+        assert [int(r["step"]) for r in rows] == row_steps
         assert summary["final_eval_acc_full"] == float(rows[-1]["eval_acc_full"])
+
+    def test_finetune_continues_from_checkpoint_bitwise(self, tmp_path):
+        # a checkpoint taken mid fine-tuning continues exactly as the
+        # uninterrupted run: the loaded state keeps the lightweight model frozen
+        whole = EX.run_train(finetune_cfg(tmp_path / "whole", 5))
+        cut = EX.run_train(finetune_cfg(tmp_path / "cut", 3))
+        cfg = finetune_cfg(tmp_path / "resumed", 5)
+        train, _ = EX.load_dataset(cfg)
+        state, _ = CK.load_checkpoint(cut["checkpoint"])
+        state, _ = run_training(state, train, cfg.schedule, cfg.loss)
+        expected, _ = CK.load_checkpoint(whole["checkpoint"])
+        assert state.step == expected.step == 25
+        assert state.synth_cfg == expected.synth_cfg
+        assert parameter_bytes(state) == parameter_bytes(expected)
+
+    def test_augmented_finetune_matches_train_step_loop(self, tmp_path):
+        # fine-tuning steps run the config's own schedule, augmentation included
+        cfg = finetune_cfg(tmp_path / "out", 5, flip=True, crop_pad=1)
+        summary = EX.run_train(cfg)
+        train, _ = EX.load_dataset(cfg)
+        state, loss_cfg = EX.build_state(cfg)
+        state, _ = run_training(state, train, cfg.schedule, loss_cfg)
+        saved, _ = CK.load_checkpoint(summary["checkpoint"])
+        assert parameter_bytes(saved) == parameter_bytes(state)
 
     def test_teacher_checkpoint_distillation(self, tmp_path):
         # first train a single-basis teacher

@@ -436,27 +436,23 @@ class TestFinetuneOneHot:
         state, _ = run_training(state, train, s, TR.LossConfig())
         return state, train
 
-    def test_requires_trained_state(self):
-        state = toy_state(n_bases=2, seed=11)
-        train, _ = toy_dataset(train_size=8, eval_size=8)
-        with pytest.raises(ValueError, match="trained"):
-            TR.finetune_one_hot(state, train, sched(total_steps=2, batch_size=2), TR.LossConfig())
-
-    def test_requires_a_step(self):
-        state, train = self.trained_state()
-        with pytest.raises(ValueError, match="step to run"):
-            TR.finetune_one_hot(state, train, sched(total_steps=0, batch_size=2), TR.LossConfig())
+    def test_requires_joint_training(self):
+        with pytest.raises(ValueError, match="joint training first"):
+            sched(total_steps=0, finetune_steps=2)
+        with pytest.raises(ValueError, match="finetune_steps must be >= 0"):
+            sched(finetune_steps=-1)
 
     @pytest.mark.parametrize("mode", ["per_layer", "per_model"])
-    def test_lm_frozen_bitwise_and_coefficients_hard(self, mode):
+    def test_frozen_lm_bitwise_and_coefficients_hard(self, mode):
         state, train = self.trained_state(mode)
         lm_before = {n: p.data.copy() for n, p in TR.named_parameters(state) if n.startswith("lm.")}
         bank_before = [k.data.copy() for k in state.bank.kernels[1]]
 
-        state, metrics = TR.finetune_one_hot(
-            state, train, sched(total_steps=6, batch_size=4, lr_base=0.05), TR.LossConfig())
+        state, metrics = run_training(
+            state, train, sched(total_steps=state.step, finetune_steps=6, batch_size=4,
+                                lr_base=0.05), TR.LossConfig())
 
-        assert state.synth_cfg.mode == "one_hot" and metrics["step"] == 13
+        assert state.synth_cfg.mode == "one_hot" and metrics[-1]["step"] == 13
         for n, p in TR.named_parameters(state):
             if n.startswith("lm."):
                 assert p.data.tobytes() == lm_before[n].tobytes()

@@ -51,8 +51,9 @@ def toy_dataset(num_classes=6, image_size=12, train_size=512, eval_size=256,
 
 
 def run_training(state, dataset, schedule, loss_cfg):
+    """Step ``state`` to the end of the schedule, fine-tuning included."""
     metrics = []
-    while state.step < schedule.total_steps:
+    while state.step < schedule.total_steps + schedule.finetune_steps:
         batch = TR.sample_batch(dataset, schedule, state.step)
         state, m = TR.train_step(state, batch, schedule, loss_cfg)
         metrics.append(m)
