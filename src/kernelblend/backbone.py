@@ -94,13 +94,6 @@ class BackboneParams:
     head_w: T.Tensor | None = None
     head_b: T.Tensor | None = None
 
-    def all_tensors(self) -> list[T.Tensor]:
-        out = []
-        for lp in self.layers:
-            out.extend([lp.kernel, lp.bias])
-        out.extend([self.head_w, self.head_b])
-        return out
-
 
 def init_kernel(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
     # uniform with std = 1/sqrt(fan_in)

@@ -1,10 +1,10 @@
-"""Checkpoint persistence: a JSON manifest plus one binary parameter blob.
+"""Checkpoint persistence: a JSON manifest plus one binary blob.
 
 The manifest records the schema version, the structural model description,
-the training step, optimizer accumulators, and an index of named tensors
-(shape, byte offset, byte length), and the blob's SHA-256. The blob holds
-every tensor's little-endian float64 bytes concatenated in manifest order, so
-a round trip is bitwise exact by construction.
+the training step, an index of named tensors (shape, byte offset, byte
+length) and the blob's SHA-256. The blob is the parameter vector as
+little-endian float64, then the RMSProp accumulator when there is one, so a
+round trip is bitwise exact and the one hash covers the optimizer state too.
 
 A save writes the blob, then the manifest, each to a temporary file that
 ``os.replace`` moves into place. A crash therefore leaves either the old pair
@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import os
+from itertools import accumulate, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from . import pipeline as pl
 from . import synthesis as syn
 from .training import TrainState, named_parameters
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "tensors.bin"
 
@@ -86,35 +87,29 @@ def _replace_atomically(target: Path, data: bytes) -> None:
     os.replace(tmp, target)
 
 
+def tensor_index(state: TrainState) -> list[dict]:
+    """The manifest's ``tensors`` entries: where each parameter sits in the blob."""
+    params = named_parameters(state)
+    offsets = accumulate((8 * p.size for _, p in params), initial=0)
+    return [{"name": name, "shape": list(p.shape), "offset": offset, "nbytes": 8 * p.size}
+            for (name, p), offset in zip(params, offsets)]
+
+
 def save_checkpoint(state: TrainState, path, config: dict | None = None) -> None:
     """Write manifest.json and tensors.bin under ``path`` (a directory)."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
 
-    entries = []
-    chunks = []
-    offset = 0
-    for name, tensor in named_parameters(state):
-        raw = np.ascontiguousarray(tensor.data, dtype="<f8").tobytes()
-        entries.append({
-            "name": name,
-            "shape": list(tensor.shape),
-            "offset": offset,
-            "nbytes": len(raw),
-        })
-        chunks.append(raw)
-        offset += len(raw)
-    blob = b"".join(chunks)
-
+    blob = state.vector.data.astype("<f8").tobytes()
+    if state.opt_state is not None:
+        blob += state.opt_state.astype("<f8").tobytes()
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "dtype": "<f8",
         "step": state.step,
         "structure": _structure_dict(state),
         "config": config,
-        "opt_state": {k: v.tolist() for k, v in state.opt_state.items()},
-        "opt_shapes": {k: list(v.shape) for k, v in state.opt_state.items()},
-        "tensors": entries,
+        "tensors": tensor_index(state),
         "blob_sha256": hashlib.sha256(blob).hexdigest(),
     }
     _replace_atomically(path / BLOB_NAME, blob)
@@ -174,38 +169,22 @@ def _restore(manifest: dict, blob_path: Path) -> TrainState:
 
     state = TrainState(lm=lm, lm_params=lm_params, bank=bank, synth_cfg=synth_cfg,
                        step=manifest["step"])
-    state.opt_state = {
-        k: np.array(v, dtype=np.float64).reshape(manifest["opt_shapes"][k])
-        for k, v in manifest.get("opt_state", {}).items()
-    }
+    recorded, expected = manifest["tensors"], tensor_index(state)
+    if recorded != expected:
+        pairs = zip_longest(recorded if isinstance(recorded, list) else [recorded], expected)
+        for i, (got, want) in enumerate(pairs):
+            if got != want:
+                raise CheckpointError(f"manifest tensor {i} is {got}, the structure gives {want}")
 
     blob = blob_path.read_bytes()
     if hashlib.sha256(blob).hexdigest() != manifest["blob_sha256"]:
         raise CheckpointError(f"{blob_path} does not match the SHA-256 its manifest records")
-    total = sum(e["nbytes"] for e in manifest["tensors"])
-    if len(blob) != total:
-        raise CheckpointError(f"blob is {len(blob)} bytes, manifest expects {total}")
-
-    by_name = dict(named_parameters(state))
-    seen = set()
-    for entry in manifest["tensors"]:
-        name = entry["name"]
-        tensor = by_name.get(name)
-        if tensor is None:
-            raise CheckpointError(f"manifest names unknown tensor {name!r}")
-        shape = tuple(entry["shape"])
-        if shape != tensor.shape:
-            raise CheckpointError(
-                f"tensor {name!r} has shape {list(tensor.shape)} but manifest says {entry['shape']}")
-        count = int(np.prod(shape)) if shape else 1
-        if entry["nbytes"] != count * 8:
-            raise CheckpointError(f"tensor {name!r}: {entry['nbytes']} bytes for shape {entry['shape']}")
-        values = np.frombuffer(
-            blob, dtype="<f8", count=count, offset=entry["offset"]).reshape(shape)
-        tensor.apply_update(values.astype(np.float64))
-        seen.add(name)
-    missing = set(by_name) - seen
-    if missing:
-        raise CheckpointError(f"checkpoint is missing tensors: {sorted(missing)}")
-
+    n = state.vector.size
+    if len(blob) not in (8 * n, 16 * n):
+        raise CheckpointError(
+            f"blob is {len(blob)} bytes, manifest expects {8 * n} ({16 * n} with an accumulator)")
+    values = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+    state.vector.apply_update(values[:n])
+    if len(values) > n:
+        state.opt_state = values[n:]
     return state

@@ -78,14 +78,6 @@ class BasisBank:
     def n_coefficient_rows(self) -> int:
         return len(self.nonshared_indices())
 
-    def all_tensors(self) -> list[T.Tensor]:
-        out = []
-        for bank in self.kernels:
-            out.extend(bank)
-        out.extend(self.biases)
-        out.extend([self.head_w, self.head_b])
-        return out
-
 
 def build_bank(spec: BackboneSpec, n_bases: int, shared_layers, seed: int) -> BasisBank:
     """Initialize a bank; ``shared_layers`` is an iterable of layer indices."""

@@ -61,13 +61,14 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def apply_update(self, new_data: np.ndarray) -> None:
-        """Replace this tensor's values in place (optimizer-only interface)."""
+        """Write new values into this tensor's buffer (optimizer-only interface).
+        The write is in place, so views of the buffer stay live."""
         arr = np.asarray(new_data, dtype=np.float64)
         if arr.shape != self.data.shape:
             raise ShapeError(f"update shape {arr.shape} != parameter shape {self.data.shape}")
         if not np.isfinite(arr).all():
             raise NonFiniteError("parameter update contains NaN or Inf")
-        self.data = _contiguous(arr)
+        self.data[...] = arr
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

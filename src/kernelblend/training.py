@@ -17,6 +17,11 @@ set to ``one_hot`` and the lightweight model frozen. ``train_step`` decides
 that from (step, schedule) alone, so a state loaded from any checkpoint
 continues exactly as the uninterrupted run would.
 
+A ``TrainState`` packs every parameter into one vector in
+``named_parameters`` order, ``lm.*`` first, and each parameter views into
+it. A step makes one vectorised update of the suffix it trains (the bank
+alone on a selection step); the RMSProp accumulator is one vector too.
+
 All per-step randomness (batch choice, augmentation, dropout masks) derives
 from (seed, step), so any run is reproducible bit for bit and no step
 depends on a generator's state left by earlier steps.
@@ -24,6 +29,7 @@ depends on a generator's state left by earlier steps.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -91,24 +97,45 @@ class TrainSchedule:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if not 0.0 <= self.bmd_rate < 1.0:
             raise ValueError("bmd_rate must be in [0, 1)")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.total_steps < 0 or self.finetune_steps < 0:
             raise ValueError("total_steps and finetune_steps must be >= 0")
         if self.finetune_steps > 0 and self.total_steps == 0:
             raise ValueError("fine-tuning needs joint training first (total_steps > 0)")
         if self.clip_norm is not None and not self.clip_norm > 0:  # also rejects NaN
             raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
+        for name, low in (("batch_size", 1), ("lr_decay_interval", 1), ("crop_pad", 0),
+                          ("epsilon_hold_steps", 0), ("epsilon_decay_steps", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("lr_base", "lr_decay_factor"):
+            if not getattr(self, name) > 0:  # also rejects NaN
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
 @dataclass(slots=True)
 class TrainState:
+    # Building a state packs its tensors into its own vector: a second state
+    # over the same tensors (dataclasses.replace too) takes them over from the
+    # first. copy.deepcopy builds through the constructor, so it packs its own.
     lm: pl.LightweightModel
     lm_params: pl.LMParams
     bank: syn.BasisBank
     synth_cfg: syn.SynthesisConfig
     step: int = 0
-    opt_state: dict = field(default_factory=dict)
+    opt_state: np.ndarray | None = None  # RMSProp accumulator, aligned with ``vector``
+    vector: T.Tensor = field(init=False)  # every parameter; each one views into it
+
+    def __post_init__(self):
+        params = [p for _, p in named_parameters(self)]
+        self.vector = T.Tensor(np.concatenate([p.data.reshape(-1) for p in params]))
+        offset = 0
+        for p in params:  # same values, now held in the vector
+            p.data = self.vector.data[offset:offset + p.size].reshape(p.shape)
+            offset += p.size
+
+    def __deepcopy__(self, memo):
+        lm, lm_params, bank, acc = copy.deepcopy((self.lm, self.lm_params, self.bank, self.opt_state), memo)
+        return TrainState(lm, lm_params, bank, self.synth_cfg, self.step, acc)
 
 
 def named_parameters(state: TrainState) -> list[tuple[str, T.Tensor]]:
@@ -266,32 +293,34 @@ def total_loss(final_logits: T.Tensor, initial_logits: T.Tensor, target: np.ndar
 
 
 def _apply_updates(state: TrainState, grads, params, lr: float, schedule: TrainSchedule):
-    """One pass over the parameters. With ``clip_norm`` set and exceeded by
-    the global gradient norm, each gradient is scaled down to it first."""
-    factor = None
+    """One update of the suffix of ``state.vector`` that ``params`` covers.
+    A parameter with no gradient entry keeps its values (its gradient is
+    zero) and its accumulator (masked). A global gradient norm above
+    ``clip_norm`` is scaled down to it first."""
+    g = np.concatenate([
+        grads[p].reshape(-1) if p in grads else np.zeros(p.size) for _, p in params])
     if schedule.clip_norm is not None:
-        total = 0.0  # plain left-to-right adds: sum() compensates on Python >= 3.12
+        total = 0.0  # per tensor, plain left-to-right adds: sum() compensates on Python >= 3.12
         for _, p in params:
             if p in grads:
                 total += float(np.sum(grads[p] * grads[p]))
         norm = np.sqrt(total)
         if norm > schedule.clip_norm and norm > 0:
-            factor = schedule.clip_norm / norm
-    for name, p in params:
-        g = grads.get(p)
-        if g is None:
-            continue
-        if factor is not None:
-            g = g * factor
-        if schedule.optimizer == "rmsprop":
-            acc = state.opt_state.get(name)
-            if acc is None:
-                acc = np.zeros_like(p.data)
-            acc = 0.9 * acc + 0.1 * g * g
-            state.opt_state[name] = acc
-            p.apply_update(p.data - lr * g / (np.sqrt(acc) + 1e-8))
-        else:
-            p.apply_update(p.data - lr * g)
+            g = g * (schedule.clip_norm / norm)
+    start = state.vector.size - g.size  # ``params`` is a suffix of named_parameters
+    acc = state.opt_state
+    if schedule.optimizer == "rmsprop":
+        acc = np.zeros(state.vector.size) if acc is None else acc.copy()
+        covered = np.repeat([p in grads for _, p in params], [p.size for _, p in params])
+        tail = acc[start:]
+        tail[covered] = 0.9 * tail[covered] + 0.1 * g[covered] * g[covered]
+        delta = lr * g / (np.sqrt(tail) + 1e-8)
+    else:
+        delta = lr * g
+    new = state.vector.data.copy()
+    new[start:] -= delta
+    state.vector.apply_update(new)
+    state.opt_state = acc
 
 
 def train_step(state: TrainState, batch: tuple[np.ndarray, np.ndarray],
@@ -301,13 +330,15 @@ def train_step(state: TrainState, batch: tuple[np.ndarray, np.ndarray],
     A step at or past ``schedule.total_steps`` of a schedule with
     fine-tuning is a selection step: it sets the synthesis mode to
     ``one_hot`` (which the checkpoint records) and leaves the lightweight
-    model out of the update and the L2 term.
+    model out of the update, the L2 term and the backward pass: its
+    initial-prediction loss is reported from a detached copy of the logits.
     """
     batch_x, batch_y = batch
     step = state.step
     eps = epsilon_at(step, schedule)
     params = named_parameters(state)
-    if schedule.finetune_steps > 0 and step >= schedule.total_steps:
+    selecting = schedule.finetune_steps > 0 and step >= schedule.total_steps
+    if selecting:
         state.synth_cfg = replace(state.synth_cfg, mode="one_hot")
         params = [(name, p) for name, p in params if not name.startswith("lm.")]
 
@@ -332,6 +363,8 @@ def train_step(state: TrainState, batch: tuple[np.ndarray, np.ndarray],
         tape = T.GradTape()
         with T.recording(tape):
             final, initial, _ = forward_training(state, batch_x, eps, drop_masks)
+            if selecting:
+                initial = T.Tensor(initial.data)
             loss, parts = total_loss(
                 final, initial, batch_y, [p for _, p in params], loss_cfg, distill_soft)
         grads = T.backward(loss)

@@ -178,3 +178,35 @@ def sweep_reference(results, labels, lm_madds: int, thresholds) -> list[tuple]:
             spent += lm_madds if stop else res.madds_spent
         points.append((float(threshold), skips / n, spent / n, correct / n))
     return points
+
+
+def apply_updates_per_tensor(opt_state: dict, grads, params, lr: float, schedule):
+    """The optimizer step one parameter tensor at a time, each RMSProp
+    accumulator kept under the tensor's name in ``opt_state``. A tensor with
+    no gradient entry is skipped. Returns the clip factor, or None when the
+    gradient norm stayed within ``schedule.clip_norm`` (or it is unset)."""
+    factor = None
+    if schedule.clip_norm is not None:
+        total = 0.0
+        for _, p in params:
+            if p in grads:
+                total += float(np.sum(grads[p] * grads[p]))
+        norm = np.sqrt(total)
+        if norm > schedule.clip_norm and norm > 0:
+            factor = schedule.clip_norm / norm
+    for name, p in params:
+        g = grads.get(p)
+        if g is None:
+            continue
+        if factor is not None:
+            g = g * factor
+        if schedule.optimizer == "rmsprop":
+            acc = opt_state.get(name)
+            if acc is None:
+                acc = np.zeros_like(p.data)
+            acc = 0.9 * acc + 0.1 * g * g
+            opt_state[name] = acc
+            p.apply_update(p.data - lr * g / (np.sqrt(acc) + 1e-8))
+        else:
+            p.apply_update(p.data - lr * g)
+    return factor

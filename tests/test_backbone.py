@@ -42,7 +42,10 @@ class TestBuild:
     def test_same_seed_is_bitwise_identical(self):
         spec = small_spec()
         p1, p2 = B.build(spec, 42), B.build(spec, 42)
-        for a, b in zip(p1.all_tensors(), p2.all_tensors()):
+        def tensors(p):
+            return [t for lp in p.layers for t in (lp.kernel, lp.bias)] + [p.head_w, p.head_b]
+
+        for a, b in zip(tensors(p1), tensors(p2), strict=True):
             assert a.data.tobytes() == b.data.tobytes()
 
     def test_different_seeds_differ(self):

@@ -55,15 +55,22 @@ class TestRoundTrip:
         assert accuracy(loaded) == before
 
     def test_optimizer_state_roundtrip(self, tmp_path):
-        state = toy_state(n_bases=2, seed=1)
         train, _ = toy_dataset(train_size=32, eval_size=8)
-        state, _ = run_training(state, train, small_sched(steps=4, optimizer="rmsprop"),
-                                TR.LossConfig())
-        CK.save_checkpoint(state, tmp_path / "ckpt")
-        loaded, _ = CK.load_checkpoint(tmp_path / "ckpt")
-        assert set(loaded.opt_state) == set(state.opt_state)
-        for k in state.opt_state:
-            assert np.array_equal(loaded.opt_state[k], state.opt_state[k])
+        for optimizer in ("rmsprop", "sgd"):
+            state = toy_state(n_bases=2, seed=1)
+            state, _ = run_training(state, train, small_sched(steps=4, optimizer=optimizer),
+                                    TR.LossConfig())
+            CK.save_checkpoint(state, tmp_path / optimizer)
+            loaded, _ = CK.load_checkpoint(tmp_path / optimizer)
+            # the blob is the parameter vector, then the accumulator when there is one
+            blob = (tmp_path / optimizer / CK.BLOB_NAME).read_bytes()
+            params = state.vector.data.astype("<f8").tobytes()
+            if optimizer == "sgd":
+                assert state.opt_state is None and loaded.opt_state is None
+                assert blob == params
+            else:
+                assert loaded.opt_state.tobytes() == state.opt_state.tobytes()
+                assert blob == params + state.opt_state.astype("<f8").tobytes()
 
     def test_resume_continues_schedule_not_restarts(self, trained, tmp_path):
         state, train, _ = trained
@@ -87,7 +94,7 @@ class TestRoundTrip:
         assert stored == config
 
     def test_manifest_with_config_hash_loads(self, trained, tmp_path):
-        # schema-3 manifests written before the config hash was dropped carry it
+        # a top-level key the loader does not read (an old config hash) is ignored
         state, _, _ = trained
         CK.save_checkpoint(state, tmp_path / "ckpt", config={"seed": 3})
         manifest_path = tmp_path / "ckpt" / CK.MANIFEST_NAME
@@ -107,8 +114,23 @@ class TestValidation:
         manifest = json.loads(manifest_path.read_text())
         manifest["tensors"][0]["shape"] = [1, 1, 1, 1]
         manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(CK.CheckpointError, match="shape"):
+        with pytest.raises(CK.CheckpointError) as exc:
             CK.load_checkpoint(tmp_path / "ckpt")
+        got, want = str(exc.value).split(", the structure gives ")
+        assert got.startswith("manifest tensor 0 is ") and "'shape': [1, 1, 1, 1]" in got
+        assert f"'shape': {list(TR.named_parameters(state)[0][1].shape)}" in want
+
+    def test_schema_3_refused(self, trained, tmp_path):
+        # schema 3 kept the optimizer accumulators as JSON lists in the manifest
+        state, _, _ = trained
+        CK.save_checkpoint(state, tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / CK.MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest.update(schema_version=3, opt_state={}, opt_shapes={})
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CK.CheckpointError) as exc:
+            CK.load_checkpoint(tmp_path / "ckpt")
+        assert str(exc.value) == f"checkpoint schema 3 != supported {CK.SCHEMA_VERSION}"
 
     def test_wrong_schema_version(self, trained, tmp_path):
         state, _, _ = trained
@@ -127,6 +149,54 @@ class TestValidation:
         blob_path.write_bytes(blob_path.read_bytes()[:-8])
         with pytest.raises(CK.CheckpointError, match="blob"):
             CK.load_checkpoint(tmp_path / "ckpt")
+
+    def test_blob_length_checked_against_the_index(self, trained, tmp_path):
+        # a blob that matches its recorded hash but not the parameter count
+        state, _, _ = trained
+        CK.save_checkpoint(state, tmp_path / "ckpt")
+        blob_path = tmp_path / "ckpt" / CK.BLOB_NAME
+        blob = blob_path.read_bytes() + bytes(8)
+        blob_path.write_bytes(blob)
+        manifest_path = tmp_path / "ckpt" / CK.MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["blob_sha256"] = CK.hashlib.sha256(blob).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CK.CheckpointError, match=f"blob is {len(blob)} bytes"):
+            CK.load_checkpoint(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("edit,index", [
+        (lambda entries: entries[0].update(name="lm.trunk.L9.kernel"), 0),
+        (lambda entries: entries[3].update(offset=entries[3]["offset"] + 8), 3),
+        (lambda entries: entries[-1].update(nbytes=8), -1),
+        (lambda entries: entries.pop(), -1),
+    ], ids=["renamed", "offset", "nbytes", "dropped"])
+    def test_index_mismatch_names_first_entry(self, trained, tmp_path, edit, index):
+        state, _, _ = trained
+        CK.save_checkpoint(state, tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / CK.MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        edit(manifest["tensors"])
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CK.CheckpointError) as exc:
+            CK.load_checkpoint(tmp_path / "ckpt")
+        index %= len(TR.named_parameters(state))
+        assert str(exc.value).startswith(f"manifest tensor {index} is ")
+        assert "\n" not in str(exc.value)
+
+    def test_edited_accumulator_rejected(self, tmp_path):
+        state = toy_state(n_bases=2, seed=1)
+        train, _ = toy_dataset(train_size=32, eval_size=8)
+        state, _ = run_training(state, train, small_sched(steps=4, optimizer="rmsprop"),
+                                TR.LossConfig())
+        CK.save_checkpoint(state, tmp_path / "ckpt")
+        blob_path = tmp_path / "ckpt" / CK.BLOB_NAME
+        blob = np.frombuffer(blob_path.read_bytes(), dtype="<f8").copy()
+        assert len(blob) == 2 * state.vector.size
+        blob[state.vector.size:] *= 1000.0  # the accumulator, after the parameters
+        blob_path.write_bytes(blob.tobytes())
+        with pytest.raises(CK.CheckpointError, match="SHA-256") as exc:
+            CK.load_checkpoint(tmp_path / "ckpt")
+        assert "\n" not in str(exc.value)
 
     def test_flipped_blob_byte_rejected(self, trained, tmp_path):
         state, _, _ = trained
@@ -169,7 +239,7 @@ class TestValidation:
         with pytest.raises(CK.CheckpointError, match="SHA-256"):
             CK.load_checkpoint(tmp_path / "ckpt")
 
-    @pytest.mark.parametrize("key", ["structure", "tensors", "step", "opt_shapes"])
+    @pytest.mark.parametrize("key", ["structure", "tensors", "step", "blob_sha256"])
     def test_missing_manifest_key_named(self, tmp_path, key):
         state = toy_state(n_bases=2, seed=1)
         train, _ = toy_dataset(train_size=32, eval_size=8)

@@ -89,6 +89,16 @@ class TestTrain:
         assert capsys.readouterr().err == "error: schedule: clip_norm must be > 0, got 0.0\n"
         assert not (workdir / "runs").exists()
 
+    def test_zero_lr_decay_interval_exits_one_with_one_line(self, workdir, capsys):
+        raw = base_config()
+        raw["schedule"]["learning_rate"]["decay_interval"] = 0
+        path = workdir / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: schedule: lr_decay_interval must be >= 1, got 0\n")
+        assert not (workdir / "runs").exists()
+
     def test_finetune_without_joint_steps_exits_one_with_one_line(self, workdir, capsys):
         raw = base_config()
         raw["schedule"].update(total_steps=0, finetune_steps=5,

@@ -125,6 +125,28 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"^schedule: clip_norm must be > 0"):
             parse_config(raw)
 
+    @pytest.mark.parametrize("path,value,message", [
+        (("learning_rate", "decay_interval"), 0, "lr_decay_interval must be >= 1, got 0"),
+        (("learning_rate", "decay_interval"), -1, "lr_decay_interval must be >= 1, got -1"),
+        (("learning_rate", "decay_factor"), -0.5, "lr_decay_factor must be > 0, got -0.5"),
+        (("learning_rate", "decay_factor"), 0, "lr_decay_factor must be > 0, got 0.0"),
+        (("learning_rate", "decay_factor"), float("nan"), "lr_decay_factor must be > 0, got nan"),
+        (("learning_rate", "base"), 0, "lr_base must be > 0, got 0.0"),
+        (("learning_rate", "base"), -0.05, "lr_base must be > 0, got -0.05"),
+        (("learning_rate", "base"), float("nan"), "lr_base must be > 0, got nan"),
+        (("crop_pad",), -2, "crop_pad must be >= 0, got -2"),
+        (("epsilon_hold_steps",), -1, "epsilon_hold_steps must be >= 0, got -1"),
+        (("epsilon_decay_steps",), -1, "epsilon_decay_steps must be >= 0, got -1"),
+    ])
+    def test_bad_schedule_value_rejected(self, path, value, message):
+        raw = base_config()
+        target = raw["schedule"]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ConfigError, match=rf"^schedule: {re.escape(message)}$"):
+            parse_config(raw)
+
     @pytest.mark.parametrize("total_steps, finetune_steps, message", [
         (0, 5, "fine-tuning needs joint training first"),
         (20, -1, "total_steps and finetune_steps must be >= 0"),

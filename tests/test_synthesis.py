@@ -144,7 +144,10 @@ class TestBankStructure:
     def test_same_seed_bitwise(self):
         b1 = S.build_bank(two_layer_spec(), 3, [0], seed=9)
         b2 = S.build_bank(two_layer_spec(), 3, [0], seed=9)
-        for t1, t2 in zip(b1.all_tensors(), b2.all_tensors()):
+        def tensors(b):
+            return [t for ks in b.kernels for t in ks] + b.biases + [b.head_w, b.head_b]
+
+        for t1, t2 in zip(tensors(b1), tensors(b2), strict=True):
             assert t1.data.tobytes() == t2.data.tobytes()
 
 

@@ -460,6 +460,22 @@ class TestNumericSafety:
         assert a.data.tobytes() == b.data.tobytes()
 
 
+class TestApplyUpdate:
+    def test_writes_in_place_so_views_stay_live(self):
+        buf = np.arange(8.0)
+        t = T.Tensor(buf[2:6].reshape(2, 2))  # a contiguous view is wrapped, not copied
+        t.apply_update(np.full((2, 2), -1.0))
+        assert buf.tolist() == [0.0, 1.0, -1.0, -1.0, -1.0, -1.0, 6.0, 7.0]
+
+    def test_rejected_update_leaves_values(self):
+        t = T.Tensor([1.0, 2.0])
+        with pytest.raises(T.NonFiniteError):
+            t.apply_update(np.array([3.0, np.nan]))
+        with pytest.raises(T.ShapeError):
+            t.apply_update(np.zeros(3))
+        assert t.data.tolist() == [1.0, 2.0]
+
+
 class TestGradientSweep:
     """Analytic vs central finite differences over random small instances."""
 

@@ -1,5 +1,7 @@
 """Training core: schedules, losses, dropout masks, routing, fine-tuning."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from kernelblend import synthesis as S
 from kernelblend import tensor as T
 from kernelblend import training as TR
 
-from oracles import per_image_forward
+from oracles import apply_updates_per_tensor, per_image_forward
 from toys import run_training, toy_dataset, toy_state
 
 
@@ -289,7 +291,51 @@ class TestTrainStep:
         s = sched(total_steps=3, optimizer="rmsprop", lr_base=0.01, batch_size=4)
         state, metrics = run_training(state, train, s, TR.LossConfig())
         assert len(metrics) == 3
-        assert any(k.startswith("bank.") for k in state.opt_state)
+        # one accumulator entry per parameter value, carried from step to step
+        assert state.opt_state.shape == state.vector.shape
+        before = state.opt_state.copy()
+        state, _ = TR.train_step(state, TR.sample_batch(train, s, 3), s, TR.LossConfig())
+        offset = 0
+        for name, p in TR.named_parameters(state):
+            acc = state.opt_state[offset:offset + p.size]
+            if name.startswith("bank."):
+                assert np.any(acc != 0.0)
+            assert np.any(acc != before[offset:offset + p.size])
+            offset += p.size
+
+    def test_parameters_are_views_into_one_vector(self):
+        state = toy_state(n_bases=3, seed=8)
+        params = [p for _, p in TR.named_parameters(state)]
+        assert state.vector.size == sum(p.size for p in params)
+        flat = np.concatenate([p.data.reshape(-1) for p in params])
+        assert flat.tobytes() == state.vector.data.tobytes()
+        for p in params:
+            assert np.shares_memory(p.data, state.vector.data)
+        # an update of the vector is an update of every parameter
+        state.vector.apply_update(state.vector.data + 1.0)
+        assert np.array_equal(np.concatenate([p.data.reshape(-1) for p in params]), flat + 1.0)
+
+    def test_deepcopy_trains_its_own_vector(self):
+        state = toy_state(n_bases=2, seed=8)
+        train, _ = toy_dataset(train_size=8, eval_size=8)
+        batch = (train.images[:2], train.labels[:2])
+        s = sched(optimizer="rmsprop", batch_size=2)
+        state, _ = TR.train_step(state, batch, s, TR.LossConfig())
+        before = {name: p.data.copy() for name, p in TR.named_parameters(state)}
+        acc = state.opt_state.copy()
+        twin = copy.deepcopy(state)
+        assert twin.step == state.step and np.array_equal(twin.opt_state, acc)
+        for (name, p), (_, q) in zip(TR.named_parameters(state), TR.named_parameters(twin)):
+            assert np.array_equal(q.data, before[name])
+            assert np.shares_memory(q.data, twin.vector.data)
+            assert not np.shares_memory(q.data, state.vector.data)
+        twin, _ = TR.train_step(twin, batch, s, TR.LossConfig())
+        assert not np.array_equal(twin.bank.head_w.data, before["bank.head.w"])
+        assert not all(np.array_equal(k.data, before[name]) for name, k in
+                       TR.named_parameters(twin) if ".basis" in name)
+        for name, p in TR.named_parameters(state):  # the original is untouched
+            assert np.array_equal(p.data, before[name])
+        assert np.array_equal(state.opt_state, acc) and state.step == twin.step - 1
 
     def test_gradient_clipping_bounds_update_norm(self):
         state = toy_state(n_bases=2, seed=9)
@@ -314,6 +360,39 @@ class TestTrainStep:
             state, _ = TR.train_step(state, batch, s, TR.LossConfig(l2_weight=1e-3))
             after.append([p.data.tobytes() for _, p in TR.named_parameters(state)])
         assert after[0] == after[1]
+
+
+class TestVectorisedUpdate:
+    @pytest.mark.parametrize("clip_norm", [None, 0.05], ids=["unclipped", "clip_binding"])
+    @pytest.mark.parametrize("optimizer", ["sgd", "rmsprop"])
+    def test_bitwise_equal_to_per_tensor_oracle(self, monkeypatch, optimizer, clip_norm):
+        # joint steps, then the fine-tune tail; BMD drops bases and
+        # selection leaves the others unselected, so some tensors get no
+        # gradient entry
+        train, _ = toy_dataset(train_size=32, eval_size=8)
+        s = sched(total_steps=6, finetune_steps=6, bmd_rate=0.4, batch_size=4, lr_base=0.05,
+                  optimizer=optimizer, clip_norm=clip_norm)
+        loss_cfg = TR.LossConfig(l2_weight=0.0)
+        state, _ = run_training(toy_state(n_bases=4, seed=12), train, s, loss_cfg)
+
+        accumulators, factors, skipped = {}, [], []
+
+        def per_tensor(st, grads, params, lr, schedule):
+            skipped.append(any(p not in grads for _, p in params))
+            factors.append(apply_updates_per_tensor(accumulators, grads, params, lr, schedule))
+
+        monkeypatch.setattr(TR, "_apply_updates", per_tensor)
+        oracle, _ = run_training(toy_state(n_bases=4, seed=12), train, s, loss_cfg)
+
+        assert any(skipped)
+        assert all(f is not None for f in factors) if clip_norm else not any(factors)
+        assert state.vector.data.tobytes() == oracle.vector.data.tobytes()
+        if optimizer == "sgd":
+            assert state.opt_state is None
+        else:
+            expected = np.concatenate([accumulators.get(name, np.zeros(p.shape)).reshape(-1)
+                                       for name, p in TR.named_parameters(oracle)])
+            assert state.opt_state.tobytes() == expected.tobytes()
 
 
 class TestBatchedMatchesPerImage:
@@ -469,6 +548,27 @@ class TestFinetuneOneHot:
         assert np.all(np.isin(v, (0.0, 1.0))) and np.all(v.sum(axis=-1) == 1.0)
         if mode == "per_model":  # the one-row head selects one basis for every layer
             assert np.all(v == v[:, :1])
+
+    def test_selection_step_backpropagates_only_the_bank(self, monkeypatch):
+        state, train = self.trained_state()
+        s = sched(total_steps=state.step, finetune_steps=2, batch_size=4)
+        returned = []
+        real_backward = T.backward
+
+        def keep_gradients(loss):
+            returned.append(real_backward(loss))
+            return returned[-1]
+
+        monkeypatch.setattr(T, "backward", keep_gradients)
+        batch = TR.sample_batch(train, s, state.step)
+        state, metrics = TR.train_step(state, batch, s, TR.LossConfig())
+
+        names = {p: name for name, p in TR.named_parameters(state)}
+        graded = [names[t] for t in returned[0] if t in names]
+        assert graded and all(name.startswith("bank.") for name in graded)
+        # the frozen model's loss is still reported
+        _, initial, _ = TR.forward_training(state, batch[0], 0.0, None)
+        assert metrics["lm_loss"] == T.cross_entropy(initial, batch[1]).item()
 
     def test_state_rejects_unknown_attributes(self):
         # a slotted dataclass: assigning a field it does not have raises
