@@ -2,6 +2,8 @@
 
 The network is a sequence of conv+bias+activation layers followed by global
 average pooling and a linear classifier head. Layers are numbered L0..L(K-1).
+Each layer is one ``tensor.conv2d`` call that adds the bias and applies the
+activation itself, so it costs one tape record (``run_layer``).
 Analytic multiply counts follow the usual convention: one MAdd per
 kernel-times-input multiply, biases and pooling uncounted.
 """
@@ -119,11 +121,9 @@ def build(spec: BackboneSpec, seed: int) -> BackboneParams:
 
 
 def run_layer(x: T.Tensor, layer: LayerSpec, lp: LayerParams) -> T.Tensor:
-    out = T.conv2d(x, lp.kernel, stride=layer.stride, padding=layer.padding)
-    out = T.add_channel_bias(out, lp.bias)
-    if layer.activation == "relu":
-        out = T.relu(out)
-    return out
+    """One conv layer, bias and activation included, as one ``conv2d`` call."""
+    return T.conv2d(x, lp.kernel, stride=layer.stride, padding=layer.padding,
+                    bias=lp.bias, relu=layer.activation == "relu")
 
 
 def forward_features(params: BackboneParams, spec: BackboneSpec, x: T.Tensor,

@@ -103,9 +103,11 @@ def recording(tape: GradTape):
         _ACTIVE_TAPE = None
 
 
-def _result(data: np.ndarray, inputs: Sequence[Tensor], backward: Callable) -> Tensor:
-    """Wrap an op result, enforce finiteness, and record it if a tape is live."""
-    if not np.isfinite(data).all():
+def _result(data: np.ndarray, inputs: Sequence[Tensor], backward: Callable,
+            checked: bool = False) -> Tensor:
+    """Wrap an op result, enforce finiteness (unless the op has ``checked``
+    it already), and record it if a tape is live."""
+    if not checked and not np.isfinite(data).all():
         raise NonFiniteError("forward operation produced NaN or Inf")
     out = Tensor.__new__(Tensor)
     out.data = _contiguous(data)
@@ -181,15 +183,6 @@ def scale(a: Tensor, factor: float) -> Tensor:
         return ((a, g * factor),)
 
     return _result(a.data * factor, (a,), bwd)
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-
-    def bwd(g):
-        return ((a, g * mask),)
-
-    return _result(np.where(mask, a.data, 0.0), (a,), bwd)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -351,16 +344,22 @@ def blend(coeffs: Tensor, tensors: Sequence[Tensor]) -> Tensor:
 # network ops
 
 
-def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation of an NCHW input with an OIKK kernel.
+def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
+           bias: Tensor | None = None, relu: bool = False) -> Tensor:
+    """2-D cross-correlation of an NCHW input with an OIKK kernel, then an
+    optional per-channel bias and ReLU: a whole conv layer as one op.
 
     A (B, O, I, K, K) kernel gives each sample its own kernel (CondConv's
     per-example kernels). Either kind runs as stacked matmuls in which B
     stays the loop axis, one same-shape GEMM per sample, so that a sample's
     result does not depend on the batch it runs in. Output spatial size is
     floor((H + 2*padding - K)/stride) + 1 per side. Differentiable w.r.t.
-    both the input and the kernel; an input that does not require a
-    gradient gets none computed.
+    the input, the kernel and the bias; an input that does not require a
+    gradient gets none computed. The bias add and the ReLU follow the GEMM,
+    and the backward masks the gradient and sums the bias gradient before
+    the conv backward, so a layer gives the values of a conv, a bias add and
+    a ReLU run one after another, on one tape record (as cuDNN's fused
+    conv-bias-activation call does).
     """
     per_sample = kernel.data.ndim == 5
     if x.data.ndim != 4 or kernel.data.ndim not in (4, 5):
@@ -377,6 +376,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         raise ShapeError(f"conv2d channel mismatch: input {x.shape} has {in_c} channels, kernel {kernel.shape} expects {k_in}")
     if h + 2 * padding < kh or w + 2 * padding < kw:
         raise ShapeError(f"conv2d kernel {kernel.shape} larger than padded input {x.shape} (padding={padding})")
+    if bias is not None and bias.shape != (out_c,):
+        raise ShapeError(f"conv2d bias {bias.shape} does not match kernel {kernel.shape}")
 
     if padding > 0:
         xp = np.zeros((batch, in_c, h + 2 * padding, w + 2 * padding), dtype=x.data.dtype)
@@ -403,15 +404,26 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     cols = windows.reshape(batch, in_c * kh * kw, out_h * out_w)
     kmat = kernel.data.reshape(*kernel.shape[:-3], in_c * kh * kw)
     out = np.matmul(kmat, cols).reshape(batch, out_c, out_h, out_w)
+    if bias is not None:
+        out = out + bias.data[None, :, None, None]
+    # checked before the ReLU, which maps NaN and -Inf to 0
+    if not np.isfinite(out).all():
+        raise NonFiniteError("forward operation produced NaN or Inf")
+    if relu:
+        mask = out > 0
+        out = np.where(mask, out, 0.0)
     ph, pw = xp.shape[2], xp.shape[3]
 
     def bwd(g):
+        if relu:
+            g = g * mask
+        gb = () if bias is None else ((bias, g.sum(axis=(0, 2, 3))),)
         g3 = g.reshape(batch, out_c, out_h * out_w)
         gk = np.matmul(g3, cols.transpose(0, 2, 1))
         # a shared kernel sums the per-sample products, in batch order
         gk = (gk if per_sample else gk.sum(axis=0)).reshape(kernel.shape)
         if not x.requires_grad:  # e.g. the image at layer 0: backward would drop it
-            return ((kernel, gk),)
+            return ((kernel, gk), *gb)
         gcols = np.matmul(np.swapaxes(kmat, -1, -2), g3).reshape(windows.shape)
         gxp = np.zeros((batch, in_c, ph, pw))
         for ki in range(kh):
@@ -421,20 +433,10 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
             gx = gxp[:, :, padding:ph - padding, padding:pw - padding]
         else:
             gx = gxp
-        return ((x, gx), (kernel, gk))
+        return ((x, gx), (kernel, gk), *gb)
 
-    return _result(out, (x, kernel), bwd)
-
-
-def add_channel_bias(x: Tensor, bias: Tensor) -> Tensor:
-    """Add a per-channel bias to an NCHW tensor."""
-    if x.data.ndim != 4 or bias.data.ndim != 1 or bias.shape[0] != x.shape[1]:
-        raise ShapeError(f"channel bias {bias.shape} does not match input {x.shape}")
-
-    def bwd(g):
-        return ((x, g), (bias, g.sum(axis=(0, 2, 3))))
-
-    return _result(x.data + bias.data[None, :, None, None], (x, bias), bwd)
+    inputs = (x, kernel) if bias is None else (x, kernel, bias)
+    return _result(out, inputs, bwd, checked=True)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:

@@ -41,6 +41,40 @@ def conv2d_reference(x: np.ndarray, kernel: np.ndarray, stride: int, padding: in
     return out, mults
 
 
+def conv2d_plain(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int):
+    """The im2col conv as it stood before the bias and ReLU moved into it.
+
+    Returns (output, backward) where backward(g) gives (grad_x, grad_kernel).
+    The windows come from ``sliding_window_view``, not from hand-built
+    strides, but the GEMMs are the same calls on the same operands (one per
+    sample, a shared kernel's products summed in batch order) and the input
+    gradient scatters in the same (ki, kj) order, so a plain ``conv2d`` must
+    equal it bit for bit.
+    """
+    batch, in_c = x.shape[:2]
+    out_c, _, kh, kw = kernel.shape[-4:]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]  # (B, C, oH, oW, kh, kw)
+    out_h, out_w = win.shape[2:4]
+    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(batch, -1, out_h * out_w)
+    kmat = kernel.reshape(*kernel.shape[:-3], -1)
+    out = np.matmul(kmat, cols).reshape(batch, out_c, out_h, out_w)
+
+    def backward(g):
+        g3 = g.reshape(batch, out_c, out_h * out_w)
+        gk = np.matmul(g3, cols.transpose(0, 2, 1))
+        gk = (gk if kernel.ndim == 5 else gk.sum(axis=0)).reshape(kernel.shape)
+        gcols = np.matmul(np.swapaxes(kmat, -1, -2), g3).reshape(batch, in_c, kh, kw, out_h, out_w)
+        gxp = np.zeros(xp.shape)
+        for ki in range(kh):
+            for kj in range(kw):
+                gxp[:, :, ki:ki + stride * out_h:stride, kj:kj + stride * out_w:stride] += gcols[:, :, ki, kj]
+        return gxp[:, :, padding:xp.shape[2] - padding, padding:xp.shape[3] - padding], gk
+
+    return out, backward
+
+
 def linear_reference(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None):
     """Naive matrix multiply with a multiply counter (bias adds uncounted)."""
     b, f = x.shape

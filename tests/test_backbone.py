@@ -112,6 +112,27 @@ class TestForward:
                                           B.LayerSpec(4, 1, 3, stride=2, padding=1)), 5)
         self._assert_batch_equals_serial(spec)
 
+    @pytest.mark.parametrize("act", ["relu", "none"])
+    def test_run_layer_is_one_tape_record(self, act):
+        # conv, bias and activation are one op: one record per layer, and
+        # its values are the reference conv plus bias, rectified for "relu"
+        spec = small_spec(act)
+        params = B.build(spec, 4)
+        rng = np.random.default_rng(3)
+        xv = rng.standard_normal((2,) + spec.input_shape)
+        layer, lp = spec.layers[1], params.layers[1]
+        lp.bias.apply_update(rng.standard_normal(lp.bias.shape))
+        x = T.Tensor(rng.standard_normal((2, 4, 8, 8)), requires_grad=True)
+        tape = T.GradTape()
+        with T.recording(tape):
+            out = B.run_layer(x, layer, lp)
+            assert len(tape.records) == 1
+            B.forward(params, spec, T.Tensor(xv))
+            assert len(tape.records) == 1 + spec.num_layers + 2  # + pooling and head
+        conv, _ = conv2d_reference(x.data, lp.kernel.data, layer.stride, layer.padding)
+        pre = conv + lp.bias.data[None, :, None, None]
+        np.testing.assert_allclose(out.data, np.maximum(pre, 0.0) if act == "relu" else pre, atol=1e-12)
+
     def test_input_shape_mismatch(self):
         spec = small_spec()
         params = B.build(spec, 0)

@@ -147,7 +147,7 @@ class TestValidation:
         CK.save_checkpoint(state, tmp_path / "ckpt")
         blob_path = tmp_path / "ckpt" / CK.BLOB_NAME
         blob_path.write_bytes(blob_path.read_bytes()[:-8])
-        with pytest.raises(CK.CheckpointError, match="blob"):
+        with pytest.raises(CK.CheckpointError, match="does not match the SHA-256"):
             CK.load_checkpoint(tmp_path / "ckpt")
 
     def test_blob_length_checked_against_the_index(self, trained, tmp_path):

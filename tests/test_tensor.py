@@ -5,7 +5,7 @@ import pytest
 
 from kernelblend import tensor as T
 
-from oracles import conv2d_reference, finite_difference, gradient_mismatch
+from oracles import conv2d_plain, conv2d_reference, finite_difference, gradient_mismatch
 
 
 def grad_of(build_loss, params):
@@ -100,22 +100,24 @@ class TestConv2d:
         assert gradient_mismatch(grads[x], finite_difference(lambda v: loss(v, kv), xv.copy())) < 1e-6
         assert gradient_mismatch(grads[k], finite_difference(lambda v: loss(xv, v), kv.copy())) < 1e-6
 
+    @pytest.mark.parametrize("fused", [False, True], ids=["plain", "bias-relu"])
     @pytest.mark.parametrize("hw,k,padding", [(5, 1, 0), (2, 3, 1)], ids=["1x1-kernel", "1x1-map"])
     @pytest.mark.parametrize("per_sample", [False, True], ids=["shared", "per-sample"])
-    def test_per_sample_batch_equals_serial_bitwise(self, per_sample, hw, k, padding):
+    def test_per_sample_batch_equals_serial_bitwise(self, per_sample, hw, k, padding, fused):
         """At stride 2, each sample's forward, input gradient and (for a
         per-sample kernel) kernel gradient in a batch equal its own batch-1
-        call, bit for bit."""
+        call, bit for bit, with and without the bias and ReLU."""
         rng = np.random.default_rng(4)
         xv = rng.standard_normal((5, 1, hw, hw))
         kv = rng.standard_normal((5, 4, 1, k, k))
+        bias = T.Tensor(rng.standard_normal(4), requires_grad=True) if fused else None
 
         def run(xs, ks):
             x = T.Tensor(xs, requires_grad=True)
             kern = T.Tensor(ks, requires_grad=True)
             tape = T.GradTape()
             with T.recording(tape):
-                out = T.conv2d(x, kern, stride=2, padding=padding)
+                out = T.conv2d(x, kern, stride=2, padding=padding, bias=bias, relu=fused)
                 grads = T.backward(T.sum_squares(out))
             return out.data, grads[x], grads[kern]
 
@@ -127,30 +129,36 @@ class TestConv2d:
             if per_sample:
                 assert gk[b:b + 1].tobytes() == gk_b.tobytes()
 
+    @pytest.mark.parametrize("with_bias", [False, True], ids=["no-bias", "bias"])
     @pytest.mark.parametrize("per_sample", [False, True], ids=["shared", "per-sample"])
-    def test_input_without_grad_gets_no_gradient(self, per_sample):
+    def test_input_without_grad_gets_no_gradient(self, per_sample, with_bias):
         """An input that does not require a gradient gets no entry and no
-        input-gradient work, and the kernel gradient is bitwise unchanged."""
+        input-gradient work, and the kernel (and bias) gradient is bitwise
+        unchanged."""
         rng = np.random.default_rng(8)
         xv = rng.standard_normal((3, 2, 5, 5))
         kv = rng.standard_normal((3, 4, 2, 3, 3) if per_sample else (4, 2, 3, 3))
+        bv = rng.standard_normal(4)
 
         def run(x_requires_grad):
             x = T.Tensor(xv, requires_grad=x_requires_grad)
             kern = T.Tensor(kv, requires_grad=True)
+            bias = T.Tensor(bv, requires_grad=True) if with_bias else None
+            params = [kern] if bias is None else [kern, bias]
             tape = T.GradTape()
             with T.recording(tape):
-                out = T.conv2d(x, kern, stride=2, padding=1)
+                out = T.conv2d(x, kern, stride=2, padding=1, bias=bias)
                 _, _, conv_bwd = tape.records[0]
                 contributions = [t for t, _ in conv_bwd(np.ones(out.shape))]
                 grads = T.backward(T.sum_squares(out))
-            return x, kern, grads, contributions
+            return x, params, grads, contributions
 
-        x, kern, grads, contributions = run(False)
-        assert x not in grads and contributions == [kern]
-        x_g, kern_g, grads_g, contributions_g = run(True)
-        assert x_g in grads_g and contributions_g == [x_g, kern_g]
-        assert grads[kern].tobytes() == grads_g[kern_g].tobytes()
+        x, params, grads, contributions = run(False)
+        assert x not in grads and contributions == params
+        x_g, params_g, grads_g, contributions_g = run(True)
+        assert x_g in grads_g and contributions_g == [x_g, *params_g]
+        for p, p_g in zip(params, params_g, strict=True):
+            assert grads[p].tobytes() == grads_g[p_g].tobytes()
 
     def test_shared_kernel_equals_per_sample_kernel_bitwise(self):
         rng = np.random.default_rng(6)
@@ -173,10 +181,101 @@ class TestConv2d:
         np.testing.assert_allclose(combined.data, separate, atol=1e-10)
 
 
+class TestFusedConvLayer:
+    """conv2d with a per-channel bias and a ReLU: one op and one tape record,
+    with the arithmetic of the conv, bias add and ReLU it replaced."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("per_sample", [False, True], ids=["shared", "per-sample"])
+    @pytest.mark.parametrize("relu", [False, True], ids=["no-relu", "relu"])
+    def test_gradients_match_finite_differences(self, relu, per_sample, stride):
+        rng = np.random.default_rng(40 + stride)
+        xv = rng.standard_normal((2, 2, 5, 5))
+        kv = rng.standard_normal((2, 3, 2, 3, 3) if per_sample else (3, 2, 3, 3))
+        bv = rng.standard_normal(3)
+
+        def layer_np(xs, ks, bs, act):
+            pre = np.concatenate([conv2d_reference(xs[b:b + 1], ks[b] if per_sample else ks, stride, 1)[0]
+                                  for b in range(2)]) + bs[None, :, None, None]
+            return np.maximum(pre, 0.0) if act else pre
+
+        pre = layer_np(xv, kv, bv, False)
+        # away from the kink, so no finite-difference step crosses it
+        assert np.abs(pre).min() > 1e-3 and (pre < 0).any() and (pre > 0).any()
+        # a weighted sum: the ReLU mask shows in every gradient
+        wv = rng.standard_normal(pre.shape)
+
+        x = T.Tensor(xv.copy(), requires_grad=True)
+        k = T.Tensor(kv.copy(), requires_grad=True)
+        b = T.Tensor(bv.copy(), requires_grad=True)
+        grads = grad_of(lambda: T.sum_all(T.mul(
+            T.conv2d(x, k, stride=stride, padding=1, bias=b, relu=relu), T.Tensor(wv))), (x, k, b))
+
+        numeric = {
+            x: finite_difference(lambda v: np.sum(wv * layer_np(v, kv, bv, relu)), xv.copy()),
+            k: finite_difference(lambda v: np.sum(wv * layer_np(xv, v, bv, relu)), kv.copy()),
+            b: finite_difference(lambda v: np.sum(wv * layer_np(xv, kv, v, relu)), bv.copy()),
+        }
+        for t, num in numeric.items():
+            assert gradient_mismatch(grads[t], num) < 1e-6
+
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1)])
+    @pytest.mark.parametrize("per_sample", [False, True], ids=["shared", "per-sample"])
+    def test_plain_conv_is_the_pre_fusion_conv_bitwise(self, per_sample, stride, padding):
+        # with neither a bias nor a ReLU, the values and both gradients are
+        # those of the conv before the fusion, bit for bit
+        rng = np.random.default_rng(21)
+        xv = rng.standard_normal((3, 2, 6, 5))
+        kv = rng.standard_normal((3, 4, 2, 3, 3) if per_sample else (4, 2, 3, 3))
+        expected, oracle_bwd = conv2d_plain(xv, kv, stride, padding)
+        x = T.Tensor(xv, requires_grad=True)
+        k = T.Tensor(kv, requires_grad=True)
+        tape = T.GradTape()
+        with T.recording(tape):
+            out = T.conv2d(x, k, stride=stride, padding=padding)
+            grads = T.backward(T.sum_squares(out))
+        gx, gk = oracle_bwd(2.0 * expected)
+        assert out.data.tobytes() == expected.tobytes()
+        assert grads[x].tobytes() == np.ascontiguousarray(gx).tobytes()
+        assert grads[k].tobytes() == gk.tobytes()
+
+    @pytest.mark.parametrize("relu", [False, True], ids=["no-relu", "relu"])
+    @pytest.mark.parametrize("per_sample", [False, True], ids=["shared", "per-sample"])
+    def test_bias_and_relu_are_the_three_op_arithmetic(self, per_sample, relu):
+        # forward: GEMM, + bias, then where(pre > 0, pre, 0); backward: mask,
+        # sum the bias gradient, then the conv backward of the masked gradient
+        rng = np.random.default_rng(22)
+        xv = rng.standard_normal((3, 2, 5, 5))
+        kv = rng.standard_normal((3, 4, 2, 3, 3) if per_sample else (4, 2, 3, 3))
+        bv = rng.standard_normal(4)
+        plain, oracle_bwd = conv2d_plain(xv, kv, 2, 1)
+        pre = plain + bv[None, :, None, None]
+        expected = np.where(pre > 0, pre, 0.0) if relu else pre
+        x, k, b = (T.Tensor(v, requires_grad=True) for v in (xv, kv, bv))
+        gv = rng.standard_normal(expected.shape)
+        tape = T.GradTape()
+        with T.recording(tape):
+            out = T.conv2d(x, k, stride=2, padding=1, bias=b, relu=relu)
+            grads = T.backward(T.sum_all(T.mul(out, T.Tensor(gv))))
+        g = gv * (pre > 0) if relu else gv
+        gx, gk = oracle_bwd(g)
+        assert out.data.tobytes() == expected.tobytes()
+        assert grads[x].tobytes() == np.ascontiguousarray(gx).tobytes()
+        assert grads[k].tobytes() == gk.tobytes()
+        assert grads[b].tobytes() == g.sum(axis=(0, 2, 3)).tobytes()
+
+    def test_bias_shape_checked(self):
+        x = T.Tensor(np.zeros((1, 2, 4, 4)))
+        k = T.Tensor(np.zeros((3, 2, 3, 3)))
+        with pytest.raises(T.ShapeError, match="bias"):
+            T.conv2d(x, k, bias=T.Tensor(np.zeros(2)))
+
+
 class TestElementwise:
     def test_relu_values(self):
-        out = T.relu(T.Tensor([-1.0, 0.0, 2.0]))
-        assert np.array_equal(out.data, [0.0, 0.0, 2.0])
+        # the ReLU is conv2d's: a 1x1 unit kernel passes the values to it
+        out = T.conv2d(T.Tensor([[[[-1.0, 0.0, 2.0]]]]), T.Tensor(np.ones((1, 1, 1, 1))), relu=True)
+        assert np.array_equal(out.data, [[[[0.0, 0.0, 2.0]]]])
 
     def test_scale_zero_gives_zero_tensor(self):
         out = T.scale(T.Tensor([[1.0, -2.0], [3.0, 4.0]]), 0.0)
@@ -187,10 +286,11 @@ class TestElementwise:
             T.add(T.Tensor([1.0, 2.0]), T.Tensor([1.0, 2.0, 3.0]))
 
     def test_relu_gradient_at_fixed_points(self):
-        x = T.Tensor([2.0, -1.0], requires_grad=True)
-        grads = grad_of(lambda: T.sum_all(T.relu(x)), (x,))
-        numeric = finite_difference(lambda v: np.sum(np.maximum(v, 0.0)), np.array([2.0, -1.0]), h=1e-6)
-        assert np.array_equal(grads[x], [1.0, 0.0])
+        x = T.Tensor([[[[2.0, -1.0]]]], requires_grad=True)
+        unit = T.Tensor(np.ones((1, 1, 1, 1)))
+        grads = grad_of(lambda: T.sum_all(T.conv2d(x, unit, relu=True)), (x,))
+        numeric = finite_difference(lambda v: np.sum(np.maximum(v, 0.0)), np.array([[[[2.0, -1.0]]]]), h=1e-6)
+        assert np.array_equal(grads[x], [[[[1.0, 0.0]]]])
         assert gradient_mismatch(grads[x], numeric) < 1e-9
 
     def test_sigmoid_gradient(self):
@@ -447,6 +547,18 @@ class TestNumericSafety:
             with pytest.raises(T.NonFiniteError):
                 T.scale(big, 1e308)
 
+    @pytest.mark.parametrize("with_bias", [False, True], ids=["no-bias", "bias"])
+    @pytest.mark.parametrize("relu", [False, True], ids=["no-relu", "relu"])
+    def test_conv_overflow_raises_before_the_relu(self, relu, with_bias):
+        # the conv overflows to -Inf, which the ReLU would map to 0, so the
+        # pre-activation is checked
+        x = T.Tensor(np.full((1, 2, 1, 1), 1e308))
+        k = T.Tensor(np.full((1, 2, 1, 1), -1e308))
+        bias = T.Tensor([0.5]) if with_bias else None
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(T.NonFiniteError):
+                T.conv2d(x, k, bias=bias, relu=relu)
+
     def test_nan_rejected_at_construction(self):
         with pytest.raises(T.NonFiniteError):
             T.Tensor([np.nan])
@@ -483,6 +595,7 @@ class TestGradientSweep:
         # one composite graph touching every elementwise and structural op,
         # checked against finite differences on 100 random instances
         rng = np.random.default_rng(77)
+        unit = T.Tensor(np.ones((1, 1, 1, 1)))
         worst = 0.0
         for _ in range(100):
             av = rng.standard_normal((2, 6))
@@ -492,7 +605,9 @@ class TestGradientSweep:
 
             def build_loss(a, w):
                 b = T.Tensor(bv)
-                h = T.add(T.mul(T.relu(a), T.sigmoid(b)), T.scale(b, 0.25))
+                # the ReLU is conv2d's, over a 1x1 unit kernel (an exact identity)
+                rect = T.reshape(T.conv2d(T.reshape(a, (2, 1, 1, 6)), unit, relu=True), (2, 6))
+                h = T.add(T.mul(rect, T.sigmoid(b)), T.scale(b, 0.25))
                 probs = T.softmax(h, axis=1)
                 tiled = T.tile_rows(T.take(probs, 1), 2)
                 picked = T.take(T.tile_rows(probs, 3), 2, axis=1)
