@@ -26,6 +26,8 @@ import numpy as np
 from . import backbone as bb
 from . import pipeline as pl
 from . import synthesis as syn
+from .config import (LAYER_KEYS, SPEC_KEYS, ConfigError, _build, _cast, _take, read_spec,
+                     read_synthesis)
 from .training import TrainState, named_parameters
 
 SCHEMA_VERSION = 4
@@ -37,31 +39,13 @@ class CheckpointError(ValueError):
     """Manifest or blob failed validation."""
 
 
-def _layer_to_dict(layer: bb.LayerSpec) -> dict:
-    return {
-        "in": layer.in_channels, "out": layer.out_channels, "k": layer.kernel_size,
-        "stride": layer.stride, "pad": layer.padding, "act": layer.activation,
-    }
-
-
-def _layer_from_dict(d: dict) -> bb.LayerSpec:
-    return bb.LayerSpec(d["in"], d["out"], d["k"], d["stride"], d["pad"], d["act"])
-
-
 def backbone_spec_to_dict(spec: bb.BackboneSpec) -> dict:
     return {
         "input_shape": list(spec.input_shape),
-        "layers": [_layer_to_dict(l) for l in spec.layers],
+        "layers": [{key: getattr(layer, name) for key, name in LAYER_KEYS.items()}
+                   for layer in spec.layers],
         "num_classes": spec.num_classes,
     }
-
-
-def backbone_spec_from_dict(d: dict) -> bb.BackboneSpec:
-    return bb.BackboneSpec(
-        input_shape=tuple(d["input_shape"]),
-        layers=tuple(_layer_from_dict(l) for l in d["layers"]),
-        num_classes=d["num_classes"],
-    )
 
 
 def _structure_dict(state: TrainState) -> dict:
@@ -138,37 +122,32 @@ def load_checkpoint(path):
         state = _restore(manifest, path / BLOB_NAME)
     except KeyError as err:
         raise CheckpointError(f"manifest lacks key {err}") from err
+    except ConfigError as err:
+        raise CheckpointError(f"manifest {err}") from err
     return state, manifest.get("config")
 
 
 def _restore(manifest: dict, blob_path: Path) -> TrainState:
-    structure = manifest["structure"]
-    lm_d = structure["lm"]
-    lm = pl.LightweightModel(
-        trunk=backbone_spec_from_dict(lm_d["trunk"]),
-        n_bases=lm_d["n_bases"],
-        coeff_rows=lm_d["coeff_rows"],
-        downsample=lm_d["downsample"],
-    )
-    bank_d = structure["bank"]
-    bank = syn.build_bank(
-        backbone_spec_from_dict(bank_d["spec"]),
-        bank_d["n_bases"],
-        [k for k, shared in enumerate(bank_d["share_mask"]) if shared],
-        seed=0,
-    )
-    cfg_d = structure["synthesis"]
-    if not isinstance(cfg_d, dict):
-        raise CheckpointError(f"manifest synthesis section is {type(cfg_d).__name__}, not an object")
-    known = {f.name for f in dataclasses.fields(syn.SynthesisConfig)}
-    for key in cfg_d:
-        if key not in known:
-            raise CheckpointError(f"manifest synthesis section has unknown key {key!r}")
-    synth_cfg = syn.SynthesisConfig(**cfg_d)
-    lm_params = pl.build_lm(lm, seed=0)
-
-    state = TrainState(lm=lm, lm_params=lm_params, bank=bank, synth_cfg=synth_cfg,
-                       step=manifest["step"])
+    """Build the recorded structure, read under the config's rules, and fill
+    it from the blob."""
+    structure = _take(manifest["structure"], "structure",
+                      {"lm": dict, "bank": dict, "synthesis": dict})
+    lm_d = _take(structure["lm"], "structure.lm",
+                 {"trunk": dict, "n_bases": int, "coeff_rows": int, "downsample": int})
+    trunk = read_spec(**_take(lm_d.pop("trunk"), "structure.lm.trunk", SPEC_KEYS),
+                      where="structure.lm.trunk")
+    bank_d = _take(structure["bank"], "structure.bank",
+                   {"spec": dict, "n_bases": int, "share_mask": list})
+    spec = read_spec(**_take(bank_d["spec"], "structure.bank.spec", SPEC_KEYS),
+                     where="structure.bank.spec")
+    shared = [k for k, flag in enumerate(bank_d["share_mask"])
+              if _cast(flag, bool, "structure.bank.share_mask")]
+    bank = _build(syn.build_bank, "structure.bank", spec=spec, n_bases=bank_d["n_bases"],
+                  shared_layers=shared, seed=0)
+    lm = _build(pl.LightweightModel, "structure.lm", trunk=trunk, **lm_d)
+    state = TrainState(lm=lm, lm_params=pl.build_lm(lm, seed=0), bank=bank,
+                       synth_cfg=read_synthesis(structure["synthesis"], "structure.synthesis"),
+                       step=_cast(manifest["step"], int, "step"))
     recorded, expected = manifest["tensors"], tensor_index(state)
     if recorded != expected:
         pairs = zip_longest(recorded if isinstance(recorded, list) else [recorded], expected)

@@ -2,12 +2,17 @@
 
 Every section is validated with an explicit allowed-key set; an unknown key
 is an error, not a warning, so a typo in an experiment definition cannot
-quietly fall back to a default.
+quietly fall back to a default. An optional key that is absent is not passed
+on, so each default lives only on the dataclass that takes the value.
+
+This is the one reader of the project's JSON: the checkpoint manifest's
+``structure`` and ``step`` go through the same helpers under the same rules.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,21 +29,28 @@ class ConfigError(ValueError):
     """The experiment config failed validation."""
 
 
+# JSON key -> LayerSpec field; the checkpoint manifest writes layers with it too.
+LAYER_KEYS = {"in": "in_channels", "out": "out_channels", "k": "kernel_size",
+              "stride": "stride", "pad": "padding", "act": "activation"}
+SPEC_KEYS = {"input_shape": list, "layers": list, "num_classes": int}
+
+
 def _cast(value, caster, name: str):
     """Cast one value, turning a mismatch into a ConfigError that names the key.
     Each key takes only its own JSON kind: an int key a whole number, a float
     key a number, a bool key true or false, a str key a string, a list key an
     array and a dict key an object."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    fits = {
-        int: number and (isinstance(value, int) or value.is_integer()),
-        float: number,
-        bool: isinstance(value, bool),
-        str: isinstance(value, str),
-        list: isinstance(value, list),
-        dict: isinstance(value, dict),
-    }[caster]
+    if caster is bool or isinstance(value, bool):
+        fits = type(value) is caster
+    elif caster is int:
+        fits = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    elif caster is float:
+        fits = isinstance(value, (int, float))
+    else:
+        fits = isinstance(value, caster)
     if not fits:
+        if caster is dict:
+            raise ConfigError(f"{name} is {type(value).__name__}, not an object")
         wanted = "true or false" if caster is bool else caster.__name__
         raise ConfigError(f"{name}: expected {wanted}, got {json.dumps(value)}")
     return caster(value)
@@ -46,16 +58,17 @@ def _cast(value, caster, name: str):
 
 def _take(section: dict, where: str, required: dict, optional: dict | None = None) -> dict:
     """Pull typed keys out of a dict, rejecting unknown ones. An optional key
-    set to null counts as absent."""
+    that is absent or null is left out, so the dataclass it goes to supplies
+    its default."""
     if not isinstance(section, dict):
-        raise ConfigError(f"{where}: expected an object, got {type(section).__name__}")
+        _cast(section, dict, where)  # raises, naming ``where``
     optional = optional or {}
-    unknown = set(section) - set(required) - set(optional)
+    unknown = section.keys() - required.keys() - optional.keys()
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = set(required) - set(section)
+        raise ConfigError(f"{where}: unknown key {min(unknown)!r}")
+    missing = required.keys() - section.keys()
     if missing:
-        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+        raise ConfigError(f"{where}: missing key {min(missing)!r}")
     out = {}
     for key, caster in required.items():
         out[key] = _cast(section[key], caster, f"{where}.{key}")
@@ -65,13 +78,35 @@ def _take(section: dict, where: str, required: dict, optional: dict | None = Non
     return out
 
 
+def _build(cls, where: str, **kw):
+    """``cls(**kw)``, its ValueError a ConfigError under ``where``. The class
+    checks its values first; a NaN or infinite float it lets through is
+    refused after it, naming the key."""
+    try:
+        built = cls(**kw)
+    except ValueError as err:
+        raise ConfigError(f"{where}: {err}") from err
+    for key, value in kw.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{where}: {key} must be finite, got {value}")
+    return built
+
+
 def _shape(raw: list, where: str) -> tuple[int, ...]:
     if len(raw) != 3:
         raise ConfigError(f"{where}: expected [C, H, W], got {json.dumps(raw)}")
     return tuple(_cast(v, int, where) for v in raw)
 
 
-def _layers(raw, where: str) -> tuple[bb.LayerSpec, ...]:
+def _threshold(value, name: str) -> float:
+    threshold = _cast(value, float, name)
+    if not 0 <= threshold < math.inf:  # also rejects NaN
+        raise ConfigError(f"{name}: expected a finite number >= 0, got {json.dumps(value)}")
+    return threshold
+
+
+def read_layers(raw, where: str) -> tuple[bb.LayerSpec, ...]:
+    """A non-empty list of layer objects, keyed as in ``LAYER_KEYS``."""
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{where}: layers must be a non-empty list")
     layers = []
@@ -79,13 +114,23 @@ def _layers(raw, where: str) -> tuple[bb.LayerSpec, ...]:
         d = _take(entry, f"{where}[{i}]",
                   {"in": int, "out": int, "k": int},
                   {"stride": int, "pad": int, "act": str})
-        try:
-            layers.append(bb.LayerSpec(
-                d["in"], d["out"], d["k"],
-                d.get("stride", 1), d.get("pad", 0), d.get("act", "relu")))
-        except ValueError as err:
-            raise ConfigError(f"{where}[{i}]: {err}") from err
+        layers.append(_build(bb.LayerSpec, f"{where}[{i}]",
+                             **{LAYER_KEYS[key]: value for key, value in d.items()}))
     return tuple(layers)
+
+
+def read_spec(input_shape: list, layers: list, num_classes: int, where: str) -> bb.BackboneSpec:
+    """A backbone from the values of a section's ``SPEC_KEYS``."""
+    return _build(bb.BackboneSpec, where,
+                  input_shape=_shape(input_shape, f"{where}.input_shape"),
+                  layers=read_layers(layers, f"{where}.layers"),
+                  num_classes=num_classes)
+
+
+def read_synthesis(raw, where: str) -> syn.SynthesisConfig:
+    return _build(syn.SynthesisConfig, where, **_take(raw, where, {}, {
+        "activation": str, "mode": str, "bmd_renormalize": bool, "stabilizer_order": str,
+    }))
 
 
 @dataclass
@@ -105,8 +150,8 @@ class ExperimentConfig:
     eval_thresholds: list[float]
     default_threshold: float
     disturbance_seeds: int
-    distill_policy: str = "both"
-    distill_soft_weight: float = 1.0
+    distill_policy: str
+    distill_soft_weight: float
 
 
 def _dataset_section(raw: dict) -> dict:
@@ -116,11 +161,7 @@ def _dataset_section(raw: dict) -> dict:
             "num_classes": int, "clusters_per_class": int, "image_size": int,
             "noise": float, "train_size": int, "eval_size": int, "seed": int,
         })
-        spec_kw = {k: v for k, v in d.items() if k != "kind"}
-        try:
-            d["spec"] = SyntheticSpec(**spec_kw)
-        except ValueError as err:
-            raise ConfigError(f"dataset: {err}") from err
+        d["spec"] = _build(SyntheticSpec, "dataset", **{k: v for k, v in d.items() if k != "kind"})
         return d
     if kind in ("mnist", "cifar10"):
         d = _take(raw, "dataset", {"kind": str, "path": str})
@@ -142,20 +183,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     dataset = _dataset_section(top["dataset"])
 
-    bank_d = _take(top["bank"], "bank", {
-        "n_bases": int, "layers": list, "input_shape": list, "num_classes": int,
-    }, {"shared": list})
-    try:
-        bank_spec = bb.BackboneSpec(
-            input_shape=_shape(bank_d["input_shape"], "bank.input_shape"),
-            layers=_layers(bank_d["layers"], "bank.layers"),
-            num_classes=bank_d["num_classes"],
-        )
-    except ValueError as err:
-        raise ConfigError(f"bank: {err}") from err
+    bank_d = _take(top["bank"], "bank", {**SPEC_KEYS, "n_bases": int}, {"shared": list})
+    bank_spec = read_spec(bank_d["input_shape"], bank_d["layers"], bank_d["num_classes"], "bank")
 
     shared_layers: list[int] = []
-    for rng in bank_d.get("shared") or []:
+    for rng in bank_d.get("shared", []):
         if not isinstance(rng, list) or len(rng) != 2:
             raise ConfigError("bank.shared must be a list of [lo, hi] ranges")
         lo, hi = (_cast(v, int, "bank.shared") for v in rng)
@@ -165,31 +197,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
         shared_layers.extend(range(lo, hi + 1))
     shared_layers = sorted(set(shared_layers))
 
-    synth_d = _take(top["synthesis"], "synthesis", {}, {
-        "activation": str, "mode": str, "bmd_renormalize": bool, "stabilizer_order": str,
-    })
-    try:
-        synth_cfg = syn.SynthesisConfig(**synth_d)
-    except ValueError as err:
-        raise ConfigError(f"synthesis: {err}") from err
+    synth_cfg = read_synthesis(top["synthesis"], "synthesis")
 
     lm_d = _take(top["lightweight"], "lightweight", {
         "layers": list, "input_shape": list,
     }, {"downsample": int})
-    downsample = lm_d.get("downsample", 1)
-    try:
-        trunk = bb.BackboneSpec(
-            input_shape=_shape(lm_d["input_shape"], "lightweight.input_shape"),
-            layers=_layers(lm_d["layers"], "lightweight.layers"),
-            num_classes=bank_spec.num_classes,
-        )
-        coeff_rows = 1 if synth_cfg.mode == "per_model" else (
-            bank_spec.num_layers - len(shared_layers))
-        lm = pl.LightweightModel(
-            trunk=trunk, n_bases=bank_d["n_bases"],
-            coeff_rows=coeff_rows, downsample=downsample)
-    except (ValueError, KeyError) as err:
-        raise ConfigError(f"lightweight: {err}") from err
+    trunk = read_spec(lm_d.pop("input_shape"), lm_d.pop("layers"), bank_spec.num_classes,
+                      "lightweight")
+    coeff_rows = 1 if synth_cfg.mode == "per_model" else (
+        bank_spec.num_layers - len(shared_layers))
+    lm = _build(pl.LightweightModel, "lightweight", trunk=trunk, n_bases=bank_d["n_bases"],
+                coeff_rows=coeff_rows, **lm_d)
 
     sched_d = _take(top["schedule"], "schedule", {
         "total_steps": int, "batch_size": int,
@@ -199,49 +217,25 @@ def parse_config(raw: dict) -> ExperimentConfig:
         "clip_norm": float, "bmd_per_sample": bool, "flip": bool, "crop_pad": int,
         "eval_interval": int, "finetune_steps": int,
     })
-    lr_d = _take(sched_d.get("learning_rate") or {"base": 0.1}, "schedule.learning_rate",
-                 {"base": float}, {"decay_factor": float, "decay_interval": int})
-    try:
-        schedule = tr.TrainSchedule(
-            total_steps=sched_d["total_steps"],
-            finetune_steps=sched_d.get("finetune_steps", 0),
-            epsilon_hold_steps=sched_d.get("epsilon_hold_steps", 0),
-            epsilon_decay_steps=sched_d.get("epsilon_decay_steps", 0),
-            lr_base=lr_d["base"],
-            lr_decay_factor=lr_d.get("decay_factor", 1.0),
-            lr_decay_interval=lr_d.get("decay_interval", 100),
-            bmd_rate=sched_d.get("bmd_rate", 0.0),
-            batch_size=sched_d["batch_size"],
-            seed=top["seed"],
-            optimizer=sched_d.get("optimizer", "sgd"),
-            clip_norm=sched_d.get("clip_norm"),
-            bmd_per_sample=sched_d.get("bmd_per_sample", False),
-            flip=sched_d.get("flip", False),
-            crop_pad=sched_d.get("crop_pad", 0),
-            eval_interval=sched_d.get("eval_interval", 100),
-        )
-    except ValueError as err:
-        raise ConfigError(f"schedule: {err}") from err
+    if "learning_rate" in sched_d:
+        lr_d = _take(sched_d.pop("learning_rate"), "schedule.learning_rate",
+                     {"base": float}, {"decay_factor": float, "decay_interval": int})
+        sched_d.update({f"lr_{key}": value for key, value in lr_d.items()})
+    schedule = _build(tr.TrainSchedule, "schedule", seed=top["seed"], **sched_d)
 
     loss_d = _take(top["loss"], "loss", {}, {
         "lm_weight": float, "l2_weight": float, "distill": dict,
     })
-    teacher_checkpoint = None
-    policy, soft_weight = "both", 1.0
     distill_d = loss_d.pop("distill", None)
+    teacher_checkpoint = None
     if distill_d is not None:
-        dd = _take(distill_d, "loss.distill", {"teacher_checkpoint": str},
-                   {"policy": str, "soft_weight": float})
-        teacher_checkpoint = Path(dd["teacher_checkpoint"])
-        policy = dd.get("policy", "both")
-        soft_weight = dd.get("soft_weight", 1.0)
-    try:
-        loss = tr.LossConfig(
-            lm_weight=loss_d.get("lm_weight", 1.0),
-            l2_weight=loss_d.get("l2_weight", 0.0),
-        )
-    except ValueError as err:
-        raise ConfigError(f"loss: {err}") from err
+        distill_d = _take(distill_d, "loss.distill", {"teacher_checkpoint": str},
+                          {"policy": str, "soft_weight": float})
+        teacher_checkpoint = Path(distill_d.pop("teacher_checkpoint"))
+    # the teacher is loaded at build time; this checks the options and fills in defaults
+    distill = _build(tr.DistillConfig, "loss.distill", teacher_spec=None, teacher_params=None,
+                     **(distill_d or {}))
+    loss = _build(tr.LossConfig, "loss", **loss_d)
 
     eval_d = _take(top["eval"], "eval", {}, {
         "thresholds": list, "default_threshold": float, "disturbance_seeds": int,
@@ -263,12 +257,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
         schedule=schedule,
         loss=loss,
         teacher_checkpoint=teacher_checkpoint,
-        eval_thresholds=[_cast(t, float, "eval.thresholds")
+        eval_thresholds=[_threshold(t, "eval.thresholds")
                          for t in eval_d.get("thresholds", [0.0, 0.5, 0.7, 0.9, 1.01])],
-        default_threshold=eval_d.get("default_threshold", 0.7),
+        default_threshold=_threshold(eval_d.get("default_threshold", 0.7),
+                                     "eval.default_threshold"),
         disturbance_seeds=disturbance_seeds,
-        distill_policy=policy,
-        distill_soft_weight=soft_weight,
+        distill_policy=distill.policy,
+        distill_soft_weight=distill.soft_weight,
     )
 
 

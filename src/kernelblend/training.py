@@ -114,9 +114,9 @@ class TrainSchedule:
 
 @dataclass(slots=True)
 class TrainState:
-    # Building a state packs its tensors into its own vector: a second state
-    # over the same tensors (dataclasses.replace too) takes them over from the
-    # first. copy.deepcopy builds through the constructor, so it packs its own.
+    # Building a state packs its tensors into its own vector, so a second state
+    # over tensors already packed (dataclasses.replace too) is refused: it would
+    # take them over from the first. copy.deepcopy copies the tensors first.
     lm: pl.LightweightModel
     lm_params: pl.LMParams
     bank: syn.BasisBank
@@ -126,7 +126,12 @@ class TrainState:
     vector: T.Tensor = field(init=False)  # every parameter; each one views into it
 
     def __post_init__(self):
-        params = [p for _, p in named_parameters(self)]
+        named = named_parameters(self)
+        for name, p in named:
+            if p.data.base is not None:  # a packed tensor views into its state's vector
+                raise ValueError(f"parameter {name} is already a view into another "
+                                 "state's vector; copy a state with copy.deepcopy")
+        params = [p for _, p in named]
         self.vector = T.Tensor(np.concatenate([p.data.reshape(-1) for p in params]))
         offset = 0
         for p in params:  # same values, now held in the vector

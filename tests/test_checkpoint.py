@@ -268,6 +268,46 @@ class TestValidation:
             CK.load_checkpoint(tmp_path / "ckpt")
         assert "\n" not in str(exc.value)
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda m: m["structure"]["bank"]["spec"]["layers"][0].update(k="3"),
+         'structure.bank.spec.layers[0].k: expected int, got "3"'),
+        (lambda m: m.update(structure=[]), "structure is list, not an object"),
+        (lambda m: m["structure"]["lm"]["trunk"].update(layers=5),
+         "structure.lm.trunk.layers: expected list, got 5"),
+        (lambda m: m["structure"]["bank"].update(n_bases="4"),
+         'structure.bank.n_bases: expected int, got "4"'),
+        (lambda m: m["structure"]["bank"].update(share_mask=3),
+         "structure.bank.share_mask: expected list, got 3"),
+        (lambda m: m["structure"]["bank"]["spec"]["layers"][1].update(dilation=2),
+         "structure.bank.spec.layers[1]: unknown key 'dilation'"),
+        (lambda m: m.update(step="20"), 'step: expected int, got "20"'),
+    ], ids=["layer_k_string", "structure_list", "layers_int", "n_bases_string",
+            "share_mask_int", "unknown_layer_key", "step_string"])
+    def test_malformed_structure_names_its_key(self, trained, tmp_path, edit, message):
+        # the manifest's structure and step are read under the config's rules
+        state, _, _ = trained
+        CK.save_checkpoint(state, tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / CK.MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        edit(manifest)
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CK.CheckpointError) as exc:
+            CK.load_checkpoint(tmp_path / "ckpt")
+        assert str(exc.value) == f"manifest {message}"
+
+    def test_whole_number_float_loads_as_int(self, trained, tmp_path):
+        # under the config's rules 2.0 is the whole number 2
+        state, _, _ = trained
+        CK.save_checkpoint(state, tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / CK.MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["structure"]["lm"]["downsample"] == 2
+        manifest["structure"]["lm"]["downsample"] = 2.0
+        manifest_path.write_text(json.dumps(manifest))
+        loaded, _ = CK.load_checkpoint(tmp_path / "ckpt")
+        assert type(loaded.lm.downsample) is int and loaded.lm == state.lm
+        assert loaded.vector.data.tobytes() == state.vector.data.tobytes()
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(CK.CheckpointError, match="manifest"):
             CK.load_checkpoint(tmp_path / "nothing")

@@ -110,6 +110,20 @@ class TestTrain:
             "error: schedule: fine-tuning needs joint training first (total_steps > 0)\n")
         assert not (workdir / "runs").exists()
 
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("eval", "default_threshold", -0.5,
+         "eval.default_threshold: expected a finite number >= 0, got -0.5"),
+        ("dataset", "noise", float("nan"), "dataset: noise must be finite, got nan"),
+    ], ids=["negative_threshold", "nan_noise"])
+    def test_bad_value_fails_before_training(self, workdir, capsys, section, key, value, message):
+        raw = base_config()
+        raw[section][key] = value
+        path = workdir / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (workdir / "runs").exists()
+
     def test_unknown_flag_rejected(self, config_path):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--config", str(config_path), "--fast"])
@@ -138,6 +152,15 @@ class TestEval:
         assert main(["eval", "--ckpt", str(trained_ckpt)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and name in err
+
+    def test_malformed_manifest_exits_one_with_one_line(self, trained_ckpt, capsys):
+        path = trained_ckpt / CK.MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        manifest["structure"]["bank"]["spec"]["layers"][0]["k"] = "3"
+        path.write_text(json.dumps(manifest))
+        assert main(["eval", "--ckpt", str(trained_ckpt)]) == 1
+        assert capsys.readouterr().err == (
+            'error: manifest structure.bank.spec.layers[0].k: expected int, got "3"\n')
 
     @pytest.mark.parametrize("mode", ["per_layer", "per_model"])
     def test_finetuned_checkpoint_evaluates_as_trained(self, workdir, capsys, mode):

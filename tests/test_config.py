@@ -180,6 +180,10 @@ class TestParsing:
         (("bank", "input_shape"), "111", "bank.input_shape"),
         (("synthesis", "mode"), 1, "synthesis.mode"),
         (("output_dir",), ["runs"], "config.output_dir"),
+        (("eval", "default_threshold"), -0.5, "eval.default_threshold"),
+        (("eval", "default_threshold"), float("nan"), "eval.default_threshold"),
+        (("eval", "thresholds"), [0.0, -0.1], "eval.thresholds"),
+        (("eval", "thresholds"), [float("inf")], "eval.thresholds"),
     ])
     def test_bad_value_names_its_key(self, path, value, named):
         raw = base_config()
@@ -189,6 +193,25 @@ class TestParsing:
         target[path[-1]] = value
         with pytest.raises(ConfigError, match=rf"^(bank: )?{re.escape(named)}: expected"):
             parse_config(raw)
+
+    @pytest.mark.parametrize("path,value,message", [
+        (("dataset", "noise"), float("nan"), "dataset: noise must be finite, got nan"),
+        (("schedule", "learning_rate", "base"), float("inf"),
+         "schedule: lr_base must be finite, got inf"),
+        (("loss", "l2_weight"), float("inf"), "loss: l2_weight must be finite, got inf"),
+    ], ids=["noise_nan", "lr_base_infinity", "l2_weight_infinity"])
+    def test_non_finite_float_names_its_key(self, tmp_path, path, value, message):
+        # Python's json reads NaN and Infinity; the section's own range check
+        # lets these through, so the reader refuses them
+        raw = base_config()
+        target = raw
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+            load_config(config)
 
     def test_optional_null_counts_as_absent(self):
         raw = base_config()

@@ -1,6 +1,7 @@
 """Training core: schedules, losses, dropout masks, routing, fine-tuning."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -336,6 +337,15 @@ class TestTrainStep:
         for name, p in TR.named_parameters(state):  # the original is untouched
             assert np.array_equal(p.data, before[name])
         assert np.array_equal(state.opt_state, acc) and state.step == twin.step - 1
+
+    def test_replace_refuses_a_packed_state(self):
+        # a second state over the same tensors would take them over from the first
+        state = toy_state(n_bases=2, seed=8)
+        with pytest.raises(ValueError, match=r"^parameter lm\.trunk\.L0\.kernel is already a "
+                                             r"view into another state's vector"):
+            dataclasses.replace(state)
+        for _, p in TR.named_parameters(state):
+            assert np.shares_memory(p.data, state.vector.data)
 
     def test_gradient_clipping_bounds_update_norm(self):
         state = toy_state(n_bases=2, seed=9)
