@@ -134,8 +134,8 @@ def forward_features(params: BackboneParams, spec: BackboneSpec, x: T.Tensor,
     layer runs, so tests can check execution order against coefficient
     availability.
     """
-    if x.data.ndim != 4 or x.shape[1] != spec.input_shape[0]:
-        raise T.ShapeError(f"input {x.shape} does not match spec channels {spec.input_shape[0]}")
+    if x.data.ndim != 4 or x.shape[1:] != spec.input_shape:
+        raise T.ShapeError(f"input {x.shape} does not match spec input shape {spec.input_shape}")
     out = x
     for k, (layer, lp) in enumerate(zip(spec.layers, params.layers)):
         if trace is not None:

@@ -1,21 +1,28 @@
-"""Checkpoint persistence: a JSON manifest plus one binary blob.
+"""Persistence: the one writer of every output file, and checkpoints.
 
-The manifest records the schema version, the structural model description,
-the training step, an index of named tensors (shape, byte offset, byte
-length) and the blob's SHA-256. The blob is the parameter vector as
-little-endian float64, then the RMSProp accumulator when there is one, so a
-round trip is bitwise exact and the one hash covers the optimizer state too.
+``write_atomically`` writes a temporary file that ``os.replace`` moves into
+place, so a failed or killed write leaves the previous file as it was.
+``write_csv`` writes through it; ``csv`` gives each float its shortest
+round-trip form.
 
-A save writes the blob, then the manifest, each to a temporary file that
-``os.replace`` moves into place. A crash therefore leaves either the old pair
-or a manifest whose hash does not match the blob, and a load refuses the
-latter.
+A checkpoint is a JSON manifest plus one binary blob. The manifest records
+the schema version, the structural model description, the training step, an
+index of named tensors (shape, byte offset, byte length) and the blob's
+SHA-256. The blob is the parameter vector as little-endian float64, then the
+RMSProp accumulator when there is one, so a round trip is bitwise exact and
+the one hash covers the optimizer state too.
+
+A save writes the blob, then the manifest, each atomically. A crash
+therefore leaves either the old pair or a manifest whose hash does not match
+the blob, and a load refuses the latter.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 from itertools import accumulate, zip_longest
@@ -65,10 +72,25 @@ def _structure_dict(state: TrainState) -> dict:
     }
 
 
-def _replace_atomically(target: Path, data: bytes) -> None:
-    tmp = target.with_name(target.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, target)
+def write_atomically(path, data: bytes) -> None:
+    """Write ``data`` to ``path``, making its directory; on failure the
+    previous file stays in place and no temporary file is left."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows as one CSV file through ``write_atomically``."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    write_atomically(path, buf.getvalue().encode())
 
 
 def tensor_index(state: TrainState) -> list[dict]:
@@ -82,8 +104,6 @@ def tensor_index(state: TrainState) -> list[dict]:
 def save_checkpoint(state: TrainState, path, config: dict | None = None) -> None:
     """Write manifest.json and tensors.bin under ``path`` (a directory)."""
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-
     blob = state.vector.data.astype("<f8").tobytes()
     if state.opt_state is not None:
         blob += state.opt_state.astype("<f8").tobytes()
@@ -96,8 +116,8 @@ def save_checkpoint(state: TrainState, path, config: dict | None = None) -> None
         "tensors": tensor_index(state),
         "blob_sha256": hashlib.sha256(blob).hexdigest(),
     }
-    _replace_atomically(path / BLOB_NAME, blob)
-    _replace_atomically(path / MANIFEST_NAME, json.dumps(manifest, indent=1).encode())
+    write_atomically(path / BLOB_NAME, blob)
+    write_atomically(path / MANIFEST_NAME, json.dumps(manifest, indent=1).encode())
 
 
 def load_checkpoint(path):

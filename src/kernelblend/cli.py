@@ -9,7 +9,6 @@ success; any failure prints a one-line reason to stderr and returns 1
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -20,18 +19,21 @@ from . import checkpoint as ck
 from . import cost as co
 from . import disturbance as di
 from . import experiment as ex
+from . import synthesis as syn
 from .config import ConfigError, load_config, parse_config
 from .data import DatasetError
 from .training import TrainingDiverged
 
 
 def _load_from_checkpoint(path):
+    """The checkpoint's state, the config it was trained from, and its eval set."""
     state, raw_config = ck.load_checkpoint(path)
     if raw_config is None:
         raise ck.CheckpointError(
             f"checkpoint {path} carries no experiment config; re-save it through `train`")
     cfg = parse_config(raw_config)
-    return state, cfg
+    _, evalset = ex.load_dataset(cfg)
+    return state, cfg, evalset
 
 
 def cmd_train(args) -> int:
@@ -49,8 +51,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    state, cfg = _load_from_checkpoint(args.ckpt)
-    _, evalset = ex.load_dataset(cfg)
+    state, cfg, evalset = _load_from_checkpoint(args.ckpt)
     threshold = args.threshold if args.threshold is not None else cfg.default_threshold
     point, lm_point, full_point = co.sweep(
         state.lm, state.lm_params, state.bank, state.synth_cfg, evalset, [threshold, 0.0, 1.01])
@@ -61,31 +62,24 @@ def cmd_eval(args) -> int:
         "accuracy_lm": lm_point.accuracy,
         "accuracy_full": full_point.accuracy,
     }
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.output_dir / "eval.json"
-    out.write_text(json.dumps(result, indent=1))
+    ck.write_atomically(out, json.dumps(result, indent=1).encode())
     print(f"threshold {threshold}: accuracy {point.accuracy:.4f}, "
           f"skip rate {point.skip_rate:.4f} -> {out}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    state, cfg = _load_from_checkpoint(args.ckpt)
-    _, evalset = ex.load_dataset(cfg)
+    state, cfg, evalset = _load_from_checkpoint(args.ckpt)
     thresholds = cfg.eval_thresholds if args.thresholds is None else [
         float(t) for t in args.thresholds.split(",") if t != ""]
     if not thresholds:
         raise ValueError("no thresholds given")
     points = co.sweep(state.lm, state.lm_params, state.bank, state.synth_cfg,
                       evalset, thresholds)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.output_dir / "sweep.csv"
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "skip_rate", "avg_madds", "accuracy"])
-        for p in points:
-            writer.writerow([repr(p.threshold), repr(p.skip_rate),
-                             repr(p.avg_madds), repr(p.accuracy)])
+    ck.write_csv(out, ["threshold", "skip_rate", "avg_madds", "accuracy"],
+                 [[p.threshold, p.skip_rate, p.avg_madds, p.accuracy] for p in points])
     for p in points:
         print(f"threshold {p.threshold:g}: skip {p.skip_rate:.3f}, "
               f"avg madds {p.avg_madds:.1f}, accuracy {p.accuracy:.4f}")
@@ -94,8 +88,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_disturb(args) -> int:
-    state, cfg = _load_from_checkpoint(args.ckpt)
-    _, evalset = ex.load_dataset(cfg)
+    state, cfg, evalset = _load_from_checkpoint(args.ckpt)
     model = (state.lm, state.lm_params, state.bank, state.synth_cfg)
     seeds = args.seeds if args.seeds is not None else cfg.disturbance_seeds
     if seeds < 1:
@@ -121,13 +114,8 @@ def cmd_disturb(args) -> int:
         label = args.kind if layer is None else f"{args.kind}@L{layer}"
         rows.append((label, float(np.mean(accs)), float(np.mean(accs)) - reference))
 
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.output_dir / "disturbance.csv"
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind_or_layer", "accuracy", "delta_vs_correct"])
-        for name, acc, delta in rows:
-            writer.writerow([name, repr(acc), repr(delta)])
+    ck.write_csv(out, ["kind_or_layer", "accuracy", "delta_vs_correct"], rows)
     for name, acc, delta in rows:
         print(f"{name}: accuracy {acc:.4f} ({delta:+.4f})")
     print(f"-> {out}")
@@ -136,19 +124,16 @@ def cmd_disturb(args) -> int:
 
 def cmd_cost(args) -> int:
     cfg = load_config(args.config)
-    state, _ = ex.build_state(cfg)
-    report = co.full_cost(state.lm, state.bank)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    out = cfg.output_dir / "cost.json"
+    bank = syn.build_bank(cfg.bank_spec, cfg.n_bases, cfg.shared_layers, cfg.seed)
+    report = co.full_cost(cfg.lm, bank)
     text = json.dumps(dataclasses.asdict(report), indent=1)
-    out.write_text(text)
+    ck.write_atomically(cfg.output_dir / "cost.json", text.encode())
     print(text)
     return 0
 
 
 def cmd_export_coeffs(args) -> int:
-    state, cfg = _load_from_checkpoint(args.ckpt)
-    _, evalset = ex.load_dataset(cfg)
+    state, cfg, evalset = _load_from_checkpoint(args.ckpt)
     count = ex.export_coefficients(state, evalset, args.out)
     print(f"wrote {count} coefficient rows for {len(evalset)} images -> {args.out}")
     return 0

@@ -9,9 +9,6 @@ metrics.csv.
 
 from __future__ import annotations
 
-import csv
-from pathlib import Path
-
 import numpy as np
 
 from . import checkpoint as ck
@@ -87,15 +84,10 @@ def skip_rate(state: tr.TrainState, dataset: Dataset, threshold: float) -> float
     return int(np.count_nonzero(record.confidence >= threshold)) / len(dataset)
 
 
-def _fmt(value) -> str:
-    return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
-
-
 def run_train(cfg: ExperimentConfig, log=None) -> dict:
     """Train per config; writes metrics.csv and checkpoint/ under output_dir."""
     train, evalset = load_dataset(cfg)
     state, loss_cfg = build_state(cfg)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
 
@@ -126,11 +118,7 @@ def run_train(cfg: ExperimentConfig, log=None) -> dict:
             record(metrics)
 
     metrics_path = cfg.output_dir / "metrics.csv"
-    with open(metrics_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in METRICS_COLUMNS])
+    ck.write_csv(metrics_path, METRICS_COLUMNS, [[row[c] for c in METRICS_COLUMNS] for row in rows])
 
     ckpt_path = cfg.output_dir / "checkpoint"
     ck.save_checkpoint(state, ckpt_path, config=cfg.raw)
@@ -150,19 +138,14 @@ def run_train(cfg: ExperimentConfig, log=None) -> dict:
 
 def export_coefficients(state: tr.TrainState, dataset: Dataset, out_path) -> int:
     """Write one CSV row per (image, non-shared layer, basis); returns rows written."""
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     bank = state.bank
     record = pl.infer_batch(state.lm, state.lm_params, bank, state.synth_cfg,
                             dataset.images, 1.01)
     # one row per coefficient cell, in (image, layer, basis) order
     image, row, basis = np.indices(record.coefficients.shape).reshape(3, -1)
     image = record.pending[image]
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["image_id", "label", "layer", "basis", "coefficient"])
-        writer.writerows(zip(
-            image.tolist(), dataset.labels[image].tolist(),
-            np.asarray(bank.nonshared_indices())[row].tolist(), basis.tolist(),
-            map(repr, record.coefficients.ravel().tolist())))
+    ck.write_csv(out_path, ["image_id", "label", "layer", "basis", "coefficient"], zip(
+        image.tolist(), dataset.labels[image].tolist(),
+        np.asarray(bank.nonshared_indices())[row].tolist(), basis.tolist(),
+        record.coefficients.ravel().tolist()))
     return len(image)

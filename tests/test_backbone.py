@@ -139,6 +139,13 @@ class TestForward:
         with pytest.raises(T.ShapeError):
             B.forward(params, spec, T.Tensor(np.zeros((1, 2, 8, 8))))
 
+    def test_spatial_size_mismatch_names_both_shapes(self):
+        # the channel count matches; only the image size differs from the spec
+        spec = B.BackboneSpec((1, 12, 12), (B.LayerSpec(1, 4, 3, stride=2, padding=1),), 3)
+        params = B.build(spec, 0)
+        with pytest.raises(T.ShapeError, match=r"\(2, 1, 16, 16\).*\(1, 12, 12\)"):
+            B.forward(params, spec, T.Tensor(np.zeros((2, 1, 16, 16))))
+
 
 class TestCounting:
     def test_known_conv_layer_madds(self):

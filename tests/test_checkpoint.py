@@ -311,3 +311,19 @@ class TestValidation:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(CK.CheckpointError, match="manifest"):
             CK.load_checkpoint(tmp_path / "nothing")
+
+
+class TestWriters:
+    def test_write_csv_writes_every_digit(self, tmp_path):
+        # a numpy float and a Python float of the same value give the same text,
+        # each in its shortest round-trip form
+        CK.write_csv(tmp_path / "a.csv", ["x", "y"], [[np.float64(0.1) + np.float64(0.2), 1e-5]])
+        CK.write_csv(tmp_path / "b.csv", ["x", "y"], [[0.1 + 0.2, np.float64(1e-5)]])
+        expected = b"x,y\r\n0.30000000000000004,1e-05\r\n"
+        assert (tmp_path / "a.csv").read_bytes() == expected
+        assert (tmp_path / "b.csv").read_bytes() == expected
+
+    def test_write_atomically_makes_the_directory(self, tmp_path):
+        CK.write_atomically(tmp_path / "new" / "dir" / "out.bin", b"data")
+        assert (tmp_path / "new" / "dir" / "out.bin").read_bytes() == b"data"
+        assert [f.name for f in (tmp_path / "new" / "dir").iterdir()] == ["out.bin"]

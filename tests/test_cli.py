@@ -129,6 +129,18 @@ class TestTrain:
             main(["train", "--config", str(config_path), "--fast"])
         assert exc.value.code == 2
 
+    def test_image_size_mismatch_fails_before_writing(self, workdir, capsys):
+        # the lightweight model matches the 16x16 images; the bank still expects 12x12
+        raw = base_config()
+        raw["dataset"]["image_size"] = 16
+        raw["lightweight"]["input_shape"] = [1, 8, 8]
+        path = workdir / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: input (4, 1, 16, 16) does not match spec input shape (1, 12, 12)\n")
+        assert not (workdir / "runs").exists()
+
 
 class TestEval:
     def test_eval_writes_json(self, workdir, trained_ckpt, capsys):
@@ -305,6 +317,18 @@ class TestCost:
         assert printed["synthesis_madds"] % 16 == 0
         assert printed["params_per_basis"] > 0
 
+    def test_cost_needs_no_teacher_checkpoint(self, workdir, config_path, capsys):
+        raw = base_config()
+        raw["output_dir"] = str(workdir / "runs" / "distill")
+        raw["loss"]["distill"] = {"teacher_checkpoint": str(workdir / "no-teacher")}
+        path = workdir / "distill.json"
+        path.write_text(json.dumps(raw))
+        assert main(["cost", "--config", str(path)]) == 0
+        assert main(["cost", "--config", str(config_path)]) == 0
+        assert not (workdir / "no-teacher").exists()
+        assert ((workdir / "runs" / "distill" / "cost.json").read_bytes()
+                == (workdir / "runs" / "demo" / "cost.json").read_bytes())
+
 
 class TestExportCoeffs:
     def test_row_count_is_images_times_rows_times_bases(self, workdir, trained_ckpt, capsys):
@@ -324,6 +348,34 @@ class TestExportCoeffs:
                 key = (row["image_id"], row["layer"])
                 sums[key] = sums.get(key, 0.0) + float(row["coefficient"])
         assert all(abs(s - 1.0) < 1e-9 for s in sums.values())
+
+
+class TestAtomicOutputs:
+    @pytest.mark.parametrize("argv,output", [
+        (["train", "--config", "config.json"], "runs/demo/metrics.csv"),
+        (["eval", "--ckpt", "runs/demo/checkpoint"], "runs/demo/eval.json"),
+        (["sweep", "--ckpt", "runs/demo/checkpoint"], "runs/demo/sweep.csv"),
+        (["disturb", "--ckpt", "runs/demo/checkpoint", "--kind", "shuffled", "--seeds", "1"],
+         "runs/demo/disturbance.csv"),
+        (["cost", "--config", "config.json"], "runs/demo/cost.json"),
+        (["export-coeffs", "--ckpt", "runs/demo/checkpoint", "--out", "out/coeffs.csv"],
+         "out/coeffs.csv"),
+    ], ids=["train", "eval", "sweep", "disturb", "cost", "export-coeffs"])
+    def test_failed_write_leaves_previous_output(self, workdir, trained_ckpt, capsys,
+                                                 monkeypatch, argv, output):
+        sentinel = workdir / output
+        sentinel.parent.mkdir(parents=True, exist_ok=True)
+        sentinel.write_bytes(b"previous output\n")
+
+        def killed(src, dst):
+            raise OSError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(CK.os, "replace", killed)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sentinel.read_bytes() == b"previous output\n"
+        assert not list(workdir.rglob("*.tmp"))
 
 
 class TestCheckpointConfigCoupling:
