@@ -11,6 +11,7 @@ kernel-times-input multiply, biases and pooling uncounted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -170,5 +171,6 @@ def madds_per_layer(spec: BackboneSpec) -> list[int]:
     return counts
 
 
+@cache
 def count_madds(spec: BackboneSpec) -> int:
     return sum(madds_per_layer(spec))

@@ -12,13 +12,18 @@ coefficients only exist after layer k-1 has run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
 from . import backbone as bb
 from . import synthesis as syn
 from . import tensor as T
+
+
+# numpy sums a reduction of 8 or more terms pairwise, in another order than
+# ``downsample_input``'s slice adds
+MAX_DOWNSAMPLE = 7
 
 
 @dataclass(frozen=True)
@@ -34,8 +39,9 @@ class LightweightModel:
     def __post_init__(self):
         if self.n_bases < 1 or self.coeff_rows < 1:
             raise ValueError("n_bases and coeff_rows must be positive")
-        if self.downsample < 1:
-            raise ValueError(f"downsample factor must be >= 1, got {self.downsample}")
+        if not 1 <= self.downsample <= MAX_DOWNSAMPLE:
+            raise ValueError(
+                f"downsample factor must be in [1, {MAX_DOWNSAMPLE}], got {self.downsample}")
 
     @property
     def coeff_width(self) -> int:
@@ -118,13 +124,25 @@ def build_lm(lm: LightweightModel, seed: int) -> LMParams:
 
 
 def downsample_input(x: np.ndarray, factor: int) -> np.ndarray:
-    """Average-pool HxW by an integer factor (the lightweight preview input)."""
+    """Average-pool HxW by an integer factor (the lightweight preview input).
+
+    Sums the strided slices ``x[..., i::f, j::f]`` along each row of a block,
+    then the row sums, and divides by ``f*f``: the additions numpy's
+    ``reshape(...).mean(axis=(3, 5))`` makes for ``f <= MAX_DOWNSAMPLE``,
+    so the result is that mean bit for bit, without its strided reduction.
+    """
     if factor == 1:
         return x
     b, c, h, w = x.shape
     if h % factor or w % factor:
         raise T.ShapeError(f"spatial size {h}x{w} not divisible by downsample factor {factor}")
-    return x.reshape(b, c, h // factor, factor, w // factor, factor).mean(axis=(3, 5))
+    total = None
+    for i in range(factor):
+        row = x[:, :, i::factor, 0::factor]
+        for j in range(1, factor):
+            row = row + x[:, :, i::factor, j::factor]
+        total = row if total is None else total + row
+    return total / (factor * factor)
 
 
 def lm_forward(lm: LightweightModel, params: LMParams, x: T.Tensor) -> tuple[T.Tensor, T.Tensor]:
@@ -143,6 +161,7 @@ def lm_forward(lm: LightweightModel, params: LMParams, x: T.Tensor) -> tuple[T.T
     return initial, raw
 
 
+@cache
 def lm_madds(lm: LightweightModel) -> int:
     """Analytic multiplies for one image: trunk once, both heads counted.
 

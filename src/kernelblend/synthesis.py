@@ -19,6 +19,7 @@ edited matrix, such as a disturbed one, synthesizes like any other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -242,6 +243,12 @@ def kernel_param_count(layer) -> int:
 
 def synthesis_madds(bank: BasisBank) -> int:
     """Multiplies to blend a full specialist: one per basis kernel parameter."""
-    return bank.n_bases * sum(
-        kernel_param_count(bank.spec.layers[k]) for k in bank.nonshared_indices()
+    return _blend_madds(bank.spec, bank.n_bases, bank.share_mask)
+
+
+@cache
+def _blend_madds(spec: BackboneSpec, n_bases: int, share_mask: tuple[bool, ...]) -> int:
+    # priced from the bank's frozen structure, not its mutable kernels
+    return n_bases * sum(
+        kernel_param_count(layer) for layer, shared in zip(spec.layers, share_mask) if not shared
     )

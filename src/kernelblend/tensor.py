@@ -12,6 +12,7 @@ Float64 is used throughout so finite-difference gradient checks are decisive.
 from __future__ import annotations
 
 import contextlib
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -344,6 +345,20 @@ def blend(coeffs: Tensor, tensors: Sequence[Tensor]) -> Tensor:
 # network ops
 
 
+@functools.lru_cache(maxsize=64)
+def _window_index(c: int, hp: int, wp: int, kh: int, kw: int, stride: int,
+                  out_h: int, out_w: int) -> np.ndarray:
+    """Read-only int64 offsets into one sample's flattened (C, hp, wp) padded
+    input, one per im2col entry in (C, kh, kw, oH, oW) order: entry
+    [ci, ki, kj, i, j] is the element that kernel tap (ki, kj) of channel ci
+    meets at output (i, j). The batch is not part of the key, so every batch
+    size shares one index."""
+    ci, ki, kj, i, j = np.indices((c, kh, kw, out_h, out_w))
+    idx = (ci * (hp * wp) + (ki + i * stride) * wp + (kj + j * stride)).reshape(-1)
+    idx.flags.writeable = False
+    return idx
+
+
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
            bias: Tensor | None = None, relu: bool = False) -> Tensor:
     """2-D cross-correlation of an NCHW input with an OIKK kernel, then an
@@ -384,24 +399,18 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
         xp[:, :, padding:padding + h, padding:padding + w] = x.data
     else:
         xp = x.data
-    # im2col: copy the windows out of the strided view into one contiguous
-    # (B, C, kh, kw, oH, oW) array, which reshapes for free to the GEMM
-    # operand (B, C*kh*kw, oH*oW); this order copies faster than
-    # (B, oH, oW, C, kh, kw) at small channel counts. Each contraction is a
-    # stacked matmul with B as its loop axis: one GEMM call per sample, of the
-    # same shape at any batch size, so a sample reduces in the same order
-    # alone or in a batch (the batch-equals-serial and bit-determinism
-    # contracts). Folded into a GEMM dimension, B could change BLAS's blocking.
-    # xp is C-contiguous (a Tensor's data or the fresh padded buffer), so the
-    # window view is built from its strides directly; np.ndarray checks them
-    # against the buffer's extent.
-    out_h = (xp.shape[2] - kh) // stride + 1
-    out_w = (xp.shape[3] - kw) // stride + 1
-    sb, sc, sh, sw = xp.strides
-    view = np.ndarray((batch, in_c, kh, kw, out_h, out_w), xp.dtype, xp, 0,
-                      (sb, sc, sh, sw, sh * stride, sw * stride))
-    windows = np.ascontiguousarray(view)
-    cols = windows.reshape(batch, in_c * kh * kw, out_h * out_w)
+    # im2col: gather the windows through a cached flat index into one
+    # contiguous (B, C, kh, kw, oH, oW) array, which reshapes for free to the
+    # GEMM operand (B, C*kh*kw, oH*oW). Each contraction is a stacked matmul
+    # with B as its loop axis: one GEMM call per sample, of the same shape at
+    # any batch size, so a sample reduces in the same order alone or in a
+    # batch (the batch-equals-serial and bit-determinism contracts). Folded
+    # into a GEMM dimension, B could change BLAS's blocking.
+    ph, pw = xp.shape[2], xp.shape[3]
+    out_h = (ph - kh) // stride + 1
+    out_w = (pw - kw) // stride + 1
+    idx = _window_index(in_c, ph, pw, kh, kw, stride, out_h, out_w)
+    cols = np.take(xp.reshape(batch, -1), idx, axis=1).reshape(batch, in_c * kh * kw, out_h * out_w)
     kmat = kernel.data.reshape(*kernel.shape[:-3], in_c * kh * kw)
     out = np.matmul(kmat, cols).reshape(batch, out_c, out_h, out_w)
     if bias is not None:
@@ -412,7 +421,6 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
     if relu:
         mask = out > 0
         out = np.where(mask, out, 0.0)
-    ph, pw = xp.shape[2], xp.shape[3]
 
     def bwd(g):
         if relu:
@@ -424,11 +432,14 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
         gk = (gk if per_sample else gk.sum(axis=0)).reshape(kernel.shape)
         if not x.requires_grad:  # e.g. the image at layer 0: backward would drop it
             return ((kernel, gk), *gb)
-        gcols = np.matmul(np.swapaxes(kmat, -1, -2), g3).reshape(windows.shape)
-        gxp = np.zeros((batch, in_c, ph, pw))
-        for ki in range(kh):
-            for kj in range(kw):
-                gxp[:, :, ki:ki + stride * out_h:stride, kj:kj + stride * out_w:stride] += gcols[:, :, ki, kj]
+        gcols = np.matmul(np.swapaxes(kmat, -1, -2), g3)  # (B, C*kh*kw, oH*oW)
+        # col2im: bincount adds each padded position's window contributions
+        # to 0.0 in index order, which is ascending (ki, kj); a position no
+        # window covers gets an exact zero
+        plane = in_c * ph * pw
+        flat = (np.arange(batch)[:, None] * plane + idx).reshape(-1)
+        gxp = np.bincount(flat, weights=gcols.reshape(-1),
+                          minlength=batch * plane).reshape(batch, in_c, ph, pw)
         if padding > 0:
             gx = gxp[:, :, padding:ph - padding, padding:pw - padding]
         else:

@@ -45,10 +45,11 @@ def conv2d_plain(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int):
     """The im2col conv as it stood before the bias and ReLU moved into it.
 
     Returns (output, backward) where backward(g) gives (grad_x, grad_kernel).
-    The windows come from ``sliding_window_view``, not from hand-built
-    strides, but the GEMMs are the same calls on the same operands (one per
+    The windows come from ``sliding_window_view``, not from a gathered flat
+    index, and the input gradient from a loop over the kernel taps, not from
+    a bincount, but the GEMMs are the same calls on the same operands (one per
     sample, a shared kernel's products summed in batch order) and the input
-    gradient scatters in the same (ki, kj) order, so a plain ``conv2d`` must
+    gradient adds in the same (ki, kj) order, so a plain ``conv2d`` must
     equal it bit for bit.
     """
     batch, in_c = x.shape[:2]

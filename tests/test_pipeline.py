@@ -62,6 +62,29 @@ class TestLightweightModel:
         down = P.downsample_input(x, 2)
         assert down[0, 0, 0, 0] == (0 + 1 + 4 + 5) / 4
 
+    @pytest.mark.parametrize("batch", [1, 256])
+    @pytest.mark.parametrize("factor", range(1, P.MAX_DOWNSAMPLE + 1))
+    def test_downsample_is_the_reshape_mean_bitwise(self, factor, batch):
+        rng = np.random.default_rng(factor)
+        shape = (batch, 3, 2 * factor, 3 * factor)
+        # values over several orders of magnitude, so a change of summation
+        # order shows in the last bits
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, size=shape)
+        expected = x.reshape(batch, 3, 2, factor, 3, factor).mean(axis=(3, 5))
+        assert P.downsample_input(x, factor).tobytes() == expected.tobytes()
+
+    def test_downsample_rejects_a_size_the_factor_does_not_divide(self):
+        with pytest.raises(T.ShapeError, match="not divisible"):
+            P.downsample_input(np.zeros((2, 1, 9, 8)), 2)
+        with pytest.raises(T.ShapeError, match="not divisible"):
+            P.downsample_input(np.zeros((1, 1, 9, 10)), 3)
+
+    def test_factor_above_the_bitwise_bound_rejected(self):
+        bank = S.build_bank(bank_spec(), n_bases=2, shared_layers=[], seed=0)
+        assert lm_for(bank, downsample=P.MAX_DOWNSAMPLE).downsample == P.MAX_DOWNSAMPLE
+        with pytest.raises(ValueError, match="downsample"):
+            lm_for(bank, downsample=P.MAX_DOWNSAMPLE + 1)
+
     def test_transformed_input_must_match_trunk(self, setup):
         lm, params, _, _, _ = setup
         with pytest.raises(T.ShapeError, match="trunk"):

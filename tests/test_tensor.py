@@ -271,6 +271,86 @@ class TestFusedConvLayer:
             T.conv2d(x, k, bias=T.Tensor(np.zeros(2)))
 
 
+def fused_conv_oracle(xv, kv, bv, stride, padding, relu, gv):
+    """``conv2d_plain`` followed by the bias add and ReLU, forward and backward:
+    (output, grad_x, grad_kernel, grad_bias) for the output gradient ``gv``."""
+    plain, oracle_bwd = conv2d_plain(xv, kv, stride, padding)
+    pre = plain if bv is None else plain + bv[None, :, None, None]
+    out = np.where(pre > 0, pre, 0.0) if relu else pre
+    g = gv * (pre > 0) if relu else gv
+    gx, gk = oracle_bwd(g)
+    return out, np.ascontiguousarray(gx), gk, None if bv is None else g.sum(axis=(0, 2, 3))
+
+
+class TestConvWindowGather:
+    """conv2d gathers its im2col windows through a cached flat index and
+    scatters the input gradient with one bincount; values and gradients are
+    the strided-copy and (ki, kj)-loop conv's bit for bit."""
+
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_random_sweep_is_the_plain_conv_bitwise(self, k, stride, padding):
+        rng = np.random.default_rng(100 * k + 10 * stride + padding)
+        for per_sample in (False, True):
+            for with_bias, relu in ((False, False), (True, False), (False, True), (True, True)):
+                for batch in (1, 3):
+                    # one odd and one even side, neither smaller than the kernel once padded
+                    h, w = (int(v) for v in max(1, k - 2 * padding) + rng.permutation(2)
+                            + 2 * rng.integers(0, 3, size=2))
+                    c, o = (int(v) for v in rng.integers(1, 4, size=2))
+                    xv = rng.standard_normal((batch, c, h, w))
+                    kv = rng.standard_normal((batch, o, c, k, k) if per_sample else (o, c, k, k))
+                    bv = rng.standard_normal(o) if with_bias else None
+                    x, kt = T.Tensor(xv, requires_grad=True), T.Tensor(kv, requires_grad=True)
+                    bt = None if bv is None else T.Tensor(bv, requires_grad=True)
+                    tape = T.GradTape()
+                    with T.recording(tape):
+                        out = T.conv2d(x, kt, stride=stride, padding=padding, bias=bt, relu=relu)
+                        gv = rng.standard_normal(out.shape)
+                        grads = T.backward(T.sum_all(T.mul(out, T.Tensor(gv))))
+                    expected, gx, gk, gb = fused_conv_oracle(xv, kv, bv, stride, padding, relu, gv)
+                    assert out.data.tobytes() == expected.tobytes()
+                    assert grads[x].tobytes() == gx.tobytes()
+                    assert grads[kt].tobytes() == gk.tobytes()
+                    if bt is not None:
+                        assert grads[bt].tobytes() == gb.tobytes()
+
+    @pytest.mark.parametrize("k,padding", [(3, 0), (1, 1)])
+    def test_positions_no_window_covers_get_exact_zero(self, k, padding):
+        # stride 2 over an even padded size: the last padded row and column
+        # (and with k=1 every odd one) lie in no window
+        rng = np.random.default_rng(7)
+        xv = rng.standard_normal((2, 2, 6 - 2 * padding, 6 - 2 * padding))
+        kv = rng.standard_normal((3, 2, k, k))
+        x = T.Tensor(xv, requires_grad=True)
+        grads = grad_of(lambda: T.sum_squares(T.conv2d(x, T.Tensor(kv), stride=2, padding=padding)), (x,))
+        expected, oracle_bwd = conv2d_plain(xv, kv, 2, padding)
+        gx = grads[x]
+        assert gx.tobytes() == np.ascontiguousarray(oracle_bwd(2.0 * expected)[0]).tobytes()
+        covered = np.zeros(6, dtype=bool)
+        for start in range(0, 6 - k + 1, 2):
+            covered[start:start + k] = True
+        uncovered = ~covered[padding:6 - padding]
+        assert uncovered.any()
+        zeros = np.concatenate([gx[:, :, uncovered, :].ravel(), gx[:, :, :, uncovered].ravel()])
+        assert zeros.tobytes() == np.zeros(zeros.size).tobytes()  # +0.0, not -0.0
+
+    def test_index_is_read_only_and_shared_across_batch_sizes(self):
+        # an 11x13 map at padding 2 and stride 2: a shape no other test uses
+        kern = T.Tensor(np.ones((2, 3, 3, 3)))
+        infos = [T._window_index.cache_info()]
+        for batch in (2, 5):
+            T.conv2d(T.Tensor(np.ones((batch, 3, 11, 13))), kern, stride=2, padding=2)
+            infos.append(T._window_index.cache_info())
+        assert infos[1].misses == infos[0].misses + 1
+        assert (infos[2].misses, infos[2].hits) == (infos[1].misses, infos[1].hits + 1)
+        idx = T._window_index(3, 15, 17, 3, 3, 2, 7, 8)
+        assert not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0] = 1
+
+
 class TestElementwise:
     def test_relu_values(self):
         # the ReLU is conv2d's: a 1x1 unit kernel passes the values to it
