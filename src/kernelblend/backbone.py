@@ -39,6 +39,11 @@ class LayerSpec:
         if self.activation not in ("relu", "none"):
             raise ValueError(f"unknown activation {self.activation!r}")
 
+    @property
+    def kernel_params(self) -> int:
+        """Weights in the layer's kernel, also its MAdds per output position."""
+        return self.out_channels * self.in_channels * self.kernel_size ** 2
+
 
 @dataclass(frozen=True)
 class BackboneSpec:
@@ -98,27 +103,34 @@ class BackboneParams:
     head_b: T.Tensor | None = None
 
 
-def init_kernel(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
+def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> T.Tensor:
     # uniform with std = 1/sqrt(fan_in)
     bound = np.sqrt(3.0) / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+    return T.Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+
+
+def zero_bias(n: int) -> T.Tensor:
+    """A trainable zero bias of length ``n``."""
+    return T.Tensor(np.zeros(n), requires_grad=True)
+
+
+def init_kernel(rng: np.random.Generator, layer: LayerSpec) -> T.Tensor:
+    """A fan-in-scaled uniform (O, I, K, K) kernel for ``layer``."""
+    k = layer.kernel_size
+    return _uniform(rng, (layer.out_channels, layer.in_channels, k, k), layer.in_channels * k * k)
+
+
+def init_linear(rng: np.random.Generator, fan_in: int, width: int) -> tuple[T.Tensor, T.Tensor]:
+    """A fan-in-scaled uniform (fan_in, width) weight and a zero bias."""
+    return _uniform(rng, (fan_in, width), fan_in), zero_bias(width)
 
 
 def build(spec: BackboneSpec, seed: int) -> BackboneParams:
     """Initialize parameters: fan-in-scaled uniform kernels, zero biases."""
     rng = np.random.default_rng(seed)
-    params = BackboneParams()
-    for layer in spec.layers:
-        shape = (layer.out_channels, layer.in_channels, layer.kernel_size, layer.kernel_size)
-        fan_in = layer.in_channels * layer.kernel_size ** 2
-        params.layers.append(LayerParams(
-            kernel=T.Tensor(init_kernel(rng, shape, fan_in), requires_grad=True),
-            bias=T.Tensor(np.zeros(layer.out_channels), requires_grad=True),
-        ))
-    feat = spec.feature_channels
-    params.head_w = T.Tensor(init_kernel(rng, (feat, spec.num_classes), feat), requires_grad=True)
-    params.head_b = T.Tensor(np.zeros(spec.num_classes), requires_grad=True)
-    return params
+    layers = [LayerParams(init_kernel(rng, layer), zero_bias(layer.out_channels))
+              for layer in spec.layers]
+    return BackboneParams(layers, *init_linear(rng, spec.feature_channels, spec.num_classes))
 
 
 def run_layer(x: T.Tensor, layer: LayerSpec, lp: LayerParams) -> T.Tensor:
@@ -153,22 +165,15 @@ def forward(params: BackboneParams, spec: BackboneSpec, x: T.Tensor,
 
 
 def count_params(spec: BackboneSpec) -> int:
-    total = 0
-    for layer in spec.layers:
-        total += layer.out_channels * layer.in_channels * layer.kernel_size ** 2
-        total += layer.out_channels  # bias
-    total += spec.feature_channels * spec.num_classes + spec.num_classes
-    return total
+    head = spec.feature_channels * spec.num_classes + spec.num_classes
+    return sum(layer.kernel_params + layer.out_channels for layer in spec.layers) + head
 
 
 def madds_per_layer(spec: BackboneSpec) -> list[int]:
     """Multiplies per conv layer for one image; the classifier is appended last."""
     sizes = spec.spatial_sizes()
-    counts = []
-    for layer, (h, w) in zip(spec.layers, sizes):
-        counts.append(h * w * layer.out_channels * layer.in_channels * layer.kernel_size ** 2)
-    counts.append(spec.feature_channels * spec.num_classes)
-    return counts
+    counts = [h * w * layer.kernel_params for layer, (h, w) in zip(spec.layers, sizes)]
+    return counts + [spec.feature_channels * spec.num_classes]
 
 
 @cache

@@ -13,8 +13,6 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from . import checkpoint as ck
 from . import cost as co
 from . import disturbance as di
@@ -104,15 +102,9 @@ def cmd_disturb(args) -> int:
                          row["accuracy_mean"] - reference))
     else:
         layer = int(args.layer) if args.layer is not None else None
-        mean_table = di.mean_coefficients(*model, evalset) if args.kind == "mean" else None
-        accs = [
-            di.evaluate_disturbed(*model, evalset,
-                                  di.Disturbance(args.kind, layer=layer, seed=s),
-                                  mean_table=mean_table)
-            for s in range(seeds)
-        ]
+        [(accuracy, _)] = di.seed_average(*model, evalset, args.kind, [layer], seeds)
         label = args.kind if layer is None else f"{args.kind}@L{layer}"
-        rows.append((label, float(np.mean(accs)), float(np.mean(accs)) - reference))
+        rows.append((label, accuracy, accuracy - reference))
 
     out = cfg.output_dir / "disturbance.csv"
     ck.write_csv(out, ["kind_or_layer", "accuracy", "delta_vs_correct"], rows)

@@ -52,28 +52,13 @@ def lm_param_count(lm: pl.LightweightModel) -> int:
     return trunk + coeff_head
 
 
-def bank_param_counts(bank: syn.BasisBank) -> tuple[int, int]:
-    """(shared, per_basis): shared covers shared kernels, biases, and head."""
-    shared = 0
-    per_basis = 0
-    for k, layer in enumerate(bank.spec.layers):
-        kcount = syn.kernel_param_count(layer)
-        if bank.share_mask[k]:
-            shared += kcount
-        else:
-            per_basis += kcount
-        shared += layer.out_channels  # bias
-    feat = bank.spec.feature_channels
-    shared += feat * bank.spec.num_classes + bank.spec.num_classes
-    return shared, per_basis
-
-
 def full_cost(lm: pl.LightweightModel | None, bank: syn.BasisBank) -> CostReport:
     """Itemized per-image cost; ``lm=None`` prices the bare second stage."""
     lm_madds = pl.lm_madds(lm) if lm is not None else 0
     stage2 = bb.count_madds(bank.spec)
     synth = syn.synthesis_madds(bank)
-    shared, per_basis = bank_param_counts(bank)
+    per_basis = syn.basis_param_count(bank.spec, bank.share_mask)
+    shared = bb.count_params(bank.spec) - per_basis  # shared kernels, biases and head
     params_lm = lm_param_count(lm) if lm is not None else 0
     return CostReport(
         lm_madds=lm_madds,

@@ -10,11 +10,13 @@ to separate.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class DatasetError(ValueError):
@@ -58,6 +60,9 @@ class SyntheticSpec:
             raise ValueError("image_size must be >= 8")
         if self.noise < 0:
             raise ValueError("noise must be >= 0")
+        for name in ("train_size", "eval_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def _blob(size: int, cy: float, cx: float, sigma: float, amp: float) -> np.ndarray:
@@ -129,36 +134,33 @@ def _open_maybe_gz(path: Path):
     return open(path, "rb")
 
 
-def read_idx_images(path) -> np.ndarray:
+def _read_idx(path, magic: int) -> np.ndarray:
+    """The uint8 payload of an IDX file, shaped by its header. The magic's
+    low byte is the dimension count; the file must end where the header
+    says the payload does."""
     path = Path(path)
     with _open_maybe_gz(path) as fh:
         raw = fh.read()
-    if len(raw) < 16:
+    header = 4 + 4 * (magic & 0xFF)
+    if len(raw) < header:
         raise DatasetError(f"{path}: truncated IDX header, {len(raw)} bytes at offset 0")
-    magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
-    if magic != 2051:
-        raise DatasetError(f"{path}: bad magic {magic:#010x} at offset 0, expected 0x00000803")
-    expected = 16 + count * rows * cols
+    found, *shape = struct.unpack(f">{header // 4}I", raw[:header])
+    if found != magic:
+        raise DatasetError(f"{path}: bad magic {found:#010x} at offset 0, expected {magic:#010x}")
+    expected = header + math.prod(shape)
     if len(raw) != expected:
         raise DatasetError(f"{path}: expected {expected} bytes, file ends at offset {len(raw)}")
-    pixels = np.frombuffer(raw, dtype=np.uint8, offset=16)
-    return pixels.reshape(count, rows, cols).astype(np.float64) / 255.0
+    return np.frombuffer(raw, dtype=np.uint8, offset=header).reshape(shape)
+
+
+def read_idx_images(path) -> np.ndarray:
+    return _read_idx(path, 2051).astype(np.float64) / 255.0
 
 
 def read_idx_labels(path) -> np.ndarray:
-    path = Path(path)
-    with _open_maybe_gz(path) as fh:
-        raw = fh.read()
-    if len(raw) < 8:
-        raise DatasetError(f"{path}: truncated IDX header, {len(raw)} bytes at offset 0")
-    magic, count = struct.unpack(">II", raw[:8])
-    if magic != 2049:
-        raise DatasetError(f"{path}: bad magic {magic:#010x} at offset 0, expected 0x00000801")
-    if len(raw) != 8 + count:
-        raise DatasetError(f"{path}: expected {8 + count} bytes, file ends at offset {len(raw)}")
-    labels = np.frombuffer(raw, dtype=np.uint8, offset=8).astype(np.int64)
+    labels = _read_idx(path, 2049).astype(np.int64)
     if labels.size and labels.max() > 9:
-        raise DatasetError(f"{path}: label {labels.max()} out of range [0, 9]")
+        raise DatasetError(f"{Path(path)}: label {labels.max()} out of range [0, 9]")
     return labels
 
 
@@ -237,12 +239,9 @@ def augment_batch(images: np.ndarray, rng: np.random.Generator,
     if crop_pad > 0:
         b, c, h, w = out.shape
         padded = np.pad(out, ((0, 0), (0, 0), (crop_pad, crop_pad), (crop_pad, crop_pad)))
-        offsets = rng.integers(0, 2 * crop_pad + 1, size=(b, 2))
-        cropped = np.empty_like(out)
-        for i in range(b):
-            oy, ox = offsets[i]
-            cropped[i] = padded[i, :, oy:oy + h, ox:ox + w]
-        out = cropped
+        oy, ox = rng.integers(0, 2 * crop_pad + 1, size=(b, 2)).T
+        # sample i's (h, w) window at (oy[i], ox[i]), gathered in one index
+        out = sliding_window_view(padded, (h, w), axis=(2, 3))[np.arange(b), :, oy, ox]
     if flip:
         mask = rng.random(len(out)) < 0.5
         out = out.copy()

@@ -100,22 +100,30 @@ def evaluate_disturbed(lm: pl.LightweightModel, params: pl.LMParams,
     return record.accuracy(dataset.labels)
 
 
-def layer_sweep(lm: pl.LightweightModel, params: pl.LMParams, bank: syn.BasisBank,
-                cfg: syn.SynthesisConfig, dataset: Dataset,
-                kind: str = "shuffled", seeds: int = 5) -> list[dict]:
-    """Disturb one layer at a time; report mean and std accuracy over seeds."""
+def seed_average(lm: pl.LightweightModel, params: pl.LMParams, bank: syn.BasisBank,
+                 cfg: syn.SynthesisConfig, dataset: Dataset, kind: str,
+                 layers, seeds: int) -> list[tuple[float, float]]:
+    """(mean, std) accuracy over seeds 0..seeds-1 of a ``kind`` disturbance at
+    each of ``layers`` (a bank layer index, or None for every layer). A
+    ``mean`` disturbance computes its table once for all of them."""
     mean_table = mean_coefficients(lm, params, bank, cfg, dataset) if kind == "mean" else None
-    results = []
-    for layer in range(bank.spec.num_layers):
+    stats = []
+    for layer in layers:
         accs = [
             evaluate_disturbed(lm, params, bank, cfg, dataset,
                                Disturbance(kind=kind, layer=layer, seed=s), mean_table)
             for s in range(seeds)
         ]
-        results.append({
-            "layer": layer,
-            "shared": bool(bank.share_mask[layer]),
-            "accuracy_mean": float(np.mean(accs)),
-            "accuracy_std": float(np.std(accs)),
-        })
-    return results
+        stats.append((float(np.mean(accs)), float(np.std(accs))))
+    return stats
+
+
+def layer_sweep(lm: pl.LightweightModel, params: pl.LMParams, bank: syn.BasisBank,
+                cfg: syn.SynthesisConfig, dataset: Dataset,
+                kind: str = "shuffled", seeds: int = 5) -> list[dict]:
+    """Disturb one layer at a time; report mean and std accuracy over seeds."""
+    layers = range(bank.spec.num_layers)
+    stats = seed_average(lm, params, bank, cfg, dataset, kind, layers, seeds)
+    return [{"layer": layer, "shared": bool(bank.share_mask[layer]),
+             "accuracy_mean": mean, "accuracy_std": std}
+            for layer, (mean, std) in zip(layers, stats)]

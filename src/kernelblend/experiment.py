@@ -9,6 +9,8 @@ metrics.csv.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import checkpoint as ck
@@ -46,15 +48,11 @@ def teacher_from_checkpoint(path) -> tr.DistillConfig:
 def build_state(cfg: ExperimentConfig) -> tuple[tr.TrainState, tr.LossConfig]:
     state = tr.init_state(cfg.lm, cfg.bank_spec, cfg.n_bases, cfg.shared_layers,
                           cfg.synth_cfg, seed=cfg.seed)
-    loss = cfg.loss
-    if cfg.teacher_checkpoint is not None:
-        distill = teacher_from_checkpoint(cfg.teacher_checkpoint)
-        distill = tr.DistillConfig(
-            teacher_spec=distill.teacher_spec, teacher_params=distill.teacher_params,
-            policy=cfg.distill_policy, soft_weight=cfg.distill_soft_weight)
-        loss = tr.LossConfig(lm_weight=loss.lm_weight, l2_weight=loss.l2_weight,
-                             distill=distill)
-    return state, loss
+    if cfg.teacher_checkpoint is None:
+        return state, cfg.loss
+    distill = replace(teacher_from_checkpoint(cfg.teacher_checkpoint),
+                      policy=cfg.distill_policy, soft_weight=cfg.distill_soft_weight)
+    return state, replace(cfg.loss, distill=distill)
 
 
 # ---------------------------------------------------------------------------

@@ -117,10 +117,7 @@ class BatchResult:
 def build_lm(lm: LightweightModel, seed: int) -> LMParams:
     rng = np.random.default_rng(seed)
     trunk = bb.build(lm.trunk, seed)
-    feat = lm.trunk.feature_channels
-    coeff_w = T.Tensor(bb.init_kernel(rng, (feat, lm.coeff_width), feat), requires_grad=True)
-    coeff_b = T.Tensor(np.zeros(lm.coeff_width), requires_grad=True)
-    return LMParams(trunk=trunk, coeff_w=coeff_w, coeff_b=coeff_b)
+    return LMParams(trunk, *bb.init_linear(rng, lm.trunk.feature_channels, lm.coeff_width))
 
 
 def downsample_input(x: np.ndarray, factor: int) -> np.ndarray:
@@ -279,14 +276,8 @@ class RouterParams:
 def build_routers(bank: syn.BasisBank, seed: int) -> list[RouterParams]:
     """One pooled-feature router per non-shared layer."""
     rng = np.random.default_rng(seed)
-    routers = []
-    for k in bank.nonshared_indices():
-        in_c = bank.spec.layers[k].in_channels
-        routers.append(RouterParams(
-            w=T.Tensor(bb.init_kernel(rng, (in_c, bank.n_bases), in_c), requires_grad=True),
-            b=T.Tensor(np.zeros(bank.n_bases), requires_grad=True),
-        ))
-    return routers
+    return [RouterParams(*bb.init_linear(rng, bank.spec.layers[k].in_channels, bank.n_bases))
+            for k in bank.nonshared_indices()]
 
 
 def condconv_forward(bank: syn.BasisBank, routers: list[RouterParams], x,

@@ -24,7 +24,7 @@ from functools import cache
 import numpy as np
 
 from . import tensor as T
-from .backbone import BackboneParams, BackboneSpec, LayerParams, init_kernel
+from .backbone import BackboneParams, BackboneSpec, LayerParams, init_kernel, init_linear, zero_bias
 
 MODES = ("per_layer", "per_model", "one_hot")
 ACTIVATIONS = ("softmax", "sigmoid")
@@ -90,25 +90,15 @@ def build_bank(spec: BackboneSpec, n_bases: int, shared_layers, seed: int) -> Ba
         raise ValueError("n_bases must be >= 1")
 
     rng = np.random.default_rng(seed)
-    kernels: list[list[T.Tensor]] = []
-    biases: list[T.Tensor] = []
-    for k, layer in enumerate(spec.layers):
-        shape = (layer.out_channels, layer.in_channels, layer.kernel_size, layer.kernel_size)
-        fan_in = layer.in_channels * layer.kernel_size ** 2
-        copies = 1 if k in shared else n_bases
-        kernels.append([
-            T.Tensor(init_kernel(rng, shape, fan_in), requires_grad=True) for _ in range(copies)
-        ])
-        biases.append(T.Tensor(np.zeros(layer.out_channels), requires_grad=True))
-    feat = spec.feature_channels
-    head_w = T.Tensor(init_kernel(rng, (feat, spec.num_classes), feat), requires_grad=True)
-    head_b = T.Tensor(np.zeros(spec.num_classes), requires_grad=True)
+    kernels = [[init_kernel(rng, layer) for _ in range(1 if k in shared else n_bases)]
+               for k, layer in enumerate(spec.layers)]
+    head_w, head_b = init_linear(rng, spec.feature_channels, spec.num_classes)
     return BasisBank(
         spec=spec,
         n_bases=n_bases,
         share_mask=tuple(k in shared for k in range(spec.num_layers)),
         kernels=kernels,
-        biases=biases,
+        biases=[zero_bias(layer.out_channels) for layer in spec.layers],
         head_w=head_w,
         head_b=head_b,
     )
@@ -237,18 +227,13 @@ def select_params(bank: BasisBank, choices) -> BackboneParams:
 # accounting
 
 
-def kernel_param_count(layer) -> int:
-    return layer.out_channels * layer.in_channels * layer.kernel_size ** 2
-
-
 def synthesis_madds(bank: BasisBank) -> int:
     """Multiplies to blend a full specialist: one per basis kernel parameter."""
-    return _blend_madds(bank.spec, bank.n_bases, bank.share_mask)
+    return bank.n_bases * basis_param_count(bank.spec, bank.share_mask)
 
 
 @cache
-def _blend_madds(spec: BackboneSpec, n_bases: int, share_mask: tuple[bool, ...]) -> int:
+def basis_param_count(spec: BackboneSpec, share_mask: tuple[bool, ...]) -> int:
+    """Kernel parameters one basis holds: its non-shared layers' kernels."""
     # priced from the bank's frozen structure, not its mutable kernels
-    return n_bases * sum(
-        kernel_param_count(layer) for layer, shared in zip(spec.layers, share_mask) if not shared
-    )
+    return sum(layer.kernel_params for layer, shared in zip(spec.layers, share_mask) if not shared)

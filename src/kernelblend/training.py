@@ -104,7 +104,8 @@ class TrainSchedule:
         if self.clip_norm is not None and not self.clip_norm > 0:  # also rejects NaN
             raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
         for name, low in (("batch_size", 1), ("lr_decay_interval", 1), ("crop_pad", 0),
-                          ("epsilon_hold_steps", 0), ("epsilon_decay_steps", 0)):
+                          ("epsilon_hold_steps", 0), ("epsilon_decay_steps", 0),
+                          ("eval_interval", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("lr_base", "lr_decay_factor"):
@@ -245,20 +246,7 @@ def forward_training(state: TrainState, batch_x: np.ndarray, epsilon: float,
 def distill_targets(teacher_spec: bb.BackboneSpec, teacher_params: bb.BackboneParams,
                     batch_x: np.ndarray) -> np.ndarray:
     """Frozen-teacher softmax outputs (temperature 1); rows sum to 1."""
-    logits = bb.forward(teacher_params, teacher_spec, T.Tensor(batch_x)).data
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _head_target(hard: np.ndarray, soft: np.ndarray | None, num_classes: int,
-                 soft_weight: float):
-    """Blend soft teacher rows into the hard one-hot targets for one head."""
-    if soft is None:
-        return hard
-    onehot = np.zeros((len(hard), num_classes))
-    onehot[np.arange(len(hard)), hard] = 1.0
-    return soft_weight * soft + (1.0 - soft_weight) * onehot
+    return T.softmax(bb.forward(teacher_params, teacher_spec, T.Tensor(batch_x)), axis=1).data
 
 
 def total_loss(final_logits: T.Tensor, initial_logits: T.Tensor, target: np.ndarray,
@@ -269,13 +257,12 @@ def total_loss(final_logits: T.Tensor, initial_logits: T.Tensor, target: np.ndar
     With distillation on, the teacher's soft rows replace (or blend into)
     the hard targets for the heads the policy selects.
     """
-    num_classes = final_logits.shape[1]
-    final_target: np.ndarray = target
-    initial_target: np.ndarray = target
+    final_target = initial_target = target
     if cfg.distill is not None and distill_soft is not None:
-        final_target = _head_target(target, distill_soft, num_classes, cfg.distill.soft_weight)
+        w = cfg.distill.soft_weight
+        final_target = w * distill_soft + (1.0 - w) * np.eye(final_logits.shape[1])[target]
         if cfg.distill.policy == "both":
-            initial_target = _head_target(target, distill_soft, num_classes, cfg.distill.soft_weight)
+            initial_target = final_target
 
     synth_loss = T.cross_entropy(final_logits, final_target)
     lm_loss = T.cross_entropy(initial_logits, initial_target)

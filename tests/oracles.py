@@ -189,6 +189,25 @@ def shuffle_reference(values: np.ndarray, rows, rng: np.random.Generator) -> np.
     return v
 
 
+def augment_reference(images: np.ndarray, rng: np.random.Generator,
+                      flip: bool, crop_pad: int) -> np.ndarray:
+    """``augment_batch`` sample by sample: the crop offsets drawn as one
+    (B, 2) array, each window sliced out of its own zero-padded image, then
+    one flip draw per sample."""
+    out = np.array(images, dtype=np.float64)
+    b, _, h, w = out.shape
+    if crop_pad > 0:
+        offsets = rng.integers(0, 2 * crop_pad + 1, size=(b, 2))
+        for i, (oy, ox) in enumerate(offsets):
+            padded = np.pad(out[i], ((0, 0), (crop_pad, crop_pad), (crop_pad, crop_pad)))
+            out[i] = padded[:, oy:oy + h, ox:ox + w]
+    if flip:
+        for i, mirror in enumerate(rng.random(b) < 0.5):
+            if mirror:
+                out[i] = out[i, :, :, ::-1].copy()
+    return out
+
+
 def confidence_reference(logits) -> float:
     """Max softmax probability of one logits vector, by the scalar formula
     the pipeline once applied row by row."""

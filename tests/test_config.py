@@ -137,6 +137,7 @@ class TestParsing:
         (("crop_pad",), -2, "crop_pad must be >= 0, got -2"),
         (("epsilon_hold_steps",), -1, "epsilon_hold_steps must be >= 0, got -1"),
         (("epsilon_decay_steps",), -1, "epsilon_decay_steps must be >= 0, got -1"),
+        (("eval_interval",), -5, "eval_interval must be >= 0, got -5"),
     ])
     def test_bad_schedule_value_rejected(self, path, value, message):
         raw = base_config()
@@ -199,10 +200,14 @@ class TestParsing:
         (("schedule", "learning_rate", "base"), float("inf"),
          "schedule: lr_base must be finite, got inf"),
         (("loss", "l2_weight"), float("inf"), "loss: l2_weight must be finite, got inf"),
-    ], ids=["noise_nan", "lr_base_infinity", "l2_weight_infinity"])
+        (("dataset", "train_size"), -3, "dataset: train_size must be >= 1, got -3"),
+        (("dataset", "eval_size"), 0, "dataset: eval_size must be >= 1, got 0"),
+    ], ids=["noise_nan", "lr_base_infinity", "l2_weight_infinity",
+            "train_size_negative", "eval_size_zero"])
     def test_non_finite_float_names_its_key(self, tmp_path, path, value, message):
         # Python's json reads NaN and Infinity; the section's own range check
-        # lets these through, so the reader refuses them
+        # lets these through, so the reader refuses them. A value the range
+        # check refuses is named the same way, before numpy sees it.
         raw = base_config()
         target = raw
         for key in path[:-1]:

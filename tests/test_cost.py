@@ -1,5 +1,6 @@
 """Cost model: mixture arithmetic, itemized reports, counter agreement, sweeps."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from kernelblend import cost as C
 from kernelblend import experiment as EX
 from kernelblend import pipeline as P
 from kernelblend import synthesis as S
-from kernelblend.config import load_config
+from kernelblend.config import load_config, parse_config
 
 from oracles import conv2d_reference, linear_reference, sweep_reference, synthesis_reference
 from toys import toy_dataset, toy_state
@@ -60,6 +61,15 @@ class TestFullCost:
         per_basis = reports[1].params_per_basis
         assert reports[3].params_total - reports[1].params_total == 2 * per_basis
         assert reports[5].params_total - reports[1].params_total == 4 * per_basis
+
+    @pytest.mark.parametrize("shared,total", [([], 1979), ([[0, 0]], 1846), ([[0, 1]], 1551)],
+                             ids=["none_shared", "L0_shared", "L0_L1_shared"])
+    def test_params_total_equals_packed_vector(self, shared, total):
+        # the state's parameter vector holds every stored parameter exactly once
+        raw = json.loads(DEMO_CONFIG.read_text())
+        raw["bank"]["shared"] = shared
+        state, _ = EX.build_state(parse_config(raw))
+        assert C.full_cost(state.lm, state.bank).params_total == state.vector.size == total
 
     def test_total_matches_instrumented_end_to_end_oracle(self):
         state = toy_state(n_bases=3, seed=1)

@@ -11,8 +11,9 @@ from kernelblend import pipeline as P
 from kernelblend import synthesis as S
 from kernelblend import tensor as T
 from kernelblend import training as TR
+from kernelblend.data import augment_batch
 
-from oracles import apply_updates_per_tensor, per_image_forward
+from oracles import apply_updates_per_tensor, augment_reference, per_image_forward
 from toys import run_training, toy_dataset, toy_state
 
 
@@ -141,6 +142,18 @@ class TestBmdMask:
         for _ in range(2000):
             mask = TR.sample_bmd_mask(2, 0.9, rng)
             assert not mask.all()
+
+
+class TestAugmentBatch:
+    @pytest.mark.parametrize("crop_pad", [0, 1, 2, 3])
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_gathered_crop_equals_per_sample_loop(self, crop_pad, flip):
+        # non-square maps and two channels, so a transposed window would show
+        images = np.random.default_rng(11).random((9, 2, 5, 7))
+        got = augment_batch(images, np.random.default_rng(crop_pad), flip=flip, crop_pad=crop_pad)
+        want = augment_reference(images, np.random.default_rng(crop_pad), flip, crop_pad)
+        assert got.shape == images.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestTrainStep:
