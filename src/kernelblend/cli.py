@@ -18,7 +18,7 @@ from . import cost as co
 from . import disturbance as di
 from . import experiment as ex
 from . import synthesis as syn
-from .config import ConfigError, load_config, parse_config
+from .config import ConfigError, load_config, parse_config, read_threshold
 from .data import DatasetError
 from .training import TrainingDiverged
 
@@ -50,27 +50,20 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     state, cfg, evalset = _load_from_checkpoint(args.ckpt)
-    threshold = args.threshold if args.threshold is not None else cfg.default_threshold
-    point, lm_point, full_point = co.sweep(
-        state.lm, state.lm_params, state.bank, state.synth_cfg, evalset, [threshold, 0.0, 1.01])
-    result = {
-        "threshold": threshold,
-        "accuracy": point.accuracy,
-        "skip_rate": point.skip_rate,
-        "accuracy_lm": lm_point.accuracy,
-        "accuracy_full": full_point.accuracy,
-    }
+    threshold = (cfg.default_threshold if args.threshold is None
+                 else read_threshold(args.threshold, "--threshold"))
+    result = ex.evaluate(state, evalset, threshold)
     out = cfg.output_dir / "eval.json"
     ck.write_atomically(out, json.dumps(result, indent=1).encode())
-    print(f"threshold {threshold}: accuracy {point.accuracy:.4f}, "
-          f"skip rate {point.skip_rate:.4f} -> {out}")
+    print(f"threshold {threshold}: accuracy {result['accuracy']:.4f}, "
+          f"skip rate {result['skip_rate']:.4f} -> {out}")
     return 0
 
 
 def cmd_sweep(args) -> int:
     state, cfg, evalset = _load_from_checkpoint(args.ckpt)
     thresholds = cfg.eval_thresholds if args.thresholds is None else [
-        float(t) for t in args.thresholds.split(",") if t != ""]
+        read_threshold(float(t), "--thresholds") for t in args.thresholds.split(",") if t != ""]
     if not thresholds:
         raise ValueError("no thresholds given")
     points = co.sweep(state.lm, state.lm_params, state.bank, state.synth_cfg,
@@ -92,19 +85,19 @@ def cmd_disturb(args) -> int:
     if seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {seeds}")
 
-    reference = di.evaluate_disturbed(*model, evalset, di.Disturbance("correct"))
-    rows = [("correct", reference, 0.0)]
-
     if args.layer == "all":
-        sweep_rows = di.layer_sweep(*model, evalset, kind=args.kind, seeds=seeds)
-        for row in sweep_rows:
-            rows.append((f"L{row['layer']}", row["accuracy_mean"],
-                         row["accuracy_mean"] - reference))
+        layers = range(state.bank.spec.num_layers)
+        labels = [f"L{layer}" for layer in layers]
+    elif args.layer is None:
+        layers, labels = [None], [args.kind]
     else:
-        layer = int(args.layer) if args.layer is not None else None
-        [(accuracy, _)] = di.seed_average(*model, evalset, args.kind, [layer], seeds)
-        label = args.kind if layer is None else f"{args.kind}@L{layer}"
-        rows.append((label, accuracy, accuracy - reference))
+        layers = [int(args.layer)]
+        labels = [f"{args.kind}@L{layers[0]}"]
+
+    reference = di.evaluate_disturbed(*model, evalset, di.Disturbance("correct"))
+    stats = di.seed_average(*model, evalset, args.kind, layers, seeds)
+    rows = [("correct", reference, 0.0)] + [
+        (label, accuracy, accuracy - reference) for label, (accuracy, _) in zip(labels, stats)]
 
     out = cfg.output_dir / "disturbance.csv"
     ck.write_csv(out, ["kind_or_layer", "accuracy", "delta_vs_correct"], rows)

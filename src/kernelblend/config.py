@@ -98,7 +98,8 @@ def _shape(raw: list, where: str) -> tuple[int, ...]:
     return tuple(_cast(v, int, where) for v in raw)
 
 
-def _threshold(value, name: str) -> float:
+def read_threshold(value, name: str) -> float:
+    """A termination threshold: a finite number >= 0; errors name ``name``."""
     threshold = _cast(value, float, name)
     if not 0 <= threshold < math.inf:  # also rejects NaN
         raise ConfigError(f"{name}: expected a finite number >= 0, got {json.dumps(value)}")
@@ -257,10 +258,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         schedule=schedule,
         loss=loss,
         teacher_checkpoint=teacher_checkpoint,
-        eval_thresholds=[_threshold(t, "eval.thresholds")
+        eval_thresholds=[read_threshold(t, "eval.thresholds")
                          for t in eval_d.get("thresholds", [0.0, 0.5, 0.7, 0.9, 1.01])],
-        default_threshold=_threshold(eval_d.get("default_threshold", 0.7),
-                                     "eval.default_threshold"),
+        default_threshold=read_threshold(eval_d.get("default_threshold", 0.7),
+                                         "eval.default_threshold"),
         disturbance_seeds=disturbance_seeds,
         distill_policy=distill.policy,
         distill_soft_weight=distill.soft_weight,

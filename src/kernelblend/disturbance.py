@@ -116,14 +116,3 @@ def seed_average(lm: pl.LightweightModel, params: pl.LMParams, bank: syn.BasisBa
         ]
         stats.append((float(np.mean(accs)), float(np.std(accs))))
     return stats
-
-
-def layer_sweep(lm: pl.LightweightModel, params: pl.LMParams, bank: syn.BasisBank,
-                cfg: syn.SynthesisConfig, dataset: Dataset,
-                kind: str = "shuffled", seeds: int = 5) -> list[dict]:
-    """Disturb one layer at a time; report mean and std accuracy over seeds."""
-    layers = range(bank.spec.num_layers)
-    stats = seed_average(lm, params, bank, cfg, dataset, kind, layers, seeds)
-    return [{"layer": layer, "shared": bool(bank.share_mask[layer]),
-             "accuracy_mean": mean, "accuracy_std": std}
-            for layer, (mean, std) in zip(layers, stats)]

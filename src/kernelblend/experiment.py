@@ -82,6 +82,20 @@ def skip_rate(state: tr.TrainState, dataset: Dataset, threshold: float) -> float
     return int(np.count_nonzero(record.confidence >= threshold)) / len(dataset)
 
 
+def evaluate(state: tr.TrainState, dataset: Dataset, threshold: float) -> dict:
+    """The ``eval.json`` record: accuracy and skip rate at ``threshold``, and
+    the stage-one and specialist accuracies, all from one sweep."""
+    point, lm_point, full_point = co.sweep(state.lm, state.lm_params, state.bank,
+                                           state.synth_cfg, dataset, [threshold, 0.0, 1.01])
+    return {
+        "threshold": threshold,
+        "accuracy": point.accuracy,
+        "skip_rate": point.skip_rate,
+        "accuracy_lm": lm_point.accuracy,
+        "accuracy_full": full_point.accuracy,
+    }
+
+
 def run_train(cfg: ExperimentConfig, log=None) -> dict:
     """Train per config; writes metrics.csv and checkpoint/ under output_dir."""
     train, evalset = load_dataset(cfg)
@@ -90,18 +104,16 @@ def run_train(cfg: ExperimentConfig, log=None) -> dict:
     rows = []
 
     def record(metrics):
-        lm_point, default_point, full_point = co.sweep(
-            state.lm, state.lm_params, state.bank, state.synth_cfg, evalset,
-            [0.0, cfg.default_threshold, 1.01])
+        result = evaluate(state, evalset, cfg.default_threshold)
         rows.append({
             "step": state.step,
             "train_loss": metrics["loss"],
             "lm_loss": metrics["lm_loss"],
             "synth_loss": metrics["synth_loss"],
-            "eval_acc_lm": lm_point.accuracy,
-            "eval_acc_full": full_point.accuracy,
+            "eval_acc_lm": result["accuracy_lm"],
+            "eval_acc_full": result["accuracy_full"],
             "epsilon": metrics["epsilon"],
-            "skip_rate_at_default_threshold": default_point.skip_rate,
+            "skip_rate_at_default_threshold": result["skip_rate"],
         })
         if log is not None:
             log(rows[-1])

@@ -149,19 +149,16 @@ def apply_bmd(alpha: T.Tensor, drop_mask: np.ndarray, renormalize: bool = True) 
     keeps its coefficients exactly, unrescaled.
     """
     drop = np.asarray(drop_mask, dtype=bool)
-    per_sample = drop.ndim == 2 and alpha.data.ndim == 3
-    if drop.shape != ((alpha.shape[0], alpha.shape[-1]) if per_sample else (alpha.shape[-1],)):
+    if drop.shape not in ((alpha.shape[-1],), (*alpha.shape[:-2], alpha.shape[-1])):
         raise T.ShapeError(f"drop mask shape {drop.shape} does not match coefficients {alpha.shape}")
     if drop.all(axis=-1).any():
         raise ValueError("all bases dropped; at least one must survive")
     if not drop.any():
         return alpha
-    if per_sample:
-        drop = drop[:, None, :]
-    keep = T.Tensor(np.broadcast_to(~drop, alpha.shape).astype(np.float64))
-    values = T.mul(alpha, keep)
+    drop = drop[..., None, :]  # one mask row broadcast over the matrix's rows
+    values = T.mul(alpha, T.Tensor(np.broadcast_to(~drop, alpha.shape).astype(np.float64)))
     if renormalize:
-        values = T.normalize_rows(values, where=drop.any(axis=-1) if per_sample else None)
+        values = T.normalize_rows(values, where=drop.any(axis=-1))
     return values
 
 

@@ -26,6 +26,12 @@ class NonFiniteError(ArithmeticError):
     """A forward operation produced NaN or Inf."""
 
 
+def _require_finite(arr: np.ndarray, message: str) -> None:
+    """Raise NonFiniteError with ``message`` if any entry is NaN or Inf."""
+    if not np.isfinite(arr).all():
+        raise NonFiniteError(message)
+
+
 def _contiguous(arr: np.ndarray) -> np.ndarray:
     # most op results are already C-contiguous, so the copy is rarely needed;
     # a 0-d array always is (ascontiguousarray would promote it to 1-d)
@@ -44,8 +50,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = _contiguous(np.asarray(data, dtype=np.float64))
-        if not np.isfinite(arr).all():
-            raise NonFiniteError("tensor data contains NaN or Inf")
+        _require_finite(arr, "tensor data contains NaN or Inf")
         self.data = arr
         self.requires_grad = requires_grad
         self.tape: GradTape | None = None
@@ -67,8 +72,7 @@ class Tensor:
         arr = np.asarray(new_data, dtype=np.float64)
         if arr.shape != self.data.shape:
             raise ShapeError(f"update shape {arr.shape} != parameter shape {self.data.shape}")
-        if not np.isfinite(arr).all():
-            raise NonFiniteError("parameter update contains NaN or Inf")
+        _require_finite(arr, "parameter update contains NaN or Inf")
         self.data[...] = arr
 
     def __repr__(self) -> str:
@@ -108,8 +112,8 @@ def _result(data: np.ndarray, inputs: Sequence[Tensor], backward: Callable,
             checked: bool = False) -> Tensor:
     """Wrap an op result, enforce finiteness (unless the op has ``checked``
     it already), and record it if a tape is live."""
-    if not checked and not np.isfinite(data).all():
-        raise NonFiniteError("forward operation produced NaN or Inf")
+    if not checked:
+        _require_finite(data, "forward operation produced NaN or Inf")
     out = Tensor.__new__(Tensor)
     out.data = _contiguous(data)
     out.requires_grad = any(t.requires_grad for t in inputs)
@@ -416,8 +420,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
     if bias is not None:
         out = out + bias.data[None, :, None, None]
     # checked before the ReLU, which maps NaN and -Inf to 0
-    if not np.isfinite(out).all():
-        raise NonFiniteError("forward operation produced NaN or Inf")
+    _require_finite(out, "forward operation produced NaN or Inf")
     if relu:
         mask = out > 0
         out = np.where(mask, out, 0.0)

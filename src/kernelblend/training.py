@@ -335,7 +335,7 @@ def train_step(state: TrainState, batch: tuple[np.ndarray, np.ndarray],
         params = [(name, p) for name, p in params if not name.startswith("lm.")]
 
     drop_masks = None
-    if schedule.bmd_rate > 0.0 and state.synth_cfg.mode != "one_hot":
+    if schedule.bmd_rate > 0.0:
         rng = step_rng(schedule, step, stream=2)
         if schedule.bmd_per_sample:
             drop_masks = np.stack([

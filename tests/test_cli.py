@@ -154,6 +154,23 @@ class TestEval:
         data = json.loads((workdir / "runs" / "demo" / "eval.json").read_text())
         assert data["threshold"] == 0.7
 
+    def test_eval_matches_last_metrics_row(self, workdir, trained_ckpt, capsys):
+        assert main(["eval", "--ckpt", str(trained_ckpt)]) == 0
+        result = json.loads((workdir / "runs" / "demo" / "eval.json").read_text())
+        with open(workdir / "runs" / "demo" / "metrics.csv") as fh:
+            last = list(csv.DictReader(fh))[-1]
+        assert (result["accuracy_lm"], result["accuracy_full"], result["skip_rate"]) == (
+            float(last["eval_acc_lm"]), float(last["eval_acc_full"]),
+            float(last["skip_rate_at_default_threshold"]))
+
+    @pytest.mark.parametrize("value,shown", [("inf", "Infinity"), ("-0.5", "-0.5"), ("nan", "NaN")])
+    def test_bad_threshold_exits_one_with_one_line(self, workdir, trained_ckpt, capsys,
+                                                   value, shown):
+        assert main(["eval", "--ckpt", str(trained_ckpt), "--threshold", value]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --threshold: expected a finite number >= 0, got {shown}\n")
+        assert not (workdir / "runs" / "demo" / "eval.json").exists()
+
     @pytest.mark.parametrize("name,corrupt", [
         (CK.BLOB_NAME, lambda raw: raw[:100] + bytes([raw[100] ^ 0x01]) + raw[101:]),
         (CK.MANIFEST_NAME, lambda raw: raw[:200]),
@@ -229,6 +246,14 @@ class TestSweep:
         assert capsys.readouterr().err == (
             "error: measured average 1.0 disagrees with closed form 2.0\n")
 
+    @pytest.mark.parametrize("value,shown", [("0,-1", "-1.0"), ("0.5,inf", "Infinity")])
+    def test_bad_thresholds_exit_one_with_one_line(self, workdir, trained_ckpt, capsys,
+                                                   value, shown):
+        assert main(["sweep", "--ckpt", str(trained_ckpt), "--thresholds", value]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --thresholds: expected a finite number >= 0, got {shown}\n")
+        assert not (workdir / "runs" / "demo" / "sweep.csv").exists()
+
     def test_sweep_csv_reparses_as_floats(self, workdir, trained_ckpt, capsys):
         assert main(["sweep", "--ckpt", str(trained_ckpt), "--thresholds", "0.5"]) == 0
         with open(workdir / "runs" / "demo" / "sweep.csv") as fh:
@@ -260,6 +285,18 @@ class TestDisturb:
         for row in rows:
             for column in ("accuracy", "delta_vs_correct"):
                 float(row[column])
+        # every layer's row, and the one-layer form's, is seed_average's mean
+        state, raw = CK.load_checkpoint(trained_ckpt)
+        _, evalset = EX.load_dataset(parse_config(raw))
+        means = [mean for mean, _ in DI.seed_average(
+            state.lm, state.lm_params, state.bank, state.synth_cfg, evalset,
+            "shuffled", range(3), 2)]
+        assert [float(r["accuracy"]) for r in rows[1:]] == means
+        assert main(["disturb", "--ckpt", str(trained_ckpt),
+                     "--kind", "shuffled", "--layer", "1", "--seeds", "2"]) == 0
+        with open(workdir / "runs" / "demo" / "disturbance.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert (rows[1]["kind_or_layer"], float(rows[1]["accuracy"])) == ("shuffled@L1", means[1])
 
     def test_seeds_default_to_config(self, workdir, capsys, monkeypatch):
         raw = base_config()

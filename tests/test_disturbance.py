@@ -156,21 +156,21 @@ class TestLayerSweep:
         _, evalset = toy_dataset(train_size=8, eval_size=16)
         reference = DI.evaluate_disturbed(state.lm, state.lm_params, state.bank,
                                           state.synth_cfg, evalset, DI.Disturbance("correct"))
-        rows = DI.layer_sweep(state.lm, state.lm_params, state.bank, state.synth_cfg,
-                              evalset, kind="shuffled", seeds=2)
-        assert rows[0]["shared"] is True
-        assert rows[0]["accuracy_mean"] == reference
-        assert rows[0]["accuracy_std"] == 0.0
-        assert len(rows) == state.bank.spec.num_layers
+        layers = range(state.bank.spec.num_layers)
+        stats = DI.seed_average(state.lm, state.lm_params, state.bank, state.synth_cfg,
+                                evalset, "shuffled", layers, 2)
+        assert state.bank.share_mask[0]
+        assert stats[0] == (reference, 0.0)
+        assert len(stats) == len(layers)
 
     def test_reports_mean_and_std_over_seeds(self):
         state = toy_state(n_bases=3, seed=7)
         _, evalset = toy_dataset(train_size=8, eval_size=12)
-        rows = DI.layer_sweep(state.lm, state.lm_params, state.bank, state.synth_cfg,
-                              evalset, kind="shuffled", seeds=3)
-        for row in rows:
-            assert 0.0 <= row["accuracy_mean"] <= 1.0
-            assert row["accuracy_std"] >= 0.0
+        stats = DI.seed_average(state.lm, state.lm_params, state.bank, state.synth_cfg,
+                                evalset, "shuffled", range(state.bank.spec.num_layers), 3)
+        for mean, std in stats:
+            assert 0.0 <= mean <= 1.0
+            assert std >= 0.0
 
     def test_mean_table_computed_once_per_sweep(self, monkeypatch):
         state = toy_state(n_bases=3, seed=8)
@@ -183,6 +183,6 @@ class TestLayerSweep:
             return mean_coefficients(*args)
 
         monkeypatch.setattr(DI, "mean_coefficients", counting)
-        DI.layer_sweep(state.lm, state.lm_params, state.bank, state.synth_cfg,
-                       evalset, kind="mean", seeds=3)
+        DI.seed_average(state.lm, state.lm_params, state.bank, state.synth_cfg,
+                        evalset, "mean", range(state.bank.spec.num_layers), 3)
         assert len(calls) == 1

@@ -106,6 +106,29 @@ class TestApplyBmd:
         assert np.all(out.data >= 0)
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("renormalize", [True, False])
+    def test_shared_mask_equals_the_per_sample_masks_repeating_it(self, renormalize):
+        rng = np.random.default_rng(2)
+        raw = rng.standard_normal((3, 2, 4))
+        upstream = rng.standard_normal((3, 2, 4))
+        drop = np.array([False, True, False, True])
+
+        def run(mask):
+            alpha = T.Tensor(raw, requires_grad=True)
+            tape = T.GradTape()
+            with T.recording(tape):
+                out = S.apply_bmd(S.activate(alpha, "softmax"), mask, renormalize)
+                loss = T.sum_all(T.mul(out, T.Tensor(upstream)))
+            return out.data, T.backward(loss)[alpha]
+
+        shared, per_sample = run(drop), run(np.tile(drop, (3, 1)))
+        assert np.array_equal(shared[0], per_sample[0])
+        assert np.array_equal(shared[1], per_sample[1])
+
+    def test_mask_for_another_batch_size_rejected(self):
+        with pytest.raises(T.ShapeError, match="drop mask shape"):
+            S.apply_bmd(T.Tensor(np.full((3, 2, 4), 0.25)), np.zeros((2, 4), dtype=bool))
+
 
 class TestToOneHot:
     def test_argmax_row(self):
