@@ -23,6 +23,15 @@ from .data import DatasetError
 from .training import TrainingDiverged
 
 
+def _flag_value(text: str, kind, flag: str):
+    """``text`` converted by ``kind`` (float or int); a bad value is a
+    one-line error that names ``flag``."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"{flag}: expected {kind.__name__}, got {text!r}") from None
+
+
 def _load_from_checkpoint(path):
     """The checkpoint's state, the config it was trained from, and its eval set."""
     state, raw_config = ck.load_checkpoint(path)
@@ -63,7 +72,8 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     state, cfg, evalset = _load_from_checkpoint(args.ckpt)
     thresholds = cfg.eval_thresholds if args.thresholds is None else [
-        read_threshold(float(t), "--thresholds") for t in args.thresholds.split(",") if t != ""]
+        read_threshold(_flag_value(t, float, "--thresholds"), "--thresholds")
+        for t in args.thresholds.split(",") if t != ""]
     if not thresholds:
         raise ValueError("no thresholds given")
     points = co.sweep(state.lm, state.lm_params, state.bank, state.synth_cfg,
@@ -91,7 +101,7 @@ def cmd_disturb(args) -> int:
     elif args.layer is None:
         layers, labels = [None], [args.kind]
     else:
-        layers = [int(args.layer)]
+        layers = [_flag_value(args.layer, int, "--layer")]
         labels = [f"{args.kind}@L{layers[0]}"]
 
     reference = di.evaluate_disturbed(*model, evalset, di.Disturbance("correct"))

@@ -18,7 +18,7 @@ from . import cost as co
 from . import pipeline as pl
 from . import synthesis as syn
 from . import training as tr
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .data import Dataset, generate_synthetic, load_cifar10, load_mnist
 
 METRICS_COLUMNS = (
@@ -28,12 +28,18 @@ METRICS_COLUMNS = (
 
 
 def load_dataset(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
+    """The config's train and eval sets; their class count must be the bank's."""
     kind = cfg.dataset["kind"]
     if kind == "synthetic":
-        return generate_synthetic(cfg.dataset["spec"])
-    if kind == "mnist":
-        return load_mnist(cfg.dataset["path"])
-    return load_cifar10(cfg.dataset["path"])
+        train, evalset = generate_synthetic(cfg.dataset["spec"])
+    elif kind == "mnist":
+        train, evalset = load_mnist(cfg.dataset["path"])
+    else:
+        train, evalset = load_cifar10(cfg.dataset["path"])
+    if train.num_classes != cfg.bank_spec.num_classes:
+        raise ConfigError(f"bank.num_classes is {cfg.bank_spec.num_classes} but the "
+                          f"{kind} dataset has {train.num_classes} classes")
+    return train, evalset
 
 
 def teacher_from_checkpoint(path) -> tr.DistillConfig:

@@ -350,15 +350,18 @@ def blend(coeffs: Tensor, tensors: Sequence[Tensor]) -> Tensor:
 
 
 @functools.lru_cache(maxsize=64)
-def _window_index(c: int, hp: int, wp: int, kh: int, kw: int, stride: int,
+def _window_index(c: int, h: int, w: int, kh: int, kw: int, stride: int, padding: int,
                   out_h: int, out_w: int) -> np.ndarray:
-    """Read-only int64 offsets into one sample's flattened (C, hp, wp) padded
-    input, one per im2col entry in (C, kh, kw, oH, oW) order: entry
-    [ci, ki, kj, i, j] is the element that kernel tap (ki, kj) of channel ci
-    meets at output (i, j). The batch is not part of the key, so every batch
-    size shares one index."""
+    """Read-only int64 offsets into one sample's flattened (C, H, W) input
+    with one zero appended at offset C*H*W, one per im2col entry in
+    (C, kh, kw, oH, oW) order: entry [ci, ki, kj, i, j] is the element that
+    kernel tap (ki, kj) of channel ci meets at output (i, j), or the zero if
+    that tap falls in the padding. The batch is not part of the key, so
+    every batch size shares one index."""
     ci, ki, kj, i, j = np.indices((c, kh, kw, out_h, out_w))
-    idx = (ci * (hp * wp) + (ki + i * stride) * wp + (kj + j * stride)).reshape(-1)
+    r, s = ki + i * stride - padding, kj + j * stride - padding
+    inside = (r >= 0) & (r < h) & (s >= 0) & (s < w)
+    idx = np.where(inside, ci * (h * w) + r * w + s, c * h * w).reshape(-1)
     idx.flags.writeable = False
     return idx
 
@@ -398,23 +401,20 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
     if bias is not None and bias.shape != (out_c,):
         raise ShapeError(f"conv2d bias {bias.shape} does not match kernel {kernel.shape}")
 
-    if padding > 0:
-        xp = np.zeros((batch, in_c, h + 2 * padding, w + 2 * padding), dtype=x.data.dtype)
-        xp[:, :, padding:padding + h, padding:padding + w] = x.data
-    else:
-        xp = x.data
     # im2col: gather the windows through a cached flat index into one
     # contiguous (B, C, kh, kw, oH, oW) array, which reshapes for free to the
-    # GEMM operand (B, C*kh*kw, oH*oW). Each contraction is a stacked matmul
-    # with B as its loop axis: one GEMM call per sample, of the same shape at
-    # any batch size, so a sample reduces in the same order alone or in a
-    # batch (the batch-equals-serial and bit-determinism contracts). Folded
-    # into a GEMM dimension, B could change BLAS's blocking.
-    ph, pw = xp.shape[2], xp.shape[3]
-    out_h = (ph - kh) // stride + 1
-    out_w = (pw - kw) // stride + 1
-    idx = _window_index(in_c, ph, pw, kh, kw, stride, out_h, out_w)
-    cols = np.take(xp.reshape(batch, -1), idx, axis=1).reshape(batch, in_c * kh * kw, out_h * out_w)
+    # GEMM operand (B, C*kh*kw, oH*oW); a tap in the padding reads the zero
+    # appended to each sample. Each contraction is a stacked matmul with B as
+    # its loop axis: one GEMM call per sample, of the same shape at any batch
+    # size, so a sample reduces in the same order alone or in a batch (the
+    # batch-equals-serial and bit-determinism contracts). Folded into a GEMM
+    # dimension, B could change BLAS's blocking.
+    out_h = (h + 2 * padding - kh) // stride + 1
+    out_w = (w + 2 * padding - kw) // stride + 1
+    idx = _window_index(in_c, h, w, kh, kw, stride, padding, out_h, out_w)
+    plane = in_c * h * w
+    xz = np.concatenate([x.data.reshape(batch, plane), np.zeros((batch, 1))], axis=1)
+    cols = np.take(xz, idx, axis=1).reshape(batch, in_c * kh * kw, out_h * out_w)
     kmat = kernel.data.reshape(*kernel.shape[:-3], in_c * kh * kw)
     out = np.matmul(kmat, cols).reshape(batch, out_c, out_h, out_w)
     if bias is not None:
@@ -436,17 +436,13 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
         if not x.requires_grad:  # e.g. the image at layer 0: backward would drop it
             return ((kernel, gk), *gb)
         gcols = np.matmul(np.swapaxes(kmat, -1, -2), g3)  # (B, C*kh*kw, oH*oW)
-        # col2im: bincount adds each padded position's window contributions
+        # col2im: bincount adds each input position's window contributions
         # to 0.0 in index order, which is ascending (ki, kj); a position no
-        # window covers gets an exact zero
-        plane = in_c * ph * pw
-        flat = (np.arange(batch)[:, None] * plane + idx).reshape(-1)
-        gxp = np.bincount(flat, weights=gcols.reshape(-1),
-                          minlength=batch * plane).reshape(batch, in_c, ph, pw)
-        if padding > 0:
-            gx = gxp[:, :, padding:ph - padding, padding:pw - padding]
-        else:
-            gx = gxp
+        # window covers gets an exact zero. The padding taps all land in each
+        # sample's last bin, which the view drops.
+        flat = (np.arange(batch)[:, None] * (plane + 1) + idx).reshape(-1)
+        gx = np.bincount(flat, weights=gcols.reshape(-1), minlength=batch * (plane + 1)
+                         ).reshape(batch, plane + 1)[:, :plane].reshape(x.shape)
         return ((x, gx), (kernel, gk), *gb)
 
     inputs = (x, kernel) if bias is None else (x, kernel, bias)

@@ -141,6 +141,18 @@ class TestTrain:
             "error: input (4, 1, 16, 16) does not match spec input shape (1, 12, 12)\n")
         assert not (workdir / "runs").exists()
 
+    @pytest.mark.parametrize("dataset_classes", [8, 4])
+    def test_class_count_mismatch_fails_before_writing(self, workdir, capsys, dataset_classes):
+        # 8: a label beyond the 6-way head; 4: a 6-way head on 4-class data
+        raw = base_config()
+        raw["dataset"]["num_classes"] = dataset_classes
+        path = workdir / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bank.num_classes is 6 but the synthetic dataset has {dataset_classes} classes\n")
+        assert not (workdir / "runs").exists()
+
 
 class TestEval:
     def test_eval_writes_json(self, workdir, trained_ckpt, capsys):
@@ -254,6 +266,11 @@ class TestSweep:
             f"error: --thresholds: expected a finite number >= 0, got {shown}\n")
         assert not (workdir / "runs" / "demo" / "sweep.csv").exists()
 
+    def test_non_numeric_threshold_exits_one_with_one_line(self, workdir, trained_ckpt, capsys):
+        assert main(["sweep", "--ckpt", str(trained_ckpt), "--thresholds", "0,abc"]) == 1
+        assert capsys.readouterr().err == "error: --thresholds: expected float, got 'abc'\n"
+        assert not (workdir / "runs" / "demo" / "sweep.csv").exists()
+
     def test_sweep_csv_reparses_as_floats(self, workdir, trained_ckpt, capsys):
         assert main(["sweep", "--ckpt", str(trained_ckpt), "--thresholds", "0.5"]) == 0
         with open(workdir / "runs" / "demo" / "sweep.csv") as fh:
@@ -322,6 +339,12 @@ class TestDisturb:
                      "--kind", "uniform", "--seeds", "0"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--seeds" in err
+        assert not (workdir / "runs" / "demo" / "disturbance.csv").exists()
+
+    def test_non_integer_layer_exits_one_with_one_line(self, workdir, trained_ckpt, capsys):
+        assert main(["disturb", "--ckpt", str(trained_ckpt),
+                     "--kind", "shuffled", "--layer", "x"]) == 1
+        assert capsys.readouterr().err == "error: --layer: expected int, got 'x'\n"
         assert not (workdir / "runs" / "demo" / "disturbance.csv").exists()
 
     def test_invalid_kind_rejected(self, trained_ckpt):

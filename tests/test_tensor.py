@@ -287,7 +287,7 @@ class TestConvWindowGather:
     scatters the input gradient with one bincount; values and gradients are
     the strided-copy and (ki, kj)-loop conv's bit for bit."""
 
-    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("padding", [0, 1, 2, 3])
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_random_sweep_is_the_plain_conv_bitwise(self, k, stride, padding):
@@ -345,8 +345,9 @@ class TestConvWindowGather:
             infos.append(T._window_index.cache_info())
         assert infos[1].misses == infos[0].misses + 1
         assert (infos[2].misses, infos[2].hits) == (infos[1].misses, infos[1].hits + 1)
-        idx = T._window_index(3, 15, 17, 3, 3, 2, 7, 8)
+        idx = T._window_index(3, 11, 13, 3, 3, 2, 2, 7, 8)
         assert not idx.flags.writeable
+        assert idx.max() == 3 * 11 * 13  # a tap in the padding reads the appended zero
         with pytest.raises(ValueError):
             idx[0] = 1
 
