@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,8 +28,9 @@ class NonFiniteError(ArithmeticError):
 
 
 def _require_finite(arr: np.ndarray, message: str) -> None:
-    """Raise NonFiniteError with ``message`` if any entry is NaN or Inf."""
-    if not np.isfinite(arr).all():
+    """Raise NonFiniteError with ``message`` if any entry is NaN or Inf (one
+    ufunc reduce: ``ndarray.all`` would add a Python-level wrapper per op)."""
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NonFiniteError(message)
 
 
@@ -224,7 +226,7 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != a.size:
+    if math.prod(shape) != a.size:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
     old = a.shape
 
@@ -378,10 +380,10 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
     floor((H + 2*padding - K)/stride) + 1 per side. Differentiable w.r.t.
     the input, the kernel and the bias; an input that does not require a
     gradient gets none computed. The bias add and the ReLU follow the GEMM,
-    and the backward masks the gradient and sums the bias gradient before
-    the conv backward, so a layer gives the values of a conv, a bias add and
-    a ReLU run one after another, on one tape record (as cuDNN's fused
-    conv-bias-activation call does).
+    in place on its output, and the backward masks the gradient and sums the
+    bias gradient before the conv backward, so a layer gives the values of a
+    conv, a bias add and a ReLU run one after another, on one tape record (as
+    cuDNN's fused conv-bias-activation call does). The ReLU's zero is +0.0.
     """
     per_sample = kernel.data.ndim == 5
     if x.data.ndim != 4 or kernel.data.ndim not in (4, 5):
@@ -418,12 +420,12 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
     kmat = kernel.data.reshape(*kernel.shape[:-3], in_c * kh * kw)
     out = np.matmul(kmat, cols).reshape(batch, out_c, out_h, out_w)
     if bias is not None:
-        out = out + bias.data[None, :, None, None]
+        out += bias.data[:, None, None]
     # checked before the ReLU, which maps NaN and -Inf to 0
     _require_finite(out, "forward operation produced NaN or Inf")
     if relu:
         mask = out > 0
-        out = np.where(mask, out, 0.0)
+        np.maximum(out, 0.0, out=out)  # maximum(-0.0, 0.0) is +0.0 (tests pin it by bytes)
 
     def bwd(g):
         if relu:
@@ -474,14 +476,12 @@ def global_avg_pool(x: Tensor) -> Tensor:
     """Spatial mean of each channel: NCHW -> NC."""
     if x.data.ndim != 4:
         raise ShapeError(f"global_avg_pool expects NCHW, got {x.shape}")
-    _, _, h, w = x.shape
-    area = h * w
+    area = x.shape[2] * x.shape[3]
 
     def bwd(g):
-        gx = np.repeat(np.repeat(g[:, :, None, None], h, axis=2), w, axis=3) / area
-        return ((x, gx),)
+        return ((x, np.broadcast_to((g / area)[:, :, None, None], x.shape)),)
 
-    return _result(x.data.mean(axis=(2, 3)), (x,), bwd)
+    return _result(np.add.reduce(x.data, axis=(2, 3)) / area, (x,), bwd)
 
 
 def cross_entropy(logits: Tensor, target) -> Tensor:

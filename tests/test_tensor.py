@@ -264,6 +264,45 @@ class TestFusedConvLayer:
         assert grads[k].tobytes() == gk.tobytes()
         assert grads[b].tobytes() == g.sum(axis=(0, 2, 3)).tobytes()
 
+    @pytest.mark.parametrize("per_sample", [False, True], ids=["shared", "per-sample"])
+    def test_relu_zero_is_positive_zero(self, per_sample):
+        # the ReLU runs in place through np.maximum; a -0.0 input through a
+        # bias-free unit 1x1 kernel, and a zero input against a negative kernel,
+        # give zeros that are +0.0 by bytes, as np.where(pre > 0, pre, 0.0)
+        # gave, whichever sign of zero the GEMM hands the ReLU
+        batch = 3
+        shape = (batch, 1, 1, 1, 1) if per_sample else (1, 1, 1, 1)
+        cases = ((np.full((batch, 1, 4, 5), -0.0), np.ones(shape), 0),
+                 (np.zeros((batch, 1, 4, 5)), -np.ones(shape[:-2] + (3, 3)), 1))
+        for xv, kv, padding in cases:
+            out = T.conv2d(T.Tensor(xv), T.Tensor(kv), padding=padding, relu=True)
+            assert out.data.tobytes() == np.zeros(out.shape).tobytes()
+
+    def test_maximum_breaks_a_zero_tie_to_positive_zero(self):
+        # what the in-place ReLU relies on should a pre-activation be -0.0:
+        # numpy's maximum(-0.0, 0.0) is +0.0 in its vector body and its tail
+        # alike (CI also runs this on numpy's baseline SIMD loops)
+        for n in (1, 2, 3, 5, 8, 17, 33, 64, 127):
+            a = np.full(n, -0.0)
+            np.maximum(a, 0.0, out=a)
+            assert a.tobytes() == np.zeros(n).tobytes()
+
+    @pytest.mark.parametrize("per_sample", [False, True], ids=["shared", "per-sample"])
+    def test_forward_and_backward_leave_the_operands_unchanged(self, per_sample):
+        # the bias and the ReLU write into the GEMM output, never into x,
+        # the kernel or the bias
+        rng = np.random.default_rng(23)
+        xv = rng.standard_normal((3, 2, 5, 5))
+        kv = rng.standard_normal((3, 4, 2, 3, 3) if per_sample else (4, 2, 3, 3))
+        bv = rng.standard_normal(4)
+        x, k, b = (T.Tensor(v.copy(), requires_grad=True) for v in (xv, kv, bv))
+        tape = T.GradTape()
+        with T.recording(tape):
+            out = T.conv2d(x, k, stride=1, padding=1, bias=b, relu=True)
+            T.backward(T.sum_squares(out))
+        for t, v in ((x, xv), (k, kv), (b, bv)):
+            assert t.data.tobytes() == v.tobytes()
+
     def test_bias_shape_checked(self):
         x = T.Tensor(np.zeros((1, 2, 4, 4)))
         k = T.Tensor(np.zeros((3, 2, 3, 3)))
@@ -438,6 +477,21 @@ class TestGlobalAvgPool:
         x = T.Tensor(np.arange(12.0).reshape(1, 3, 2, 2), requires_grad=True)
         grads = grad_of(lambda: T.sum_all(T.global_avg_pool(x)), (x,))
         assert np.array_equal(grads[x], np.full((1, 3, 2, 2), 0.25))
+
+    @pytest.mark.parametrize("shape", [(1, 8, 3, 3), (256, 12, 3, 3), (64, 3, 6, 6), (2, 5, 4, 7)])
+    def test_is_the_mean_and_repeat_formulation_bitwise(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        xv = rng.standard_normal(shape)
+        gv = rng.standard_normal(shape[:2])
+        x = T.Tensor(xv, requires_grad=True)
+        tape = T.GradTape()
+        with T.recording(tape):
+            out = T.global_avg_pool(x)
+            grads = T.backward(T.sum_all(T.mul(out, T.Tensor(gv))))
+        _, _, h, w = shape
+        expected_gx = np.repeat(np.repeat(gv[:, :, None, None], h, axis=2), w, axis=3) / (h * w)
+        assert out.data.tobytes() == xv.mean(axis=(2, 3)).tobytes()
+        assert grads[x].tobytes() == expected_gx.tobytes()
 
 
 class TestCrossEntropy:
