@@ -18,7 +18,7 @@ from . import cost as co
 from . import disturbance as di
 from . import experiment as ex
 from . import synthesis as syn
-from .config import ConfigError, load_config, parse_config, read_threshold
+from .config import ConfigError, load_config, parse_config, read_threshold, read_thresholds
 from .data import DatasetError
 from .training import TrainingDiverged
 
@@ -59,8 +59,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     state, cfg, evalset = _load_from_checkpoint(args.ckpt)
-    threshold = (cfg.default_threshold if args.threshold is None
-                 else read_threshold(args.threshold, "--threshold"))
+    threshold = (cfg.default_threshold if args.threshold is None else
+                 read_threshold(_flag_value(args.threshold, float, "--threshold"), "--threshold"))
     result = ex.evaluate(state, evalset, threshold)
     out = cfg.output_dir / "eval.json"
     ck.write_atomically(out, json.dumps(result, indent=1).encode())
@@ -71,11 +71,9 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     state, cfg, evalset = _load_from_checkpoint(args.ckpt)
-    thresholds = cfg.eval_thresholds if args.thresholds is None else [
-        read_threshold(_flag_value(t, float, "--thresholds"), "--thresholds")
-        for t in args.thresholds.split(",") if t != ""]
-    if not thresholds:
-        raise ValueError("no thresholds given")
+    thresholds = cfg.eval_thresholds if args.thresholds is None else read_thresholds(
+        [_flag_value(t, float, "--thresholds") for t in args.thresholds.split(",") if t],
+        "--thresholds")
     points = co.sweep(state.lm, state.lm_params, state.bank, state.synth_cfg,
                       evalset, thresholds)
     out = cfg.output_dir / "sweep.csv"
@@ -91,7 +89,7 @@ def cmd_sweep(args) -> int:
 def cmd_disturb(args) -> int:
     state, cfg, evalset = _load_from_checkpoint(args.ckpt)
     model = (state.lm, state.lm_params, state.bank, state.synth_cfg)
-    seeds = args.seeds if args.seeds is not None else cfg.disturbance_seeds
+    seeds = cfg.disturbance_seeds if args.seeds is None else _flag_value(args.seeds, int, "--seeds")
     if seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {seeds}")
 
@@ -148,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a checkpoint at one threshold")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--threshold", default=None)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("sweep", help="accuracy/cost across termination thresholds")
@@ -160,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--kind", required=True, choices=list(di.KINDS))
     p.add_argument("--layer", default=None, help="layer index, or 'all' for a per-layer sweep")
-    p.add_argument("--seeds", type=int, help="seeds to average (default: eval.disturbance_seeds)")
+    p.add_argument("--seeds", help="seeds to average (default: eval.disturbance_seeds)")
     p.set_defaults(fn=cmd_disturb)
 
     p = sub.add_parser("cost", help="print the itemized cost report for a config")

@@ -106,6 +106,13 @@ def read_threshold(value, name: str) -> float:
     return threshold
 
 
+def read_thresholds(values: list, name: str) -> list[float]:
+    """A non-empty list of termination thresholds; errors name ``name``."""
+    if not values:
+        raise ConfigError(f"{name}: expected a non-empty list of thresholds, got []")
+    return [read_threshold(value, name) for value in values]
+
+
 def read_layers(raw, where: str) -> tuple[bb.LayerSpec, ...]:
     """A non-empty list of layer objects, keyed as in ``LAYER_KEYS``."""
     if not isinstance(raw, list) or not raw:
@@ -258,8 +265,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         schedule=schedule,
         loss=loss,
         teacher_checkpoint=teacher_checkpoint,
-        eval_thresholds=[read_threshold(t, "eval.thresholds")
-                         for t in eval_d.get("thresholds", [0.0, 0.5, 0.7, 0.9, 1.01])],
+        eval_thresholds=read_thresholds(eval_d.get("thresholds", [0.0, 0.5, 0.7, 0.9, 1.01]),
+                                        "eval.thresholds"),
         default_threshold=read_threshold(eval_d.get("default_threshold", 0.7),
                                          "eval.default_threshold"),
         disturbance_seeds=disturbance_seeds,

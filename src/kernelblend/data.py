@@ -65,15 +65,10 @@ class SyntheticSpec:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
-def _blob(size: int, cy: float, cx: float, sigma: float, amp: float) -> np.ndarray:
-    yy, xx = np.mgrid[0:size, 0:size]
-    return amp * np.exp(-(((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * sigma ** 2)))
-
-
-def _render_sample(spec: SyntheticSpec, label: int, cluster: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """One image: a size-coded group blob at a random position plus a small
-    detail blob at a group-specific relative direction.
+def _render(spec: SyntheticSpec, labels: np.ndarray, clusters: np.ndarray,
+            centers: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """One split's (M, H, W) images in [0, 1]: a size-coded group blob at each
+    centre, a detail blob at a group-specific relative direction, and noise.
 
     Classes pair up as (0,1), (2,3), ...: the pair's blob width encodes the
     coarse group (visible even downsampled), while the class within the pair
@@ -83,37 +78,37 @@ def _render_sample(spec: SyntheticSpec, label: int, cluster: int,
     Clusters vary blob amplitude and detail distance for intra-class modes.
     """
     s = spec.image_size
-    group, within = divmod(label, 2)
-    margin = 0.3 * s
-    cy, cx = rng.uniform(margin, s - 1 - margin, size=2)
+    yy, xx = np.mgrid[0:s, 0:s]
+    group, within = np.divmod(labels[:, None, None], 2)
+    odd = clusters[:, None, None] % 2
+    cy, cx = centers[:, 0, None, None], centers[:, 1, None, None]
 
-    sigma_g = s * (0.09 + 0.045 * group)
-    amp_g = 0.9 - 0.15 * (cluster % 2)
-    img = _blob(s, cy, cx, sigma=sigma_g, amp=amp_g)
+    def blob(y, x, sigma, amp):
+        return amp * np.exp(-(((yy - y) ** 2 + (xx - x) ** 2) / (2.0 * sigma ** 2)))
 
+    img = blob(cy, cx, sigma=s * (0.09 + 0.045 * group), amp=0.9 - 0.15 * odd)
     n_groups = (spec.num_classes + 1) // 2
-    axis = np.pi * group / max(n_groups, 1)
-    ang = axis + (0.0 if within == 0 else np.pi)
-    dist = s * (0.24 + 0.03 * (cluster % 2))
-    fy = cy + dist * np.sin(ang)
-    fx = cx + dist * np.cos(ang)
-    img += _blob(s, fy, fx, sigma=s / 10.0, amp=0.55)
-
-    img += spec.noise * rng.standard_normal((s, s))
+    ang = np.pi * group / n_groups + np.pi * within
+    dist = s * (0.24 + 0.03 * odd)
+    img += blob(cy + dist * np.sin(ang), cx + dist * np.cos(ang), sigma=s / 10.0, amp=0.55)
+    img += spec.noise * noise
     return np.clip(img, 0.0, 1.0)
 
 
 def _sample_split(spec: SyntheticSpec, count: int, rng: np.random.Generator) -> Dataset:
+    s = spec.image_size
+    margin = 0.3 * s
     labels = rng.integers(0, spec.num_classes, size=count)
     clusters = rng.integers(0, spec.clusters_per_class, size=count)
-    images = np.stack([
-        _render_sample(spec, int(labels[i]), int(clusters[i]), rng) for i in range(count)
-    ])
-    return Dataset(
-        images=images[:, None, :, :].astype(np.float64),
-        labels=labels.astype(np.int64),
-        num_classes=spec.num_classes,
-    )
+    centers = np.empty((count, 2))
+    noise = np.empty((count, s, s))
+    # centre, then noise, image by image: this order fixes the images a seed
+    # gives, so drawing all centres first would change every dataset
+    for i in range(count):
+        centers[i] = rng.uniform(margin, s - 1 - margin, size=2)
+        noise[i] = rng.standard_normal((s, s))
+    images = _render(spec, labels, clusters, centers, noise)
+    return Dataset(images=images[:, None], labels=labels, num_classes=spec.num_classes)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:

@@ -144,7 +144,6 @@ def run_train(cfg: ExperimentConfig, log=None) -> dict:
         "metrics_csv": str(metrics_path),
         "checkpoint": str(ckpt_path),
         "final_eval_acc_full": rows[-1]["eval_acc_full"] if rows else None,
-        "final_eval_acc_lm": rows[-1]["eval_acc_lm"] if rows else None,
     }
 
 

@@ -264,3 +264,46 @@ def apply_updates_per_tensor(opt_state: dict, grads, params, lr: float, schedule
         else:
             p.apply_update(p.data - lr * g)
     return factor
+
+
+def _blob_reference(size: int, cy: float, cx: float, sigma: float, amp: float) -> np.ndarray:
+    yy, xx = np.mgrid[0:size, 0:size]
+    return amp * np.exp(-(((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * sigma ** 2)))
+
+
+def _render_reference(spec, label: int, cluster: int, rng: np.random.Generator) -> np.ndarray:
+    s = spec.image_size
+    group, within = divmod(label, 2)
+    margin = 0.3 * s
+    cy, cx = rng.uniform(margin, s - 1 - margin, size=2)
+
+    sigma_g = s * (0.09 + 0.045 * group)
+    amp_g = 0.9 - 0.15 * (cluster % 2)
+    img = _blob_reference(s, cy, cx, sigma=sigma_g, amp=amp_g)
+
+    n_groups = (spec.num_classes + 1) // 2
+    axis = np.pi * group / max(n_groups, 1)
+    ang = axis + (0.0 if within == 0 else np.pi)
+    dist = s * (0.24 + 0.03 * (cluster % 2))
+    fy = cy + dist * np.sin(ang)
+    fx = cx + dist * np.cos(ang)
+    img += _blob_reference(s, fy, fx, sigma=s / 10.0, amp=0.55)
+
+    img += spec.noise * rng.standard_normal((s, s))
+    return np.clip(img, 0.0, 1.0)
+
+
+def synthetic_reference(spec) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The synthetic generator one image at a time, in Python scalars where
+    it can: per image a group blob and a detail blob, each from its own
+    ``np.mgrid`` and ``exp``, then the noise and the clip. Returns the
+    (images (M, 1, H, W), labels) of the train split and of the eval split."""
+    rng = np.random.default_rng([spec.seed, 0xDA7A])
+    splits = []
+    for count in (spec.train_size, spec.eval_size):
+        labels = rng.integers(0, spec.num_classes, size=count)
+        clusters = rng.integers(0, spec.clusters_per_class, size=count)
+        images = np.stack([_render_reference(spec, int(labels[i]), int(clusters[i]), rng)
+                           for i in range(count)])
+        splits.append((images[:, None, :, :].astype(np.float64), labels.astype(np.int64)))
+    return splits

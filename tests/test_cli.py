@@ -114,7 +114,9 @@ class TestTrain:
         ("eval", "default_threshold", -0.5,
          "eval.default_threshold: expected a finite number >= 0, got -0.5"),
         ("dataset", "noise", float("nan"), "dataset: noise must be finite, got nan"),
-    ], ids=["negative_threshold", "nan_noise"])
+        ("eval", "thresholds", [],
+         "eval.thresholds: expected a non-empty list of thresholds, got []"),
+    ], ids=["negative_threshold", "nan_noise", "empty_thresholds"])
     def test_bad_value_fails_before_training(self, workdir, capsys, section, key, value, message):
         raw = base_config()
         raw[section][key] = value
@@ -175,12 +177,16 @@ class TestEval:
             float(last["eval_acc_lm"]), float(last["eval_acc_full"]),
             float(last["skip_rate_at_default_threshold"]))
 
-    @pytest.mark.parametrize("value,shown", [("inf", "Infinity"), ("-0.5", "-0.5"), ("nan", "NaN")])
+    @pytest.mark.parametrize("value,message", [
+        ("inf", "expected a finite number >= 0, got Infinity"),
+        ("-0.5", "expected a finite number >= 0, got -0.5"),
+        ("nan", "expected a finite number >= 0, got NaN"),
+        ("abc", "expected float, got 'abc'"),
+    ], ids=["inf-Infinity", "-0.5--0.5", "nan-NaN", "abc"])
     def test_bad_threshold_exits_one_with_one_line(self, workdir, trained_ckpt, capsys,
-                                                   value, shown):
+                                                   value, message):
         assert main(["eval", "--ckpt", str(trained_ckpt), "--threshold", value]) == 1
-        assert capsys.readouterr().err == (
-            f"error: --threshold: expected a finite number >= 0, got {shown}\n")
+        assert capsys.readouterr().err == f"error: --threshold: {message}\n"
         assert not (workdir / "runs" / "demo" / "eval.json").exists()
 
     @pytest.mark.parametrize("name,corrupt", [
@@ -271,6 +277,12 @@ class TestSweep:
         assert capsys.readouterr().err == "error: --thresholds: expected float, got 'abc'\n"
         assert not (workdir / "runs" / "demo" / "sweep.csv").exists()
 
+    def test_no_thresholds_exits_one_with_one_line(self, workdir, trained_ckpt, capsys):
+        assert main(["sweep", "--ckpt", str(trained_ckpt), "--thresholds", ","]) == 1
+        assert capsys.readouterr().err == (
+            "error: --thresholds: expected a non-empty list of thresholds, got []\n")
+        assert not (workdir / "runs" / "demo" / "sweep.csv").exists()
+
     def test_sweep_csv_reparses_as_floats(self, workdir, trained_ckpt, capsys):
         assert main(["sweep", "--ckpt", str(trained_ckpt), "--thresholds", "0.5"]) == 0
         with open(workdir / "runs" / "demo" / "sweep.csv") as fh:
@@ -339,6 +351,12 @@ class TestDisturb:
                      "--kind", "uniform", "--seeds", "0"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--seeds" in err
+        assert not (workdir / "runs" / "demo" / "disturbance.csv").exists()
+
+    def test_non_integer_seeds_exit_one_with_one_line(self, workdir, trained_ckpt, capsys):
+        assert main(["disturb", "--ckpt", str(trained_ckpt),
+                     "--kind", "uniform", "--seeds", "x"]) == 1
+        assert capsys.readouterr().err == "error: --seeds: expected int, got 'x'\n"
         assert not (workdir / "runs" / "demo" / "disturbance.csv").exists()
 
     def test_non_integer_layer_exits_one_with_one_line(self, workdir, trained_ckpt, capsys):

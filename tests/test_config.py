@@ -159,6 +159,14 @@ class TestParsing:
         with pytest.raises(ConfigError, match=f"^schedule: {message}"):
             parse_config(raw)
 
+    def test_empty_thresholds_rejected(self):
+        # sweep reads this list when no --thresholds is given
+        raw = base_config()
+        raw["eval"]["thresholds"] = []
+        with pytest.raises(ConfigError) as exc:
+            parse_config(raw)
+        assert str(exc.value) == "eval.thresholds: expected a non-empty list of thresholds, got []"
+
     def test_zero_disturbance_seeds_rejected(self):
         raw = base_config()
         raw["eval"]["disturbance_seeds"] = 0
@@ -185,6 +193,7 @@ class TestParsing:
         (("eval", "default_threshold"), float("nan"), "eval.default_threshold"),
         (("eval", "thresholds"), [0.0, -0.1], "eval.thresholds"),
         (("eval", "thresholds"), [float("inf")], "eval.thresholds"),
+        (("eval", "thresholds"), [], "eval.thresholds"),
     ])
     def test_bad_value_names_its_key(self, path, value, named):
         raw = base_config()

@@ -17,6 +17,7 @@ from oracles import conv2d_reference, linear_reference, sweep_reference, synthes
 from toys import toy_dataset, toy_state
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synthetic-demo.json"
+WIDE_CONFIG = DEMO_CONFIG.with_name("synthetic-wide.json")
 
 
 class TestExpectedCost:
@@ -70,6 +71,28 @@ class TestFullCost:
         raw["bank"]["shared"] = shared
         state, _ = EX.build_state(parse_config(raw))
         assert C.full_cost(state.lm, state.bank).params_total == state.vector.size == total
+
+    def test_wide_config_is_the_demo_with_a_wider_bank(self):
+        demo, wide = (json.loads(path.read_text()) for path in (DEMO_CONFIG, WIDE_CONFIG))
+        assert [(layer["in"], layer["out"]) for layer in wide["bank"]["layers"]] == [
+            (1, 12), (12, 16), (16, 24)]
+        assert wide["output_dir"] == "runs/synthetic-wide"
+        demo["bank"]["layers"], demo["output_dir"] = wide["bank"]["layers"], wide["output_dir"]
+        assert wide == demo
+
+    @pytest.mark.parametrize("path,madds,lm_share", [
+        (DEMO_CONFIG, (8640, 756, 4635, 14031), 0.616),
+        (WIDE_CONFIG, (8640, 21168, 97344, 127152), 0.068),
+    ], ids=["demo", "wide"])
+    def test_config_prices(self, path, madds, lm_share):
+        # the wide bank puts the lightweight model's share near the paper's
+        # regime (56.5M of 290M); priced without training
+        cfg = load_config(path)
+        bank = S.build_bank(cfg.bank_spec, cfg.n_bases, cfg.shared_layers, cfg.seed)
+        report = C.full_cost(cfg.lm, bank)
+        assert (report.lm_madds, report.synthesis_madds, report.stage2_madds,
+                report.total_madds) == madds
+        assert report.lm_madds / report.total_madds == pytest.approx(lm_share, abs=5e-4)
 
     def test_total_matches_instrumented_end_to_end_oracle(self):
         state = toy_state(n_bases=3, seed=1)

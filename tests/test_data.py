@@ -7,6 +7,38 @@ import numpy as np
 import pytest
 
 from kernelblend import data as D
+from oracles import synthetic_reference
+
+
+def _random_specs(count: int) -> list:
+    """Seeded specs over the generator's range: odd and even class counts,
+    1-3 clusters, 8-32 pixels, noise 0 to 0.3, splits of 1-200 images. The
+    first few pin the edges: size 8 and 32, no noise, splits of one image."""
+    rng = np.random.default_rng(20)
+    specs = [
+        D.SyntheticSpec(num_classes=3, clusters_per_class=1, image_size=8, noise=0.0,
+                        train_size=1, eval_size=1, seed=1),
+        D.SyntheticSpec(num_classes=11, clusters_per_class=3, image_size=32, noise=0.3,
+                        train_size=7, eval_size=1, seed=2),
+        D.SyntheticSpec(num_classes=2, clusters_per_class=2, image_size=9, noise=0.0,
+                        train_size=1, eval_size=40, seed=3),
+    ]
+    while len(specs) < count:
+        specs.append(D.SyntheticSpec(
+            num_classes=int(rng.integers(2, 12)), clusters_per_class=int(rng.integers(1, 4)),
+            image_size=int(rng.integers(8, 33)),
+            noise=0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 0.3)),
+            train_size=int(rng.integers(1, 201)), eval_size=int(rng.integers(1, 201)),
+            seed=int(rng.integers(0, 2 ** 31))))
+    return specs
+
+
+# the demo config's dataset, the default spec and 22 seeded random specs
+ORACLE_SPECS = [
+    D.SyntheticSpec(num_classes=6, clusters_per_class=2, image_size=12, noise=0.1,
+                    train_size=1024, eval_size=256, seed=1),
+    D.SyntheticSpec(),
+] + _random_specs(22)
 
 
 class TestSynthetic:
@@ -16,6 +48,18 @@ class TestSynthetic:
         t2, e2 = D.generate_synthetic(spec)
         assert t1.images.tobytes() == t2.images.tobytes()
         assert np.array_equal(e1.labels, e2.labels)
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: (
+        f"c{spec.num_classes}k{spec.clusters_per_class}s{spec.image_size}"
+        f"n{spec.noise:.2f}m{spec.train_size}-{spec.eval_size}"))
+    def test_matches_per_sample_reference_bitwise(self, spec):
+        # the batched render against the image-by-image generator it replaced
+        for split, (images, labels) in zip(D.generate_synthetic(spec), synthetic_reference(spec)):
+            assert split.images.shape == images.shape
+            assert split.images.dtype == images.dtype
+            assert split.images.tobytes() == images.tobytes()
+            assert split.labels.dtype == labels.dtype
+            assert split.labels.tobytes() == labels.tobytes()
 
     def test_different_seed_differs(self):
         a, _ = D.generate_synthetic(D.SyntheticSpec(train_size=64, eval_size=8, seed=1))
