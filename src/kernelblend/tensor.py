@@ -68,14 +68,16 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def apply_update(self, new_data: np.ndarray) -> None:
-        """Write new values into this tensor's buffer (optimizer-only interface).
+    def apply_update(self, new_data: np.ndarray, start: int = 0) -> None:
+        """Write new values into this tensor's buffer, from flat offset ``start``
+        to its end (optimizer-only interface); nothing unless all are finite.
         The write is in place, so views of the buffer stay live."""
         arr = np.asarray(new_data, dtype=np.float64)
-        if arr.shape != self.data.shape:
-            raise ShapeError(f"update shape {arr.shape} != parameter shape {self.data.shape}")
+        target = self.data.reshape(-1)[start:] if start else self.data
+        if arr.shape != target.shape:
+            raise ShapeError(f"update shape {arr.shape} != parameter shape {target.shape}")
         _require_finite(arr, "parameter update contains NaN or Inf")
-        self.data[...] = arr
+        target[...] = arr
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -87,11 +89,17 @@ class GradTape:
     Each record is (output, inputs, backward_fn) where backward_fn maps the
     output gradient to per-input gradient contributions. The tape is
     single-shot: backward() consumes it and a second call is an error.
+
+    ``into`` maps a tensor to a writable array that backward fills with its
+    gradient: the first contribution is copied in or, when ``seeded``, added
+    to the term already there (one computed off the tape, such as L2's).
     """
 
-    def __init__(self):
+    def __init__(self, into: dict[Tensor, np.ndarray] | None = None, seeded: bool = False):
         self.records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
         self.consumed = False
+        self.into = {} if into is None else into
+        self.seeded = seeded
 
 
 _ACTIVE_TAPE: GradTape | None = None
@@ -129,9 +137,9 @@ def _result(data: np.ndarray, inputs: Sequence[Tensor], backward: Callable,
 def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Accumulate gradients of ``loss`` w.r.t. every tensor that fed it.
 
-    Returns a map from tensor to its gradient array. Tensors not reachable
-    from the loss are simply absent. The tape is consumed; calling backward
-    a second time on the same tape raises.
+    Returns a map from tensor to its gradient array (its ``into`` array if the
+    tape has one). Tensors not reachable from the loss are absent unless
+    seeded. The tape is consumed; calling backward a second time raises.
     """
     if loss.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -143,6 +151,8 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     tape.consumed = True
 
     grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
+    if tape.seeded:
+        grads.update(tape.into)
     for out, inputs, backward_fn in reversed(tape.records):
         gout = grads.get(out)
         if gout is None:
@@ -151,10 +161,13 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
             if not tensor.requires_grad:
                 continue
             existing = grads.get(tensor)
-            if existing is None:
-                grads[tensor] = np.array(contribution, dtype=np.float64, copy=True)
-            else:
+            if existing is not None:
                 existing += contribution
+            elif tensor in tape.into:
+                grads[tensor] = tape.into[tensor]
+                np.copyto(grads[tensor], contribution)
+            else:
+                grads[tensor] = np.array(contribution, dtype=np.float64, copy=True)
     return grads
 
 
@@ -296,7 +309,7 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def sum_squares(*tensors: Tensor) -> Tensor:
-    """Scalar sum of the squared entries of every tensor (the L2 regulariser).
+    """Scalar sum of the squared entries of every tensor.
 
     One record however many tensors: each tensor's sum is added left to
     right, the same additions as a chain of per-tensor sums joined by
@@ -368,6 +381,17 @@ def _window_index(c: int, h: int, w: int, kh: int, kw: int, stride: int, padding
     return idx
 
 
+@functools.lru_cache(maxsize=16)
+def _col2im_index(key: tuple, batch: int) -> np.ndarray:
+    """Read-only flat ``bincount`` bins for a batch: ``_window_index(*key)``
+    shifted to each sample's own C*H*W + 1 bins. An entry is ``batch`` window
+    indexes long, hence the smaller cache; a training run uses one batch size."""
+    c, h, w = key[:3]
+    flat = (np.arange(batch)[:, None] * (c * h * w + 1) + _window_index(*key)).reshape(-1)
+    flat.flags.writeable = False
+    return flat
+
+
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
            bias: Tensor | None = None, relu: bool = False) -> Tensor:
     """2-D cross-correlation of an NCHW input with an OIKK kernel, then an
@@ -413,7 +437,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
     # dimension, B could change BLAS's blocking.
     out_h = (h + 2 * padding - kh) // stride + 1
     out_w = (w + 2 * padding - kw) // stride + 1
-    idx = _window_index(in_c, h, w, kh, kw, stride, padding, out_h, out_w)
+    key = (in_c, h, w, kh, kw, stride, padding, out_h, out_w)
+    idx = _window_index(*key)
     plane = in_c * h * w
     xz = np.concatenate([x.data.reshape(batch, plane), np.zeros((batch, 1))], axis=1)
     cols = np.take(xz, idx, axis=1).reshape(batch, in_c * kh * kw, out_h * out_w)
@@ -442,8 +467,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
         # to 0.0 in index order, which is ascending (ki, kj); a position no
         # window covers gets an exact zero. The padding taps all land in each
         # sample's last bin, which the view drops.
-        flat = (np.arange(batch)[:, None] * (plane + 1) + idx).reshape(-1)
-        gx = np.bincount(flat, weights=gcols.reshape(-1), minlength=batch * (plane + 1)
+        gx = np.bincount(_col2im_index(key, batch), weights=gcols.reshape(-1), minlength=batch * (plane + 1)
                          ).reshape(batch, plane + 1)[:, :plane].reshape(x.shape)
         return ((x, gx), (kernel, gk), *gb)
 

@@ -20,7 +20,9 @@ continues exactly as the uninterrupted run would.
 A ``TrainState`` packs every parameter into one vector in
 ``named_parameters`` order, ``lm.*`` first, and each parameter views into
 it. A step makes one vectorised update of the suffix it trains (the bank
-alone on a selection step); the RMSProp accumulator is one vector too.
+alone on a selection step) from one gradient buffer aligned with it, which
+the backward pass writes through views, L2's term first (L2 is not a tape
+op); the RMSProp accumulator is one vector too.
 
 All per-step randomness (batch choice, augmentation, dropout masks) derives
 from (seed, step), so any run is reproducible bit for bit and no step
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -134,14 +137,18 @@ class TrainState:
                                  "state's vector; copy a state with copy.deepcopy")
         params = [p for _, p in named]
         self.vector = T.Tensor(np.concatenate([p.data.reshape(-1) for p in params]))
-        offset = 0
-        for p in params:  # same values, now held in the vector
-            p.data = self.vector.data[offset:offset + p.size].reshape(p.shape)
-            offset += p.size
+        for p, view in zip(params, _views(self.vector.data, params)):
+            p.data = view  # same values, now held in the vector
 
     def __deepcopy__(self, memo):
         lm, lm_params, bank, acc = copy.deepcopy((self.lm, self.lm_params, self.bank, self.opt_state), memo)
         return TrainState(lm, lm_params, bank, self.synth_cfg, self.step, acc)
+
+
+def _views(flat: np.ndarray, tensors) -> list[np.ndarray]:
+    """Consecutive views of ``flat``, one shaped like each of ``tensors``."""
+    offsets = accumulate((t.size for t in tensors), initial=0)
+    return [flat[o:o + t.size].reshape(t.shape) for t, o in zip(tensors, offsets)]
 
 
 def named_parameters(state: TrainState) -> list[tuple[str, T.Tensor]]:
@@ -255,7 +262,8 @@ def total_loss(final_logits: T.Tensor, initial_logits: T.Tensor, target: np.ndar
     """CE(final) + lm_weight * CE(initial) + l2_weight * sum ||p||^2.
 
     With distillation on, the teacher's soft rows replace (or blend into)
-    the hard targets for the heads the policy selects.
+    the hard targets for the heads the policy selects. The L2 term is a
+    constant on the tape: ``train_step`` writes its gradient itself.
     """
     final_target = initial_target = target
     if cfg.distill is not None and distill_soft is not None:
@@ -269,9 +277,11 @@ def total_loss(final_logits: T.Tensor, initial_logits: T.Tensor, target: np.ndar
     loss = T.add(synth_loss, T.scale(lm_loss, cfg.lm_weight))
     l2_value = 0.0
     if cfg.l2_weight > 0.0:
-        reg = T.sum_squares(*params)
-        loss = T.add(loss, T.scale(reg, cfg.l2_weight))
-        l2_value = cfg.l2_weight * reg.data.item()
+        total = 0.0  # per tensor, plain left-to-right adds: sum() compensates on Python >= 3.12
+        for p in params:  # np.sum's reduce, without its Python-level wrapper
+            total = total + np.add.reduce(p.data * p.data, axis=None)
+        loss = T.add(loss, T.Tensor(total * cfg.l2_weight))
+        l2_value = cfg.l2_weight * float(total)
     parts = {
         "synth_loss": synth_loss.data.item(),
         "lm_loss": lm_loss.data.item(),
@@ -284,13 +294,12 @@ def total_loss(final_logits: T.Tensor, initial_logits: T.Tensor, target: np.ndar
 # optimizer step
 
 
-def _apply_updates(state: TrainState, grads, params, lr: float, schedule: TrainSchedule):
-    """One update of the suffix of ``state.vector`` that ``params`` covers.
-    A parameter with no gradient entry keeps its values (its gradient is
-    zero) and its accumulator (masked). A global gradient norm above
-    ``clip_norm`` is scaled down to it first."""
-    g = np.concatenate([
-        grads[p].reshape(-1) if p in grads else np.zeros(p.size) for _, p in params])
+def _apply_updates(state: TrainState, grad, grads, params, lr: float, schedule: TrainSchedule):
+    """One update of the suffix of ``state.vector`` that ``params`` covers,
+    from ``grad``, the gradient buffer aligned with it. A parameter with no
+    entry in ``grads`` keeps its values (its gradient is zero) and its
+    accumulator (masked). A global gradient norm above ``clip_norm`` is
+    scaled down to it first. A non-finite update writes nothing."""
     if schedule.clip_norm is not None:
         total = 0.0  # per tensor, plain left-to-right adds: sum() compensates on Python >= 3.12
         for _, p in params:
@@ -298,20 +307,20 @@ def _apply_updates(state: TrainState, grads, params, lr: float, schedule: TrainS
                 total += float(np.sum(grads[p] * grads[p]))
         norm = np.sqrt(total)
         if norm > schedule.clip_norm and norm > 0:
-            g = g * (schedule.clip_norm / norm)
-    start = state.vector.size - g.size  # ``params`` is a suffix of named_parameters
+            grad = grad * (schedule.clip_norm / norm)
+    start = state.vector.size - grad.size  # ``params`` is a suffix of named_parameters
     acc = state.opt_state
     if schedule.optimizer == "rmsprop":
         acc = np.zeros(state.vector.size) if acc is None else acc.copy()
-        covered = np.repeat([p in grads for _, p in params], [p.size for _, p in params])
-        tail = acc[start:]
-        tail[covered] = 0.9 * tail[covered] + 0.1 * g[covered] * g[covered]
-        delta = lr * g / (np.sqrt(tail) + 1e-8)
+        tail = 0.9 * acc[start:] + 0.1 * grad * grad
+        if not all(p in grads for _, p in params):
+            covered = np.repeat([p in grads for _, p in params], [p.size for _, p in params])
+            tail = np.where(covered, tail, acc[start:])
+        acc[start:] = tail
+        delta = lr * grad / (np.sqrt(tail) + 1e-8)
     else:
-        delta = lr * g
-    new = state.vector.data.copy()
-    new[start:] -= delta
-    state.vector.apply_update(new)
+        delta = lr * grad
+    state.vector.apply_update(state.vector.data[start:] - delta, start)
     state.opt_state = acc
 
 
@@ -351,16 +360,22 @@ def train_step(state: TrainState, batch: tuple[np.ndarray, np.ndarray],
             loss_cfg.distill.teacher_spec, loss_cfg.distill.teacher_params, batch_x)
 
     lr = learning_rate_at(step, schedule)
+    # one gradient buffer aligned with the trained suffix; L2's term goes in
+    # before the backward adds the network's, the order of a tape ending in
+    # the regulariser, so every gradient matches that one bit for bit
+    tensors = [p for _, p in params]
+    trained = state.vector.data[-sum(p.size for p in tensors):]
+    seeded = loss_cfg.l2_weight > 0.0
+    grad = (2.0 * trained) * loss_cfg.l2_weight if seeded else np.zeros(trained.size)
     try:
-        tape = T.GradTape()
+        tape = T.GradTape(dict(zip(tensors, _views(grad, tensors))), seeded)
         with T.recording(tape):
             final, initial, _ = forward_training(state, batch_x, eps, drop_masks)
             if selecting:
                 initial = T.Tensor(initial.data)
-            loss, parts = total_loss(
-                final, initial, batch_y, [p for _, p in params], loss_cfg, distill_soft)
+            loss, parts = total_loss(final, initial, batch_y, tensors, loss_cfg, distill_soft)
         grads = T.backward(loss)
-        _apply_updates(state, grads, params, lr, schedule)
+        _apply_updates(state, grad, grads, params, lr, schedule)
     except T.NonFiniteError as err:
         raise TrainingDiverged(
             f"training went non-finite at step {step} (lr={lr}): {err}"

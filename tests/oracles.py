@@ -266,6 +266,60 @@ def apply_updates_per_tensor(opt_state: dict, grads, params, lr: float, schedule
     return factor
 
 
+def l2_chain(params):
+    """The L2 sum on the tape as one ``sum_squares`` per parameter joined by
+    ``add``, left to right: each parameter gets its own ``2 * p * g`` term."""
+    from kernelblend import tensor as T
+
+    reg = T.sum_squares(params[0])
+    for p in params[1:]:
+        reg = T.add(reg, T.sum_squares(p))
+    return reg
+
+
+def train_step_per_tensor(state, batch, schedule, loss_cfg, opt_state: dict):
+    """A training step with the L2 term on the tape and a per-tensor update:
+    a plain tape (a fresh gradient copy per tensor), the loss CE(final) +
+    lm_weight * CE(initial) + l2_weight * ``l2_chain``, then
+    ``apply_updates_per_tensor``. Epsilon, the dropout masks, the learning
+    rate and selection fine-tuning follow the schedule as ``train_step``
+    does; no distillation. Steps ``state`` and returns (loss, gradients,
+    clip factor)."""
+    from dataclasses import replace
+
+    from kernelblend import tensor as T
+    from kernelblend import training as tr
+
+    x, y = batch
+    step = state.step
+    params = tr.named_parameters(state)
+    selecting = schedule.finetune_steps > 0 and step >= schedule.total_steps
+    if selecting:
+        state.synth_cfg = replace(state.synth_cfg, mode="one_hot")
+        params = [(name, p) for name, p in params if not name.startswith("lm.")]
+    drop = None
+    if schedule.bmd_rate > 0.0:
+        rng = tr.step_rng(schedule, step, stream=2)
+        draws = len(x) if schedule.bmd_per_sample else 1
+        drop = np.stack([tr.sample_bmd_mask(state.bank.n_bases, schedule.bmd_rate, rng)
+                         for _ in range(draws)])
+        drop = drop if schedule.bmd_per_sample else drop[0]
+    tape = T.GradTape()
+    with T.recording(tape):
+        final, initial, _ = tr.forward_training(state, x, tr.epsilon_at(step, schedule), drop)
+        if selecting:
+            initial = T.Tensor(initial.data)
+        loss = T.add(T.cross_entropy(final, y),
+                     T.scale(T.cross_entropy(initial, y), loss_cfg.lm_weight))
+        if loss_cfg.l2_weight > 0.0:
+            loss = T.add(loss, T.scale(l2_chain([p for _, p in params]), loss_cfg.l2_weight))
+    grads = T.backward(loss)
+    factor = apply_updates_per_tensor(opt_state, grads, params,
+                                      tr.learning_rate_at(step, schedule), schedule)
+    state.step = step + 1
+    return loss, grads, factor
+
+
 def _blob_reference(size: int, cy: float, cx: float, sigma: float, amp: float) -> np.ndarray:
     yy, xx = np.mgrid[0:size, 0:size]
     return amp * np.exp(-(((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * sigma ** 2)))

@@ -390,6 +390,31 @@ class TestConvWindowGather:
         with pytest.raises(ValueError):
             idx[0] = 1
 
+    def test_col2im_index_cached_per_batch_and_gradient_is_plain_conv(self):
+        # a 9x7 map at padding 1 and stride 2, at two batch sizes: one
+        # read-only bincount index per batch size, reused by a later backward
+        # at the same size, and every input gradient the plain conv's bitwise
+        rng = np.random.default_rng(5)
+        kv = rng.standard_normal((4, 2, 3, 3))
+        infos = [T._col2im_index.cache_info()]
+        for batch in (3, 8, 3):
+            xv = rng.standard_normal((batch, 2, 9, 7))
+            x = T.Tensor(xv, requires_grad=True)
+            tape = T.GradTape()
+            with T.recording(tape):
+                out = T.conv2d(x, T.Tensor(kv, requires_grad=True), stride=2, padding=1)
+                gv = rng.standard_normal(out.shape)
+                grads = T.backward(T.sum_all(T.mul(out, T.Tensor(gv))))
+            _, oracle_bwd = conv2d_plain(xv, kv, 2, 1)
+            assert grads[x].tobytes() == np.ascontiguousarray(oracle_bwd(gv)[0]).tobytes()
+            infos.append(T._col2im_index.cache_info())
+        assert [i.misses - infos[0].misses for i in infos[1:]] == [1, 2, 2]
+        key = (2, 9, 7, 3, 3, 2, 1, 5, 4)
+        flat = T._col2im_index(key, 8)
+        assert not flat.flags.writeable
+        assert flat.size == 8 * T._window_index(*key).size
+        assert flat.max() == 8 * (2 * 9 * 7 + 1) - 1  # the last sample's padding bin
+
 
 class TestElementwise:
     def test_relu_values(self):
@@ -577,6 +602,32 @@ class TestBackwardContract:
         grads = grad_of(lambda: T.sum_all(T.add(x, x)), (x,))
         assert np.array_equal(grads[x], [2.0])
 
+    def test_into_array_receives_the_gradient_in_place(self):
+        # the first contribution is copied in and the others added; a tensor
+        # the loss does not reach gets no entry and its array is left alone
+        x = T.Tensor([2.0, 3.0], requires_grad=True)
+        other = T.Tensor([5.0], requires_grad=True)
+        buf = np.full(3, 7.0)
+        tape = T.GradTape({x: buf[:2], other: buf[2:]})
+        with T.recording(tape):
+            loss = T.sum_all(T.add(T.mul(x, x), x))
+        grads = T.backward(loss)
+        assert buf.tolist() == [5.0, 7.0, 7.0]  # 2x + 1, then the untouched 7
+        assert grads[x] is tape.into[x] and other not in grads
+
+    def test_seeded_into_array_adds_every_contribution(self):
+        # the arrays hold a first term computed off the tape: each
+        # contribution adds to it, and every tensor in into has an entry
+        x = T.Tensor([2.0, 3.0], requires_grad=True)
+        other = T.Tensor([5.0], requires_grad=True)
+        buf = np.array([0.5, 0.25, 4.0])
+        tape = T.GradTape({x: buf[:2], other: buf[2:]}, seeded=True)
+        with T.recording(tape):
+            loss = T.sum_all(T.scale(x, 3.0))
+        grads = T.backward(loss)
+        assert buf.tolist() == [3.5, 3.25, 4.0]
+        assert grads[x] is tape.into[x] and grads[other] is tape.into[other]
+
 
 class TestStructuralOps:
     def test_row_and_reshape_roundtrip_gradients(self):
@@ -721,6 +772,16 @@ class TestApplyUpdate:
         with pytest.raises(T.ShapeError):
             t.apply_update(np.zeros(3))
         assert t.data.tolist() == [1.0, 2.0]
+
+    def test_start_writes_only_the_flat_suffix(self):
+        t = T.Tensor(np.arange(6.0).reshape(2, 3))
+        t.apply_update(np.array([-1.0, -2.0]), start=4)
+        assert t.data.tolist() == [[0.0, 1.0, 2.0], [3.0, -1.0, -2.0]]
+        with pytest.raises(T.NonFiniteError):
+            t.apply_update(np.array([np.inf, 0.0]), start=4)
+        with pytest.raises(T.ShapeError):
+            t.apply_update(np.zeros(3), start=4)
+        assert t.data.tolist() == [[0.0, 1.0, 2.0], [3.0, -1.0, -2.0]]
 
 
 class TestGradientSweep:

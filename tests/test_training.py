@@ -13,7 +13,8 @@ from kernelblend import tensor as T
 from kernelblend import training as TR
 from kernelblend.data import augment_batch
 
-from oracles import apply_updates_per_tensor, augment_reference, per_image_forward
+from oracles import (apply_updates_per_tensor, augment_reference, l2_chain, per_image_forward,
+                     train_step_per_tensor)
 from toys import run_training, toy_dataset, toy_state
 
 
@@ -79,35 +80,36 @@ class TestTotalLoss:
                                  TR.LossConfig(l2_weight=0.5))
         assert parts["l2"] == pytest.approx(0.5 * 5.0)
 
-    def test_l2_bitwise_equals_per_parameter_chain(self):
-        # the one-op regulariser against one sum_squares per parameter joined
-        # by add: the loss and every gradient bit for bit
-        state = toy_state(n_bases=3, seed=11)
+    def test_l2_bitwise_equals_per_parameter_chain(self, monkeypatch):
+        # train_step, its L2 gradient written into the buffer before the
+        # backward, against the regulariser on the tape as one sum_squares
+        # per parameter joined by add: the loss, the gradient buffer and the
+        # updated vector bit for bit
         train, _ = toy_dataset(train_size=8, eval_size=8)
-        x, y = train.images[:4], train.labels[:4]
+        batch = (train.images[:4], train.labels[:4])
         cfg = TR.LossConfig(lm_weight=0.7, l2_weight=1e-3)
-        params = [p for _, p in TR.named_parameters(state)]
+        buffers = []
+        apply_updates = TR._apply_updates
 
-        def chain_loss(final, initial):
-            loss = T.add(T.cross_entropy(final, y), T.scale(T.cross_entropy(initial, y), cfg.lm_weight))
-            reg = T.sum_squares(params[0])
-            for p in params[1:]:
-                reg = T.add(reg, T.sum_squares(p))
-            return T.add(loss, T.scale(reg, cfg.l2_weight))
+        def keep_buffer(st, grad, *rest):
+            buffers.append(grad.copy())
+            apply_updates(st, grad, *rest)
 
-        results = []
-        for build in (lambda f, i: TR.total_loss(f, i, y, params, cfg)[0], chain_loss):
-            tape = T.GradTape()
-            with T.recording(tape):
-                final, initial, _ = TR.forward_training(state, x, 0.0, None)
-                loss = build(final, initial)
-            results.append((loss, T.backward(loss)))
-        (loss, grads), (ref_loss, ref_grads) = results
-        assert loss.data.tobytes() == ref_loss.data.tobytes()
-        for p in params:
-            assert grads[p].tobytes() == ref_grads[p].tobytes()
+        monkeypatch.setattr(TR, "_apply_updates", keep_buffer)
+        for optimizer in ("sgd", "rmsprop"):
+            state = toy_state(n_bases=3, seed=11)
+            s = sched(batch_size=4, optimizer=optimizer)
+            oracle = copy.deepcopy(state)
+            ref_loss, ref_grads, _ = train_step_per_tensor(oracle, batch, s, cfg, {})
+            state, metrics = TR.train_step(state, batch, s, cfg)
+            want = np.concatenate([ref_grads[p].reshape(-1) for _, p in TR.named_parameters(oracle)])
+            assert np.float64(metrics["loss"]).tobytes() == ref_loss.data.tobytes()
+            assert buffers[-1].tobytes() == want.tobytes()
+            assert state.vector.data.tobytes() == oracle.vector.data.tobytes()
 
-    def test_l2_tape_records_do_not_grow_with_parameter_count(self):
+    def test_l2_term_adds_no_gradient_record(self):
+        # the L2 value joins the loss as a constant: one add, whatever the
+        # parameter count, and no parameter on the tape or in the gradients
         final, initial = self.make_logits()
         final.requires_grad = initial.requires_grad = True
         y = np.array([0, 1, 2, 3])
@@ -118,10 +120,17 @@ class TestTotalLoss:
             for weight in (0.0, 1e-2):
                 tape = T.GradTape()
                 with T.recording(tape):
-                    TR.total_loss(final, initial, y, params, TR.LossConfig(l2_weight=weight))
+                    loss, _ = TR.total_loss(final, initial, y, params, TR.LossConfig(l2_weight=weight))
                 records.append(len(tape.records))
+                assert not any(p in inputs for _, inputs, _ in tape.records for p in params)
+                grads = T.backward(loss)
+                assert not any(p in grads for p in params)
             added.add(records[1] - records[0])
-        assert added == {3}  # sum_squares, scale, add
+        assert added == {1}
+        # the value is still the per-tensor sums, added left to right
+        reg = l2_chain(params)
+        _, parts = TR.total_loss(final, initial, y, params, TR.LossConfig(l2_weight=1e-2))
+        assert parts["l2"] == 1e-2 * reg.item()
 
 
 class TestBmdMask:
@@ -271,6 +280,24 @@ class TestTrainStep:
         specialist = S.synthesize(state.bank, T.Tensor(np.full((2, 3), 1 / 3)))
         assert specialist.layers[0].kernel is state.bank.kernels[0][0]
 
+    def test_overflowing_update_raises_and_changes_nothing(self):
+        # a finite forward and backward, then an RMSProp update, whose steps
+        # are of order lr, that overflows: the step is refused whole, with
+        # parameters, accumulator and step count unwritten
+        state = toy_state(n_bases=2, seed=7)
+        train, _ = toy_dataset(train_size=8, eval_size=8)
+        batch = (train.images[:2], train.labels[:2])
+        cfg = TR.LossConfig(l2_weight=1e-3)
+        state, _ = TR.train_step(state, batch, sched(batch_size=2, optimizer="rmsprop"), cfg)
+        vector, acc, step = state.vector.data.tobytes(), state.opt_state.tobytes(), state.step
+        huge = sched(batch_size=2, optimizer="rmsprop", lr_base=1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TR.TrainingDiverged, match="step 1 .*parameter update"):
+                TR.train_step(state, batch, huge, cfg)
+        assert state.vector.data.tobytes() == vector
+        assert state.opt_state.tobytes() == acc
+        assert state.step == step
+
     def test_nan_divergence_raises_with_diagnostics(self):
         state = toy_state(n_bases=2, seed=7)
         train, _ = toy_dataset(train_size=8, eval_size=8)
@@ -400,7 +427,7 @@ class TestVectorisedUpdate:
 
         accumulators, factors, skipped = {}, [], []
 
-        def per_tensor(st, grads, params, lr, schedule):
+        def per_tensor(st, grad, grads, params, lr, schedule):
             skipped.append(any(p not in grads for _, p in params))
             factors.append(apply_updates_per_tensor(accumulators, grads, params, lr, schedule))
 
@@ -414,6 +441,40 @@ class TestVectorisedUpdate:
             assert state.opt_state is None
         else:
             expected = np.concatenate([accumulators.get(name, np.zeros(p.shape)).reshape(-1)
+                                       for name, p in TR.named_parameters(oracle)])
+            assert state.opt_state.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("clip_norm", [None, 0.05], ids=["unclipped", "clip_binding"])
+    @pytest.mark.parametrize("optimizer", ["sgd", "rmsprop"])
+    def test_l2_bitwise_equal_to_per_tensor_oracle(self, optimizer, clip_norm):
+        # with L2 on: the gradient buffer seeded with the L2 term against the
+        # regulariser on the tape and a per-tensor update, through joint
+        # steps with dropped bases and then the fine-tune tail
+        train, _ = toy_dataset(train_size=32, eval_size=8)
+        s = sched(total_steps=6, finetune_steps=6, bmd_rate=0.4, batch_size=4, lr_base=0.05,
+                  optimizer=optimizer, clip_norm=clip_norm)
+        loss_cfg = TR.LossConfig(lm_weight=0.7, l2_weight=1e-3)
+        state, metrics = run_training(toy_state(n_bases=4, seed=12), train, s, loss_cfg)
+
+        oracle, accumulators, losses, factors, dropped = toy_state(n_bases=4, seed=12), {}, [], [], []
+        while oracle.step < s.total_steps + s.finetune_steps:
+            bases = {p: p.data.copy() for name, p in TR.named_parameters(oracle) if ".basis" in name}
+            batch = TR.sample_batch(train, s, oracle.step)
+            loss, grads, factor = train_step_per_tensor(oracle, batch, s, loss_cfg, accumulators)
+            losses.append(loss.item())
+            factors.append(factor)
+            # the net term: a basis no sample used gets its L2 gradient only
+            dropped.append(any(np.array_equal(grads[p], 2.0 * w * loss_cfg.l2_weight)
+                               for p, w in bases.items() if p in grads))
+
+        assert any(dropped[:6]) and any(dropped[6:])
+        assert all(f is not None for f in factors) if clip_norm else not any(factors)
+        assert [m["loss"] for m in metrics] == losses
+        assert state.vector.data.tobytes() == oracle.vector.data.tobytes()
+        if optimizer == "sgd":
+            assert state.opt_state is None
+        else:
+            expected = np.concatenate([accumulators[name].reshape(-1)
                                        for name, p in TR.named_parameters(oracle)])
             assert state.opt_state.tobytes() == expected.tobytes()
 
