@@ -68,6 +68,11 @@ class BackboneSpec:
                 )
             chain = layer.out_channels
         self.spatial_sizes()  # raises if any layer shrinks the map below 1x1
+        # the cost lookups key caches by spec on every image: hash the tree once
+        object.__setattr__(self, "_hash", hash((self.input_shape, self.layers, self.num_classes)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def num_layers(self) -> int:

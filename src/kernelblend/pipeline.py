@@ -174,8 +174,8 @@ def confidences(logits: np.ndarray) -> np.ndarray:
     """Max softmax probability of each row of (B, C) logits."""
     if logits.shape[-1] < 2:
         raise T.ShapeError("confidence needs at least 2 classes")
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e.max(axis=-1) / e.sum(axis=-1)
+    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    return np.maximum.reduce(e, axis=-1) / np.add.reduce(e, axis=-1)
 
 
 def confidence(logits) -> float:

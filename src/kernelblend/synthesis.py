@@ -199,7 +199,7 @@ def synthesize(bank: BasisBank, alpha: T.Tensor) -> BackboneParams:
         if shared:
             kernel = bank.kernels[k][0]
         else:
-            kernel = T.blend(T.take(values, r, axis=1), bank.kernels[k])
+            kernel = T.blend(values, bank.kernels[k], row=r)
             if single:
                 kernel = T.reshape(kernel, kernel.shape[1:])
             r += 1

@@ -3,8 +3,8 @@
 The engine is deliberately small: a Tensor wraps a C-contiguous float64
 ndarray, and every differentiable operation appends a backward rule to the
 active GradTape. Replaying the tape in reverse yields gradients for every
-parameter reachable from a scalar loss. There is no broadcasting; shape
-mismatches raise instead of being silently stretched.
+parameter reachable from a scalar loss and releases the tape. There is no
+broadcasting; shape mismatches raise instead of being silently stretched.
 
 Float64 is used throughout so finite-difference gradient checks are decisive.
 """
@@ -120,8 +120,8 @@ def recording(tape: GradTape):
 
 def _result(data: np.ndarray, inputs: Sequence[Tensor], backward: Callable,
             checked: bool = False) -> Tensor:
-    """Wrap an op result, enforce finiteness (unless the op has ``checked``
-    it already), and record it if a tape is live."""
+    """Wrap an op result, check it is finite (unless ``checked``: the op did,
+    or finite inputs cannot give anything else), and record it if a tape is live."""
     if not checked:
         _require_finite(data, "forward operation produced NaN or Inf")
     out = Tensor.__new__(Tensor)
@@ -168,6 +168,7 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
                 np.copyto(grads[tensor], contribution)
             else:
                 grads[tensor] = np.array(contribution, dtype=np.float64, copy=True)
+    tape.records.clear()  # outputs refer back to the tape: free the graph without the cyclic GC
     return grads
 
 
@@ -216,21 +217,21 @@ def sigmoid(a: Tensor) -> Tensor:
     def bwd(g):
         return ((a, g * out * (1.0 - out)),)
 
-    return _result(out, (a,), bwd)
+    return _result(out, (a,), bwd, checked=True)  # in [0, 1]
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:
     if not -a.data.ndim <= axis < a.data.ndim:
         raise ShapeError(f"softmax axis {axis} out of bounds for shape {a.shape}")
-    shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
+    shifted = a.data - np.maximum.reduce(a.data, axis=axis, keepdims=True)
     ex = np.exp(shifted)
-    out = ex / np.sum(ex, axis=axis, keepdims=True)
+    out = ex / np.add.reduce(ex, axis=axis, keepdims=True)
 
     def bwd(g):
         inner = np.sum(g * out, axis=axis, keepdims=True)
         return ((a, out * (g - inner)),)
 
-    return _result(out, (a,), bwd)
+    return _result(out, (a,), bwd, checked=True)  # in [0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +247,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     def bwd(g):
         return ((a, g.reshape(old)),)
 
-    return _result(a.data.reshape(shape), (a,), bwd)
+    return _result(a.data.reshape(shape), (a,), bwd, checked=True)  # moves data only
 
 
 def take(a: Tensor, index: int, axis: int = 0) -> Tensor:
@@ -262,7 +263,7 @@ def take(a: Tensor, index: int, axis: int = 0) -> Tensor:
         np.moveaxis(full, axis, 0)[index] = g
         return ((a, full),)
 
-    return _result(np.take(a.data, index, axis=axis), (a,), bwd)
+    return _result(a.data.take(index, axis=axis), (a,), bwd, checked=True)  # moves data only
 
 
 def tile_rows(a: Tensor, count: int) -> Tensor:
@@ -273,7 +274,7 @@ def tile_rows(a: Tensor, count: int) -> Tensor:
     def bwd(g):
         return ((a, g.sum(axis=-2)),)
 
-    return _result(np.repeat(a.data[..., None, :], count, axis=-2), (a,), bwd)
+    return _result(np.repeat(a.data[..., None, :], count, axis=-2), (a,), bwd, checked=True)  # copies
 
 
 def normalize_rows(a: Tensor, where=None) -> Tensor:
@@ -325,33 +326,39 @@ def sum_squares(*tensors: Tensor) -> Tensor:
     return _result(np.array(total), tensors, bwd)
 
 
-def blend(coeffs: Tensor, tensors: Sequence[Tensor]) -> Tensor:
+def blend(coeffs: Tensor, tensors: Sequence[Tensor], row: int | None = None) -> Tensor:
     """Per-sample linear combinations out[b] = sum_n coeffs[b, n] * tensors[n].
 
-    ``coeffs`` is (B, N) and the N tensors share one shape, so the result
-    is (B, *shape): one blended tensor per sample, from a single einsum.
+    ``coeffs`` is (B, N), or (B, rows, N) blending its ``row`` (one layer's
+    row of every sample). The N tensors share one shape, so the result is
+    (B, *shape): one blended tensor per sample, from a single einsum.
     The other terms of a one-hot row add exact zeros, so it returns the
-    selected tensor's values bit for bit. The coefficients get a
-    gradient at every position; a tensor whose coefficient is zero in every
-    row gets no gradient entry at all (not even a zero-filled one, which an
-    optimizer would still see).
+    selected tensor's values bit for bit. The coefficients get a gradient at
+    every position (zero off ``row``); a tensor whose coefficient is zero in
+    every sample gets no gradient entry at all (not even a zero-filled one,
+    which an optimizer would still see).
     """
-    if coeffs.data.ndim != 2:
-        raise ShapeError(f"blend coeffs must be (B, N), got shape {coeffs.shape}")
-    n = coeffs.shape[1]
+    c = coeffs.data
+    if c.ndim != (2 if row is None else 3) or row is not None and not 0 <= row < c.shape[1]:
+        raise ShapeError(f"blend coeffs must be (B, N), or (B, rows, N) and a row in range, got {c.shape}, row {row}")
+    c = c if row is None else c.take(row, axis=1)
+    n = c.shape[1]
     if n != len(tensors):
         raise ShapeError(f"{n} coefficients for {len(tensors)} tensors")
-    base = tensors[0].shape
+    base = tensors[0].data.shape
     for t in tensors[1:]:
-        if t.shape != base:
-            raise ShapeError(f"blend member shapes differ: {t.shape} vs {base}")
+        if t.data.shape != base:
+            raise ShapeError(f"blend member shapes differ: {t.data.shape} vs {base}")
 
-    c = coeffs.data
     flat = np.concatenate([t.data for t in tensors]).reshape(n, -1)
 
     def bwd(g):
         gflat = g.reshape(len(c), -1)
         gc = np.einsum("bf,nf->bn", gflat, flat)
+        if row is not None:  # zero outside the row, as ``take``'s backward gives
+            full = np.zeros_like(coeffs.data)
+            full[:, row] = gc
+            gc = full
         gt = np.einsum("bn,bf->nf", c, gflat)
         used = np.flatnonzero(np.any(c != 0.0, axis=0))
         return ((coeffs, gc), *((tensors[i], gt[i].reshape(base)) for i in used))
@@ -409,23 +416,24 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
     conv, a bias add and a ReLU run one after another, on one tape record (as
     cuDNN's fused conv-bias-activation call does). The ReLU's zero is +0.0.
     """
-    per_sample = kernel.data.ndim == 5
-    if x.data.ndim != 4 or kernel.data.ndim not in (4, 5):
-        raise ShapeError(f"conv2d expects NCHW input and OIKK or BOIKK kernel, got {x.shape} and {kernel.shape}")
+    xshape, kshape = x.data.shape, kernel.data.shape
+    per_sample = len(kshape) == 5
+    if len(xshape) != 4 or len(kshape) not in (4, 5):
+        raise ShapeError(f"conv2d expects NCHW input and OIKK or BOIKK kernel, got {xshape} and {kshape}")
     if stride < 1:
         raise ShapeError(f"stride must be >= 1, got {stride}")
     if padding < 0:
         raise ShapeError(f"padding must be >= 0, got {padding}")
-    batch, in_c, h, w = x.shape
-    out_c, k_in, kh, kw = kernel.shape[-4:]
-    if per_sample and kernel.shape[0] != batch:
-        raise ShapeError(f"conv2d per-sample kernel {kernel.shape} does not match batch of input {x.shape}")
+    batch, in_c, h, w = xshape
+    out_c, k_in, kh, kw = kshape[-4:]
+    if per_sample and kshape[0] != batch:
+        raise ShapeError(f"conv2d per-sample kernel {kshape} does not match batch of input {xshape}")
     if in_c != k_in:
-        raise ShapeError(f"conv2d channel mismatch: input {x.shape} has {in_c} channels, kernel {kernel.shape} expects {k_in}")
+        raise ShapeError(f"conv2d channel mismatch: input {xshape} has {in_c} channels, kernel {kshape} expects {k_in}")
     if h + 2 * padding < kh or w + 2 * padding < kw:
-        raise ShapeError(f"conv2d kernel {kernel.shape} larger than padded input {x.shape} (padding={padding})")
-    if bias is not None and bias.shape != (out_c,):
-        raise ShapeError(f"conv2d bias {bias.shape} does not match kernel {kernel.shape}")
+        raise ShapeError(f"conv2d kernel {kshape} larger than padded input {xshape} (padding={padding})")
+    if bias is not None and bias.data.shape != (out_c,):
+        raise ShapeError(f"conv2d bias {bias.data.shape} does not match kernel {kshape}")
 
     # im2col: gather the windows through a cached flat index into one
     # contiguous (B, C, kh, kw, oH, oW) array, which reshapes for free to the
@@ -440,16 +448,17 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
     key = (in_c, h, w, kh, kw, stride, padding, out_h, out_w)
     idx = _window_index(*key)
     plane = in_c * h * w
-    xz = np.concatenate([x.data.reshape(batch, plane), np.zeros((batch, 1))], axis=1)
-    cols = np.take(xz, idx, axis=1).reshape(batch, in_c * kh * kw, out_h * out_w)
-    kmat = kernel.data.reshape(*kernel.shape[:-3], in_c * kh * kw)
+    xz = np.zeros((batch, plane + 1))
+    xz[:, :plane] = x.data.reshape(batch, plane)
+    cols = xz.take(idx, axis=1).reshape(batch, in_c * kh * kw, out_h * out_w)
+    kmat = kernel.data.reshape(*kshape[:-3], in_c * kh * kw)
     out = np.matmul(kmat, cols).reshape(batch, out_c, out_h, out_w)
     if bias is not None:
         out += bias.data[:, None, None]
     # checked before the ReLU, which maps NaN and -Inf to 0
     _require_finite(out, "forward operation produced NaN or Inf")
     if relu:
-        mask = out > 0
+        mask = out > 0 if _ACTIVE_TAPE is not None else None  # only the backward reads it
         np.maximum(out, 0.0, out=out)  # maximum(-0.0, 0.0) is +0.0 (tests pin it by bytes)
 
     def bwd(g):
@@ -459,7 +468,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
         g3 = g.reshape(batch, out_c, out_h * out_w)
         gk = np.matmul(g3, cols.transpose(0, 2, 1))
         # a shared kernel sums the per-sample products, in batch order
-        gk = (gk if per_sample else gk.sum(axis=0)).reshape(kernel.shape)
+        gk = (gk if per_sample else gk.sum(axis=0)).reshape(kshape)
         if not x.requires_grad:  # e.g. the image at layer 0: backward would drop it
             return ((kernel, gk), *gb)
         gcols = np.matmul(np.swapaxes(kmat, -1, -2), g3)  # (B, C*kh*kw, oH*oW)
@@ -468,7 +477,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
         # window covers gets an exact zero. The padding taps all land in each
         # sample's last bin, which the view drops.
         gx = np.bincount(_col2im_index(key, batch), weights=gcols.reshape(-1), minlength=batch * (plane + 1)
-                         ).reshape(batch, plane + 1)[:, :plane].reshape(x.shape)
+                         ).reshape(batch, plane + 1)[:, :plane].reshape(xshape)
         return ((x, gx), (kernel, gk), *gb)
 
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
@@ -477,13 +486,13 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Affine map of a (B, F) batch through an (F, O) weight."""
-    if x.data.ndim != 2 or weight.data.ndim != 2 or x.shape[1] != weight.shape[0]:
+    if x.data.ndim != 2 or weight.data.ndim != 2 or x.data.shape[1] != weight.data.shape[0]:
         raise ShapeError(f"linear shape mismatch: input {x.shape} vs weight {weight.shape}")
-    if bias is not None and bias.shape != (weight.shape[1],):
+    if bias is not None and bias.data.shape != (weight.data.shape[1],):
         raise ShapeError(f"linear bias {bias.shape} does not match weight {weight.shape}")
     out = np.einsum("bf,fo->bo", x.data, weight.data)
     if bias is not None:
-        out = out + bias.data[None, :]
+        out += bias.data  # in place: the einsum output is fresh
 
     def bwd(g):
         contribs = [(x, np.einsum("bo,fo->bf", g, weight.data)),
@@ -500,7 +509,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
     """Spatial mean of each channel: NCHW -> NC."""
     if x.data.ndim != 4:
         raise ShapeError(f"global_avg_pool expects NCHW, got {x.shape}")
-    area = x.shape[2] * x.shape[3]
+    area = x.data.shape[2] * x.data.shape[3]
 
     def bwd(g):
         return ((x, np.broadcast_to((g / area)[:, :, None, None], x.shape)),)

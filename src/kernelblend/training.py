@@ -304,7 +304,7 @@ def _apply_updates(state: TrainState, grad, grads, params, lr: float, schedule: 
         total = 0.0  # per tensor, plain left-to-right adds: sum() compensates on Python >= 3.12
         for _, p in params:
             if p in grads:
-                total += float(np.sum(grads[p] * grads[p]))
+                total += float(np.add.reduce(grads[p] * grads[p], axis=None))
         norm = np.sqrt(total)
         if norm > schedule.clip_norm and norm > 0:
             grad = grad * (schedule.clip_norm / norm)

@@ -117,6 +117,31 @@ def synthesis_reference(coeff_rows: np.ndarray, kernel_banks):
     return blended, mults
 
 
+def synthesize_take_then_blend(bank, alpha):
+    """``synthesize`` as two tape ops per non-shared layer, as it stood before
+    ``blend`` took a row: ``take`` of the layer's row of every sample, then
+    ``blend`` of that (B, N) row. The coefficients' gradient adds the same
+    zero-filled (B, rows, N) arrays in the same order, so ``synthesize``
+    must give every gradient of this chain bit for bit."""
+    from kernelblend import backbone as bb
+    from kernelblend import tensor as T
+
+    single = alpha.data.ndim == 2
+    values = T.reshape(alpha, (1, *alpha.shape)) if single else alpha
+    params = bb.BackboneParams(head_w=bank.head_w, head_b=bank.head_b)
+    r = 0
+    for k, shared in enumerate(bank.share_mask):
+        if shared:
+            kernel = bank.kernels[k][0]
+        else:
+            kernel = T.blend(T.take(values, r, axis=1), bank.kernels[k])
+            if single:
+                kernel = T.reshape(kernel, kernel.shape[1:])
+            r += 1
+        params.layers.append(bb.LayerParams(kernel=kernel, bias=bank.biases[k]))
+    return params
+
+
 def finite_difference(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central finite-difference gradient of scalar f at x."""
     grad = np.zeros_like(x, dtype=np.float64)

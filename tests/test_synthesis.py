@@ -6,8 +6,10 @@ import pytest
 from kernelblend import backbone as B
 from kernelblend import synthesis as S
 from kernelblend import tensor as T
+from kernelblend import training as TR
 
-from oracles import synthesis_reference
+from oracles import synthesis_reference, synthesize_take_then_blend
+from toys import run_training, toy_dataset, toy_state
 
 
 def two_layer_spec():
@@ -280,6 +282,94 @@ class TestSynthesize:
             assert kern in grads and np.any(grads[kern] != 0)
         # the coefficient path reaches the raw head outputs
         assert raw in grads and np.any(grads[raw] != 0)
+
+
+class TestSynthesisTape:
+    """``synthesize`` records one ``blend`` per non-shared layer and gives the
+    gradients of the ``take``-then-``blend`` chain bit for bit."""
+
+    PER_SAMPLE = np.array([[True, False, False, True], [True, True, False, False],
+                           [True, False, True, False]])  # basis 0 dropped in every sample
+
+    def test_one_record_per_nonshared_layer(self):
+        state = toy_state(n_bases=3, seed=2, shared=(1,))
+        bank = state.bank
+        alpha = T.Tensor(np.full((4, bank.n_coefficient_rows, 3), 1 / 3), requires_grad=True)
+        tape = T.GradTape()
+        with T.recording(tape):
+            params = S.synthesize(bank, alpha)
+        assert len(tape.records) == bank.n_coefficient_rows == 2
+        assert [rec[0] for rec in tape.records] == [params.layers[k].kernel for k in (0, 2)]
+        assert params.layers[1].kernel is bank.kernels[1][0]
+
+    @pytest.mark.parametrize("mode,eps,masks", [
+        ("per_layer", 0.4, None),
+        ("per_layer", 0.0, "per_sample"),
+        ("per_layer", 0.4, "shared"),
+        ("per_model", 0.4, "per_sample"),
+        ("one_hot", 0.0, None),
+    ])
+    def test_gradients_bitwise_equal_take_then_blend(self, monkeypatch, mode, eps, masks):
+        state = toy_state(n_bases=4, seed=31, synth_cfg=S.SynthesisConfig(mode=mode))
+        train, _ = toy_dataset(train_size=16, eval_size=8)
+        x, y = train.images[:3], train.labels[:3]
+        drop = {None: None, "shared": self.PER_SAMPLE[1], "per_sample": self.PER_SAMPLE}[masks]
+        params = [p for _, p in TR.named_parameters(state)]
+
+        def gradients():
+            tape = T.GradTape()
+            with T.recording(tape):
+                final, initial, alpha = TR.forward_training(state, x, eps, drop)
+                loss = T.add(T.cross_entropy(final, y), T.cross_entropy(initial, y))
+            grads = T.backward(loss)
+            return grads, alpha, [grads[p].tobytes() if p in grads else None for p in params]
+
+        grads, alpha, got = gradients()
+        monkeypatch.setattr(S, "synthesize", synthesize_take_then_blend)
+        ref_grads, ref_alpha, want = gradients()
+
+        assert got == want
+        if mode != "one_hot":  # hard coefficients are constants: no gradient reaches them
+            assert grads[alpha].tobytes() == ref_grads[ref_alpha].tobytes()
+        if masks is not None:
+            assert None in got  # a dropped basis gets no entry on either path
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "rmsprop"])
+    def test_training_bitwise_equal_take_then_blend(self, monkeypatch, optimizer):
+        # joint steps with dropped bases, then the one-hot fine-tune tail
+        train, _ = toy_dataset(train_size=32, eval_size=8)
+        s = TR.TrainSchedule(total_steps=5, finetune_steps=3, epsilon_decay_steps=2, bmd_rate=0.4,
+                             bmd_per_sample=True, batch_size=4, lr_base=0.05, optimizer=optimizer)
+        loss_cfg = TR.LossConfig(l2_weight=1e-3)
+        state, metrics = run_training(toy_state(n_bases=4, seed=12), train, s, loss_cfg)
+        monkeypatch.setattr(S, "synthesize", synthesize_take_then_blend)
+        oracle, ref_metrics = run_training(toy_state(n_bases=4, seed=12), train, s, loss_cfg)
+        assert metrics == ref_metrics
+        assert state.vector.data.tobytes() == oracle.vector.data.tobytes()
+        if optimizer == "rmsprop":
+            assert state.opt_state.tobytes() == oracle.opt_state.tobytes()
+
+    def test_basis_zero_in_every_sample_gets_no_gradient_entry(self):
+        # row 1 blends; basis 0 is zero there in every sample (not in row 0)
+        c = T.Tensor([[[0.7, 0.3, 0.0], [0.0, 1.0, 0.0]],
+                      [[0.2, 0.2, 0.6], [0.0, 0.5, 0.5]]], requires_grad=True)
+        a, b, d = (T.Tensor(np.ones((2, 2)), requires_grad=True) for _ in range(3))
+        tape = T.GradTape()
+        with T.recording(tape):
+            loss = T.sum_all(T.blend(c, [a, b, d], row=1))
+        grads = T.backward(loss)
+        assert a not in grads
+        assert np.array_equal(grads[b], np.full((2, 2), 1.5))
+        assert np.array_equal(grads[d], np.full((2, 2), 0.5))
+        assert np.array_equal(grads[c][:, 0], np.zeros((2, 3)))
+        assert np.array_equal(grads[c][:, 1], np.full((2, 3), 4.0))
+
+    def test_row_out_of_range_or_wrong_rank_rejected(self):
+        kernels = [T.Tensor(np.ones((2, 2))) for _ in range(2)]
+        with pytest.raises(T.ShapeError, match="row"):
+            T.blend(T.Tensor(np.ones((3, 2, 2))), kernels, row=2)
+        with pytest.raises(T.ShapeError, match="row"):
+            T.blend(T.Tensor(np.ones((3, 2))), kernels, row=0)
 
 
 class TestAccounting:

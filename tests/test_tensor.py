@@ -579,6 +579,19 @@ class TestBackwardContract:
         with pytest.raises(RuntimeError):
             T.backward(loss)
 
+    def test_backward_releases_the_tape_and_still_refuses_a_second_run(self):
+        # the records go when the replay ends, which breaks the tape -> record
+        # -> output -> tape cycle; the consumed flag still guards the tape
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
+        tape = T.GradTape()
+        with T.recording(tape):
+            loss = T.sum_all(T.mul(x, x))
+        assert len(tape.records) == 2 and loss.tape is tape
+        assert np.array_equal(T.backward(loss)[x], [2.0, 4.0])
+        assert tape.records == []
+        with pytest.raises(RuntimeError, match="already ran"):
+            T.backward(loss)
+
     def test_backward_without_tape_is_noop(self):
         x = T.Tensor([[3.0]], requires_grad=True)
         assert T.backward(x) == {}
@@ -756,6 +769,25 @@ class TestNumericSafety:
         a = T.conv2d(T.Tensor(xv), T.Tensor(kv), stride=1, padding=1)
         b = T.conv2d(T.Tensor(xv), T.Tensor(kv), stride=1, padding=1)
         assert a.data.tobytes() == b.data.tobytes()
+
+
+class TestUncheckedOps:
+    """``softmax``, ``sigmoid``, ``reshape``, ``take`` and ``tile_rows`` skip the
+    result check: on finite inputs they only move data or return values in
+    [0, 1]. Pinned at the edge of the float range."""
+
+    def test_finite_at_the_float_limits(self):
+        big = 1.7e308
+        x = T.Tensor([[big, -big, 0.0], [-big, -big, big], [-big, -big, -big]])
+        with np.errstate(over="ignore"):  # softmax's shift overflows to -inf, whose exp is 0
+            outs = [T.softmax(x, axis=1), T.softmax(x, axis=0), T.sigmoid(x),
+                    T.reshape(x, (9,)), T.take(x, 1), T.take(x, 2, axis=1), T.tile_rows(x, 2)]
+        for out in outs:
+            assert np.all(np.isfinite(out.data))
+        for probs in outs[:3]:
+            assert np.all((probs.data >= 0.0) & (probs.data <= 1.0))
+        assert np.array_equal(outs[0].data, [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1 / 3, 1 / 3, 1 / 3]])
+        assert np.array_equal(outs[2].data, [[1.0, 0.0, 0.5], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
 
 
 class TestApplyUpdate:

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -343,6 +344,21 @@ class TestTrainStep:
                 assert np.any(acc != 0.0)
             assert np.any(acc != before[offset:offset + p.size])
             offset += p.size
+
+    def test_step_leaves_no_garbage_cycle(self):
+        # backward releases its tape, so a step's graph is freed by reference
+        # counting alone: with the cyclic collector off, nothing is left for it
+        train, _ = toy_dataset(train_size=8, eval_size=8)
+        s = sched(batch_size=4, bmd_rate=0.3, optimizer="rmsprop", clip_norm=1.0)
+        state = toy_state(n_bases=3, seed=4)
+        batch = (train.images[:4], train.labels[:4])
+        gc.collect()
+        gc.disable()
+        try:
+            TR.train_step(state, batch, s, TR.LossConfig(l2_weight=1e-3))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_parameters_are_views_into_one_vector(self):
         state = toy_state(n_bases=3, seed=8)
