@@ -216,6 +216,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
         bank_spec.num_layers - len(shared_layers))
     lm = _build(pl.LightweightModel, "lightweight", trunk=trunk, n_bases=bank_d["n_bases"],
                 coeff_rows=coeff_rows, **lm_d)
+    c, h, w = bank_spec.input_shape  # the lightweight model previews it, downsampled
+    if h % lm.downsample or w % lm.downsample:
+        raise ConfigError(f"lightweight.downsample {lm.downsample} does not divide the bank's {h}x{w} input")
+    if trunk.input_shape != (c, h // lm.downsample, w // lm.downsample):
+        raise ConfigError(f"lightweight.input_shape {list(trunk.input_shape)} is not the bank's "
+                          f"{[c, h, w]} input downsampled by {lm.downsample}")
 
     sched_d = _take(top["schedule"], "schedule", {
         "total_steps": int, "batch_size": int,

@@ -51,7 +51,8 @@ def disturb(alpha: T.Tensor, disturbance: Disturbance,
 
     ``shuffled`` draws one permutation per selected row, image by image in
     order, in one call, so a batch takes the same draws from ``rng`` as its
-    images would one after another.
+    images would one after another. Without ``rng`` it draws from the
+    disturbance's own stream, ``default_rng([seed, 0x5F])``.
     """
     if disturbance.kind == "correct":
         return alpha
@@ -68,7 +69,7 @@ def disturb(alpha: T.Tensor, disturbance: Disturbance,
         v[..., targets, :] = mean_table[targets]
     elif disturbance.kind == "shuffled":
         if rng is None:
-            rng = np.random.default_rng(disturbance.seed)
+            rng = np.random.default_rng([disturbance.seed, 0x5F])
         selected = v[..., targets, :]
         order = rng.permuted(np.broadcast_to(np.arange(n), selected.shape), axis=-1)
         v[..., targets, :] = np.take_along_axis(selected, order, axis=-1)
@@ -93,10 +94,9 @@ def evaluate_disturbed(lm: pl.LightweightModel, params: pl.LMParams,
     if disturbance.kind == "mean" and mean_table is None:
         mean_table = mean_coefficients(lm, params, bank, cfg, dataset)
     rows = _rows_for_layer(bank, disturbance.layer)
-    rng = np.random.default_rng([disturbance.seed, 0x5F])
     record = pl.infer_batch(
         lm, params, bank, cfg, dataset.images, 1.01,
-        edit=lambda alpha: disturb(alpha, disturbance, rows=rows, mean_table=mean_table, rng=rng))
+        edit=lambda alpha: disturb(alpha, disturbance, rows=rows, mean_table=mean_table))
     return record.accuracy(dataset.labels)
 
 

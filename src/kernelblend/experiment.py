@@ -28,7 +28,7 @@ METRICS_COLUMNS = (
 
 
 def load_dataset(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    """The config's train and eval sets; their class count must be the bank's."""
+    """The config's train and eval sets; their classes and image shape must be the bank's."""
     kind = cfg.dataset["kind"]
     if kind == "synthetic":
         train, evalset = generate_synthetic(cfg.dataset["spec"])
@@ -39,6 +39,9 @@ def load_dataset(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     if train.num_classes != cfg.bank_spec.num_classes:
         raise ConfigError(f"bank.num_classes is {cfg.bank_spec.num_classes} but the "
                           f"{kind} dataset has {train.num_classes} classes")
+    if train.images.shape[1:] != cfg.bank_spec.input_shape:
+        raise ConfigError(f"bank.input_shape is {list(cfg.bank_spec.input_shape)} but the "
+                          f"{kind} dataset's images are {list(train.images.shape[1:])}")
     return train, evalset
 
 

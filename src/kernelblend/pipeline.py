@@ -178,11 +178,10 @@ def confidences(logits: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(e, axis=-1) / np.add.reduce(e, axis=-1)
 
 
-def confidence(logits) -> float:
+def confidence(logits: np.ndarray) -> float:
     """Max softmax probability of a single logits vector: ``confidences``
     of one row."""
-    v = np.asarray(logits.data if isinstance(logits, T.Tensor) else logits, dtype=np.float64)
-    return float(confidences(v.reshape(1, -1))[0])
+    return float(confidences(logits.reshape(1, -1))[0])
 
 
 def coefficients_from_raw(raw: T.Tensor, cfg: syn.SynthesisConfig,
@@ -243,7 +242,7 @@ def infer_batch(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
 
 
 def infer(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
-          cfg: syn.SynthesisConfig, x, threshold: float,
+          cfg: syn.SynthesisConfig, x: np.ndarray, threshold: float,
           trace: list | None = None) -> PipelineResult:
     """Run the full two-stage pipeline on a single image (1, C, H, W).
 
@@ -251,7 +250,6 @@ def infer(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
     above 1 are legal and mean "never terminate". The result is row 0 of
     ``infer_batch``'s record, as plain scalars.
     """
-    x = np.asarray(x.data if isinstance(x, T.Tensor) else x)
     if x.ndim != 4 or x.shape[0] != 1:
         raise T.ShapeError(f"infer expects a single (1, C, H, W) image, got {x.shape}")
     record = infer_batch(lm, params, bank, cfg, x, threshold, trace)
@@ -280,22 +278,20 @@ def build_routers(bank: syn.BasisBank, seed: int) -> list[RouterParams]:
             for k in bank.nonshared_indices()]
 
 
-def condconv_forward(bank: syn.BasisBank, routers: list[RouterParams], x,
+def condconv_forward(bank: syn.BasisBank, routers: list[RouterParams], x: np.ndarray,
                      activation: str = "softmax", trace: list | None = None) -> T.Tensor:
     """Layer-by-layer dynamic baseline: each non-shared layer blends its
     kernels from coefficients computed off the previous layer's pooled
     output, so synthesis cannot run ahead of execution. No early exit is
     possible - there is no standalone preview prediction to gate on.
     """
-    if not isinstance(x, T.Tensor):
-        x = T.Tensor(x)
-    if x.data.ndim != 4 or x.shape[0] != 1:
+    if x.ndim != 4 or x.shape[0] != 1:
         raise T.ShapeError(f"condconv_forward expects a single (1, C, H, W) image, got {x.shape}")
     if len(routers) != bank.n_coefficient_rows:
         raise T.ShapeError(
             f"{len(routers)} routers for {bank.n_coefficient_rows} non-shared layers")
 
-    out = x
+    out = T.Tensor(x)
     r = 0
     for k, (layer, shared) in enumerate(zip(bank.spec.layers, bank.share_mask)):
         if shared:

@@ -277,17 +277,17 @@ def tile_rows(a: Tensor, count: int) -> Tensor:
     return _result(np.repeat(a.data[..., None, :], count, axis=-2), (a,), bwd, checked=True)  # copies
 
 
-def normalize_rows(a: Tensor, where=None) -> Tensor:
-    """Divide each row (a slice along the last axis) by its own sum.
+def normalize_rows(a: Tensor, where) -> Tensor:
+    """Divide each selected row (a slice along the last axis) by its own sum.
 
     ``where``, a boolean array over the rows (``a.shape[:-1]``, or any shape
-    that broadcasts to it), restricts the division to the selected rows;
-    the others pass through unchanged, values and gradient alike.
+    that broadcasts to it, ``True`` for every row), selects the rows to
+    divide; the others pass through unchanged, values and gradient alike.
     """
     if a.data.ndim < 2:
         raise ShapeError(f"normalize_rows expects at least a 2-D tensor, got shape {a.shape}")
     sums = a.data.sum(axis=-1, keepdims=True)
-    selected = True if where is None else np.asarray(where, dtype=bool)[..., None]
+    selected = np.asarray(where, dtype=bool)[..., None]
     sums = np.where(selected, sums, 1.0)
     if np.any(sums == 0.0):
         raise ShapeError("normalize_rows: a row sums to zero")
@@ -484,25 +484,21 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
     return _result(out, inputs, bwd, checked=True)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map of a (B, F) batch through an (F, O) weight."""
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Affine map of a (B, F) batch through an (F, O) weight and an (O,) bias."""
     if x.data.ndim != 2 or weight.data.ndim != 2 or x.data.shape[1] != weight.data.shape[0]:
         raise ShapeError(f"linear shape mismatch: input {x.shape} vs weight {weight.shape}")
-    if bias is not None and bias.data.shape != (weight.data.shape[1],):
+    if bias.data.shape != (weight.data.shape[1],):
         raise ShapeError(f"linear bias {bias.shape} does not match weight {weight.shape}")
     out = np.einsum("bf,fo->bo", x.data, weight.data)
-    if bias is not None:
-        out += bias.data  # in place: the einsum output is fresh
+    out += bias.data  # in place: the einsum output is fresh
 
     def bwd(g):
-        contribs = [(x, np.einsum("bo,fo->bf", g, weight.data)),
-                    (weight, np.einsum("bf,bo->fo", x.data, g))]
-        if bias is not None:
-            contribs.append((bias, g.sum(axis=0)))
-        return tuple(contribs)
+        return ((x, np.einsum("bo,fo->bf", g, weight.data)),
+                (weight, np.einsum("bf,bo->fo", x.data, g)),
+                (bias, g.sum(axis=0)))
 
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-    return _result(out, inputs, bwd)
+    return _result(out, (x, weight, bias), bwd)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

@@ -197,15 +197,13 @@ def sample_bmd_mask(n_bases: int, rate: float, rng: np.random.Generator) -> np.n
     """Independent per-basis drops at ``rate``, resampled until one survives."""
     if not 0.0 <= rate < 1.0:
         raise ValueError("rate must be in [0, 1)")
-    if rate == 0.0:
-        return np.zeros(n_bases, dtype=bool)
     drops = rng.random(n_bases) < rate
     while drops.all():
         drops = rng.random(n_bases) < rate
     return drops
 
 
-def step_rng(schedule: TrainSchedule, step: int, stream: int = 0) -> np.random.Generator:
+def step_rng(schedule: TrainSchedule, step: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([schedule.seed, step, stream])
 
 
@@ -306,7 +304,7 @@ def _apply_updates(state: TrainState, grad, grads, params, lr: float, schedule: 
             if p in grads:
                 total += float(np.add.reduce(grads[p] * grads[p], axis=None))
         norm = np.sqrt(total)
-        if norm > schedule.clip_norm and norm > 0:
+        if norm > schedule.clip_norm:
             grad = grad * (schedule.clip_norm / norm)
     start = state.vector.size - grad.size  # ``params`` is a suffix of named_parameters
     acc = state.opt_state

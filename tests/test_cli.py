@@ -132,15 +132,15 @@ class TestTrain:
         assert exc.value.code == 2
 
     def test_image_size_mismatch_fails_before_writing(self, workdir, capsys):
-        # the lightweight model matches the 16x16 images; the bank still expects 12x12
+        # the config is consistent for a 12x12 bank, but the images are 16x16
         raw = base_config()
         raw["dataset"]["image_size"] = 16
-        raw["lightweight"]["input_shape"] = [1, 8, 8]
         path = workdir / "bad.json"
         path.write_text(json.dumps(raw))
         assert main(["train", "--config", str(path)]) == 1
         assert capsys.readouterr().err == (
-            "error: input (4, 1, 16, 16) does not match spec input shape (1, 12, 12)\n")
+            "error: bank.input_shape is [1, 12, 12] but the synthetic dataset's images "
+            "are [1, 16, 16]\n")
         assert not (workdir / "runs").exists()
 
     @pytest.mark.parametrize("dataset_classes", [8, 4])
@@ -153,6 +153,36 @@ class TestTrain:
         assert main(["train", "--config", str(path)]) == 1
         assert capsys.readouterr().err == (
             f"error: bank.num_classes is 6 but the synthetic dataset has {dataset_classes} classes\n")
+        assert not (workdir / "runs").exists()
+
+
+class TestPreviewMustMatchBank:
+    """The lightweight model previews the bank's input downsampled; a config
+    where it cannot is refused when read, before anything is priced or trained."""
+
+    EDITS = {  # the 12x12 one-channel bank is previewed at 6x6 by a downsample of 2
+        "input_shape": ({"input_shape": [1, 5, 5]}, "lightweight.input_shape [1, 5, 5] is not "
+                        "the bank's [1, 12, 12] input downsampled by 2"),
+        "downsample": ({"downsample": 5},
+                       "lightweight.downsample 5 does not divide the bank's 12x12 input"),
+        "channels": ({"input_shape": [3, 6, 6],
+                      "layers": [{"in": 3, "out": 8, "k": 3, "stride": 2, "pad": 1}]},
+                     "lightweight.input_shape [3, 6, 6] is not the bank's [1, 12, 12] "
+                     "input downsampled by 2"),
+    }
+
+    @pytest.mark.parametrize("command", ["cost", "train"])
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_fails_with_one_line_and_writes_nothing(self, workdir, capsys, command, edit):
+        raw = base_config()
+        changes, message = self.EDITS[edit]
+        raw["lightweight"].update(changes)
+        path = workdir / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main([command, "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
         assert not (workdir / "runs").exists()
 
 

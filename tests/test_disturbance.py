@@ -42,6 +42,13 @@ class TestDisturb:
         b = DI.disturb(cm(rows), DI.Disturbance("shuffled", seed=7))
         assert np.array_equal(a.data, b.data)
 
+    def test_shuffle_without_rng_draws_from_the_seed_stream(self):
+        # the stream evaluate_disturbed, and so the CLI, shuffles from
+        batch = np.random.default_rng(0).random((4, 3, 5))
+        out = DI.disturb(T.Tensor(batch), DI.Disturbance("shuffled", seed=3))
+        reference = shuffle_reference(batch, None, np.random.default_rng([3, 0x5F]))
+        assert out.data.tobytes() == reference.tobytes()
+
     def test_mean_requires_table(self):
         with pytest.raises(ValueError, match="mean"):
             DI.disturb(cm([[0.5, 0.5]]), DI.Disturbance("mean"))

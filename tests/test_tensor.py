@@ -679,7 +679,7 @@ class TestStructuralOps:
         x = T.Tensor(xv.copy(), requires_grad=True)
         tape = T.GradTape()
         with T.recording(tape):
-            out = T.normalize_rows(x)
+            out = T.normalize_rows(x, where=True)
             loss = T.sum_squares(out)
         np.testing.assert_allclose(out.data, [[0.25, 0.75], [0.5, 0.5]])
         grads = T.backward(loss)
@@ -839,7 +839,8 @@ class TestGradientSweep:
                 probs = T.softmax(h, axis=1)
                 tiled = T.tile_rows(T.take(probs, 1), 2)
                 picked = T.take(T.tile_rows(probs, 3), 2, axis=1)
-                normed = T.normalize_rows(T.add(T.add(tiled, picked), T.Tensor(np.full((2, 6), 0.5))))
+                normed = T.normalize_rows(T.add(T.add(tiled, picked), T.Tensor(np.full((2, 6), 0.5))),
+                                          where=True)
                 flat = T.reshape(normed, (12,))
                 blend = T.blend(T.reshape(w, (1, 3)), [flat, T.scale(flat, -0.5),
                                                       T.Tensor(np.linspace(0, 1, 12))])

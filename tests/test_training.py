@@ -1,5 +1,6 @@
 """Training core: schedules, losses, dropout masks, routing, fine-tuning."""
 
+import contextlib
 import copy
 import dataclasses
 import gc
@@ -548,6 +549,27 @@ class TestBatchedMatchesPerImage:
         for p in params:
             if p in grads:
                 np.testing.assert_allclose(grads[p], ref_grads[p], rtol=1e-12, atol=1e-12)
+
+
+class TestTrainedModelIsEvaluatedModel:
+    """With no uniform blend and no dropout, training's forward pass is the
+    full path of inference, bit for bit, whether or not a tape records it."""
+
+    @pytest.mark.parametrize("taped", [False, True])
+    @pytest.mark.parametrize("mode", ["per_layer", "per_model", "one_hot"])
+    def test_forward_training_equals_infer_batch(self, mode, taped):
+        state = toy_state(n_bases=4, seed=31, synth_cfg=S.SynthesisConfig(mode=mode))
+        train, _ = toy_dataset(train_size=16, eval_size=8)
+        x = train.images[:6]
+        with T.recording(T.GradTape()) if taped else contextlib.nullcontext():
+            final, initial, alpha = TR.forward_training(state, x, 0.0, None)
+        assert (final.tape is not None) == taped
+        record = P.infer_batch(state.lm, state.lm_params, state.bank, state.synth_cfg, x, 1.01)
+        assert record.pending.tolist() == list(range(len(x)))
+        assert final.data.tobytes() == record.final_logits.tobytes()
+        assert initial.data.tobytes() == record.initial_logits.tobytes()
+        assert alpha.shape == record.coefficients.shape
+        assert alpha.data.tobytes() == record.coefficients.tobytes()
 
 
 class TestDistillation:
