@@ -37,7 +37,7 @@ from .config import (LAYER_KEYS, SPEC_KEYS, ConfigError, _build, _cast, _take, r
                      read_synthesis)
 from .training import TrainState, named_parameters
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "tensors.bin"
 

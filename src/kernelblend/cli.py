@@ -13,13 +13,15 @@ import dataclasses
 import json
 import sys
 
+import numpy as np
+
 from . import checkpoint as ck
 from . import cost as co
 from . import disturbance as di
 from . import experiment as ex
 from . import synthesis as syn
+from . import tensor as T
 from .config import ConfigError, load_config, parse_config, read_threshold, read_thresholds
-from .data import DatasetError
 from .training import TrainingDiverged
 
 
@@ -177,9 +179,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except (ConfigError, DatasetError, ck.CheckpointError, ValueError, OSError,
-            TrainingDiverged, AssertionError) as err:
+        with np.errstate(all="ignore"):  # a finiteness check reports NaN and Inf in one line
+            return args.fn(args)
+    except (ValueError, OSError, T.NonFiniteError, TrainingDiverged, AssertionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -137,7 +137,7 @@ def read_spec(input_shape: list, layers: list, num_classes: int, where: str) -> 
 
 def read_synthesis(raw, where: str) -> syn.SynthesisConfig:
     return _build(syn.SynthesisConfig, where, **_take(raw, where, {}, {
-        "activation": str, "mode": str, "bmd_renormalize": bool, "stabilizer_order": str,
+        "activation": str, "mode": str, "bmd_renormalize": bool,
     }))
 
 

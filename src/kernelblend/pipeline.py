@@ -149,9 +149,6 @@ def lm_forward(lm: LightweightModel, params: LMParams, x: T.Tensor) -> tuple[T.T
     the synthesis stage.
     """
     xd = T.Tensor(downsample_input(x.data, lm.downsample))
-    if xd.shape[1:] != lm.trunk.input_shape:
-        raise T.ShapeError(
-            f"transformed input {xd.shape[1:]} does not match trunk input {lm.trunk.input_shape}")
     feats = bb.forward_features(params.trunk, lm.trunk, xd)
     initial = T.linear(feats, params.trunk.head_w, params.trunk.head_b)
     raw = T.linear(feats, params.coeff_w, params.coeff_b)

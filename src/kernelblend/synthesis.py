@@ -35,15 +35,12 @@ class SynthesisConfig:
     activation: str = "softmax"
     mode: str = "per_layer"
     bmd_renormalize: bool = True
-    stabilizer_order: str = "epsilon_then_bmd"  # or "bmd_then_epsilon"
 
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.stabilizer_order not in ("epsilon_then_bmd", "bmd_then_epsilon"):
-            raise ValueError(f"unknown stabilizer_order {self.stabilizer_order!r}")
 
 
 @dataclass
@@ -86,8 +83,6 @@ def build_bank(spec: BackboneSpec, n_bases: int, shared_layers, seed: int) -> Ba
     for i in shared:
         if not 0 <= i < spec.num_layers:
             raise ValueError(f"shared layer index {i} out of range [0, {spec.num_layers})")
-    if n_bases < 1:
-        raise ValueError("n_bases must be >= 1")
 
     rng = np.random.default_rng(seed)
     kernels = [[init_kernel(rng, layer) for _ in range(1 if k in shared else n_bases)]

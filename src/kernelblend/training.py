@@ -234,15 +234,11 @@ def forward_training(state: TrainState, batch_x: np.ndarray, epsilon: float,
     initial, raw = pl.lm_forward(state.lm, state.lm_params, x)
     alpha = pl.coefficients_from_raw(raw, cfg, state.bank.n_coefficient_rows, state.bank.n_bases)
     if cfg.mode != "one_hot":  # selection gets no uniform blend and no dropout
-        stages = []
+        # blend first: dropout after it gives a dropped basis 0, not eps/N
         if epsilon > 0.0:
-            stages.append(lambda a: syn.blend_epsilon(a, epsilon))
+            alpha = syn.blend_epsilon(alpha, epsilon)
         if drop_masks is not None:
-            stages.append(lambda a: syn.apply_bmd(a, drop_masks, cfg.bmd_renormalize))
-        if cfg.stabilizer_order == "bmd_then_epsilon":
-            stages.reverse()
-        for stage in stages:
-            alpha = stage(alpha)
+            alpha = syn.apply_bmd(alpha, drop_masks, cfg.bmd_renormalize)
 
     specialist = syn.synthesize(state.bank, alpha)
     return bb.forward(specialist, state.bank.spec, x), initial, alpha

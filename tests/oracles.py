@@ -169,8 +169,8 @@ def per_image_forward(state, batch_x: np.ndarray, epsilon: float, drop_masks):
     """Training forward one image at a time: the loop the batched path replaced.
 
     One lightweight pass over the batch, then for each image its own raw
-    row, (rows, N) coefficient matrix, stabilizers in the configured order
-    (basis dropout only when that image's mask drops something), specialist
+    row, (rows, N) coefficient matrix, uniform blend then basis dropout
+    (only when that image's mask drops something), specialist
     with ordinary 4-D kernels and batch-1 stage two. ``drop_masks`` is None,
     (N,) for the whole batch or (B, N) per image. Returns (per-image (1, C)
     final logits, initial logits, per-image coefficient matrices).
@@ -187,15 +187,10 @@ def per_image_forward(state, batch_x: np.ndarray, epsilon: float, drop_masks):
         alpha = pl.coefficients_from_raw(T.take(raw, b), cfg, bank.n_coefficient_rows, bank.n_bases)
         if cfg.mode != "one_hot":
             mask = drop_masks[b] if drop_masks is not None and drop_masks.ndim == 2 else drop_masks
-            stages = []
             if epsilon > 0.0:
-                stages.append(lambda a: syn.blend_epsilon(a, epsilon))
+                alpha = syn.blend_epsilon(alpha, epsilon)
             if mask is not None and mask.any():
-                stages.append(lambda a: syn.apply_bmd(a, mask, cfg.bmd_renormalize))
-            if cfg.stabilizer_order == "bmd_then_epsilon":
-                stages.reverse()
-            for stage in stages:
-                alpha = stage(alpha)
+                alpha = syn.apply_bmd(alpha, mask, cfg.bmd_renormalize)
         specialist = syn.synthesize(bank, alpha)
         finals.append(bb.forward(specialist, bank.spec, T.Tensor(batch_x[b:b + 1])))
         alphas.append(alpha)

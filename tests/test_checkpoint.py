@@ -132,6 +132,19 @@ class TestValidation:
             CK.load_checkpoint(tmp_path / "ckpt")
         assert str(exc.value) == f"checkpoint schema 3 != supported {CK.SCHEMA_VERSION}"
 
+    def test_schema_4_refused(self, trained, tmp_path):
+        # schema 4 recorded the order of the uniform blend and dropout
+        state, _, _ = trained
+        CK.save_checkpoint(state, tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / CK.MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["schema_version"] = 4
+        manifest["structure"]["synthesis"]["stabilizer_order"] = "epsilon_then_bmd"
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CK.CheckpointError) as exc:
+            CK.load_checkpoint(tmp_path / "ckpt")
+        assert str(exc.value) == "checkpoint schema 4 != supported 5"
+
     def test_wrong_schema_version(self, trained, tmp_path):
         state, _, _ = trained
         CK.save_checkpoint(state, tmp_path / "ckpt")
@@ -256,7 +269,9 @@ class TestValidation:
     @pytest.mark.parametrize("edit,named", [
         (lambda section: {**section, "temperature": 1.0}, "unknown key 'temperature'"),
         (lambda section: list(section), "not an object"),
-    ], ids=["unknown_key", "not_an_object"])
+        (lambda section: {**section, "stabilizer_order": "epsilon_then_bmd"},
+         "unknown key 'stabilizer_order'"),
+    ], ids=["unknown_key", "not_an_object", "stabilizer_order"])
     def test_bad_synthesis_section_named(self, trained, tmp_path, edit, named):
         state, _, _ = trained
         CK.save_checkpoint(state, tmp_path / "ckpt")

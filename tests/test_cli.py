@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import warnings
 
 import pytest
 
@@ -456,6 +457,35 @@ class TestExportCoeffs:
                 key = (row["image_id"], row["layer"])
                 sums[key] = sums.get(key, 0.0) + float(row["coefficient"])
         assert all(abs(s - 1.0) < 1e-9 for s in sums.values())
+
+
+class TestNumericOverflow:
+    """Finite but huge bank kernels overflow stage two to Inf: each command
+    that evaluates the checkpoint fails with one line and writes nothing."""
+
+    @pytest.fixture
+    def overflow_ckpt(self, workdir, trained_ckpt):
+        state, raw_config = CK.load_checkpoint(trained_ckpt)
+        for name, p in TR.named_parameters(state):
+            if name.startswith(("bank.L1.basis", "bank.L2.basis")):
+                p.data[...] = 1e300
+        CK.save_checkpoint(state, workdir / "overflow", raw_config)
+        return workdir / "overflow"
+
+    @pytest.mark.parametrize("argv,output", [
+        (["eval"], "runs/demo/eval.json"),
+        (["sweep"], "runs/demo/sweep.csv"),
+        (["disturb", "--kind", "shuffled", "--seeds", "1"], "runs/demo/disturbance.csv"),
+        (["export-coeffs", "--out", "coeffs.csv"], "coeffs.csv"),
+    ], ids=["eval", "sweep", "disturb", "export-coeffs"])
+    def test_exits_one_with_one_line(self, workdir, overflow_ckpt, capsys, argv, output):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would be more stderr lines
+            assert main([*argv, "--ckpt", str(overflow_ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (workdir / output).exists()
 
 
 class TestAtomicOutputs:

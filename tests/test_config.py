@@ -64,10 +64,12 @@ class TestParsing:
             parse_config(raw)
 
     def test_unknown_nested_key_rejected(self):
-        raw = base_config()
-        raw["schedule"]["warmup"] = 10
-        with pytest.raises(ConfigError, match="warmup"):
-            parse_config(raw)
+        for section, key, value in [("schedule", "warmup", 10),
+                                    ("synthesis", "stabilizer_order", "bmd_then_epsilon")]:
+            raw = base_config()
+            raw[section][key] = value
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                parse_config(raw)
 
     def test_missing_section_rejected(self):
         raw = base_config()

@@ -87,7 +87,7 @@ class TestLightweightModel:
 
     def test_transformed_input_must_match_trunk(self, setup):
         lm, params, _, _, _ = setup
-        with pytest.raises(T.ShapeError, match="trunk"):
+        with pytest.raises(T.ShapeError, match="does not match spec input shape"):
             P.lm_forward(lm, params, T.Tensor(np.zeros((1, 1, 24, 24))))
 
     def test_deterministic_heads(self, setup):

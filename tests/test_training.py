@@ -507,21 +507,20 @@ class TestBatchedMatchesPerImage:
                            [True, False, False, True], [True, False, False, False],
                            [True, False, True, False]])
 
-    @pytest.mark.parametrize("mode,activation,eps,masks,order", [
-        ("per_layer", "softmax", 0.0, None, "epsilon_then_bmd"),
-        ("per_layer", "softmax", 0.4, "shared", "epsilon_then_bmd"),
-        ("per_layer", "softmax", 0.4, "per_sample", "epsilon_then_bmd"),
-        ("per_layer", "softmax", 0.4, "per_sample", "bmd_then_epsilon"),
-        ("per_layer", "softmax", 1.0, "per_sample", "epsilon_then_bmd"),
-        ("per_layer", "softmax", 0.0, "drop_first", "epsilon_then_bmd"),
-        ("per_layer", "softmax", 0.4, "drop_first", "bmd_then_epsilon"),
-        ("per_layer", "sigmoid", 0.4, "per_sample", "bmd_then_epsilon"),
-        ("per_model", "softmax", 0.4, "per_sample", "epsilon_then_bmd"),
-        ("per_model", "softmax", 0.0, "shared", "bmd_then_epsilon"),
-        ("one_hot", "softmax", 0.4, "per_sample", "epsilon_then_bmd"),
+    @pytest.mark.parametrize("mode,activation,eps,masks", [
+        ("per_layer", "softmax", 0.0, None),
+        ("per_layer", "softmax", 0.4, "shared"),
+        ("per_layer", "softmax", 0.4, "per_sample"),
+        ("per_layer", "softmax", 1.0, "per_sample"),
+        ("per_layer", "softmax", 0.0, "drop_first"),
+        ("per_layer", "softmax", 0.4, "drop_first"),
+        ("per_layer", "sigmoid", 0.4, "per_sample"),
+        ("per_model", "softmax", 0.4, "per_sample"),
+        ("per_model", "softmax", 0.0, "shared"),
+        ("one_hot", "softmax", 0.4, "per_sample"),
     ])
-    def test_logits_bitwise_and_gradients_close(self, mode, activation, eps, masks, order):
-        cfg = S.SynthesisConfig(activation=activation, mode=mode, stabilizer_order=order)
+    def test_logits_bitwise_and_gradients_close(self, mode, activation, eps, masks):
+        cfg = S.SynthesisConfig(activation=activation, mode=mode)
         state = toy_state(n_bases=4, seed=30, synth_cfg=cfg)
         train, _ = toy_dataset(train_size=16, eval_size=8)
         x, y = train.images[:5], train.labels[:5]
