@@ -20,7 +20,6 @@ from . import cost as co
 from . import disturbance as di
 from . import experiment as ex
 from . import synthesis as syn
-from . import tensor as T
 from .config import ConfigError, load_config, parse_config, read_threshold, read_thresholds
 from .training import TrainingDiverged
 
@@ -181,7 +180,8 @@ def main(argv=None) -> int:
     try:
         with np.errstate(all="ignore"):  # a finiteness check reports NaN and Inf in one line
             return args.fn(args)
-    except (ValueError, OSError, T.NonFiniteError, TrainingDiverged, AssertionError) as err:
+    # ArithmeticError covers a non-finite result and an overflowing size or count
+    except (ValueError, OSError, ArithmeticError, MemoryError, TrainingDiverged, AssertionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -126,7 +126,11 @@ def _result(data: np.ndarray, inputs: Sequence[Tensor], backward: Callable,
         _require_finite(data, "forward operation produced NaN or Inf")
     out = Tensor.__new__(Tensor)
     out.data = _contiguous(data)
-    out.requires_grad = any(t.requires_grad for t in inputs)
+    out.requires_grad = False
+    for t in inputs:  # a plain loop: any() over a generator costs more per op
+        if t.requires_grad:
+            out.requires_grad = True
+            break
     out.tape = None
     if _ACTIVE_TAPE is not None and out.requires_grad:
         out.tape = _ACTIVE_TAPE
@@ -140,6 +144,13 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     Returns a map from tensor to its gradient array (its ``into`` array if the
     tape has one). Tensors not reachable from the loss are absent unless
     seeded. The tape is consumed; calling backward a second time raises.
+
+    A tensor's first contribution becomes its gradient array, and later ones
+    are added into it in place. The first is kept without a copy when the op
+    made it fresh (``base`` None) for this one input, so a backward rule never
+    returns one fresh array for two inputs. Anything else (a view, the output
+    gradient passed through, a numpy scalar) is copied, so no two gradients
+    share memory.
     """
     if loss.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -166,7 +177,10 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
             elif tensor in tape.into:
                 grads[tensor] = tape.into[tensor]
                 np.copyto(grads[tensor], contribution)
-            else:
+            elif (type(contribution) is np.ndarray and contribution.base is None
+                  and contribution is not gout):
+                grads[tensor] = contribution  # the op's own fresh array: nothing else holds it
+            else:  # a view, the output gradient passed through, or a numpy scalar
                 grads[tensor] = np.array(contribution, dtype=np.float64, copy=True)
     tape.records.clear()  # outputs refer back to the tape: free the graph without the cyclic GC
     return grads
@@ -228,7 +242,7 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     out = ex / np.add.reduce(ex, axis=axis, keepdims=True)
 
     def bwd(g):
-        inner = np.sum(g * out, axis=axis, keepdims=True)
+        inner = np.add.reduce(g * out, axis=axis, keepdims=True)
         return ((a, out * (g - inner)),)
 
     return _result(out, (a,), bwd, checked=True)  # in [0, 1]
@@ -272,7 +286,7 @@ def tile_rows(a: Tensor, count: int) -> Tensor:
         raise ShapeError("tile_rows expects at least a 1-D tensor")
 
     def bwd(g):
-        return ((a, g.sum(axis=-2)),)
+        return ((a, np.add.reduce(g, axis=-2)),)
 
     return _result(np.repeat(a.data[..., None, :], count, axis=-2), (a,), bwd, checked=True)  # copies
 
@@ -286,15 +300,15 @@ def normalize_rows(a: Tensor, where) -> Tensor:
     """
     if a.data.ndim < 2:
         raise ShapeError(f"normalize_rows expects at least a 2-D tensor, got shape {a.shape}")
-    sums = a.data.sum(axis=-1, keepdims=True)
+    sums = np.add.reduce(a.data, axis=-1, keepdims=True)
     selected = np.asarray(where, dtype=bool)[..., None]
     sums = np.where(selected, sums, 1.0)
-    if np.any(sums == 0.0):
+    if np.logical_or.reduce(sums == 0.0, axis=None):
         raise ShapeError("normalize_rows: a row sums to zero")
     out = a.data / sums
 
     def bwd(g):
-        inner = np.where(selected, np.sum(g * out, axis=-1, keepdims=True), 0.0)
+        inner = np.where(selected, np.add.reduce(g * out, axis=-1, keepdims=True), 0.0)
         return ((a, (g - inner) / sums),)
 
     return _result(out, (a,), bwd)
@@ -306,7 +320,7 @@ def sum_all(a: Tensor) -> Tensor:
     def bwd(g):
         return ((a, np.full_like(a.data, float(g))),)
 
-    return _result(np.array(np.sum(a.data)), (a,), bwd)
+    return _result(np.array(np.add.reduce(a.data, axis=None)), (a,), bwd)
 
 
 def sum_squares(*tensors: Tensor) -> Tensor:
@@ -322,7 +336,7 @@ def sum_squares(*tensors: Tensor) -> Tensor:
 
     total = 0.0  # plain left-to-right adds: sum() compensates on Python >= 3.12
     for t in tensors:
-        total = total + np.sum(t.data * t.data)
+        total = total + np.add.reduce(t.data * t.data, axis=None)
     return _result(np.array(total), tensors, bwd)
 
 
@@ -360,7 +374,7 @@ def blend(coeffs: Tensor, tensors: Sequence[Tensor], row: int | None = None) -> 
             full[:, row] = gc
             gc = full
         gt = np.einsum("bn,bf->nf", c, gflat)
-        used = np.flatnonzero(np.any(c != 0.0, axis=0))
+        used = np.logical_or.reduce(c != 0.0, axis=0).nonzero()[0]
         return ((coeffs, gc), *((tensors[i], gt[i].reshape(base)) for i in used))
 
     out = np.einsum("bn,nf->bf", c, flat).reshape(len(c), *base)
@@ -464,11 +478,11 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
     def bwd(g):
         if relu:
             g = g * mask
-        gb = () if bias is None else ((bias, g.sum(axis=(0, 2, 3))),)
+        gb = () if bias is None else ((bias, np.add.reduce(g, axis=(0, 2, 3))),)
         g3 = g.reshape(batch, out_c, out_h * out_w)
         gk = np.matmul(g3, cols.transpose(0, 2, 1))
         # a shared kernel sums the per-sample products, in batch order
-        gk = (gk if per_sample else gk.sum(axis=0)).reshape(kshape)
+        gk = (gk if per_sample else np.add.reduce(gk, axis=0)).reshape(kshape)
         if not x.requires_grad:  # e.g. the image at layer 0: backward would drop it
             return ((kernel, gk), *gb)
         gcols = np.matmul(np.swapaxes(kmat, -1, -2), g3)  # (B, C*kh*kw, oH*oW)
@@ -496,7 +510,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     def bwd(g):
         return ((x, np.einsum("bo,fo->bf", g, weight.data)),
                 (weight, np.einsum("bf,bo->fo", x.data, g)),
-                (bias, g.sum(axis=0)))
+                (bias, np.add.reduce(g, axis=0)))
 
     return _result(out, (x, weight, bias), bwd)
 
@@ -508,7 +522,9 @@ def global_avg_pool(x: Tensor) -> Tensor:
     area = x.data.shape[2] * x.data.shape[3]
 
     def bwd(g):
-        return ((x, np.broadcast_to((g / area)[:, :, None, None], x.shape)),)
+        gx = np.empty(x.shape)  # fresh, so backward keeps it without a copy
+        gx[...] = (g / area)[:, :, None, None]
+        return ((x, gx),)
 
     return _result(np.add.reduce(x.data, axis=(2, 3)) / area, (x,), bwd)
 
@@ -531,7 +547,7 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
         idx = target.reshape(-1).astype(np.int64)
         if idx.shape[0] != b:
             raise ShapeError(f"{idx.shape[0]} targets for {b} logits rows")
-        if np.any(idx < 0) or np.any(idx >= c):
+        if np.logical_or.reduce((idx < 0) | (idx >= c)):
             raise ShapeError(f"class index out of range [0, {c})")
         soft = np.zeros((b, c))
         soft[np.arange(b), idx] = 1.0
@@ -539,14 +555,14 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
         soft = np.asarray(target, dtype=np.float64)
         if soft.shape != (b, c):
             raise ShapeError(f"soft target shape {soft.shape} does not match logits {logits.shape}")
-        sums = soft.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-6):
+        sums = np.add.reduce(soft, axis=1)
+        if np.logical_or.reduce(np.abs(sums - 1.0) > 1e-6):
             raise ShapeError("soft target rows must sum to 1 within 1e-6")
 
-    shifted = logits.data - np.max(logits.data, axis=1, keepdims=True)
-    log_z = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    shifted = logits.data - np.maximum.reduce(logits.data, axis=1, keepdims=True)
+    log_z = np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
     log_probs = shifted - log_z
-    loss = -np.sum(soft * log_probs) / b
+    loss = -np.add.reduce(soft * log_probs, axis=None) / b
 
     def bwd(g):
         probs = np.exp(log_probs)

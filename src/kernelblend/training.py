@@ -19,10 +19,13 @@ continues exactly as the uninterrupted run would.
 
 A ``TrainState`` packs every parameter into one vector in
 ``named_parameters`` order, ``lm.*`` first, and each parameter views into
-it. A step makes one vectorised update of the suffix it trains (the bank
-alone on a selection step) from one gradient buffer aligned with it, which
-the backward pass writes through views, L2's term first (L2 is not a tape
-op); the RMSProp accumulator is one vector too.
+it. Beside it the state keeps one gradient buffer aligned with the vector
+and, built once, what a step needs of the suffix it trains (every
+parameter, or the bank alone on a selection step): its parameters, their
+sizes and each one's view of the buffer. A step writes L2's term into that
+part of the buffer (L2 is not a tape op), the backward pass adds the
+network's through the views, and one vectorised update of the suffix
+follows; the RMSProp accumulator is one vector too.
 
 All per-step randomness (batch choice, augmentation, dropout masks) derives
 from (seed, step), so any run is reproducible bit for bit and no step
@@ -116,6 +119,18 @@ class TrainSchedule:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class Trained:
+    """The parameters a step trains, a suffix of ``named_parameters``: their
+    (name, tensor) pairs and sizes, their part of the state's vector and of
+    its gradient buffer, and each tensor's view of that part of the buffer."""
+    params: list[tuple[str, T.Tensor]]
+    sizes: list[int]
+    values: np.ndarray
+    grad: np.ndarray
+    into: dict[T.Tensor, np.ndarray]
+
+
 @dataclass(slots=True)
 class TrainState:
     # Building a state packs its tensors into its own vector, so a second state
@@ -128,6 +143,9 @@ class TrainState:
     step: int = 0
     opt_state: np.ndarray | None = None  # RMSProp accumulator, aligned with ``vector``
     vector: T.Tensor = field(init=False)  # every parameter; each one views into it
+    grad: np.ndarray = field(init=False, repr=False)  # gradient buffer aligned with ``vector``
+    joint: Trained = field(init=False, repr=False)  # what a joint step trains
+    selection: Trained = field(init=False, repr=False)  # what a selection step trains
 
     def __post_init__(self):
         named = named_parameters(self)
@@ -137,8 +155,18 @@ class TrainState:
                                  "state's vector; copy a state with copy.deepcopy")
         params = [p for _, p in named]
         self.vector = T.Tensor(np.concatenate([p.data.reshape(-1) for p in params]))
+        self.grad = np.zeros(self.vector.size)
         for p, view in zip(params, _views(self.vector.data, params)):
             p.data = view  # same values, now held in the vector
+        self.joint = self._trained(named)
+        self.selection = self._trained([(n, p) for n, p in named if not n.startswith("lm.")])
+
+    def _trained(self, params: list[tuple[str, T.Tensor]]) -> Trained:
+        tensors = [p for _, p in params]
+        start = self.vector.size - sum(p.size for p in tensors)
+        grad = self.grad[start:]
+        return Trained(params, [p.size for p in tensors], self.vector.data[start:], grad,
+                       dict(zip(tensors, _views(grad, tensors))))
 
     def __deepcopy__(self, memo):
         lm, lm_params, bank, acc = copy.deepcopy((self.lm, self.lm_params, self.bank, self.opt_state), memo)
@@ -250,10 +278,24 @@ def distill_targets(teacher_spec: bb.BackboneSpec, teacher_params: bb.BackbonePa
     return T.softmax(bb.forward(teacher_params, teacher_spec, T.Tensor(batch_x)), axis=1).data
 
 
+def squared_norm(flat: np.ndarray, sizes) -> float:
+    """sum ||p||^2 of the parameters packed one after another in ``flat``,
+    ``sizes`` long each: one square of the whole array, then one sum per
+    parameter, added left to right. A contiguous slice sums in the order its
+    tensor would, so this gives the bits of a per-tensor chain."""
+    squares = flat * flat
+    total = 0.0  # plain left-to-right adds: sum() compensates on Python >= 3.12
+    start = 0
+    for size in sizes:  # np.sum's reduce, without its Python-level wrapper
+        total = total + np.add.reduce(squares[start:start + size])
+        start += size
+    return total
+
+
 def total_loss(final_logits: T.Tensor, initial_logits: T.Tensor, target: np.ndarray,
-               params: list[T.Tensor], cfg: LossConfig,
-               distill_soft: np.ndarray | None = None):
-    """CE(final) + lm_weight * CE(initial) + l2_weight * sum ||p||^2.
+               l2_sum: float, cfg: LossConfig, distill_soft: np.ndarray | None = None):
+    """CE(final) + lm_weight * CE(initial) + l2_weight * l2_sum, where
+    ``l2_sum`` is sum ||p||^2 over the trained parameters (``squared_norm``).
 
     With distillation on, the teacher's soft rows replace (or blend into)
     the hard targets for the heads the policy selects. The L2 term is a
@@ -271,11 +313,8 @@ def total_loss(final_logits: T.Tensor, initial_logits: T.Tensor, target: np.ndar
     loss = T.add(synth_loss, T.scale(lm_loss, cfg.lm_weight))
     l2_value = 0.0
     if cfg.l2_weight > 0.0:
-        total = 0.0  # per tensor, plain left-to-right adds: sum() compensates on Python >= 3.12
-        for p in params:  # np.sum's reduce, without its Python-level wrapper
-            total = total + np.add.reduce(p.data * p.data, axis=None)
-        loss = T.add(loss, T.Tensor(total * cfg.l2_weight))
-        l2_value = cfg.l2_weight * float(total)
+        loss = T.add(loss, T.Tensor(l2_sum * cfg.l2_weight))
+        l2_value = cfg.l2_weight * float(l2_sum)
     parts = {
         "synth_loss": synth_loss.data.item(),
         "lm_loss": lm_loss.data.item(),
@@ -331,11 +370,11 @@ def train_step(state: TrainState, batch: tuple[np.ndarray, np.ndarray],
     batch_x, batch_y = batch
     step = state.step
     eps = epsilon_at(step, schedule)
-    params = named_parameters(state)
     selecting = schedule.finetune_steps > 0 and step >= schedule.total_steps
+    trained = state.joint
     if selecting:
         state.synth_cfg = replace(state.synth_cfg, mode="one_hot")
-        params = [(name, p) for name, p in params if not name.startswith("lm.")]
+        trained = state.selection
 
     drop_masks = None
     if schedule.bmd_rate > 0.0:
@@ -354,22 +393,29 @@ def train_step(state: TrainState, batch: tuple[np.ndarray, np.ndarray],
             loss_cfg.distill.teacher_spec, loss_cfg.distill.teacher_params, batch_x)
 
     lr = learning_rate_at(step, schedule)
-    # one gradient buffer aligned with the trained suffix; L2's term goes in
-    # before the backward adds the network's, the order of a tape ending in
-    # the regulariser, so every gradient matches that one bit for bit
-    tensors = [p for _, p in params]
-    trained = state.vector.data[-sum(p.size for p in tensors):]
+    # the trained part of the gradient buffer is reseeded whole, so nothing
+    # an earlier step left (a refused one, a basis no sample used) survives;
+    # L2's term goes in before the backward adds the network's, the order of
+    # a tape ending in the regulariser, so every gradient matches that one
+    # bit for bit
     seeded = loss_cfg.l2_weight > 0.0
-    grad = (2.0 * trained) * loss_cfg.l2_weight if seeded else np.zeros(trained.size)
+    grad = trained.grad
+    if seeded:
+        np.multiply(trained.values, 2.0, out=grad)
+        np.multiply(grad, loss_cfg.l2_weight, out=grad)
+        l2_sum = squared_norm(trained.values, trained.sizes)
+    else:
+        grad.fill(0.0)
+        l2_sum = 0.0
     try:
-        tape = T.GradTape(dict(zip(tensors, _views(grad, tensors))), seeded)
+        tape = T.GradTape(trained.into, seeded)
         with T.recording(tape):
             final, initial, _ = forward_training(state, batch_x, eps, drop_masks)
             if selecting:
                 initial = T.Tensor(initial.data)
-            loss, parts = total_loss(final, initial, batch_y, tensors, loss_cfg, distill_soft)
+            loss, parts = total_loss(final, initial, batch_y, l2_sum, loss_cfg, distill_soft)
         grads = T.backward(loss)
-        _apply_updates(state, grad, grads, params, lr, schedule)
+        _apply_updates(state, grad, grads, trained.params, lr, schedule)
     except T.NonFiniteError as err:
         raise TrainingDiverged(
             f"training went non-finite at step {step} (lr={lr}): {err}"

@@ -286,6 +286,29 @@ def apply_updates_per_tensor(opt_state: dict, grads, params, lr: float, schedule
     return factor
 
 
+def backward_copying(loss):
+    """Reverse replay of ``loss``'s tape in which every tensor's first
+    gradient contribution is copied and each later one added in place: the
+    copy-every-contribution rule. Consumes the tape as ``backward`` does and
+    returns the gradient map."""
+    tape = loss.tape
+    grads = {loss: np.ones_like(loss.data)}
+    for out, _, backward_fn in reversed(tape.records):
+        gout = grads.get(out)
+        if gout is None:
+            continue
+        for tensor, contribution in backward_fn(gout):
+            if not tensor.requires_grad:
+                continue
+            if tensor in grads:
+                grads[tensor] += contribution
+            else:
+                grads[tensor] = np.array(contribution, dtype=np.float64, copy=True)
+    tape.records.clear()
+    tape.consumed = True
+    return grads
+
+
 def l2_chain(params):
     """The L2 sum on the tape as one ``sum_squares`` per parameter joined by
     ``add``, left to right: each parameter gets its own ``2 * p * g`` term."""

@@ -240,6 +240,28 @@ class TestEval:
         assert capsys.readouterr().err == (
             'error: manifest structure.bank.spec.layers[0].k: expected int, got "3"\n')
 
+    def test_overflowing_pad_exits_one_with_one_line(self, workdir, trained_ckpt, capsys):
+        # a pad of 1e308 reads as a whole number; the MAdds count it gives
+        # does not fit int64, which numpy reports as an OverflowError
+        path = trained_ckpt / CK.MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        manifest["structure"]["bank"]["spec"]["layers"][1]["pad"] = 1e308
+        path.write_text(json.dumps(manifest))
+        assert main(["eval", "--ckpt", str(trained_ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (workdir / "runs" / "demo" / "eval.json").exists()
+
+    def test_out_of_memory_exits_one_with_one_line(self, trained_ckpt, capsys, monkeypatch):
+        message = "Unable to allocate 7.45 GiB for an array with shape (1000000000,) and data type float64"
+
+        def allocate(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(EX, "evaluate", allocate)
+        assert main(["eval", "--ckpt", str(trained_ckpt)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("mode", ["per_layer", "per_model"])
     def test_finetuned_checkpoint_evaluates_as_trained(self, workdir, capsys, mode):
         # the last metrics row, eval and the in-process hardened accuracy

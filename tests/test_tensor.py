@@ -5,7 +5,8 @@ import pytest
 
 from kernelblend import tensor as T
 
-from oracles import conv2d_plain, conv2d_reference, finite_difference, gradient_mismatch
+from oracles import (backward_copying, conv2d_plain, conv2d_reference, finite_difference,
+                     gradient_mismatch)
 
 
 def grad_of(build_loss, params):
@@ -640,6 +641,69 @@ class TestBackwardContract:
         grads = T.backward(loss)
         assert buf.tolist() == [3.5, 3.25, 4.0]
         assert grads[x] is tape.into[x] and grads[other] is tape.into[other]
+
+
+def _add_self(rng):
+    x = T.Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    return [x], T.sum_all(T.mul(T.add(x, x), T.Tensor(rng.standard_normal((2, 3)))))
+
+
+def _reshape_and_another_op(rng):
+    # replay meets the reshape first: its contribution, a view of its
+    # output's gradient, is copied before the sigmoid's term is added
+    x = T.Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    squares = T.sum_squares(T.sigmoid(x))
+    flat = T.mul(T.reshape(x, (6,)), T.Tensor(rng.standard_normal(6)))
+    return [x], T.add(squares, T.sum_all(flat))
+
+
+def _scalar_read_twice(rng):
+    # a 0-d gradient times a float is a numpy scalar, which cannot take the
+    # second term in place
+    x = T.Tensor(rng.standard_normal(3), requires_grad=True)
+    total = T.sum_all(x)
+    return [x], T.add(T.scale(total, 2.0), T.scale(total, 3.0))
+
+
+def _fresh_then_accumulated(rng):
+    # replay meets the scale first: its fresh g * 3 is kept, then the
+    # sigmoid's term is added into it in place
+    x = T.Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    w = T.Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    return [x, w], T.add(T.sum_squares(T.mul(T.sigmoid(x), w)), T.sum_all(T.scale(x, 3.0)))
+
+
+def _pool_read_twice(rng):
+    # global_avg_pool's gradient is a fresh array: the second pool's is kept
+    # and the first one's added into it
+    x = T.Tensor(rng.standard_normal((2, 3, 2, 2)), requires_grad=True)
+    c, d = (T.Tensor(rng.standard_normal((2, 3))) for _ in range(2))
+    pooled = [T.mul(T.global_avg_pool(x), c), T.mul(T.global_avg_pool(x), d)]
+    return [x], T.sum_all(T.add(*pooled))
+
+
+class TestBackwardOwnership:
+    """backward keeps an op's own fresh gradient array and copies any other
+    contribution (a view, the output gradient passed through): the bits of
+    copying every contribution, and no two tensors' gradients share memory."""
+
+    @pytest.mark.parametrize("build", [_add_self, _reshape_and_another_op,
+                                       _scalar_read_twice, _fresh_then_accumulated,
+                                       _pool_read_twice])
+    def test_bits_of_copying_every_contribution(self, build):
+        results = []
+        for replay in (T.backward, backward_copying):
+            tape = T.GradTape()
+            with T.recording(tape):
+                leaves, loss = build(np.random.default_rng(3))
+            order = leaves + [out for out, _, _ in tape.records]
+            grads = replay(loss)
+            results.append([grads[t].tobytes() for t in order])
+            arrays = [grads[t] for t in order]
+            for i, a in enumerate(arrays):
+                for b in arrays[i + 1:]:
+                    assert not np.shares_memory(a, b)
+        assert results[0] == results[1]
 
 
 class TestStructuralOps:

@@ -58,28 +58,29 @@ class TestTotalLoss:
     def test_zero_lm_weight_drops_initial_term(self):
         final, initial = self.make_logits()
         y = np.array([0, 1, 2, 3])
-        loss0, parts = TR.total_loss(final, initial, y, [], TR.LossConfig(lm_weight=0.0))
+        loss0, parts = TR.total_loss(final, initial, y, 0.0, TR.LossConfig(lm_weight=0.0))
         assert loss0.item() == pytest.approx(parts["synth_loss"])
 
     def test_l2_zero_with_zero_params(self):
         final, initial = self.make_logits()
         zero = T.Tensor(np.zeros(5), requires_grad=True)
-        _, parts = TR.total_loss(final, initial, np.array([0, 1, 2, 3]), [zero],
+        _, parts = TR.total_loss(final, initial, np.array([0, 1, 2, 3]),
+                                 TR.squared_norm(zero.data, [zero.size]),
                                  TR.LossConfig(l2_weight=10.0))
         assert parts["l2"] == 0.0
 
     def test_uniform_heads_give_two_log_c(self):
         final = T.Tensor(np.zeros((2, 10)))
         initial = T.Tensor(np.zeros((2, 10)))
-        loss, _ = TR.total_loss(final, initial, np.array([3, 7]), [],
+        loss, _ = TR.total_loss(final, initial, np.array([3, 7]), 0.0,
                                 TR.LossConfig(lm_weight=1.0))
         assert loss.item() == pytest.approx(2 * np.log(10), abs=1e-12)
 
     def test_l2_term_value(self):
         final, initial = self.make_logits()
         p = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        _, parts = TR.total_loss(final, initial, np.array([0, 1, 2, 3]), [p],
-                                 TR.LossConfig(l2_weight=0.5))
+        _, parts = TR.total_loss(final, initial, np.array([0, 1, 2, 3]),
+                                 TR.squared_norm(p.data, [p.size]), TR.LossConfig(l2_weight=0.5))
         assert parts["l2"] == pytest.approx(0.5 * 5.0)
 
     def test_l2_bitwise_equals_per_parameter_chain(self, monkeypatch):
@@ -118,11 +119,12 @@ class TestTotalLoss:
         added = set()
         for count in (1, 5, 25):
             params = [T.Tensor(np.full(3, 0.5 + i), requires_grad=True) for i in range(count)]
+            l2_sum = TR.squared_norm(np.concatenate([p.data for p in params]), [p.size for p in params])
             records = []
             for weight in (0.0, 1e-2):
                 tape = T.GradTape()
                 with T.recording(tape):
-                    loss, _ = TR.total_loss(final, initial, y, params, TR.LossConfig(l2_weight=weight))
+                    loss, _ = TR.total_loss(final, initial, y, l2_sum, TR.LossConfig(l2_weight=weight))
                 records.append(len(tape.records))
                 assert not any(p in inputs for _, inputs, _ in tape.records for p in params)
                 grads = T.backward(loss)
@@ -131,7 +133,7 @@ class TestTotalLoss:
         assert added == {1}
         # the value is still the per-tensor sums, added left to right
         reg = l2_chain(params)
-        _, parts = TR.total_loss(final, initial, y, params, TR.LossConfig(l2_weight=1e-2))
+        _, parts = TR.total_loss(final, initial, y, l2_sum, TR.LossConfig(l2_weight=1e-2))
         assert parts["l2"] == 1e-2 * reg.item()
 
 
@@ -176,7 +178,7 @@ class TestTrainStep:
 
         def loss_of(st):
             final, initial, _ = TR.forward_training(st, x, 0.0, None)
-            loss, _ = TR.total_loss(final, initial, y, [], TR.LossConfig())
+            loss, _ = TR.total_loss(final, initial, y, 0.0, TR.LossConfig())
             return loss.item()
 
         before = loss_of(state)
@@ -429,6 +431,71 @@ class TestTrainStep:
         assert after[0] == after[1]
 
 
+class TestGradientBuffer:
+    """The gradient buffer lives on the state, built once, and every step
+    reseeds the part it trains, so nothing a step leaves behind reaches the
+    next."""
+
+    @pytest.mark.parametrize("l2_weight", [0.0, 1e-3])
+    def test_refused_step_leaves_nothing_for_the_next(self, l2_weight):
+        train, _ = toy_dataset(train_size=8, eval_size=8)
+        batch = (train.images[:2], train.labels[:2])
+        cfg = TR.LossConfig(l2_weight=l2_weight)
+        state = toy_state(n_bases=3, seed=7)
+        twin = copy.deepcopy(state)
+        huge = sched(batch_size=2, optimizer="rmsprop", lr_base=1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TR.TrainingDiverged, match="parameter update"):
+                TR.train_step(state, batch, huge, cfg)
+        # the refused step's gradients are still in the buffer, a dropped
+        # basis's among them
+        s = sched(batch_size=2, bmd_rate=0.5)
+        drops = TR.sample_bmd_mask(3, 0.5, TR.step_rng(s, 0, stream=2))
+        assert drops.any()
+        dropped = state.bank.kernels[1][int(np.flatnonzero(drops)[0])]
+        assert np.any(state.joint.into[dropped] != 0.0)
+        state, metrics = TR.train_step(state, batch, s, cfg)
+        twin, want = TR.train_step(twin, batch, s, cfg)
+        assert metrics == want
+        assert state.vector.data.tobytes() == twin.vector.data.tobytes()
+        assert state.grad.tobytes() == twin.grad.tobytes()
+
+    def test_basis_dropped_in_every_sample_keeps_its_values(self):
+        # SGD at l2_weight 0 reads every slot of the buffer: a basis no
+        # sample uses must find zeros there, not the last step's gradient
+        train, _ = toy_dataset(train_size=8, eval_size=8)
+        batch = (train.images[:4], train.labels[:4])
+        state = toy_state(n_bases=3, seed=5)
+        state, _ = TR.train_step(state, batch, sched(batch_size=4), TR.LossConfig())
+        s = sched(batch_size=4, bmd_rate=0.5)
+        drops = TR.sample_bmd_mask(3, 0.5, TR.step_rng(s, 1, stream=2))
+        assert drops.any()
+        dropped = [k for kernels in state.bank.kernels[1:] for k, d in zip(kernels, drops) if d]
+        before = [k.data.tobytes() for k in dropped]
+        assert all(np.any(state.joint.into[k] != 0.0) for k in dropped)
+        state, _ = TR.train_step(state, batch, s, TR.LossConfig())
+        assert [k.data.tobytes() for k in dropped] == before
+        assert not any(np.any(state.joint.into[k]) for k in dropped)
+
+    def test_deepcopy_twin_gets_its_own_buffer(self):
+        state = toy_state(n_bases=2, seed=8)
+        twin = copy.deepcopy(state)
+        assert not np.shares_memory(twin.grad, state.grad)
+        for copy_, other in ((twin, state), (state, twin)):
+            for plan in (copy_.joint, copy_.selection):
+                assert np.shares_memory(plan.values, copy_.vector.data)
+                for p, view in plan.into.items():
+                    assert np.shares_memory(view, copy_.grad)
+                    assert not np.shares_memory(view, other.grad)
+                    assert p.shape == view.shape
+        train, _ = toy_dataset(train_size=8, eval_size=8)
+        before = state.grad.copy()
+        TR.train_step(twin, (train.images[:2], train.labels[:2]), sched(batch_size=2),
+                      TR.LossConfig(l2_weight=1e-3))
+        assert np.any(twin.grad != 0.0)
+        assert state.grad.tobytes() == before.tobytes()
+
+
 class TestVectorisedUpdate:
     @pytest.mark.parametrize("clip_norm", [None, 0.05], ids=["unclipped", "clip_binding"])
     @pytest.mark.parametrize("optimizer", ["sgd", "rmsprop"])
@@ -621,8 +688,8 @@ class TestDistillation:
 
         both = TR.LossConfig(distill=TR.DistillConfig(spec, params, policy="both"))
         bases = TR.LossConfig(distill=TR.DistillConfig(spec, params, policy="bases_only"))
-        _, parts_both = TR.total_loss(final, initial, y, [], both, soft)
-        _, parts_bases = TR.total_loss(final, initial, y, [], bases, soft)
+        _, parts_both = TR.total_loss(final, initial, y, 0.0, both, soft)
+        _, parts_bases = TR.total_loss(final, initial, y, 0.0, bases, soft)
         assert parts_both["synth_loss"] == parts_bases["synth_loss"]
         assert parts_bases["lm_loss"] == T.cross_entropy(initial, y).item()
         assert parts_both["lm_loss"] != parts_bases["lm_loss"]
