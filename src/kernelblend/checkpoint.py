@@ -6,11 +6,13 @@ place, so a failed or killed write leaves the previous file as it was.
 round-trip form.
 
 A checkpoint is a JSON manifest plus one binary blob. The manifest records
-the schema version, the structural model description, the training step, an
-index of named tensors (shape, byte offset, byte length) and the blob's
-SHA-256. The blob is the parameter vector as little-endian float64, then the
-RMSProp accumulator when there is one, so a round trip is bitwise exact and
-the one hash covers the optimizer state too.
+the schema version, the experiment config the model was trained from, the
+training step, an index of named tensors (shape, byte offset, byte length)
+and the blob's SHA-256. The config is the one description of the model: a
+load builds the state from it as ``train`` does, and the synthesis mode
+follows from its schedule and the step. The blob is the parameter vector as
+little-endian float64, then the RMSProp accumulator when there is one, so a
+round trip is bitwise exact and the one hash covers the optimizer state too.
 
 A save writes the blob, then the manifest, each atomically. A crash
 therefore leaves either the old pair or a manifest whose hash does not match
@@ -20,56 +22,26 @@ the blob, and a load refuses the latter.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import io
 import json
 import os
+from dataclasses import replace
 from itertools import accumulate, zip_longest
 from pathlib import Path
 
 import numpy as np
 
-from . import backbone as bb
-from . import pipeline as pl
-from . import synthesis as syn
-from .config import (LAYER_KEYS, SPEC_KEYS, ConfigError, _build, _cast, _take, read_spec,
-                     read_synthesis)
-from .training import TrainState, named_parameters
+from .config import ConfigError, ExperimentConfig, _cast, parse_config
+from .training import TrainState, init_state, named_parameters
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "tensors.bin"
 
 
 class CheckpointError(ValueError):
     """Manifest or blob failed validation."""
-
-
-def backbone_spec_to_dict(spec: bb.BackboneSpec) -> dict:
-    return {
-        "input_shape": list(spec.input_shape),
-        "layers": [{key: getattr(layer, name) for key, name in LAYER_KEYS.items()}
-                   for layer in spec.layers],
-        "num_classes": spec.num_classes,
-    }
-
-
-def _structure_dict(state: TrainState) -> dict:
-    return {
-        "lm": {
-            "trunk": backbone_spec_to_dict(state.lm.trunk),
-            "n_bases": state.lm.n_bases,
-            "coeff_rows": state.lm.coeff_rows,
-            "downsample": state.lm.downsample,
-        },
-        "bank": {
-            "spec": backbone_spec_to_dict(state.bank.spec),
-            "n_bases": state.bank.n_bases,
-            "share_mask": list(state.bank.share_mask),
-        },
-        "synthesis": dataclasses.asdict(state.synth_cfg),
-    }
 
 
 def write_atomically(path, data: bytes) -> None:
@@ -101,8 +73,9 @@ def tensor_index(state: TrainState) -> list[dict]:
             for (name, p), offset in zip(params, offsets)]
 
 
-def save_checkpoint(state: TrainState, path, config: dict | None = None) -> None:
-    """Write manifest.json and tensors.bin under ``path`` (a directory)."""
+def save_checkpoint(state: TrainState, path, config: dict) -> None:
+    """Write manifest.json and tensors.bin under ``path`` (a directory);
+    ``config`` is the raw experiment config ``state`` was built from."""
     path = Path(path)
     blob = state.vector.data.astype("<f8").tobytes()
     if state.opt_state is not None:
@@ -111,7 +84,6 @@ def save_checkpoint(state: TrainState, path, config: dict | None = None) -> None
         "schema_version": SCHEMA_VERSION,
         "dtype": "<f8",
         "step": state.step,
-        "structure": _structure_dict(state),
         "config": config,
         "tensors": tensor_index(state),
         "blob_sha256": hashlib.sha256(blob).hexdigest(),
@@ -120,8 +92,8 @@ def save_checkpoint(state: TrainState, path, config: dict | None = None) -> None
     write_atomically(path / MANIFEST_NAME, json.dumps(manifest, indent=1).encode())
 
 
-def load_checkpoint(path):
-    """Rebuild a TrainState from disk; returns (state, stored config dict)."""
+def load_checkpoint(path) -> tuple[TrainState, ExperimentConfig]:
+    """Rebuild a TrainState from disk; returns it with its parsed config."""
     path = Path(path)
     manifest_path = path / MANIFEST_NAME
     if not manifest_path.exists():
@@ -139,41 +111,25 @@ def load_checkpoint(path):
     if manifest.get("dtype") != "<f8":
         raise CheckpointError(f"unsupported dtype {manifest.get('dtype')!r}")
     try:
-        state = _restore(manifest, path / BLOB_NAME)
+        return _restore(manifest, path / BLOB_NAME)
     except KeyError as err:
         raise CheckpointError(f"manifest lacks key {err}") from err
     except ConfigError as err:
         raise CheckpointError(f"manifest {err}") from err
-    return state, manifest.get("config")
 
 
-def _restore(manifest: dict, blob_path: Path) -> TrainState:
-    """Build the recorded structure, read under the config's rules, and fill
-    it from the blob."""
-    structure = _take(manifest["structure"], "structure",
-                      {"lm": dict, "bank": dict, "synthesis": dict})
-    lm_d = _take(structure["lm"], "structure.lm",
-                 {"trunk": dict, "n_bases": int, "coeff_rows": int, "downsample": int})
-    trunk = read_spec(**_take(lm_d.pop("trunk"), "structure.lm.trunk", SPEC_KEYS),
-                      where="structure.lm.trunk")
-    bank_d = _take(structure["bank"], "structure.bank",
-                   {"spec": dict, "n_bases": int, "share_mask": list})
-    spec = read_spec(**_take(bank_d["spec"], "structure.bank.spec", SPEC_KEYS),
-                     where="structure.bank.spec")
-    shared = [k for k, flag in enumerate(bank_d["share_mask"])
-              if _cast(flag, bool, "structure.bank.share_mask")]
-    bank = _build(syn.build_bank, "structure.bank", spec=spec, n_bases=bank_d["n_bases"],
-                  shared_layers=shared, seed=0)
-    lm = _build(pl.LightweightModel, "structure.lm", trunk=trunk, **lm_d)
-    state = TrainState(lm=lm, lm_params=pl.build_lm(lm, seed=0), bank=bank,
-                       synth_cfg=read_synthesis(structure["synthesis"], "structure.synthesis"),
-                       step=_cast(manifest["step"], int, "step"))
+def _restore(manifest: dict, blob_path: Path) -> tuple[TrainState, ExperimentConfig]:
+    """Build the config's model, fill it from the blob, and set the step and
+    the synthesis mode the last step that ran left."""
+    cfg = parse_config(manifest["config"])
+    state = init_state(cfg.lm, cfg.bank_spec, cfg.n_bases, cfg.shared_layers, cfg.synth_cfg,
+                       seed=cfg.seed)
     recorded, expected = manifest["tensors"], tensor_index(state)
     if recorded != expected:
         pairs = zip_longest(recorded if isinstance(recorded, list) else [recorded], expected)
         for i, (got, want) in enumerate(pairs):
             if got != want:
-                raise CheckpointError(f"manifest tensor {i} is {got}, the structure gives {want}")
+                raise CheckpointError(f"manifest tensor {i} is {got}, the config gives {want}")
 
     blob = blob_path.read_bytes()
     if hashlib.sha256(blob).hexdigest() != manifest["blob_sha256"]:
@@ -186,4 +142,8 @@ def _restore(manifest: dict, blob_path: Path) -> TrainState:
     state.vector.apply_update(values[:n])
     if len(values) > n:
         state.opt_state = values[n:]
-    return state
+    state.step = _cast(manifest["step"], int, "step")
+    # the mode the last step set; init_state refuses a per_model lm under one_hot
+    if cfg.schedule.selects(state.step - 1):
+        state.synth_cfg = replace(state.synth_cfg, mode="one_hot")
+    return state, cfg

@@ -20,7 +20,7 @@ from . import cost as co
 from . import disturbance as di
 from . import experiment as ex
 from . import synthesis as syn
-from .config import ConfigError, load_config, parse_config, read_threshold, read_thresholds
+from .config import ConfigError, load_config, read_threshold, read_thresholds
 from .training import TrainingDiverged
 
 
@@ -35,11 +35,7 @@ def _flag_value(text: str, kind, flag: str):
 
 def _load_from_checkpoint(path):
     """The checkpoint's state, the config it was trained from, and its eval set."""
-    state, raw_config = ck.load_checkpoint(path)
-    if raw_config is None:
-        raise ck.CheckpointError(
-            f"checkpoint {path} carries no experiment config; re-save it through `train`")
-    cfg = parse_config(raw_config)
+    state, cfg = ck.load_checkpoint(path)
     _, evalset = ex.load_dataset(cfg)
     return state, cfg, evalset
 

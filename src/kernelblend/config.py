@@ -5,8 +5,10 @@ is an error, not a warning, so a typo in an experiment definition cannot
 quietly fall back to a default. An optional key that is absent is not passed
 on, so each default lives only on the dataclass that takes the value.
 
-This is the one reader of the project's JSON: the checkpoint manifest's
-``structure`` and ``step`` go through the same helpers under the same rules.
+This is the one reader of the project's JSON. A checkpoint manifest embeds
+the config its model was trained from, and a load builds the model from it
+through ``parse_config``; the manifest's ``step`` goes through the same
+helpers under the same rules.
 """
 
 from __future__ import annotations
@@ -29,21 +31,22 @@ class ConfigError(ValueError):
     """The experiment config failed validation."""
 
 
-# JSON key -> LayerSpec field; the checkpoint manifest writes layers with it too.
+# JSON key of a layer object -> LayerSpec field
 LAYER_KEYS = {"in": "in_channels", "out": "out_channels", "k": "kernel_size",
               "stride": "stride", "pad": "padding", "act": "activation"}
-SPEC_KEYS = {"input_shape": list, "layers": list, "num_classes": int}
 
 
 def _cast(value, caster, name: str):
     """Cast one value, turning a mismatch into a ConfigError that names the key.
-    Each key takes only its own JSON kind: an int key a whole number, a float
-    key a number, a bool key true or false, a str key a string, a list key an
-    array and a dict key an object."""
+    Each key takes only its own JSON kind: an int key a whole number (as a
+    float only below 2**53 in magnitude, where every whole float is exact), a
+    float key a number, a bool key true or false, a str key a string, a list
+    key an array and a dict key an object."""
     if caster is bool or isinstance(value, bool):
         fits = type(value) is caster
     elif caster is int:
-        fits = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+        fits = isinstance(value, int) or (
+            isinstance(value, float) and value.is_integer() and abs(value) < 2**53)
     elif caster is float:
         fits = isinstance(value, (int, float))
     else:
@@ -128,17 +131,11 @@ def read_layers(raw, where: str) -> tuple[bb.LayerSpec, ...]:
 
 
 def read_spec(input_shape: list, layers: list, num_classes: int, where: str) -> bb.BackboneSpec:
-    """A backbone from the values of a section's ``SPEC_KEYS``."""
+    """A backbone from a section's input shape, layers and class count."""
     return _build(bb.BackboneSpec, where,
                   input_shape=_shape(input_shape, f"{where}.input_shape"),
                   layers=read_layers(layers, f"{where}.layers"),
                   num_classes=num_classes)
-
-
-def read_synthesis(raw, where: str) -> syn.SynthesisConfig:
-    return _build(syn.SynthesisConfig, where, **_take(raw, where, {}, {
-        "activation": str, "mode": str, "bmd_renormalize": bool,
-    }))
 
 
 @dataclass
@@ -191,7 +188,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     dataset = _dataset_section(top["dataset"])
 
-    bank_d = _take(top["bank"], "bank", {**SPEC_KEYS, "n_bases": int}, {"shared": list})
+    bank_d = _take(top["bank"], "bank", {
+        "input_shape": list, "layers": list, "num_classes": int, "n_bases": int,
+    }, {"shared": list})
     bank_spec = read_spec(bank_d["input_shape"], bank_d["layers"], bank_d["num_classes"], "bank")
 
     shared_layers: list[int] = []
@@ -205,7 +204,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         shared_layers.extend(range(lo, hi + 1))
     shared_layers = sorted(set(shared_layers))
 
-    synth_cfg = read_synthesis(top["synthesis"], "synthesis")
+    synth_d = _take(top["synthesis"], "synthesis", {}, {
+        "activation": str, "mode": str, "bmd_renormalize": bool,
+    })
+    synth_cfg = _build(syn.SynthesisConfig, "synthesis", **synth_d)
 
     lm_d = _take(top["lightweight"], "lightweight", {
         "layers": list, "input_shape": list,

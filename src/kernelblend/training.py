@@ -118,6 +118,10 @@ class TrainSchedule:
             if not getattr(self, name) > 0:  # also rejects NaN
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
+    def selects(self, step: int) -> bool:
+        """Whether ``step`` is a selection step: fine-tuning, at or past ``total_steps``."""
+        return self.finetune_steps > 0 and step >= self.total_steps
+
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Trained:
@@ -363,14 +367,14 @@ def train_step(state: TrainState, batch: tuple[np.ndarray, np.ndarray],
 
     A step at or past ``schedule.total_steps`` of a schedule with
     fine-tuning is a selection step: it sets the synthesis mode to
-    ``one_hot`` (which the checkpoint records) and leaves the lightweight
+    ``one_hot`` (which a checkpoint load sets again) and leaves the lightweight
     model out of the update, the L2 term and the backward pass: its
     initial-prediction loss is reported from a detached copy of the logits.
     """
     batch_x, batch_y = batch
     step = state.step
     eps = epsilon_at(step, schedule)
-    selecting = schedule.finetune_steps > 0 and step >= schedule.total_steps
+    selecting = schedule.selects(step)
     trained = state.joint
     if selecting:
         state.synth_cfg = replace(state.synth_cfg, mode="one_hot")

@@ -620,8 +620,7 @@ class TestDeterminismPersistence:
             bytes_b = fh.read()
         identical = bytes_a == bytes_b
 
-        state, stored_cfg = CK.load_checkpoint(first["checkpoint"])
-        cfg = parse_config(stored_cfg)
+        state, cfg = CK.load_checkpoint(first["checkpoint"])
         _, evalset = EX.load_dataset(cfg)
         acc_loaded = EX.full_accuracy(state, evalset)
         identical_eval = acc_loaded == first["final_eval_acc_full"]

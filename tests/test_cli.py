@@ -3,6 +3,9 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -234,22 +237,22 @@ class TestEval:
     def test_malformed_manifest_exits_one_with_one_line(self, trained_ckpt, capsys):
         path = trained_ckpt / CK.MANIFEST_NAME
         manifest = json.loads(path.read_text())
-        manifest["structure"]["bank"]["spec"]["layers"][0]["k"] = "3"
+        manifest["config"]["bank"]["layers"][0]["k"] = "3"
         path.write_text(json.dumps(manifest))
         assert main(["eval", "--ckpt", str(trained_ckpt)]) == 1
         assert capsys.readouterr().err == (
-            'error: manifest structure.bank.spec.layers[0].k: expected int, got "3"\n')
+            'error: manifest bank.layers[0].k: expected int, got "3"\n')
 
     def test_overflowing_pad_exits_one_with_one_line(self, workdir, trained_ckpt, capsys):
-        # a pad of 1e308 reads as a whole number; the MAdds count it gives
-        # does not fit int64, which numpy reports as an OverflowError
+        # an int key takes a float only below 2**53, where every whole float
+        # is exact, so a pad of 1e308 is refused as read, naming its key
         path = trained_ckpt / CK.MANIFEST_NAME
         manifest = json.loads(path.read_text())
-        manifest["structure"]["bank"]["spec"]["layers"][1]["pad"] = 1e308
+        manifest["config"]["bank"]["layers"][1]["pad"] = 1e308
         path.write_text(json.dumps(manifest))
         assert main(["eval", "--ckpt", str(trained_ckpt)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert capsys.readouterr().err == (
+            "error: manifest bank.layers[1].pad: expected int, got 1e+308\n")
         assert not (workdir / "runs" / "demo" / "eval.json").exists()
 
     def test_out_of_memory_exits_one_with_one_line(self, trained_ckpt, capsys, monkeypatch):
@@ -281,8 +284,8 @@ class TestEval:
             last = list(csv.DictReader(fh))[-1]
         result = json.loads((workdir / "runs" / "ft" / "eval.json").read_text())
 
-        state, _ = CK.load_checkpoint(ckpt)
-        cfg = parse_config(raw)
+        state, cfg = CK.load_checkpoint(ckpt)
+        assert cfg.raw == raw
         _, evalset = EX.load_dataset(cfg)
         hard_cfg = dataclasses.replace(cfg.synth_cfg, mode="one_hot")
         hardened = P.infer_batch(state.lm, state.lm_params, state.bank, hard_cfg,
@@ -368,8 +371,8 @@ class TestDisturb:
             for column in ("accuracy", "delta_vs_correct"):
                 float(row[column])
         # every layer's row, and the one-layer form's, is seed_average's mean
-        state, raw = CK.load_checkpoint(trained_ckpt)
-        _, evalset = EX.load_dataset(parse_config(raw))
+        state, cfg = CK.load_checkpoint(trained_ckpt)
+        _, evalset = EX.load_dataset(cfg)
         means = [mean for mean, _ in DI.seed_average(
             state.lm, state.lm_params, state.bank, state.synth_cfg, evalset,
             "shuffled", range(3), 2)]
@@ -460,6 +463,20 @@ class TestCost:
         assert ((workdir / "runs" / "distill" / "cost.json").read_bytes()
                 == (workdir / "runs" / "demo" / "cost.json").read_bytes())
 
+    @pytest.mark.parametrize("command", ["cost", "train"])
+    def test_unrepresentable_pad_exits_one_with_one_line(self, workdir, capsys, command):
+        # an int key takes a float only below 2**53, where every whole float is
+        # exact; 1e308 would price a 600-digit MAdds count
+        raw = base_config()
+        raw["bank"]["layers"][1]["pad"] = 1e308
+        path = workdir / "huge.json"
+        path.write_text(json.dumps(raw))
+        assert main([command, "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: bank.layers[1].pad: expected int, got 1e+308\n"
+        assert captured.out == ""
+        assert not (workdir / "runs").exists()
+
 
 class TestExportCoeffs:
     def test_row_count_is_images_times_rows_times_bases(self, workdir, trained_ckpt, capsys):
@@ -487,11 +504,11 @@ class TestNumericOverflow:
 
     @pytest.fixture
     def overflow_ckpt(self, workdir, trained_ckpt):
-        state, raw_config = CK.load_checkpoint(trained_ckpt)
+        state, cfg = CK.load_checkpoint(trained_ckpt)
         for name, p in TR.named_parameters(state):
             if name.startswith(("bank.L1.basis", "bank.L2.basis")):
                 p.data[...] = 1e300
-        CK.save_checkpoint(state, workdir / "overflow", raw_config)
+        CK.save_checkpoint(state, workdir / "overflow", cfg.raw)
         return workdir / "overflow"
 
     @pytest.mark.parametrize("argv,output", [
@@ -538,10 +555,90 @@ class TestAtomicOutputs:
         assert not list(workdir.rglob("*.tmp"))
 
 
+def _leaves(node, path=()):
+    """The path of every leaf of a JSON tree: a scalar or an empty container."""
+    children = list(node.items() if isinstance(node, dict) else
+                    enumerate(node) if isinstance(node, list) else ())
+    if not children:
+        yield path
+    for key, child in children:
+        yield from _leaves(child, (*path, key))
+
+
+# Runs ``eval`` once per (value, leaf path) read from stdin, on the checkpoint
+# in the working directory, and prints [value, path, exit code, stderr] for
+# each. A value of null deletes the leaf. It caps its own address space at
+# 1 GiB above what it holds once imported, so a value that sized a huge
+# allocation would fail there with a MemoryError instead of filling the
+# machine's memory.
+MUTATION_RUNNER = """
+import contextlib, io, json, resource, sys, warnings
+from kernelblend.cli import main
+with open("/proc/self/statm") as fh:
+    held = int(fh.read().split()[0]) * resource.getpagesize()
+resource.setrlimit(resource.RLIMIT_AS, (held + (1 << 30), resource.getrlimit(resource.RLIMIT_AS)[1]))
+values, paths = json.load(sys.stdin)
+with open("checkpoint/manifest.json") as fh:
+    manifest = json.load(fh)
+outcomes = []
+for value in values:
+    for path in paths:
+        edited = json.loads(json.dumps(manifest))
+        node = edited
+        for key in path[:-1]:
+            node = node[key]
+        if value is None:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        with open("checkpoint/manifest.json", "w") as fh:
+            json.dump(edited, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy warning would be more stderr lines
+                code = main(["eval", "--ckpt", "checkpoint"])
+        outcomes.append([value, path, code, err.getvalue()])
+json.dump(outcomes, sys.stdout)
+"""
+
+
+class TestManifestMutations:
+    """Each leaf of a small manifest, deleted or set to each of a few bad
+    values in turn: ``eval`` either runs or fails with one line and no
+    traceback. The tensor index is checked whole against the model, so its
+    first and last entries stand for it."""
+
+    BAD = [None, "x", -1, 0, 1e308, [], {}]  # None deletes the leaf
+
+    def test_eval_runs_or_fails_with_one_line(self, workdir):
+        raw = base_config()
+        raw["output_dir"] = "out"
+        state, _ = EX.build_state(parse_config(raw))
+        CK.save_checkpoint(state, workdir / "checkpoint", raw)
+        manifest = json.loads((workdir / "checkpoint" / CK.MANIFEST_NAME).read_text())
+        last = len(manifest["tensors"]) - 1
+        paths = [path for path in _leaves(manifest)
+                 if path[0] != "tensors" or path[1] in (0, last)]
+        child = subprocess.run(
+            [sys.executable, "-c", MUTATION_RUNNER], cwd=workdir, capture_output=True,
+            text=True, input=json.dumps([self.BAD, paths]),
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert child.returncode == 0, child.stderr
+        outcomes = json.loads(child.stdout)
+        assert len(outcomes) == len(self.BAD) * len(paths) > 400
+        bad = [(value, path, code, err) for value, path, code, err in outcomes
+               if code not in (0, 1) or err.count("\n") != code or "Traceback" in err]
+        assert not bad
+        assert {code for *_, code, _ in outcomes} == {0, 1}
+
+
 class TestCheckpointConfigCoupling:
-    def test_checkpoint_without_config_refused(self, workdir, trained_ckpt, capsys):
-        state, _ = CK.load_checkpoint(trained_ckpt)
-        bare = workdir / "bare"
-        CK.save_checkpoint(state, bare)  # no config attached
-        assert main(["eval", "--ckpt", str(bare)]) == 1
-        assert "config" in capsys.readouterr().err
+    def test_checkpoint_without_config_refused(self, trained_ckpt, capsys):
+        # the config is the model's one description; without it there is no model
+        path = trained_ckpt / CK.MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        manifest["config"] = None
+        path.write_text(json.dumps(manifest))
+        assert main(["eval", "--ckpt", str(trained_ckpt)]) == 1
+        assert capsys.readouterr().err == "error: manifest config is NoneType, not an object\n"

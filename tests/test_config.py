@@ -229,6 +229,17 @@ class TestParsing:
         with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
             load_config(config)
 
+    @pytest.mark.parametrize("seed", [2.0**53 - 1, -(2.0**53 - 1), 2.0**53, -(2.0**53), 1e308])
+    def test_int_key_takes_a_float_only_below_2_53(self, seed):
+        # below 2**53 in magnitude every whole float is an exact integer
+        if abs(seed) < 2**53:
+            cfg = parse_config(base_config(seed=seed))
+            assert type(cfg.seed) is int and cfg.seed == seed
+        else:
+            with pytest.raises(ConfigError) as exc:
+                parse_config(base_config(seed=seed))
+            assert str(exc.value) == f"config.seed: expected int, got {json.dumps(seed)}"
+
     def test_optional_null_counts_as_absent(self):
         raw = base_config()
         raw["schedule"]["bmd_rate"] = None

@@ -43,7 +43,7 @@ class TestRunTrain:
         assert [int(r["step"]) for r in rows] == [10, 20]
         state, stored = CK.load_checkpoint(summary["checkpoint"])
         assert state.step == 20
-        assert stored == cfg.raw
+        assert stored.raw == cfg.raw
 
     def test_epsilon_column_follows_schedule(self, tmp_path):
         cfg = make_cfg(tmp_path)

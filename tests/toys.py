@@ -7,6 +7,7 @@ from kernelblend import data as D
 from kernelblend import pipeline as P
 from kernelblend import synthesis as S
 from kernelblend import training as TR
+from kernelblend.config import parse_config
 
 
 def toy_bank_spec(channels=3, num_classes=6, image_size=12):
@@ -40,6 +41,33 @@ def toy_state(n_bases=3, seed=0, channels=3, num_classes=6, shared=(0,),
     rows = 1 if cfg.mode == "per_model" else len(spec.layers) - len(shared)
     lm = toy_lm(spec, n_bases, rows)
     return TR.init_state(lm, spec, n_bases, list(shared), cfg, seed=seed)
+
+
+def toy_config_state(n_bases=3, seed=0):
+    """``toy_state(n_bases, seed)`` built as ``train`` builds it, from a raw
+    experiment config; returns (state, raw config). The config's dataset is
+    ``toy_dataset(train_size=64, eval_size=16)``, and its schedule has no
+    fine-tuning, so a checkpoint of the state loads in the state's mode."""
+    raw = {
+        "schema_version": 1, "seed": seed, "output_dir": "runs/toy",
+        "dataset": {"kind": "synthetic", "num_classes": 6, "image_size": 12, "noise": 0.1,
+                    "train_size": 64, "eval_size": 16, "seed": 1},
+        "lightweight": {"input_shape": [1, 6, 6], "downsample": 2,
+                        "layers": [{"in": 1, "out": 8, "k": 3, "stride": 2, "pad": 1}]},
+        "bank": {"n_bases": n_bases, "input_shape": [1, 12, 12], "num_classes": 6,
+                 "shared": [[0, 0]], "layers": [
+                     {"in": 1, "out": 3, "k": 3, "stride": 2, "pad": 1},
+                     {"in": 3, "out": 3, "k": 3, "stride": 1, "pad": 1},
+                     {"in": 3, "out": 3, "k": 3, "stride": 2, "pad": 1}]},
+        "synthesis": {},
+        "schedule": {"total_steps": 6, "batch_size": 4},
+        "loss": {},
+        "eval": {},
+    }
+    cfg = parse_config(raw)
+    state = TR.init_state(cfg.lm, cfg.bank_spec, cfg.n_bases, cfg.shared_layers,
+                          cfg.synth_cfg, seed=cfg.seed)
+    return state, raw
 
 
 def toy_dataset(num_classes=6, image_size=12, train_size=512, eval_size=256,
