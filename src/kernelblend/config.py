@@ -185,12 +185,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if top["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(
             f"schema_version {top['schema_version']} != supported {SCHEMA_VERSION}")
+    if top["seed"] < 0:  # numpy's generators take no negative seed
+        raise ConfigError(f"config.seed must be >= 0, got {top['seed']}")
 
     dataset = _dataset_section(top["dataset"])
 
     bank_d = _take(top["bank"], "bank", {
         "input_shape": list, "layers": list, "num_classes": int, "n_bases": int,
     }, {"shared": list})
+    if bank_d["n_bases"] < 1:  # checked before the lightweight model takes it
+        raise ConfigError(f"bank.n_bases must be >= 1, got {bank_d['n_bases']}")
     bank_spec = read_spec(bank_d["input_shape"], bank_d["layers"], bank_d["num_classes"], "bank")
 
     shared_layers: list[int] = []

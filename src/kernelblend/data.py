@@ -63,6 +63,8 @@ class SyntheticSpec:
         for name in ("train_size", "eval_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _render(spec: SyntheticSpec, labels: np.ndarray, clusters: np.ndarray,

@@ -3,16 +3,17 @@
 The lightweight model shares one trunk pass between two linear heads: an
 initial class prediction and the raw combination coefficients. If the
 initial prediction's max-softmax confidence clears the threshold, stage two
-is skipped entirely. Otherwise every layer's coefficients are activated and
-the whole specialist is synthesized up front, before stage-two layer L0
-executes - unlike the per-layer router baseline below, where layer k's
-coefficients only exist after layer k-1 has run.
+is skipped entirely, the coefficient head with it. Otherwise every layer's
+coefficients are computed and activated, and the whole specialist is
+synthesized up front, before stage-two layer L0 executes - unlike the
+per-layer router baseline below, where layer k's coefficients only exist
+after layer k-1 has run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -143,16 +144,12 @@ def downsample_input(x: np.ndarray, factor: int) -> np.ndarray:
 
 
 def lm_forward(lm: LightweightModel, params: LMParams, x: T.Tensor) -> tuple[T.Tensor, T.Tensor]:
-    """One trunk pass, two heads: (initial logits (B, C), raw coefficients (B, rows*N)).
-
-    Coefficient activation is deliberately not applied here; that belongs to
-    the synthesis stage.
-    """
+    """One trunk pass and the class head: (initial logits (B, C), pooled
+    features (B, F)). The coefficient head (``coeff_w``, ``coeff_b``) is the
+    caller's, so inference runs it only on the images the gate passes on."""
     xd = T.Tensor(downsample_input(x.data, lm.downsample))
     feats = bb.forward_features(params.trunk, lm.trunk, xd)
-    initial = T.linear(feats, params.trunk.head_w, params.trunk.head_b)
-    raw = T.linear(feats, params.coeff_w, params.coeff_b)
-    return initial, raw
+    return T.linear(feats, params.trunk.head_w, params.trunk.head_b), feats
 
 
 @cache
@@ -202,40 +199,41 @@ def infer_batch(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
     """Run the pipeline over images (B, C, H, W); row i is ``infer`` on image i.
 
     One batched lightweight pass scores every image. The images below the
-    threshold then share one coefficient pass, one synthesis of per-image
-    specialists and one batched stage two. ``edit``, if given, is called
-    once with the (P, rows, N) coefficient tensor of the P images below the
-    threshold, in image order, and returns the (P, rows, N) tensor that is
-    synthesized in its place (the disturbance study); the record carries
-    the returned tensor.
+    threshold then share one coefficient-head pass (an image that stops
+    never pays for it), one synthesis of per-image specialists and one
+    batched stage two. ``edit``, if given, is called once with the
+    (P, rows, N) coefficient tensor of the P images below the threshold, in
+    image order, and returns the (P, rows, N) tensor that is synthesized in
+    its place (the disturbance study); the record carries the returned
+    tensor.
     """
     if not threshold >= 0:  # also rejects NaN
         raise ValueError(f"threshold must be a number >= 0, got {threshold}")
     x = T.Tensor(images)
-    initial, raw = lm_forward(lm, params, x)
+    initial, feats = lm_forward(lm, params, x)
     conf = confidences(initial.data)
     terminated = conf >= threshold
-    pending = np.flatnonzero(~terminated)
+    pending = (~terminated).nonzero()[0]
+    if len(pending):
+        if len(pending) < len(conf):
+            x, feats = T.constant(x.data[pending]), T.constant(feats.data[pending])
+        raw = T.linear(feats, params.coeff_w, params.coeff_b)
+        alpha = coefficients_from_raw(raw, cfg, bank.n_coefficient_rows, bank.n_bases)
+        if edit is not None:
+            alpha = edit(alpha)
+        if trace is not None:
+            for a in alpha.data:
+                for r, k in enumerate(bank.nonshared_indices()):
+                    trace.append(("coefficients", k, a[r].copy()))
+        final = bb.forward(syn.synthesize(bank, alpha), bank.spec, x, trace).data
+        coefficients = alpha.data
+    else:
+        final = np.empty((0, initial.shape[1]))
+        coefficients = np.empty((0, bank.n_coefficient_rows, bank.n_bases))
     cost = lm_madds(lm)
     full = cost + syn.synthesis_madds(bank) + bb.count_madds(bank.spec)
-    record = partial(BatchResult, threshold, conf, initial.data, terminated,
-                     np.where(terminated, cost, full), pending)
-    if not len(pending):
-        return record(np.empty((0, initial.shape[1])),
-                      np.empty((0, bank.n_coefficient_rows, bank.n_bases)))
-    if len(pending) < len(conf):
-        x, raw = T.Tensor(x.data[pending]), T.Tensor(raw.data[pending])
-
-    alpha = coefficients_from_raw(raw, cfg, bank.n_coefficient_rows, bank.n_bases)
-    if edit is not None:
-        alpha = edit(alpha)
-    if trace is not None:
-        for a in alpha.data:
-            for r, k in enumerate(bank.nonshared_indices()):
-                trace.append(("coefficients", k, a[r].copy()))
-    specialist = syn.synthesize(bank, alpha)
-    final = bb.forward(specialist, bank.spec, x, trace)
-    return record(final.data, alpha.data)
+    return BatchResult(threshold, conf, initial.data, terminated,
+                       np.where(terminated, cost, full), pending, final, coefficients)
 
 
 def infer(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
@@ -254,7 +252,7 @@ def infer(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
     return PipelineResult(
         record.initial_logits[0], float(record.confidence[0]), terminated=stop,
         madds_spent=int(record.madds_spent[0]),
-        coefficients=None if stop else T.Tensor(record.coefficients[0]),
+        coefficients=None if stop else T.constant(record.coefficients[0]),
         final_logits=None if stop else record.final_logits[0])
 
 

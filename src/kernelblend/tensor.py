@@ -118,6 +118,12 @@ def recording(tape: GradTape):
         _ACTIVE_TAPE = None
 
 
+def constant(data: np.ndarray) -> Tensor:
+    """A Tensor over rows taken from a Tensor's data, which are finite
+    already: the constructor's finiteness scan is skipped."""
+    return _result(data, (), None, checked=True)
+
+
 def _result(data: np.ndarray, inputs: Sequence[Tensor], backward: Callable,
             checked: bool = False) -> Tensor:
     """Wrap an op result, check it is finite (unless ``checked``: the op did,
@@ -402,6 +408,30 @@ def _window_index(c: int, h: int, w: int, kh: int, kw: int, stride: int, padding
     return idx
 
 
+@functools.lru_cache(maxsize=64)
+def _conv_plan(xtail: tuple, ktail: tuple, kdim: int, stride: int, padding: int,
+               bshape: tuple | None) -> tuple:
+    """A conv layer's geometry, checked, as its ``_window_index`` key. The
+    batch is not part of the key, so every batch size shares one plan. A bad
+    geometry raises on every call (the cache keeps no exception); ``{x}`` and
+    ``{k}`` in its message stand for the input and kernel shapes."""
+    if len(xtail) != 3 or kdim not in (4, 5):
+        raise ShapeError("conv2d expects NCHW input and OIKK or BOIKK kernel, got {x} and {k}")
+    if stride < 1:
+        raise ShapeError(f"stride must be >= 1, got {stride}")
+    if padding < 0:
+        raise ShapeError(f"padding must be >= 0, got {padding}")
+    (in_c, h, w), (out_c, k_in, kh, kw) = xtail, ktail
+    if in_c != k_in:
+        raise ShapeError(f"conv2d channel mismatch: input {{x}} has {in_c} channels, kernel {{k}} expects {k_in}")
+    if h + 2 * padding < kh or w + 2 * padding < kw:
+        raise ShapeError(f"conv2d kernel {{k}} larger than padded input {{x}} (padding={padding})")
+    if bshape is not None and bshape != (out_c,):
+        raise ShapeError(f"conv2d bias {bshape} does not match kernel {{k}}")
+    return (in_c, h, w, kh, kw, stride, padding,
+            (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1)
+
+
 @functools.lru_cache(maxsize=16)
 def _col2im_index(key: tuple, batch: int) -> np.ndarray:
     """Read-only flat ``bincount`` bins for a batch: ``_window_index(*key)``
@@ -431,23 +461,15 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
     cuDNN's fused conv-bias-activation call does). The ReLU's zero is +0.0.
     """
     xshape, kshape = x.data.shape, kernel.data.shape
-    per_sample = len(kshape) == 5
-    if len(xshape) != 4 or len(kshape) not in (4, 5):
-        raise ShapeError(f"conv2d expects NCHW input and OIKK or BOIKK kernel, got {xshape} and {kshape}")
-    if stride < 1:
-        raise ShapeError(f"stride must be >= 1, got {stride}")
-    if padding < 0:
-        raise ShapeError(f"padding must be >= 0, got {padding}")
-    batch, in_c, h, w = xshape
-    out_c, k_in, kh, kw = kshape[-4:]
+    try:
+        key = _conv_plan(xshape[1:], kshape[-4:], len(kshape), stride, padding,
+                         None if bias is None else bias.data.shape)
+    except ShapeError as err:  # the message names the shapes, batch and all
+        raise ShapeError(str(err).format(x=xshape, k=kshape)) from None
+    batch, per_sample = xshape[0], len(kshape) == 5
     if per_sample and kshape[0] != batch:
         raise ShapeError(f"conv2d per-sample kernel {kshape} does not match batch of input {xshape}")
-    if in_c != k_in:
-        raise ShapeError(f"conv2d channel mismatch: input {xshape} has {in_c} channels, kernel {kshape} expects {k_in}")
-    if h + 2 * padding < kh or w + 2 * padding < kw:
-        raise ShapeError(f"conv2d kernel {kshape} larger than padded input {xshape} (padding={padding})")
-    if bias is not None and bias.data.shape != (out_c,):
-        raise ShapeError(f"conv2d bias {bias.data.shape} does not match kernel {kshape}")
+    (in_c, h, w, kh, kw, _, _, out_h, out_w), out_c = key, kshape[-4]
 
     # im2col: gather the windows through a cached flat index into one
     # contiguous (B, C, kh, kw, oH, oW) array, which reshapes for free to the
@@ -457,9 +479,6 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
     # size, so a sample reduces in the same order alone or in a batch (the
     # batch-equals-serial and bit-determinism contracts). Folded into a GEMM
     # dimension, B could change BLAS's blocking.
-    out_h = (h + 2 * padding - kh) // stride + 1
-    out_w = (w + 2 * padding - kw) // stride + 1
-    key = (in_c, h, w, kh, kw, stride, padding, out_h, out_w)
     idx = _window_index(*key)
     plane = in_c * h * w
     xz = np.zeros((batch, plane + 1))
@@ -480,9 +499,11 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
             g = g * mask
         gb = () if bias is None else ((bias, np.add.reduce(g, axis=(0, 2, 3))),)
         g3 = g.reshape(batch, out_c, out_h * out_w)
-        gk = np.matmul(g3, cols.transpose(0, 2, 1))
-        # a shared kernel sums the per-sample products, in batch order
-        gk = (gk if per_sample else np.add.reduce(gk, axis=0)).reshape(kshape)
+        gk = np.empty(kshape)  # fresh and kernel-shaped, so backward keeps it without a copy
+        if per_sample:
+            np.matmul(g3, cols.transpose(0, 2, 1), out=gk.reshape(batch, out_c, -1))
+        else:  # a shared kernel sums the per-sample products, in batch order
+            np.add.reduce(np.matmul(g3, cols.transpose(0, 2, 1)), axis=0, out=gk.reshape(out_c, -1))
         if not x.requires_grad:  # e.g. the image at layer 0: backward would drop it
             return ((kernel, gk), *gb)
         gcols = np.matmul(np.swapaxes(kmat, -1, -2), g3)  # (B, C*kh*kw, oH*oW)

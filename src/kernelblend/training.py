@@ -263,7 +263,8 @@ def forward_training(state: TrainState, batch_x: np.ndarray, epsilon: float,
     """
     cfg = state.synth_cfg
     x = T.Tensor(batch_x)
-    initial, raw = pl.lm_forward(state.lm, state.lm_params, x)
+    initial, feats = pl.lm_forward(state.lm, state.lm_params, x)
+    raw = T.linear(feats, state.lm_params.coeff_w, state.lm_params.coeff_b)
     alpha = pl.coefficients_from_raw(raw, cfg, state.bank.n_coefficient_rows, state.bank.n_bases)
     if cfg.mode != "one_hot":  # selection gets no uniform blend and no dropout
         # blend first: dropout after it gives a dropped basis 0, not eps/N

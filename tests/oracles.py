@@ -181,7 +181,8 @@ def per_image_forward(state, batch_x: np.ndarray, epsilon: float, drop_masks):
     from kernelblend import tensor as T
 
     cfg, bank = state.synth_cfg, state.bank
-    initial, raw = pl.lm_forward(state.lm, state.lm_params, T.Tensor(batch_x))
+    initial, feats = pl.lm_forward(state.lm, state.lm_params, T.Tensor(batch_x))
+    raw = T.linear(feats, state.lm_params.coeff_w, state.lm_params.coeff_b)
     finals, alphas = [], []
     for b in range(len(batch_x)):
         alpha = pl.coefficients_from_raw(T.take(raw, b), cfg, bank.n_coefficient_rows, bank.n_bases)

@@ -478,7 +478,8 @@ class TestCoefficientClustering:
         # while a distinct class does not
         _, evalset = scaling_data
         state = scaling_runs[(4, 0)]
-        _, raw = P.lm_forward(state.lm, state.lm_params, T.Tensor(evalset.images))
+        _, feats = P.lm_forward(state.lm, state.lm_params, T.Tensor(evalset.images))
+        raw = T.linear(feats, state.lm_params.coeff_w, state.lm_params.coeff_b)
         means = {}
         for cls in (0, 1, 2):
             idx = np.flatnonzero(evalset.labels == cls)

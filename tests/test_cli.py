@@ -190,6 +190,58 @@ class TestPreviewMustMatchBank:
         assert not (workdir / "runs").exists()
 
 
+class TestKeysNamedInOneLine:
+    """A negative seed, which numpy's generators refuse, and a bank.n_bases
+    below 1 are refused when read, by an error that names the key."""
+
+    SEEDS = {
+        "seed": ((), "seed", "config.seed must be >= 0, got -1"),
+        "dataset_seed": (("dataset",), "seed", "dataset: seed must be >= 0, got -1"),
+    }
+
+    @staticmethod
+    def _write(workdir, section, key, value):
+        raw = base_config()
+        target = raw
+        for name in section:
+            target = target[name]
+        target[key] = value
+        path = workdir / "bad.json"
+        path.write_text(json.dumps(raw))
+        return path
+
+    @pytest.mark.parametrize("command", ["cost", "train"])
+    @pytest.mark.parametrize("edit", sorted(SEEDS))
+    def test_negative_seed(self, workdir, capsys, command, edit):
+        section, key, message = self.SEEDS[edit]
+        path = self._write(workdir, section, key, -1)
+        assert main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (workdir / "runs").exists()
+
+    @pytest.mark.parametrize("edit", sorted(SEEDS))
+    def test_negative_seed_in_a_manifest(self, workdir, trained_ckpt, capsys, edit):
+        section, key, message = self.SEEDS[edit]
+        path = trained_ckpt / CK.MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        target = manifest["config"]
+        for name in section:
+            target = target[name]
+        target[key] = -1
+        path.write_text(json.dumps(manifest))
+        assert main(["eval", "--ckpt", str(trained_ckpt)]) == 1
+        assert capsys.readouterr() == ("", f"error: manifest {message}\n")
+        assert not (workdir / "runs" / "demo" / "eval.json").exists()
+
+    @pytest.mark.parametrize("command", ["cost", "train"])
+    @pytest.mark.parametrize("n_bases", [0, -1])
+    def test_bank_n_bases_below_one(self, workdir, capsys, command, n_bases):
+        path = self._write(workdir, ("bank",), "n_bases", n_bases)
+        assert main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: bank.n_bases must be >= 1, got {n_bases}\n")
+        assert not (workdir / "runs").exists()
+
+
 class TestEval:
     def test_eval_writes_json(self, workdir, trained_ckpt, capsys):
         assert main(["eval", "--ckpt", str(trained_ckpt), "--threshold", "0.5"]) == 0

@@ -231,10 +231,15 @@ class TestParsing:
 
     @pytest.mark.parametrize("seed", [2.0**53 - 1, -(2.0**53 - 1), 2.0**53, -(2.0**53), 1e308])
     def test_int_key_takes_a_float_only_below_2_53(self, seed):
-        # below 2**53 in magnitude every whole float is an exact integer
-        if abs(seed) < 2**53:
+        # below 2**53 in magnitude every whole float is an exact integer; a
+        # negative one is cast exactly, then refused by the seed's own range
+        if 0 <= seed < 2**53:
             cfg = parse_config(base_config(seed=seed))
             assert type(cfg.seed) is int and cfg.seed == seed
+        elif abs(seed) < 2**53:
+            with pytest.raises(ConfigError) as exc:
+                parse_config(base_config(seed=seed))
+            assert str(exc.value) == f"config.seed must be >= 0, got {int(seed)}"
         else:
             with pytest.raises(ConfigError) as exc:
                 parse_config(base_config(seed=seed))

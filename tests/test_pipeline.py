@@ -52,9 +52,9 @@ class TestLightweightModel:
     def test_downsample_feeds_halved_input(self, setup):
         lm, params, _, _, _ = setup
         x = T.Tensor(np.random.default_rng(3).random((1, 1, 16, 16)))
-        initial, raw = P.lm_forward(lm, params, x)
+        initial, feats = P.lm_forward(lm, params, x)
         assert initial.shape == (1, 4)
-        assert raw.shape == (1, lm.coeff_rows * lm.n_bases)
+        assert feats.shape == (1, lm.trunk.feature_channels)
         assert P.downsample_input(x.data, 2).shape == (1, 1, 8, 8)
 
     def test_downsample_is_block_mean(self):
@@ -292,6 +292,27 @@ class TestInfer:
             assert np.array_equal(alpha.data, batch.coefficients[j][:, ::-1])
             alone = B.forward(S.synthesize(bank, alpha), bank.spec, T.Tensor(images[i:i + 1]))
             assert edited.final_logits[j].tobytes() == alone.data[0].tobytes()
+
+    def test_pending_rows_are_the_rows_of_the_pass_that_stops_none(self, setup, monkeypatch):
+        # the coefficient head runs on the pending rows only, and each such
+        # row gives the bits of the pass that stops no image and of ``infer``
+        # on that image alone
+        lm, params, bank, cfg, _ = setup
+        images = np.random.default_rng(7).random((12, 1, 16, 16))
+        full = P.infer_batch(lm, params, bank, cfg, images, 1.01)
+        threshold = float(np.median(full.confidence))
+        head_rows = []
+        linear = T.linear
+        monkeypatch.setattr(T, "linear", lambda x, w, b: (
+            head_rows.append(len(x.data)) if w is params.coeff_w else None) or linear(x, w, b))
+        part = P.infer_batch(lm, params, bank, cfg, images, threshold)
+        assert head_rows == [len(part.pending)] and 0 < len(part.pending) < len(images)
+        for j, i in enumerate(part.pending):
+            alone = P.infer(lm, params, bank, cfg, images[i:i + 1], threshold)
+            for coefficients, final in ((full.coefficients[i], full.final_logits[i]),
+                                        (alone.coefficients.data, alone.final_logits)):
+                assert part.coefficients[j].tobytes() == coefficients.tobytes()
+                assert part.final_logits[j].tobytes() == final.tobytes()
 
     def test_predictions_cut_below_the_pass_threshold(self, setup):
         lm, params, bank, cfg, _ = setup

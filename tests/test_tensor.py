@@ -391,6 +391,47 @@ class TestConvWindowGather:
         with pytest.raises(ValueError):
             idx[0] = 1
 
+    def test_plan_shared_across_batch_sizes(self):
+        # a 9x11 map at padding 2 and stride 3 under a 5x5 kernel: a layer
+        # shape no other test uses
+        kern = T.Tensor(np.ones((2, 3, 5, 5)))
+        before = T._conv_plan.cache_info()
+        for batch in (1, 3, 16):
+            T.conv2d(T.Tensor(np.ones((batch, 3, 9, 11))), kern, stride=3, padding=2)
+        after = T._conv_plan.cache_info()
+        assert (after.misses, after.hits) == (before.misses + 1, before.hits + 2)
+        assert T._conv_plan(
+            (3, 9, 11), (2, 3, 5, 5), 4, 3, 2, None) == (3, 9, 11, 5, 5, 3, 2, 3, 4)
+
+    @pytest.mark.parametrize("xshape,kshape,kw,message", [
+        ((4, 2, 9, 11), (2, 3, 5, 5), {},
+         "conv2d channel mismatch: input (4, 2, 9, 11) has 2 channels, kernel (2, 3, 5, 5) expects 3"),
+        ((4, 3, 3, 3), (2, 3, 5, 5), {"padding": 0},
+         "conv2d kernel (2, 3, 5, 5) larger than padded input (4, 3, 3, 3) (padding=0)"),
+        ((4, 3, 9, 11), (2, 3, 5, 5), {"bias": (3,)},
+         "conv2d bias (3,) does not match kernel (2, 3, 5, 5)"),
+        ((4, 9, 11), (2, 3, 5, 5), {},
+         "conv2d expects NCHW input and OIKK or BOIKK kernel, got (4, 9, 11) and (2, 3, 5, 5)"),
+        ((4, 3, 9, 11), (2, 3, 5, 5), {"stride": 0}, "stride must be >= 1, got 0"),
+        ((4, 3, 9, 11), (2, 3, 5, 5), {"padding": -1}, "padding must be >= 0, got -1"),
+        ((4, 3, 9, 11), (3, 2, 3, 5, 5), {},
+         "conv2d per-sample kernel (3, 2, 3, 5, 5) does not match batch of input (4, 3, 9, 11)"),
+    ], ids=["channels", "too_large", "bias", "rank", "stride", "padding", "per_sample_batch"])
+    def test_bad_geometry_raises_the_same_message_on_every_call(self, xshape, kshape, kw, message):
+        kw = {"stride": 1, "padding": 1, **kw}
+        if "bias" in kw:
+            kw["bias"] = T.Tensor(np.zeros(kw["bias"]))
+        x, kern = T.Tensor(np.ones(xshape)), T.Tensor(np.ones(kshape))
+        before = T._conv_plan.cache_info()
+        for _ in range(2):
+            with pytest.raises(T.ShapeError) as exc:
+                T.conv2d(x, kern, **kw)
+            assert str(exc.value) == message
+        # a plan that fails is not stored, so the second call checks it again;
+        # the per-sample batch is checked on each call, after a plan that holds
+        hits = T._conv_plan.cache_info().hits - before.hits
+        assert hits == (1 if message.startswith("conv2d per-sample") else 0)
+
     def test_col2im_index_cached_per_batch_and_gradient_is_plain_conv(self):
         # a 9x7 map at padding 1 and stride 2, at two batch sizes: one
         # read-only bincount index per batch size, reused by a later backward
@@ -682,6 +723,17 @@ def _pool_read_twice(rng):
     return [x], T.sum_all(T.add(*pooled))
 
 
+def _conv_read_twice(rng):
+    # each conv's kernel gradient is a fresh kernel-shaped array: the shared
+    # kernel's first is kept and the second added into it; the input
+    # gradients are views of the bincount bins, so the first is copied
+    x = T.Tensor(rng.standard_normal((2, 2, 5, 5)), requires_grad=True)
+    k = T.Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+    per_sample = T.Tensor(rng.standard_normal((2, 3, 2, 3, 3)), requires_grad=True)
+    convs = [T.conv2d(x, k, padding=1), T.conv2d(x, k, stride=2), T.conv2d(x, per_sample, padding=1)]
+    return [x, k, per_sample], T.add(T.sum_squares(convs[0], convs[2]), T.sum_all(convs[1]))
+
+
 class TestBackwardOwnership:
     """backward keeps an op's own fresh gradient array and copies any other
     contribution (a view, the output gradient passed through): the bits of
@@ -689,7 +741,7 @@ class TestBackwardOwnership:
 
     @pytest.mark.parametrize("build", [_add_self, _reshape_and_another_op,
                                        _scalar_read_twice, _fresh_then_accumulated,
-                                       _pool_read_twice])
+                                       _pool_read_twice, _conv_read_twice])
     def test_bits_of_copying_every_contribution(self, build):
         results = []
         for replay in (T.backward, backward_copying):
@@ -704,6 +756,20 @@ class TestBackwardOwnership:
                 for b in arrays[i + 1:]:
                     assert not np.shares_memory(a, b)
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("per_sample", [False, True])
+    def test_conv_kernel_gradient_is_fresh(self, per_sample):
+        rng = np.random.default_rng(4)
+        x = T.Tensor(rng.standard_normal((3, 2, 5, 5)), requires_grad=True)
+        k = T.Tensor(rng.standard_normal((3, 4, 2, 3, 3) if per_sample else (4, 2, 3, 3)),
+                     requires_grad=True)
+        tape = T.GradTape()
+        with T.recording(tape):
+            out = T.conv2d(x, k, stride=2, padding=1)
+        (_, _, bwd), = tape.records
+        got = dict(bwd(np.ones(out.shape)))
+        assert got[k].base is None and got[k].shape == k.shape  # kept by backward
+        assert got[x].base is not None  # a view of the bincount bins: copied
 
 
 class TestStructuralOps:

@@ -797,7 +797,8 @@ class TestCoefficientModes:
         train, _ = toy_dataset(train_size=16, eval_size=8)
         x = train.images[:5]
         _, _, alpha = TR.forward_training(state, x, 0.4, TestBatchedMatchesPerImage.PER_SAMPLE)
-        _, raw = P.lm_forward(state.lm, state.lm_params, T.Tensor(x))
+        _, feats = P.lm_forward(state.lm, state.lm_params, T.Tensor(x))
+        raw = T.linear(feats, state.lm_params.coeff_w, state.lm_params.coeff_b)
         soft = P.coefficients_from_raw(raw, S.SynthesisConfig(), 2, 4)
         assert np.all(np.isin(alpha.data, (0.0, 1.0))) and np.all(alpha.data.sum(axis=-1) == 1.0)
         assert np.array_equal(alpha.data, S.to_one_hot(soft).data)
