@@ -52,20 +52,17 @@ def lm_param_count(lm: pl.LightweightModel) -> int:
     return trunk + coeff_head
 
 
-def full_cost(lm: pl.LightweightModel | None, bank: syn.BasisBank) -> CostReport:
-    """Itemized per-image cost; ``lm=None`` prices the bare second stage."""
-    lm_madds = pl.lm_madds(lm) if lm is not None else 0
-    stage2 = bb.count_madds(bank.spec)
-    synth = syn.synthesis_madds(bank)
+def full_cost(lm: pl.LightweightModel, bank: syn.BasisBank) -> CostReport:
+    """Itemized per-image cost: ``pipeline.image_madds``, with parameter counts."""
+    lm_madds, synth, stage2, total = pl.image_madds(lm, bank)
     per_basis = syn.basis_param_count(bank.spec, bank.share_mask)
     shared = bb.count_params(bank.spec) - per_basis  # shared kernels, biases and head
-    params_lm = lm_param_count(lm) if lm is not None else 0
     return CostReport(
         lm_madds=lm_madds,
         stage2_madds=stage2,
         synthesis_madds=synth,
-        total_madds=lm_madds + synth + stage2,
-        params_total=params_lm + shared + bank.n_bases * per_basis,
+        total_madds=total,
+        params_total=lm_param_count(lm) + shared + bank.n_bases * per_basis,
         params_shared=shared,
         params_per_basis=per_basis,
     )

@@ -5,16 +5,14 @@ initial class prediction and the raw combination coefficients. If the
 initial prediction's max-softmax confidence clears the threshold, stage two
 is skipped entirely, the coefficient head with it. Otherwise every layer's
 coefficients are computed and activated, and the whole specialist is
-synthesized up front, before stage-two layer L0 executes - unlike the
-per-layer router baseline below, where layer k's coefficients only exist
-after layer k-1 has run.
+synthesized up front, before stage-two layer L0 executes. ``stage_two``
+is that sequence, the one training runs too, and ``image_madds`` the one
+price of both paths an image can take.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-
 import numpy as np
 
 from . import backbone as bb
@@ -145,23 +143,25 @@ def downsample_input(x: np.ndarray, factor: int) -> np.ndarray:
 
 def lm_forward(lm: LightweightModel, params: LMParams, x: T.Tensor) -> tuple[T.Tensor, T.Tensor]:
     """One trunk pass and the class head: (initial logits (B, C), pooled
-    features (B, F)). The coefficient head (``coeff_w``, ``coeff_b``) is the
-    caller's, so inference runs it only on the images the gate passes on."""
+    features (B, F)). The coefficient head (``coeff_w``, ``coeff_b``) is
+    ``stage_two``'s, so inference runs it only on the images the gate passes on."""
     xd = T.Tensor(downsample_input(x.data, lm.downsample))
     feats = bb.forward_features(params.trunk, lm.trunk, xd)
     return T.linear(feats, params.trunk.head_w, params.trunk.head_b), feats
 
 
-@cache
-def lm_madds(lm: LightweightModel) -> int:
-    """Analytic multiplies for one image: trunk once, both heads counted.
-
-    The trunk spec's input shape is the post-transform size, so no
-    downsample correction is applied here.
+def image_madds(lm: LightweightModel, bank: syn.BasisBank) -> tuple[int, int, int, int]:
+    """Analytic multiplies for one image: (stage one, synthesis, stage two,
+    full path). An image that stops pays stage one alone, what ``lm_forward``
+    runs: the trunk and the class head (the trunk spec's input shape is the
+    post-transform size, so no downsample correction is applied). The full
+    path adds synthesis, the coefficient head and the blend, both of which
+    scale with N, and the specialist's pass.
     """
-    trunk_and_class_head = bb.count_madds(lm.trunk)
-    coeff_head = lm.trunk.feature_channels * lm.coeff_width
-    return trunk_and_class_head + coeff_head
+    stage_one = bb.count_madds(lm.trunk)
+    synthesis = lm.trunk.feature_channels * lm.coeff_width + syn.synthesis_madds(bank)
+    stage2 = bb.count_madds(bank.spec)
+    return stage_one, synthesis, stage2, stage_one + synthesis + stage2
 
 
 def confidences(logits: np.ndarray) -> np.ndarray:
@@ -193,15 +193,33 @@ def coefficients_from_raw(raw: T.Tensor, cfg: syn.SynthesisConfig,
     return syn.to_one_hot(alpha) if cfg.mode == "one_hot" else alpha
 
 
+def stage_two(params: LMParams, bank: syn.BasisBank, cfg: syn.SynthesisConfig, x: T.Tensor,
+              feats: T.Tensor, edit=None, trace: list | None = None) -> tuple[T.Tensor, T.Tensor]:
+    """The second stage for images x (B, C, H, W) with pooled trunk features
+    ``feats`` (B, F): the coefficient head, activation, ``edit`` if given,
+    one synthesis of per-image specialists and one batched stage-two pass.
+    ``edit`` maps the (B, rows, N) coefficients to the ones synthesized in
+    their place. Returns (final logits (B, C), those coefficients).
+    """
+    raw = T.linear(feats, params.coeff_w, params.coeff_b)
+    alpha = coefficients_from_raw(raw, cfg, bank.n_coefficient_rows, bank.n_bases)
+    if edit is not None:
+        alpha = edit(alpha)
+    if trace is not None:
+        for a in alpha.data:
+            for r, k in enumerate(bank.nonshared_indices()):
+                trace.append(("coefficients", k, a[r].copy()))
+    return bb.forward(syn.synthesize(bank, alpha), bank.spec, x, trace), alpha
+
+
 def infer_batch(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
                 cfg: syn.SynthesisConfig, images: np.ndarray, threshold: float,
                 trace: list | None = None, edit=None) -> BatchResult:
     """Run the pipeline over images (B, C, H, W); row i is ``infer`` on image i.
 
     One batched lightweight pass scores every image. The images below the
-    threshold then share one coefficient-head pass (an image that stops
-    never pays for it), one synthesis of per-image specialists and one
-    batched stage two. ``edit``, if given, is called once with the
+    threshold then share one ``stage_two`` (an image that stops never pays
+    for its coefficient head). ``edit``, if given, is called once with the
     (P, rows, N) coefficient tensor of the P images below the threshold, in
     image order, and returns the (P, rows, N) tensor that is synthesized in
     its place (the disturbance study); the record carries the returned
@@ -217,23 +235,14 @@ def infer_batch(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
     if len(pending):
         if len(pending) < len(conf):
             x, feats = T.constant(x.data[pending]), T.constant(feats.data[pending])
-        raw = T.linear(feats, params.coeff_w, params.coeff_b)
-        alpha = coefficients_from_raw(raw, cfg, bank.n_coefficient_rows, bank.n_bases)
-        if edit is not None:
-            alpha = edit(alpha)
-        if trace is not None:
-            for a in alpha.data:
-                for r, k in enumerate(bank.nonshared_indices()):
-                    trace.append(("coefficients", k, a[r].copy()))
-        final = bb.forward(syn.synthesize(bank, alpha), bank.spec, x, trace).data
-        coefficients = alpha.data
+        final, alpha = stage_two(params, bank, cfg, x, feats, edit, trace)
+        final, coefficients = final.data, alpha.data
     else:
         final = np.empty((0, initial.shape[1]))
         coefficients = np.empty((0, bank.n_coefficient_rows, bank.n_bases))
-    cost = lm_madds(lm)
-    full = cost + syn.synthesis_madds(bank) + bb.count_madds(bank.spec)
+    stopped, *_, full = image_madds(lm, bank)
     return BatchResult(threshold, conf, initial.data, terminated,
-                       np.where(terminated, cost, full), pending, final, coefficients)
+                       np.where(terminated, stopped, full), pending, final, coefficients)
 
 
 def infer(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
@@ -255,52 +264,3 @@ def infer(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
         coefficients=None if stop else T.constant(record.coefficients[0]),
         final_logits=None if stop else record.final_logits[0])
 
-
-# ---------------------------------------------------------------------------
-# per-layer router baseline
-
-
-@dataclass
-class RouterParams:
-    w: T.Tensor
-    b: T.Tensor
-
-
-def build_routers(bank: syn.BasisBank, seed: int) -> list[RouterParams]:
-    """One pooled-feature router per non-shared layer."""
-    rng = np.random.default_rng(seed)
-    return [RouterParams(*bb.init_linear(rng, bank.spec.layers[k].in_channels, bank.n_bases))
-            for k in bank.nonshared_indices()]
-
-
-def condconv_forward(bank: syn.BasisBank, routers: list[RouterParams], x: np.ndarray,
-                     activation: str = "softmax", trace: list | None = None) -> T.Tensor:
-    """Layer-by-layer dynamic baseline: each non-shared layer blends its
-    kernels from coefficients computed off the previous layer's pooled
-    output, so synthesis cannot run ahead of execution. No early exit is
-    possible - there is no standalone preview prediction to gate on.
-    """
-    if x.ndim != 4 or x.shape[0] != 1:
-        raise T.ShapeError(f"condconv_forward expects a single (1, C, H, W) image, got {x.shape}")
-    if len(routers) != bank.n_coefficient_rows:
-        raise T.ShapeError(
-            f"{len(routers)} routers for {bank.n_coefficient_rows} non-shared layers")
-
-    out = T.Tensor(x)
-    r = 0
-    for k, (layer, shared) in enumerate(zip(bank.spec.layers, bank.share_mask)):
-        if shared:
-            kernel = bank.kernels[k][0]
-        else:
-            pooled = T.global_avg_pool(out)
-            logits = T.linear(pooled, routers[r].w, routers[r].b)
-            coeffs = logits if activation == "identity" else syn.activate(logits, activation)
-            if trace is not None:
-                trace.append(("coefficients", k, coeffs.data[0].copy()))
-            kernel = T.blend(coeffs, bank.kernels[k])
-            r += 1
-        if trace is not None:
-            trace.append(("execute", k))
-        out = bb.run_layer(out, layer, bb.LayerParams(kernel=kernel, bias=bank.biases[k]))
-    feats = T.global_avg_pool(out)
-    return T.linear(feats, bank.head_w, bank.head_b)

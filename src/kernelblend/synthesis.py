@@ -99,19 +99,6 @@ def build_bank(spec: BackboneSpec, n_bases: int, shared_layers, seed: int) -> Ba
     )
 
 
-def bank_from_backbone(spec: BackboneSpec, params: BackboneParams) -> BasisBank:
-    """Wrap plain backbone parameters as a degenerate single-basis bank."""
-    return BasisBank(
-        spec=spec,
-        n_bases=1,
-        share_mask=tuple(False for _ in spec.layers),
-        kernels=[[lp.kernel] for lp in params.layers],
-        biases=[lp.bias for lp in params.layers],
-        head_w=params.head_w,
-        head_b=params.head_b,
-    )
-
-
 # ---------------------------------------------------------------------------
 # coefficient pipeline
 

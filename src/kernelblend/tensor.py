@@ -270,22 +270,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _result(a.data.reshape(shape), (a,), bwd, checked=True)  # moves data only
 
 
-def take(a: Tensor, index: int, axis: int = 0) -> Tensor:
-    """Select ``index`` along ``axis``, dropping that axis (a row of a matrix,
-    an element of a vector, one layer's coefficients of every sample)."""
-    if not -a.data.ndim <= axis < a.data.ndim:
-        raise ShapeError(f"take axis {axis} out of bounds for shape {a.shape}")
-    if not 0 <= index < a.shape[axis]:
-        raise ShapeError(f"index {index} out of range for axis {axis} of shape {a.shape}")
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        np.moveaxis(full, axis, 0)[index] = g
-        return ((a, full),)
-
-    return _result(a.data.take(index, axis=axis), (a,), bwd, checked=True)  # moves data only
-
-
 def tile_rows(a: Tensor, count: int) -> Tensor:
     """Repeat the last axis as ``count`` identical rows: (..., N) -> (..., count, N)."""
     if a.data.ndim < 1:
@@ -320,32 +304,6 @@ def normalize_rows(a: Tensor, where) -> Tensor:
     return _result(out, (a,), bwd)
 
 
-def sum_all(a: Tensor) -> Tensor:
-    """Scalar sum of all entries."""
-
-    def bwd(g):
-        return ((a, np.full_like(a.data, float(g))),)
-
-    return _result(np.array(np.add.reduce(a.data, axis=None)), (a,), bwd)
-
-
-def sum_squares(*tensors: Tensor) -> Tensor:
-    """Scalar sum of the squared entries of every tensor.
-
-    One record however many tensors: each tensor's sum is added left to
-    right, the same additions as a chain of per-tensor sums joined by
-    ``add``, and each tensor gets its own ``2 * t * g`` gradient term.
-    """
-
-    def bwd(g):
-        return tuple((t, 2.0 * t.data * g) for t in tensors)
-
-    total = 0.0  # plain left-to-right adds: sum() compensates on Python >= 3.12
-    for t in tensors:
-        total = total + np.add.reduce(t.data * t.data, axis=None)
-    return _result(np.array(total), tensors, bwd)
-
-
 def blend(coeffs: Tensor, tensors: Sequence[Tensor], row: int | None = None) -> Tensor:
     """Per-sample linear combinations out[b] = sum_n coeffs[b, n] * tensors[n].
 
@@ -375,7 +333,7 @@ def blend(coeffs: Tensor, tensors: Sequence[Tensor], row: int | None = None) -> 
     def bwd(g):
         gflat = g.reshape(len(c), -1)
         gc = np.einsum("bf,nf->bn", gflat, flat)
-        if row is not None:  # zero outside the row, as ``take``'s backward gives
+        if row is not None:  # zero outside the row
             full = np.zeros_like(coeffs.data)
             full[:, row] = gc
             gc = full

@@ -255,7 +255,8 @@ def sample_batch(dataset: Dataset, schedule: TrainSchedule, step: int) -> tuple[
 
 def forward_training(state: TrainState, batch_x: np.ndarray, epsilon: float,
                      drop_masks: np.ndarray | None):
-    """Batched stage-one pass, synthesis and stage-two pass.
+    """Batched stage-one pass, then inference's ``stage_two`` with the
+    stabilizers as its coefficient edit.
 
     ``drop_masks`` is (N,) to share one mask across the batch or (B, N) for
     per-sample masks; None disables basis dropout. Returns (final logits,
@@ -264,17 +265,19 @@ def forward_training(state: TrainState, batch_x: np.ndarray, epsilon: float,
     cfg = state.synth_cfg
     x = T.Tensor(batch_x)
     initial, feats = pl.lm_forward(state.lm, state.lm_params, x)
-    raw = T.linear(feats, state.lm_params.coeff_w, state.lm_params.coeff_b)
-    alpha = pl.coefficients_from_raw(raw, cfg, state.bank.n_coefficient_rows, state.bank.n_bases)
-    if cfg.mode != "one_hot":  # selection gets no uniform blend and no dropout
+
+    def stabilize(alpha):
         # blend first: dropout after it gives a dropped basis 0, not eps/N
         if epsilon > 0.0:
             alpha = syn.blend_epsilon(alpha, epsilon)
         if drop_masks is not None:
             alpha = syn.apply_bmd(alpha, drop_masks, cfg.bmd_renormalize)
+        return alpha
 
-    specialist = syn.synthesize(state.bank, alpha)
-    return bb.forward(specialist, state.bank.spec, x), initial, alpha
+    # selection gets no uniform blend and no dropout
+    edit = None if cfg.mode == "one_hot" else stabilize
+    final, alpha = pl.stage_two(state.lm_params, state.bank, cfg, x, feats, edit)
+    return final, initial, alpha
 
 
 def distill_targets(teacher_spec: bb.BackboneSpec, teacher_params: bb.BackboneParams,
@@ -339,11 +342,7 @@ def _apply_updates(state: TrainState, grad, grads, params, lr: float, schedule: 
     accumulator (masked). A global gradient norm above ``clip_norm`` is
     scaled down to it first. A non-finite update writes nothing."""
     if schedule.clip_norm is not None:
-        total = 0.0  # per tensor, plain left-to-right adds: sum() compensates on Python >= 3.12
-        for _, p in params:
-            if p in grads:
-                total += float(np.add.reduce(grads[p] * grads[p], axis=None))
-        norm = np.sqrt(total)
+        norm = np.sqrt(squared_norm(grad, [p.size for _, p in params]))
         if norm > schedule.clip_norm:
             grad = grad * (schedule.clip_norm / norm)
     start = state.vector.size - grad.size  # ``params`` is a suffix of named_parameters

@@ -1,13 +1,24 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive: nested loops, explicit multiply
-counters, and finite differences. None of it shares code with the package
-under test, so agreement between the two is evidence, not tautology.
+counters, and finite differences. The references share no code with the
+package under test, so agreement between the two is evidence, not tautology.
+
+Two sections at the end hold code the tests run but no command does: three
+tape ops (``take``, ``sum_all`` and ``sum_squares``, built on the tape's
+``T._result`` as the package's own ops are) and the per-layer router
+baseline, built on the package's ops.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from kernelblend import backbone as bb
+from kernelblend import synthesis as syn
+from kernelblend import tensor as T
 
 
 def conv2d_reference(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int):
@@ -123,8 +134,6 @@ def synthesize_take_then_blend(bank, alpha):
     ``blend`` of that (B, N) row. The coefficients' gradient adds the same
     zero-filled (B, rows, N) arrays in the same order, so ``synthesize``
     must give every gradient of this chain bit for bit."""
-    from kernelblend import backbone as bb
-    from kernelblend import tensor as T
 
     single = alpha.data.ndim == 2
     values = T.reshape(alpha, (1, *alpha.shape)) if single else alpha
@@ -134,7 +143,7 @@ def synthesize_take_then_blend(bank, alpha):
         if shared:
             kernel = bank.kernels[k][0]
         else:
-            kernel = T.blend(T.take(values, r, axis=1), bank.kernels[k])
+            kernel = T.blend(take(values, r, axis=1), bank.kernels[k])
             if single:
                 kernel = T.reshape(kernel, kernel.shape[1:])
             r += 1
@@ -175,17 +184,14 @@ def per_image_forward(state, batch_x: np.ndarray, epsilon: float, drop_masks):
     (N,) for the whole batch or (B, N) per image. Returns (per-image (1, C)
     final logits, initial logits, per-image coefficient matrices).
     """
-    from kernelblend import backbone as bb
     from kernelblend import pipeline as pl
-    from kernelblend import synthesis as syn
-    from kernelblend import tensor as T
 
     cfg, bank = state.synth_cfg, state.bank
     initial, feats = pl.lm_forward(state.lm, state.lm_params, T.Tensor(batch_x))
     raw = T.linear(feats, state.lm_params.coeff_w, state.lm_params.coeff_b)
     finals, alphas = [], []
     for b in range(len(batch_x)):
-        alpha = pl.coefficients_from_raw(T.take(raw, b), cfg, bank.n_coefficient_rows, bank.n_bases)
+        alpha = pl.coefficients_from_raw(take(raw, b), cfg, bank.n_coefficient_rows, bank.n_bases)
         if cfg.mode != "one_hot":
             mask = drop_masks[b] if drop_masks is not None and drop_masks.ndim == 2 else drop_masks
             if epsilon > 0.0:
@@ -313,11 +319,10 @@ def backward_copying(loss):
 def l2_chain(params):
     """The L2 sum on the tape as one ``sum_squares`` per parameter joined by
     ``add``, left to right: each parameter gets its own ``2 * p * g`` term."""
-    from kernelblend import tensor as T
 
-    reg = T.sum_squares(params[0])
+    reg = sum_squares(params[0])
     for p in params[1:]:
-        reg = T.add(reg, T.sum_squares(p))
+        reg = T.add(reg, sum_squares(p))
     return reg
 
 
@@ -331,7 +336,6 @@ def train_step_per_tensor(state, batch, schedule, loss_cfg, opt_state: dict):
     clip factor)."""
     from dataclasses import replace
 
-    from kernelblend import tensor as T
     from kernelblend import training as tr
 
     x, y = batch
@@ -405,3 +409,99 @@ def synthetic_reference(spec) -> list[tuple[np.ndarray, np.ndarray]]:
                            for i in range(count)])
         splits.append((images[:, None, :, :].astype(np.float64), labels.astype(np.int64)))
     return splits
+
+
+# ---------------------------------------------------------------------------
+# tape ops the tests need: an element or row out of a tensor, and scalar losses
+
+
+def take(a: T.Tensor, index: int, axis: int = 0) -> T.Tensor:
+    """Select ``index`` along ``axis``, dropping that axis (a row of a matrix,
+    an element of a vector, one layer's coefficients of every sample)."""
+    if not -a.data.ndim <= axis < a.data.ndim:
+        raise T.ShapeError(f"take axis {axis} out of bounds for shape {a.shape}")
+    if not 0 <= index < a.shape[axis]:
+        raise T.ShapeError(f"index {index} out of range for axis {axis} of shape {a.shape}")
+
+    def bwd(g):
+        full = np.zeros_like(a.data)
+        np.moveaxis(full, axis, 0)[index] = g
+        return ((a, full),)
+
+    return T._result(a.data.take(index, axis=axis), (a,), bwd, checked=True)  # moves data only
+
+
+def sum_all(a: T.Tensor) -> T.Tensor:
+    """Scalar sum of all entries."""
+
+    def bwd(g):
+        return ((a, np.full_like(a.data, float(g))),)
+
+    return T._result(np.array(np.add.reduce(a.data, axis=None)), (a,), bwd)
+
+
+def sum_squares(*tensors: T.Tensor) -> T.Tensor:
+    """Scalar sum of the squared entries of every tensor.
+
+    One record however many tensors: each tensor's sum is added left to
+    right, the same additions as a chain of per-tensor sums joined by
+    ``add``, and each tensor gets its own ``2 * t * g`` gradient term.
+    """
+
+    def bwd(g):
+        return tuple((t, 2.0 * t.data * g) for t in tensors)
+
+    total = 0.0  # plain left-to-right adds: sum() compensates on Python >= 3.12
+    for t in tensors:
+        total = total + np.add.reduce(t.data * t.data, axis=None)
+    return T._result(np.array(total), tensors, bwd)
+
+
+# ---------------------------------------------------------------------------
+# per-layer router baseline (CondConv): a scheduling contrast to the two-stage path
+
+
+@dataclass
+class RouterParams:
+    w: T.Tensor
+    b: T.Tensor
+
+
+def build_routers(bank: syn.BasisBank, seed: int) -> list[RouterParams]:
+    """One pooled-feature router per non-shared layer."""
+    rng = np.random.default_rng(seed)
+    return [RouterParams(*bb.init_linear(rng, bank.spec.layers[k].in_channels, bank.n_bases))
+            for k in bank.nonshared_indices()]
+
+
+def condconv_forward(bank: syn.BasisBank, routers: list[RouterParams], x: np.ndarray,
+                     activation: str = "softmax", trace: list | None = None) -> T.Tensor:
+    """Layer-by-layer dynamic baseline: each non-shared layer blends its
+    kernels from coefficients computed off the previous layer's pooled
+    output, so synthesis cannot run ahead of execution. No early exit is
+    possible - there is no standalone preview prediction to gate on.
+    """
+    if x.ndim != 4 or x.shape[0] != 1:
+        raise T.ShapeError(f"condconv_forward expects a single (1, C, H, W) image, got {x.shape}")
+    if len(routers) != bank.n_coefficient_rows:
+        raise T.ShapeError(
+            f"{len(routers)} routers for {bank.n_coefficient_rows} non-shared layers")
+
+    out = T.Tensor(x)
+    r = 0
+    for k, (layer, shared) in enumerate(zip(bank.spec.layers, bank.share_mask)):
+        if shared:
+            kernel = bank.kernels[k][0]
+        else:
+            pooled = T.global_avg_pool(out)
+            logits = T.linear(pooled, routers[r].w, routers[r].b)
+            coeffs = logits if activation == "identity" else syn.activate(logits, activation)
+            if trace is not None:
+                trace.append(("coefficients", k, coeffs.data[0].copy()))
+            kernel = T.blend(coeffs, bank.kernels[k])
+            r += 1
+        if trace is not None:
+            trace.append(("execute", k))
+        out = bb.run_layer(out, layer, bb.LayerParams(kernel=kernel, bias=bank.biases[k]))
+    feats = T.global_avg_pool(out)
+    return T.linear(feats, bank.head_w, bank.head_b)

@@ -21,7 +21,7 @@ from kernelblend import tensor as T
 from kernelblend import training as TR
 from kernelblend.config import parse_config
 
-from oracles import conv2d_reference, finite_difference, gradient_mismatch
+from oracles import conv2d_reference, finite_difference, gradient_mismatch, sum_squares, take
 from toys import run_training, toy_dataset, toy_state
 
 
@@ -156,7 +156,7 @@ class TestGradientSuite:
             k = T.Tensor(kv.copy(), requires_grad=True)
             tape = T.GradTape()
             with T.recording(tape):
-                out = T.sum_squares(T.conv2d(T.Tensor(xv), k, stride=1, padding=1))
+                out = sum_squares(T.conv2d(T.Tensor(xv), k, stride=1, padding=1))
             g = T.backward(out)[k]
 
             def loss_k(v):
@@ -173,7 +173,7 @@ class TestGradientSuite:
             x = T.Tensor(xv.copy(), requires_grad=True)
             tape = T.GradTape()
             with T.recording(tape):
-                out = T.sum_squares(T.softmax(x, axis=0))
+                out = sum_squares(T.softmax(x, axis=0))
             g = T.backward(out)[x]
 
             def loss_s(v):
@@ -215,7 +215,7 @@ class TestGradientSuite:
             alpha = T.Tensor(av.copy(), requires_grad=True)
             tape = T.GradTape()
             with T.recording(tape):
-                out = T.sum_squares(B.forward(
+                out = sum_squares(B.forward(
                     S.synthesize(bank, alpha), spec, T.Tensor(xv)))
             grads = T.backward(out)
 
@@ -297,8 +297,8 @@ class TestExactEqualities:
             B.LayerSpec(1, 4, 3, stride=2, padding=1),
             B.LayerSpec(4, 4, 3, padding=1),
         ), 5)
-        params = B.build(spec, seed=13)
-        bank = S.bank_from_backbone(spec, params)
+        bank = S.build_bank(spec, 1, [], seed=13)
+        params = S.select_params(bank, [0] * bank.n_coefficient_rows)
         rng = np.random.default_rng(14)
         x = T.Tensor(rng.random((3, 1, 10, 10)))
         alpha = S.activate(T.Tensor(np.zeros((2, 1))), "softmax")
@@ -383,8 +383,8 @@ class TestScalingWithBases:
                for key, state in scaling_runs.items() if key != "elapsed"}
 
         # matched stage-two cost by construction
-        r1 = C.full_cost(None, scaling_runs[(1, 0)].bank)
-        r4 = C.full_cost(None, scaling_runs[(4, 0)].bank)
+        r1 = C.full_cost(scaling_runs[(1, 0)].lm, scaling_runs[(1, 0)].bank)
+        r4 = C.full_cost(scaling_runs[(4, 0)].lm, scaling_runs[(4, 0)].bank)
         matched = r1.stage2_madds == r4.stage2_madds
 
         mean1 = np.mean([acc[(1, s)] for s in (0, 1, 2)])
@@ -485,7 +485,7 @@ class TestCoefficientClustering:
             idx = np.flatnonzero(evalset.labels == cls)
             vecs = [
                 P.coefficients_from_raw(
-                    T.take(raw, int(i)), state.synth_cfg,
+                    take(raw, int(i)), state.synth_cfg,
                     state.bank.n_coefficient_rows, state.bank.n_bases,
                 ).data.ravel()
                 for i in idx

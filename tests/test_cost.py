@@ -45,21 +45,23 @@ class TestExpectedCost:
 class TestFullCost:
     def test_bare_stage_two_equals_backbone_count(self):
         state = toy_state(n_bases=1, seed=0, shared=())
-        report = C.full_cost(None, state.bank)
-        assert report.lm_madds == 0
+        report = C.full_cost(state.lm, state.bank)
         assert report.stage2_madds == B.count_madds(state.bank.spec)
-        assert report.total_madds == report.stage2_madds + report.synthesis_madds
+        assert report.total_madds == report.lm_madds + report.synthesis_madds + report.stage2_madds
 
     def test_doubling_bases_touches_only_synthesis_and_params(self):
-        r2 = C.full_cost(None, toy_state(n_bases=2, seed=0).bank)
-        r4 = C.full_cost(None, toy_state(n_bases=4, seed=0).bank)
+        states = [toy_state(n_bases=n, seed=0) for n in (2, 4)]
+        r2, r4 = (C.full_cost(s.lm, s.bank) for s in states)
         assert r2.stage2_madds == r4.stage2_madds
         assert r4.synthesis_madds == 2 * r2.synthesis_madds
         assert r4.params_total > r2.params_total
 
     def test_params_affine_in_bases(self):
-        reports = {n: C.full_cost(None, toy_state(n_bases=n, seed=0).bank) for n in (1, 3, 5)}
-        per_basis = reports[1].params_per_basis
+        # a basis adds its kernels and the coefficient head's column and bias per row
+        states = {n: toy_state(n_bases=n, seed=0) for n in (1, 3, 5)}
+        reports = {n: C.full_cost(s.lm, s.bank) for n, s in states.items()}
+        lm = states[1].lm
+        per_basis = reports[1].params_per_basis + (lm.trunk.feature_channels + 1) * lm.coeff_rows
         assert reports[3].params_total - reports[1].params_total == 2 * per_basis
         assert reports[5].params_total - reports[1].params_total == 4 * per_basis
 
@@ -81,8 +83,8 @@ class TestFullCost:
         assert wide == demo
 
     @pytest.mark.parametrize("path,madds,lm_share", [
-        (DEMO_CONFIG, (8640, 756, 4635, 14031), 0.616),
-        (WIDE_CONFIG, (8640, 21168, 97344, 127152), 0.068),
+        (DEMO_CONFIG, (8496, 900, 4635, 14031), 0.6055),
+        (WIDE_CONFIG, (8496, 21312, 97344, 127152), 0.0668),
     ], ids=["demo", "wide"])
     def test_config_prices(self, path, madds, lm_share):
         # the wide bank puts the lightweight model's share near the paper's

@@ -10,7 +10,8 @@ from kernelblend import pipeline as P
 from kernelblend import synthesis as S
 from kernelblend import tensor as T
 
-from oracles import confidence_reference, conv2d_reference, linear_reference
+from oracles import (RouterParams, build_routers, condconv_forward, confidence_reference,
+                     conv2d_reference, linear_reference)
 
 
 def bank_spec():
@@ -98,7 +99,7 @@ class TestLightweightModel:
         assert a[1].data.tobytes() == b[1].data.tobytes()
 
     def test_trunk_madds_counted_once_vs_oracle(self, setup):
-        lm, params, _, _, x = setup
+        lm, params, bank, _, x = setup
         xd = P.downsample_input(x, lm.downsample)
         mults = 0
         out = xd
@@ -108,7 +109,9 @@ class TestLightweightModel:
         feats = out.mean(axis=(2, 3))
         _, m_class = linear_reference(feats, params.trunk.head_w.data)
         _, m_coeff = linear_reference(feats, params.coeff_w.data)
-        assert P.lm_madds(lm) == mults + m_class + m_coeff
+        stage_one, synthesis, _, _ = P.image_madds(lm, bank)
+        assert stage_one == mults + m_class  # an image that stops runs no coefficient head
+        assert synthesis == m_coeff + S.synthesis_madds(bank)
 
 
 class TestConfidence:
@@ -152,14 +155,16 @@ class TestInfer:
         res = P.infer(lm, params, bank, cfg, x, threshold=0.0)
         assert res.terminated
         assert res.final_logits is None and res.coefficients is None
-        assert res.madds_spent == P.lm_madds(lm)
+        assert res.madds_spent == P.image_madds(lm, bank)[0]
 
     def test_threshold_above_one_never_terminates(self, setup):
         lm, params, bank, cfg, x = setup
         res = P.infer(lm, params, bank, cfg, x, threshold=1.01)
         assert not res.terminated
         assert res.final_logits is not None
-        expected = P.lm_madds(lm) + S.synthesis_madds(bank) + B.count_madds(bank.spec)
+        coeff_head = lm.trunk.feature_channels * lm.coeff_width
+        expected = (B.count_madds(lm.trunk) + coeff_head + S.synthesis_madds(bank)
+                    + B.count_madds(bank.spec))
         assert res.madds_spent == expected
 
     def test_terminated_costs_strictly_less(self, setup):
@@ -170,8 +175,8 @@ class TestInfer:
 
     def test_single_basis_matches_cascade_oracle(self):
         spec = bank_spec()
-        backbone_params = B.build(spec, seed=7)
-        bank = S.bank_from_backbone(spec, backbone_params)
+        bank = S.build_bank(spec, 1, [], seed=7)
+        backbone_params = S.select_params(bank, [0] * bank.n_coefficient_rows)
         lm = lm_for(bank)
         params = P.build_lm(lm, seed=8)
         cfg = S.SynthesisConfig()
@@ -337,37 +342,37 @@ class TestCondConv:
             in_c = bank.spec.layers[k].in_channels
             onehot = np.zeros(3)
             onehot[choice] = 1.0
-            routers.append(P.RouterParams(
+            routers.append(RouterParams(
                 w=T.Tensor(np.zeros((in_c, 3))), b=T.Tensor(onehot),
             ))
         x = np.random.default_rng(6).random((1, 1, 16, 16))
-        dynamic = P.condconv_forward(bank, routers, x, activation="identity")
+        dynamic = condconv_forward(bank, routers, x, activation="identity")
         static = B.forward(S.select_params(bank, choices), bank.spec, T.Tensor(x))
         assert dynamic.data.tobytes() == static.data.tobytes()
 
     def test_single_basis_equals_plain_backbone(self):
         spec = bank_spec()
-        params = B.build(spec, seed=10)
-        bank = S.bank_from_backbone(spec, params)
-        routers = P.build_routers(bank, seed=11)
+        bank = S.build_bank(spec, 1, [], seed=10)
+        params = S.select_params(bank, [0] * bank.n_coefficient_rows)
+        routers = build_routers(bank, seed=11)
         x = np.random.default_rng(12).random((1, 1, 16, 16))
-        out = P.condconv_forward(bank, routers, x, activation="softmax")
+        out = condconv_forward(bank, routers, x, activation="softmax")
         plain = B.forward(params, spec, T.Tensor(x))
         assert out.data.tobytes() == plain.data.tobytes()
 
     def test_later_coefficients_depend_on_earlier_kernels(self):
         bank = S.build_bank(bank_spec(), n_bases=3, shared_layers=[0], seed=13)
-        routers = P.build_routers(bank, seed=14)
+        routers = build_routers(bank, seed=14)
         x = np.random.default_rng(15).random((1, 1, 16, 16))
 
         before = []
-        P.condconv_forward(bank, routers, x, trace=before)
+        condconv_forward(bank, routers, x, trace=before)
 
         bumped = bank.kernels[0][0].data.copy()
         bumped[0, 0, 0, 0] += 0.5
         bank.kernels[0][0].apply_update(bumped)
         after = []
-        P.condconv_forward(bank, routers, x, trace=after)
+        condconv_forward(bank, routers, x, trace=after)
 
         coeff_before = [e for e in before if e[0] == "coefficients"]
         coeff_after = [e for e in after if e[0] == "coefficients"]
@@ -377,10 +382,10 @@ class TestCondConv:
 
     def test_coefficients_interleave_with_execution(self):
         bank = S.build_bank(bank_spec(), n_bases=3, shared_layers=[0], seed=16)
-        routers = P.build_routers(bank, seed=17)
+        routers = build_routers(bank, seed=17)
         x = np.random.default_rng(18).random((1, 1, 16, 16))
         trace = []
-        P.condconv_forward(bank, routers, x, trace=trace)
+        condconv_forward(bank, routers, x, trace=trace)
         order = [(e[0], e[1]) for e in trace]
         # layer 1's coefficients only exist after layer 0 has executed
         assert order.index(("coefficients", 1)) > order.index(("execute", 0))
@@ -388,6 +393,6 @@ class TestCondConv:
 
     def test_router_count_mismatch(self):
         bank = S.build_bank(bank_spec(), n_bases=3, shared_layers=[0], seed=19)
-        routers = P.build_routers(bank, seed=20)[:1]
+        routers = build_routers(bank, seed=20)[:1]
         with pytest.raises(T.ShapeError):
-            P.condconv_forward(bank, routers, np.zeros((1, 1, 16, 16)))
+            condconv_forward(bank, routers, np.zeros((1, 1, 16, 16)))

@@ -8,7 +8,7 @@ from kernelblend import synthesis as S
 from kernelblend import tensor as T
 from kernelblend import training as TR
 
-from oracles import synthesis_reference, synthesize_take_then_blend
+from oracles import sum_all, synthesis_reference, synthesize_take_then_blend
 from toys import run_training, toy_dataset, toy_state
 
 
@@ -120,7 +120,7 @@ class TestApplyBmd:
             tape = T.GradTape()
             with T.recording(tape):
                 out = S.apply_bmd(S.activate(alpha, "softmax"), mask, renormalize)
-                loss = T.sum_all(T.mul(out, T.Tensor(upstream)))
+                loss = sum_all(T.mul(out, T.Tensor(upstream)))
             return out.data, T.backward(loss)[alpha]
 
         shared, per_sample = run(drop), run(np.tile(drop, (3, 1)))
@@ -251,8 +251,8 @@ class TestSynthesize:
 
     def test_single_basis_degenerates_to_backbone(self):
         spec = two_layer_spec()
-        params = B.build(spec, seed=21)
-        bank = S.bank_from_backbone(spec, params)
+        bank = S.build_bank(spec, 1, [], seed=21)
+        params = S.select_params(bank, [0] * bank.n_coefficient_rows)
         raw = T.Tensor(np.random.default_rng(0).standard_normal((2, 1)))
         alpha = S.activate(raw, "softmax")  # softmax over one logit is exactly 1.0
         x = T.Tensor(np.random.default_rng(1).standard_normal((3, 2, 6, 6)))
@@ -356,7 +356,7 @@ class TestSynthesisTape:
         a, b, d = (T.Tensor(np.ones((2, 2)), requires_grad=True) for _ in range(3))
         tape = T.GradTape()
         with T.recording(tape):
-            loss = T.sum_all(T.blend(c, [a, b, d], row=1))
+            loss = sum_all(T.blend(c, [a, b, d], row=1))
         grads = T.backward(loss)
         assert a not in grads
         assert np.array_equal(grads[b], np.full((2, 2), 1.5))

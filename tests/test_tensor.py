@@ -6,7 +6,7 @@ import pytest
 from kernelblend import tensor as T
 
 from oracles import (backward_copying, conv2d_plain, conv2d_reference, finite_difference,
-                     gradient_mismatch)
+                     gradient_mismatch, sum_all, sum_squares, take)
 
 
 def grad_of(build_loss, params):
@@ -63,7 +63,7 @@ class TestConv2d:
 
         x = T.Tensor(xv.copy(), requires_grad=True)
         k = T.Tensor(kv.copy(), requires_grad=True)
-        grads = grad_of(lambda: T.sum_squares(T.conv2d(x, k, stride=2, padding=1)), (x, k))
+        grads = grad_of(lambda: sum_squares(T.conv2d(x, k, stride=2, padding=1)), (x, k))
 
         def loss_x(v):
             out, _ = conv2d_reference(v, kv, 2, 1)
@@ -93,7 +93,7 @@ class TestConv2d:
         kv = rng.standard_normal((2, 3, 2, 3, 3))
         x = T.Tensor(xv.copy(), requires_grad=True)
         k = T.Tensor(kv.copy(), requires_grad=True)
-        grads = grad_of(lambda: T.sum_squares(T.conv2d(x, k, stride=2, padding=1)), (x, k))
+        grads = grad_of(lambda: sum_squares(T.conv2d(x, k, stride=2, padding=1)), (x, k))
 
         def loss(xs, ks):
             return sum(np.sum(conv2d_reference(xs[b:b + 1], ks[b], 2, 1)[0] ** 2) for b in range(2))
@@ -119,7 +119,7 @@ class TestConv2d:
             tape = T.GradTape()
             with T.recording(tape):
                 out = T.conv2d(x, kern, stride=2, padding=padding, bias=bias, relu=fused)
-                grads = T.backward(T.sum_squares(out))
+                grads = T.backward(sum_squares(out))
             return out.data, grads[x], grads[kern]
 
         out, gx, gk = run(xv, kv if per_sample else kv[0])
@@ -151,7 +151,7 @@ class TestConv2d:
                 out = T.conv2d(x, kern, stride=2, padding=1, bias=bias)
                 _, _, conv_bwd = tape.records[0]
                 contributions = [t for t, _ in conv_bwd(np.ones(out.shape))]
-                grads = T.backward(T.sum_squares(out))
+                grads = T.backward(sum_squares(out))
             return x, params, grads, contributions
 
         x, params, grads, contributions = run(False)
@@ -209,7 +209,7 @@ class TestFusedConvLayer:
         x = T.Tensor(xv.copy(), requires_grad=True)
         k = T.Tensor(kv.copy(), requires_grad=True)
         b = T.Tensor(bv.copy(), requires_grad=True)
-        grads = grad_of(lambda: T.sum_all(T.mul(
+        grads = grad_of(lambda: sum_all(T.mul(
             T.conv2d(x, k, stride=stride, padding=1, bias=b, relu=relu), T.Tensor(wv))), (x, k, b))
 
         numeric = {
@@ -234,7 +234,7 @@ class TestFusedConvLayer:
         tape = T.GradTape()
         with T.recording(tape):
             out = T.conv2d(x, k, stride=stride, padding=padding)
-            grads = T.backward(T.sum_squares(out))
+            grads = T.backward(sum_squares(out))
         gx, gk = oracle_bwd(2.0 * expected)
         assert out.data.tobytes() == expected.tobytes()
         assert grads[x].tobytes() == np.ascontiguousarray(gx).tobytes()
@@ -257,7 +257,7 @@ class TestFusedConvLayer:
         tape = T.GradTape()
         with T.recording(tape):
             out = T.conv2d(x, k, stride=2, padding=1, bias=b, relu=relu)
-            grads = T.backward(T.sum_all(T.mul(out, T.Tensor(gv))))
+            grads = T.backward(sum_all(T.mul(out, T.Tensor(gv))))
         g = gv * (pre > 0) if relu else gv
         gx, gk = oracle_bwd(g)
         assert out.data.tobytes() == expected.tobytes()
@@ -300,7 +300,7 @@ class TestFusedConvLayer:
         tape = T.GradTape()
         with T.recording(tape):
             out = T.conv2d(x, k, stride=1, padding=1, bias=b, relu=True)
-            T.backward(T.sum_squares(out))
+            T.backward(sum_squares(out))
         for t, v in ((x, xv), (k, kv), (b, bv)):
             assert t.data.tobytes() == v.tobytes()
 
@@ -348,7 +348,7 @@ class TestConvWindowGather:
                     with T.recording(tape):
                         out = T.conv2d(x, kt, stride=stride, padding=padding, bias=bt, relu=relu)
                         gv = rng.standard_normal(out.shape)
-                        grads = T.backward(T.sum_all(T.mul(out, T.Tensor(gv))))
+                        grads = T.backward(sum_all(T.mul(out, T.Tensor(gv))))
                     expected, gx, gk, gb = fused_conv_oracle(xv, kv, bv, stride, padding, relu, gv)
                     assert out.data.tobytes() == expected.tobytes()
                     assert grads[x].tobytes() == gx.tobytes()
@@ -364,7 +364,7 @@ class TestConvWindowGather:
         xv = rng.standard_normal((2, 2, 6 - 2 * padding, 6 - 2 * padding))
         kv = rng.standard_normal((3, 2, k, k))
         x = T.Tensor(xv, requires_grad=True)
-        grads = grad_of(lambda: T.sum_squares(T.conv2d(x, T.Tensor(kv), stride=2, padding=padding)), (x,))
+        grads = grad_of(lambda: sum_squares(T.conv2d(x, T.Tensor(kv), stride=2, padding=padding)), (x,))
         expected, oracle_bwd = conv2d_plain(xv, kv, 2, padding)
         gx = grads[x]
         assert gx.tobytes() == np.ascontiguousarray(oracle_bwd(2.0 * expected)[0]).tobytes()
@@ -446,7 +446,7 @@ class TestConvWindowGather:
             with T.recording(tape):
                 out = T.conv2d(x, T.Tensor(kv, requires_grad=True), stride=2, padding=1)
                 gv = rng.standard_normal(out.shape)
-                grads = T.backward(T.sum_all(T.mul(out, T.Tensor(gv))))
+                grads = T.backward(sum_all(T.mul(out, T.Tensor(gv))))
             _, oracle_bwd = conv2d_plain(xv, kv, 2, 1)
             assert grads[x].tobytes() == np.ascontiguousarray(oracle_bwd(gv)[0]).tobytes()
             infos.append(T._col2im_index.cache_info())
@@ -475,7 +475,7 @@ class TestElementwise:
     def test_relu_gradient_at_fixed_points(self):
         x = T.Tensor([[[[2.0, -1.0]]]], requires_grad=True)
         unit = T.Tensor(np.ones((1, 1, 1, 1)))
-        grads = grad_of(lambda: T.sum_all(T.conv2d(x, unit, relu=True)), (x,))
+        grads = grad_of(lambda: sum_all(T.conv2d(x, unit, relu=True)), (x,))
         numeric = finite_difference(lambda v: np.sum(np.maximum(v, 0.0)), np.array([[[[2.0, -1.0]]]]), h=1e-6)
         assert np.array_equal(grads[x], [[[[1.0, 0.0]]]])
         assert gradient_mismatch(grads[x], numeric) < 1e-9
@@ -484,7 +484,7 @@ class TestElementwise:
         rng = np.random.default_rng(11)
         xv = rng.standard_normal(6)
         x = T.Tensor(xv.copy(), requires_grad=True)
-        grads = grad_of(lambda: T.sum_squares(T.sigmoid(x)), (x,))
+        grads = grad_of(lambda: sum_squares(T.sigmoid(x)), (x,))
         numeric = finite_difference(lambda v: np.sum((1 / (1 + np.exp(-v))) ** 2), xv.copy())
         assert gradient_mismatch(grads[x], numeric) < 1e-7
 
@@ -492,7 +492,7 @@ class TestElementwise:
         xv, yv = np.array([1.5, -0.5]), np.array([2.0, 3.0])
         x = T.Tensor(xv.copy(), requires_grad=True)
         y = T.Tensor(yv.copy(), requires_grad=True)
-        grads = grad_of(lambda: T.sum_all(T.mul(x, y)), (x, y))
+        grads = grad_of(lambda: sum_all(T.mul(x, y)), (x, y))
         assert gradient_mismatch(grads[x], finite_difference(lambda v: np.sum(v * yv), xv.copy())) < 1e-8
         assert gradient_mismatch(grads[y], finite_difference(lambda v: np.sum(xv * v), yv.copy())) < 1e-8
 
@@ -522,7 +522,7 @@ class TestSoftmax:
 
         for i in range(5):
             x = T.Tensor(xv.copy(), requires_grad=True)
-            grads = grad_of(lambda: T.take(T.softmax(x, axis=0), i), (x,))
+            grads = grad_of(lambda: take(T.softmax(x, axis=0), i), (x,))
             numeric = finite_difference(lambda v: softmax_np(v)[i], xv.copy())
             assert gradient_mismatch(grads[x], numeric) < 1e-6
 
@@ -542,7 +542,7 @@ class TestGlobalAvgPool:
 
     def test_gradient_spreads_uniformly(self):
         x = T.Tensor(np.arange(12.0).reshape(1, 3, 2, 2), requires_grad=True)
-        grads = grad_of(lambda: T.sum_all(T.global_avg_pool(x)), (x,))
+        grads = grad_of(lambda: sum_all(T.global_avg_pool(x)), (x,))
         assert np.array_equal(grads[x], np.full((1, 3, 2, 2), 0.25))
 
     @pytest.mark.parametrize("shape", [(1, 8, 3, 3), (256, 12, 3, 3), (64, 3, 6, 6), (2, 5, 4, 7)])
@@ -554,7 +554,7 @@ class TestGlobalAvgPool:
         tape = T.GradTape()
         with T.recording(tape):
             out = T.global_avg_pool(x)
-            grads = T.backward(T.sum_all(T.mul(out, T.Tensor(gv))))
+            grads = T.backward(sum_all(T.mul(out, T.Tensor(gv))))
         _, _, h, w = shape
         expected_gx = np.repeat(np.repeat(gv[:, :, None, None], h, axis=2), w, axis=3) / (h * w)
         assert out.data.tobytes() == xv.mean(axis=(2, 3)).tobytes()
@@ -600,7 +600,7 @@ class TestCrossEntropy:
 class TestBackwardContract:
     def test_sum_gradient_is_ones(self):
         x = T.Tensor([1.0, 2.0, 3.0], requires_grad=True)
-        grads = grad_of(lambda: T.sum_all(x), (x,))
+        grads = grad_of(lambda: sum_all(x), (x,))
         assert np.array_equal(grads[x], np.ones(3))
 
     def test_chain_product_rule_vs_fd(self):
@@ -608,7 +608,7 @@ class TestBackwardContract:
         yv = np.array([1.1, 0.4, -0.3])
         x = T.Tensor(xv.copy(), requires_grad=True)
         y = T.Tensor(yv.copy(), requires_grad=True)
-        grads = grad_of(lambda: T.sum_squares(T.mul(x, y)), (x, y))
+        grads = grad_of(lambda: sum_squares(T.mul(x, y)), (x, y))
         assert gradient_mismatch(grads[x], finite_difference(lambda v: np.sum((v * yv) ** 2), xv.copy())) < 1e-7
         assert gradient_mismatch(grads[y], finite_difference(lambda v: np.sum((xv * v) ** 2), yv.copy())) < 1e-7
 
@@ -616,7 +616,7 @@ class TestBackwardContract:
         x = T.Tensor([1.0, 2.0], requires_grad=True)
         tape = T.GradTape()
         with T.recording(tape):
-            loss = T.sum_all(x)
+            loss = sum_all(x)
         T.backward(loss)
         with pytest.raises(RuntimeError):
             T.backward(loss)
@@ -627,7 +627,7 @@ class TestBackwardContract:
         x = T.Tensor([1.0, 2.0], requires_grad=True)
         tape = T.GradTape()
         with T.recording(tape):
-            loss = T.sum_all(T.mul(x, x))
+            loss = sum_all(T.mul(x, x))
         assert len(tape.records) == 2 and loss.tape is tape
         assert np.array_equal(T.backward(loss)[x], [2.0, 4.0])
         assert tape.records == []
@@ -649,12 +649,12 @@ class TestBackwardContract:
     def test_unreachable_tensor_receives_no_gradient(self):
         x = T.Tensor([1.0], requires_grad=True)
         other = T.Tensor([5.0], requires_grad=True)
-        grads = grad_of(lambda: T.sum_all(x), (x,))
+        grads = grad_of(lambda: sum_all(x), (x,))
         assert other not in grads
 
     def test_each_use_accumulates_once(self):
         x = T.Tensor([2.0], requires_grad=True)
-        grads = grad_of(lambda: T.sum_all(T.add(x, x)), (x,))
+        grads = grad_of(lambda: sum_all(T.add(x, x)), (x,))
         assert np.array_equal(grads[x], [2.0])
 
     def test_into_array_receives_the_gradient_in_place(self):
@@ -665,7 +665,7 @@ class TestBackwardContract:
         buf = np.full(3, 7.0)
         tape = T.GradTape({x: buf[:2], other: buf[2:]})
         with T.recording(tape):
-            loss = T.sum_all(T.add(T.mul(x, x), x))
+            loss = sum_all(T.add(T.mul(x, x), x))
         grads = T.backward(loss)
         assert buf.tolist() == [5.0, 7.0, 7.0]  # 2x + 1, then the untouched 7
         assert grads[x] is tape.into[x] and other not in grads
@@ -678,7 +678,7 @@ class TestBackwardContract:
         buf = np.array([0.5, 0.25, 4.0])
         tape = T.GradTape({x: buf[:2], other: buf[2:]}, seeded=True)
         with T.recording(tape):
-            loss = T.sum_all(T.scale(x, 3.0))
+            loss = sum_all(T.scale(x, 3.0))
         grads = T.backward(loss)
         assert buf.tolist() == [3.5, 3.25, 4.0]
         assert grads[x] is tape.into[x] and grads[other] is tape.into[other]
@@ -686,23 +686,23 @@ class TestBackwardContract:
 
 def _add_self(rng):
     x = T.Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-    return [x], T.sum_all(T.mul(T.add(x, x), T.Tensor(rng.standard_normal((2, 3)))))
+    return [x], sum_all(T.mul(T.add(x, x), T.Tensor(rng.standard_normal((2, 3)))))
 
 
 def _reshape_and_another_op(rng):
     # replay meets the reshape first: its contribution, a view of its
     # output's gradient, is copied before the sigmoid's term is added
     x = T.Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-    squares = T.sum_squares(T.sigmoid(x))
+    squares = sum_squares(T.sigmoid(x))
     flat = T.mul(T.reshape(x, (6,)), T.Tensor(rng.standard_normal(6)))
-    return [x], T.add(squares, T.sum_all(flat))
+    return [x], T.add(squares, sum_all(flat))
 
 
 def _scalar_read_twice(rng):
     # a 0-d gradient times a float is a numpy scalar, which cannot take the
     # second term in place
     x = T.Tensor(rng.standard_normal(3), requires_grad=True)
-    total = T.sum_all(x)
+    total = sum_all(x)
     return [x], T.add(T.scale(total, 2.0), T.scale(total, 3.0))
 
 
@@ -711,7 +711,7 @@ def _fresh_then_accumulated(rng):
     # sigmoid's term is added into it in place
     x = T.Tensor(rng.standard_normal((2, 3)), requires_grad=True)
     w = T.Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-    return [x, w], T.add(T.sum_squares(T.mul(T.sigmoid(x), w)), T.sum_all(T.scale(x, 3.0)))
+    return [x, w], T.add(sum_squares(T.mul(T.sigmoid(x), w)), sum_all(T.scale(x, 3.0)))
 
 
 def _pool_read_twice(rng):
@@ -720,7 +720,7 @@ def _pool_read_twice(rng):
     x = T.Tensor(rng.standard_normal((2, 3, 2, 2)), requires_grad=True)
     c, d = (T.Tensor(rng.standard_normal((2, 3))) for _ in range(2))
     pooled = [T.mul(T.global_avg_pool(x), c), T.mul(T.global_avg_pool(x), d)]
-    return [x], T.sum_all(T.add(*pooled))
+    return [x], sum_all(T.add(*pooled))
 
 
 def _conv_read_twice(rng):
@@ -731,7 +731,7 @@ def _conv_read_twice(rng):
     k = T.Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
     per_sample = T.Tensor(rng.standard_normal((2, 3, 2, 3, 3)), requires_grad=True)
     convs = [T.conv2d(x, k, padding=1), T.conv2d(x, k, stride=2), T.conv2d(x, per_sample, padding=1)]
-    return [x, k, per_sample], T.add(T.sum_squares(convs[0], convs[2]), T.sum_all(convs[1]))
+    return [x, k, per_sample], T.add(sum_squares(convs[0], convs[2]), sum_all(convs[1]))
 
 
 class TestBackwardOwnership:
@@ -776,7 +776,7 @@ class TestStructuralOps:
     def test_row_and_reshape_roundtrip_gradients(self):
         xv = np.arange(6.0).reshape(2, 3)
         x = T.Tensor(xv.copy(), requires_grad=True)
-        grads = grad_of(lambda: T.sum_squares(T.take(T.reshape(x, (3, 2)), 1)), (x,))
+        grads = grad_of(lambda: sum_squares(take(T.reshape(x, (3, 2)), 1)), (x,))
         numeric = finite_difference(lambda v: np.sum(v.reshape(3, 2)[1] ** 2), xv.copy())
         assert gradient_mismatch(grads[x], numeric) < 1e-8
 
@@ -785,23 +785,23 @@ class TestStructuralOps:
         x = T.Tensor(xv, requires_grad=True)
         tape = T.GradTape()
         with T.recording(tape):
-            picked = T.take(x, 1, axis=1)
-            loss = T.sum_squares(picked)
+            picked = take(x, 1, axis=1)
+            loss = sum_squares(picked)
         assert np.array_equal(picked.data, xv[:, 1])
         expected = np.zeros_like(xv)
         expected[:, 1] = 2.0 * xv[:, 1]
         assert np.array_equal(T.backward(loss)[x], expected)
         with pytest.raises(T.ShapeError):
-            T.take(x, 3, axis=1)
+            take(x, 3, axis=1)
 
     def test_tile_rows_sums_gradient(self):
         a = T.Tensor([1.0, -1.0], requires_grad=True)
-        grads = grad_of(lambda: T.sum_all(T.tile_rows(a, 3)), (a,))
+        grads = grad_of(lambda: sum_all(T.tile_rows(a, 3)), (a,))
         assert np.array_equal(grads[a], [3.0, 3.0])
         batch = T.Tensor([[1.0, -1.0], [2.0, 0.5]], requires_grad=True)
         tiled = T.tile_rows(batch, 3)
         assert tiled.shape == (2, 3, 2) and np.all(tiled.data == batch.data[:, None, :])
-        grads = grad_of(lambda: T.sum_squares(T.tile_rows(batch, 3)), (batch,))
+        grads = grad_of(lambda: sum_squares(T.tile_rows(batch, 3)), (batch,))
         assert np.array_equal(grads[batch], 6.0 * batch.data)
 
     def test_normalize_rows_values_and_gradient(self):
@@ -810,7 +810,7 @@ class TestStructuralOps:
         tape = T.GradTape()
         with T.recording(tape):
             out = T.normalize_rows(x, where=True)
-            loss = T.sum_squares(out)
+            loss = sum_squares(out)
         np.testing.assert_allclose(out.data, [[0.25, 0.75], [0.5, 0.5]])
         grads = T.backward(loss)
         numeric = finite_difference(lambda v: np.sum((v / v.sum(axis=1, keepdims=True)) ** 2), xv.copy())
@@ -819,7 +819,7 @@ class TestStructuralOps:
         # with ``where``, unselected rows pass through, values and gradient
         x = T.Tensor(xv.copy(), requires_grad=True)
         where = np.array([False, True])
-        grads = grad_of(lambda: T.sum_squares(T.normalize_rows(x, where=where)), (x,))
+        grads = grad_of(lambda: sum_squares(T.normalize_rows(x, where=where)), (x,))
         np.testing.assert_allclose(T.normalize_rows(x, where=where).data, [[1.0, 3.0], [0.5, 0.5]])
 
         def loss_np(v):
@@ -833,7 +833,7 @@ class TestStructuralOps:
         cv = np.array([[0.5, 0.3, 0.2], [0.1, 0.0, 0.9]])
         c = T.Tensor(cv.copy(), requires_grad=True)
         kernels = [T.Tensor(k.copy(), requires_grad=True) for k in bank]
-        grads = grad_of(lambda: T.sum_squares(T.blend(c, kernels)), (c, *kernels))
+        grads = grad_of(lambda: sum_squares(T.blend(c, kernels)), (c, *kernels))
 
         def mix(v, ks):
             return np.stack([sum(v[b, i] * ks[i] for i in range(3)) for b in range(2)])
@@ -861,7 +861,7 @@ class TestStructuralOps:
         # one with a nonzero coefficient in any row gets one
         c = T.Tensor([[0.0, 1.0, 0.0], [0.0, 0.5, 0.5]])
         a, b, d = (T.Tensor(np.ones((2, 2)), requires_grad=True) for _ in range(3))
-        grads = grad_of(lambda: T.sum_all(T.blend(c, [a, b, d])), (a, b, d))
+        grads = grad_of(lambda: sum_all(T.blend(c, [a, b, d])), (a, b, d))
         assert a not in grads
         assert np.array_equal(grads[b], np.full((2, 2), 1.5))
         assert np.array_equal(grads[d], np.full((2, 2), 0.5))
@@ -911,7 +911,7 @@ class TestUncheckedOps:
         x = T.Tensor([[big, -big, 0.0], [-big, -big, big], [-big, -big, -big]])
         with np.errstate(over="ignore"):  # softmax's shift overflows to -inf, whose exp is 0
             outs = [T.softmax(x, axis=1), T.softmax(x, axis=0), T.sigmoid(x),
-                    T.reshape(x, (9,)), T.take(x, 1), T.take(x, 2, axis=1), T.tile_rows(x, 2)]
+                    T.reshape(x, (9,)), take(x, 1), take(x, 2, axis=1), T.tile_rows(x, 2)]
         for out in outs:
             assert np.all(np.isfinite(out.data))
         for probs in outs[:3]:
@@ -967,14 +967,14 @@ class TestGradientSweep:
                 rect = T.reshape(T.conv2d(T.reshape(a, (2, 1, 1, 6)), unit, relu=True), (2, 6))
                 h = T.add(T.mul(rect, T.sigmoid(b)), T.scale(b, 0.25))
                 probs = T.softmax(h, axis=1)
-                tiled = T.tile_rows(T.take(probs, 1), 2)
-                picked = T.take(T.tile_rows(probs, 3), 2, axis=1)
+                tiled = T.tile_rows(take(probs, 1), 2)
+                picked = take(T.tile_rows(probs, 3), 2, axis=1)
                 normed = T.normalize_rows(T.add(T.add(tiled, picked), T.Tensor(np.full((2, 6), 0.5))),
                                           where=True)
                 flat = T.reshape(normed, (12,))
                 blend = T.blend(T.reshape(w, (1, 3)), [flat, T.scale(flat, -0.5),
                                                       T.Tensor(np.linspace(0, 1, 12))])
-                return T.add(T.sum_squares(blend), T.sum_all(normed))
+                return T.add(sum_squares(blend), sum_all(normed))
 
             a = T.Tensor(av.copy(), requires_grad=True)
             w = T.Tensor(wv.copy(), requires_grad=True)
@@ -999,7 +999,7 @@ class TestGradientSweep:
             vals = [rng.standard_normal(s) for s in ((2, 3), (4,), (2, 2, 2))]
 
             def build_loss(a, b, c):
-                return T.sum_squares(a, T.scale(b, -0.5), a, c)
+                return sum_squares(a, T.scale(b, -0.5), a, c)
 
             ts = [T.Tensor(v.copy(), requires_grad=True) for v in vals]
             tape = T.GradTape()
@@ -1014,9 +1014,9 @@ class TestGradientSweep:
                 assert gradient_mismatch(grads[ts[i]], finite_difference(f, v.copy())) < 1e-7
 
             a, b, c = (T.Tensor(v) for v in vals)
-            chain = T.sum_squares(a)
+            chain = sum_squares(a)
             for t in (T.scale(b, -0.5), a, c):
-                chain = T.add(chain, T.sum_squares(t))
+                chain = T.add(chain, sum_squares(t))
             assert loss.data.tobytes() == chain.data.tobytes()
 
     def test_random_instance_sweep(self):
