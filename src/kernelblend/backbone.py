@@ -40,6 +40,11 @@ class LayerSpec:
             raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
+    def kernel_shape(self) -> tuple[int, int, int, int]:
+        """The layer's kernel shape, (O, I, K, K)."""
+        return (self.out_channels, self.in_channels, self.kernel_size, self.kernel_size)
+
+    @property
     def kernel_params(self) -> int:
         """Weights in the layer's kernel, also its MAdds per output position."""
         return self.out_channels * self.in_channels * self.kernel_size ** 2
@@ -119,10 +124,9 @@ def zero_bias(n: int) -> T.Tensor:
     return T.Tensor(np.zeros(n), requires_grad=True)
 
 
-def init_kernel(rng: np.random.Generator, layer: LayerSpec) -> T.Tensor:
-    """A fan-in-scaled uniform (O, I, K, K) kernel for ``layer``."""
-    k = layer.kernel_size
-    return _uniform(rng, (layer.out_channels, layer.in_channels, k, k), layer.in_channels * k * k)
+def init_kernel(rng: np.random.Generator, layer: LayerSpec, lead: tuple[int, ...] = ()) -> T.Tensor:
+    """A fan-in-scaled uniform (*lead, O, I, K, K) kernel for ``layer``, in one draw."""
+    return _uniform(rng, (*lead, *layer.kernel_shape), layer.in_channels * layer.kernel_size ** 2)
 
 
 def init_linear(rng: np.random.Generator, fan_in: int, width: int) -> tuple[T.Tensor, T.Tensor]:

@@ -35,7 +35,7 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, _cast, parse_config
 from .training import TrainState, init_state, named_parameters
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "tensors.bin"
 

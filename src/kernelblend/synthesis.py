@@ -1,12 +1,11 @@
 """Basis kernel banks and input-conditioned kernel synthesis.
 
-A bank stores N candidate kernel sets per non-shared layer (shared layers
-keep a single tensor referenced by every basis). Coefficients are a plain
-(rows, N) tensor, one row per non-shared layer, that blends the candidates
-into one specialist kernel per layer: W_k = sum_n alpha[k, n] * W_k_n.
-Biases and the classifier head are always shared, so blending touches
-kernels only. A (B, rows, N) batch blends one specialist per sample in one
-op per layer.
+A bank stores a non-shared layer's N candidate kernels as one (N, O, I, K, K)
+stack; a shared layer keeps one kernel. Coefficients are a plain (rows, N)
+tensor, one row per non-shared layer, that blends the candidates into one
+specialist kernel per layer: W_k = sum_n alpha[k, n] * W_k_n. Biases and the
+classifier head are always shared, so blending touches kernels only. A (B,
+rows, N) batch blends one specialist per sample in one op per layer.
 
 Also here: the coefficient post-processing used during training - row-wise
 activation, the uniform-blend stabilizer, basis dropout masking, and one-hot
@@ -47,14 +46,14 @@ class SynthesisConfig:
 class BasisBank:
     """N same-architecture kernel sets with per-layer sharing.
 
-    ``kernels[k]`` holds one tensor when layer k is shared, otherwise N.
-    Biases and the classifier head are single shared tensors.
+    ``kernels[k]`` is layer k's (O, I, K, K) kernel if it is shared, else its
+    N bases as one (N, O, I, K, K) stack; biases and the head are shared.
     """
 
     spec: BackboneSpec
     n_bases: int
     share_mask: tuple[bool, ...]
-    kernels: list[list[T.Tensor]]
+    kernels: list[T.Tensor]
     biases: list[T.Tensor]
     head_w: T.Tensor
     head_b: T.Tensor
@@ -64,10 +63,10 @@ class BasisBank:
             raise ValueError("a bank needs at least one basis")
         if len(self.share_mask) != self.spec.num_layers:
             raise ValueError("share_mask length must equal the layer count")
-        for k, (shared, bank) in enumerate(zip(self.share_mask, self.kernels)):
-            expected = 1 if shared else self.n_bases
-            if len(bank) != expected:
-                raise ValueError(f"layer L{k} holds {len(bank)} kernel sets, expected {expected}")
+        for k, (layer, shared, kernel) in enumerate(zip(self.spec.layers, self.share_mask, self.kernels, strict=True)):
+            expected = layer.kernel_shape if shared else (self.n_bases, *layer.kernel_shape)
+            if kernel.shape != expected:
+                raise ValueError(f"layer L{k} kernel has shape {kernel.shape}, expected {expected}")
 
     def nonshared_indices(self) -> list[int]:
         return [k for k, shared in enumerate(self.share_mask) if not shared]
@@ -85,8 +84,7 @@ def build_bank(spec: BackboneSpec, n_bases: int, shared_layers, seed: int) -> Ba
             raise ValueError(f"shared layer index {i} out of range [0, {spec.num_layers})")
 
     rng = np.random.default_rng(seed)
-    kernels = [[init_kernel(rng, layer) for _ in range(1 if k in shared else n_bases)]
-               for k, layer in enumerate(spec.layers)]
+    kernels = [init_kernel(rng, layer, () if k in shared else (n_bases,)) for k, layer in enumerate(spec.layers)]
     head_w, head_b = init_linear(rng, spec.feature_channels, spec.num_classes)
     return BasisBank(
         spec=spec,
@@ -162,8 +160,8 @@ def synthesize(bank: BasisBank, alpha: T.Tensor) -> BackboneParams:
     one image's (rows, N) matrix gives an ordinary specialist with (O, I,
     K, K) kernels that runs on any batch. Shared layers pass their single
     kernel through untouched; biases and the head are the bank's shared
-    tensors. Differentiable w.r.t. both the coefficients and every basis
-    kernel.
+    tensors. Differentiable w.r.t. both the coefficients and every layer's
+    stack of bases.
     """
     if alpha.data.ndim not in (2, 3):
         raise T.ShapeError(f"coefficients must be (rows, N) or (B, rows, N), got shape {alpha.shape}")
@@ -179,7 +177,7 @@ def synthesize(bank: BasisBank, alpha: T.Tensor) -> BackboneParams:
     r = 0
     for k, shared in enumerate(bank.share_mask):
         if shared:
-            kernel = bank.kernels[k][0]
+            kernel = bank.kernels[k]
         else:
             kernel = T.blend(values, bank.kernels[k], row=r)
             if single:
@@ -190,14 +188,14 @@ def synthesize(bank: BasisBank, alpha: T.Tensor) -> BackboneParams:
 
 
 def select_params(bank: BasisBank, choices) -> BackboneParams:
-    """Pick one basis index per non-shared layer, no blending (oracle path)."""
+    """Pick one basis per non-shared layer, no blending: constant slices, for forward passes."""
     choices = list(choices)
     if len(choices) != bank.n_coefficient_rows:
         raise T.ShapeError(f"{len(choices)} choices for {bank.n_coefficient_rows} non-shared layers")
     params = BackboneParams(head_w=bank.head_w, head_b=bank.head_b)
     it = iter(choices)
     for k, shared in enumerate(bank.share_mask):
-        kernel = bank.kernels[k][0] if shared else bank.kernels[k][next(it)]
+        kernel = bank.kernels[k] if shared else T.constant(bank.kernels[k].data[next(it)])
         params.layers.append(LayerParams(kernel=kernel, bias=bank.biases[k]))
     return params
 

@@ -304,31 +304,26 @@ def normalize_rows(a: Tensor, where) -> Tensor:
     return _result(out, (a,), bwd)
 
 
-def blend(coeffs: Tensor, tensors: Sequence[Tensor], row: int | None = None) -> Tensor:
-    """Per-sample linear combinations out[b] = sum_n coeffs[b, n] * tensors[n].
+def blend(coeffs: Tensor, bases: Tensor, row: int | None = None) -> Tensor:
+    """Per-sample linear combinations out[b] = sum_n coeffs[b, n] * bases[n].
 
-    ``coeffs`` is (B, N), or (B, rows, N) blending its ``row`` (one layer's
-    row of every sample). The N tensors share one shape, so the result is
-    (B, *shape): one blended tensor per sample, from a single einsum.
-    The other terms of a one-hot row add exact zeros, so it returns the
-    selected tensor's values bit for bit. The coefficients get a gradient at
-    every position (zero off ``row``); a tensor whose coefficient is zero in
-    every sample gets no gradient entry at all (not even a zero-filled one,
-    which an optimizer would still see).
+    ``bases`` is one (N, *shape) stack. ``coeffs`` is (B, N), or (B, rows, N)
+    blending its ``row`` (one layer's row of every sample). The result is
+    (B, *shape): one blended tensor per sample, from a single einsum over the
+    stack's (N, F) view, which copies nothing. The other terms of a one-hot
+    row add exact zeros, so it returns the selected basis's values bit for
+    bit. The coefficients get a gradient at every position (zero off
+    ``row``), and the stack one gradient of its own shape, in which a basis
+    whose coefficient is zero in every sample has exact-zero rows.
     """
     c = coeffs.data
     if c.ndim != (2 if row is None else 3) or row is not None and not 0 <= row < c.shape[1]:
         raise ShapeError(f"blend coeffs must be (B, N), or (B, rows, N) and a row in range, got {c.shape}, row {row}")
     c = c if row is None else c.take(row, axis=1)
     n = c.shape[1]
-    if n != len(tensors):
-        raise ShapeError(f"{n} coefficients for {len(tensors)} tensors")
-    base = tensors[0].data.shape
-    for t in tensors[1:]:
-        if t.data.shape != base:
-            raise ShapeError(f"blend member shapes differ: {t.data.shape} vs {base}")
-
-    flat = np.concatenate([t.data for t in tensors]).reshape(n, -1)
+    if bases.shape[:1] != (n,):
+        raise ShapeError(f"{n} coefficients for a stack of shape {bases.shape}")
+    flat = bases.data.reshape(n, -1)
 
     def bwd(g):
         gflat = g.reshape(len(c), -1)
@@ -337,12 +332,10 @@ def blend(coeffs: Tensor, tensors: Sequence[Tensor], row: int | None = None) -> 
             full = np.zeros_like(coeffs.data)
             full[:, row] = gc
             gc = full
-        gt = np.einsum("bn,bf->nf", c, gflat)
-        used = np.logical_or.reduce(c != 0.0, axis=0).nonzero()[0]
-        return ((coeffs, gc), *((tensors[i], gt[i].reshape(base)) for i in used))
+        return ((coeffs, gc), (bases, np.einsum("bn,bf->nf", c, gflat).reshape(bases.shape)))
 
-    out = np.einsum("bn,nf->bf", c, flat).reshape(len(c), *base)
-    return _result(out, (coeffs, *tensors), bwd)
+    out = np.einsum("bn,nf->bf", c, flat).reshape(len(c), *bases.shape[1:])
+    return _result(out, (coeffs, bases), bwd)
 
 
 # ---------------------------------------------------------------------------

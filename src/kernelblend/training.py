@@ -193,12 +193,8 @@ def named_parameters(state: TrainState) -> list[tuple[str, T.Tensor]]:
     out.append(("lm.class_head.b", state.lm_params.trunk.head_b))
     out.append(("lm.coeff_head.w", state.lm_params.coeff_w))
     out.append(("lm.coeff_head.b", state.lm_params.coeff_b))
-    for k, kernels in enumerate(state.bank.kernels):
-        if state.bank.share_mask[k]:
-            out.append((f"bank.L{k}.kernel", kernels[0]))
-        else:
-            for n, kern in enumerate(kernels):
-                out.append((f"bank.L{k}.basis{n}.kernel", kern))
+    for k, (shared, kernel) in enumerate(zip(state.bank.share_mask, state.bank.kernels)):
+        out.append((f"bank.L{k}.kernel" if shared else f"bank.L{k}.bases", kernel))
         out.append((f"bank.L{k}.bias", state.bank.biases[k]))
     out.append(("bank.head.w", state.bank.head_w))
     out.append(("bank.head.b", state.bank.head_b))
@@ -398,10 +394,10 @@ def train_step(state: TrainState, batch: tuple[np.ndarray, np.ndarray],
 
     lr = learning_rate_at(step, schedule)
     # the trained part of the gradient buffer is reseeded whole, so nothing
-    # an earlier step left (a refused one, a basis no sample used) survives;
-    # L2's term goes in before the backward adds the network's, the order of
-    # a tape ending in the regulariser, so every gradient matches that one
-    # bit for bit
+    # an earlier step left (a refused one, a tensor this one does not reach)
+    # survives; L2's term goes in before the backward adds the network's, the
+    # order of a tape ending in the regulariser, so every gradient matches
+    # that one bit for bit
     seeded = loss_cfg.l2_weight > 0.0
     grad = trained.grad
     if seeded:

@@ -108,8 +108,8 @@ def linear_reference(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None 
 def synthesis_reference(coeff_rows: np.ndarray, kernel_banks):
     """Blend per-layer kernel banks with dense coefficient rows.
 
-    ``kernel_banks`` is a list (one entry per coefficient row) of lists of
-    equal-shaped kernels. Returns (blended kernels, multiply_count), counting
+    ``kernel_banks`` is a list (one entry per coefficient row) of (N, *shape)
+    basis stacks. Returns (blended kernels, multiply_count), counting
     one multiply per coefficient-times-parameter product with no sparsity
     shortcuts.
     """
@@ -141,7 +141,7 @@ def synthesize_take_then_blend(bank, alpha):
     r = 0
     for k, shared in enumerate(bank.share_mask):
         if shared:
-            kernel = bank.kernels[k][0]
+            kernel = bank.kernels[k]
         else:
             kernel = T.blend(take(values, r, axis=1), bank.kernels[k])
             if single:
@@ -491,7 +491,7 @@ def condconv_forward(bank: syn.BasisBank, routers: list[RouterParams], x: np.nda
     r = 0
     for k, (layer, shared) in enumerate(zip(bank.spec.layers, bank.share_mask)):
         if shared:
-            kernel = bank.kernels[k][0]
+            kernel = bank.kernels[k]
         else:
             pooled = T.global_avg_pool(out)
             logits = T.linear(pooled, routers[r].w, routers[r].b)

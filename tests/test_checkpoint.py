@@ -15,6 +15,21 @@ from kernelblend.config import parse_config
 from toys import run_training, toy_config_state, toy_dataset
 
 
+def per_basis_index(index):
+    """Schema 6's ``tensors`` entries for a schema 7 index: each (N, O, I, K,
+    K) ``bank.L{k}.bases`` entry as N ``bank.L{k}.basis{n}.kernel`` entries,
+    over the same bytes."""
+    out = []
+    for entry in index:
+        if not entry["name"].endswith(".bases"):
+            out.append(entry)
+            continue
+        n, size = entry["shape"][0], entry["nbytes"] // entry["shape"][0]
+        out += [{"name": entry["name"].replace(".bases", f".basis{i}.kernel"), "shape": entry["shape"][1:],
+                 "offset": entry["offset"] + i * size, "nbytes": size} for i in range(n)]
+    return out
+
+
 def small_sched(steps=6, **kw):
     base = dict(total_steps=steps, epsilon_hold_steps=2, epsilon_decay_steps=2,
                 lr_base=0.05, batch_size=4, seed=0, bmd_rate=0.25)
@@ -113,7 +128,7 @@ class TestRoundTrip:
         CK.save_checkpoint(state, tmp_path / "ckpt", config=raw)
         manifest = json.loads((tmp_path / "ckpt" / CK.MANIFEST_NAME).read_text())
         assert manifest["config"] == raw and "structure" not in manifest
-        assert manifest["schema_version"] == CK.SCHEMA_VERSION == 6
+        assert manifest["schema_version"] == CK.SCHEMA_VERSION == 7
         loaded, stored = CK.load_checkpoint(tmp_path / "ckpt")
         assert stored.raw == raw
         assert (loaded.lm, loaded.bank.spec) == (stored.lm, stored.bank_spec) == (
@@ -172,17 +187,20 @@ class TestValidation:
         (4, {"structure": {"synthesis": {"stabilizer_order": "epsilon_then_bmd"}}}),
         # schema 5 described the model twice: a structure beside the config
         (5, {"structure": {"synthesis": {}}}),
-    ], ids=["3", "4", "5"])
+        # schema 6 indexed each basis of a layer apart: bank.L{k}.basis{n}.kernel
+        (6, {"tensors": per_basis_index}),
+    ], ids=["3", "4", "5", "6"])
     def test_old_schema_refused(self, trained, tmp_path, schema, old_keys):
         state, _, _, raw = trained
         CK.save_checkpoint(state, tmp_path / "ckpt", raw)
         manifest_path = tmp_path / "ckpt" / CK.MANIFEST_NAME
         manifest = json.loads(manifest_path.read_text())
-        manifest.update(schema_version=schema, **old_keys)
+        manifest.update(schema_version=schema, **{
+            key: value(manifest[key]) if callable(value) else value for key, value in old_keys.items()})
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(CK.CheckpointError) as exc:
             CK.load_checkpoint(tmp_path / "ckpt")
-        assert str(exc.value) == f"checkpoint schema {schema} != supported 6"
+        assert str(exc.value) == f"checkpoint schema {schema} != supported 7"
 
     def test_wrong_schema_version(self, trained, tmp_path):
         state, _, _, raw = trained

@@ -558,7 +558,7 @@ class TestNumericOverflow:
     def overflow_ckpt(self, workdir, trained_ckpt):
         state, cfg = CK.load_checkpoint(trained_ckpt)
         for name, p in TR.named_parameters(state):
-            if name.startswith(("bank.L1.basis", "bank.L2.basis")):
+            if name in ("bank.L1.bases", "bank.L2.bases"):
                 p.data[...] = 1e300
         CK.save_checkpoint(state, workdir / "overflow", cfg.raw)
         return workdir / "overflow"

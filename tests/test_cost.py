@@ -115,7 +115,7 @@ class TestFullCost:
 
         # synthesis: dense blend of every non-shared kernel
         rows = np.random.default_rng(1).random((bank.n_coefficient_rows, bank.n_bases))
-        banks_np = [[kk.data for kk in bank.kernels[k]] for k in bank.nonshared_indices()]
+        banks_np = [bank.kernels[k].data for k in bank.nonshared_indices()]
         blended, m = synthesis_reference(rows, banks_np)
         mults += m
 
@@ -123,7 +123,7 @@ class TestFullCost:
         out = x
         blended_iter = iter(blended)
         for k, (layer, shared) in enumerate(zip(bank.spec.layers, bank.share_mask)):
-            kern = bank.kernels[k][0].data if shared else next(blended_iter)
+            kern = bank.kernels[k].data if shared else next(blended_iter)
             out, m = conv2d_reference(out, kern, layer.stride, layer.padding)
             mults += m
         feats = out.mean(axis=(2, 3))

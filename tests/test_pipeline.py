@@ -368,9 +368,9 @@ class TestCondConv:
         before = []
         condconv_forward(bank, routers, x, trace=before)
 
-        bumped = bank.kernels[0][0].data.copy()
+        bumped = bank.kernels[0].data.copy()
         bumped[0, 0, 0, 0] += 0.5
-        bank.kernels[0][0].apply_update(bumped)
+        bank.kernels[0].apply_update(bumped)
         after = []
         condconv_forward(bank, routers, x, trace=after)
 

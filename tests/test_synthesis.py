@@ -1,5 +1,7 @@
 """Coefficient pipeline and kernel synthesis: exact cases, oracles, invariants."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from kernelblend import synthesis as S
 from kernelblend import tensor as T
 from kernelblend import training as TR
 
-from oracles import sum_all, synthesis_reference, synthesize_take_then_blend
+from oracles import sum_all, sum_squares, synthesis_reference, synthesize_take_then_blend
 from toys import run_training, toy_dataset, toy_state
 
 
@@ -157,10 +159,37 @@ class TestToOneHot:
 
 class TestBankStructure:
     def test_shared_layers_hold_one_tensor(self):
-        bank = S.build_bank(two_layer_spec(), n_bases=4, shared_layers=[0], seed=0)
-        assert len(bank.kernels[0]) == 1
-        assert len(bank.kernels[1]) == 4
+        spec = two_layer_spec()
+        bank = S.build_bank(spec, n_bases=4, shared_layers=[0], seed=0)
+        assert bank.kernels[0].shape == spec.layers[0].kernel_shape
+        assert bank.kernels[1].shape == (4, *spec.layers[1].kernel_shape)
         assert bank.nonshared_indices() == [1]
+
+    def test_stack_is_the_per_basis_draws_in_a_row(self):
+        # one (N, O, I, K, K) draw gives the values of N (O, I, K, K) draws,
+        # so the checkpoint blob keeps its bytes
+        spec = two_layer_spec()
+        bank = S.build_bank(spec, 3, [0], seed=5)
+        rng = np.random.default_rng(5)
+        per_basis = [B.init_kernel(rng, spec.layers[0]).data,
+                     np.stack([B.init_kernel(rng, spec.layers[1]).data for _ in range(3)])]
+        head_w, _ = B.init_linear(rng, spec.feature_channels, spec.num_classes)
+        for got, want in zip(bank.kernels, per_basis, strict=True):
+            assert got.data.tobytes() == want.tobytes()
+        assert bank.head_w.data.tobytes() == head_w.data.tobytes()
+
+    @pytest.mark.parametrize("layer,shape", [
+        (1, (3, 4, 4, 3, 3)),  # a stack of the wrong N
+        (1, (2, 4, 2, 3, 3)),  # a stack of the wrong kernel shape
+        (1, (4, 4, 3, 3)),  # one kernel where a stack belongs
+        (0, (2, 4, 2, 3, 3)),  # a stack where a shared kernel belongs
+    ])
+    def test_wrong_kernel_shape_names_the_layer(self, layer, shape):
+        bank = S.build_bank(two_layer_spec(), 2, [0], seed=0)
+        kernels = list(bank.kernels)
+        kernels[layer] = T.Tensor(np.zeros(shape))
+        with pytest.raises(ValueError, match=f"layer L{layer} kernel has shape"):
+            S.BasisBank(bank.spec, 2, bank.share_mask, kernels, bank.biases, bank.head_w, bank.head_b)
 
     def test_bad_shared_index(self):
         with pytest.raises(ValueError):
@@ -170,7 +199,7 @@ class TestBankStructure:
         b1 = S.build_bank(two_layer_spec(), 3, [0], seed=9)
         b2 = S.build_bank(two_layer_spec(), 3, [0], seed=9)
         def tensors(b):
-            return [t for ks in b.kernels for t in ks] + b.biases + [b.head_w, b.head_b]
+            return [*b.kernels, *b.biases, b.head_w, b.head_b]
 
         for t1, t2 in zip(tensors(b1), tensors(b2), strict=True):
             assert t1.data.tobytes() == t2.data.tobytes()
@@ -181,14 +210,13 @@ class TestSynthesize:
         bank = S.build_bank(two_layer_spec(), 4, [0], seed=3)
         alpha = cm([[0.0, 0.0, 1.0, 0.0]])
         params = S.synthesize(bank, alpha)
-        assert params.layers[1].kernel.data.tobytes() == bank.kernels[1][2].data.tobytes()
-        assert params.layers[0].kernel is bank.kernels[0][0]
+        assert params.layers[1].kernel.data.tobytes() == bank.kernels[1].data[2].tobytes()
+        assert params.layers[0].kernel is bank.kernels[0]
 
     def test_even_blend_cancels_opposites(self):
         bank = S.build_bank(two_layer_spec(), 2, [0], seed=4)
-        shape = bank.kernels[1][0].shape
-        bank.kernels[1][0] = T.Tensor(np.ones(shape))
-        bank.kernels[1][1] = T.Tensor(-np.ones(shape))
+        shape = bank.kernels[1].shape[1:]
+        bank.kernels[1] = T.Tensor(np.stack([np.ones(shape), -np.ones(shape)]))
         params = S.synthesize(bank, cm([[0.5, 0.5]]))
         assert np.array_equal(params.layers[1].kernel.data, np.zeros(shape))
 
@@ -275,11 +303,10 @@ class TestSynthesize:
             loss = T.cross_entropy(B.forward(S.synthesize(bank, alpha), spec, x), [1])
         grads = T.backward(loss)
 
-        dropped = bank.kernels[1][1]
-        assert dropped not in grads
+        stack = grads[bank.kernels[1]]
+        assert np.array_equal(stack[1], np.zeros(stack.shape[1:]))  # the dropped basis
         for n in (0, 2):
-            kern = bank.kernels[1][n]
-            assert kern in grads and np.any(grads[kern] != 0)
+            assert np.any(stack[n] != 0)
         # the coefficient path reaches the raw head outputs
         assert raw in grads and np.any(grads[raw] != 0)
 
@@ -300,7 +327,7 @@ class TestSynthesisTape:
             params = S.synthesize(bank, alpha)
         assert len(tape.records) == bank.n_coefficient_rows == 2
         assert [rec[0] for rec in tape.records] == [params.layers[k].kernel for k in (0, 2)]
-        assert params.layers[1].kernel is bank.kernels[1][0]
+        assert params.layers[1].kernel is bank.kernels[1]
 
     @pytest.mark.parametrize("mode,eps,masks", [
         ("per_layer", 0.4, None),
@@ -331,8 +358,11 @@ class TestSynthesisTape:
         assert got == want
         if mode != "one_hot":  # hard coefficients are constants: no gradient reaches them
             assert grads[alpha].tobytes() == ref_grads[ref_alpha].tobytes()
-        if masks is not None:
-            assert None in got  # a dropped basis gets no entry on either path
+        if masks is not None:  # a basis every sample drops has zero rows on either path
+            dropped = np.logical_and.reduce(np.atleast_2d(drop), axis=0)
+            assert dropped.any()
+            for k in state.bank.nonshared_indices():
+                assert not grads[state.bank.kernels[k]][dropped].any()
 
     @pytest.mark.parametrize("optimizer", ["sgd", "rmsprop"])
     def test_training_bitwise_equal_take_then_blend(self, monkeypatch, optimizer):
@@ -349,23 +379,47 @@ class TestSynthesisTape:
         if optimizer == "rmsprop":
             assert state.opt_state.tobytes() == oracle.opt_state.tobytes()
 
-    def test_basis_zero_in_every_sample_gets_no_gradient_entry(self):
+    def test_basis_zero_in_every_sample_gets_zero_rows(self):
         # row 1 blends; basis 0 is zero there in every sample (not in row 0)
         c = T.Tensor([[[0.7, 0.3, 0.0], [0.0, 1.0, 0.0]],
                       [[0.2, 0.2, 0.6], [0.0, 0.5, 0.5]]], requires_grad=True)
-        a, b, d = (T.Tensor(np.ones((2, 2)), requires_grad=True) for _ in range(3))
+        stack = T.Tensor(np.ones((3, 2, 2)), requires_grad=True)
         tape = T.GradTape()
         with T.recording(tape):
-            loss = sum_all(T.blend(c, [a, b, d], row=1))
+            loss = sum_all(T.blend(c, stack, row=1))
         grads = T.backward(loss)
-        assert a not in grads
-        assert np.array_equal(grads[b], np.full((2, 2), 1.5))
-        assert np.array_equal(grads[d], np.full((2, 2), 0.5))
+        assert grads[stack].tobytes() == np.stack([np.zeros((2, 2)), np.full((2, 2), 1.5),
+                                                   np.full((2, 2), 0.5)]).tobytes()
         assert np.array_equal(grads[c][:, 0], np.zeros((2, 3)))
         assert np.array_equal(grads[c][:, 1], np.full((2, 3), 4.0))
 
+    @pytest.mark.parametrize("batch", [None, 1, 4], ids=["matrix", "batch1", "batch4"])
+    def test_packed_and_unpacked_banks_agree_bitwise(self, batch):
+        # one path: a TrainState's stacks view into its vector, a deep copy's
+        # own their arrays, and blend reads either in place
+        state = toy_state(n_bases=4, seed=41)
+        packed, unpacked = state.bank, copy.deepcopy(state.bank)
+        assert all(np.shares_memory(k.data, state.vector.data) for k in packed.kernels)
+        assert all(k.data.base is None for k in unpacked.kernels)
+        rng = np.random.default_rng(42)
+        rows = packed.n_coefficient_rows
+        av = rng.random((rows, 4) if batch is None else (batch, rows, 4))
+        x = rng.standard_normal((batch or 2, *packed.spec.input_shape))
+
+        def run(bank):
+            alpha = T.Tensor(av, requires_grad=True)
+            tape = T.GradTape()
+            with T.recording(tape):
+                params = S.synthesize(bank, alpha)
+                loss = sum_squares(B.forward(params, bank.spec, T.Tensor(x)))
+            kernels = [lp.kernel.data.tobytes() for lp in params.layers]
+            grads = T.backward(loss)
+            return kernels, [grads[k].tobytes() for k in (alpha, *bank.kernels)]
+
+        assert run(packed) == run(unpacked)
+
     def test_row_out_of_range_or_wrong_rank_rejected(self):
-        kernels = [T.Tensor(np.ones((2, 2))) for _ in range(2)]
+        kernels = T.Tensor(np.ones((2, 2, 2)))
         with pytest.raises(T.ShapeError, match="row"):
             T.blend(T.Tensor(np.ones((3, 2, 2))), kernels, row=2)
         with pytest.raises(T.ShapeError, match="row"):
@@ -390,6 +444,6 @@ class TestAccounting:
         spec = two_layer_spec()
         bank = S.build_bank(spec, 4, [0], seed=1)
         rows = np.random.default_rng(3).random((1, 4))
-        banks_np = [[k.data for k in bank.kernels[1]]]
+        banks_np = [bank.kernels[1].data]
         _, mults = synthesis_reference(rows, banks_np)
         assert S.synthesis_madds(bank) == mults

@@ -829,42 +829,57 @@ class TestStructuralOps:
 
     def test_blend_values_and_gradients(self):
         rng = np.random.default_rng(6)
-        bank = [rng.standard_normal((2, 1, 3, 3)) for _ in range(3)]
+        bank = rng.standard_normal((3, 2, 1, 3, 3))
         cv = np.array([[0.5, 0.3, 0.2], [0.1, 0.0, 0.9]])
         c = T.Tensor(cv.copy(), requires_grad=True)
-        kernels = [T.Tensor(k.copy(), requires_grad=True) for k in bank]
-        grads = grad_of(lambda: sum_squares(T.blend(c, kernels)), (c, *kernels))
+        stack = T.Tensor(bank.copy(), requires_grad=True)
+        grads = grad_of(lambda: sum_squares(T.blend(c, stack)), (c, stack))
 
         def mix(v, ks):
             return np.stack([sum(v[b, i] * ks[i] for i in range(3)) for b in range(2)])
 
-        out = T.blend(T.Tensor(cv), kernels).data
+        out = T.blend(T.Tensor(cv), stack).data
         np.testing.assert_allclose(out, mix(cv, bank), atol=1e-15)
         # the coefficients' gradient covers every position, the zero one too
         numeric_c = finite_difference(lambda v: np.sum(mix(v, bank) ** 2), cv.copy())
         assert gradient_mismatch(grads[c], numeric_c) < 1e-7
-        for i, k in enumerate(kernels):
-            def loss_k(v, i=i):
-                return np.sum(mix(cv, bank[:i] + [v] + bank[i + 1:]) ** 2)
-            assert gradient_mismatch(grads[k], finite_difference(loss_k, bank[i].copy())) < 1e-7
+        numeric_stack = finite_difference(lambda v: np.sum(mix(cv, v) ** 2), bank.copy())
+        assert grads[stack].shape == bank.shape
+        assert gradient_mismatch(grads[stack], numeric_stack) < 1e-7
 
     def test_blend_one_hot_is_bitwise_selection(self):
         rng = np.random.default_rng(8)
-        bank = [T.Tensor(rng.standard_normal((4, 2, 3, 3))) for _ in range(4)]
+        bank = T.Tensor(rng.standard_normal((4, 4, 2, 3, 3)))
         onehot = T.Tensor([[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
         out = T.blend(onehot, bank)
         for b, n in enumerate((2, 0, 2)):
-            assert out.data[b].tobytes() == bank[n].data.tobytes()
+            assert out.data[b].tobytes() == bank.data[n].tobytes()
 
     def test_blend_zero_coefficient_blocks_gradient(self):
-        # a basis with a zero coefficient in every row gets no gradient entry,
-        # one with a nonzero coefficient in any row gets one
+        # a basis with a zero coefficient in every row gets exact-zero rows in
+        # the stack's gradient, one with a nonzero coefficient in any row more
         c = T.Tensor([[0.0, 1.0, 0.0], [0.0, 0.5, 0.5]])
-        a, b, d = (T.Tensor(np.ones((2, 2)), requires_grad=True) for _ in range(3))
-        grads = grad_of(lambda: sum_all(T.blend(c, [a, b, d])), (a, b, d))
-        assert a not in grads
-        assert np.array_equal(grads[b], np.full((2, 2), 1.5))
-        assert np.array_equal(grads[d], np.full((2, 2), 0.5))
+        stack = T.Tensor(np.ones((3, 2, 2)), requires_grad=True)
+        grads = grad_of(lambda: sum_all(T.blend(c, stack)), (stack,))
+        assert grads[stack].tobytes() == np.stack([np.zeros((2, 2)), np.full((2, 2), 1.5),
+                                                   np.full((2, 2), 0.5)]).tobytes()
+
+    def test_blend_reads_the_stack_in_place(self):
+        # the blend's (N, F) operand is a view of the stack, not a copy: an
+        # edit of the stack between forward and backward reaches the backward
+        stack = T.Tensor(np.ones((2, 3)), requires_grad=True)
+        c = T.Tensor([[1.0, 0.0]], requires_grad=True)
+        tape = T.GradTape()
+        with T.recording(tape):
+            loss = sum_all(T.blend(c, stack))
+        stack.data[1] = 2.0
+        assert T.backward(loss)[c].tolist() == [[3.0, 6.0]]
+
+    def test_blend_stack_must_match_the_coefficients(self):
+        with pytest.raises(T.ShapeError, match="2 coefficients for a stack of shape"):
+            T.blend(T.Tensor(np.ones((1, 2))), T.Tensor(np.ones((3, 4))))
+        with pytest.raises(T.ShapeError, match="stack"):
+            T.blend(T.Tensor(np.ones((1, 2))), T.Tensor(1.0))
 
 
 class TestNumericSafety:
@@ -972,8 +987,11 @@ class TestGradientSweep:
                 normed = T.normalize_rows(T.add(T.add(tiled, picked), T.Tensor(np.full((2, 6), 0.5))),
                                           where=True)
                 flat = T.reshape(normed, (12,))
-                blend = T.blend(T.reshape(w, (1, 3)), [flat, T.scale(flat, -0.5),
-                                                      T.Tensor(np.linspace(0, 1, 12))])
+                # the stack (flat, -0.5 * flat, a constant ramp), built from ops
+                rows = T.mul(T.tile_rows(flat, 3), T.Tensor(np.repeat([[1.0], [-0.5], [0.0]], 12, axis=1)))
+                ramp = np.zeros((3, 12))
+                ramp[2] = np.linspace(0, 1, 12)
+                blend = T.blend(T.reshape(w, (1, 3)), T.add(rows, T.Tensor(ramp)))
                 return T.add(sum_squares(blend), sum_all(normed))
 
             a = T.Tensor(av.copy(), requires_grad=True)

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import dataclasses
 import gc
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -197,9 +198,8 @@ class TestTrainStep:
             loss = T.scale(T.cross_entropy(initial, y), 1.0)  # lm term alone
         grads = T.backward(loss)
 
-        for kernels in state.bank.kernels:
-            for kern in kernels:
-                assert kern not in grads
+        for kernel in state.bank.kernels:
+            assert kernel not in grads
         assert state.bank.head_w not in grads
         # while the lightweight trunk does learn from it
         assert state.lm_params.trunk.layers[0].kernel in grads
@@ -253,15 +253,16 @@ class TestTrainStep:
         train, _ = toy_dataset(train_size=8, eval_size=8)
         x, y = train.images[:2], train.labels[:2]
         drop = np.array([False, True, False])
-        before = [k.data.copy() for k in state.bank.kernels[1]]
 
         tape = T.GradTape()
         with T.recording(tape):
             final, initial, _ = TR.forward_training(state, x, 0.0, drop)
             loss = T.cross_entropy(final, y)
         grads = T.backward(loss)
-        assert state.bank.kernels[1][1] not in grads
-        assert state.bank.kernels[1][0] in grads
+        for k in state.bank.nonshared_indices():  # the dropped basis's rows are exact zeros
+            stack = grads[state.bank.kernels[k]]
+            assert np.array_equal(stack[1], np.zeros(stack.shape[1:]))
+            assert np.any(stack[0]) and np.any(stack[2])
 
     def test_determinism_across_runs(self):
         def one_run():
@@ -280,9 +281,9 @@ class TestTrainStep:
         train, _ = toy_dataset(train_size=64, eval_size=8)
         s = sched(total_steps=5, batch_size=4)
         state, _ = run_training(state, train, s, TR.LossConfig())
-        assert len(state.bank.kernels[0]) == 1
+        assert state.bank.kernels[0].shape == state.bank.spec.layers[0].kernel_shape
         specialist = S.synthesize(state.bank, T.Tensor(np.full((2, 3), 1 / 3)))
-        assert specialist.layers[0].kernel is state.bank.kernels[0][0]
+        assert specialist.layers[0].kernel is state.bank.kernels[0]
 
     def test_overflowing_update_raises_and_changes_nothing(self):
         # a finite forward and backward, then an RMSProp update, whose steps
@@ -307,8 +308,8 @@ class TestTrainStep:
         train, _ = toy_dataset(train_size=8, eval_size=8)
         s = sched(lr_base=0.1, batch_size=2)
         x, y = train.images[:2], train.labels[:2]
-        # poison one kernel so the forward pass overflows float64
-        kern = state.bank.kernels[1][0]
+        # poison one layer's bases so the forward pass overflows float64
+        kern = state.bank.kernels[1]
         kern.apply_update(np.full(kern.shape, 1e308))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TR.TrainingDiverged, match="step 0"):
@@ -392,7 +393,7 @@ class TestTrainStep:
         twin, _ = TR.train_step(twin, batch, s, TR.LossConfig())
         assert not np.array_equal(twin.bank.head_w.data, before["bank.head.w"])
         assert not all(np.array_equal(k.data, before[name]) for name, k in
-                       TR.named_parameters(twin) if ".basis" in name)
+                       TR.named_parameters(twin) if name.endswith(".bases"))
         for name, p in TR.named_parameters(state):  # the original is untouched
             assert np.array_equal(p.data, before[name])
         assert np.array_equal(state.opt_state, acc) and state.step == twin.step - 1
@@ -452,8 +453,7 @@ class TestGradientBuffer:
         s = sched(batch_size=2, bmd_rate=0.5)
         drops = TR.sample_bmd_mask(3, 0.5, TR.step_rng(s, 0, stream=2))
         assert drops.any()
-        dropped = state.bank.kernels[1][int(np.flatnonzero(drops)[0])]
-        assert np.any(state.joint.into[dropped] != 0.0)
+        assert np.any(state.joint.into[state.bank.kernels[1]][drops] != 0.0)
         state, metrics = TR.train_step(state, batch, s, cfg)
         twin, want = TR.train_step(twin, batch, s, cfg)
         assert metrics == want
@@ -470,12 +470,37 @@ class TestGradientBuffer:
         s = sched(batch_size=4, bmd_rate=0.5)
         drops = TR.sample_bmd_mask(3, 0.5, TR.step_rng(s, 1, stream=2))
         assert drops.any()
-        dropped = [k for kernels in state.bank.kernels[1:] for k, d in zip(kernels, drops) if d]
-        before = [k.data.tobytes() for k in dropped]
-        assert all(np.any(state.joint.into[k] != 0.0) for k in dropped)
+        stacks = [state.bank.kernels[k] for k in state.bank.nonshared_indices()]
+        before = [k.data[drops].tobytes() for k in stacks]
+        assert all(np.any(state.joint.into[k][drops] != 0.0) for k in stacks)
         state, _ = TR.train_step(state, batch, s, TR.LossConfig())
-        assert [k.data.tobytes() for k in dropped] == before
-        assert not any(np.any(state.joint.into[k]) for k in dropped)
+        assert [k.data[drops].tobytes() for k in stacks] == before
+        assert not any(np.any(state.joint.into[k][drops]) for k in stacks)
+
+    def test_rmsprop_decays_the_accumulator_of_a_dropped_basis(self):
+        # at l2_weight 0 a basis no sample uses gets zero rows in its stack's
+        # gradient: its values stay and its accumulator decays by 0.9
+        train, _ = toy_dataset(train_size=8, eval_size=8)
+        batch = (train.images[:4], train.labels[:4])
+        state = toy_state(n_bases=3, seed=5)
+        state, _ = TR.train_step(state, batch, sched(batch_size=4, optimizer="rmsprop"), TR.LossConfig())
+        s = sched(batch_size=4, bmd_rate=0.5, optimizer="rmsprop")
+        drops = TR.sample_bmd_mask(3, 0.5, TR.step_rng(s, 1, stream=2))
+        assert drops.any()
+        named = TR.named_parameters(state)
+        offsets = dict(zip((p for _, p in named), accumulate((p.size for _, p in named), initial=0)))
+        stacks = [state.bank.kernels[k] for k in state.bank.nonshared_indices()]
+
+        def dropped_rows(k, flat):
+            return flat[offsets[k]:offsets[k] + k.size].reshape(k.shape)[drops]
+
+        values = [k.data[drops].copy() for k in stacks]
+        acc = [dropped_rows(k, state.opt_state).copy() for k in stacks]
+        assert all(np.any(a > 0.0) for a in acc)
+        state, _ = TR.train_step(state, batch, s, TR.LossConfig())
+        for k, v, a in zip(stacks, values, acc):
+            assert k.data[drops].tobytes() == v.tobytes()
+            assert dropped_rows(k, state.opt_state).tobytes() == (0.9 * a).tobytes()
 
     def test_deepcopy_twin_gets_its_own_buffer(self):
         state = toy_state(n_bases=2, seed=8)
@@ -500,33 +525,37 @@ class TestVectorisedUpdate:
     @pytest.mark.parametrize("clip_norm", [None, 0.05], ids=["unclipped", "clip_binding"])
     @pytest.mark.parametrize("optimizer", ["sgd", "rmsprop"])
     def test_bitwise_equal_to_per_tensor_oracle(self, monkeypatch, optimizer, clip_norm):
-        # joint steps, then the fine-tune tail; BMD drops bases and
-        # selection leaves the others unselected, so some tensors get no
-        # gradient entry
+        # joint steps, then the fine-tune tail. Under per_layer, BMD drops
+        # bases (zero rows in their stack's gradient) and selection leaves
+        # the others unselected; under one_hot from step 0 the coefficient
+        # head gets no gradient entry, so the update masks it out
         train, _ = toy_dataset(train_size=32, eval_size=8)
         s = sched(total_steps=6, finetune_steps=6, bmd_rate=0.4, batch_size=4, lr_base=0.05,
                   optimizer=optimizer, clip_norm=clip_norm)
         loss_cfg = TR.LossConfig(l2_weight=0.0)
-        state, _ = run_training(toy_state(n_bases=4, seed=12), train, s, loss_cfg)
+        for mode, skips in (("per_layer", False), ("one_hot", True)):
+            cfg = S.SynthesisConfig(mode=mode)
+            state, _ = run_training(toy_state(n_bases=4, seed=12, synth_cfg=cfg), train, s, loss_cfg)
 
-        accumulators, factors, skipped = {}, [], []
+            accumulators, factors, skipped = {}, [], []
 
-        def per_tensor(st, grad, grads, params, lr, schedule):
-            skipped.append(any(p not in grads for _, p in params))
-            factors.append(apply_updates_per_tensor(accumulators, grads, params, lr, schedule))
+            def per_tensor(st, grad, grads, params, lr, schedule):
+                skipped.append(any(p not in grads for _, p in params))
+                factors.append(apply_updates_per_tensor(accumulators, grads, params, lr, schedule))
 
-        monkeypatch.setattr(TR, "_apply_updates", per_tensor)
-        oracle, _ = run_training(toy_state(n_bases=4, seed=12), train, s, loss_cfg)
+            with monkeypatch.context() as m:
+                m.setattr(TR, "_apply_updates", per_tensor)
+                oracle, _ = run_training(toy_state(n_bases=4, seed=12, synth_cfg=cfg), train, s, loss_cfg)
 
-        assert any(skipped)
-        assert all(f is not None for f in factors) if clip_norm else not any(factors)
-        assert state.vector.data.tobytes() == oracle.vector.data.tobytes()
-        if optimizer == "sgd":
-            assert state.opt_state is None
-        else:
-            expected = np.concatenate([accumulators.get(name, np.zeros(p.shape)).reshape(-1)
-                                       for name, p in TR.named_parameters(oracle)])
-            assert state.opt_state.tobytes() == expected.tobytes()
+            assert any(skipped) == skips
+            assert all(f is not None for f in factors) if clip_norm else not any(factors)
+            assert state.vector.data.tobytes() == oracle.vector.data.tobytes()
+            if optimizer == "sgd":
+                assert state.opt_state is None
+            else:
+                expected = np.concatenate([accumulators.get(name, np.zeros(p.shape)).reshape(-1)
+                                           for name, p in TR.named_parameters(oracle)])
+                assert state.opt_state.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("clip_norm", [None, 0.05], ids=["unclipped", "clip_binding"])
     @pytest.mark.parametrize("optimizer", ["sgd", "rmsprop"])
@@ -542,14 +571,14 @@ class TestVectorisedUpdate:
 
         oracle, accumulators, losses, factors, dropped = toy_state(n_bases=4, seed=12), {}, [], [], []
         while oracle.step < s.total_steps + s.finetune_steps:
-            bases = {p: p.data.copy() for name, p in TR.named_parameters(oracle) if ".basis" in name}
+            stacks = {p: p.data.copy() for name, p in TR.named_parameters(oracle) if name.endswith(".bases")}
             batch = TR.sample_batch(train, s, oracle.step)
             loss, grads, factor = train_step_per_tensor(oracle, batch, s, loss_cfg, accumulators)
             losses.append(loss.item())
             factors.append(factor)
             # the net term: a basis no sample used gets its L2 gradient only
-            dropped.append(any(np.array_equal(grads[p], 2.0 * w * loss_cfg.l2_weight)
-                               for p, w in bases.items() if p in grads))
+            dropped.append(any(np.array_equal(grads[p][n], 2.0 * w[n] * loss_cfg.l2_weight)
+                               for p, w in stacks.items() if p in grads for n in range(len(w))))
 
         assert any(dropped[:6]) and any(dropped[6:])
         assert all(f is not None for f in factors) if clip_norm else not any(factors)
@@ -713,7 +742,7 @@ class TestFinetuneOneHot:
     def test_frozen_lm_bitwise_and_coefficients_hard(self, mode):
         state, train = self.trained_state(mode)
         lm_before = {n: p.data.copy() for n, p in TR.named_parameters(state) if n.startswith("lm.")}
-        bank_before = [k.data.copy() for k in state.bank.kernels[1]]
+        bank_before = state.bank.kernels[1].data.copy()
 
         state, metrics = run_training(
             state, train, sched(total_steps=state.step, finetune_steps=6, batch_size=4,
@@ -725,10 +754,10 @@ class TestFinetuneOneHot:
                 assert p.data.tobytes() == lm_before[n].tobytes()
         # the bases that were selected trained on
         if mode == "per_layer":
-            assert not np.array_equal(state.bank.kernels[1][0].data, bank_before[0])
+            assert not np.array_equal(state.bank.kernels[1].data[0], bank_before[0])
         else:
-            assert any(not np.array_equal(k.data, before)
-                       for k, before in zip(state.bank.kernels[1], bank_before))
+            assert any(not np.array_equal(k, before)
+                       for k, before in zip(state.bank.kernels[1].data, bank_before))
 
         _, _, alpha = TR.forward_training(state, train.images[:3], 0.0, None)
         v = alpha.data
