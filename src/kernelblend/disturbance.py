@@ -38,7 +38,7 @@ def mean_coefficients(lm: pl.LightweightModel, params: pl.LMParams,
                       bank: syn.BasisBank, cfg: syn.SynthesisConfig,
                       dataset: Dataset) -> np.ndarray:
     """Per-layer mean coefficient rows over an evaluation set."""
-    record = pl.infer_batch(lm, params, bank, cfg, dataset.images, 1.01)
+    record = pl.infer_batch(lm, params, bank, cfg, dataset.images, pl.NEVER_TERMINATE)
     return record.coefficients.sum(axis=0) / len(dataset)
 
 
@@ -95,7 +95,7 @@ def evaluate_disturbed(lm: pl.LightweightModel, params: pl.LMParams,
         mean_table = mean_coefficients(lm, params, bank, cfg, dataset)
     rows = _rows_for_layer(bank, disturbance.layer)
     record = pl.infer_batch(
-        lm, params, bank, cfg, dataset.images, 1.01,
+        lm, params, bank, cfg, dataset.images, pl.NEVER_TERMINATE,
         edit=lambda alpha: disturb(alpha, disturbance, rows=rows, mean_table=mean_table))
     return record.accuracy(dataset.labels)
 
@@ -104,15 +104,16 @@ def seed_average(lm: pl.LightweightModel, params: pl.LMParams, bank: syn.BasisBa
                  cfg: syn.SynthesisConfig, dataset: Dataset, kind: str,
                  layers, seeds: int) -> list[tuple[float, float]]:
     """(mean, std) accuracy over seeds 0..seeds-1 of a ``kind`` disturbance at
-    each of ``layers`` (a bank layer index, or None for every layer). A
-    ``mean`` disturbance computes its table once for all of them."""
+    each of ``layers`` (a bank layer index, or None for every layer). Only
+    ``shuffled`` reads the seed: any other kind runs once per layer, so its
+    std is 0.0. A ``mean`` disturbance computes its table once for all."""
     mean_table = mean_coefficients(lm, params, bank, cfg, dataset) if kind == "mean" else None
     stats = []
     for layer in layers:
         accs = [
             evaluate_disturbed(lm, params, bank, cfg, dataset,
                                Disturbance(kind=kind, layer=layer, seed=s), mean_table)
-            for s in range(seeds)
+            for s in range(seeds if kind == "shuffled" else 1)
         ]
         stats.append((float(np.mean(accs)), float(np.std(accs))))
     return stats

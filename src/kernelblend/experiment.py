@@ -81,7 +81,7 @@ def pipeline_accuracy(state: tr.TrainState, dataset: Dataset, threshold: float) 
 
 def full_accuracy(state: tr.TrainState, dataset: Dataset) -> float:
     """Specialist accuracy with termination disabled."""
-    return pipeline_accuracy(state, dataset, threshold=1.01)
+    return pipeline_accuracy(state, dataset, threshold=pl.NEVER_TERMINATE)
 
 
 def skip_rate(state: tr.TrainState, dataset: Dataset, threshold: float) -> float:
@@ -95,7 +95,7 @@ def evaluate(state: tr.TrainState, dataset: Dataset, threshold: float) -> dict:
     """The ``eval.json`` record: accuracy and skip rate at ``threshold``, and
     the stage-one and specialist accuracies, all from one sweep."""
     point, lm_point, full_point = co.sweep(state.lm, state.lm_params, state.bank,
-                                           state.synth_cfg, dataset, [threshold, 0.0, 1.01])
+                                           state.synth_cfg, dataset, [threshold, 0.0, pl.NEVER_TERMINATE])
     return {
         "threshold": threshold,
         "accuracy": point.accuracy,
@@ -158,7 +158,7 @@ def export_coefficients(state: tr.TrainState, dataset: Dataset, out_path) -> int
     """Write one CSV row per (image, non-shared layer, basis); returns rows written."""
     bank = state.bank
     record = pl.infer_batch(state.lm, state.lm_params, bank, state.synth_cfg,
-                            dataset.images, 1.01)
+                            dataset.images, pl.NEVER_TERMINATE)
     # one row per coefficient cell, in (image, layer, basis) order
     image, row, basis = np.indices(record.coefficients.shape).reshape(3, -1)
     image = record.pending[image]

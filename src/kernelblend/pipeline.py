@@ -23,6 +23,7 @@ from . import tensor as T
 # numpy sums a reduction of 8 or more terms pairwise, in another order than
 # ``downsample_input``'s slice adds
 MAX_DOWNSAMPLE = 7
+NEVER_TERMINATE = 1.01  # above every confidence: stage two always runs
 
 
 @dataclass(frozen=True)

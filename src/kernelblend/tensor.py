@@ -90,16 +90,15 @@ class GradTape:
     output gradient to per-input gradient contributions. The tape is
     single-shot: backward() consumes it and a second call is an error.
 
-    ``into`` maps a tensor to a writable array that backward fills with its
-    gradient: the first contribution is copied in or, when ``seeded``, added
-    to the term already there (one computed off the tape, such as L2's).
+    ``into`` maps a tensor to a writable array holding its gradient's start
+    (zeros, or a term computed off the tape such as L2's): backward adds
+    every contribution into it and gives the tensor an entry, reached or not.
     """
 
-    def __init__(self, into: dict[Tensor, np.ndarray] | None = None, seeded: bool = False):
+    def __init__(self, into: dict[Tensor, np.ndarray] | None = None):
         self.records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
         self.consumed = False
         self.into = {} if into is None else into
-        self.seeded = seeded
 
 
 _ACTIVE_TAPE: GradTape | None = None
@@ -147,16 +146,17 @@ def _result(data: np.ndarray, inputs: Sequence[Tensor], backward: Callable,
 def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Accumulate gradients of ``loss`` w.r.t. every tensor that fed it.
 
-    Returns a map from tensor to its gradient array (its ``into`` array if the
-    tape has one). Tensors not reachable from the loss are absent unless
-    seeded. The tape is consumed; calling backward a second time raises.
+    Returns a map from tensor to its gradient array: each tensor in the
+    tape's ``into`` to its array, with every contribution added in. Any other
+    tensor the loss does not reach is absent. The tape is consumed; calling
+    backward a second time raises.
 
-    A tensor's first contribution becomes its gradient array, and later ones
-    are added into it in place. The first is kept without a copy when the op
-    made it fresh (``base`` None) for this one input, so a backward rule never
-    returns one fresh array for two inputs. Anything else (a view, the output
-    gradient passed through, a numpy scalar) is copied, so no two gradients
-    share memory.
+    A tensor outside ``into`` takes its first contribution as its gradient
+    array and adds later ones into it in place. The first is kept without a
+    copy when the op made it fresh (``base`` None) for this one input, so a
+    backward rule never returns one fresh array for two inputs. Anything else
+    (a view, the output gradient passed through, a numpy scalar) is copied,
+    so no two gradients share memory.
     """
     if loss.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -167,9 +167,7 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
         raise RuntimeError("backward already ran on this tape")
     tape.consumed = True
 
-    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
-    if tape.seeded:
-        grads.update(tape.into)
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data), **tape.into}
     for out, inputs, backward_fn in reversed(tape.records):
         gout = grads.get(out)
         if gout is None:
@@ -180,9 +178,6 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
             existing = grads.get(tensor)
             if existing is not None:
                 existing += contribution
-            elif tensor in tape.into:
-                grads[tensor] = tape.into[tensor]
-                np.copyto(grads[tensor], contribution)
             elif (type(contribution) is np.ndarray and contribution.base is None
                   and contribution is not gout):
                 grads[tensor] = contribution  # the op's own fresh array: nothing else holds it

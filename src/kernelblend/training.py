@@ -21,11 +21,11 @@ A ``TrainState`` packs every parameter into one vector in
 ``named_parameters`` order, ``lm.*`` first, and each parameter views into
 it. Beside it the state keeps one gradient buffer aligned with the vector
 and, built once, what a step needs of the suffix it trains (every
-parameter, or the bank alone on a selection step): its parameters, their
-sizes and each one's view of the buffer. A step writes L2's term into that
-part of the buffer (L2 is not a tape op), the backward pass adds the
-network's through the views, and one vectorised update of the suffix
-follows; the RMSProp accumulator is one vector too.
+parameter, or the bank alone on a selection step): their sizes, their part
+of the vector and each one's view of the buffer. A step writes L2's term (or
+zeros) into that part of the buffer (L2 is not a tape op), the backward pass
+adds the network's through the views, and one vectorised update of the
+suffix follows; the RMSProp accumulator is one vector too.
 
 All per-step randomness (batch choice, augmentation, dropout masks) derives
 from (seed, step), so any run is reproducible bit for bit and no step
@@ -126,9 +126,8 @@ class TrainSchedule:
 @dataclass(frozen=True, slots=True, eq=False)
 class Trained:
     """The parameters a step trains, a suffix of ``named_parameters``: their
-    (name, tensor) pairs and sizes, their part of the state's vector and of
-    its gradient buffer, and each tensor's view of that part of the buffer."""
-    params: list[tuple[str, T.Tensor]]
+    sizes, their part of the state's vector and of its gradient buffer, and
+    each tensor's view of that part of the buffer."""
     sizes: list[int]
     values: np.ndarray
     grad: np.ndarray
@@ -162,14 +161,13 @@ class TrainState:
         self.grad = np.zeros(self.vector.size)
         for p, view in zip(params, _views(self.vector.data, params)):
             p.data = view  # same values, now held in the vector
-        self.joint = self._trained(named)
-        self.selection = self._trained([(n, p) for n, p in named if not n.startswith("lm.")])
+        self.joint = self._trained(params)
+        self.selection = self._trained([p for n, p in named if not n.startswith("lm.")])
 
-    def _trained(self, params: list[tuple[str, T.Tensor]]) -> Trained:
-        tensors = [p for _, p in params]
+    def _trained(self, tensors: list[T.Tensor]) -> Trained:
         start = self.vector.size - sum(p.size for p in tensors)
         grad = self.grad[start:]
-        return Trained(params, [p.size for p in tensors], self.vector.data[start:], grad,
+        return Trained([p.size for p in tensors], self.vector.data[start:], grad,
                        dict(zip(tensors, _views(grad, tensors))))
 
     def __deepcopy__(self, memo):
@@ -331,25 +329,22 @@ def total_loss(final_logits: T.Tensor, initial_logits: T.Tensor, target: np.ndar
 # optimizer step
 
 
-def _apply_updates(state: TrainState, grad, grads, params, lr: float, schedule: TrainSchedule):
-    """One update of the suffix of ``state.vector`` that ``params`` covers,
-    from ``grad``, the gradient buffer aligned with it. A parameter with no
-    entry in ``grads`` keeps its values (its gradient is zero) and its
-    accumulator (masked). A global gradient norm above ``clip_norm`` is
-    scaled down to it first. A non-finite update writes nothing."""
+def _apply_updates(state: TrainState, grad, sizes, lr: float, schedule: TrainSchedule):
+    """One update of the suffix of ``state.vector`` that ``grad``, the
+    gradient buffer aligned with it, covers: parameters ``sizes`` long each.
+    Every accumulator slot updates; a parameter the backward pass did not
+    reach has a zero gradient, so its values stay and a zero accumulator
+    stays zero. A global gradient norm above ``clip_norm`` is scaled down to
+    it first. A non-finite update writes nothing."""
     if schedule.clip_norm is not None:
-        norm = np.sqrt(squared_norm(grad, [p.size for _, p in params]))
+        norm = np.sqrt(squared_norm(grad, sizes))
         if norm > schedule.clip_norm:
             grad = grad * (schedule.clip_norm / norm)
-    start = state.vector.size - grad.size  # ``params`` is a suffix of named_parameters
+    start = state.vector.size - grad.size  # the trained part is a suffix of named_parameters
     acc = state.opt_state
     if schedule.optimizer == "rmsprop":
         acc = np.zeros(state.vector.size) if acc is None else acc.copy()
-        tail = 0.9 * acc[start:] + 0.1 * grad * grad
-        if not all(p in grads for _, p in params):
-            covered = np.repeat([p in grads for _, p in params], [p.size for _, p in params])
-            tail = np.where(covered, tail, acc[start:])
-        acc[start:] = tail
+        acc[start:] = tail = 0.9 * acc[start:] + 0.1 * grad * grad
         delta = lr * grad / (np.sqrt(tail) + 1e-8)
     else:
         delta = lr * grad
@@ -393,14 +388,13 @@ def train_step(state: TrainState, batch: tuple[np.ndarray, np.ndarray],
             loss_cfg.distill.teacher_spec, loss_cfg.distill.teacher_params, batch_x)
 
     lr = learning_rate_at(step, schedule)
-    # the trained part of the gradient buffer is reseeded whole, so nothing
-    # an earlier step left (a refused one, a tensor this one does not reach)
-    # survives; L2's term goes in before the backward adds the network's, the
-    # order of a tape ending in the regulariser, so every gradient matches
-    # that one bit for bit
-    seeded = loss_cfg.l2_weight > 0.0
+    # the trained part of the gradient buffer is rewritten whole with L2's
+    # term or zeros, so nothing a refused step left survives and a tensor this
+    # one does not reach has a zero gradient; the backward then adds the
+    # network's term, the order of a tape ending in the regulariser, so every
+    # gradient matches that one bit for bit
     grad = trained.grad
-    if seeded:
+    if loss_cfg.l2_weight > 0.0:
         np.multiply(trained.values, 2.0, out=grad)
         np.multiply(grad, loss_cfg.l2_weight, out=grad)
         l2_sum = squared_norm(trained.values, trained.sizes)
@@ -408,14 +402,13 @@ def train_step(state: TrainState, batch: tuple[np.ndarray, np.ndarray],
         grad.fill(0.0)
         l2_sum = 0.0
     try:
-        tape = T.GradTape(trained.into, seeded)
-        with T.recording(tape):
+        with T.recording(T.GradTape(trained.into)):
             final, initial, _ = forward_training(state, batch_x, eps, drop_masks)
             if selecting:
                 initial = T.Tensor(initial.data)
             loss, parts = total_loss(final, initial, batch_y, l2_sum, loss_cfg, distill_soft)
-        grads = T.backward(loss)
-        _apply_updates(state, grad, grads, trained.params, lr, schedule)
+        T.backward(loss)
+        _apply_updates(state, grad, trained.sizes, lr, schedule)
     except T.NonFiniteError as err:
         raise TrainingDiverged(
             f"training went non-finite at step {step} (lr={lr}): {err}"

@@ -193,3 +193,26 @@ class TestLayerSweep:
         DI.seed_average(state.lm, state.lm_params, state.bank, state.synth_cfg,
                         evalset, "mean", range(state.bank.spec.num_layers), 3)
         assert len(calls) == 1
+
+    def test_seedless_kind_runs_once_per_layer(self, monkeypatch):
+        # only shuffled reads the seed: top1 over 3 seeds is one pass per
+        # layer, reported as that pass's accuracy with std 0.0, which every
+        # seed's pass would give
+        state = toy_state(n_bases=3, seed=8)
+        _, evalset = toy_dataset(train_size=8, eval_size=12)
+        model = (state.lm, state.lm_params, state.bank, state.synth_cfg, evalset)
+        calls = []
+        evaluate_disturbed = DI.evaluate_disturbed
+
+        def counting(*args):
+            calls.append(args[5].layer)
+            return evaluate_disturbed(*args)
+
+        monkeypatch.setattr(DI, "evaluate_disturbed", counting)
+        layers = range(state.bank.spec.num_layers)
+        stats = DI.seed_average(*model, "top1", layers, 3)
+        assert calls == list(layers)
+        for layer, (accuracy, std) in zip(layers, stats):
+            assert std == 0.0
+            assert all(evaluate_disturbed(*model, DI.Disturbance("top1", layer, seed)) == accuracy
+                       for seed in range(3))

@@ -657,26 +657,14 @@ class TestBackwardContract:
         grads = grad_of(lambda: sum_all(T.add(x, x)), (x,))
         assert np.array_equal(grads[x], [2.0])
 
-    def test_into_array_receives_the_gradient_in_place(self):
-        # the first contribution is copied in and the others added; a tensor
-        # the loss does not reach gets no entry and its array is left alone
-        x = T.Tensor([2.0, 3.0], requires_grad=True)
-        other = T.Tensor([5.0], requires_grad=True)
-        buf = np.full(3, 7.0)
-        tape = T.GradTape({x: buf[:2], other: buf[2:]})
-        with T.recording(tape):
-            loss = sum_all(T.add(T.mul(x, x), x))
-        grads = T.backward(loss)
-        assert buf.tolist() == [5.0, 7.0, 7.0]  # 2x + 1, then the untouched 7
-        assert grads[x] is tape.into[x] and other not in grads
-
-    def test_seeded_into_array_adds_every_contribution(self):
+    def test_into_arrays_add_every_contribution(self):
         # the arrays hold a first term computed off the tape: each
-        # contribution adds to it, and every tensor in into has an entry
+        # contribution adds to it, and every tensor in into has an entry,
+        # the one the loss does not reach too, its array left as it was
         x = T.Tensor([2.0, 3.0], requires_grad=True)
         other = T.Tensor([5.0], requires_grad=True)
         buf = np.array([0.5, 0.25, 4.0])
-        tape = T.GradTape({x: buf[:2], other: buf[2:]}, seeded=True)
+        tape = T.GradTape({x: buf[:2], other: buf[2:]})
         with T.recording(tape):
             loss = sum_all(T.scale(x, 3.0))
         grads = T.backward(loss)

@@ -16,8 +16,7 @@ from kernelblend import tensor as T
 from kernelblend import training as TR
 from kernelblend.data import augment_batch
 
-from oracles import (apply_updates_per_tensor, augment_reference, l2_chain, per_image_forward,
-                     train_step_per_tensor)
+from oracles import augment_reference, l2_chain, per_image_forward, train_step_per_tensor
 from toys import run_training, toy_dataset, toy_state
 
 
@@ -524,72 +523,62 @@ class TestGradientBuffer:
 class TestVectorisedUpdate:
     @pytest.mark.parametrize("clip_norm", [None, 0.05], ids=["unclipped", "clip_binding"])
     @pytest.mark.parametrize("optimizer", ["sgd", "rmsprop"])
-    def test_bitwise_equal_to_per_tensor_oracle(self, monkeypatch, optimizer, clip_norm):
-        # joint steps, then the fine-tune tail. Under per_layer, BMD drops
-        # bases (zero rows in their stack's gradient) and selection leaves
-        # the others unselected; under one_hot from step 0 the coefficient
-        # head gets no gradient entry, so the update masks it out
-        train, _ = toy_dataset(train_size=32, eval_size=8)
-        s = sched(total_steps=6, finetune_steps=6, bmd_rate=0.4, batch_size=4, lr_base=0.05,
-                  optimizer=optimizer, clip_norm=clip_norm)
-        loss_cfg = TR.LossConfig(l2_weight=0.0)
-        for mode, skips in (("per_layer", False), ("one_hot", True)):
-            cfg = S.SynthesisConfig(mode=mode)
-            state, _ = run_training(toy_state(n_bases=4, seed=12, synth_cfg=cfg), train, s, loss_cfg)
-
-            accumulators, factors, skipped = {}, [], []
-
-            def per_tensor(st, grad, grads, params, lr, schedule):
-                skipped.append(any(p not in grads for _, p in params))
-                factors.append(apply_updates_per_tensor(accumulators, grads, params, lr, schedule))
-
-            with monkeypatch.context() as m:
-                m.setattr(TR, "_apply_updates", per_tensor)
-                oracle, _ = run_training(toy_state(n_bases=4, seed=12, synth_cfg=cfg), train, s, loss_cfg)
-
-            assert any(skipped) == skips
-            assert all(f is not None for f in factors) if clip_norm else not any(factors)
-            assert state.vector.data.tobytes() == oracle.vector.data.tobytes()
-            if optimizer == "sgd":
-                assert state.opt_state is None
-            else:
-                expected = np.concatenate([accumulators.get(name, np.zeros(p.shape)).reshape(-1)
-                                           for name, p in TR.named_parameters(oracle)])
-                assert state.opt_state.tobytes() == expected.tobytes()
+    def test_bitwise_equal_to_per_tensor_oracle(self, optimizer, clip_norm):
+        self._check_against_oracle(optimizer, clip_norm, l2_weight=0.0)
 
     @pytest.mark.parametrize("clip_norm", [None, 0.05], ids=["unclipped", "clip_binding"])
     @pytest.mark.parametrize("optimizer", ["sgd", "rmsprop"])
     def test_l2_bitwise_equal_to_per_tensor_oracle(self, optimizer, clip_norm):
-        # with L2 on: the gradient buffer seeded with the L2 term against the
-        # regulariser on the tape and a per-tensor update, through joint
-        # steps with dropped bases and then the fine-tune tail
+        self._check_against_oracle(optimizer, clip_norm, l2_weight=1e-3)
+
+    @staticmethod
+    def _check_against_oracle(optimizer, clip_norm, l2_weight):
+        # the gradient buffer started at L2's term (or at zeros, at l2_weight
+        # 0) against the regulariser on a plain tape and a per-tensor update,
+        # through joint steps and then the fine-tune tail. Dropout (per_layer)
+        # and selection leave bases unused: such a basis gets its L2 gradient
+        # alone. Under one_hot from step 0 the network never reaches the
+        # coefficient head: at l2_weight 0 the plain tape gives it no entry,
+        # and the state's accumulator for it stays exactly zero
         train, _ = toy_dataset(train_size=32, eval_size=8)
         s = sched(total_steps=6, finetune_steps=6, bmd_rate=0.4, batch_size=4, lr_base=0.05,
                   optimizer=optimizer, clip_norm=clip_norm)
-        loss_cfg = TR.LossConfig(lm_weight=0.7, l2_weight=1e-3)
-        state, metrics = run_training(toy_state(n_bases=4, seed=12), train, s, loss_cfg)
+        for mode in ("per_layer", "one_hot"):
+            loss_cfg = TR.LossConfig(lm_weight=0.7, l2_weight=l2_weight)
+            cfg = S.SynthesisConfig(mode=mode)
+            state, metrics = run_training(toy_state(n_bases=4, seed=12, synth_cfg=cfg), train, s, loss_cfg)
 
-        oracle, accumulators, losses, factors, dropped = toy_state(n_bases=4, seed=12), {}, [], [], []
-        while oracle.step < s.total_steps + s.finetune_steps:
-            stacks = {p: p.data.copy() for name, p in TR.named_parameters(oracle) if name.endswith(".bases")}
-            batch = TR.sample_batch(train, s, oracle.step)
-            loss, grads, factor = train_step_per_tensor(oracle, batch, s, loss_cfg, accumulators)
-            losses.append(loss.item())
-            factors.append(factor)
-            # the net term: a basis no sample used gets its L2 gradient only
-            dropped.append(any(np.array_equal(grads[p][n], 2.0 * w[n] * loss_cfg.l2_weight)
-                               for p, w in stacks.items() if p in grads for n in range(len(w))))
+            oracle = toy_state(n_bases=4, seed=12, synth_cfg=cfg)
+            head = (oracle.lm_params.coeff_w, oracle.lm_params.coeff_b)
+            accumulators, losses, factors, dropped, reached = {}, [], [], [], []
+            while oracle.step < s.total_steps + s.finetune_steps:
+                stacks = {p: p.data.copy() for name, p in TR.named_parameters(oracle) if name.endswith(".bases")}
+                batch = TR.sample_batch(train, s, oracle.step)
+                loss, grads, factor = train_step_per_tensor(oracle, batch, s, loss_cfg, accumulators)
+                losses.append(loss.item())
+                factors.append(factor)
+                # the net term: a basis no sample used gets its L2 gradient only
+                dropped.append(any(np.array_equal(grads[p][n], 2.0 * w[n] * l2_weight)
+                                   for p, w in stacks.items() if p in grads for n in range(len(w))))
+                reached.append(any(p in grads for p in head))
 
-        assert any(dropped[:6]) and any(dropped[6:])
-        assert all(f is not None for f in factors) if clip_norm else not any(factors)
-        assert [m["loss"] for m in metrics] == losses
-        assert state.vector.data.tobytes() == oracle.vector.data.tobytes()
-        if optimizer == "sgd":
-            assert state.opt_state is None
-        else:
-            expected = np.concatenate([accumulators[name].reshape(-1)
-                                       for name, p in TR.named_parameters(oracle)])
+            assert any(dropped[:6]) and any(dropped[6:])
+            assert reached == [mode == "per_layer" or l2_weight > 0.0] * 6 + [False] * 6
+            assert all(f is not None for f in factors) if clip_norm else not any(factors)
+            assert [m["loss"] for m in metrics] == losses
+            assert state.vector.data.tobytes() == oracle.vector.data.tobytes()
+            if optimizer == "sgd":
+                assert state.opt_state is None
+                continue
+            named = TR.named_parameters(oracle)
+            expected = np.concatenate([accumulators.get(name, np.zeros(p.shape)).reshape(-1)
+                                       for name, p in named])
             assert state.opt_state.tobytes() == expected.tobytes()
+            if mode == "one_hot" and l2_weight == 0.0:
+                slots = dict(zip((name for name, _ in named),
+                                 TR._views(state.opt_state, [p for _, p in named])))
+                assert not any(name.startswith("lm.coeff_head.") for name in accumulators)
+                assert not np.any(slots["lm.coeff_head.w"]) and not np.any(slots["lm.coeff_head.b"])
 
 
 class TestBatchedMatchesPerImage:
