@@ -99,10 +99,9 @@ def cmd_disturb(args) -> int:
         layers = [_flag_value(args.layer, int, "--layer")]
         labels = [f"{args.kind}@L{layers[0]}"]
 
-    reference = di.evaluate_disturbed(*model, evalset, di.Disturbance("correct"))
-    stats = di.seed_average(*model, evalset, args.kind, layers, seeds)
+    reference, accuracies = di.study(*model, evalset, args.kind, layers, seeds)
     rows = [("correct", reference, 0.0)] + [
-        (label, accuracy, accuracy - reference) for label, (accuracy, _) in zip(labels, stats)]
+        (label, accuracy, accuracy - reference) for label, accuracy in zip(labels, accuracies)]
 
     out = cfg.output_dir / "disturbance.csv"
     ck.write_csv(out, ["kind_or_layer", "accuracy", "delta_vs_correct"], rows)

@@ -2,11 +2,11 @@
 
 Each disturbance replaces the predicted coefficients before synthesis -
 with their argmax one-hot, the dataset mean, a uniform blend, or a random
-within-row shuffle - either at every non-shared layer or at a single one.
-Early termination is disabled throughout; the question is about the
-specialist, not the gate. The edit is ``infer_batch``'s ``edit`` hook: it
-takes the whole (B, rows, N) coefficient tensor and returns the disturbed
-one, in any synthesis mode.
+within-row shuffle - either at every non-shared layer or at a single one,
+through ``infer_batch``'s ``edit`` hook on the whole (B, rows, N) tensor,
+in any synthesis mode, with early termination disabled. ``study`` answers
+``disturb`` from one undisturbed reference pass: it gives the ``correct``
+row, the ``mean`` table and every layer that the disturbance cannot change.
 """
 
 from __future__ import annotations
@@ -34,12 +34,9 @@ class Disturbance:
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
 
 
-def mean_coefficients(lm: pl.LightweightModel, params: pl.LMParams,
-                      bank: syn.BasisBank, cfg: syn.SynthesisConfig,
-                      dataset: Dataset) -> np.ndarray:
-    """Per-layer mean coefficient rows over an evaluation set."""
-    record = pl.infer_batch(lm, params, bank, cfg, dataset.images, pl.NEVER_TERMINATE)
-    return record.coefficients.sum(axis=0) / len(dataset)
+def mean_coefficients(record: pl.BatchResult) -> np.ndarray:
+    """Per-layer mean coefficient rows of a pass at ``NEVER_TERMINATE``."""
+    return record.coefficients.sum(axis=0) / len(record.coefficients)
 
 
 def disturb(alpha: T.Tensor, disturbance: Disturbance,
@@ -90,9 +87,8 @@ def evaluate_disturbed(lm: pl.LightweightModel, params: pl.LMParams,
                        bank: syn.BasisBank, cfg: syn.SynthesisConfig,
                        dataset: Dataset, disturbance: Disturbance,
                        mean_table: np.ndarray | None = None) -> float:
-    """Specialist accuracy with disturbed coefficients, no early termination."""
-    if disturbance.kind == "mean" and mean_table is None:
-        mean_table = mean_coefficients(lm, params, bank, cfg, dataset)
+    """Specialist accuracy with disturbed coefficients, no early termination.
+    A ``mean`` disturbance needs ``mean_table`` (see ``mean_coefficients``)."""
     rows = _rows_for_layer(bank, disturbance.layer)
     record = pl.infer_batch(
         lm, params, bank, cfg, dataset.images, pl.NEVER_TERMINATE,
@@ -100,20 +96,23 @@ def evaluate_disturbed(lm: pl.LightweightModel, params: pl.LMParams,
     return record.accuracy(dataset.labels)
 
 
-def seed_average(lm: pl.LightweightModel, params: pl.LMParams, bank: syn.BasisBank,
-                 cfg: syn.SynthesisConfig, dataset: Dataset, kind: str,
-                 layers, seeds: int) -> list[tuple[float, float]]:
-    """(mean, std) accuracy over seeds 0..seeds-1 of a ``kind`` disturbance at
-    each of ``layers`` (a bank layer index, or None for every layer). Only
-    ``shuffled`` reads the seed: any other kind runs once per layer, so its
-    std is 0.0. A ``mean`` disturbance computes its table once for all."""
-    mean_table = mean_coefficients(lm, params, bank, cfg, dataset) if kind == "mean" else None
-    stats = []
-    for layer in layers:
-        accs = [
+def study(lm: pl.LightweightModel, params: pl.LMParams, bank: syn.BasisBank,
+          cfg: syn.SynthesisConfig, dataset: Dataset, kind: str,
+          layers, seeds: int) -> tuple[float, list[float]]:
+    """(undisturbed accuracy, accuracy of a ``kind`` disturbance at each of
+    ``layers``: a bank layer index, or None for every layer). Every layer is
+    range-checked first. One reference pass gives the undisturbed accuracy,
+    the ``mean`` table and each layer that the disturbance cannot change
+    (kind ``correct``, or a shared layer: it has no coefficient row). Each
+    other layer runs ``evaluate_disturbed`` once, or for ``shuffled``, the
+    one kind that reads the seed, at seeds 0..seeds-1 and takes the mean."""
+    rows = [_rows_for_layer(bank, layer) for layer in layers]
+    record = pl.infer_batch(lm, params, bank, cfg, dataset.images, pl.NEVER_TERMINATE)
+    reference = record.accuracy(dataset.labels)
+    mean_table = mean_coefficients(record) if kind == "mean" else None
+    return reference, [
+        reference if kind == "correct" or layer_rows == [] else float(np.mean([
             evaluate_disturbed(lm, params, bank, cfg, dataset,
-                               Disturbance(kind=kind, layer=layer, seed=s), mean_table)
-            for s in range(seeds if kind == "shuffled" else 1)
-        ]
-        stats.append((float(np.mean(accs)), float(np.std(accs))))
-    return stats
+                               Disturbance(kind, layer, seed), mean_table)
+            for seed in range(seeds if kind == "shuffled" else 1)]))
+        for layer, layer_rows in zip(layers, rows)]

@@ -409,10 +409,12 @@ class TestDisturbanceOrdering:
         state = scaling_runs[(4, 0)]
         model = (state.lm, state.lm_params, state.bank, state.synth_cfg)
 
-        correct = DI.evaluate_disturbed(*model, evalset, DI.Disturbance("correct"))
+        reference = P.infer_batch(*model, evalset.images, P.NEVER_TERMINATE)
+        correct = reference.accuracy(evalset.labels)
         top1 = DI.evaluate_disturbed(*model, evalset, DI.Disturbance("top1"))
         uniform = DI.evaluate_disturbed(*model, evalset, DI.Disturbance("uniform"))
-        mean_acc = DI.evaluate_disturbed(*model, evalset, DI.Disturbance("mean"))
+        mean_acc = DI.evaluate_disturbed(*model, evalset, DI.Disturbance("mean"),
+                                         DI.mean_coefficients(reference))
         shuffled = float(np.mean([
             DI.evaluate_disturbed(*model, evalset, DI.Disturbance("shuffled", seed=s))
             for s in range(5)
@@ -432,12 +434,17 @@ class TestDisturbanceOrdering:
         # supplementary: shuffling near the head costs more than shuffling early
         _, evalset = scaling_data
         state = scaling_runs[(4, 0)]
-        stats = DI.seed_average(state.lm, state.lm_params, state.bank, state.synth_cfg,
-                                evalset, "shuffled", range(state.bank.spec.num_layers), 5)
-        (first_mean, first_std), (last_mean, last_std) = stats[0], stats[-1]
+        last = state.bank.spec.num_layers - 1
+        per_seed = {
+            layer: [DI.evaluate_disturbed(state.lm, state.lm_params, state.bank, state.synth_cfg,
+                                          evalset, DI.Disturbance("shuffled", layer, seed))
+                    for seed in range(5)]
+            for layer in (0, last)}
+        first_mean, first_std = np.mean(per_seed[0]), np.std(per_seed[0])
+        last_mean, last_std = np.mean(per_seed[last]), np.std(per_seed[last])
         ok = last_mean <= first_mean + first_std + last_std
         print(f"[extra] layer trend: L0 {first_mean:.3f} "
-              f"-> L{len(stats) - 1} {last_mean:.3f} (PASS={ok})")
+              f"-> L{last} {last_mean:.3f} (PASS={ok})")
         assert ok
 
 
@@ -589,8 +596,9 @@ class TestBasisDropout:
         while state.step < schedule.total_steps:
             batch = TR.sample_batch(train, schedule, state.step)
             state, _ = TR.train_step(state, batch, schedule, loss_cfg)
-        table = DI.mean_coefficients(state.lm, state.lm_params, state.bank,
-                                     state.synth_cfg, evalset)
+        table = DI.mean_coefficients(P.infer_batch(
+            state.lm, state.lm_params, state.bank, state.synth_cfg, evalset.images,
+            P.NEVER_TERMINATE))
         mass = table.sum(axis=0)
         alive = bool(np.all(mass > 1e-6))
         report(13, dropped_clean and alive,

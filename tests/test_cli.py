@@ -422,37 +422,53 @@ class TestDisturb:
         for row in rows:
             for column in ("accuracy", "delta_vs_correct"):
                 float(row[column])
-        # every layer's row, and the one-layer form's, is seed_average's mean
+        # the correct row is the study's reference, and every layer's row,
+        # and the one-layer form's, is the study's mean for that layer
         state, cfg = CK.load_checkpoint(trained_ckpt)
         _, evalset = EX.load_dataset(cfg)
-        means = [mean for mean, _ in DI.seed_average(
-            state.lm, state.lm_params, state.bank, state.synth_cfg, evalset,
-            "shuffled", range(3), 2)]
-        assert [float(r["accuracy"]) for r in rows[1:]] == means
+        reference, means = DI.study(state.lm, state.lm_params, state.bank, state.synth_cfg,
+                                    evalset, "shuffled", range(3), 2)
+        assert [float(r["accuracy"]) for r in rows] == [reference] + means
         assert main(["disturb", "--ckpt", str(trained_ckpt),
                      "--kind", "shuffled", "--layer", "1", "--seeds", "2"]) == 0
         with open(workdir / "runs" / "demo" / "disturbance.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert (rows[1]["kind_or_layer"], float(rows[1]["accuracy"])) == ("shuffled@L1", means[1])
 
-    def test_seeds_default_to_config(self, workdir, capsys, monkeypatch):
+    def test_seeds_default_to_config(self, workdir, capsys, record_calls):
         raw = base_config()
         raw["output_dir"] = str(workdir / "runs" / "seeds")
         raw["eval"]["disturbance_seeds"] = 3
         path = workdir / "seeds.json"
         path.write_text(json.dumps(raw))
         assert main(["train", "--config", str(path)]) == 0
-        evaluate = DI.evaluate_disturbed
-        seen = []
-
-        def recording(*args, **kwargs):
-            seen.append(args[5])
-            return evaluate(*args, **kwargs)
-
-        monkeypatch.setattr(DI, "evaluate_disturbed", recording)
+        calls = record_calls(DI, "evaluate_disturbed")
         ckpt = workdir / "runs" / "seeds" / "checkpoint"
         assert main(["disturb", "--ckpt", str(ckpt), "--kind", "shuffled"]) == 0
-        assert [d.seed for d in seen if d.kind == "shuffled"] == [0, 1, 2]
+        assert [args[5].seed for args in calls if args[5].kind == "shuffled"] == [0, 1, 2]
+
+    @pytest.mark.parametrize("flags,passes", [
+        (["--kind", "mean", "--layer", "1", "--seeds", "2"], 2),
+        (["--kind", "correct", "--layer", "all"], 1),
+        (["--kind", "mean", "--layer", "all"], 3),
+        (["--kind", "shuffled", "--layer", "all", "--seeds", "5"], 11),
+    ], ids=["mean@L1", "correct@all", "mean@all", "shuffled@all"])
+    def test_passes_per_command(self, workdir, trained_ckpt, capsys, record_calls,
+                                flags, passes):
+        # one reference pass, then one pass (per seed for shuffled) at each
+        # layer the disturbance changes; the config's layer 0 is shared
+        calls = record_calls(P, "infer_batch")
+        assert main(["disturb", "--ckpt", str(trained_ckpt)] + flags) == 0
+        assert len(calls) == passes
+
+    @pytest.mark.parametrize("kind", DI.KINDS)
+    def test_out_of_range_layer_exits_one_with_one_line(self, workdir, trained_ckpt, capsys,
+                                                        record_calls, kind):
+        calls = record_calls(P, "infer_batch")
+        assert main(["disturb", "--ckpt", str(trained_ckpt), "--kind", kind, "--layer", "9"]) == 1
+        assert capsys.readouterr().err == "error: layer 9 out of range [0, 3)\n"
+        assert calls == []
+        assert not (workdir / "runs" / "demo" / "disturbance.csv").exists()
 
     def test_zero_seeds_exit_one_with_one_line(self, workdir, trained_ckpt, capsys):
         assert main(["disturb", "--ckpt", str(trained_ckpt),

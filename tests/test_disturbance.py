@@ -122,9 +122,10 @@ class TestEvaluateDisturbed:
     def test_single_basis_is_immune_to_every_kind(self):
         state = toy_state(n_bases=1, seed=5)
         _, evalset = toy_dataset(train_size=8, eval_size=16)
+        model = (state.lm, state.lm_params, state.bank, state.synth_cfg)
+        table = DI.mean_coefficients(P.infer_batch(*model, evalset.images, P.NEVER_TERMINATE))
         accs = {
-            kind: DI.evaluate_disturbed(state.lm, state.lm_params, state.bank,
-                                        state.synth_cfg, evalset, DI.Disturbance(kind))
+            kind: DI.evaluate_disturbed(*model, evalset, DI.Disturbance(kind), table)
             for kind in DI.KINDS
         }
         assert len(set(accs.values())) == 1
@@ -149,70 +150,97 @@ class TestEvaluateDisturbed:
                                   state.synth_cfg, evalset,
                                   DI.Disturbance("uniform", layer=9))
 
+    def test_mean_without_table_rejected(self, model):
+        state, evalset = model
+        with pytest.raises(ValueError, match="mean table"):
+            DI.evaluate_disturbed(state.lm, state.lm_params, state.bank,
+                                  state.synth_cfg, evalset, DI.Disturbance("mean"))
+
     def test_mean_table_matches_manual_average(self, model):
         state, evalset = model
-        table = DI.mean_coefficients(state.lm, state.lm_params, state.bank,
-                                     state.synth_cfg, evalset)
+        params = (state.lm, state.lm_params, state.bank, state.synth_cfg)
+        table = DI.mean_coefficients(P.infer_batch(*params, evalset.images, P.NEVER_TERMINATE))
         assert table.shape == (2, 3)
         np.testing.assert_allclose(table.sum(axis=1), 1.0, atol=1e-9)
+        manual = sum(P.infer(*params, evalset.images[i:i + 1], threshold=1.01).coefficients.data
+                     for i in range(len(evalset))) / len(evalset)
+        np.testing.assert_allclose(table, manual, atol=1e-12)
+
+
+def toy_model(seed, shared=(0,), eval_size=16):
+    """(lm, params, bank, synthesis config, eval set) of a 3-layer toy."""
+    state = toy_state(n_bases=3, seed=seed, shared=shared)
+    _, evalset = toy_dataset(train_size=8, eval_size=eval_size)
+    return state.lm, state.lm_params, state.bank, state.synth_cfg, evalset
 
 
 class TestLayerSweep:
-    def test_shared_layer_disturbance_is_noop(self):
-        state = toy_state(n_bases=3, seed=6, shared=(0,))
-        _, evalset = toy_dataset(train_size=8, eval_size=16)
-        reference = DI.evaluate_disturbed(state.lm, state.lm_params, state.bank,
-                                          state.synth_cfg, evalset, DI.Disturbance("correct"))
-        layers = range(state.bank.spec.num_layers)
-        stats = DI.seed_average(state.lm, state.lm_params, state.bank, state.synth_cfg,
-                                evalset, "shuffled", layers, 2)
-        assert state.bank.share_mask[0]
-        assert stats[0] == (reference, 0.0)
-        assert len(stats) == len(layers)
+    def test_shared_layer_disturbance_is_noop(self, record_calls):
+        # every kind at the shared layer 0 reports the reference pass's
+        # accuracy as it is, and runs no disturbed pass there
+        model = toy_model(seed=6)
+        reference = DI.evaluate_disturbed(*model, DI.Disturbance("correct"))
+        assert model[2].share_mask[0]
+        calls = record_calls(DI, "evaluate_disturbed")
+        for kind in DI.KINDS:
+            got, accuracies = DI.study(*model, kind, range(3), 2)
+            assert got == reference and accuracies[0] == reference
+            assert len(accuracies) == 3
+        assert calls and all(args[5].layer != 0 for args in calls)
 
-    def test_reports_mean_and_std_over_seeds(self):
-        state = toy_state(n_bases=3, seed=7)
-        _, evalset = toy_dataset(train_size=8, eval_size=12)
-        stats = DI.seed_average(state.lm, state.lm_params, state.bank, state.synth_cfg,
-                                evalset, "shuffled", range(state.bank.spec.num_layers), 3)
-        for mean, std in stats:
-            assert 0.0 <= mean <= 1.0
-            assert std >= 0.0
+    def test_reports_mean_over_seeds(self):
+        model = toy_model(seed=7, eval_size=12)
+        reference, accuracies = DI.study(*model, "shuffled", range(3), 3)
+        assert accuracies[0] == reference  # shared
+        for layer in (1, 2):
+            per_seed = [DI.evaluate_disturbed(*model, DI.Disturbance("shuffled", layer, seed))
+                        for seed in range(3)]
+            assert accuracies[layer] == float(np.mean(per_seed))
+            assert 0.0 <= accuracies[layer] <= 1.0
 
-    def test_mean_table_computed_once_per_sweep(self, monkeypatch):
-        state = toy_state(n_bases=3, seed=8)
-        _, evalset = toy_dataset(train_size=8, eval_size=12)
-        calls = []
-        mean_coefficients = DI.mean_coefficients
+    def test_mean_table_computed_once_per_sweep(self, record_calls):
+        # the table is the reference pass's: no pass of its own, and each
+        # non-shared layer's one pass synthesizes from it
+        model = toy_model(seed=8, eval_size=12)
+        tables = record_calls(DI, "mean_coefficients")
+        evaluations = record_calls(DI, "evaluate_disturbed")
+        passes = record_calls(P, "infer_batch")
+        DI.study(*model, "mean", range(3), 3)
+        assert len(tables) == 1 and len(passes) == 3
+        reference = P.infer_batch(*model[:4], model[4].images, P.NEVER_TERMINATE)
+        for args in evaluations:
+            np.testing.assert_array_equal(args[6], DI.mean_coefficients(reference))
 
-        def counting(*args):
-            calls.append(1)
-            return mean_coefficients(*args)
-
-        monkeypatch.setattr(DI, "mean_coefficients", counting)
-        DI.seed_average(state.lm, state.lm_params, state.bank, state.synth_cfg,
-                        evalset, "mean", range(state.bank.spec.num_layers), 3)
-        assert len(calls) == 1
-
-    def test_seedless_kind_runs_once_per_layer(self, monkeypatch):
+    def test_seedless_kind_runs_once_per_layer(self, record_calls):
         # only shuffled reads the seed: top1 over 3 seeds is one pass per
-        # layer, reported as that pass's accuracy with std 0.0, which every
-        # seed's pass would give
-        state = toy_state(n_bases=3, seed=8)
-        _, evalset = toy_dataset(train_size=8, eval_size=12)
-        model = (state.lm, state.lm_params, state.bank, state.synth_cfg, evalset)
-        calls = []
+        # non-shared layer, reported as that pass's accuracy, which every
+        # seed's pass would give; the shared layer 0 runs none
+        model = toy_model(seed=8, eval_size=12)
         evaluate_disturbed = DI.evaluate_disturbed
-
-        def counting(*args):
-            calls.append(args[5].layer)
-            return evaluate_disturbed(*args)
-
-        monkeypatch.setattr(DI, "evaluate_disturbed", counting)
-        layers = range(state.bank.spec.num_layers)
-        stats = DI.seed_average(*model, "top1", layers, 3)
-        assert calls == list(layers)
-        for layer, (accuracy, std) in zip(layers, stats):
-            assert std == 0.0
+        calls = record_calls(DI, "evaluate_disturbed")
+        _, accuracies = DI.study(*model, "top1", range(3), 3)
+        assert [args[5].layer for args in calls] == [1, 2]
+        for layer, accuracy in enumerate(accuracies):
             assert all(evaluate_disturbed(*model, DI.Disturbance("top1", layer, seed)) == accuracy
                        for seed in range(3))
+
+    @pytest.mark.parametrize("kind,layers,seeds,shared,passes", [
+        ("mean", [1], 2, (), 2),  # a separate mean-table pass made it 3
+        ("correct", [0, 1, 2], 5, (), 1),  # a pass per layer made it 4
+        ("mean", [0, 1, 2], 5, (), 4),  # 5
+        ("shuffled", [0, 1, 2], 5, (0,), 11),  # 5 passes at the shared layer made it 16
+        ("correct", [None], 5, (), 1),
+    ])
+    def test_passes_per_study(self, record_calls, kind, layers, seeds, shared, passes):
+        model = toy_model(seed=9, shared=shared, eval_size=12)
+        calls = record_calls(P, "infer_batch")
+        DI.study(*model, kind, layers, seeds)
+        assert len(calls) == passes
+
+    @pytest.mark.parametrize("kind", DI.KINDS)
+    def test_layer_range_checked_before_any_pass(self, record_calls, kind):
+        model = toy_model(seed=9, eval_size=12)
+        calls = record_calls(P, "infer_batch")
+        with pytest.raises(ValueError, match="layer 9 out of range"):
+            DI.study(*model, kind, [0, 9], 2)
+        assert calls == []

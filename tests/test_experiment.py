@@ -181,6 +181,7 @@ class TestExportCoefficients:
             for row in csv.DictReader(fh):
                 sums[layer_to_row[int(row["layer"])], int(row["basis"])] += float(row["coefficient"])
         from kernelblend import disturbance as DI
-        table = DI.mean_coefficients(state.lm, state.lm_params, state.bank,
-                                     state.synth_cfg, evalset)
+        table = DI.mean_coefficients(P.infer_batch(
+            state.lm, state.lm_params, state.bank, state.synth_cfg, evalset.images,
+            P.NEVER_TERMINATE))
         np.testing.assert_allclose(sums / 20, table, atol=1e-12)
