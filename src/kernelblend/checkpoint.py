@@ -122,8 +122,7 @@ def _restore(manifest: dict, blob_path: Path) -> tuple[TrainState, ExperimentCon
     """Build the config's model, fill it from the blob, and set the step and
     the synthesis mode the last step that ran left."""
     cfg = parse_config(manifest["config"])
-    state = init_state(cfg.lm, cfg.bank_spec, cfg.n_bases, cfg.shared_layers, cfg.synth_cfg,
-                       seed=cfg.seed)
+    state = init_state(cfg.lm, cfg.bank_spec, cfg.shared_layers, cfg.synth_cfg, seed=cfg.seed)
     recorded, expected = manifest["tensors"], tensor_index(state)
     if recorded != expected:
         pairs = zip_longest(recorded if isinstance(recorded, list) else [recorded], expected)
@@ -143,7 +142,7 @@ def _restore(manifest: dict, blob_path: Path) -> tuple[TrainState, ExperimentCon
     if len(values) > n:
         state.opt_state = values[n:]
     state.step = _cast(manifest["step"], int, "step")
-    # the mode the last step set; init_state refuses a per_model lm under one_hot
+    # the mode the last step set, after init_state checked the head against the configured one
     if cfg.schedule.selects(state.step - 1):
         state.synth_cfg = replace(state.synth_cfg, mode="one_hot")
     return state, cfg

@@ -19,9 +19,8 @@ from . import checkpoint as ck
 from . import cost as co
 from . import disturbance as di
 from . import experiment as ex
-from . import synthesis as syn
 from .config import ConfigError, load_config, read_threshold, read_thresholds
-from .training import TrainingDiverged
+from .training import TrainingDiverged, init_state
 
 
 def _flag_value(text: str, kind, flag: str):
@@ -113,8 +112,8 @@ def cmd_disturb(args) -> int:
 
 def cmd_cost(args) -> int:
     cfg = load_config(args.config)
-    bank = syn.build_bank(cfg.bank_spec, cfg.n_bases, cfg.shared_layers, cfg.seed)
-    report = co.full_cost(cfg.lm, bank)
+    state = init_state(cfg.lm, cfg.bank_spec, cfg.shared_layers, cfg.synth_cfg, seed=cfg.seed)
+    report = co.full_cost(state.lm, state.bank)
     text = json.dumps(dataclasses.asdict(report), indent=1)
     ck.write_atomically(cfg.output_dir / "cost.json", text.encode())
     print(text)

@@ -146,17 +146,15 @@ class ExperimentConfig:
     dataset: dict
     lm: pl.LightweightModel
     bank_spec: bb.BackboneSpec
-    n_bases: int
     shared_layers: list[int]
     synth_cfg: syn.SynthesisConfig
     schedule: tr.TrainSchedule
     loss: tr.LossConfig
     teacher_checkpoint: Path | None
+    distill: tr.DistillConfig | None  # the options; build_state loads the teacher
     eval_thresholds: list[float]
     default_threshold: float
     disturbance_seeds: int
-    distill_policy: str
-    distill_soft_weight: float
 
 
 def _dataset_section(raw: dict) -> dict:
@@ -203,10 +201,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError("bank.shared must be a list of [lo, hi] ranges")
         lo, hi = (_cast(v, int, "bank.shared") for v in rng)
         if not (0 <= lo <= hi < bank_spec.num_layers):
-            raise ConfigError(
-                f"bank.shared range [{lo}, {hi}] outside layers [0, {bank_spec.num_layers})")
+            raise ConfigError(f"bank.shared: expected ranges with 0 <= lo <= hi < "
+                              f"{bank_spec.num_layers}, got [{lo}, {hi}]")
         shared_layers.extend(range(lo, hi + 1))
     shared_layers = sorted(set(shared_layers))
+    bank_rows = bank_spec.num_layers - len(shared_layers)
+    if not bank_rows:
+        raise ConfigError(f"bank.shared covers all {bank_spec.num_layers} layers; "
+                          f"a bank must blend at least one")
 
     synth_d = _take(top["synthesis"], "synthesis", {}, {
         "activation": str, "mode": str, "bmd_renormalize": bool,
@@ -218,10 +220,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     }, {"downsample": int})
     trunk = read_spec(lm_d.pop("input_shape"), lm_d.pop("layers"), bank_spec.num_classes,
                       "lightweight")
-    coeff_rows = 1 if synth_cfg.mode == "per_model" else (
-        bank_spec.num_layers - len(shared_layers))
     lm = _build(pl.LightweightModel, "lightweight", trunk=trunk, n_bases=bank_d["n_bases"],
-                coeff_rows=coeff_rows, **lm_d)
+                coeff_rows=synth_cfg.head_rows(bank_rows), **lm_d)
     c, h, w = bank_spec.input_shape  # the lightweight model previews it, downsampled
     if h % lm.downsample or w % lm.downsample:
         raise ConfigError(f"lightweight.downsample {lm.downsample} does not divide the bank's {h}x{w} input")
@@ -247,14 +247,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
         "lm_weight": float, "l2_weight": float, "distill": dict,
     })
     distill_d = loss_d.pop("distill", None)
-    teacher_checkpoint = None
+    teacher_checkpoint = distill = None
     if distill_d is not None:
         distill_d = _take(distill_d, "loss.distill", {"teacher_checkpoint": str},
                           {"policy": str, "soft_weight": float})
         teacher_checkpoint = Path(distill_d.pop("teacher_checkpoint"))
-    # the teacher is loaded at build time; this checks the options and fills in defaults
-    distill = _build(tr.DistillConfig, "loss.distill", teacher_spec=None, teacher_params=None,
-                     **(distill_d or {}))
+        distill = _build(tr.DistillConfig, "loss.distill", teacher_spec=None,
+                         teacher_params=None, **distill_d)
     loss = _build(tr.LossConfig, "loss", **loss_d)
 
     eval_d = _take(top["eval"], "eval", {}, {
@@ -271,19 +270,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
         dataset=dataset,
         lm=lm,
         bank_spec=bank_spec,
-        n_bases=bank_d["n_bases"],
         shared_layers=shared_layers,
         synth_cfg=synth_cfg,
         schedule=schedule,
         loss=loss,
         teacher_checkpoint=teacher_checkpoint,
+        distill=distill,
         eval_thresholds=read_thresholds(eval_d.get("thresholds", [0.0, 0.5, 0.7, 0.9, 1.01]),
                                         "eval.thresholds"),
         default_threshold=read_threshold(eval_d.get("default_threshold", 0.7),
                                          "eval.default_threshold"),
         disturbance_seeds=disturbance_seeds,
-        distill_policy=distill.policy,
-        distill_soft_weight=distill.soft_weight,
     )
 
 

@@ -9,10 +9,12 @@ metrics.csv.
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import numpy as np
 
+from . import backbone as bb
 from . import checkpoint as ck
 from . import cost as co
 from . import pipeline as pl
@@ -45,22 +47,26 @@ def load_dataset(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     return train, evalset
 
 
-def teacher_from_checkpoint(path) -> tr.DistillConfig:
-    """A teacher is a single-basis checkpoint; its bank is a plain backbone."""
+def teacher_from_checkpoint(path, bank_spec) -> tuple[bb.BackboneSpec, bb.BackboneParams]:
+    """A teacher is a single-basis checkpoint whose bank, a plain backbone, takes
+    the student bank's input and classes; errors name the key that gives its path."""
     state, _ = ck.load_checkpoint(path)
+    key, teacher = "loss.distill.teacher_checkpoint", state.bank.spec
     if state.bank.n_bases != 1:
-        raise ValueError(f"teacher checkpoint must hold a single-basis model, got {state.bank.n_bases}")
-    params = syn.select_params(state.bank, [0] * state.bank.n_coefficient_rows)
-    return tr.DistillConfig(teacher_spec=state.bank.spec, teacher_params=params)
+        raise ConfigError(f"{key}: the teacher must be a single-basis model, got {state.bank.n_bases} bases")
+    for field in ("input_shape", "num_classes"):
+        got, want = (json.dumps(getattr(spec, field)) for spec in (teacher, bank_spec))
+        if got != want:
+            raise ConfigError(f"{key}: the teacher's bank.{field} is {got} but the student's is {want}")
+    return teacher, syn.select_params(state.bank, [0] * state.bank.n_coefficient_rows)
 
 
 def build_state(cfg: ExperimentConfig) -> tuple[tr.TrainState, tr.LossConfig]:
-    state = tr.init_state(cfg.lm, cfg.bank_spec, cfg.n_bases, cfg.shared_layers,
-                          cfg.synth_cfg, seed=cfg.seed)
-    if cfg.teacher_checkpoint is None:
+    state = tr.init_state(cfg.lm, cfg.bank_spec, cfg.shared_layers, cfg.synth_cfg, seed=cfg.seed)
+    if cfg.distill is None:
         return state, cfg.loss
-    distill = replace(teacher_from_checkpoint(cfg.teacher_checkpoint),
-                      policy=cfg.distill_policy, soft_weight=cfg.distill_soft_weight)
+    spec, params = teacher_from_checkpoint(cfg.teacher_checkpoint, cfg.bank_spec)
+    distill = replace(cfg.distill, teacher_spec=spec, teacher_params=params)
     return state, replace(cfg.loss, distill=distill)
 
 

@@ -33,7 +33,7 @@ class LightweightModel:
 
     trunk: bb.BackboneSpec
     n_bases: int
-    coeff_rows: int  # non-shared layer count, or 1 in per-model mode
+    coeff_rows: int  # SynthesisConfig.head_rows of the bank's blended layers
     downsample: int = 1
 
     def __post_init__(self):

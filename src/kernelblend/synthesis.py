@@ -41,6 +41,11 @@ class SynthesisConfig:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
+    def head_rows(self, bank_rows: int) -> int:
+        """Coefficient rows the head emits for a bank that blends ``bank_rows``
+        layers: one per blended layer, or one for the whole model."""
+        return 1 if self.mode == "per_model" else bank_rows
+
 
 @dataclass
 class BasisBank:

@@ -423,14 +423,14 @@ def train_step(state: TrainState, batch: tuple[np.ndarray, np.ndarray],
 # state construction
 
 
-def init_state(lm: pl.LightweightModel, bank_spec: bb.BackboneSpec, n_bases: int,
-               shared_layers, synth_cfg: syn.SynthesisConfig, seed: int) -> TrainState:
-    """Build a fresh trainable state with deterministic initialization."""
-    bank = syn.build_bank(bank_spec, n_bases, shared_layers, seed)
+def init_state(lm: pl.LightweightModel, bank_spec: bb.BackboneSpec, shared_layers,
+               synth_cfg: syn.SynthesisConfig, seed: int) -> TrainState:
+    """Build a fresh trainable state with deterministic initialization; the
+    bank has the lightweight model's ``n_bases``."""
+    bank = syn.build_bank(bank_spec, lm.n_bases, shared_layers, seed)
     lm_params = pl.build_lm(lm, seed + 1)
-    expected_rows = 1 if synth_cfg.mode == "per_model" else bank.n_coefficient_rows
-    if lm.coeff_rows != expected_rows or lm.n_bases != n_bases:
-        raise ValueError(
-            f"lightweight coefficient head emits {lm.coeff_rows}x{lm.n_bases}, "
-            f"bank needs {expected_rows}x{n_bases}")
+    expected_rows = synth_cfg.head_rows(bank.n_coefficient_rows)
+    if lm.coeff_rows != expected_rows:
+        raise ValueError(f"{synth_cfg.mode} mode needs a {expected_rows}-row coefficient head, "
+                         f"the lightweight model's has {lm.coeff_rows}")
     return TrainState(lm=lm, lm_params=lm_params, bank=bank, synth_cfg=synth_cfg)

@@ -47,7 +47,7 @@ def scaling_state(n_bases: int, seed: int) -> TR.TrainState:
         B.LayerSpec(8, 12, 3, stride=1, padding=1),
     ), 6)
     lm = P.LightweightModel(trunk=trunk, n_bases=n_bases, coeff_rows=3, downsample=2)
-    return TR.init_state(lm, spec, n_bases, [], S.SynthesisConfig(), seed=seed)
+    return TR.init_state(lm, spec, [], S.SynthesisConfig(), seed=seed)
 
 
 def scaling_schedule(n_bases: int, seed: int, steps: int = SCALING_STEPS) -> TR.TrainSchedule:

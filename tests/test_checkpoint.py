@@ -148,7 +148,7 @@ class TestRoundTrip:
         assert loaded.bank.spec.layers[1].padding == 2
         assert loaded.vector.data.tobytes() == state.vector.data.tobytes()
         cfg = parse_config(manifest["config"])
-        priced = CO.full_cost(cfg.lm, S.build_bank(cfg.bank_spec, cfg.n_bases,
+        priced = CO.full_cost(cfg.lm, S.build_bank(cfg.bank_spec, cfg.lm.n_bases,
                                                    cfg.shared_layers, cfg.seed))
         assert CO.full_cost(loaded.lm, loaded.bank) == priced
         assert priced != CO.full_cost(state.lm, state.bank)

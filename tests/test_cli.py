@@ -191,8 +191,9 @@ class TestPreviewMustMatchBank:
 
 
 class TestKeysNamedInOneLine:
-    """A negative seed, which numpy's generators refuse, and a bank.n_bases
-    below 1 are refused when read, by an error that names the key."""
+    """A negative seed, which numpy's generators refuse, a bank.n_bases
+    below 1 and a bank.shared that leaves no layer to blend are refused when
+    read, by an error that names the key."""
 
     SEEDS = {
         "seed": ((), "seed", "config.seed must be >= 0, got -1"),
@@ -239,6 +240,19 @@ class TestKeysNamedInOneLine:
         path = self._write(workdir, ("bank",), "n_bases", n_bases)
         assert main([command, "--config", str(path)]) == 1
         assert capsys.readouterr() == ("", f"error: bank.n_bases must be >= 1, got {n_bases}\n")
+        assert not (workdir / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["cost", "train"])
+    @pytest.mark.parametrize("mode", ["per_layer", "per_model", "one_hot"])
+    def test_bank_with_nothing_to_blend(self, workdir, capsys, command, mode):
+        raw = base_config()
+        raw["synthesis"]["mode"] = mode
+        raw["bank"]["shared"] = [[0, 1], [2, 2]]
+        path = workdir / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: bank.shared covers all 3 layers; a bank must blend at least one\n")
         assert not (workdir / "runs").exists()
 
 
@@ -543,6 +557,43 @@ class TestCost:
         captured = capsys.readouterr()
         assert captured.err == "error: bank.layers[1].pad: expected int, got 1e+308\n"
         assert captured.out == ""
+        assert not (workdir / "runs").exists()
+
+
+class TestTeacherMustFitBank:
+    """A distillation teacher is a single-basis checkpoint whose bank takes
+    the student bank's input and classes; any other is refused before the
+    first step, by one line that names the key and both values."""
+
+    TEACHERS = {  # the student is base_config(): 6 classes, 12x12 one-channel input
+        "four_classes": (
+            {"dataset": {"num_classes": 4}, "bank": {"num_classes": 4}},
+            "the teacher's bank.num_classes is 4 but the student's is 6"),
+        "sixteen_pixels": (
+            {"dataset": {"image_size": 16}, "bank": {"input_shape": [1, 16, 16]},
+             "lightweight": {"input_shape": [1, 8, 8]}},
+            "the teacher's bank.input_shape is [1, 16, 16] but the student's is [1, 12, 12]"),
+        "three_bases": ({"bank": {"n_bases": 3}},
+                        "the teacher must be a single-basis model, got 3 bases"),
+    }
+
+    @pytest.mark.parametrize("teacher", sorted(TEACHERS))
+    def test_train_fails_with_one_line_and_writes_nothing(self, workdir, capsys, teacher):
+        edits, message = self.TEACHERS[teacher]
+        raw = base_config()
+        raw["bank"]["n_bases"] = 1
+        for section, changes in edits.items():
+            raw[section].update(changes)
+        state, _ = EX.build_state(parse_config(raw))
+        CK.save_checkpoint(state, workdir / "teacher", config=raw)
+
+        raw = base_config()
+        raw["loss"]["distill"] = {"teacher_checkpoint": str(workdir / "teacher")}
+        path = workdir / "student.json"
+        path.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: loss.distill.teacher_checkpoint: {message}\n")
         assert not (workdir / "runs").exists()
 
 

@@ -51,7 +51,7 @@ class TestParsing:
     def test_valid_config_parses(self):
         cfg = parse_config(base_config())
         assert cfg.seed == 7
-        assert cfg.n_bases == 3
+        assert cfg.lm.n_bases == 3
         assert cfg.shared_layers == [0]
         assert cfg.lm.coeff_rows == 2
         assert cfg.schedule.lr_base == 0.05
@@ -82,10 +82,14 @@ class TestParsing:
             parse_config(base_config(schema_version=2))
 
     def test_share_range_out_of_bounds(self):
-        raw = base_config()
-        raw["bank"]["shared"] = [[0, 7]]
-        with pytest.raises(ConfigError, match="range"):
-            parse_config(raw)
+        # the message states the rule that failed: [1, 0] has both ends inside
+        for shared in ([0, 7], [1, 0], [-1, 0]):
+            raw = base_config()
+            raw["bank"]["shared"] = [shared]
+            with pytest.raises(ConfigError) as exc:
+                parse_config(raw)
+            assert str(exc.value) == (
+                f"bank.shared: expected ranges with 0 <= lo <= hi < 3, got {shared}")
 
     def test_bad_dataset_kind(self):
         raw = base_config()
@@ -196,6 +200,7 @@ class TestParsing:
         (("eval", "thresholds"), [0.0, -0.1], "eval.thresholds"),
         (("eval", "thresholds"), [float("inf")], "eval.thresholds"),
         (("eval", "thresholds"), [], "eval.thresholds"),
+        (("bank", "shared"), [[1, 0]], "bank.shared"),
     ])
     def test_bad_value_names_its_key(self, path, value, named):
         raw = base_config()
@@ -256,7 +261,7 @@ class TestParsing:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(base_config()))
         cfg = load_config(path)
-        assert cfg.n_bases == 3
+        assert cfg.lm.n_bases == 3
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -274,5 +279,7 @@ class TestParsing:
                                   "policy": "bases_only", "soft_weight": 0.9}
         cfg = parse_config(raw)
         assert str(cfg.teacher_checkpoint) == "runs/teacher/checkpoint"
-        assert cfg.distill_policy == "bases_only"
-        assert cfg.distill_soft_weight == 0.9
+        assert cfg.distill.policy == "bases_only"
+        assert cfg.distill.soft_weight == 0.9
+        assert cfg.distill.teacher_spec is None  # build_state loads the teacher
+        assert parse_config(base_config()).distill is None

@@ -121,8 +121,9 @@ class TestRunTrain:
     def test_multi_basis_teacher_rejected(self, tmp_path):
         cfg = make_cfg(tmp_path)
         summary = EX.run_train(cfg)  # n_bases == 3
-        with pytest.raises(ValueError, match="single-basis"):
-            EX.teacher_from_checkpoint(summary["checkpoint"])
+        with pytest.raises(ValueError, match="^loss.distill.teacher_checkpoint: the teacher "
+                                             "must be a single-basis model, got 3 bases$"):
+            EX.teacher_from_checkpoint(summary["checkpoint"], cfg.bank_spec)
 
 
 class TestEvalHelpers:

@@ -17,7 +17,7 @@ from kernelblend import training as TR
 from kernelblend.data import augment_batch
 
 from oracles import augment_reference, l2_chain, per_image_forward, train_step_per_tensor
-from toys import run_training, toy_dataset, toy_state
+from toys import run_training, toy_bank_spec, toy_dataset, toy_lm, toy_state
 
 
 def sched(**kw):
@@ -785,6 +785,19 @@ class TestFinetuneOneHot:
 
 
 class TestCoefficientModes:
+    @pytest.mark.parametrize("mode, head_rows, needed", [
+        ("per_model", 2, 1),  # a per-layer head: one row per blended layer
+        ("per_layer", 1, 2),  # a per-model head: one row for the whole model
+    ])
+    def test_head_that_does_not_fit_the_mode_is_refused(self, mode, head_rows, needed):
+        spec = toy_bank_spec()  # three layers, layer 0 shared: two blended
+        cfg = S.SynthesisConfig(mode=mode)
+        assert cfg.head_rows(2) == needed
+        with pytest.raises(ValueError, match=(
+                f"^{mode} mode needs a {needed}-row coefficient head, "
+                f"the lightweight model's has {head_rows}$")):
+            TR.init_state(toy_lm(spec, 3, head_rows), spec, [0], cfg, seed=0)
+
     def test_per_model_training_step_runs(self):
         cfg = S.SynthesisConfig(mode="per_model")
         state = toy_state(n_bases=3, seed=20, synth_cfg=cfg)

@@ -38,9 +38,8 @@ def toy_state(n_bases=3, seed=0, channels=3, num_classes=6, shared=(0,),
               synth_cfg=None, image_size=12):
     spec = toy_bank_spec(channels, num_classes, image_size)
     cfg = synth_cfg or S.SynthesisConfig()
-    rows = 1 if cfg.mode == "per_model" else len(spec.layers) - len(shared)
-    lm = toy_lm(spec, n_bases, rows)
-    return TR.init_state(lm, spec, n_bases, list(shared), cfg, seed=seed)
+    lm = toy_lm(spec, n_bases, cfg.head_rows(len(spec.layers) - len(shared)))
+    return TR.init_state(lm, spec, list(shared), cfg, seed=seed)
 
 
 def toy_config_state(n_bases=3, seed=0):
@@ -65,8 +64,7 @@ def toy_config_state(n_bases=3, seed=0):
         "eval": {},
     }
     cfg = parse_config(raw)
-    state = TR.init_state(cfg.lm, cfg.bank_spec, cfg.n_bases, cfg.shared_layers,
-                          cfg.synth_cfg, seed=cfg.seed)
+    state = TR.init_state(cfg.lm, cfg.bank_spec, cfg.shared_layers, cfg.synth_cfg, seed=cfg.seed)
     return state, raw
 
 
