@@ -144,8 +144,7 @@ def build(spec: BackboneSpec, seed: int) -> BackboneParams:
 
 def run_layer(x: T.Tensor, layer: LayerSpec, lp: LayerParams) -> T.Tensor:
     """One conv layer, bias and activation included, as one ``conv2d`` call."""
-    return T.conv2d(x, lp.kernel, stride=layer.stride, padding=layer.padding,
-                    bias=lp.bias, relu=layer.activation == "relu")
+    return T.conv2d(x, lp.kernel, layer.stride, layer.padding, lp.bias, layer.activation == "relu")
 
 
 def forward_features(params: BackboneParams, spec: BackboneSpec, x: T.Tensor,
@@ -156,7 +155,7 @@ def forward_features(params: BackboneParams, spec: BackboneSpec, x: T.Tensor,
     layer runs, so tests can check execution order against coefficient
     availability.
     """
-    if x.data.ndim != 4 or x.shape[1:] != spec.input_shape:
+    if x.data.shape[1:] != spec.input_shape:  # also refuses any input that is not NCHW
         raise T.ShapeError(f"input {x.shape} does not match spec input shape {spec.input_shape}")
     out = x
     for k, (layer, lp) in enumerate(zip(spec.layers, params.layers)):

@@ -50,8 +50,12 @@ def load_dataset(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
 def teacher_from_checkpoint(path, bank_spec) -> tuple[bb.BackboneSpec, bb.BackboneParams]:
     """A teacher is a single-basis checkpoint whose bank, a plain backbone, takes
     the student bank's input and classes; errors name the key that gives its path."""
-    state, _ = ck.load_checkpoint(path)
-    key, teacher = "loss.distill.teacher_checkpoint", state.bank.spec
+    key = "loss.distill.teacher_checkpoint"
+    try:
+        state, _ = ck.load_checkpoint(path)
+    except ck.CheckpointError as err:
+        raise ConfigError(f"{key}: {err}") from None
+    teacher = state.bank.spec
     if state.bank.n_bases != 1:
         raise ConfigError(f"{key}: the teacher must be a single-basis model, got {state.bank.n_bases} bases")
     for field in ("input_shape", "num_classes"):

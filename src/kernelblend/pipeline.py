@@ -146,7 +146,7 @@ def lm_forward(lm: LightweightModel, params: LMParams, x: T.Tensor) -> tuple[T.T
     """One trunk pass and the class head: (initial logits (B, C), pooled
     features (B, F)). The coefficient head (``coeff_w``, ``coeff_b``) is
     ``stage_two``'s, so inference runs it only on the images the gate passes on."""
-    xd = T.Tensor(downsample_input(x.data, lm.downsample))
+    xd = T.constant(downsample_input(x.data, lm.downsample))  # the trunk's first conv checks it
     feats = bb.forward_features(params.trunk, lm.trunk, xd)
     return T.linear(feats, params.trunk.head_w, params.trunk.head_b), feats
 

@@ -78,7 +78,7 @@ class BasisBank:
 
     @property
     def n_coefficient_rows(self) -> int:
-        return len(self.nonshared_indices())
+        return self.share_mask.count(False)
 
 
 def build_bank(spec: BackboneSpec, n_bases: int, shared_layers, seed: int) -> BasisBank:
@@ -168,28 +168,26 @@ def synthesize(bank: BasisBank, alpha: T.Tensor) -> BackboneParams:
     tensors. Differentiable w.r.t. both the coefficients and every layer's
     stack of bases.
     """
-    if alpha.data.ndim not in (2, 3):
-        raise T.ShapeError(f"coefficients must be (rows, N) or (B, rows, N), got shape {alpha.shape}")
-    if alpha.shape[-1] != bank.n_bases:
-        raise T.ShapeError(f"coefficients have {alpha.shape[-1]} bases, bank has {bank.n_bases}")
+    shape = alpha.data.shape
+    if len(shape) not in (2, 3):
+        raise T.ShapeError(f"coefficients must be (rows, N) or (B, rows, N), got shape {shape}")
+    if shape[-1] != bank.n_bases:
+        raise T.ShapeError(f"coefficients have {shape[-1]} bases, bank has {bank.n_bases}")
     rows = bank.n_coefficient_rows
-    if alpha.shape[-2] != rows:
-        raise T.ShapeError(f"coefficients have {alpha.shape[-2]} rows, bank has {rows} non-shared layers")
+    if shape[-2] != rows:
+        raise T.ShapeError(f"coefficients have {shape[-2]} rows, bank has {rows} non-shared layers")
 
-    single = alpha.data.ndim == 2
-    values = T.reshape(alpha, (1, *alpha.shape)) if single else alpha
-    params = BackboneParams(head_w=bank.head_w, head_b=bank.head_b)
-    r = 0
-    for k, shared in enumerate(bank.share_mask):
-        if shared:
-            kernel = bank.kernels[k]
-        else:
-            kernel = T.blend(values, bank.kernels[k], row=r)
+    single = len(shape) == 2
+    values = T.reshape(alpha, (1, *shape)) if single else alpha
+    layers, r = [], 0
+    for kernel, bias, shared in zip(bank.kernels, bank.biases, bank.share_mask):
+        if not shared:
+            kernel = T.blend(values, kernel, r)
             if single:
                 kernel = T.reshape(kernel, kernel.shape[1:])
             r += 1
-        params.layers.append(LayerParams(kernel=kernel, bias=bank.biases[k]))
-    return params
+        layers.append(LayerParams(kernel, bias))
+    return BackboneParams(layers, bank.head_w, bank.head_b)
 
 
 def select_params(bank: BasisBank, choices) -> BackboneParams:

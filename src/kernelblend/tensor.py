@@ -6,6 +6,16 @@ active GradTape. Replaying the tape in reverse yields gradients for every
 parameter reachable from a scalar loss and releases the tape. There is no
 broadcasting; shape mismatches raise instead of being silently stretched.
 
+With no tape live (inference), an op runs its forward arithmetic alone, the
+taped path's numpy calls in the same order and so the same bits, and returns
+a bare Tensor: no ``requires_grad`` scan, record or backward closure.
+Finiteness is checked on both paths where nothing can hide it: the
+constructor scans outside data, ``conv2d`` its output before the ReLU (which
+maps NaN and -Inf to 0), ``linear`` its output (every logits, the coefficient
+head) and the elementwise arithmetic ops theirs. ``blend`` and
+``global_avg_pool`` do not scan: a blended kernel always feeds a ``conv2d``,
+pooled features a ``linear``, and either check sees a NaN or Inf they pass on.
+
 Float64 is used throughout so finite-difference gradient checks are decisive.
 """
 
@@ -27,33 +37,28 @@ class NonFiniteError(ArithmeticError):
     """A forward operation produced NaN or Inf."""
 
 
-def _require_finite(arr: np.ndarray, message: str) -> None:
-    """Raise NonFiniteError with ``message`` if any entry is NaN or Inf (one
-    ufunc reduce: ``ndarray.all`` would add a Python-level wrapper per op)."""
-    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
+def _finite(arr: np.ndarray, message: str = "forward operation produced NaN or Inf") -> np.ndarray:
+    """``arr``, or NonFiniteError with ``message`` if any entry is NaN or Inf.
+    On a per-image op's few hundred values, counting costs half a reduce."""
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise NonFiniteError(message)
+    return arr
 
 
 def _contiguous(arr: np.ndarray) -> np.ndarray:
-    # most op results are already C-contiguous, so the copy is rarely needed;
-    # a 0-d array always is (ascontiguousarray would promote it to 1-d)
+    # rarely copies; a 0-d array is contiguous (ascontiguousarray makes it 1-d)
     return arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
 
 
 class Tensor:
     """A dense N-dimensional float64 array, optionally tracked for gradients.
-
-    Tensors are immutable after construction except through
-    :meth:`apply_update`, which is the single mutation point reserved for
-    optimizers. Hashing is by identity so tensors can key gradient maps.
-    """
+    Immutable except through :meth:`apply_update`, the optimizers' one
+    mutation point. Hashing is by identity so tensors can key gradient maps."""
 
     __slots__ = ("data", "requires_grad", "tape")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = _contiguous(np.asarray(data, dtype=np.float64))
-        _require_finite(arr, "tensor data contains NaN or Inf")
-        self.data = arr
+        self.data = _finite(_contiguous(np.asarray(data, dtype=np.float64)), "tensor data contains NaN or Inf")
         self.requires_grad = requires_grad
         self.tape: GradTape | None = None
 
@@ -76,19 +81,16 @@ class Tensor:
         target = self.data.reshape(-1)[start:] if start else self.data
         if arr.shape != target.shape:
             raise ShapeError(f"update shape {arr.shape} != parameter shape {target.shape}")
-        _require_finite(arr, "parameter update contains NaN or Inf")
-        target[...] = arr
+        target[...] = _finite(arr, "parameter update contains NaN or Inf")
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 class GradTape:
-    """Ordered record of differentiable operations.
-
-    Each record is (output, inputs, backward_fn) where backward_fn maps the
-    output gradient to per-input gradient contributions. The tape is
-    single-shot: backward() consumes it and a second call is an error.
+    """Ordered record of differentiable operations: (output, inputs,
+    backward_fn), where backward_fn maps the output gradient to per-input
+    contributions. Single-shot: backward() consumes it; a second call raises.
 
     ``into`` maps a tensor to a writable array holding its gradient's start
     (zeros, or a term computed off the tape such as L2's): backward adds
@@ -118,28 +120,26 @@ def recording(tape: GradTape):
 
 
 def constant(data: np.ndarray) -> Tensor:
-    """A Tensor over rows taken from a Tensor's data, which are finite
-    already: the constructor's finiteness scan is skipped."""
-    return _result(data, (), None, checked=True)
-
-
-def _result(data: np.ndarray, inputs: Sequence[Tensor], backward: Callable,
-            checked: bool = False) -> Tensor:
-    """Wrap an op result, check it is finite (unless ``checked``: the op did,
-    or finite inputs cannot give anything else), and record it if a tape is live."""
-    if not checked:
-        _require_finite(data, "forward operation produced NaN or Inf")
+    """A Tensor over C-contiguous float64 ``data`` as it is, on no tape: no
+    copy, no scan. What an op returns with no tape live; it also wraps data
+    that is finite already (rows of a Tensor) or whose first use is checked."""
     out = Tensor.__new__(Tensor)
-    out.data = _contiguous(data)
+    out.data = data
     out.requires_grad = False
-    for t in inputs:  # a plain loop: any() over a generator costs more per op
-        if t.requires_grad:
-            out.requires_grad = True
-            break
     out.tape = None
-    if _ACTIVE_TAPE is not None and out.requires_grad:
-        out.tape = _ACTIVE_TAPE
-        _ACTIVE_TAPE.records.append((out, tuple(inputs), backward))
+    return out
+
+
+def _result(data: np.ndarray, inputs: Sequence[Tensor], backward: Callable) -> Tensor:
+    """Wrap an op result; record it on the live tape if an input requires a gradient."""
+    out = constant(_contiguous(data))
+    if _ACTIVE_TAPE is not None:
+        for t in inputs:  # a plain loop: any() over a generator costs more per op
+            if t.requires_grad:
+                out.requires_grad = True
+                out.tape = _ACTIVE_TAPE
+                _ACTIVE_TAPE.records.append((out, tuple(inputs), backward))
+                break
     return out
 
 
@@ -198,7 +198,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         return ((a, g), (b, g))
 
-    return _result(a.data + b.data, (a, b), bwd)
+    return _result(_finite(a.data + b.data), (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -209,7 +209,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         return ((a, g * b.data), (b, g * a.data))
 
-    return _result(a.data * b.data, (a, b), bwd)
+    return _result(_finite(a.data * b.data), (a, b), bwd)
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
@@ -218,7 +218,7 @@ def scale(a: Tensor, factor: float) -> Tensor:
     def bwd(g):
         return ((a, g * factor),)
 
-    return _result(a.data * factor, (a,), bwd)
+    return _result(_finite(a.data * factor), (a,), bwd)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -228,11 +228,13 @@ def sigmoid(a: Tensor) -> Tensor:
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
+    if _ACTIVE_TAPE is None:
+        return constant(out)
 
     def bwd(g):
         return ((a, g * out * (1.0 - out)),)
 
-    return _result(out, (a,), bwd, checked=True)  # in [0, 1]
+    return _result(out, (a,), bwd)
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:
@@ -241,12 +243,14 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     shifted = a.data - np.maximum.reduce(a.data, axis=axis, keepdims=True)
     ex = np.exp(shifted)
     out = ex / np.add.reduce(ex, axis=axis, keepdims=True)
+    if _ACTIVE_TAPE is None:
+        return constant(out)
 
     def bwd(g):
         inner = np.add.reduce(g * out, axis=axis, keepdims=True)
         return ((a, out * (g - inner)),)
 
-    return _result(out, (a,), bwd, checked=True)  # in [0, 1]
+    return _result(out, (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -254,35 +258,37 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    if math.prod(shape) != a.size:
-        raise ShapeError(f"cannot reshape {a.shape} to {shape}")
+    if math.prod(shape) != a.data.size:
+        raise ShapeError(f"cannot reshape {a.shape} to {tuple(shape)}")
+    out = a.data.reshape(shape)
+    if _ACTIVE_TAPE is None:
+        return constant(out)
     old = a.shape
 
     def bwd(g):
         return ((a, g.reshape(old)),)
 
-    return _result(a.data.reshape(shape), (a,), bwd, checked=True)  # moves data only
+    return _result(out, (a,), bwd)
 
 
 def tile_rows(a: Tensor, count: int) -> Tensor:
     """Repeat the last axis as ``count`` identical rows: (..., N) -> (..., count, N)."""
     if a.data.ndim < 1:
         raise ShapeError("tile_rows expects at least a 1-D tensor")
+    out = np.repeat(a.data[..., None, :], count, axis=-2)
+    if _ACTIVE_TAPE is None:
+        return constant(out)
 
     def bwd(g):
         return ((a, np.add.reduce(g, axis=-2)),)
 
-    return _result(np.repeat(a.data[..., None, :], count, axis=-2), (a,), bwd, checked=True)  # copies
+    return _result(out, (a,), bwd)
 
 
 def normalize_rows(a: Tensor, where) -> Tensor:
-    """Divide each selected row (a slice along the last axis) by its own sum.
-
-    ``where``, a boolean array over the rows (``a.shape[:-1]``, or any shape
-    that broadcasts to it, ``True`` for every row), selects the rows to
-    divide; the others pass through unchanged, values and gradient alike.
-    """
+    """Divide each row (along the last axis) that ``where`` selects by its
+    own sum; ``where`` is a boolean array that broadcasts to ``a.shape[:-1]``.
+    The other rows pass through unchanged, values and gradient alike."""
     if a.data.ndim < 2:
         raise ShapeError(f"normalize_rows expects at least a 2-D tensor, got shape {a.shape}")
     sums = np.add.reduce(a.data, axis=-1, keepdims=True)
@@ -296,29 +302,29 @@ def normalize_rows(a: Tensor, where) -> Tensor:
         inner = np.where(selected, np.add.reduce(g * out, axis=-1, keepdims=True), 0.0)
         return ((a, (g - inner) / sums),)
 
-    return _result(out, (a,), bwd)
+    return _result(_finite(out), (a,), bwd)
 
 
 def blend(coeffs: Tensor, bases: Tensor, row: int | None = None) -> Tensor:
     """Per-sample linear combinations out[b] = sum_n coeffs[b, n] * bases[n].
 
-    ``bases`` is one (N, *shape) stack. ``coeffs`` is (B, N), or (B, rows, N)
-    blending its ``row`` (one layer's row of every sample). The result is
-    (B, *shape): one blended tensor per sample, from a single einsum over the
-    stack's (N, F) view, which copies nothing. The other terms of a one-hot
-    row add exact zeros, so it returns the selected basis's values bit for
-    bit. The coefficients get a gradient at every position (zero off
-    ``row``), and the stack one gradient of its own shape, in which a basis
-    whose coefficient is zero in every sample has exact-zero rows.
+    ``bases`` is one (N, *shape) stack; ``coeffs`` is (B, N), or (B, rows, N)
+    blending its ``row``. The result is (B, *shape), from one einsum over the
+    stack's (N, F) view. A one-hot row adds exact zeros, so it returns the
+    selected basis bit for bit. The coefficients get a gradient everywhere
+    (zero off ``row``); a basis no sample weighs gets exact-zero rows.
     """
     c = coeffs.data
     if c.ndim != (2 if row is None else 3) or row is not None and not 0 <= row < c.shape[1]:
         raise ShapeError(f"blend coeffs must be (B, N), or (B, rows, N) and a row in range, got {c.shape}, row {row}")
     c = c if row is None else c.take(row, axis=1)
-    n = c.shape[1]
-    if bases.shape[:1] != (n,):
-        raise ShapeError(f"{n} coefficients for a stack of shape {bases.shape}")
+    n, shape = c.shape[1], bases.data.shape
+    if shape[:1] != (n,):
+        raise ShapeError(f"{n} coefficients for a stack of shape {shape}")
     flat = bases.data.reshape(n, -1)
+    out = np.einsum("bn,nf->bf", c, flat).reshape(len(c), *shape[1:])
+    if _ACTIVE_TAPE is None:
+        return constant(out)
 
     def bwd(g):
         gflat = g.reshape(len(c), -1)
@@ -327,9 +333,8 @@ def blend(coeffs: Tensor, bases: Tensor, row: int | None = None) -> Tensor:
             full = np.zeros_like(coeffs.data)
             full[:, row] = gc
             gc = full
-        return ((coeffs, gc), (bases, np.einsum("bn,bf->nf", c, gflat).reshape(bases.shape)))
+        return ((coeffs, gc), (bases, np.einsum("bn,bf->nf", c, gflat).reshape(shape)))
 
-    out = np.einsum("bn,nf->bf", c, flat).reshape(len(c), *bases.shape[1:])
     return _result(out, (coeffs, bases), bwd)
 
 
@@ -341,11 +346,9 @@ def blend(coeffs: Tensor, bases: Tensor, row: int | None = None) -> Tensor:
 def _window_index(c: int, h: int, w: int, kh: int, kw: int, stride: int, padding: int,
                   out_h: int, out_w: int) -> np.ndarray:
     """Read-only int64 offsets into one sample's flattened (C, H, W) input
-    with one zero appended at offset C*H*W, one per im2col entry in
-    (C, kh, kw, oH, oW) order: entry [ci, ki, kj, i, j] is the element that
-    kernel tap (ki, kj) of channel ci meets at output (i, j), or the zero if
-    that tap falls in the padding. The batch is not part of the key, so
-    every batch size shares one index."""
+    with one zero appended at offset C*H*W, in im2col (C, kh, kw, oH, oW)
+    order: entry [ci, ki, kj, i, j] is what tap (ki, kj) of channel ci meets
+    at output (i, j), or the zero in the padding. Shared by every batch size."""
     ci, ki, kj, i, j = np.indices((c, kh, kw, out_h, out_w))
     r, s = ki + i * stride - padding, kj + j * stride - padding
     inside = (r >= 0) & (r < h) & (s >= 0) & (s < w)
@@ -357,10 +360,10 @@ def _window_index(c: int, h: int, w: int, kh: int, kw: int, stride: int, padding
 @functools.lru_cache(maxsize=64)
 def _conv_plan(xtail: tuple, ktail: tuple, kdim: int, stride: int, padding: int,
                bshape: tuple | None) -> tuple:
-    """A conv layer's geometry, checked, as its ``_window_index`` key. The
-    batch is not part of the key, so every batch size shares one plan. A bad
-    geometry raises on every call (the cache keeps no exception); ``{x}`` and
-    ``{k}`` in its message stand for the input and kernel shapes."""
+    """A conv layer's geometry, checked: its ``_window_index`` key and index,
+    plane C*H*W, taps C*kh*kw and output (O, oH, oW), shared by every batch
+    size. A bad geometry raises on every call (the cache keeps no exception);
+    ``{x}`` and ``{k}`` in its message stand for the input and kernel shapes."""
     if len(xtail) != 3 or kdim not in (4, 5):
         raise ShapeError("conv2d expects NCHW input and OIKK or BOIKK kernel, got {x} and {k}")
     if stride < 1:
@@ -374,8 +377,9 @@ def _conv_plan(xtail: tuple, ktail: tuple, kdim: int, stride: int, padding: int,
         raise ShapeError(f"conv2d kernel {{k}} larger than padded input {{x}} (padding={padding})")
     if bshape is not None and bshape != (out_c,):
         raise ShapeError(f"conv2d bias {bshape} does not match kernel {{k}}")
-    return (in_c, h, w, kh, kw, stride, padding,
-            (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1)
+    out_h, out_w = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
+    key = (in_c, h, w, kh, kw, stride, padding, out_h, out_w)
+    return key, _window_index(*key), in_c * h * w, in_c * kh * kw, (out_c, out_h, out_w)
 
 
 @functools.lru_cache(maxsize=16)
@@ -394,62 +398,54 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
     """2-D cross-correlation of an NCHW input with an OIKK kernel, then an
     optional per-channel bias and ReLU: a whole conv layer as one op.
 
-    A (B, O, I, K, K) kernel gives each sample its own kernel (CondConv's
-    per-example kernels). Either kind runs as stacked matmuls in which B
-    stays the loop axis, one same-shape GEMM per sample, so that a sample's
-    result does not depend on the batch it runs in. Output spatial size is
-    floor((H + 2*padding - K)/stride) + 1 per side. Differentiable w.r.t.
-    the input, the kernel and the bias; an input that does not require a
-    gradient gets none computed. The bias add and the ReLU follow the GEMM,
-    in place on its output, and the backward masks the gradient and sums the
-    bias gradient before the conv backward, so a layer gives the values of a
-    conv, a bias add and a ReLU run one after another, on one tape record (as
-    cuDNN's fused conv-bias-activation call does). The ReLU's zero is +0.0.
+    A (B, O, I, K, K) kernel gives each sample its own kernel (CondConv's).
+    Output size is floor((H + 2*padding - K)/stride) + 1 per side. An input
+    that does not require a gradient gets none computed. The bias add and the
+    ReLU run in place on the GEMM output, and the backward masks the gradient
+    and sums the bias gradient first: the values of a conv, a bias add and a
+    ReLU in turn, on one tape record (as cuDNN's fused conv-bias-activation
+    call does). The ReLU's zero is +0.0.
     """
     xshape, kshape = x.data.shape, kernel.data.shape
     try:
-        key = _conv_plan(xshape[1:], kshape[-4:], len(kshape), stride, padding,
-                         None if bias is None else bias.data.shape)
+        key, idx, plane, taps, out_chw = _conv_plan(xshape[1:], kshape[-4:], len(kshape), stride, padding,
+                                                    None if bias is None else bias.data.shape)
     except ShapeError as err:  # the message names the shapes, batch and all
         raise ShapeError(str(err).format(x=xshape, k=kshape)) from None
     batch, per_sample = xshape[0], len(kshape) == 5
     if per_sample and kshape[0] != batch:
         raise ShapeError(f"conv2d per-sample kernel {kshape} does not match batch of input {xshape}")
-    (in_c, h, w, kh, kw, _, _, out_h, out_w), out_c = key, kshape[-4]
 
-    # im2col: gather the windows through a cached flat index into one
-    # contiguous (B, C, kh, kw, oH, oW) array, which reshapes for free to the
-    # GEMM operand (B, C*kh*kw, oH*oW); a tap in the padding reads the zero
-    # appended to each sample. Each contraction is a stacked matmul with B as
-    # its loop axis: one GEMM call per sample, of the same shape at any batch
-    # size, so a sample reduces in the same order alone or in a batch (the
-    # batch-equals-serial and bit-determinism contracts). Folded into a GEMM
+    # im2col: one gather through the cached index gives the contiguous GEMM
+    # operand (B, C*kh*kw, oH*oW); a padding tap reads each sample's appended
+    # zero. Each contraction is a stacked matmul with B as its loop axis: one
+    # same-shape GEMM per sample at any batch size, so a sample reduces in one
+    # order alone or in a batch (batch equals serial). Folded into a GEMM
     # dimension, B could change BLAS's blocking.
-    idx = _window_index(*key)
-    plane = in_c * h * w
     xz = np.zeros((batch, plane + 1))
     xz[:, :plane] = x.data.reshape(batch, plane)
-    cols = xz.take(idx, axis=1).reshape(batch, in_c * kh * kw, out_h * out_w)
-    kmat = kernel.data.reshape(*kshape[:-3], in_c * kh * kw)
-    out = np.matmul(kmat, cols).reshape(batch, out_c, out_h, out_w)
+    cols = xz.take(idx, axis=1).reshape(batch, taps, -1)
+    kmat = kernel.data.reshape(*kshape[:-3], taps)
+    out = np.matmul(kmat, cols).reshape(batch, *out_chw)
     if bias is not None:
         out += bias.data[:, None, None]
-    # checked before the ReLU, which maps NaN and -Inf to 0
-    _require_finite(out, "forward operation produced NaN or Inf")
+    _finite(out)  # before the ReLU, which maps NaN and -Inf to 0
     if relu:
         mask = out > 0 if _ACTIVE_TAPE is not None else None  # only the backward reads it
         np.maximum(out, 0.0, out=out)  # maximum(-0.0, 0.0) is +0.0 (tests pin it by bytes)
+    if _ACTIVE_TAPE is None:
+        return constant(out)
 
     def bwd(g):
         if relu:
             g = g * mask
         gb = () if bias is None else ((bias, np.add.reduce(g, axis=(0, 2, 3))),)
-        g3 = g.reshape(batch, out_c, out_h * out_w)
+        g3 = g.reshape(batch, out_chw[0], -1)
         gk = np.empty(kshape)  # fresh and kernel-shaped, so backward keeps it without a copy
         if per_sample:
-            np.matmul(g3, cols.transpose(0, 2, 1), out=gk.reshape(batch, out_c, -1))
+            np.matmul(g3, cols.transpose(0, 2, 1), out=gk.reshape(batch, out_chw[0], -1))
         else:  # a shared kernel sums the per-sample products, in batch order
-            np.add.reduce(np.matmul(g3, cols.transpose(0, 2, 1)), axis=0, out=gk.reshape(out_c, -1))
+            np.add.reduce(np.matmul(g3, cols.transpose(0, 2, 1)), axis=0, out=gk.reshape(out_chw[0], -1))
         if not x.requires_grad:  # e.g. the image at layer 0: backward would drop it
             return ((kernel, gk), *gb)
         gcols = np.matmul(np.swapaxes(kmat, -1, -2), g3)  # (B, C*kh*kw, oH*oW)
@@ -462,17 +458,21 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
         return ((x, gx), (kernel, gk), *gb)
 
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
-    return _result(out, inputs, bwd, checked=True)
+    return _result(out, inputs, bwd)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map of a (B, F) batch through an (F, O) weight and an (O,) bias."""
-    if x.data.ndim != 2 or weight.data.ndim != 2 or x.data.shape[1] != weight.data.shape[0]:
-        raise ShapeError(f"linear shape mismatch: input {x.shape} vs weight {weight.shape}")
-    if bias.data.shape != (weight.data.shape[1],):
-        raise ShapeError(f"linear bias {bias.shape} does not match weight {weight.shape}")
+    xs, ws = x.data.shape, weight.data.shape
+    if len(xs) != 2 or len(ws) != 2 or xs[1] != ws[0]:
+        raise ShapeError(f"linear shape mismatch: input {xs} vs weight {ws}")
+    if bias.data.shape != ws[1:]:
+        raise ShapeError(f"linear bias {bias.shape} does not match weight {ws}")
     out = np.einsum("bf,fo->bo", x.data, weight.data)
     out += bias.data  # in place: the einsum output is fresh
+    _finite(out)  # logits or coefficients: nothing checks them later
+    if _ACTIVE_TAPE is None:
+        return constant(out)
 
     def bwd(g):
         return ((x, np.einsum("bo,fo->bf", g, weight.data)),
@@ -487,22 +487,22 @@ def global_avg_pool(x: Tensor) -> Tensor:
     if x.data.ndim != 4:
         raise ShapeError(f"global_avg_pool expects NCHW, got {x.shape}")
     area = x.data.shape[2] * x.data.shape[3]
+    out = np.add.reduce(x.data, axis=(2, 3)) / area
+    if _ACTIVE_TAPE is None:
+        return constant(out)
 
     def bwd(g):
         gx = np.empty(x.shape)  # fresh, so backward keeps it without a copy
         gx[...] = (g / area)[:, :, None, None]
         return ((x, gx),)
 
-    return _result(np.add.reduce(x.data, axis=(2, 3)) / area, (x,), bwd)
+    return _result(out, (x,), bwd)
 
 
 def cross_entropy(logits: Tensor, target) -> Tensor:
-    """Mean over the batch of -sum(target * log softmax(logits)).
-
-    ``target`` is either an integer class index per batch row or a (B, C)
-    array of soft distributions (rows must sum to 1); soft targets are what
-    distillation feeds in.
-    """
+    """Mean over the batch of -sum(target * log softmax(logits)). ``target``
+    is a class index per row or (B, C) soft distributions (distillation's),
+    whose rows must sum to 1."""
     if logits.data.ndim != 2:
         raise ShapeError(f"cross_entropy expects (B, C) logits, got {logits.shape}")
     b, c = logits.shape
@@ -535,4 +535,4 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
         probs = np.exp(log_probs)
         return ((logits, g * (probs - soft) / b),)
 
-    return _result(np.array(loss), (logits,), bwd)
+    return _result(_finite(np.array(loss)), (logits,), bwd)

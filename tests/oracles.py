@@ -428,7 +428,7 @@ def take(a: T.Tensor, index: int, axis: int = 0) -> T.Tensor:
         np.moveaxis(full, axis, 0)[index] = g
         return ((a, full),)
 
-    return T._result(a.data.take(index, axis=axis), (a,), bwd, checked=True)  # moves data only
+    return T._result(a.data.take(index, axis=axis), (a,), bwd)  # moves data only
 
 
 def sum_all(a: T.Tensor) -> T.Tensor:
@@ -437,7 +437,7 @@ def sum_all(a: T.Tensor) -> T.Tensor:
     def bwd(g):
         return ((a, np.full_like(a.data, float(g))),)
 
-    return T._result(np.array(np.add.reduce(a.data, axis=None)), (a,), bwd)
+    return T._result(T._finite(np.array(np.add.reduce(a.data, axis=None))), (a,), bwd)
 
 
 def sum_squares(*tensors: T.Tensor) -> T.Tensor:
@@ -454,7 +454,7 @@ def sum_squares(*tensors: T.Tensor) -> T.Tensor:
     total = 0.0  # plain left-to-right adds: sum() compensates on Python >= 3.12
     for t in tensors:
         total = total + np.add.reduce(t.data * t.data, axis=None)
-    return T._result(np.array(total), tensors, bwd)
+    return T._result(T._finite(np.array(total)), tensors, bwd)
 
 
 # ---------------------------------------------------------------------------

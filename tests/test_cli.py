@@ -596,6 +596,16 @@ class TestTeacherMustFitBank:
             "", f"error: loss.distill.teacher_checkpoint: {message}\n")
         assert not (workdir / "runs").exists()
 
+    def test_missing_teacher_fails_with_one_line_and_writes_nothing(self, workdir, capsys):
+        raw = base_config()
+        raw["loss"]["distill"] = {"teacher_checkpoint": str(workdir / "nowhere")}
+        path = workdir / "student.json"
+        path.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: loss.distill.teacher_checkpoint: no manifest.json under {workdir / 'nowhere'}\n")
+        assert not (workdir / "runs").exists()
+
 
 class TestExportCoeffs:
     def test_row_count_is_images_times_rows_times_bases(self, workdir, trained_ckpt, capsys):

@@ -1,5 +1,6 @@
 """Two-stage inference: termination, accounting, trace order, and the router baseline."""
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -149,6 +150,19 @@ class TestConfidence:
             assert P.confidence(logits[-1]) == expected[-1]
 
 
+def events(trace):
+    return [(e[0], e[1], e[2].tobytes() if len(e) > 2 else None) for e in trace]
+
+
+def reverse_bases(seen):
+    """An ``edit`` that records each coefficient batch it is given and
+    reverses the basis order."""
+    def edit(alpha):
+        seen.append(alpha.data.tobytes())
+        return T.Tensor(alpha.data[..., ::-1])
+    return edit
+
+
 class TestInfer:
     def test_threshold_zero_always_terminates(self, setup):
         lm, params, bank, cfg, x = setup
@@ -282,15 +296,9 @@ class TestInfer:
         # tensor, in image order, and each image's specialist runs on its
         # slice of the tensor that ``edit`` returns
         seen = []
-
-        def reverse_bases(alpha):
-            seen.append(alpha.data.copy())
-            return T.Tensor(alpha.data[..., ::-1])
-
-        edited = P.infer_batch(lm, params, bank, cfg, images, threshold, edit=reverse_bases)
+        edited = P.infer_batch(lm, params, bank, cfg, images, threshold, edit=reverse_bases(seen))
         pending = batch.pending
-        assert len(seen) == 1
-        assert seen[0].tobytes() == batch.coefficients.tobytes()
+        assert seen == [batch.coefficients.tobytes()]
         assert edited.pending.tolist() == pending.tolist()
         for j, i in enumerate(pending):
             alpha = T.Tensor(edited.coefficients[j])
@@ -331,6 +339,100 @@ class TestInfer:
         none_run = P.infer_batch(lm, params, bank, cfg, images, 0.0)
         assert none_run.pending.shape == (0,) and none_run.final_logits.shape == (0, 4)
         assert none_run.coefficients.shape == (0, bank.n_coefficient_rows, bank.n_bases)
+
+
+class TestTapeFreeEqualsTaped:
+    """With no tape live the ops skip what only a backward reads; inside a
+    tape every op records. Both must give every field, trace event and
+    ``edit`` argument the same bits."""
+
+    @pytest.mark.parametrize("mode,activation,one_row_head,shared", [
+        ("per_layer", "softmax", False, [0]), ("per_layer", "softmax", False, []),
+        ("per_model", "softmax", True, [0]), ("one_hot", "softmax", False, [0]),
+        ("per_layer", "sigmoid", False, [1]),
+    ], ids=["per_layer", "no_shared_layer", "per_model", "one_hot", "sigmoid"])
+    def test_every_field_bitwise(self, mode, activation, one_row_head, shared):
+        bank = S.build_bank(bank_spec(), n_bases=3, shared_layers=shared, seed=0)
+        lm = dataclasses.replace(lm_for(bank), coeff_rows=1 if one_row_head else bank.n_coefficient_rows)
+        params = P.build_lm(lm, seed=1)
+        cfg = S.SynthesisConfig(activation=activation, mode=mode)
+        images = np.random.default_rng(8).random((10, 1, 16, 16))
+        threshold = float(np.median(P.infer_batch(lm, params, bank, cfg, images, 1.01).confidence))
+
+        def run():
+            trace, seen = [], []
+            batch = P.infer_batch(lm, params, bank, cfg, images, threshold, trace=trace)
+            edited = P.infer_batch(lm, params, bank, cfg, images, threshold, edit=reverse_bases(seen))
+            singles = []
+            for i in range(len(images)):
+                one_trace = []
+                one = P.infer(lm, params, bank, cfg, images[i:i + 1], threshold, trace=one_trace)
+                singles.append((one.initial_logits.tobytes(), one.confidence, one.terminated,
+                                one.madds_spent, one.prediction, events(one_trace),
+                                None if one.terminated else (one.coefficients.data.tobytes(),
+                                                             one.final_logits.tobytes())))
+            records = [[(f.name, getattr(r, f.name).dtype, getattr(r, f.name).shape,
+                         getattr(r, f.name).tobytes()) for f in dataclasses.fields(r)
+                        if f.name != "threshold"] for r in (batch, edited)]
+            return records, events(trace), seen, singles
+
+        free = run()
+        tape = T.GradTape()
+        with T.recording(tape):
+            taped = run()
+        assert tape.records  # the taped path ran
+        assert len(free[2]) == 1 and free == taped
+
+
+class TestFinitenessChecks:
+    """A NaN in the input image is caught as it enters. Finite but huge
+    parameters overflow the trunk, a blended stage-two kernel or the pooled
+    features before a head. ``blend`` and ``global_avg_pool`` do not scan
+    their results: each overflow must reach ``conv2d``'s check before its
+    ReLU or the check on a ``linear`` output, with a tape live or not, as
+    the CLI runs (every float warning off)."""
+
+    CASES = ("nan_image", "lm_trunk", "blended_kernel", "lm_pooled", "bank_pooled")
+
+    @staticmethod
+    def overflow(case, lm, params, bank, x):
+        cfg = S.SynthesisConfig()
+        if case == "nan_image":  # the input is scanned once, as it enters
+            x[0, 0, 0, 0] = np.nan
+        elif case == "lm_trunk":  # -Inf before the ReLU, which would map it to 0
+            params.trunk.layers[0].kernel.data[...] = -1e308
+        elif case == "blended_kernel":  # finite bases; three coefficients near 1 sum them past the range
+            cfg = S.SynthesisConfig(activation="sigmoid")
+            params.coeff_b.data[...] = 40.0
+            bank.kernels[1].data[...] = 1e308
+            kernel = S.synthesize(bank, T.Tensor(np.ones((2, 3)))).layers[1].kernel
+            assert not np.isfinite(kernel.data).any()
+        elif case == "lm_pooled":  # every map entry 1e308: finite, but its 16 positions sum to Inf
+            params.trunk.layers[0].kernel.data[...] = 0.0
+            params.trunk.layers[0].bias.data[...] = 1e308
+            spec, bp, inp = lm.trunk, params.trunk, P.downsample_input(x, lm.downsample)
+        else:
+            bank.kernels[2].data[...] = 0.0
+            bank.biases[2].data[...] = 1e308
+            spec, bp, inp = bank.spec, S.select_params(bank, [0, 0]), x
+        if case.endswith("pooled"):  # every conv's check passes; the pooled features are Inf
+            with np.errstate(all="ignore"):
+                feats = B.forward_features(bp, spec, T.Tensor(inp))
+            assert np.all(feats.data == np.inf)
+        return cfg
+
+    @pytest.mark.parametrize("taped", [False, True], ids=["tape_free", "taped"])
+    @pytest.mark.parametrize("call", ["infer", "infer_batch"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_overflow_raises(self, setup, case, call, taped):
+        lm, params, bank, _, x = setup
+        cfg = self.overflow(case, lm, params, bank, x)
+        run = P.infer if call == "infer" else P.infer_batch
+        with np.errstate(all="ignore"), contextlib.ExitStack() as stack:
+            if taped:
+                stack.enter_context(T.recording(T.GradTape()))
+            with pytest.raises(T.NonFiniteError):
+                run(lm, params, bank, cfg, x, P.NEVER_TERMINATE)
 
 
 class TestCondConv:

@@ -384,8 +384,9 @@ class TestConvWindowGather:
             T.conv2d(T.Tensor(np.ones((batch, 3, 11, 13))), kern, stride=2, padding=2)
             infos.append(T._window_index.cache_info())
         assert infos[1].misses == infos[0].misses + 1
-        assert (infos[2].misses, infos[2].hits) == (infos[1].misses, infos[1].hits + 1)
+        assert infos[2] == infos[1]  # the layer's plan holds its index: no lookup, no new one
         idx = T._window_index(3, 11, 13, 3, 3, 2, 2, 7, 8)
+        assert T._conv_plan((3, 11, 13), (2, 3, 3, 3), 4, 2, 2, None)[1] is idx
         assert not idx.flags.writeable
         assert idx.max() == 3 * 11 * 13  # a tap in the padding reads the appended zero
         with pytest.raises(ValueError):
@@ -400,8 +401,9 @@ class TestConvWindowGather:
             T.conv2d(T.Tensor(np.ones((batch, 3, 9, 11))), kern, stride=3, padding=2)
         after = T._conv_plan.cache_info()
         assert (after.misses, after.hits) == (before.misses + 1, before.hits + 2)
-        assert T._conv_plan(
-            (3, 9, 11), (2, 3, 5, 5), 4, 3, 2, None) == (3, 9, 11, 5, 5, 3, 2, 3, 4)
+        key, idx, plane, taps, out_chw = T._conv_plan((3, 9, 11), (2, 3, 5, 5), 4, 3, 2, None)
+        assert key == (3, 9, 11, 5, 5, 3, 2, 3, 4) and idx is T._window_index(*key)
+        assert (plane, taps, out_chw) == (3 * 9 * 11, 3 * 5 * 5, (2, 3, 4))
 
     @pytest.mark.parametrize("xshape,kshape,kw,message", [
         ((4, 2, 9, 11), (2, 3, 5, 5), {},

@@ -314,6 +314,27 @@ class TestTrainStep:
             with pytest.raises(TR.TrainingDiverged, match="step 0"):
                 TR.train_step(state, (x, y), s, TR.LossConfig())
 
+    def test_overflowing_blend_refuses_the_step(self):
+        # finite bases whose blend overflows (three sigmoid coefficients near
+        # 1): blend does not scan, so the stage-two conv's check refuses the
+        # step, and nothing is written
+        state = toy_state(n_bases=3, seed=7, synth_cfg=S.SynthesisConfig(activation="sigmoid"))
+        train, _ = toy_dataset(train_size=8, eval_size=8)
+        bias = state.lm_params.coeff_b
+        bias.apply_update(np.full(bias.shape, 40.0))
+        kern = state.bank.kernels[1]
+        kern.apply_update(np.full(kern.shape, 1e308))
+        vector, step = state.vector.data.tobytes(), state.step
+        _, feats = P.lm_forward(state.lm, state.lm_params, T.Tensor(train.images[:2]))
+        raw = T.linear(feats, state.lm_params.coeff_w, bias)
+        alpha = P.coefficients_from_raw(raw, state.synth_cfg, state.bank.n_coefficient_rows, 3)
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(T.blend(alpha, kern, 0).data).any()
+            with pytest.raises(TR.TrainingDiverged, match="step 0"):
+                TR.train_step(state, (train.images[:2], train.labels[:2]), sched(batch_size=2),
+                              TR.LossConfig())
+        assert state.vector.data.tobytes() == vector and state.step == step
+
     def test_per_sample_bmd_masks(self):
         state = toy_state(n_bases=4, seed=23)
         train, _ = toy_dataset(train_size=16, eval_size=8)
