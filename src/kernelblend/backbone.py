@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,8 +101,7 @@ class BackboneSpec:
         return sizes
 
 
-@dataclass
-class LayerParams:
+class LayerParams(NamedTuple):
     kernel: T.Tensor
     bias: T.Tensor
 

@@ -3,10 +3,11 @@
 Each disturbance replaces the predicted coefficients before synthesis -
 with their argmax one-hot, the dataset mean, a uniform blend, or a random
 within-row shuffle - either at every non-shared layer or at a single one,
-through ``infer_batch``'s ``edit`` hook on the whole (B, rows, N) tensor,
+through ``stage_two``'s ``edit`` hook on the whole (B, rows, N) tensor,
 in any synthesis mode, with early termination disabled. ``study`` answers
-``disturb`` from one undisturbed reference pass: it gives the ``correct``
-row, the ``mean`` table and every layer that the disturbance cannot change.
+``disturb`` from one stage-one pass and one undisturbed stage two: they give
+the ``correct`` row, the ``mean`` table and every layer that the disturbance
+cannot change, and each disturbed pass reruns stage two alone.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ class Disturbance:
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
 
 
-def mean_coefficients(record: pl.BatchResult) -> np.ndarray:
-    """Per-layer mean coefficient rows of a pass at ``NEVER_TERMINATE``."""
-    return record.coefficients.sum(axis=0) / len(record.coefficients)
+def mean_coefficients(coefficients: np.ndarray) -> np.ndarray:
+    """Per-layer mean rows of the (B, rows, N) coefficients of a pass at
+    ``NEVER_TERMINATE``."""
+    return coefficients.sum(axis=0) / len(coefficients)
 
 
 def disturb(alpha: T.Tensor, disturbance: Disturbance,
@@ -83,17 +85,32 @@ def _rows_for_layer(bank: syn.BasisBank, layer: int | None) -> list[int] | None:
     return [nonshared.index(layer)] if layer in nonshared else []
 
 
+def _accuracy(final: T.Tensor, labels: np.ndarray) -> float:
+    """Fraction of the specialist predictions in ``final`` equal to ``labels``:
+    ``infer_batch``'s accuracy at ``NEVER_TERMINATE``, where no image stops."""
+    return int(np.count_nonzero(np.argmax(final.data, axis=1) == labels)) / len(labels)
+
+
+def _disturbed_accuracy(params: pl.LMParams, bank: syn.BasisBank, cfg: syn.SynthesisConfig,
+                        x: T.Tensor, feats: T.Tensor, labels: np.ndarray,
+                        disturbance: Disturbance, mean_table: np.ndarray | None) -> float:
+    """Specialist accuracy of stage two over images ``x``, with pooled trunk
+    features ``feats``, whose coefficients ``disturbance`` edits."""
+    rows = _rows_for_layer(bank, disturbance.layer)
+    final, _ = pl.stage_two(params, bank, cfg, x, feats,
+                            lambda alpha: disturb(alpha, disturbance, rows=rows, mean_table=mean_table))
+    return _accuracy(final, labels)
+
+
 def evaluate_disturbed(lm: pl.LightweightModel, params: pl.LMParams,
                        bank: syn.BasisBank, cfg: syn.SynthesisConfig,
                        dataset: Dataset, disturbance: Disturbance,
                        mean_table: np.ndarray | None = None) -> float:
     """Specialist accuracy with disturbed coefficients, no early termination.
     A ``mean`` disturbance needs ``mean_table`` (see ``mean_coefficients``)."""
-    rows = _rows_for_layer(bank, disturbance.layer)
-    record = pl.infer_batch(
-        lm, params, bank, cfg, dataset.images, pl.NEVER_TERMINATE,
-        edit=lambda alpha: disturb(alpha, disturbance, rows=rows, mean_table=mean_table))
-    return record.accuracy(dataset.labels)
+    x = T.Tensor(dataset.images)
+    _, feats = pl.lm_forward(lm, params, x)
+    return _disturbed_accuracy(params, bank, cfg, x, feats, dataset.labels, disturbance, mean_table)
 
 
 def study(lm: pl.LightweightModel, params: pl.LMParams, bank: syn.BasisBank,
@@ -101,18 +118,22 @@ def study(lm: pl.LightweightModel, params: pl.LMParams, bank: syn.BasisBank,
           layers, seeds: int) -> tuple[float, list[float]]:
     """(undisturbed accuracy, accuracy of a ``kind`` disturbance at each of
     ``layers``: a bank layer index, or None for every layer). Every layer is
-    range-checked first. One reference pass gives the undisturbed accuracy,
-    the ``mean`` table and each layer that the disturbance cannot change
-    (kind ``correct``, or a shared layer: it has no coefficient row). Each
-    other layer runs ``evaluate_disturbed`` once, or for ``shuffled``, the
-    one kind that reads the seed, at seeds 0..seeds-1 and takes the mean."""
+    range-checked first. Stage one runs once. One undisturbed stage two on
+    its features gives the undisturbed accuracy, the ``mean`` table and each
+    layer that the disturbance cannot change (kind ``correct``, or a shared
+    layer: it has no coefficient row). Each other layer reruns stage two
+    with its disturbance once, or for ``shuffled``, the one kind that reads
+    the seed, at seeds 0..seeds-1 and takes the mean. Each value is what
+    ``evaluate_disturbed`` gives."""
     rows = [_rows_for_layer(bank, layer) for layer in layers]
-    record = pl.infer_batch(lm, params, bank, cfg, dataset.images, pl.NEVER_TERMINATE)
-    reference = record.accuracy(dataset.labels)
-    mean_table = mean_coefficients(record) if kind == "mean" else None
+    x = T.Tensor(dataset.images)
+    _, feats = pl.lm_forward(lm, params, x)
+    final, alpha = pl.stage_two(params, bank, cfg, x, feats)
+    reference = _accuracy(final, dataset.labels)
+    mean_table = mean_coefficients(alpha.data) if kind == "mean" else None
     return reference, [
         reference if kind == "correct" or layer_rows == [] else float(np.mean([
-            evaluate_disturbed(lm, params, bank, cfg, dataset,
-                               Disturbance(kind, layer, seed), mean_table)
+            _disturbed_accuracy(params, bank, cfg, x, feats, dataset.labels,
+                                Disturbance(kind, layer, seed), mean_table)
             for seed in range(seeds if kind == "shuffled" else 1)]))
         for layer, layer_rows in zip(layers, rows)]

@@ -13,6 +13,9 @@ price of both paths an image can take.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
+
 import numpy as np
 
 from . import backbone as bb
@@ -76,13 +79,12 @@ class PipelineResult:
         return int(np.argmax(logits))
 
 
-@dataclass(frozen=True)
-class BatchResult:
+class BatchResult(NamedTuple):
     """``infer_batch`` over B images at ``threshold``, one array per field.
 
     Stage two ran on the P images in ``pending`` (sorted image indices, the
     ones below the threshold); ``final_logits`` and ``coefficients`` hold
-    their rows in that order.
+    their rows in that order. A named tuple: immutable, and built in one call.
     """
 
     threshold: float
@@ -157,20 +159,28 @@ def image_madds(lm: LightweightModel, bank: syn.BasisBank) -> tuple[int, int, in
     runs: the trunk and the class head (the trunk spec's input shape is the
     post-transform size, so no downsample correction is applied). The full
     path adds synthesis, the coefficient head and the blend, both of which
-    scale with N, and the specialist's pass.
+    scale with N, and the specialist's pass. Priced once per model, from the
+    bank's frozen structure, not its mutable kernels.
     """
+    return _image_madds(lm, bank.spec, bank.share_mask, bank.n_bases)
+
+
+@lru_cache(maxsize=32)
+def _image_madds(lm: LightweightModel, spec: bb.BackboneSpec, share_mask: tuple[bool, ...],
+                 n_bases: int) -> tuple[int, int, int, int]:
     stage_one = bb.count_madds(lm.trunk)
-    synthesis = lm.trunk.feature_channels * lm.coeff_width + syn.synthesis_madds(bank)
-    stage2 = bb.count_madds(bank.spec)
+    synthesis = lm.trunk.feature_channels * lm.coeff_width + syn.synthesis_madds(spec, share_mask, n_bases)
+    stage2 = bb.count_madds(spec)
     return stage_one, synthesis, stage2, stage_one + synthesis + stage2
 
 
 def confidences(logits: np.ndarray) -> np.ndarray:
-    """Max softmax probability of each row of (B, C) logits."""
+    """Max softmax probability of each row of (B, C) logits. The row's max
+    shifts to exp(0.0) == 1.0 exactly, so it is 1 over the row's sum."""
     if logits.shape[-1] < 2:
         raise T.ShapeError("confidence needs at least 2 classes")
     e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
-    return np.maximum.reduce(e, axis=-1) / np.add.reduce(e, axis=-1)
+    return 1.0 / np.add.reduce(e, axis=-1)
 
 
 def confidence(logits: np.ndarray) -> float:
@@ -213,6 +223,17 @@ def stage_two(params: LMParams, bank: syn.BasisBank, cfg: syn.SynthesisConfig, x
     return bb.forward(syn.synthesize(bank, alpha), bank.spec, x, trace), alpha
 
 
+def _preview(lm: LightweightModel, params: LMParams, images: np.ndarray,
+             threshold: float) -> tuple[T.Tensor, np.ndarray, T.Tensor, np.ndarray]:
+    """Stage one over images (B, C, H, W): (the images as a Tensor, initial
+    logits (B, C), pooled features (B, F), confidences (B,))."""
+    if not threshold >= 0:  # also rejects NaN
+        raise ValueError(f"threshold must be a number >= 0, got {threshold}")
+    x = T.Tensor(images)
+    initial, feats = lm_forward(lm, params, x)
+    return x, initial.data, feats, confidences(initial.data)
+
+
 def infer_batch(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
                 cfg: syn.SynthesisConfig, images: np.ndarray, threshold: float,
                 trace: list | None = None, edit=None) -> BatchResult:
@@ -226,11 +247,7 @@ def infer_batch(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
     its place (the disturbance study); the record carries the returned
     tensor.
     """
-    if not threshold >= 0:  # also rejects NaN
-        raise ValueError(f"threshold must be a number >= 0, got {threshold}")
-    x = T.Tensor(images)
-    initial, feats = lm_forward(lm, params, x)
-    conf = confidences(initial.data)
+    x, initial, feats, conf = _preview(lm, params, images, threshold)
     terminated = conf >= threshold
     pending = (~terminated).nonzero()[0]
     if len(pending):
@@ -242,7 +259,7 @@ def infer_batch(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
         final = np.empty((0, initial.shape[1]))
         coefficients = np.empty((0, bank.n_coefficient_rows, bank.n_bases))
     stopped, *_, full = image_madds(lm, bank)
-    return BatchResult(threshold, conf, initial.data, terminated,
+    return BatchResult(threshold, conf, initial, terminated,
                        np.where(terminated, stopped, full), pending, final, coefficients)
 
 
@@ -253,15 +270,15 @@ def infer(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
 
     Terminates after stage one when confidence >= threshold. Thresholds
     above 1 are legal and mean "never terminate". The result is row 0 of
-    ``infer_batch``'s record, as plain scalars.
+    ``infer_batch``'s record, as plain scalars: the same stage one, gate and
+    ``stage_two``, with no record built.
     """
     if x.ndim != 4 or x.shape[0] != 1:
         raise T.ShapeError(f"infer expects a single (1, C, H, W) image, got {x.shape}")
-    record = infer_batch(lm, params, bank, cfg, x, threshold, trace)
-    stop = bool(record.terminated[0])
-    return PipelineResult(
-        record.initial_logits[0], float(record.confidence[0]), terminated=stop,
-        madds_spent=int(record.madds_spent[0]),
-        coefficients=None if stop else T.constant(record.coefficients[0]),
-        final_logits=None if stop else record.final_logits[0])
-
+    x, initial, feats, conf = _preview(lm, params, x, threshold)
+    confidence = conf.item()
+    stopped, *_, full = image_madds(lm, bank)
+    if confidence >= threshold:
+        return PipelineResult(initial[0], confidence, True, stopped)
+    final, alpha = stage_two(params, bank, cfg, x, feats, trace=trace)
+    return PipelineResult(initial[0], confidence, False, full, T.constant(alpha.data[0]), final.data[0])

@@ -207,9 +207,10 @@ def select_params(bank: BasisBank, choices) -> BackboneParams:
 # accounting
 
 
-def synthesis_madds(bank: BasisBank) -> int:
-    """Multiplies to blend a full specialist: one per basis kernel parameter."""
-    return bank.n_bases * basis_param_count(bank.spec, bank.share_mask)
+def synthesis_madds(spec: BackboneSpec, share_mask: tuple[bool, ...], n_bases: int) -> int:
+    """Multiplies to blend a full specialist of a bank with this structure:
+    one per basis kernel parameter."""
+    return n_bases * basis_param_count(spec, share_mask)
 
 
 @cache

@@ -6,15 +6,14 @@ active GradTape. Replaying the tape in reverse yields gradients for every
 parameter reachable from a scalar loss and releases the tape. There is no
 broadcasting; shape mismatches raise instead of being silently stretched.
 
-With no tape live (inference), an op runs its forward arithmetic alone, the
-taped path's numpy calls in the same order and so the same bits, and returns
-a bare Tensor: no ``requires_grad`` scan, record or backward closure.
+With no tape live (inference), an op runs its forward arithmetic alone (the
+taped path's numpy calls in order, so the same bits) and returns a bare
+Tensor. ``conv2d`` and ``blend`` check and derive their shapes once per shape.
 Finiteness is checked on both paths where nothing can hide it: the
 constructor scans outside data, ``conv2d`` its output before the ReLU (which
-maps NaN and -Inf to 0), ``linear`` its output (every logits, the coefficient
-head) and the elementwise arithmetic ops theirs. ``blend`` and
-``global_avg_pool`` do not scan: a blended kernel always feeds a ``conv2d``,
-pooled features a ``linear``, and either check sees a NaN or Inf they pass on.
+maps NaN and -Inf to 0), ``linear`` its output and the elementwise arithmetic
+ops theirs. A blended kernel always feeds a ``conv2d`` and pooled features a
+``linear``, so ``blend`` and ``global_avg_pool`` do not scan.
 
 Float64 is used throughout so finite-difference gradient checks are decisive.
 """
@@ -46,8 +45,9 @@ def _finite(arr: np.ndarray, message: str = "forward operation produced NaN or I
 
 
 def _contiguous(arr: np.ndarray) -> np.ndarray:
-    # rarely copies; a 0-d array is contiguous (ascontiguousarray makes it 1-d)
-    return arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
+    if type(arr) is not np.ndarray:  # an op on 0-d arrays gives a numpy scalar
+        return np.asarray(arr)  # a 0-d array (ascontiguousarray makes it 1-d)
+    return arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)  # rarely copies
 
 
 class Tensor:
@@ -263,10 +263,9 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     out = a.data.reshape(shape)
     if _ACTIVE_TAPE is None:
         return constant(out)
-    old = a.shape
 
     def bwd(g):
-        return ((a, g.reshape(old)),)
+        return ((a, g.reshape(a.data.shape)),)
 
     return _result(out, (a,), bwd)
 
@@ -305,6 +304,16 @@ def normalize_rows(a: Tensor, where) -> Tensor:
     return _result(_finite(out), (a,), bwd)
 
 
+@functools.lru_cache(maxsize=256)
+def _blend_plan(cshape: tuple, row: int | None, bshape: tuple) -> tuple:
+    """A ``blend`` call's shapes, checked: the stack's (N, F) view and the output's."""
+    if len(cshape) != (2 if row is None else 3) or row is not None and not 0 <= row < cshape[1]:
+        raise ShapeError(f"blend coeffs must be (B, N), or (B, rows, N) and a row in range, got {cshape}, row {row}")
+    if bshape[:1] != cshape[-1:]:
+        raise ShapeError(f"{cshape[-1]} coefficients for a stack of shape {bshape}")
+    return (bshape[0], math.prod(bshape[1:])), (cshape[0], *bshape[1:])
+
+
 def blend(coeffs: Tensor, bases: Tensor, row: int | None = None) -> Tensor:
     """Per-sample linear combinations out[b] = sum_n coeffs[b, n] * bases[n].
 
@@ -314,15 +323,10 @@ def blend(coeffs: Tensor, bases: Tensor, row: int | None = None) -> Tensor:
     selected basis bit for bit. The coefficients get a gradient everywhere
     (zero off ``row``); a basis no sample weighs gets exact-zero rows.
     """
-    c = coeffs.data
-    if c.ndim != (2 if row is None else 3) or row is not None and not 0 <= row < c.shape[1]:
-        raise ShapeError(f"blend coeffs must be (B, N), or (B, rows, N) and a row in range, got {c.shape}, row {row}")
-    c = c if row is None else c.take(row, axis=1)
-    n, shape = c.shape[1], bases.data.shape
-    if shape[:1] != (n,):
-        raise ShapeError(f"{n} coefficients for a stack of shape {shape}")
-    flat = bases.data.reshape(n, -1)
-    out = np.einsum("bn,nf->bf", c, flat).reshape(len(c), *shape[1:])
+    flat_shape, out_shape = _blend_plan(coeffs.data.shape, row, bases.data.shape)
+    c = coeffs.data if row is None else coeffs.data.take(row, axis=1)
+    flat = bases.data.reshape(flat_shape)
+    out = np.einsum("bn,nf->bf", c, flat).reshape(out_shape)
     if _ACTIVE_TAPE is None:
         return constant(out)
 
@@ -333,7 +337,7 @@ def blend(coeffs: Tensor, bases: Tensor, row: int | None = None) -> Tensor:
             full = np.zeros_like(coeffs.data)
             full[:, row] = gc
             gc = full
-        return ((coeffs, gc), (bases, np.einsum("bn,bf->nf", c, gflat).reshape(shape)))
+        return ((coeffs, gc), (bases, np.einsum("bn,bf->nf", c, gflat).reshape(bases.data.shape)))
 
     return _result(out, (coeffs, bases), bwd)
 
@@ -357,36 +361,38 @@ def _window_index(c: int, h: int, w: int, kh: int, kw: int, stride: int, padding
     return idx
 
 
-@functools.lru_cache(maxsize=64)
-def _conv_plan(xtail: tuple, ktail: tuple, kdim: int, stride: int, padding: int,
-               bshape: tuple | None) -> tuple:
-    """A conv layer's geometry, checked: its ``_window_index`` key and index,
-    plane C*H*W, taps C*kh*kw and output (O, oH, oW), shared by every batch
-    size. A bad geometry raises on every call (the cache keeps no exception);
-    ``{x}`` and ``{k}`` in its message stand for the input and kernel shapes."""
-    if len(xtail) != 3 or kdim not in (4, 5):
-        raise ShapeError("conv2d expects NCHW input and OIKK or BOIKK kernel, got {x} and {k}")
+@functools.lru_cache(maxsize=256)
+def _conv_plan(xshape: tuple, kshape: tuple, stride: int, padding: int, bshape: tuple | None) -> tuple:
+    """A conv call's geometry for its full shapes, checked: the window index's
+    key, the index as (C*kh*kw, oH*oW), the plane C*H*W, and the padded-input
+    (B, C*H*W + 1), kernel-matrix and output shapes. Bounded: stage two makes a
+    plan per pending count. A bad geometry raises on every call (no exception is cached)."""
+    if len(xshape) != 4 or len(kshape) not in (4, 5):
+        raise ShapeError(f"conv2d expects NCHW input and OIKK or BOIKK kernel, got {xshape} and {kshape}")
     if stride < 1:
         raise ShapeError(f"stride must be >= 1, got {stride}")
     if padding < 0:
         raise ShapeError(f"padding must be >= 0, got {padding}")
-    (in_c, h, w), (out_c, k_in, kh, kw) = xtail, ktail
+    (batch, in_c, h, w), (out_c, k_in, kh, kw) = xshape, kshape[-4:]
     if in_c != k_in:
-        raise ShapeError(f"conv2d channel mismatch: input {{x}} has {in_c} channels, kernel {{k}} expects {k_in}")
+        raise ShapeError(f"conv2d channel mismatch: input {xshape} has {in_c} channels, kernel {kshape} expects {k_in}")
     if h + 2 * padding < kh or w + 2 * padding < kw:
-        raise ShapeError(f"conv2d kernel {{k}} larger than padded input {{x}} (padding={padding})")
+        raise ShapeError(f"conv2d kernel {kshape} larger than padded input {xshape} (padding={padding})")
     if bshape is not None and bshape != (out_c,):
-        raise ShapeError(f"conv2d bias {bshape} does not match kernel {{k}}")
+        raise ShapeError(f"conv2d bias {bshape} does not match kernel {kshape}")
+    if len(kshape) == 5 and kshape[0] != batch:
+        raise ShapeError(f"conv2d per-sample kernel {kshape} does not match batch of input {xshape}")
     out_h, out_w = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
     key = (in_c, h, w, kh, kw, stride, padding, out_h, out_w)
-    return key, _window_index(*key), in_c * h * w, in_c * kh * kw, (out_c, out_h, out_w)
+    plane, taps = in_c * h * w, in_c * kh * kw
+    return (key, _window_index(*key).reshape(taps, -1), plane, (batch, plane + 1), (*kshape[:-3], taps),
+            (batch, out_c, out_h, out_w))
 
 
 @functools.lru_cache(maxsize=16)
 def _col2im_index(key: tuple, batch: int) -> np.ndarray:
-    """Read-only flat ``bincount`` bins for a batch: ``_window_index(*key)``
-    shifted to each sample's own C*H*W + 1 bins. An entry is ``batch`` window
-    indexes long, hence the smaller cache; a training run uses one batch size."""
+    """Read-only flat ``bincount`` bins for a batch: ``_window_index(*key)`` shifted to
+    each sample's own C*H*W + 1 bins; ``batch`` indexes long, hence the smaller cache."""
     c, h, w = key[:3]
     flat = (np.arange(batch)[:, None] * (c * h * w + 1) + _window_index(*key)).reshape(-1)
     flat.flags.writeable = False
@@ -406,15 +412,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
     ReLU in turn, on one tape record (as cuDNN's fused conv-bias-activation
     call does). The ReLU's zero is +0.0.
     """
-    xshape, kshape = x.data.shape, kernel.data.shape
-    try:
-        key, idx, plane, taps, out_chw = _conv_plan(xshape[1:], kshape[-4:], len(kshape), stride, padding,
-                                                    None if bias is None else bias.data.shape)
-    except ShapeError as err:  # the message names the shapes, batch and all
-        raise ShapeError(str(err).format(x=xshape, k=kshape)) from None
-    batch, per_sample = xshape[0], len(kshape) == 5
-    if per_sample and kshape[0] != batch:
-        raise ShapeError(f"conv2d per-sample kernel {kshape} does not match batch of input {xshape}")
+    key, gather, plane, zshape, kmat_shape, out_shape = _conv_plan(
+        x.data.shape, kernel.data.shape, stride, padding, None if bias is None else bias.data.shape)
 
     # im2col: one gather through the cached index gives the contiguous GEMM
     # operand (B, C*kh*kw, oH*oW); a padding tap reads each sample's appended
@@ -422,11 +421,11 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
     # same-shape GEMM per sample at any batch size, so a sample reduces in one
     # order alone or in a batch (batch equals serial). Folded into a GEMM
     # dimension, B could change BLAS's blocking.
-    xz = np.zeros((batch, plane + 1))
-    xz[:, :plane] = x.data.reshape(batch, plane)
-    cols = xz.take(idx, axis=1).reshape(batch, taps, -1)
-    kmat = kernel.data.reshape(*kshape[:-3], taps)
-    out = np.matmul(kmat, cols).reshape(batch, *out_chw)
+    xz = np.zeros(zshape)
+    xz[:, :plane] = x.data.reshape(zshape[0], plane)
+    cols = xz.take(gather, axis=1)
+    kmat = kernel.data.reshape(kmat_shape)
+    out = np.matmul(kmat, cols).reshape(out_shape)
     if bias is not None:
         out += bias.data[:, None, None]
     _finite(out)  # before the ReLU, which maps NaN and -Inf to 0
@@ -440,12 +439,13 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
         if relu:
             g = g * mask
         gb = () if bias is None else ((bias, np.add.reduce(g, axis=(0, 2, 3))),)
-        g3 = g.reshape(batch, out_chw[0], -1)
-        gk = np.empty(kshape)  # fresh and kernel-shaped, so backward keeps it without a copy
-        if per_sample:
-            np.matmul(g3, cols.transpose(0, 2, 1), out=gk.reshape(batch, out_chw[0], -1))
+        batch = zshape[0]
+        g3 = g.reshape(batch, out_shape[1], -1)
+        gk = np.empty(kernel.data.shape)  # fresh and kernel-shaped, so backward keeps it without a copy
+        if len(kmat_shape) == 3:  # per-sample kernels
+            np.matmul(g3, cols.transpose(0, 2, 1), out=gk.reshape(kmat_shape))
         else:  # a shared kernel sums the per-sample products, in batch order
-            np.add.reduce(np.matmul(g3, cols.transpose(0, 2, 1)), axis=0, out=gk.reshape(out_chw[0], -1))
+            np.add.reduce(np.matmul(g3, cols.transpose(0, 2, 1)), axis=0, out=gk.reshape(kmat_shape))
         if not x.requires_grad:  # e.g. the image at layer 0: backward would drop it
             return ((kernel, gk), *gb)
         gcols = np.matmul(np.swapaxes(kmat, -1, -2), g3)  # (B, C*kh*kw, oH*oW)
@@ -454,7 +454,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
         # window covers gets an exact zero. The padding taps all land in each
         # sample's last bin, which the view drops.
         gx = np.bincount(_col2im_index(key, batch), weights=gcols.reshape(-1), minlength=batch * (plane + 1)
-                         ).reshape(batch, plane + 1)[:, :plane].reshape(xshape)
+                         ).reshape(zshape)[:, :plane].reshape(x.data.shape)
         return ((x, gx), (kernel, gk), *gb)
 
     inputs = (x, kernel) if bias is None else (x, kernel, bias)

@@ -414,7 +414,7 @@ class TestDisturbanceOrdering:
         top1 = DI.evaluate_disturbed(*model, evalset, DI.Disturbance("top1"))
         uniform = DI.evaluate_disturbed(*model, evalset, DI.Disturbance("uniform"))
         mean_acc = DI.evaluate_disturbed(*model, evalset, DI.Disturbance("mean"),
-                                         DI.mean_coefficients(reference))
+                                         DI.mean_coefficients(reference.coefficients))
         shuffled = float(np.mean([
             DI.evaluate_disturbed(*model, evalset, DI.Disturbance("shuffled", seed=s))
             for s in range(5)
@@ -598,7 +598,7 @@ class TestBasisDropout:
             state, _ = TR.train_step(state, batch, schedule, loss_cfg)
         table = DI.mean_coefficients(P.infer_batch(
             state.lm, state.lm_params, state.bank, state.synth_cfg, evalset.images,
-            P.NEVER_TERMINATE))
+            P.NEVER_TERMINATE).coefficients)
         mass = table.sum(axis=0)
         alive = bool(np.all(mass > 1e-6))
         report(13, dropped_clean and alive,

@@ -456,10 +456,10 @@ class TestDisturb:
         path = workdir / "seeds.json"
         path.write_text(json.dumps(raw))
         assert main(["train", "--config", str(path)]) == 0
-        calls = record_calls(DI, "evaluate_disturbed")
+        calls = record_calls(DI, "_disturbed_accuracy")
         ckpt = workdir / "runs" / "seeds" / "checkpoint"
         assert main(["disturb", "--ckpt", str(ckpt), "--kind", "shuffled"]) == 0
-        assert [args[5].seed for args in calls if args[5].kind == "shuffled"] == [0, 1, 2]
+        assert [args[6].seed for args in calls if args[6].kind == "shuffled"] == [0, 1, 2]
 
     @pytest.mark.parametrize("flags,passes", [
         (["--kind", "mean", "--layer", "1", "--seeds", "2"], 2),
@@ -469,16 +469,17 @@ class TestDisturb:
     ], ids=["mean@L1", "correct@all", "mean@all", "shuffled@all"])
     def test_passes_per_command(self, workdir, trained_ckpt, capsys, record_calls,
                                 flags, passes):
-        # one reference pass, then one pass (per seed for shuffled) at each
-        # layer the disturbance changes; the config's layer 0 is shared
-        calls = record_calls(P, "infer_batch")
+        # one stage one; one reference stage two, then one (per seed for
+        # shuffled) at each layer the disturbance changes; the config's
+        # layer 0 is shared
+        stage_one, calls = record_calls(P, "lm_forward"), record_calls(P, "stage_two")
         assert main(["disturb", "--ckpt", str(trained_ckpt)] + flags) == 0
-        assert len(calls) == passes
+        assert len(stage_one) == 1 and len(calls) == passes
 
     @pytest.mark.parametrize("kind", DI.KINDS)
     def test_out_of_range_layer_exits_one_with_one_line(self, workdir, trained_ckpt, capsys,
                                                         record_calls, kind):
-        calls = record_calls(P, "infer_batch")
+        calls = record_calls(P, "lm_forward")
         assert main(["disturb", "--ckpt", str(trained_ckpt), "--kind", kind, "--layer", "9"]) == 1
         assert capsys.readouterr().err == "error: layer 9 out of range [0, 3)\n"
         assert calls == []

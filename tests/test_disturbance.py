@@ -123,7 +123,7 @@ class TestEvaluateDisturbed:
         state = toy_state(n_bases=1, seed=5)
         _, evalset = toy_dataset(train_size=8, eval_size=16)
         model = (state.lm, state.lm_params, state.bank, state.synth_cfg)
-        table = DI.mean_coefficients(P.infer_batch(*model, evalset.images, P.NEVER_TERMINATE))
+        table = DI.mean_coefficients(P.infer_batch(*model, evalset.images, P.NEVER_TERMINATE).coefficients)
         accs = {
             kind: DI.evaluate_disturbed(*model, evalset, DI.Disturbance(kind), table)
             for kind in DI.KINDS
@@ -159,7 +159,7 @@ class TestEvaluateDisturbed:
     def test_mean_table_matches_manual_average(self, model):
         state, evalset = model
         params = (state.lm, state.lm_params, state.bank, state.synth_cfg)
-        table = DI.mean_coefficients(P.infer_batch(*params, evalset.images, P.NEVER_TERMINATE))
+        table = DI.mean_coefficients(P.infer_batch(*params, evalset.images, P.NEVER_TERMINATE).coefficients)
         assert table.shape == (2, 3)
         np.testing.assert_allclose(table.sum(axis=1), 1.0, atol=1e-9)
         manual = sum(P.infer(*params, evalset.images[i:i + 1], threshold=1.01).coefficients.data
@@ -181,12 +181,12 @@ class TestLayerSweep:
         model = toy_model(seed=6)
         reference = DI.evaluate_disturbed(*model, DI.Disturbance("correct"))
         assert model[2].share_mask[0]
-        calls = record_calls(DI, "evaluate_disturbed")
+        calls = record_calls(DI, "_disturbed_accuracy")
         for kind in DI.KINDS:
             got, accuracies = DI.study(*model, kind, range(3), 2)
             assert got == reference and accuracies[0] == reference
             assert len(accuracies) == 3
-        assert calls and all(args[5].layer != 0 for args in calls)
+        assert calls and all(args[6].layer != 0 for args in calls)
 
     def test_reports_mean_over_seeds(self):
         model = toy_model(seed=7, eval_size=12)
@@ -203,13 +203,13 @@ class TestLayerSweep:
         # non-shared layer's one pass synthesizes from it
         model = toy_model(seed=8, eval_size=12)
         tables = record_calls(DI, "mean_coefficients")
-        evaluations = record_calls(DI, "evaluate_disturbed")
-        passes = record_calls(P, "infer_batch")
+        evaluations = record_calls(DI, "_disturbed_accuracy")
+        passes = record_calls(P, "stage_two")
         DI.study(*model, "mean", range(3), 3)
-        assert len(tables) == 1 and len(passes) == 3
+        assert len(tables) == 1 and len(passes) == 3 and len(evaluations) == 2
         reference = P.infer_batch(*model[:4], model[4].images, P.NEVER_TERMINATE)
         for args in evaluations:
-            np.testing.assert_array_equal(args[6], DI.mean_coefficients(reference))
+            np.testing.assert_array_equal(args[7], DI.mean_coefficients(reference.coefficients))
 
     def test_seedless_kind_runs_once_per_layer(self, record_calls):
         # only shuffled reads the seed: top1 over 3 seeds is one pass per
@@ -217,9 +217,9 @@ class TestLayerSweep:
         # seed's pass would give; the shared layer 0 runs none
         model = toy_model(seed=8, eval_size=12)
         evaluate_disturbed = DI.evaluate_disturbed
-        calls = record_calls(DI, "evaluate_disturbed")
+        calls = record_calls(DI, "_disturbed_accuracy")
         _, accuracies = DI.study(*model, "top1", range(3), 3)
-        assert [args[5].layer for args in calls] == [1, 2]
+        assert [args[6].layer for args in calls] == [1, 2]
         for layer, accuracy in enumerate(accuracies):
             assert all(evaluate_disturbed(*model, DI.Disturbance("top1", layer, seed)) == accuracy
                        for seed in range(3))
@@ -232,15 +232,17 @@ class TestLayerSweep:
         ("correct", [None], 5, (), 1),
     ])
     def test_passes_per_study(self, record_calls, kind, layers, seeds, shared, passes):
+        # stage one runs once; stage two once for the reference and once
+        # per disturbed pass
         model = toy_model(seed=9, shared=shared, eval_size=12)
-        calls = record_calls(P, "infer_batch")
+        stage_one, calls = record_calls(P, "lm_forward"), record_calls(P, "stage_two")
         DI.study(*model, kind, layers, seeds)
-        assert len(calls) == passes
+        assert len(stage_one) == 1 and len(calls) == passes
 
     @pytest.mark.parametrize("kind", DI.KINDS)
     def test_layer_range_checked_before_any_pass(self, record_calls, kind):
         model = toy_model(seed=9, eval_size=12)
-        calls = record_calls(P, "infer_batch")
+        calls = record_calls(P, "lm_forward")
         with pytest.raises(ValueError, match="layer 9 out of range"):
             DI.study(*model, kind, [0, 9], 2)
         assert calls == []

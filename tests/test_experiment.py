@@ -184,5 +184,5 @@ class TestExportCoefficients:
         from kernelblend import disturbance as DI
         table = DI.mean_coefficients(P.infer_batch(
             state.lm, state.lm_params, state.bank, state.synth_cfg, evalset.images,
-            P.NEVER_TERMINATE))
+            P.NEVER_TERMINATE).coefficients)
         np.testing.assert_allclose(sums / 20, table, atol=1e-12)

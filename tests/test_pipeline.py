@@ -112,7 +112,7 @@ class TestLightweightModel:
         _, m_coeff = linear_reference(feats, params.coeff_w.data)
         stage_one, synthesis, _, _ = P.image_madds(lm, bank)
         assert stage_one == mults + m_class  # an image that stops runs no coefficient head
-        assert synthesis == m_coeff + S.synthesis_madds(bank)
+        assert synthesis == m_coeff + S.synthesis_madds(bank.spec, bank.share_mask, bank.n_bases)
 
 
 class TestConfidence:
@@ -149,6 +149,73 @@ class TestConfidence:
             assert P.confidences(logits).tobytes() == expected.tobytes()
             assert P.confidence(logits[-1]) == expected[-1]
 
+    def test_one_over_sum_is_max_over_sum_bitwise(self):
+        # confidences returns 1/sum(e): the row's max shifts to exp(0.0),
+        # exactly 1.0, so it equals max(e)/sum(e) in every bit, here on
+        # adversarial rows: exact ties, adjacent doubles, +-1e300, values near
+        # 1e-300 and subnormal, constant rows, and rows long enough for
+        # numpy's pairwise sums
+        def up(v, k=1):
+            for _ in range(k):
+                v = np.nextafter(v, np.inf)
+            return v
+
+        rows = [
+            [3.0, 3.0, 3.0], [7.0, 7.0, -1.0], [-2.0, 5.0, 5.0, 5.0],
+            [1.0, up(1.0)], [up(1.0), 1.0, up(1.0, 2)], [0.0, up(0.0), -up(0.0)],
+            [1e300, -1e300], [-1e300, 1e300, 0.0], [1e300, up(1e300), 1e300],
+            [-1e300, -1e300], [1e-300, 2e-300, -1e-300], [5e-324, 0.0, -5e-324],
+            [1e-300, up(1e-300)], [0.0] * 6, [42.5] * 9, [-1e300] * 17,
+            [1e300, 1e-300, -1e-300, 0.0, 7.0, 7.0, -7.0, 1e300, up(1e300)],
+            [1e307, -1e307], [700.0, -700.0, 0.0], [1.0, 1.0 - 2 ** -52] * 5,
+        ]
+        rng = np.random.default_rng(35)
+        for c in (2, 6, 8, 9, 33):
+            rows.append(list(np.round(rng.standard_normal(c), 1)))  # ties likely
+            v = rng.standard_normal()
+            rows.append(list(v + np.spacing(v) * rng.integers(0, 3, size=c)))  # adjacent doubles
+        for row in rows:
+            for logits in (np.array([row]), np.array([row, row[::-1]])):
+                e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+                expected = np.maximum.reduce(e, axis=-1) / np.add.reduce(e, axis=-1)
+                assert P.confidences(logits).tobytes() == expected.tobytes(), row
+
+
+class TestImageMadds:
+    @pytest.mark.parametrize("mode,shared,n_bases", [
+        ("per_layer", [0], 3), ("per_layer", [], 1), ("per_model", [0], 3),
+        ("one_hot", [0], 3), ("per_layer", [0, 2], 4), ("per_model", [1], 2),
+    ], ids=["per_layer", "single_basis", "per_model", "one_hot", "two_shared", "per_model_shared"])
+    def test_memoised_price_is_the_formula(self, mode, shared, n_bases):
+        # the price is kept per model structure; the first call and a repeat
+        # both equal the formula summed here from the layer specs, and a
+        # bank with other kernels but the same structure reads the same entry
+        bank = S.build_bank(bank_spec(), n_bases=n_bases, shared_layers=shared, seed=0)
+        lm = dataclasses.replace(lm_for(bank), coeff_rows=S.SynthesisConfig(mode=mode).head_rows(
+            bank.n_coefficient_rows))
+        assert lm.coeff_rows == (1 if mode == "per_model" else 3 - len(shared))
+
+        def madds(spec):
+            return sum(h * w * layer.kernel_params for layer, (h, w) in zip(spec.layers, spec.spatial_sizes())
+                       ) + spec.feature_channels * spec.num_classes
+
+        stage_one = madds(lm.trunk)
+        synthesis = lm.trunk.feature_channels * lm.coeff_rows * n_bases + n_bases * sum(
+            layer.kernel_params for k, layer in enumerate(bank.spec.layers) if k not in shared)
+        stage2 = madds(bank.spec)
+        expected = (stage_one, synthesis, stage2, stage_one + synthesis + stage2)
+        assert P.image_madds(lm, bank) == expected
+        assert synthesis == lm.trunk.feature_channels * lm.coeff_width + S.synthesis_madds(
+            bank.spec, bank.share_mask, n_bases)
+        before = P._image_madds.cache_info()
+        other = S.build_bank(bank_spec(), n_bases=n_bases, shared_layers=shared, seed=1)
+        assert P.image_madds(lm, bank) == P.image_madds(lm, other) == expected
+        after = P._image_madds.cache_info()
+        assert (after.misses, after.hits) == (before.misses, before.hits + 2)
+        res = P.infer(lm, P.build_lm(lm, seed=1), bank, S.SynthesisConfig(mode=mode),
+                      np.random.default_rng(2).random((1, 1, 16, 16)), 1.01)
+        assert type(res.madds_spent) is int and res.madds_spent == expected[3]
+
 
 def events(trace):
     return [(e[0], e[1], e[2].tobytes() if len(e) > 2 else None) for e in trace]
@@ -177,8 +244,8 @@ class TestInfer:
         assert not res.terminated
         assert res.final_logits is not None
         coeff_head = lm.trunk.feature_channels * lm.coeff_width
-        expected = (B.count_madds(lm.trunk) + coeff_head + S.synthesis_madds(bank)
-                    + B.count_madds(bank.spec))
+        synthesis = S.synthesis_madds(bank.spec, bank.share_mask, bank.n_bases)
+        expected = B.count_madds(lm.trunk) + coeff_head + synthesis + B.count_madds(bank.spec)
         assert res.madds_spent == expected
 
     def test_terminated_costs_strictly_less(self, setup):
@@ -371,9 +438,9 @@ class TestTapeFreeEqualsTaped:
                                 one.madds_spent, one.prediction, events(one_trace),
                                 None if one.terminated else (one.coefficients.data.tobytes(),
                                                              one.final_logits.tobytes())))
-            records = [[(f.name, getattr(r, f.name).dtype, getattr(r, f.name).shape,
-                         getattr(r, f.name).tobytes()) for f in dataclasses.fields(r)
-                        if f.name != "threshold"] for r in (batch, edited)]
+            records = [[(name, getattr(r, name).dtype, getattr(r, name).shape,
+                         getattr(r, name).tobytes()) for name in r._fields
+                        if name != "threshold"] for r in (batch, edited)]
             return records, events(trace), seen, singles
 
         free = run()

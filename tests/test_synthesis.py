@@ -429,7 +429,7 @@ class TestSynthesisTape:
 class TestAccounting:
     def test_single_basis_overhead_is_parameter_count(self):
         bank = S.build_bank(two_layer_spec(), 1, [0], seed=0)
-        assert S.synthesis_madds(bank) == 4 * 4 * 9
+        assert S.synthesis_madds(bank.spec, bank.share_mask, bank.n_bases) == 4 * 4 * 9
 
     def test_known_bank_overhead(self):
         spec = B.BackboneSpec(
@@ -438,7 +438,7 @@ class TestAccounting:
             num_classes=2,
         )
         bank = S.build_bank(spec, 8, [], seed=0)
-        assert S.synthesis_madds(bank) == 8 * 16 * 16 * 9 == 18432
+        assert S.synthesis_madds(bank.spec, bank.share_mask, bank.n_bases) == 8 * 16 * 16 * 9 == 18432
 
     def test_overhead_matches_counter_oracle(self):
         spec = two_layer_spec()
@@ -446,4 +446,4 @@ class TestAccounting:
         rows = np.random.default_rng(3).random((1, 4))
         banks_np = [bank.kernels[1].data]
         _, mults = synthesis_reference(rows, banks_np)
-        assert S.synthesis_madds(bank) == mults
+        assert S.synthesis_madds(bank.spec, bank.share_mask, bank.n_bases) == mults

@@ -1,5 +1,7 @@
 """Tensor core: forward values, gradients vs finite differences, tape contract."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -380,30 +382,56 @@ class TestConvWindowGather:
         # an 11x13 map at padding 2 and stride 2: a shape no other test uses
         kern = T.Tensor(np.ones((2, 3, 3, 3)))
         infos = [T._window_index.cache_info()]
-        for batch in (2, 5):
+        for batch in (2, 5, 5):
             T.conv2d(T.Tensor(np.ones((batch, 3, 11, 13))), kern, stride=2, padding=2)
             infos.append(T._window_index.cache_info())
         assert infos[1].misses == infos[0].misses + 1
-        assert infos[2] == infos[1]  # the layer's plan holds its index: no lookup, no new one
+        # a new batch size's plan looks the index up once and builds none
+        assert (infos[2].misses, infos[2].hits) == (infos[1].misses, infos[1].hits + 1)
+        assert infos[3] == infos[2]  # the shape's plan holds its index: no lookup, no new one
         idx = T._window_index(3, 11, 13, 3, 3, 2, 2, 7, 8)
-        assert T._conv_plan((3, 11, 13), (2, 3, 3, 3), 4, 2, 2, None)[1] is idx
+        gather = T._conv_plan((5, 3, 11, 13), (2, 3, 3, 3), 2, 2, None)[1]
+        assert np.shares_memory(gather, idx) and np.array_equal(gather.reshape(-1), idx)
         assert not idx.flags.writeable
         assert idx.max() == 3 * 11 * 13  # a tap in the padding reads the appended zero
         with pytest.raises(ValueError):
             idx[0] = 1
 
-    def test_plan_shared_across_batch_sizes(self):
+    def test_one_plan_per_shape_sharing_one_index(self):
         # a 9x11 map at padding 2 and stride 3 under a 5x5 kernel: a layer
-        # shape no other test uses
+        # shape no other test uses; each batch size is one plan, made once
         kern = T.Tensor(np.ones((2, 3, 5, 5)))
         before = T._conv_plan.cache_info()
-        for batch in (1, 3, 16):
+        for batch in (1, 3, 16, 3, 1):
             T.conv2d(T.Tensor(np.ones((batch, 3, 9, 11))), kern, stride=3, padding=2)
         after = T._conv_plan.cache_info()
-        assert (after.misses, after.hits) == (before.misses + 1, before.hits + 2)
-        key, idx, plane, taps, out_chw = T._conv_plan((3, 9, 11), (2, 3, 5, 5), 4, 3, 2, None)
-        assert key == (3, 9, 11, 5, 5, 3, 2, 3, 4) and idx is T._window_index(*key)
-        assert (plane, taps, out_chw) == (3 * 9 * 11, 3 * 5 * 5, (2, 3, 4))
+        assert (after.misses, after.hits) == (before.misses + 3, before.hits + 2)
+        key, gather, plane, zshape, kmat_shape, out_shape = T._conv_plan(
+            (16, 3, 9, 11), (2, 3, 5, 5), 3, 2, None)
+        idx = T._window_index(*key)
+        assert key == (3, 9, 11, 5, 5, 3, 2, 3, 4) and np.shares_memory(gather, idx)
+        assert gather.shape == (3 * 5 * 5, 3 * 4) and np.array_equal(gather.reshape(-1), idx)
+        assert not gather.flags.writeable
+        assert np.shares_memory(T._conv_plan((1, 3, 9, 11), (2, 3, 5, 5), 3, 2, None)[1], idx)
+        assert (plane, zshape) == (3 * 9 * 11, (16, 3 * 9 * 11 + 1))
+        assert (kmat_shape, out_shape) == ((2, 3 * 5 * 5), (16, 2, 3, 4))
+        per_sample = T._conv_plan((16, 3, 9, 11), (16, 2, 3, 5, 5), 3, 2, (2,))
+        assert np.shares_memory(per_sample[1], idx) and per_sample[4:] == ((16, 2, 3 * 5 * 5), (16, 2, 3, 4))
+
+    def test_plan_cache_stays_bounded_over_every_pending_count(self):
+        # stage two's per-sample kernels make one plan per pending count P;
+        # P = 1..256 must neither grow the cache past its bound nor build a
+        # second window index (a 7x5 map at padding 1: a shape no other test uses)
+        rng = np.random.default_rng(3)
+        before = T._window_index.cache_info()
+        for p in range(1, 257):
+            x = T.Tensor(rng.standard_normal((p, 2, 7, 5)))
+            out = T.conv2d(x, T.Tensor(rng.standard_normal((p, 3, 2, 3, 3))), 1, 1, T.Tensor(np.zeros(3)), True)
+            assert out.shape == (p, 3, 7, 5)
+            info = T._conv_plan.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize
+        after = T._window_index.cache_info()
+        assert (after.misses, after.hits) == (before.misses + 1, before.hits + 255)
 
     @pytest.mark.parametrize("xshape,kshape,kw,message", [
         ((4, 2, 9, 11), (2, 3, 5, 5), {},
@@ -430,9 +458,8 @@ class TestConvWindowGather:
                 T.conv2d(x, kern, **kw)
             assert str(exc.value) == message
         # a plan that fails is not stored, so the second call checks it again;
-        # the per-sample batch is checked on each call, after a plan that holds
-        hits = T._conv_plan.cache_info().hits - before.hits
-        assert hits == (1 if message.startswith("conv2d per-sample") else 0)
+        # the per-sample batch is part of the plan's key, checked with the rest
+        assert T._conv_plan.cache_info().hits == before.hits
 
     def test_col2im_index_cached_per_batch_and_gradient_is_plain_conv(self):
         # a 9x7 map at padding 1 and stride 2, at two batch sizes: one
@@ -489,6 +516,23 @@ class TestElementwise:
         grads = grad_of(lambda: sum_squares(T.sigmoid(x)), (x,))
         numeric = finite_difference(lambda v: np.sum((1 / (1 + np.exp(-v))) ** 2), xv.copy())
         assert gradient_mismatch(grads[x], numeric) < 1e-7
+
+    @pytest.mark.parametrize("taped", [False, True], ids=["tape_free", "taped"])
+    def test_ops_on_0d_tensors_hold_0d_arrays(self, taped):
+        # numpy gives a scalar for arithmetic on 0-d arrays; every op result
+        # must still wrap a C-contiguous float64 ndarray, with the same value
+        a, b = T.Tensor(1.5, requires_grad=taped), T.Tensor(-0.25, requires_grad=taped)
+        tape = T.GradTape()
+        with T.recording(tape) if taped else contextlib.nullcontext():
+            outs = {"add": (T.add(a, b), 1.25), "mul": (T.mul(a, b), -0.375),
+                    "scale": (T.scale(a, 3.0), 4.5),
+                    "sigmoid": (T.sigmoid(b), np.exp(-0.25) / (1.0 + np.exp(-0.25))),
+                    "reshape": (T.reshape(T.Tensor([2.0]), ()), 2.0)}
+        for name, (out, value) in outs.items():
+            assert type(out.data) is np.ndarray and out.data.shape == (), name
+            assert out.data.dtype == np.float64 and out.data.flags.c_contiguous, name
+            assert out.data.tobytes() == np.float64(value).tobytes(), name
+        assert bool(tape.records) == taped
 
     def test_mul_product_rule(self):
         xv, yv = np.array([1.5, -0.5]), np.array([2.0, 3.0])

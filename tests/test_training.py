@@ -76,6 +76,25 @@ class TestTotalLoss:
                                 TR.LossConfig(lm_weight=1.0))
         assert loss.item() == pytest.approx(2 * np.log(10), abs=1e-12)
 
+    @pytest.mark.parametrize("l2_weight", [0.0, 1e-3])
+    def test_taped_loss_and_its_terms_hold_0d_arrays(self, l2_weight):
+        # the scaled LM term and the sums are ops on 0-d tensors, which numpy
+        # answers with scalars: each must still wrap a 0-d float64 ndarray
+        final, initial = (T.Tensor(t.data, requires_grad=True) for t in self.make_logits())
+        tape = T.GradTape()
+        with T.recording(tape):
+            loss, parts = TR.total_loss(final, initial, np.array([0, 1, 2, 3]), 2.5,
+                                        TR.LossConfig(lm_weight=0.5, l2_weight=l2_weight))
+        assert len(tape.records) == (5 if l2_weight else 4)  # two CEs, the scale, one add per term
+        for out, *_ in tape.records:
+            assert type(out.data) is np.ndarray and out.data.shape == ()
+            assert out.data.dtype == np.float64 and out.data.flags.c_contiguous
+        assert tape.records[-1][0] is loss
+        expected = parts["synth_loss"] + parts["lm_loss"] * 0.5
+        assert loss.item() == (expected + 2.5 * l2_weight if l2_weight else expected)
+        grads = T.backward(loss)
+        assert all(type(g) is np.ndarray for g in grads.values())
+
     def test_l2_term_value(self):
         final, initial = self.make_logits()
         p = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
