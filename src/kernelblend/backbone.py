@@ -11,7 +11,6 @@ kernel-times-input multiply, biases and pooling uncounted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -74,7 +73,7 @@ class BackboneSpec:
                 )
             chain = layer.out_channels
         self.spatial_sizes()  # raises if any layer shrinks the map below 1x1
-        # the cost lookups key caches by spec on every image: hash the tree once
+        # the price memo keys by spec on every image: hash the tree once
         object.__setattr__(self, "_hash", hash((self.input_shape, self.layers, self.num_classes)))
 
     def __hash__(self) -> int:
@@ -184,6 +183,5 @@ def madds_per_layer(spec: BackboneSpec) -> list[int]:
     return counts + [spec.feature_channels * spec.num_classes]
 
 
-@cache
 def count_madds(spec: BackboneSpec) -> int:
     return sum(madds_per_layer(spec))

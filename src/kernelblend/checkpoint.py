@@ -7,7 +7,7 @@ round-trip form.
 
 A checkpoint is a JSON manifest plus one binary blob. The manifest records
 the schema version, the experiment config the model was trained from, the
-training step, an index of named tensors (shape, byte offset, byte length)
+training step (within that config's schedule), an index of named tensors (shape, byte offset, byte length)
 and the blob's SHA-256. The config is the one description of the model: a
 load builds the state from it as ``train`` does, and the synthesis mode
 follows from its schedule and the step. The blob is the parameter vector as
@@ -122,7 +122,11 @@ def _restore(manifest: dict, blob_path: Path) -> tuple[TrainState, ExperimentCon
     """Build the config's model, fill it from the blob, and set the step and
     the synthesis mode the last step that ran left."""
     cfg = parse_config(manifest["config"])
-    state = init_state(cfg.lm, cfg.bank_spec, cfg.shared_layers, cfg.synth_cfg, seed=cfg.seed)
+    step = _cast(manifest["step"], int, "step")
+    end = cfg.schedule.total_steps + cfg.schedule.finetune_steps
+    if not 0 <= step <= end:  # a save comes at most at the schedule's end
+        raise ConfigError(f"step: expected int in [0, {end}], got {step}")
+    state = init_state(cfg.lm, cfg.bank_spec, cfg.shared_layers, cfg.synth_cfg, seed=cfg.schedule.seed)
     recorded, expected = manifest["tensors"], tensor_index(state)
     if recorded != expected:
         pairs = zip_longest(recorded if isinstance(recorded, list) else [recorded], expected)
@@ -141,7 +145,7 @@ def _restore(manifest: dict, blob_path: Path) -> tuple[TrainState, ExperimentCon
     state.vector.apply_update(values[:n])
     if len(values) > n:
         state.opt_state = values[n:]
-    state.step = _cast(manifest["step"], int, "step")
+    state.step = step
     # the mode the last step set, after init_state checked the head against the configured one
     if cfg.schedule.selects(state.step - 1):
         state.synth_cfg = replace(state.synth_cfg, mode="one_hot")

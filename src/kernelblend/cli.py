@@ -112,7 +112,7 @@ def cmd_disturb(args) -> int:
 
 def cmd_cost(args) -> int:
     cfg = load_config(args.config)
-    state = init_state(cfg.lm, cfg.bank_spec, cfg.shared_layers, cfg.synth_cfg, seed=cfg.seed)
+    state = init_state(cfg.lm, cfg.bank_spec, cfg.shared_layers, cfg.synth_cfg, seed=cfg.schedule.seed)
     report = co.full_cost(state.lm, state.bank)
     text = json.dumps(dataclasses.asdict(report), indent=1)
     ck.write_atomically(cfg.output_dir / "cost.json", text.encode())

@@ -141,7 +141,6 @@ def read_spec(input_shape: list, layers: list, num_classes: int, where: str) -> 
 @dataclass
 class ExperimentConfig:
     raw: dict
-    seed: int
     output_dir: Path
     dataset: dict
     lm: pl.LightweightModel
@@ -265,7 +264,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         raw=raw,
-        seed=top["seed"],
         output_dir=Path(top["output_dir"]),
         dataset=dataset,
         lm=lm,

@@ -66,7 +66,7 @@ def teacher_from_checkpoint(path, bank_spec) -> tuple[bb.BackboneSpec, bb.Backbo
 
 
 def build_state(cfg: ExperimentConfig) -> tuple[tr.TrainState, tr.LossConfig]:
-    state = tr.init_state(cfg.lm, cfg.bank_spec, cfg.shared_layers, cfg.synth_cfg, seed=cfg.seed)
+    state = tr.init_state(cfg.lm, cfg.bank_spec, cfg.shared_layers, cfg.synth_cfg, seed=cfg.schedule.seed)
     if cfg.distill is None:
         return state, cfg.loss
     spec, params = teacher_from_checkpoint(cfg.teacher_checkpoint, cfg.bank_spec)

@@ -24,7 +24,7 @@ from . import tensor as T
 
 
 # numpy sums a reduction of 8 or more terms pairwise, in another order than
-# ``downsample_input``'s slice adds
+# ``downsample_input``'s adds of views
 MAX_DOWNSAMPLE = 7
 NEVER_TERMINATE = 1.01  # above every confidence: stage two always runs
 
@@ -125,22 +125,24 @@ def build_lm(lm: LightweightModel, seed: int) -> LMParams:
 def downsample_input(x: np.ndarray, factor: int) -> np.ndarray:
     """Average-pool HxW by an integer factor (the lightweight preview input).
 
-    Sums the strided slices ``x[..., i::f, j::f]`` along each row of a block,
-    then the row sums, and divides by ``f*f``: the additions numpy's
-    ``reshape(...).mean(axis=(3, 5))`` makes for ``f <= MAX_DOWNSAMPLE``,
-    so the result is that mean bit for bit, without its strided reduction.
+    Adds the (B, C, H/f, f, W/f, f) view of ``x`` over its last axis, then
+    over its fourth, one add of views per term, and divides by ``f*f``: the
+    additions numpy's ``reshape(...).mean(axis=(3, 5))`` makes for
+    ``f <= MAX_DOWNSAMPLE``, so the result is that mean bit for bit, without
+    its strided reduction.
     """
     if factor == 1:
         return x
     b, c, h, w = x.shape
     if h % factor or w % factor:
         raise T.ShapeError(f"spatial size {h}x{w} not divisible by downsample factor {factor}")
-    total = None
-    for i in range(factor):
-        row = x[:, :, i::factor, 0::factor]
-        for j in range(1, factor):
-            row = row + x[:, :, i::factor, j::factor]
-        total = row if total is None else total + row
+    blocks = x.reshape(b, c, h // factor, factor, w // factor, factor)
+    rows = blocks[..., 0]
+    for j in range(1, factor):
+        rows = rows + blocks[..., j]
+    total = rows[:, :, :, 0]
+    for i in range(1, factor):
+        total = total + rows[:, :, :, i]
     return total / (factor * factor)
 
 
@@ -210,7 +212,8 @@ def stage_two(params: LMParams, bank: syn.BasisBank, cfg: syn.SynthesisConfig, x
     ``feats`` (B, F): the coefficient head, activation, ``edit`` if given,
     one synthesis of per-image specialists and one batched stage-two pass.
     ``edit`` maps the (B, rows, N) coefficients to the ones synthesized in
-    their place. Returns (final logits (B, C), those coefficients).
+    their place: the one hook for training's stabilizers and the
+    disturbance study. Returns (final logits (B, C), those coefficients).
     """
     raw = T.linear(feats, params.coeff_w, params.coeff_b)
     alpha = coefficients_from_raw(raw, cfg, bank.n_coefficient_rows, bank.n_bases)
@@ -236,16 +239,12 @@ def _preview(lm: LightweightModel, params: LMParams, images: np.ndarray,
 
 def infer_batch(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
                 cfg: syn.SynthesisConfig, images: np.ndarray, threshold: float,
-                trace: list | None = None, edit=None) -> BatchResult:
+                trace: list | None = None) -> BatchResult:
     """Run the pipeline over images (B, C, H, W); row i is ``infer`` on image i.
 
     One batched lightweight pass scores every image. The images below the
     threshold then share one ``stage_two`` (an image that stops never pays
-    for its coefficient head). ``edit``, if given, is called once with the
-    (P, rows, N) coefficient tensor of the P images below the threshold, in
-    image order, and returns the (P, rows, N) tensor that is synthesized in
-    its place (the disturbance study); the record carries the returned
-    tensor.
+    for its coefficient head).
     """
     x, initial, feats, conf = _preview(lm, params, images, threshold)
     terminated = conf >= threshold
@@ -253,7 +252,7 @@ def infer_batch(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
     if len(pending):
         if len(pending) < len(conf):
             x, feats = T.constant(x.data[pending]), T.constant(feats.data[pending])
-        final, alpha = stage_two(params, bank, cfg, x, feats, edit, trace)
+        final, alpha = stage_two(params, bank, cfg, x, feats, trace=trace)
         final, coefficients = final.data, alpha.data
     else:
         final = np.empty((0, initial.shape[1]))

@@ -18,7 +18,6 @@ edited matrix, such as a disturbed one, synthesizes like any other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -213,7 +212,6 @@ def synthesis_madds(spec: BackboneSpec, share_mask: tuple[bool, ...], n_bases: i
     return n_bases * basis_param_count(spec, share_mask)
 
 
-@cache
 def basis_param_count(spec: BackboneSpec, share_mask: tuple[bool, ...]) -> int:
     """Kernel parameters one basis holds: its non-shared layers' kernels."""
     # priced from the bank's frozen structure, not its mutable kernels

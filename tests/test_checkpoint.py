@@ -149,7 +149,7 @@ class TestRoundTrip:
         assert loaded.vector.data.tobytes() == state.vector.data.tobytes()
         cfg = parse_config(manifest["config"])
         priced = CO.full_cost(cfg.lm, S.build_bank(cfg.bank_spec, cfg.lm.n_bases,
-                                                   cfg.shared_layers, cfg.seed))
+                                                   cfg.shared_layers, cfg.schedule.seed))
         assert CO.full_cost(loaded.lm, loaded.bank) == priced
         assert priced != CO.full_cost(state.lm, state.bank)
 
@@ -353,8 +353,12 @@ class TestValidation:
         (lambda m: m["config"]["bank"]["layers"][1].update(dilation=2),
          "bank.layers[1]: unknown key 'dilation'"),
         (lambda m: m.update(step="20"), 'step: expected int, got "20"'),
+        # the embedded schedule runs 6 steps: a save comes at most at its end
+        (lambda m: m.update(step=-1), "step: expected int in [0, 6], got -1"),
+        (lambda m: m.update(step=7), "step: expected int in [0, 6], got 7"),
     ], ids=["layer_k_string", "structure_list", "layers_int", "n_bases_string",
-            "share_mask_int", "unknown_layer_key", "step_string"])
+            "share_mask_int", "unknown_layer_key", "step_string", "step_negative",
+            "step_past_the_schedule"])
     def test_malformed_structure_names_its_key(self, trained, tmp_path, edit, message):
         # the manifest's config describes the model's structure (bank.shared
         # gives its share mask); it and the step are read under the config's rules

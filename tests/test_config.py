@@ -50,7 +50,7 @@ def base_config(**overrides):
 class TestParsing:
     def test_valid_config_parses(self):
         cfg = parse_config(base_config())
-        assert cfg.seed == 7
+        assert cfg.schedule.seed == 7
         assert cfg.lm.n_bases == 3
         assert cfg.shared_layers == [0]
         assert cfg.lm.coeff_rows == 2
@@ -240,7 +240,7 @@ class TestParsing:
         # negative one is cast exactly, then refused by the seed's own range
         if 0 <= seed < 2**53:
             cfg = parse_config(base_config(seed=seed))
-            assert type(cfg.seed) is int and cfg.seed == seed
+            assert type(cfg.schedule.seed) is int and cfg.schedule.seed == seed
         elif abs(seed) < 2**53:
             with pytest.raises(ConfigError) as exc:
                 parse_config(base_config(seed=seed))

@@ -90,7 +90,7 @@ class TestFullCost:
         # the wide bank puts the lightweight model's share near the paper's
         # regime (56.5M of 290M); priced without training
         cfg = load_config(path)
-        bank = S.build_bank(cfg.bank_spec, cfg.lm.n_bases, cfg.shared_layers, cfg.seed)
+        bank = S.build_bank(cfg.bank_spec, cfg.lm.n_bases, cfg.shared_layers, cfg.schedule.seed)
         report = C.full_cost(cfg.lm, bank)
         assert (report.lm_madds, report.synthesis_madds, report.stage2_madds,
                 report.total_madds) == madds

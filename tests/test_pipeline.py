@@ -64,7 +64,7 @@ class TestLightweightModel:
         down = P.downsample_input(x, 2)
         assert down[0, 0, 0, 0] == (0 + 1 + 4 + 5) / 4
 
-    @pytest.mark.parametrize("batch", [1, 256])
+    @pytest.mark.parametrize("batch", [1, 3, 16, 256])
     @pytest.mark.parametrize("factor", range(1, P.MAX_DOWNSAMPLE + 1))
     def test_downsample_is_the_reshape_mean_bitwise(self, factor, batch):
         rng = np.random.default_rng(factor)
@@ -359,19 +359,19 @@ class TestInfer:
             assert np.all(np.isin(batch.coefficients, (0.0, 1.0)))
             assert np.all(batch.coefficients.sum(axis=-1) == 1.0)
 
-        # ``edit`` is called once with the pending images' (P, rows, N)
-        # tensor, in image order, and each image's specialist runs on its
-        # slice of the tensor that ``edit`` returns
+        # ``stage_two`` over the pending images calls ``edit`` once with
+        # their (P, rows, N) tensor, in image order, and each image's
+        # specialist runs on its slice of the tensor that ``edit`` returns
         seen = []
-        edited = P.infer_batch(lm, params, bank, cfg, images, threshold, edit=reverse_bases(seen))
-        pending = batch.pending
+        x = T.Tensor(images[batch.pending])
+        final, edited = P.stage_two(params, bank, cfg, x, P.lm_forward(lm, params, x)[1],
+                                    reverse_bases(seen))
         assert seen == [batch.coefficients.tobytes()]
-        assert edited.pending.tolist() == pending.tolist()
-        for j, i in enumerate(pending):
-            alpha = T.Tensor(edited.coefficients[j])
+        for j, i in enumerate(batch.pending):
+            alpha = T.Tensor(edited.data[j])
             assert np.array_equal(alpha.data, batch.coefficients[j][:, ::-1])
             alone = B.forward(S.synthesize(bank, alpha), bank.spec, T.Tensor(images[i:i + 1]))
-            assert edited.final_logits[j].tobytes() == alone.data[0].tobytes()
+            assert final.data[j].tobytes() == alone.data[0].tobytes()
 
     def test_pending_rows_are_the_rows_of_the_pass_that_stops_none(self, setup, monkeypatch):
         # the coefficient head runs on the pending rows only, and each such
@@ -429,7 +429,9 @@ class TestTapeFreeEqualsTaped:
         def run():
             trace, seen = [], []
             batch = P.infer_batch(lm, params, bank, cfg, images, threshold, trace=trace)
-            edited = P.infer_batch(lm, params, bank, cfg, images, threshold, edit=reverse_bases(seen))
+            x = T.Tensor(images)
+            edited = P.stage_two(params, bank, cfg, x, P.lm_forward(lm, params, x)[1],
+                                 reverse_bases(seen))
             singles = []
             for i in range(len(images)):
                 one_trace = []
@@ -438,9 +440,10 @@ class TestTapeFreeEqualsTaped:
                                 one.madds_spent, one.prediction, events(one_trace),
                                 None if one.terminated else (one.coefficients.data.tobytes(),
                                                              one.final_logits.tobytes())))
-            records = [[(name, getattr(r, name).dtype, getattr(r, name).shape,
-                         getattr(r, name).tobytes()) for name in r._fields
-                        if name != "threshold"] for r in (batch, edited)]
+            records = [(name, getattr(batch, name).dtype, getattr(batch, name).shape,
+                        getattr(batch, name).tobytes()) for name in batch._fields
+                       if name != "threshold"]
+            records += [(t.data.dtype, t.data.shape, t.data.tobytes()) for t in edited]
             return records, events(trace), seen, singles
 
         free = run()

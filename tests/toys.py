@@ -64,7 +64,7 @@ def toy_config_state(n_bases=3, seed=0):
         "eval": {},
     }
     cfg = parse_config(raw)
-    state = TR.init_state(cfg.lm, cfg.bank_spec, cfg.shared_layers, cfg.synth_cfg, seed=cfg.seed)
+    state = TR.init_state(cfg.lm, cfg.bank_spec, cfg.shared_layers, cfg.synth_cfg, seed=cfg.schedule.seed)
     return state, raw
 
 
