@@ -164,6 +164,30 @@ def forward_features(params: BackboneParams, spec: BackboneSpec, x: T.Tensor,
     return T.global_avg_pool(out)
 
 
+def plan_features(spec: BackboneSpec, shape: tuple, share_mask: tuple[bool, ...] | None = None) -> tuple:
+    """``forward_features``' geometry on a (B, C, H, W) input, checked: each
+    layer's (ReLU, conv plan). A layer that ``share_mask`` does not share
+    takes per-sample (B, O, I, K, K) kernels; with no mask every layer shares."""
+    plans = []
+    for k, layer in enumerate(spec.layers):
+        kshape = layer.kernel_shape if share_mask is None or share_mask[k] else (shape[0], *layer.kernel_shape)
+        plans.append((layer.activation == "relu",
+                      T._conv_plan(shape, kshape, layer.stride, layer.padding, (layer.out_channels,))))
+        shape = plans[-1][1][-1]
+    return tuple(plans)
+
+
+def planned_features(x: np.ndarray, plans: tuple, kernels, biases, trace: list | None = None) -> np.ndarray:
+    """``forward_features`` on ndarrays through ``plan_features``' plans: each
+    layer's conv kernel on its kernel array and bias Tensor, then the
+    pooling, with the same trace events."""
+    for k, ((relu, plan), kernel, bias) in enumerate(zip(plans, kernels, biases)):
+        if trace is not None:
+            trace.append(("execute", k))
+        x = T._conv(x, kernel, bias.data, relu, plan)[0]
+    return T._pool(x)
+
+
 def forward(params: BackboneParams, spec: BackboneSpec, x: T.Tensor,
             trace: list | None = None) -> T.Tensor:
     """Full forward to logits of shape (B, num_classes)."""

@@ -146,13 +146,28 @@ def downsample_input(x: np.ndarray, factor: int) -> np.ndarray:
     return total / (factor * factor)
 
 
+@lru_cache(maxsize=64)
+def _stage_one_plan(lm: LightweightModel, shape: tuple) -> tuple:
+    """Stage one for images of ``shape``, checked once: the trunk's layer plans."""
+    (c, h, w), f = lm.trunk.input_shape, lm.downsample
+    if shape[1:] != (c, h * f, w * f):  # the model's input: the trunk's before the downsample
+        raise T.ShapeError(f"input {shape} does not match spec input shape {(c, h * f, w * f)}")
+    return bb.plan_features(lm.trunk, (shape[0], c, h, w))
+
+
 def lm_forward(lm: LightweightModel, params: LMParams, x: T.Tensor) -> tuple[T.Tensor, T.Tensor]:
     """One trunk pass and the class head: (initial logits (B, C), pooled
-    features (B, F)). The coefficient head (``coeff_w``, ``coeff_b``) is
-    ``stage_two``'s, so inference runs it only on the images the gate passes on."""
-    xd = T.constant(downsample_input(x.data, lm.downsample))  # the trunk's first conv checks it
-    feats = bb.forward_features(params.trunk, lm.trunk, xd)
-    return T.linear(feats, params.trunk.head_w, params.trunk.head_b), feats
+    features (B, F)), by the stage-one plan with no tape live, else by the
+    ops. The coefficient head is ``stage_two``'s, so inference runs it only
+    on the images the gate passes on."""
+    plans = _stage_one_plan(lm, x.data.shape)
+    xd = downsample_input(x.data, lm.downsample)  # the trunk's first conv checks it
+    trunk = params.trunk
+    if T.taping():
+        feats = bb.forward_features(trunk, lm.trunk, T.constant(xd))
+        return T.linear(feats, trunk.head_w, trunk.head_b), feats
+    feats = bb.planned_features(xd, plans, [lp.kernel.data for lp in trunk.layers], [lp.bias for lp in trunk.layers])
+    return T.constant(T._linear(feats, trunk.head_w.data, trunk.head_b.data)), T.constant(feats)
 
 
 def image_madds(lm: LightweightModel, bank: syn.BasisBank) -> tuple[int, int, int, int]:
@@ -160,10 +175,8 @@ def image_madds(lm: LightweightModel, bank: syn.BasisBank) -> tuple[int, int, in
     full path). An image that stops pays stage one alone, what ``lm_forward``
     runs: the trunk and the class head (the trunk spec's input shape is the
     post-transform size, so no downsample correction is applied). The full
-    path adds synthesis, the coefficient head and the blend, both of which
-    scale with N, and the specialist's pass. Priced once per model, from the
-    bank's frozen structure, not its mutable kernels.
-    """
+    path adds synthesis (the coefficient head and the blend, both scaling with
+    N) and the specialist's pass. Priced once per model structure."""
     return _image_madds(lm, bank.spec, bank.share_mask, bank.n_bases)
 
 
@@ -186,24 +199,22 @@ def confidences(logits: np.ndarray) -> np.ndarray:
 
 
 def confidence(logits: np.ndarray) -> float:
-    """Max softmax probability of a single logits vector: ``confidences``
-    of one row."""
+    """Max softmax probability of a single logits vector: ``confidences`` of one row."""
     return float(confidences(logits.reshape(1, -1))[0])
 
 
-def coefficients_from_raw(raw: T.Tensor, cfg: syn.SynthesisConfig,
-                          n_rows: int, n_bases: int) -> T.Tensor:
-    """Activate raw head outputs; harden them to one-hot in ``one_hot`` mode.
-
-    ``raw`` is one sample's head output (width,), giving a (rows, N)
-    matrix, or a batch (B, width), giving (B, rows, N). The head width, not
-    the mode, decides the layout: a head N wide (the per-model head) is
-    repeated for every layer before activation.
-    """
-    rows = (T.tile_rows(raw, n_rows) if raw.shape[-1] == n_bases
-            else T.reshape(raw, (*raw.shape[:-1], n_rows, n_bases)))
-    alpha = syn.activate(rows, cfg.activation)
-    return syn.to_one_hot(alpha) if cfg.mode == "one_hot" else alpha
+@lru_cache(maxsize=64)
+def _stage_two_plan(spec: bb.BackboneSpec, share_mask: tuple[bool, ...], n_bases: int,
+                    wshape: tuple, xshape: tuple, fshape: tuple) -> tuple:
+    """Stage two for images of ``xshape``, features of ``fshape`` and a head
+    of ``wshape``, checked once: (tiled head, (B, rows, N), blend and layer plans)."""
+    if xshape[1:] != spec.input_shape:
+        raise T.ShapeError(f"input {xshape} does not match spec input shape {spec.input_shape}")
+    shape = (xshape[0], share_mask.count(False), n_bases)
+    if fshape != (xshape[0], wshape[0]) or wshape[1] not in (n_bases, shape[1] * n_bases):
+        raise T.ShapeError(f"features {fshape} and a coefficient head {wshape} for {shape} coefficients")
+    return (wshape[1] == n_bases, shape, syn.plan_blends(spec, share_mask, shape),
+            bb.plan_features(spec, xshape, share_mask))
 
 
 def stage_two(params: LMParams, bank: syn.BasisBank, cfg: syn.SynthesisConfig, x: T.Tensor,
@@ -211,19 +222,32 @@ def stage_two(params: LMParams, bank: syn.BasisBank, cfg: syn.SynthesisConfig, x
     """The second stage for images x (B, C, H, W) with pooled trunk features
     ``feats`` (B, F): the coefficient head, activation, ``edit`` if given,
     one synthesis of per-image specialists and one batched stage-two pass.
-    ``edit`` maps the (B, rows, N) coefficients to the ones synthesized in
-    their place: the one hook for training's stabilizers and the
+    ``edit`` maps the (B, rows, N) coefficients Tensor to the one synthesized
+    in its place: the one hook for training's stabilizers and the
     disturbance study. Returns (final logits (B, C), those coefficients).
+    With no tape live it runs the stage-two plan; on a tape, the ops.
     """
-    raw = T.linear(feats, params.coeff_w, params.coeff_b)
-    alpha = coefficients_from_raw(raw, cfg, bank.n_coefficient_rows, bank.n_bases)
+    taped = T.taping()
+    if taped:
+        raw = T.linear(feats, params.coeff_w, params.coeff_b)
+        alpha = syn.coefficients_from_raw(raw, cfg, bank.n_coefficient_rows, bank.n_bases)
+    else:
+        tiled, shape, blends, plans = _stage_two_plan(
+            bank.spec, bank.share_mask, bank.n_bases, params.coeff_w.data.shape, x.data.shape, feats.data.shape)
+        raw = T._linear(feats.data, params.coeff_w.data, params.coeff_b.data)
+        alpha = T.constant(syn.planned_coefficients(raw, cfg, shape, tiled))
     if edit is not None:
         alpha = edit(alpha)
+        if not taped and alpha.shape != shape:  # on a tape, synthesize checks it
+            raise T.ShapeError(f"edit returned coefficients {alpha.shape}, expected {shape}")
     if trace is not None:
         for a in alpha.data:
             for r, k in enumerate(bank.nonshared_indices()):
                 trace.append(("coefficients", k, a[r].copy()))
-    return bb.forward(syn.synthesize(bank, alpha), bank.spec, x, trace), alpha
+    if taped:
+        return bb.forward(syn.synthesize(bank, alpha), bank.spec, x, trace), alpha
+    feats = bb.planned_features(x.data, plans, syn.blend_kernels(bank, alpha.data, blends), bank.biases, trace)
+    return T.constant(T._linear(feats, bank.head_w.data, bank.head_b.data)), alpha
 
 
 def _preview(lm: LightweightModel, params: LMParams, images: np.ndarray,
@@ -241,11 +265,8 @@ def infer_batch(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
                 cfg: syn.SynthesisConfig, images: np.ndarray, threshold: float,
                 trace: list | None = None) -> BatchResult:
     """Run the pipeline over images (B, C, H, W); row i is ``infer`` on image i.
-
-    One batched lightweight pass scores every image. The images below the
-    threshold then share one ``stage_two`` (an image that stops never pays
-    for its coefficient head).
-    """
+    One batched stage one scores every image; the images below the threshold
+    share one ``stage_two`` (an image that stops never pays for its head)."""
     x, initial, feats, conf = _preview(lm, params, images, threshold)
     terminated = conf >= threshold
     pending = (~terminated).nonzero()[0]
@@ -265,13 +286,10 @@ def infer_batch(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
 def infer(lm: LightweightModel, params: LMParams, bank: syn.BasisBank,
           cfg: syn.SynthesisConfig, x: np.ndarray, threshold: float,
           trace: list | None = None) -> PipelineResult:
-    """Run the full two-stage pipeline on a single image (1, C, H, W).
-
-    Terminates after stage one when confidence >= threshold. Thresholds
-    above 1 are legal and mean "never terminate". The result is row 0 of
-    ``infer_batch``'s record, as plain scalars: the same stage one, gate and
-    ``stage_two``, with no record built.
-    """
+    """Run the full two-stage pipeline on a single image (1, C, H, W): it
+    stops after stage one when confidence >= threshold (above 1: never).
+    Row 0 of ``infer_batch``'s record, as plain scalars, from the same stage
+    one, gate and ``stage_two``, with no record built."""
     if x.ndim != 4 or x.shape[0] != 1:
         raise T.ShapeError(f"infer expects a single (1, C, H, W) image, got {x.shape}")
     x, initial, feats, conf = _preview(lm, params, x, threshold)

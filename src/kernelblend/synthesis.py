@@ -105,6 +105,28 @@ def build_bank(spec: BackboneSpec, n_bases: int, shared_layers, seed: int) -> Ba
 # coefficient pipeline
 
 
+def coefficients_from_raw(raw: T.Tensor, cfg: SynthesisConfig, n_rows: int, n_bases: int) -> T.Tensor:
+    """Activate raw head outputs; harden them to one-hot in ``one_hot`` mode.
+
+    ``raw`` is one sample's head output (width,), giving a (rows, N)
+    matrix, or a batch (B, width), giving (B, rows, N). The head width, not
+    the mode, decides the layout: a head N wide (the per-model head) is
+    repeated for every layer before activation.
+    """
+    rows = (T.tile_rows(raw, n_rows) if raw.shape[-1] == n_bases
+            else T.reshape(raw, (*raw.shape[:-1], n_rows, n_bases)))
+    alpha = activate(rows, cfg.activation)
+    return to_one_hot(alpha) if cfg.mode == "one_hot" else alpha
+
+
+def planned_coefficients(raw: np.ndarray, cfg: SynthesisConfig, shape: tuple, tiled: bool) -> np.ndarray:
+    """``coefficients_from_raw`` on a (B, width) ndarray, in a layout the
+    caller has checked: the (B, rows, N) ``shape``, from a ``tiled`` head or not."""
+    rows = T._tile_rows(raw, shape[1]) if tiled else raw.reshape(shape)
+    alpha = T._softmax(rows, -1) if cfg.activation == "softmax" else T._sigmoid(rows)
+    return one_hot(alpha) if cfg.mode == "one_hot" else alpha
+
+
 def activate(raw: T.Tensor, activation: str) -> T.Tensor:
     """Turn raw head outputs, (rows, N) or (B, rows, N), into coefficients:
     row-wise softmax or elementwise sigmoid."""
@@ -146,10 +168,14 @@ def apply_bmd(alpha: T.Tensor, drop_mask: np.ndarray, renormalize: bool = True) 
     return values
 
 
+def one_hot(v: np.ndarray) -> np.ndarray:
+    """Each row of ``v`` hardened to its argmax (ties go to the lowest basis index)."""
+    return (np.arange(v.shape[-1]) == np.argmax(v, axis=-1)[..., None]).astype(np.float64)
+
+
 def to_one_hot(alpha: T.Tensor) -> T.Tensor:
-    """Harden each row to its argmax (ties go to the lowest basis index)."""
-    v = alpha.data
-    return T.Tensor((np.arange(v.shape[-1]) == np.argmax(v, axis=-1)[..., None]).astype(np.float64))
+    """``one_hot`` of a coefficient tensor: a constant, with no gradient."""
+    return T.Tensor(one_hot(alpha.data))
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +213,23 @@ def synthesize(bank: BasisBank, alpha: T.Tensor) -> BackboneParams:
             r += 1
         layers.append(LayerParams(kernel, bias))
     return BackboneParams(layers, bank.head_w, bank.head_b)
+
+
+def plan_blends(spec: BackboneSpec, share_mask: tuple[bool, ...], shape: tuple) -> tuple:
+    """``synthesize``'s blends for (B, rows, N) coefficients of ``shape``,
+    checked: each layer's (coefficient row, blend plan), None if shared."""
+    plans, r = [], 0
+    for layer, shared in zip(spec.layers, share_mask):
+        plans.append(None if shared else (r, T._blend_plan(shape, r, (shape[-1], *layer.kernel_shape))))
+        r += not shared
+    return tuple(plans)
+
+
+def blend_kernels(bank: BasisBank, alpha: np.ndarray, plans: tuple) -> list[np.ndarray]:
+    """``synthesize`` on ndarrays through ``plan_blends``' plans: each layer's
+    specialist kernel, a (B, O, I, K, K) blend or the shared (O, I, K, K) one."""
+    return [kernel.data if plan is None else T._blend(alpha, plan[0], kernel.data, plan[1])[0]
+            for plan, kernel in zip(plans, bank.kernels)]
 
 
 def select_params(bank: BasisBank, choices) -> BackboneParams:

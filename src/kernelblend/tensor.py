@@ -1,19 +1,20 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The engine is deliberately small: a Tensor wraps a C-contiguous float64
-ndarray, and every differentiable operation appends a backward rule to the
-active GradTape. Replaying the tape in reverse yields gradients for every
-parameter reachable from a scalar loss and releases the tape. There is no
-broadcasting; shape mismatches raise instead of being silently stretched.
+A Tensor wraps a C-contiguous float64 ndarray, and every differentiable
+op appends a backward rule to the active GradTape; replaying the tape in
+reverse gives every parameter reachable from a scalar loss its gradient and
+releases the tape. Shape mismatches raise: nothing is broadcast.
 
-With no tape live (inference), an op runs its forward arithmetic alone (the
-taped path's numpy calls in order, so the same bits) and returns a bare
-Tensor. ``conv2d`` and ``blend`` check and derive their shapes once per shape.
-Finiteness is checked on both paths where nothing can hide it: the
-constructor scans outside data, ``conv2d`` its output before the ReLU (which
-maps NaN and -Inf to 0), ``linear`` its output and the elementwise arithmetic
-ops theirs. A blended kernel always feeds a ``conv2d`` and pooled features a
-``linear``, so ``blend`` and ``global_avg_pool`` do not scan.
+An op checks its shapes, runs its forward arithmetic as one ndarray kernel
+(``_conv``, ``_blend``, ``_linear``, ...) that returns the output and what
+the backward needs, and hands both to ``_result``, the one wrapper that
+builds the Tensor and, with a tape live, the record and its closure.
+Inference runs the kernels from ``pipeline``'s plans, so a plan and a taped
+run give the same bits. Finiteness is checked where nothing can hide it:
+the constructor scans outside data, ``_conv`` its output before the ReLU
+(which maps -Inf to 0; a NaN it passes on), ``_linear`` its output and the
+elementwise arithmetic ops theirs. A blended kernel always feeds a conv and
+pooled features a linear, so ``_blend`` and ``_pool`` do not scan.
 
 Float64 is used throughout so finite-difference gradient checks are decisive.
 """
@@ -27,6 +28,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+try:  # np.einsum and np.count_nonzero without their Python wrappers: the same C calls and bits
+    from numpy._core.multiarray import c_einsum as _einsum, count_nonzero as _count_nonzero
+except ImportError:  # numpy < 2
+    _einsum, _count_nonzero = np.einsum, np.count_nonzero
+
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
@@ -39,7 +45,7 @@ class NonFiniteError(ArithmeticError):
 def _finite(arr: np.ndarray, message: str = "forward operation produced NaN or Inf") -> np.ndarray:
     """``arr``, or NonFiniteError with ``message`` if any entry is NaN or Inf.
     On a per-image op's few hundred values, counting costs half a reduce."""
-    if np.count_nonzero(np.isfinite(arr)) != arr.size:
+    if _count_nonzero(np.isfinite(arr)) != arr.size:
         raise NonFiniteError(message)
     return arr
 
@@ -119,10 +125,15 @@ def recording(tape: GradTape):
         _ACTIVE_TAPE = None
 
 
+def taping() -> bool:
+    """Whether a tape is live: ops record, and the pipeline runs them, not its plans."""
+    return _ACTIVE_TAPE is not None
+
+
 def constant(data: np.ndarray) -> Tensor:
     """A Tensor over C-contiguous float64 ``data`` as it is, on no tape: no
-    copy, no scan. What an op returns with no tape live; it also wraps data
-    that is finite already (rows of a Tensor) or whose first use is checked."""
+    copy, no scan. It wraps data that is finite already (rows of a Tensor)
+    or whose first use is checked, and every op result with no tape live."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = False
@@ -130,15 +141,16 @@ def constant(data: np.ndarray) -> Tensor:
     return out
 
 
-def _result(data: np.ndarray, inputs: Sequence[Tensor], backward: Callable) -> Tensor:
-    """Wrap an op result; record it on the live tape if an input requires a gradient."""
+def _result(data: np.ndarray, inputs: Sequence[Tensor], backward: Callable, *saved) -> Tensor:
+    """Wrap a kernel's output. With a tape live and an input that requires a
+    gradient, record it with the closure ``g -> backward(g, *saved, *inputs)``."""
     out = constant(_contiguous(data))
     if _ACTIVE_TAPE is not None:
         for t in inputs:  # a plain loop: any() over a generator costs more per op
             if t.requires_grad:
                 out.requires_grad = True
                 out.tape = _ACTIVE_TAPE
-                _ACTIVE_TAPE.records.append((out, tuple(inputs), backward))
+                _ACTIVE_TAPE.records.append((out, tuple(inputs), lambda g: backward(g, *saved, *inputs)))
                 break
     return out
 
@@ -194,63 +206,45 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
-
-    def bwd(g):
-        return ((a, g), (b, g))
-
-    return _result(_finite(a.data + b.data), (a, b), bwd)
+    return _result(_finite(a.data + b.data), (a, b), lambda g, a, b: ((a, g), (b, g)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product, equal shapes only."""
     if a.shape != b.shape:
         raise ShapeError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-
-    def bwd(g):
-        return ((a, g * b.data), (b, g * a.data))
-
-    return _result(_finite(a.data * b.data), (a, b), bwd)
+    return _result(_finite(a.data * b.data), (a, b), lambda g, a, b: ((a, g * b.data), (b, g * a.data)))
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
     factor = float(factor)
-
-    def bwd(g):
-        return ((a, g * factor),)
-
-    return _result(_finite(a.data * factor), (a,), bwd)
+    return _result(_finite(a.data * factor), (a,), lambda g, a: ((a, g * factor),))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    if _ACTIVE_TAPE is None:
-        return constant(out)
+    return out
 
-    def bwd(g):
-        return ((a, g * out * (1.0 - out)),)
 
-    return _result(out, (a,), bwd)
+def sigmoid(a: Tensor) -> Tensor:
+    out = _sigmoid(a.data)
+    return _result(out, (a,), lambda g, a: ((a, g * out * (1.0 - out)),))
+
+
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    ex = np.exp(x - np.maximum.reduce(x, axis=axis, keepdims=True))
+    return ex / np.add.reduce(ex, axis=axis, keepdims=True)
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:
     if not -a.data.ndim <= axis < a.data.ndim:
         raise ShapeError(f"softmax axis {axis} out of bounds for shape {a.shape}")
-    shifted = a.data - np.maximum.reduce(a.data, axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    out = ex / np.add.reduce(ex, axis=axis, keepdims=True)
-    if _ACTIVE_TAPE is None:
-        return constant(out)
-
-    def bwd(g):
-        inner = np.add.reduce(g * out, axis=axis, keepdims=True)
-        return ((a, out * (g - inner)),)
-
-    return _result(out, (a,), bwd)
+    out = _softmax(a.data, axis)
+    return _result(out, (a,), lambda g, a: ((a, out * (g - np.add.reduce(g * out, axis=axis, keepdims=True))),))
 
 
 # ---------------------------------------------------------------------------
@@ -260,28 +254,18 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     if math.prod(shape) != a.data.size:
         raise ShapeError(f"cannot reshape {a.shape} to {tuple(shape)}")
-    out = a.data.reshape(shape)
-    if _ACTIVE_TAPE is None:
-        return constant(out)
+    return _result(a.data.reshape(shape), (a,), lambda g, a: ((a, g.reshape(a.data.shape)),))
 
-    def bwd(g):
-        return ((a, g.reshape(a.data.shape)),)
 
-    return _result(out, (a,), bwd)
+def _tile_rows(x: np.ndarray, count: int) -> np.ndarray:
+    return np.repeat(x[..., None, :], count, axis=-2)
 
 
 def tile_rows(a: Tensor, count: int) -> Tensor:
     """Repeat the last axis as ``count`` identical rows: (..., N) -> (..., count, N)."""
     if a.data.ndim < 1:
         raise ShapeError("tile_rows expects at least a 1-D tensor")
-    out = np.repeat(a.data[..., None, :], count, axis=-2)
-    if _ACTIVE_TAPE is None:
-        return constant(out)
-
-    def bwd(g):
-        return ((a, np.add.reduce(g, axis=-2)),)
-
-    return _result(out, (a,), bwd)
+    return _result(_tile_rows(a.data, count), (a,), lambda g, a: ((a, np.add.reduce(g, axis=-2)),))
 
 
 def normalize_rows(a: Tensor, where) -> Tensor:
@@ -295,13 +279,13 @@ def normalize_rows(a: Tensor, where) -> Tensor:
     sums = np.where(selected, sums, 1.0)
     if np.logical_or.reduce(sums == 0.0, axis=None):
         raise ShapeError("normalize_rows: a row sums to zero")
-    out = a.data / sums
+    out = _finite(a.data / sums)
+    return _result(out, (a,), _normalize_rows_bwd, selected, sums, out)
 
-    def bwd(g):
-        inner = np.where(selected, np.add.reduce(g * out, axis=-1, keepdims=True), 0.0)
-        return ((a, (g - inner) / sums),)
 
-    return _result(_finite(out), (a,), bwd)
+def _normalize_rows_bwd(g, selected, sums, out, a):
+    inner = np.where(selected, np.add.reduce(g * out, axis=-1, keepdims=True), 0.0)
+    return ((a, (g - inner) / sums),)
 
 
 @functools.lru_cache(maxsize=256)
@@ -314,6 +298,13 @@ def _blend_plan(cshape: tuple, row: int | None, bshape: tuple) -> tuple:
     return (bshape[0], math.prod(bshape[1:])), (cshape[0], *bshape[1:])
 
 
+def _blend(coeffs: np.ndarray, row: int | None, bases: np.ndarray, plan: tuple) -> tuple:
+    """``blend``'s kernel: (output, the (B, N) coefficients used, the stack's (N, F) view)."""
+    c = coeffs if row is None else coeffs.take(row, axis=1)
+    flat = bases.reshape(plan[0])
+    return _einsum("bn,nf->bf", c, flat).reshape(plan[1]), c, flat
+
+
 def blend(coeffs: Tensor, bases: Tensor, row: int | None = None) -> Tensor:
     """Per-sample linear combinations out[b] = sum_n coeffs[b, n] * bases[n].
 
@@ -323,23 +314,19 @@ def blend(coeffs: Tensor, bases: Tensor, row: int | None = None) -> Tensor:
     selected basis bit for bit. The coefficients get a gradient everywhere
     (zero off ``row``); a basis no sample weighs gets exact-zero rows.
     """
-    flat_shape, out_shape = _blend_plan(coeffs.data.shape, row, bases.data.shape)
-    c = coeffs.data if row is None else coeffs.data.take(row, axis=1)
-    flat = bases.data.reshape(flat_shape)
-    out = np.einsum("bn,nf->bf", c, flat).reshape(out_shape)
-    if _ACTIVE_TAPE is None:
-        return constant(out)
+    plan = _blend_plan(coeffs.data.shape, row, bases.data.shape)
+    out, c, flat = _blend(coeffs.data, row, bases.data, plan)
+    return _result(out, (coeffs, bases), _blend_bwd, row, c, flat)
 
-    def bwd(g):
-        gflat = g.reshape(len(c), -1)
-        gc = np.einsum("bf,nf->bn", gflat, flat)
-        if row is not None:  # zero outside the row
-            full = np.zeros_like(coeffs.data)
-            full[:, row] = gc
-            gc = full
-        return ((coeffs, gc), (bases, np.einsum("bn,bf->nf", c, gflat).reshape(bases.data.shape)))
 
-    return _result(out, (coeffs, bases), bwd)
+def _blend_bwd(g, row, c, flat, coeffs, bases):
+    gflat = g.reshape(len(c), -1)
+    gc = _einsum("bf,nf->bn", gflat, flat)
+    if row is not None:  # zero outside the row
+        full = np.zeros_like(coeffs.data)
+        full[:, row] = gc
+        gc = full
+    return ((coeffs, gc), (bases, _einsum("bn,bf->nf", c, gflat).reshape(bases.data.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -399,66 +386,73 @@ def _col2im_index(key: tuple, batch: int) -> np.ndarray:
     return flat
 
 
+def _conv(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None, relu: bool, plan: tuple) -> tuple:
+    """``conv2d``'s kernel on a checked ``_conv_plan``: (output, im2col columns).
+    im2col is one gather through the cached index into the GEMM operand (B,
+    C*kh*kw, oH*oW); a padding tap reads each sample's appended zero. The
+    contraction is a stacked matmul with B as its loop axis: one same-shape
+    GEMM per sample, so a sample reduces in one order alone or in a batch
+    (batch equals serial). Folded into a GEMM dimension, B could change
+    BLAS's blocking."""
+    _, gather, plane, zshape, kmat_shape, out_shape = plan
+    xz = np.zeros(zshape)
+    xz[:, :plane] = x.reshape(zshape[0], plane)
+    cols = xz.take(gather, axis=1)
+    out = np.matmul(kernel.reshape(kmat_shape), cols).reshape(out_shape)
+    if bias is not None:
+        out += bias[:, None, None]
+    _finite(out)  # before the ReLU, which would map -Inf to 0
+    if relu:
+        np.maximum(out, 0.0, out=out)  # maximum(-0.0, 0.0) is +0.0 (tests pin it by bytes)
+    return out, cols
+
+
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
            bias: Tensor | None = None, relu: bool = False) -> Tensor:
     """2-D cross-correlation of an NCHW input with an OIKK kernel, then an
-    optional per-channel bias and ReLU: a whole conv layer as one op.
+    optional per-channel bias and ReLU: a whole conv layer as one op, one
+    tape record (as cuDNN's fused conv-bias-activation call is one call).
 
     A (B, O, I, K, K) kernel gives each sample its own kernel (CondConv's).
     Output size is floor((H + 2*padding - K)/stride) + 1 per side. An input
-    that does not require a gradient gets none computed. The bias add and the
-    ReLU run in place on the GEMM output, and the backward masks the gradient
-    and sums the bias gradient first: the values of a conv, a bias add and a
-    ReLU in turn, on one tape record (as cuDNN's fused conv-bias-activation
-    call does). The ReLU's zero is +0.0.
+    that does not require a gradient gets none computed. The backward masks
+    the gradient where the output is not positive (where the ReLU's input
+    was not) and sums the bias gradient first. The ReLU's zero is +0.0.
     """
-    key, gather, plane, zshape, kmat_shape, out_shape = _conv_plan(
-        x.data.shape, kernel.data.shape, stride, padding, None if bias is None else bias.data.shape)
+    plan = _conv_plan(x.data.shape, kernel.data.shape, stride, padding, None if bias is None else bias.data.shape)
+    out, cols = _conv(x.data, kernel.data, None if bias is None else bias.data, relu, plan)
+    return _result(out, (x, kernel) if bias is None else (x, kernel, bias), _conv2d_bwd, relu, plan, out, cols)
 
-    # im2col: one gather through the cached index gives the contiguous GEMM
-    # operand (B, C*kh*kw, oH*oW); a padding tap reads each sample's appended
-    # zero. Each contraction is a stacked matmul with B as its loop axis: one
-    # same-shape GEMM per sample at any batch size, so a sample reduces in one
-    # order alone or in a batch (batch equals serial). Folded into a GEMM
-    # dimension, B could change BLAS's blocking.
-    xz = np.zeros(zshape)
-    xz[:, :plane] = x.data.reshape(zshape[0], plane)
-    cols = xz.take(gather, axis=1)
-    kmat = kernel.data.reshape(kmat_shape)
-    out = np.matmul(kmat, cols).reshape(out_shape)
-    if bias is not None:
-        out += bias.data[:, None, None]
-    _finite(out)  # before the ReLU, which maps NaN and -Inf to 0
+
+def _conv2d_bwd(g, relu, plan, out, cols, x, kernel, bias=None):
+    key, _, plane, zshape, kmat_shape, out_shape = plan
     if relu:
-        mask = out > 0 if _ACTIVE_TAPE is not None else None  # only the backward reads it
-        np.maximum(out, 0.0, out=out)  # maximum(-0.0, 0.0) is +0.0 (tests pin it by bytes)
-    if _ACTIVE_TAPE is None:
-        return constant(out)
+        g = g * (out > 0)
+    gb = () if bias is None else ((bias, np.add.reduce(g, axis=(0, 2, 3))),)
+    batch = zshape[0]
+    g3 = g.reshape(batch, out_shape[1], -1)
+    gk = np.empty(kernel.data.shape)  # fresh and kernel-shaped, so backward keeps it without a copy
+    if len(kmat_shape) == 3:  # per-sample kernels
+        np.matmul(g3, cols.transpose(0, 2, 1), out=gk.reshape(kmat_shape))
+    else:  # a shared kernel sums the per-sample products, in batch order
+        np.add.reduce(np.matmul(g3, cols.transpose(0, 2, 1)), axis=0, out=gk.reshape(kmat_shape))
+    if not x.requires_grad:  # e.g. the image at layer 0: backward would drop it
+        return ((kernel, gk), *gb)
+    gcols = np.matmul(np.swapaxes(kernel.data.reshape(kmat_shape), -1, -2), g3)  # (B, C*kh*kw, oH*oW)
+    # col2im: bincount adds each input position's window contributions
+    # to 0.0 in index order, which is ascending (ki, kj); a position no
+    # window covers gets an exact zero. The padding taps all land in each
+    # sample's last bin, which the view drops.
+    gx = np.bincount(_col2im_index(key, batch), weights=gcols.reshape(-1), minlength=batch * (plane + 1)
+                     ).reshape(zshape)[:, :plane].reshape(x.data.shape)
+    return ((x, gx), (kernel, gk), *gb)
 
-    def bwd(g):
-        if relu:
-            g = g * mask
-        gb = () if bias is None else ((bias, np.add.reduce(g, axis=(0, 2, 3))),)
-        batch = zshape[0]
-        g3 = g.reshape(batch, out_shape[1], -1)
-        gk = np.empty(kernel.data.shape)  # fresh and kernel-shaped, so backward keeps it without a copy
-        if len(kmat_shape) == 3:  # per-sample kernels
-            np.matmul(g3, cols.transpose(0, 2, 1), out=gk.reshape(kmat_shape))
-        else:  # a shared kernel sums the per-sample products, in batch order
-            np.add.reduce(np.matmul(g3, cols.transpose(0, 2, 1)), axis=0, out=gk.reshape(kmat_shape))
-        if not x.requires_grad:  # e.g. the image at layer 0: backward would drop it
-            return ((kernel, gk), *gb)
-        gcols = np.matmul(np.swapaxes(kmat, -1, -2), g3)  # (B, C*kh*kw, oH*oW)
-        # col2im: bincount adds each input position's window contributions
-        # to 0.0 in index order, which is ascending (ki, kj); a position no
-        # window covers gets an exact zero. The padding taps all land in each
-        # sample's last bin, which the view drops.
-        gx = np.bincount(_col2im_index(key, batch), weights=gcols.reshape(-1), minlength=batch * (plane + 1)
-                         ).reshape(zshape)[:, :plane].reshape(x.data.shape)
-        return ((x, gx), (kernel, gk), *gb)
 
-    inputs = (x, kernel) if bias is None else (x, kernel, bias)
-    return _result(out, inputs, bwd)
+def _linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``linear``'s kernel, checked: nothing checks logits or coefficients later."""
+    out = _einsum("bf,fo->bo", x, weight)
+    out += bias  # in place: the einsum output is fresh
+    return _finite(out)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -468,35 +462,26 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"linear shape mismatch: input {xs} vs weight {ws}")
     if bias.data.shape != ws[1:]:
         raise ShapeError(f"linear bias {bias.shape} does not match weight {ws}")
-    out = np.einsum("bf,fo->bo", x.data, weight.data)
-    out += bias.data  # in place: the einsum output is fresh
-    _finite(out)  # logits or coefficients: nothing checks them later
-    if _ACTIVE_TAPE is None:
-        return constant(out)
+    return _result(_linear(x.data, weight.data, bias.data), (x, weight, bias), lambda g, x, weight, bias: (
+        (x, _einsum("bo,fo->bf", g, weight.data)), (weight, _einsum("bf,bo->fo", x.data, g)),
+        (bias, np.add.reduce(g, axis=0))))
 
-    def bwd(g):
-        return ((x, np.einsum("bo,fo->bf", g, weight.data)),
-                (weight, np.einsum("bf,bo->fo", x.data, g)),
-                (bias, np.add.reduce(g, axis=0)))
 
-    return _result(out, (x, weight, bias), bwd)
+def _pool(x: np.ndarray) -> np.ndarray:
+    return np.add.reduce(x, axis=(2, 3)) / (x.shape[2] * x.shape[3])
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
     """Spatial mean of each channel: NCHW -> NC."""
     if x.data.ndim != 4:
         raise ShapeError(f"global_avg_pool expects NCHW, got {x.shape}")
-    area = x.data.shape[2] * x.data.shape[3]
-    out = np.add.reduce(x.data, axis=(2, 3)) / area
-    if _ACTIVE_TAPE is None:
-        return constant(out)
+    return _result(_pool(x.data), (x,), _pool_bwd)
 
-    def bwd(g):
-        gx = np.empty(x.shape)  # fresh, so backward keeps it without a copy
-        gx[...] = (g / area)[:, :, None, None]
-        return ((x, gx),)
 
-    return _result(out, (x,), bwd)
+def _pool_bwd(g, x):
+    gx = np.empty(x.shape)  # fresh, so backward keeps it without a copy
+    gx[...] = (g / (x.shape[2] * x.shape[3]))[:, :, None, None]
+    return ((x, gx),)
 
 
 def cross_entropy(logits: Tensor, target) -> Tensor:
@@ -527,12 +512,7 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
             raise ShapeError("soft target rows must sum to 1 within 1e-6")
 
     shifted = logits.data - np.maximum.reduce(logits.data, axis=1, keepdims=True)
-    log_z = np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
-    log_probs = shifted - log_z
+    log_probs = shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
     loss = -np.add.reduce(soft * log_probs, axis=None) / b
-
-    def bwd(g):
-        probs = np.exp(log_probs)
-        return ((logits, g * (probs - soft) / b),)
-
-    return _result(_finite(np.array(loss)), (logits,), bwd)
+    return _result(_finite(np.array(loss)), (logits,),
+                   lambda g, logits: ((logits, g * (np.exp(log_probs) - soft) / b),))

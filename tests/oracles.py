@@ -6,7 +6,8 @@ package under test, so agreement between the two is evidence, not tautology.
 
 Two sections at the end hold code the tests run but no command does: three
 tape ops (``take``, ``sum_all`` and ``sum_squares``, built on the tape's
-``T._result`` as the package's own ops are) and the per-layer router
+``T._result`` as the package's own ops are, each with a backward rule that
+takes the output gradient and the op's inputs) and the per-layer router
 baseline, built on the package's ops.
 """
 
@@ -191,7 +192,7 @@ def per_image_forward(state, batch_x: np.ndarray, epsilon: float, drop_masks):
     raw = T.linear(feats, state.lm_params.coeff_w, state.lm_params.coeff_b)
     finals, alphas = [], []
     for b in range(len(batch_x)):
-        alpha = pl.coefficients_from_raw(take(raw, b), cfg, bank.n_coefficient_rows, bank.n_bases)
+        alpha = syn.coefficients_from_raw(take(raw, b), cfg, bank.n_coefficient_rows, bank.n_bases)
         if cfg.mode != "one_hot":
             mask = drop_masks[b] if drop_masks is not None and drop_masks.ndim == 2 else drop_masks
             if epsilon > 0.0:
@@ -423,7 +424,7 @@ def take(a: T.Tensor, index: int, axis: int = 0) -> T.Tensor:
     if not 0 <= index < a.shape[axis]:
         raise T.ShapeError(f"index {index} out of range for axis {axis} of shape {a.shape}")
 
-    def bwd(g):
+    def bwd(g, a):
         full = np.zeros_like(a.data)
         np.moveaxis(full, axis, 0)[index] = g
         return ((a, full),)
@@ -434,7 +435,7 @@ def take(a: T.Tensor, index: int, axis: int = 0) -> T.Tensor:
 def sum_all(a: T.Tensor) -> T.Tensor:
     """Scalar sum of all entries."""
 
-    def bwd(g):
+    def bwd(g, a):
         return ((a, np.full_like(a.data, float(g))),)
 
     return T._result(T._finite(np.array(np.add.reduce(a.data, axis=None))), (a,), bwd)
@@ -448,7 +449,7 @@ def sum_squares(*tensors: T.Tensor) -> T.Tensor:
     ``add``, and each tensor gets its own ``2 * t * g`` gradient term.
     """
 
-    def bwd(g):
+    def bwd(g, *tensors):
         return tuple((t, 2.0 * t.data * g) for t in tensors)
 
     total = 0.0  # plain left-to-right adds: sum() compensates on Python >= 3.12

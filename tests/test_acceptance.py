@@ -491,7 +491,7 @@ class TestCoefficientClustering:
         for cls in (0, 1, 2):
             idx = np.flatnonzero(evalset.labels == cls)
             vecs = [
-                P.coefficients_from_raw(
+                S.coefficients_from_raw(
                     take(raw, int(i)), state.synth_cfg,
                     state.bank.n_coefficient_rows, state.bank.n_bases,
                 ).data.ravel()

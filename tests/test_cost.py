@@ -248,8 +248,9 @@ class TestSweepAgainstPerResultLoop:
         results = self.check(state, evalset, [0.0, 0.0])
         assert all(res.terminated for res in results)
 
-        def no_stage_two(*args):
+        def no_stage_two(*args, **kwargs):
             raise AssertionError("stage two ran at threshold 0")
+        monkeypatch.setattr(P, "stage_two", no_stage_two)  # the plan and the ops both start here
         monkeypatch.setattr(S, "synthesize", no_stage_two)
         point, _ = C.sweep(state.lm, state.lm_params, state.bank, state.synth_cfg,
                            evalset, [0.0, 0.0])

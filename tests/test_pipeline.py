@@ -2,17 +2,26 @@
 
 import contextlib
 import dataclasses
+import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kernelblend import backbone as B
+from kernelblend import experiment as EX
 from kernelblend import pipeline as P
 from kernelblend import synthesis as S
 from kernelblend import tensor as T
+from kernelblend import training as TR
+from kernelblend.config import parse_config
 
 from oracles import (RouterParams, build_routers, condconv_forward, confidence_reference,
                      conv2d_reference, linear_reference)
+from toys import toy_state
+
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synthetic-demo.json"
 
 
 def bank_spec():
@@ -91,6 +100,14 @@ class TestLightweightModel:
         lm, params, _, _, _ = setup
         with pytest.raises(T.ShapeError, match="does not match spec input shape"):
             P.lm_forward(lm, params, T.Tensor(np.zeros((1, 1, 24, 24))))
+        # a malformed batch is refused naming the shape passed and the one the
+        # model takes, not a shape the downsample made or a numpy unpack error
+        state = toy_state()
+        model = (state.lm, state.lm_params, state.bank, state.synth_cfg)
+        for shape in ((2, 12, 12), (2, 1, 14, 14)):
+            message = f"input {shape} does not match spec input shape (1, 12, 12)"
+            with pytest.raises(T.ShapeError, match=re.escape(message)):
+                P.infer_batch(*model, np.zeros(shape), 0.5)
 
     def test_deterministic_heads(self, setup):
         lm, params, _, _, x = setup
@@ -382,9 +399,9 @@ class TestInfer:
         full = P.infer_batch(lm, params, bank, cfg, images, 1.01)
         threshold = float(np.median(full.confidence))
         head_rows = []
-        linear = T.linear
-        monkeypatch.setattr(T, "linear", lambda x, w, b: (
-            head_rows.append(len(x.data)) if w is params.coeff_w else None) or linear(x, w, b))
+        linear = T._linear  # the kernel the stage-two plan runs the head with
+        monkeypatch.setattr(T, "_linear", lambda x, w, b: (
+            head_rows.append(len(x)) if w is params.coeff_w.data else None) or linear(x, w, b))
         part = P.infer_batch(lm, params, bank, cfg, images, threshold)
         assert head_rows == [len(part.pending)] and 0 < len(part.pending) < len(images)
         for j, i in enumerate(part.pending):
@@ -409,9 +426,10 @@ class TestInfer:
 
 
 class TestTapeFreeEqualsTaped:
-    """With no tape live the ops skip what only a backward reads; inside a
-    tape every op records. Both must give every field, trace event and
-    ``edit`` argument the same bits."""
+    """The plan equals the taped run: with no tape live ``lm_forward`` and
+    ``stage_two`` run their plans of ndarray kernels; inside a tape they run
+    the ops, and every op records. Both must give every field, trace event
+    and ``edit`` argument the same bits."""
 
     @pytest.mark.parametrize("mode,activation,one_row_head,shared", [
         ("per_layer", "softmax", False, [0]), ("per_layer", "softmax", False, []),
@@ -452,6 +470,90 @@ class TestTapeFreeEqualsTaped:
             taped = run()
         assert tape.records  # the taped path ran
         assert len(free[2]) == 1 and free == taped
+
+
+class TestPlan:
+    """The inference plans: one per model structure and input shape, in a
+    bounded cache, reading the parameter arrays on every call."""
+
+    def test_plan_reads_the_parameters_at_call_time(self, setup):
+        # an in-place update, as training's optimizer makes, reaches the next
+        # call through a plan already cached, and gives the taped run's bits
+        lm, params, bank, cfg, x = setup
+        before = P.infer(lm, params, bank, cfg, x, P.NEVER_TERMINATE)
+        for tensor in (params.trunk.layers[0].kernel, params.coeff_w, bank.kernels[1]):
+            tensor.apply_update(tensor.data * 1.5)
+        plans = P._stage_one_plan.cache_info(), P._stage_two_plan.cache_info()
+        after = P.infer(lm, params, bank, cfg, x, P.NEVER_TERMINATE)
+        assert (P._stage_one_plan.cache_info().hits, P._stage_two_plan.cache_info().hits) == (
+            plans[0].hits + 1, plans[1].hits + 1)
+        with T.recording(T.GradTape()):
+            taped = P.infer(lm, params, bank, cfg, x, P.NEVER_TERMINATE)
+        assert after.final_logits.tobytes() == taped.final_logits.tobytes()
+        assert after.coefficients.data.tobytes() == taped.coefficients.data.tobytes()
+        assert after.initial_logits.tobytes() != before.initial_logits.tobytes()
+        assert after.final_logits.tobytes() != before.final_logits.tobytes()
+
+    def test_plan_caches_stay_bounded_over_every_pending_count(self, setup):
+        lm, params, bank, cfg, _ = setup
+        images = np.random.default_rng(9).random((80, 1, 16, 16))
+        x = T.Tensor(images)
+        _, feats = P.lm_forward(lm, params, x)
+        for p in range(1, len(images) + 1):
+            final, _ = P.stage_two(params, bank, cfg, T.constant(images[:p]), T.constant(feats.data[:p]))
+            assert final.shape == (p, 4)
+            for cache in (P._stage_one_plan, P._stage_two_plan):
+                info = cache.cache_info()
+                assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+class TestBenchmarkHooks:
+    """The benchmark's tracer wraps module attributes. It times ``lm_forward``
+    inside ``infer`` and reads its Tensors' ``.data``, and times each conv
+    layer's backward by wrapping the tape records that ``run_layer`` appends
+    in training. These calls must keep going through their modules."""
+
+    @pytest.fixture
+    def demo(self):
+        raw = json.loads(DEMO_CONFIG.read_text())
+        raw["dataset"].update(train_size=32, eval_size=8)
+        cfg = parse_config(raw)
+        state, loss_cfg = EX.build_state(cfg)
+        train, evalset = EX.load_dataset(cfg)
+        return cfg, state, loss_cfg, train, evalset
+
+    def test_each_inference_call_makes_one_lm_forward_call(self, demo, record_calls):
+        _, state, _, _, evalset = demo
+        model = (state.lm, state.lm_params, state.bank, state.synth_cfg)
+        calls = record_calls(P, "lm_forward")
+        for threshold in (0.0, P.NEVER_TERMINATE):
+            P.infer(*model, evalset.images[:1], threshold)
+            assert len(calls) == 1
+            P.infer_batch(*model, evalset.images, threshold)
+            assert len(calls) == 2
+            assert all(isinstance(args[2], T.Tensor) for args in calls)
+            calls.clear()
+        initial, feats = P.lm_forward(state.lm, state.lm_params, T.Tensor(evalset.images[:1]))
+        assert isinstance(initial, T.Tensor) and isinstance(feats, T.Tensor)
+        assert initial.data.shape == (1, 6)
+
+    def test_a_train_step_reaches_the_traced_functions(self, demo, record_calls, monkeypatch):
+        cfg, state, loss_cfg, train, _ = demo
+        layers, convs = record_calls(B, "run_layer"), record_calls(T, "conv2d")
+        synths, backwards = record_calls(S, "synthesize"), record_calls(T, "backward")
+        appended, run_layer = [], B.run_layer
+
+        def probe(*args):  # what the tracer reads: the records each call appends
+            records = T._ACTIVE_TAPE.records
+            before = len(records)
+            out = run_layer(*args)
+            appended.append(len(records) - before)
+            return out
+
+        monkeypatch.setattr(B, "run_layer", probe)
+        TR.train_step(state, TR.sample_batch(train, cfg.schedule, 0), cfg.schedule, loss_cfg)
+        assert len(layers) == len(convs) == 5 and appended == [1] * 5
+        assert len(synths) == len(backwards) == 1
 
 
 class TestFinitenessChecks:

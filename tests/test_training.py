@@ -346,7 +346,7 @@ class TestTrainStep:
         vector, step = state.vector.data.tobytes(), state.step
         _, feats = P.lm_forward(state.lm, state.lm_params, T.Tensor(train.images[:2]))
         raw = T.linear(feats, state.lm_params.coeff_w, bias)
-        alpha = P.coefficients_from_raw(raw, state.synth_cfg, state.bank.n_coefficient_rows, 3)
+        alpha = S.coefficients_from_raw(raw, state.synth_cfg, state.bank.n_coefficient_rows, 3)
         with np.errstate(all="ignore"):
             assert not np.isfinite(T.blend(alpha, kern, 0).data).any()
             with pytest.raises(TR.TrainingDiverged, match="step 0"):
@@ -870,7 +870,7 @@ class TestCoefficientModes:
         _, _, alpha = TR.forward_training(state, x, 0.4, TestBatchedMatchesPerImage.PER_SAMPLE)
         _, feats = P.lm_forward(state.lm, state.lm_params, T.Tensor(x))
         raw = T.linear(feats, state.lm_params.coeff_w, state.lm_params.coeff_b)
-        soft = P.coefficients_from_raw(raw, S.SynthesisConfig(), 2, 4)
+        soft = S.coefficients_from_raw(raw, S.SynthesisConfig(), 2, 4)
         assert np.all(np.isin(alpha.data, (0.0, 1.0))) and np.all(alpha.data.sum(axis=-1) == 1.0)
         assert np.array_equal(alpha.data, S.to_one_hot(soft).data)
 
