@@ -7,10 +7,11 @@ specialist kernel per layer: W_k = sum_n alpha[k, n] * W_k_n. Biases and the
 classifier head are always shared, so blending touches kernels only. A (B,
 rows, N) batch blends one specialist per sample in one op per layer.
 
-Also here: the coefficient post-processing used during training - row-wise
-activation, the uniform-blend stabilizer, basis dropout masking, and one-hot
-hardening for selection mode - each taking and returning one matrix or a
-batch. The caller's ``SynthesisConfig`` alone decides which apply (selection
+Also here: the coefficient path from the head's output - the layout and
+row-wise activation, hardened to one-hot in selection mode, as one op, and
+training's stabilizers (the uniform blend, basis dropout masking and
+rescaling) as another - each taking and returning one matrix or a batch.
+The caller's ``SynthesisConfig`` alone decides which apply (selection
 fine-tuning sets its ``one_hot`` mode); the tensors carry no mode, so an
 edited matrix, such as a disturbed one, synthesizes like any other.
 """
@@ -111,71 +112,110 @@ def coefficients_from_raw(raw: T.Tensor, cfg: SynthesisConfig, n_rows: int, n_ba
     ``raw`` is one sample's head output (width,), giving a (rows, N)
     matrix, or a batch (B, width), giving (B, rows, N). The head width, not
     the mode, decides the layout: a head N wide (the per-model head) is
-    repeated for every layer before activation.
+    repeated for every layer before activation. One op, ``planned_coefficients``
+    on the data; its backward is the activation's, then the layout's (the
+    repeated rows' gradients summed). Hardened coefficients are a constant:
+    no gradient reaches the head through them.
     """
-    rows = (T.tile_rows(raw, n_rows) if raw.shape[-1] == n_bases
-            else T.reshape(raw, (*raw.shape[:-1], n_rows, n_bases)))
-    alpha = activate(rows, cfg.activation)
-    return to_one_hot(alpha) if cfg.mode == "one_hot" else alpha
+    tiled = raw.shape[-1] == n_bases
+    shape = (*raw.shape[:-1], n_rows, n_bases)
+    if not tiled and raw.shape[-1] != n_rows * n_bases:
+        raise T.ShapeError(f"cannot reshape {raw.shape} to {shape}")
+    if len(shape) not in (2, 3):
+        raise T.ShapeError(f"raw coefficients must be (rows, N) or (B, rows, N), got shape {shape}")
+    alpha = planned_coefficients(raw.data, cfg, shape, tiled)
+    if cfg.mode == "one_hot":
+        return T.constant(alpha)
+    return T._result(alpha, (raw,), _coefficients_bwd, cfg.activation, tiled, alpha)
+
+
+def _coefficients_bwd(g, activation, tiled, out, raw):
+    # the layout's backward: the repeated rows' sum, or the product written
+    # straight into the head's shape, so the contribution is the op's own
+    graw = None if tiled else np.empty(raw.shape)
+    into = None if tiled else graw.reshape(out.shape)
+    if activation == "softmax":
+        g = np.multiply(out, g - np.add.reduce(g * out, axis=-1, keepdims=True), out=into)
+    else:
+        g = np.multiply(g * out, 1.0 - out, out=into)
+    return ((raw, np.add.reduce(g, axis=-2) if tiled else graw),)
 
 
 def planned_coefficients(raw: np.ndarray, cfg: SynthesisConfig, shape: tuple, tiled: bool) -> np.ndarray:
     """``coefficients_from_raw`` on a (B, width) ndarray, in a layout the
     caller has checked: the (B, rows, N) ``shape``, from a ``tiled`` head or not."""
-    rows = T._tile_rows(raw, shape[1]) if tiled else raw.reshape(shape)
+    rows = T._tile_rows(raw, shape[-2]) if tiled else raw.reshape(shape)
     alpha = T._softmax(rows, -1) if cfg.activation == "softmax" else T._sigmoid(rows)
     return one_hot(alpha) if cfg.mode == "one_hot" else alpha
 
 
-def activate(raw: T.Tensor, activation: str) -> T.Tensor:
-    """Turn raw head outputs, (rows, N) or (B, rows, N), into coefficients:
-    row-wise softmax or elementwise sigmoid."""
-    if raw.data.ndim not in (2, 3):
-        raise T.ShapeError(f"raw coefficients must be (rows, N) or (B, rows, N), got shape {raw.shape}")
-    if activation == "softmax":
-        return T.softmax(raw, axis=-1)
-    if activation == "sigmoid":
-        return T.sigmoid(raw)
-    raise ValueError(f"unknown activation {activation!r}")
+def stabilize(alpha: T.Tensor, epsilon: float = 0.0, drop_mask: np.ndarray | None = None,
+              renormalize: bool = True) -> T.Tensor:
+    """Training's coefficient stabilizers as one op: the uniform blend
+    eps/N + (1-eps)*alpha (none at eps 0), then basis dropout, which zeroes
+    dropped bases' coefficients in every row and, with ``renormalize``,
+    rescales each row to sum 1. Blending first gives a dropped basis 0, not eps/N.
 
-
-def blend_epsilon(alpha: T.Tensor, epsilon: float) -> T.Tensor:
-    """Interpolate toward the uniform combination: eps/N + (1-eps)*alpha."""
+    ``drop_mask`` is None, (N,), one mask for every matrix, or (B, N), one
+    mask per sample of a (B, rows, N) batch. A sample whose mask drops
+    nothing keeps its coefficients exactly, unrescaled; with nothing to do,
+    ``alpha`` comes back as it is. The backward undoes the steps in reverse
+    with the arithmetic of the blend, mask and rescale as separate ops.
+    Nothing is scanned: on coefficients in [0, 1] every value stays in [0,
+    1], and a NaN reaches the stage-two conv's check. A row whose surviving
+    coefficients all underflowed to 0 cannot be rescaled; it raises
+    NonFiniteError, which training reports as a diverged step.
+    """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-    uniform = T.Tensor(np.full(alpha.shape, epsilon / alpha.shape[-1]))
-    return T.add(uniform, T.scale(alpha, 1.0 - epsilon))
-
-
-def apply_bmd(alpha: T.Tensor, drop_mask: np.ndarray, renormalize: bool = True) -> T.Tensor:
-    """Zero dropped bases' coefficients in every row; optionally rescale rows to sum 1.
-
-    ``drop_mask`` is (N,), one mask for every matrix, or (B, N), one mask
-    per sample of a (B, rows, N) batch. A sample whose mask drops nothing
-    keeps its coefficients exactly, unrescaled.
-    """
-    drop = np.asarray(drop_mask, dtype=bool)
-    if drop.shape not in ((alpha.shape[-1],), (*alpha.shape[:-2], alpha.shape[-1])):
-        raise T.ShapeError(f"drop mask shape {drop.shape} does not match coefficients {alpha.shape}")
-    if drop.all(axis=-1).any():
-        raise ValueError("all bases dropped; at least one must survive")
-    if not drop.any():
+    shape = alpha.data.shape
+    factor = keep = selected = sums = None
+    if drop_mask is not None:
+        keep = np.where(drop_mask, 0.0, 1.0)
+        if keep.shape not in ((shape[-1],), (*shape[:-2], shape[-1])):
+            raise T.ShapeError(f"drop mask shape {keep.shape} does not match coefficients {shape}")
+        kept = np.add.reduce(keep, axis=-1)  # survivors per mask
+        if not np.logical_and.reduce(kept, axis=None):
+            raise ValueError("all bases dropped; at least one must survive")
+        if np.minimum.reduce(kept, axis=None) == shape[-1]:  # nothing dropped
+            keep = None
+    if keep is None and epsilon == 0.0:
         return alpha
-    drop = drop[..., None, :]  # one mask row broadcast over the matrix's rows
-    values = T.mul(alpha, T.Tensor(np.broadcast_to(~drop, alpha.shape).astype(np.float64)))
-    if renormalize:
-        values = T.normalize_rows(values, where=drop.any(axis=-1))
-    return values
+    values = alpha.data
+    if epsilon > 0.0:
+        factor = 1.0 - epsilon
+        values = values * factor + epsilon / shape[-1]
+    if keep is not None:
+        keep = keep[..., None, :]  # one mask row spans its matrix's rows
+        values = values * keep
+        if renormalize:
+            sums = np.add.reduce(values, axis=-1, keepdims=True)
+            if kept.ndim:  # per-sample masks: a sample whose mask drops nothing keeps its rows unscaled
+                selected = (kept < shape[-1])[:, None, None]
+                sums = np.where(selected, sums, 1.0)
+            if not np.logical_and.reduce(sums, axis=None):
+                raise T.NonFiniteError("basis dropout left a coefficient row whose survivors all "
+                                       "underflowed to 0, and rescaling it would divide by zero")
+            values = values / sums
+    return T._result(values, (alpha,), _stabilize_bwd, factor, keep, selected, sums, values)
+
+
+def _stabilize_bwd(g, factor, keep, selected, sums, out, alpha):
+    if sums is not None:
+        inner = np.add.reduce(g * out, axis=-1, keepdims=True)
+        if selected is not None:
+            inner = np.where(selected, inner, 0.0)
+        g = (g - inner) / sums
+    if keep is not None:
+        g = g * keep
+    if factor is not None:
+        g = g * factor
+    return ((alpha, g),)
 
 
 def one_hot(v: np.ndarray) -> np.ndarray:
     """Each row of ``v`` hardened to its argmax (ties go to the lowest basis index)."""
     return (np.arange(v.shape[-1]) == np.argmax(v, axis=-1)[..., None]).astype(np.float64)
-
-
-def to_one_hot(alpha: T.Tensor) -> T.Tensor:
-    """``one_hot`` of a coefficient tensor: a constant, with no gradient."""
-    return T.Tensor(one_hot(alpha.data))
 
 
 # ---------------------------------------------------------------------------

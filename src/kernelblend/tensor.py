@@ -12,9 +12,14 @@ builds the Tensor and, with a tape live, the record and its closure.
 Inference runs the kernels from ``pipeline``'s plans, so a plan and a taped
 run give the same bits. Finiteness is checked where nothing can hide it:
 the constructor scans outside data, ``_conv`` its output before the ReLU
-(which maps -Inf to 0; a NaN it passes on), ``_linear`` its output and the
-elementwise arithmetic ops theirs. A blended kernel always feeds a conv and
+(which maps -Inf to 0; a NaN it passes on), ``_linear`` its output, the
+elementwise arithmetic ops theirs and ``cross_entropy_sum`` its sum, which
+a NaN or Inf in any term reaches. A blended kernel always feeds a conv and
 pooled features a linear, so ``_blend`` and ``_pool`` do not scan.
+
+A backward rule returns arrays it made for their input where it can (the
+conv's input gradient is its col2im bins, resized in place), which
+``backward`` keeps as gradients without a copy.
 
 Float64 is used throughout so finite-difference gradient checks are decisive.
 """
@@ -261,33 +266,6 @@ def _tile_rows(x: np.ndarray, count: int) -> np.ndarray:
     return np.repeat(x[..., None, :], count, axis=-2)
 
 
-def tile_rows(a: Tensor, count: int) -> Tensor:
-    """Repeat the last axis as ``count`` identical rows: (..., N) -> (..., count, N)."""
-    if a.data.ndim < 1:
-        raise ShapeError("tile_rows expects at least a 1-D tensor")
-    return _result(_tile_rows(a.data, count), (a,), lambda g, a: ((a, np.add.reduce(g, axis=-2)),))
-
-
-def normalize_rows(a: Tensor, where) -> Tensor:
-    """Divide each row (along the last axis) that ``where`` selects by its
-    own sum; ``where`` is a boolean array that broadcasts to ``a.shape[:-1]``.
-    The other rows pass through unchanged, values and gradient alike."""
-    if a.data.ndim < 2:
-        raise ShapeError(f"normalize_rows expects at least a 2-D tensor, got shape {a.shape}")
-    sums = np.add.reduce(a.data, axis=-1, keepdims=True)
-    selected = np.asarray(where, dtype=bool)[..., None]
-    sums = np.where(selected, sums, 1.0)
-    if np.logical_or.reduce(sums == 0.0, axis=None):
-        raise ShapeError("normalize_rows: a row sums to zero")
-    out = _finite(a.data / sums)
-    return _result(out, (a,), _normalize_rows_bwd, selected, sums, out)
-
-
-def _normalize_rows_bwd(g, selected, sums, out, a):
-    inner = np.where(selected, np.add.reduce(g * out, axis=-1, keepdims=True), 0.0)
-    return ((a, (g - inner) / sums),)
-
-
 @functools.lru_cache(maxsize=256)
 def _blend_plan(cshape: tuple, row: int | None, bshape: tuple) -> tuple:
     """A ``blend`` call's shapes, checked: the stack's (N, F) view and the output's."""
@@ -321,11 +299,11 @@ def blend(coeffs: Tensor, bases: Tensor, row: int | None = None) -> Tensor:
 
 def _blend_bwd(g, row, c, flat, coeffs, bases):
     gflat = g.reshape(len(c), -1)
-    gc = _einsum("bf,nf->bn", gflat, flat)
-    if row is not None:  # zero outside the row
-        full = np.zeros_like(coeffs.data)
-        full[:, row] = gc
-        gc = full
+    if row is None:
+        gc = _einsum("bf,nf->bn", gflat, flat)
+    else:  # zero outside the row, the row's products written in place
+        gc = np.zeros(coeffs.data.shape)
+        _einsum("bf,nf->bn", gflat, flat, out=gc[:, row])
     return ((coeffs, gc), (bases, _einsum("bn,bf->nf", c, gflat).reshape(bases.data.shape)))
 
 
@@ -378,10 +356,13 @@ def _conv_plan(xshape: tuple, kshape: tuple, stride: int, padding: int, bshape: 
 
 @functools.lru_cache(maxsize=16)
 def _col2im_index(key: tuple, batch: int) -> np.ndarray:
-    """Read-only flat ``bincount`` bins for a batch: ``_window_index(*key)`` shifted to
-    each sample's own C*H*W + 1 bins; ``batch`` indexes long, hence the smaller cache."""
+    """Read-only flat ``bincount`` bins for a batch: ``_window_index(*key)``
+    shifted to each sample's own C*H*W bins, every padding tap to the one bin
+    after the last sample's; ``batch`` indexes long, hence the smaller cache."""
     c, h, w = key[:3]
-    flat = (np.arange(batch)[:, None] * (c * h * w + 1) + _window_index(*key)).reshape(-1)
+    plane = c * h * w
+    window = _window_index(*key)
+    flat = np.where(window == plane, batch * plane, np.arange(batch)[:, None] * plane + window).reshape(-1)
     flat.flags.writeable = False
     return flat
 
@@ -441,10 +422,11 @@ def _conv2d_bwd(g, relu, plan, out, cols, x, kernel, bias=None):
     gcols = np.matmul(np.swapaxes(kernel.data.reshape(kmat_shape), -1, -2), g3)  # (B, C*kh*kw, oH*oW)
     # col2im: bincount adds each input position's window contributions
     # to 0.0 in index order, which is ascending (ki, kj); a position no
-    # window covers gets an exact zero. The padding taps all land in each
-    # sample's last bin, which the view drops.
-    gx = np.bincount(_col2im_index(key, batch), weights=gcols.reshape(-1), minlength=batch * (plane + 1)
-                     ).reshape(zshape)[:, :plane].reshape(x.data.shape)
+    # window covers gets an exact zero. The padding taps all land in the
+    # last bin, which the in-place resize drops: the array stays the op's
+    # own, so backward keeps it without a copy.
+    gx = np.bincount(_col2im_index(key, batch), weights=gcols.reshape(-1), minlength=batch * plane + 1)
+    gx.resize(x.data.shape, refcheck=False)  # nothing else refers to the fresh bins
     return ((x, gx), (kernel, gk), *gb)
 
 
@@ -484,35 +466,70 @@ def _pool_bwd(g, x):
     return ((x, gx),)
 
 
-def cross_entropy(logits: Tensor, target) -> Tensor:
-    """Mean over the batch of -sum(target * log softmax(logits)). ``target``
-    is a class index per row or (B, C) soft distributions (distillation's),
-    whose rows must sum to 1."""
-    if logits.data.ndim != 2:
-        raise ShapeError(f"cross_entropy expects (B, C) logits, got {logits.shape}")
-    b, c = logits.shape
+def class_targets(target, shape: tuple) -> np.ndarray:
+    """Target rows for cross-entropy over logits of ``shape`` (B, C), checked:
+    one-hot rows from a class index per row (an integer dtype: a float or
+    bool index would be truncated), or (B, C) soft rows (distillation's),
+    each summing to 1 within 1e-6. Build them once per batch."""
+    if len(shape) != 2:
+        raise ShapeError(f"cross_entropy expects (B, C) logits, got {shape}")
+    b, c = shape
     if c < 2:
         raise ShapeError(f"cross_entropy needs at least 2 classes, got {c}")
-
     target = np.asarray(target)
     if target.ndim <= 1:
-        idx = target.reshape(-1).astype(np.int64)
+        if target.dtype.kind not in "iu":
+            raise ShapeError(f"class indices must have an integer dtype, got {target.dtype}")
+        idx = target.reshape(-1)
         if idx.shape[0] != b:
             raise ShapeError(f"{idx.shape[0]} targets for {b} logits rows")
-        if np.logical_or.reduce((idx < 0) | (idx >= c)):
+        if b and not 0 <= np.minimum.reduce(idx) <= np.maximum.reduce(idx) < c:
             raise ShapeError(f"class index out of range [0, {c})")
-        soft = np.zeros((b, c))
-        soft[np.arange(b), idx] = 1.0
-    else:
-        soft = np.asarray(target, dtype=np.float64)
-        if soft.shape != (b, c):
-            raise ShapeError(f"soft target shape {soft.shape} does not match logits {logits.shape}")
-        sums = np.add.reduce(soft, axis=1)
-        if np.logical_or.reduce(np.abs(sums - 1.0) > 1e-6):
-            raise ShapeError("soft target rows must sum to 1 within 1e-6")
+        rows = np.zeros((b, c))
+        rows[np.arange(b), idx] = 1.0
+        return rows
+    rows = np.asarray(target, dtype=np.float64)
+    if rows.shape != (b, c):
+        raise ShapeError(f"soft target shape {rows.shape} does not match logits {shape}")
+    if np.logical_or.reduce(np.abs(np.add.reduce(rows, axis=1) - 1.0) > 1e-6, axis=None):
+        raise ShapeError("soft target rows must sum to 1 within 1e-6")
+    return rows
 
-    shifted = logits.data - np.maximum.reduce(logits.data, axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
-    loss = -np.add.reduce(soft * log_probs, axis=None) / b
-    return _result(_finite(np.array(loss)), (logits,),
-                   lambda g, logits: ((logits, g * (np.exp(log_probs) - soft) / b),))
+
+def cross_entropy_sum(terms: Sequence[tuple[Tensor, np.ndarray, float]],
+                      constant: float | None = None) -> tuple[Tensor, list[float]]:
+    """sum_i weight_i * CE(logits_i, rows_i), plus ``constant`` if given, as
+    one op, where CE is the mean over the batch of -sum(rows * log
+    softmax(logits)) and ``terms`` holds (logits, ``class_targets`` rows,
+    weight) triples. The terms add left to right, each scaled by its weight
+    first, the arithmetic of a chain of ``cross_entropy``, ``scale`` and
+    ``add``; logits i gets (g * weight_i) * (softmax - rows) / B. Only the
+    sum is checked: a NaN or Inf in any term reaches it. Returns the sum and
+    each term's unweighted CE."""
+    values, saved = [], []
+    total = None
+    for logits, rows, weight in terms:
+        if rows.shape != logits.data.shape:
+            raise ShapeError(f"target rows {rows.shape} do not match logits {logits.shape}")
+        shifted = logits.data - np.maximum.reduce(logits.data, axis=1, keepdims=True)
+        log_probs = shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+        value = -np.add.reduce(rows * log_probs, axis=None) / rows.shape[0]
+        total = value * weight if total is None else total + value * weight
+        values.append(float(value))
+        saved.append((log_probs, rows, weight))
+    if constant is not None:
+        total = total + constant
+    if not math.isfinite(total):
+        raise NonFiniteError("forward operation produced NaN or Inf")
+    return _result(np.array(total), [logits for logits, _, _ in terms], _cross_entropy_bwd, saved), values
+
+
+def _cross_entropy_bwd(g, saved, *logits):
+    return tuple((t, (g * weight) * (np.exp(log_probs) - rows) / rows.shape[0])
+                 for t, (log_probs, rows, weight) in zip(logits, saved) if t.requires_grad)
+
+
+def cross_entropy(logits: Tensor, target) -> Tensor:
+    """Mean over the batch of -sum(target * log softmax(logits)): one term of
+    ``cross_entropy_sum``, ``target`` as ``class_targets`` reads it."""
+    return cross_entropy_sum(((logits, class_targets(target, logits.data.shape), 1.0),))[0]

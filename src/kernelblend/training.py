@@ -2,14 +2,25 @@
 
 One step: sample a batch and run it through the model once, every stage
 batched. The lightweight trunk gives initial logits and raw coefficients;
-the coefficients are activated, blended toward uniform at the scheduled
-strength and masked for dropped bases (per sample when masks differ), then
-one synthesis blends a specialist per sample and one stage-two pass runs
-each sample through its own kernels. The loss is CE(specialist) +
-lm_weight * CE(initial) + L2. The gradient routing the design calls for
-falls out of the graph itself: the initial-prediction term never touches
-basis kernels, while the specialist term reaches the lightweight model
-through the coefficient path.
+the coefficients are activated (one op), blended toward uniform at the
+scheduled strength and masked for dropped bases, per sample when masks
+differ (one op, ``synthesis.stabilize``), then one synthesis blends a
+specialist per sample and one stage-two pass runs each sample through its
+own kernels. The loss, CE(specialist) + lm_weight * CE(initial) + L2, is one
+op on target rows built once per batch. The gradient routing the design
+calls for falls out of the graph itself: the initial-prediction term never
+touches basis kernels, while the specialist term reaches the lightweight
+model through the coefficient path. The fused ops' backward rules do the
+arithmetic of the per-op chain they replaced in its order, so a step trains
+the same bits.
+
+A step keeps these finiteness checks: the batch as it enters, each conv's
+output before its ReLU, each linear's output, the loss, and the new
+parameter values before they are written. The coefficients between the head
+and the stage-two convs are not scanned: they stay in [0, 1], and a NaN
+among them reaches a conv's check. A failed check, or a dropout row whose
+survivors all underflowed to 0, raises ``TrainingDiverged`` with the step
+and learning rate, and the step writes nothing.
 
 Selection fine-tuning is the tail of the same schedule: the
 ``finetune_steps`` steps after ``total_steps`` run with the synthesis mode
@@ -25,7 +36,8 @@ parameter, or the bank alone on a selection step): their sizes, their part
 of the vector and each one's view of the buffer. A step writes L2's term (or
 zeros) into that part of the buffer (L2 is not a tape op), the backward pass
 adds the network's through the views, and one vectorised update of the
-suffix follows; the RMSProp accumulator is one vector too.
+suffix follows, its temporaries in three rows the state keeps (``work``);
+the RMSProp accumulator is one vector too.
 
 All per-step randomness (batch choice, augmentation, dropout masks) derives
 from (seed, step), so any run is reproducible bit for bit and no step
@@ -147,6 +159,7 @@ class TrainState:
     opt_state: np.ndarray | None = None  # RMSProp accumulator, aligned with ``vector``
     vector: T.Tensor = field(init=False)  # every parameter; each one views into it
     grad: np.ndarray = field(init=False, repr=False)  # gradient buffer aligned with ``vector``
+    work: np.ndarray = field(init=False, repr=False)  # three rows for the update's temporaries
     joint: Trained = field(init=False, repr=False)  # what a joint step trains
     selection: Trained = field(init=False, repr=False)  # what a selection step trains
 
@@ -159,6 +172,7 @@ class TrainState:
         params = [p for _, p in named]
         self.vector = T.Tensor(np.concatenate([p.data.reshape(-1) for p in params]))
         self.grad = np.zeros(self.vector.size)
+        self.work = np.empty((3, self.vector.size))
         for p, view in zip(params, _views(self.vector.data, params)):
             p.data = view  # same values, now held in the vector
         self.joint = self._trained(params)
@@ -224,7 +238,7 @@ def sample_bmd_mask(n_bases: int, rate: float, rng: np.random.Generator) -> np.n
     if not 0.0 <= rate < 1.0:
         raise ValueError("rate must be in [0, 1)")
     drops = rng.random(n_bases) < rate
-    while drops.all():
+    while np.logical_and.reduce(drops):
         drops = rng.random(n_bases) < rate
     return drops
 
@@ -261,12 +275,7 @@ def forward_training(state: TrainState, batch_x: np.ndarray, epsilon: float,
     initial, feats = pl.lm_forward(state.lm, state.lm_params, x)
 
     def stabilize(alpha):
-        # blend first: dropout after it gives a dropped basis 0, not eps/N
-        if epsilon > 0.0:
-            alpha = syn.blend_epsilon(alpha, epsilon)
-        if drop_masks is not None:
-            alpha = syn.apply_bmd(alpha, drop_masks, cfg.bmd_renormalize)
-        return alpha
+        return syn.stabilize(alpha, epsilon, drop_masks, cfg.bmd_renormalize)
 
     # selection gets no uniform blend and no dropout
     edit = None if cfg.mode == "one_hot" else stabilize
@@ -300,29 +309,24 @@ def total_loss(final_logits: T.Tensor, initial_logits: T.Tensor, target: np.ndar
     ``l2_sum`` is sum ||p||^2 over the trained parameters (``squared_norm``).
 
     With distillation on, the teacher's soft rows replace (or blend into)
-    the hard targets for the heads the policy selects. The L2 term is a
-    constant on the tape: ``train_step`` writes its gradient itself.
+    the hard targets for the heads the policy selects. The batch's target
+    rows are built and checked once, and the loss is one op
+    (``T.cross_entropy_sum``) with the L2 term a constant in it:
+    ``train_step`` writes its gradient itself.
     """
-    final_target = initial_target = target
+    hard = T.class_targets(target, final_logits.data.shape)
+    final_rows = initial_rows = hard
     if cfg.distill is not None and distill_soft is not None:
         w = cfg.distill.soft_weight
-        final_target = w * distill_soft + (1.0 - w) * np.eye(final_logits.shape[1])[target]
+        final_rows = T.class_targets(w * distill_soft + (1.0 - w) * hard, hard.shape)
         if cfg.distill.policy == "both":
-            initial_target = final_target
+            initial_rows = final_rows
 
-    synth_loss = T.cross_entropy(final_logits, final_target)
-    lm_loss = T.cross_entropy(initial_logits, initial_target)
-    loss = T.add(synth_loss, T.scale(lm_loss, cfg.lm_weight))
-    l2_value = 0.0
-    if cfg.l2_weight > 0.0:
-        loss = T.add(loss, T.Tensor(l2_sum * cfg.l2_weight))
-        l2_value = cfg.l2_weight * float(l2_sum)
-    parts = {
-        "synth_loss": synth_loss.data.item(),
-        "lm_loss": lm_loss.data.item(),
-        "l2": l2_value,
-    }
-    return loss, parts
+    l2_value = cfg.l2_weight * float(l2_sum) if cfg.l2_weight > 0.0 else 0.0
+    loss, (synth, lm) = T.cross_entropy_sum(
+        ((final_logits, final_rows, 1.0), (initial_logits, initial_rows, cfg.lm_weight)),
+        l2_sum * cfg.l2_weight if cfg.l2_weight > 0.0 else None)
+    return loss, {"synth_loss": synth, "lm_loss": lm, "l2": l2_value}
 
 
 # ---------------------------------------------------------------------------
@@ -335,21 +339,30 @@ def _apply_updates(state: TrainState, grad, sizes, lr: float, schedule: TrainSch
     Every accumulator slot updates; a parameter the backward pass did not
     reach has a zero gradient, so its values stay and a zero accumulator
     stays zero. A global gradient norm above ``clip_norm`` is scaled down to
-    it first. A non-finite update writes nothing."""
+    it first. The temporaries go into the state's ``work`` rows, and nothing
+    is written unless the new values are all finite."""
+    n = grad.size
+    scaled, tail, new = (row[-n:] for row in state.work)
     if schedule.clip_norm is not None:
         norm = np.sqrt(squared_norm(grad, sizes))
         if norm > schedule.clip_norm:
-            grad = grad * (schedule.clip_norm / norm)
-    start = state.vector.size - grad.size  # the trained part is a suffix of named_parameters
+            grad = np.multiply(grad, schedule.clip_norm / norm, out=scaled)
+    start = state.vector.size - n  # the trained part is a suffix of named_parameters
     acc = state.opt_state
     if schedule.optimizer == "rmsprop":
-        acc = np.zeros(state.vector.size) if acc is None else acc.copy()
-        acc[start:] = tail = 0.9 * acc[start:] + 0.1 * grad * grad
-        delta = lr * grad / (np.sqrt(tail) + 1e-8)
+        if acc is None:
+            acc = np.zeros(state.vector.size)
+        np.multiply(grad, 0.1, out=tail)
+        np.multiply(tail, grad, out=tail)
+        np.add(np.multiply(acc[start:], 0.9, out=new), tail, out=tail)  # 0.9 * acc + 0.1 * g * g
+        denominator = np.add(np.sqrt(tail, out=new), 1e-8, out=new)
+        np.divide(np.multiply(grad, lr, out=scaled), denominator, out=new)
     else:
-        delta = lr * grad
-    state.vector.apply_update(state.vector.data[start:] - delta, start)
-    state.opt_state = acc
+        np.multiply(grad, lr, out=new)
+    state.vector.apply_update(np.subtract(state.vector.data[start:], new, out=new), start)
+    if schedule.optimizer == "rmsprop":
+        acc[start:] = tail
+        state.opt_state = acc
 
 
 def train_step(state: TrainState, batch: tuple[np.ndarray, np.ndarray],
@@ -368,7 +381,8 @@ def train_step(state: TrainState, batch: tuple[np.ndarray, np.ndarray],
     selecting = schedule.selects(step)
     trained = state.joint
     if selecting:
-        state.synth_cfg = replace(state.synth_cfg, mode="one_hot")
+        if state.synth_cfg.mode != "one_hot":
+            state.synth_cfg = replace(state.synth_cfg, mode="one_hot")
         trained = state.selection
 
     drop_masks = None
@@ -404,8 +418,8 @@ def train_step(state: TrainState, batch: tuple[np.ndarray, np.ndarray],
     try:
         with T.recording(T.GradTape(trained.into)):
             final, initial, _ = forward_training(state, batch_x, eps, drop_masks)
-            if selecting:
-                initial = T.Tensor(initial.data)
+            if selecting:  # detached: its values, checked by the head, on no tape
+                initial = T.constant(initial.data)
             loss, parts = total_loss(final, initial, batch_y, l2_sum, loss_cfg, distill_soft)
         T.backward(loss)
         _apply_updates(state, grad, trained.sizes, lr, schedule)

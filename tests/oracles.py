@@ -4,11 +4,13 @@ Everything here is deliberately naive: nested loops, explicit multiply
 counters, and finite differences. The references share no code with the
 package under test, so agreement between the two is evidence, not tautology.
 
-Two sections at the end hold code the tests run but no command does: three
-tape ops (``take``, ``sum_all`` and ``sum_squares``, built on the tape's
-``T._result`` as the package's own ops are, each with a backward rule that
-takes the output gradient and the op's inputs) and the per-layer router
-baseline, built on the package's ops.
+Three sections at the end hold code the tests run but no command does:
+tape ops (``take``, ``sum_all``, ``sum_squares``, ``tile_rows`` and
+``normalize_rows``, built on the tape's ``T._result`` as the package's own
+ops are, each with a backward rule that takes the output gradient and the
+op's inputs), the training step as a chain of those per-op records, which
+the fused coefficient, loss and update code must match bit for bit, and the
+per-layer router baseline, built on the package's ops.
 """
 
 from __future__ import annotations
@@ -192,13 +194,13 @@ def per_image_forward(state, batch_x: np.ndarray, epsilon: float, drop_masks):
     raw = T.linear(feats, state.lm_params.coeff_w, state.lm_params.coeff_b)
     finals, alphas = [], []
     for b in range(len(batch_x)):
-        alpha = syn.coefficients_from_raw(take(raw, b), cfg, bank.n_coefficient_rows, bank.n_bases)
+        alpha = coefficients_chain(take(raw, b), cfg, bank.n_coefficient_rows, bank.n_bases)
         if cfg.mode != "one_hot":
             mask = drop_masks[b] if drop_masks is not None and drop_masks.ndim == 2 else drop_masks
             if epsilon > 0.0:
-                alpha = syn.blend_epsilon(alpha, epsilon)
+                alpha = blend_epsilon(alpha, epsilon)
             if mask is not None and mask.any():
-                alpha = syn.apply_bmd(alpha, mask, cfg.bmd_renormalize)
+                alpha = apply_bmd(alpha, mask, cfg.bmd_renormalize)
         specialist = syn.synthesize(bank, alpha)
         finals.append(bb.forward(specialist, bank.spec, T.Tensor(batch_x[b:b + 1])))
         alphas.append(alpha)
@@ -458,6 +460,206 @@ def sum_squares(*tensors: T.Tensor) -> T.Tensor:
     return T._result(T._finite(np.array(total)), tensors, bwd)
 
 
+def tile_rows(a: T.Tensor, count: int) -> T.Tensor:
+    """Repeat the last axis as ``count`` identical rows: (..., N) -> (..., count, N)."""
+    if a.data.ndim < 1:
+        raise T.ShapeError("tile_rows expects at least a 1-D tensor")
+    return T._result(T._tile_rows(a.data, count), (a,), lambda g, a: ((a, np.add.reduce(g, axis=-2)),))
+
+
+def normalize_rows(a: T.Tensor, where) -> T.Tensor:
+    """Divide each row (along the last axis) that ``where`` selects by its
+    own sum; ``where`` is a boolean array that broadcasts to ``a.shape[:-1]``.
+    The other rows pass through unchanged, values and gradient alike."""
+    if a.data.ndim < 2:
+        raise T.ShapeError(f"normalize_rows expects at least a 2-D tensor, got shape {a.shape}")
+    sums = np.add.reduce(a.data, axis=-1, keepdims=True)
+    selected = np.asarray(where, dtype=bool)[..., None]
+    sums = np.where(selected, sums, 1.0)
+    if np.logical_or.reduce(sums == 0.0, axis=None):
+        raise T.ShapeError("normalize_rows: a row sums to zero")
+    out = T._finite(a.data / sums)
+
+    def bwd(g, a):
+        inner = np.where(selected, np.add.reduce(g * out, axis=-1, keepdims=True), 0.0)
+        return ((a, (g - inner) / sums),)
+
+    return T._result(out, (a,), bwd)
+
+
+# ---------------------------------------------------------------------------
+# the training step as a chain of per-op records
+
+
+def activate(raw: T.Tensor, activation: str) -> T.Tensor:
+    """Raw head outputs, (rows, N) or (B, rows, N), into coefficients: row-wise
+    ``T.softmax`` or elementwise ``T.sigmoid``, one record."""
+    if raw.data.ndim not in (2, 3):
+        raise T.ShapeError(f"raw coefficients must be (rows, N) or (B, rows, N), got shape {raw.shape}")
+    if activation == "softmax":
+        return T.softmax(raw, axis=-1)
+    if activation == "sigmoid":
+        return T.sigmoid(raw)
+    raise ValueError(f"unknown activation {activation!r}")
+
+
+def to_one_hot(alpha: T.Tensor) -> T.Tensor:
+    """``syn.one_hot`` of a coefficient tensor: a scanned constant, with no gradient."""
+    return T.Tensor(syn.one_hot(alpha.data))
+
+
+def coefficients_chain(raw: T.Tensor, cfg, n_rows: int, n_bases: int) -> T.Tensor:
+    """``syn.coefficients_from_raw`` as three records: the layout (``tile_rows``
+    of a per-model head, else ``reshape``), the activation, and one-hot
+    hardening as a scanned constant."""
+    rows = (tile_rows(raw, n_rows) if raw.shape[-1] == n_bases
+            else T.reshape(raw, (*raw.shape[:-1], n_rows, n_bases)))
+    alpha = activate(rows, cfg.activation)
+    return to_one_hot(alpha) if cfg.mode == "one_hot" else alpha
+
+
+def blend_epsilon(alpha: T.Tensor, epsilon: float) -> T.Tensor:
+    """The uniform blend as ``add`` of a scanned constant and ``scale``."""
+    uniform = T.Tensor(np.full(alpha.shape, epsilon / alpha.shape[-1]))
+    return T.add(uniform, T.scale(alpha, 1.0 - epsilon))
+
+
+def apply_bmd(alpha: T.Tensor, drop_mask: np.ndarray, renormalize: bool = True) -> T.Tensor:
+    """Basis dropout as ``mul`` by a scanned 0/1 constant, then
+    ``normalize_rows`` of the rows of every sample whose mask drops a basis."""
+    drop = np.asarray(drop_mask, dtype=bool)
+    if not drop.any():
+        return alpha
+    drop = drop[..., None, :]
+    values = T.mul(alpha, T.Tensor(np.broadcast_to(~drop, alpha.shape).astype(np.float64)))
+    return normalize_rows(values, where=drop.any(axis=-1)) if renormalize else values
+
+
+def cross_entropy_chain(logits: T.Tensor, target) -> T.Tensor:
+    """One cross-entropy record whose target rows are built and checked on
+    every call."""
+    b, c = logits.shape
+    target = np.asarray(target)
+    if target.ndim <= 1:
+        soft = np.zeros((b, c))
+        soft[np.arange(b), target.reshape(-1).astype(np.int64)] = 1.0
+    else:
+        soft = np.asarray(target, dtype=np.float64)
+        assert np.all(np.abs(soft.sum(axis=1) - 1.0) <= 1e-6)
+    shifted = logits.data - np.maximum.reduce(logits.data, axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+    loss = -np.add.reduce(soft * log_probs, axis=None) / b
+    return T._result(T._finite(np.array(loss)), (logits,),
+                     lambda g, logits: ((logits, g * (np.exp(log_probs) - soft) / b),))
+
+
+def loss_chain(final, initial, target, l2_sum, cfg, distill_soft=None):
+    """``training.total_loss`` as a chain: two ``cross_entropy_chain`` records,
+    ``scale``, ``add``, and one more ``add`` of the L2 value as a constant."""
+    final_target = initial_target = target
+    if cfg.distill is not None and distill_soft is not None:
+        w = cfg.distill.soft_weight
+        final_target = w * distill_soft + (1.0 - w) * np.eye(final.shape[1])[target]
+        if cfg.distill.policy == "both":
+            initial_target = final_target
+    synth = cross_entropy_chain(final, final_target)
+    lm = cross_entropy_chain(initial, initial_target)
+    loss = T.add(synth, T.scale(lm, cfg.lm_weight))
+    l2_value = 0.0
+    if cfg.l2_weight > 0.0:
+        loss = T.add(loss, T.Tensor(l2_sum * cfg.l2_weight))
+        l2_value = cfg.l2_weight * float(l2_sum)
+    return loss, {"synth_loss": synth.data.item(), "lm_loss": lm.data.item(), "l2": l2_value}
+
+
+def apply_updates_allocating(state, grad, sizes, lr: float, schedule) -> None:
+    """The vectorised update with a fresh array per temporary and a copied
+    accumulator, committed after the finite write of the new values."""
+    from kernelblend import training as tr
+
+    if schedule.clip_norm is not None:
+        norm = np.sqrt(tr.squared_norm(grad, sizes))
+        if norm > schedule.clip_norm:
+            grad = grad * (schedule.clip_norm / norm)
+    start = state.vector.size - grad.size
+    acc = state.opt_state
+    if schedule.optimizer == "rmsprop":
+        acc = np.zeros(state.vector.size) if acc is None else acc.copy()
+        acc[start:] = tail = 0.9 * acc[start:] + 0.1 * grad * grad
+        delta = lr * grad / (np.sqrt(tail) + 1e-8)
+    else:
+        delta = lr * grad
+    state.vector.apply_update(state.vector.data[start:] - delta, start)
+    state.opt_state = acc
+
+
+def forward_chain(state, batch_x: np.ndarray, epsilon: float, drop_masks):
+    """``training.forward_training`` with ``coefficients_chain`` and the
+    stabilizers as ``blend_epsilon`` then ``apply_bmd``: (final logits,
+    initial logits, coefficients)."""
+    from kernelblend import pipeline as pl
+
+    cfg, bank = state.synth_cfg, state.bank
+    x = T.Tensor(batch_x)
+    initial, feats = pl.lm_forward(state.lm, state.lm_params, x)
+    raw = T.linear(feats, state.lm_params.coeff_w, state.lm_params.coeff_b)
+    alpha = coefficients_chain(raw, cfg, bank.n_coefficient_rows, bank.n_bases)
+    if cfg.mode != "one_hot":
+        if epsilon > 0.0:
+            alpha = blend_epsilon(alpha, epsilon)
+        if drop_masks is not None:
+            alpha = apply_bmd(alpha, drop_masks, cfg.bmd_renormalize)
+    return bb.forward(syn.synthesize(bank, alpha), bank.spec, x), initial, alpha
+
+
+def train_step_chain(state, batch, schedule, loss_cfg):
+    """``training.train_step`` on the chain: ``forward_chain``, ``loss_chain``
+    (the frozen model's logits detached by a scanned copy on a selection
+    step), ``T.backward`` into the state's gradient buffer, which starts at
+    L2's term or zeros, and ``apply_updates_allocating``. Returns (state,
+    metrics)."""
+    from dataclasses import replace
+
+    from kernelblend import training as tr
+
+    x, y = batch
+    step = state.step
+    eps = tr.epsilon_at(step, schedule)
+    selecting = schedule.selects(step)
+    trained = state.joint
+    if selecting:
+        state.synth_cfg = replace(state.synth_cfg, mode="one_hot")
+        trained = state.selection
+    drop = None
+    if schedule.bmd_rate > 0.0:
+        rng = tr.step_rng(schedule, step, stream=2)
+        draws = len(x) if schedule.bmd_per_sample else 1
+        drop = np.stack([tr.sample_bmd_mask(state.bank.n_bases, schedule.bmd_rate, rng)
+                         for _ in range(draws)])
+        drop = drop if schedule.bmd_per_sample else drop[0]
+    soft = None
+    if loss_cfg.distill is not None:
+        soft = tr.distill_targets(loss_cfg.distill.teacher_spec, loss_cfg.distill.teacher_params, x)
+    lr = tr.learning_rate_at(step, schedule)
+    grad = trained.grad
+    if loss_cfg.l2_weight > 0.0:
+        np.multiply(trained.values, 2.0, out=grad)
+        np.multiply(grad, loss_cfg.l2_weight, out=grad)
+        l2_sum = tr.squared_norm(trained.values, trained.sizes)
+    else:
+        grad.fill(0.0)
+        l2_sum = 0.0
+    with T.recording(T.GradTape(trained.into)):
+        final, initial, _ = forward_chain(state, x, eps, drop)
+        if selecting:
+            initial = T.Tensor(initial.data)
+        loss, parts = loss_chain(final, initial, y, l2_sum, loss_cfg, soft)
+    T.backward(loss)
+    apply_updates_allocating(state, grad, trained.sizes, lr, schedule)
+    state.step = step + 1
+    return state, {"step": step, "loss": loss.data.item(), "epsilon": eps, "lr": lr, **parts}
+
+
 # ---------------------------------------------------------------------------
 # per-layer router baseline (CondConv): a scheduling contrast to the two-stage path
 
@@ -496,7 +698,7 @@ def condconv_forward(bank: syn.BasisBank, routers: list[RouterParams], x: np.nda
         else:
             pooled = T.global_avg_pool(out)
             logits = T.linear(pooled, routers[r].w, routers[r].b)
-            coeffs = logits if activation == "identity" else syn.activate(logits, activation)
+            coeffs = logits if activation == "identity" else activate(logits, activation)
             if trace is not None:
                 trace.append(("coefficients", k, coeffs.data[0].copy()))
             kernel = T.blend(coeffs, bank.kernels[k])

@@ -538,9 +538,12 @@ class TestBenchmarkHooks:
         assert initial.data.shape == (1, 6)
 
     def test_a_train_step_reaches_the_traced_functions(self, demo, record_calls, monkeypatch):
+        # the tracer splits a step into its forward, loss, backward and update
+        # phases from the spans of these calls, one of each per step
         cfg, state, loss_cfg, train, _ = demo
         layers, convs = record_calls(B, "run_layer"), record_calls(T, "conv2d")
         synths, backwards = record_calls(S, "synthesize"), record_calls(T, "backward")
+        forwards, losses = record_calls(TR, "forward_training"), record_calls(TR, "total_loss")
         appended, run_layer = [], B.run_layer
 
         def probe(*args):  # what the tracer reads: the records each call appends
@@ -553,7 +556,7 @@ class TestBenchmarkHooks:
         monkeypatch.setattr(B, "run_layer", probe)
         TR.train_step(state, TR.sample_batch(train, cfg.schedule, 0), cfg.schedule, loss_cfg)
         assert len(layers) == len(convs) == 5 and appended == [1] * 5
-        assert len(synths) == len(backwards) == 1
+        assert len(synths) == len(backwards) == len(forwards) == len(losses) == 1
 
 
 class TestFinitenessChecks:

@@ -10,7 +10,8 @@ from kernelblend import synthesis as S
 from kernelblend import tensor as T
 from kernelblend import training as TR
 
-from oracles import sum_all, sum_squares, synthesis_reference, synthesize_take_then_blend
+from oracles import (activate, sum_all, sum_squares, synthesis_reference, synthesize_take_then_blend,
+                     to_one_hot)
 from toys import run_training, toy_dataset, toy_state
 
 
@@ -29,18 +30,26 @@ def cm(rows):
     return T.Tensor(np.array(rows, dtype=float))
 
 
+def activated(raw, activation):
+    """The (rows, N) matrix ``raw``, given as one head output, activated by
+    ``coefficients_from_raw``."""
+    raw = np.asarray(raw, dtype=float)
+    return S.coefficients_from_raw(T.Tensor(raw.reshape(-1)), S.SynthesisConfig(activation=activation),
+                                   *raw.shape)
+
+
 class TestActivate:
     def test_softmax_on_zeros_is_uniform(self):
-        out = S.activate(T.Tensor(np.zeros((3, 4))), "softmax")
+        out = activated(np.zeros((3, 4)), "softmax")
         assert np.array_equal(out.data, np.full((3, 4), 0.25))
 
     def test_sigmoid_on_zeros_is_half(self):
-        out = S.activate(T.Tensor(np.zeros((2, 5))), "sigmoid")
+        out = activated(np.zeros((2, 5)), "sigmoid")
         assert np.array_equal(out.data, np.full((2, 5), 0.5))
 
     def test_peaked_row_keeps_argmax(self):
         raw = np.array([[10.0, 0.0, 0.0, 0.0]])
-        out = S.activate(T.Tensor(raw), "softmax")
+        out = activated(raw, "softmax")
         direct = np.exp(raw[0] - 10.0)
         direct = direct / direct.sum()
         np.testing.assert_allclose(out.data[0], direct, atol=1e-15)
@@ -48,65 +57,69 @@ class TestActivate:
         assert np.argmax(out.data[0]) == 0
 
     def test_sigmoid_rows_need_not_sum_to_one(self):
-        out = S.activate(T.Tensor(np.array([[3.0, 3.0]])), "sigmoid")
+        out = activated([[3.0, 3.0]], "sigmoid")
         assert out.data.sum() > 1.5
 
 
 class TestBlendEpsilon:
+    """``stabilize``'s uniform blend, eps/N + (1-eps)*alpha."""
+
     def test_eps_one_forces_uniform(self):
         alpha = cm([[0.9, 0.1], [0.0, 1.0]])
-        out = S.blend_epsilon(alpha, 1.0)
+        out = S.stabilize(alpha, 1.0)
         assert np.array_equal(out.data, np.full((2, 2), 0.5))
 
     def test_eps_zero_is_identity(self):
         alpha = cm([[0.9, 0.1]])
-        out = S.blend_epsilon(alpha, 0.0)
+        out = S.stabilize(alpha, 0.0)
         assert np.array_equal(out.data, alpha.data)
 
     def test_half_blend_arithmetic(self):
-        out = S.blend_epsilon(cm([[1.0, 0.0]]), 0.5)
+        out = S.stabilize(cm([[1.0, 0.0]]), 0.5)
         assert np.array_equal(out.data, [[0.75, 0.25]])
 
     def test_epsilon_out_of_range(self):
         with pytest.raises(ValueError):
-            S.blend_epsilon(cm([[1.0, 0.0]]), 1.5)
+            S.stabilize(cm([[1.0, 0.0]]), 1.5)
 
     def test_simplex_rows_stay_simplex(self):
         rng = np.random.default_rng(0)
         for eps in (0.1, 0.5, 0.9):
             raw = rng.standard_normal((4, 5))
-            alpha = S.activate(T.Tensor(raw), "softmax")
-            out = S.blend_epsilon(alpha, eps)
+            alpha = activate(T.Tensor(raw), "softmax")
+            out = S.stabilize(alpha, eps)
             assert np.all(out.data >= 0)
             np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestApplyBmd:
+    """``stabilize``'s basis dropout, at epsilon 0."""
+
     def test_drop_none_is_identity(self):
         alpha = cm([[0.6, 0.4]])
-        out = S.apply_bmd(alpha, np.array([False, False]))
+        out = S.stabilize(alpha, 0.0, np.array([False, False]))
         assert out is alpha
 
     def test_drop_and_renormalize(self):
-        out = S.apply_bmd(cm([[0.6, 0.4]]), np.array([False, True]), renormalize=True)
+        out = S.stabilize(cm([[0.6, 0.4]]), 0.0, np.array([False, True]), renormalize=True)
         np.testing.assert_allclose(out.data, [[1.0, 0.0]], atol=1e-15)
 
     def test_uniform_drop_one(self):
-        out = S.apply_bmd(cm([[0.25] * 4]), np.array([False, False, False, True]), renormalize=True)
+        out = S.stabilize(cm([[0.25] * 4]), 0.0, np.array([False, False, False, True]), renormalize=True)
         np.testing.assert_allclose(out.data, [[1 / 3, 1 / 3, 1 / 3, 0.0]], atol=1e-15)
 
     def test_no_renormalize_keeps_survivors(self):
-        out = S.apply_bmd(cm([[0.6, 0.4]]), np.array([False, True]), renormalize=False)
+        out = S.stabilize(cm([[0.6, 0.4]]), 0.0, np.array([False, True]), renormalize=False)
         assert np.array_equal(out.data, [[0.6, 0.0]])
 
     def test_all_dropped_is_an_error(self):
         with pytest.raises(ValueError, match="survive"):
-            S.apply_bmd(cm([[0.6, 0.4]]), np.array([True, True]))
+            S.stabilize(cm([[0.6, 0.4]]), 0.0, np.array([True, True]))
 
     def test_simplex_closure(self):
         rng = np.random.default_rng(1)
-        alpha = S.activate(T.Tensor(rng.standard_normal((3, 6))), "softmax")
-        out = S.apply_bmd(alpha, np.array([True, False, False, True, False, False]))
+        alpha = activate(T.Tensor(rng.standard_normal((3, 6))), "softmax")
+        out = S.stabilize(alpha, 0.0, np.array([True, False, False, True, False, False]))
         assert np.all(out.data >= 0)
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-9)
 
@@ -121,7 +134,7 @@ class TestApplyBmd:
             alpha = T.Tensor(raw, requires_grad=True)
             tape = T.GradTape()
             with T.recording(tape):
-                out = S.apply_bmd(S.activate(alpha, "softmax"), mask, renormalize)
+                out = S.stabilize(activate(alpha, "softmax"), 0.0, mask, renormalize)
                 loss = sum_all(T.mul(out, T.Tensor(upstream)))
             return out.data, T.backward(loss)[alpha]
 
@@ -131,27 +144,27 @@ class TestApplyBmd:
 
     def test_mask_for_another_batch_size_rejected(self):
         with pytest.raises(T.ShapeError, match="drop mask shape"):
-            S.apply_bmd(T.Tensor(np.full((3, 2, 4), 0.25)), np.zeros((2, 4), dtype=bool))
+            S.stabilize(T.Tensor(np.full((3, 2, 4), 0.25)), 0.0, np.zeros((2, 4), dtype=bool))
 
 
 class TestToOneHot:
     def test_argmax_row(self):
-        out = S.to_one_hot(cm([[0.7, 0.2, 0.1]]))
+        out = to_one_hot(cm([[0.7, 0.2, 0.1]]))
         assert np.array_equal(out.data, [[1.0, 0.0, 0.0]])
 
     def test_tie_breaks_to_lowest_index(self):
-        out = S.to_one_hot(cm([[0.5, 0.5]]))
+        out = to_one_hot(cm([[0.5, 0.5]]))
         assert np.array_equal(out.data, [[1.0, 0.0]])
 
     def test_one_hot_input_is_fixed_point(self):
-        hard = S.to_one_hot(cm([[0.1, 0.8, 0.1]]))
-        again = S.to_one_hot(hard)
+        hard = to_one_hot(cm([[0.1, 0.8, 0.1]]))
+        again = to_one_hot(hard)
         assert np.array_equal(again.data, hard.data)
 
     def test_argmax_commutes_with_softmax(self):
         rng = np.random.default_rng(2)
         raw = rng.standard_normal((5, 4))
-        via_softmax = S.to_one_hot(S.activate(T.Tensor(raw), "softmax"))
+        via_softmax = S.coefficients_from_raw(T.Tensor(raw.reshape(-1)), S.SynthesisConfig(mode="one_hot"), 5, 4)
         direct = np.zeros_like(raw)
         direct[np.arange(5), np.argmax(raw, axis=1)] = 1.0
         assert np.array_equal(via_softmax.data, direct)
@@ -282,7 +295,7 @@ class TestSynthesize:
         bank = S.build_bank(spec, 1, [], seed=21)
         params = S.select_params(bank, [0] * bank.n_coefficient_rows)
         raw = T.Tensor(np.random.default_rng(0).standard_normal((2, 1)))
-        alpha = S.activate(raw, "softmax")  # softmax over one logit is exactly 1.0
+        alpha = activate(raw, "softmax")  # softmax over one logit is exactly 1.0
         x = T.Tensor(np.random.default_rng(1).standard_normal((3, 2, 6, 6)))
         assert np.array_equal(alpha.data, np.ones((2, 1)))
         a = B.forward(S.synthesize(bank, alpha), spec, x)
@@ -298,8 +311,8 @@ class TestSynthesize:
 
         tape = T.GradTape()
         with T.recording(tape):
-            alpha = S.activate(raw, "softmax")
-            alpha = S.apply_bmd(alpha, np.array([False, True, False]))
+            alpha = activate(raw, "softmax")
+            alpha = S.stabilize(alpha, 0.0, np.array([False, True, False]))
             loss = T.cross_entropy(B.forward(S.synthesize(bank, alpha), spec, x), [1])
         grads = T.backward(loss)
 

@@ -8,7 +8,7 @@ import pytest
 from kernelblend import tensor as T
 
 from oracles import (backward_copying, conv2d_plain, conv2d_reference, finite_difference,
-                     gradient_mismatch, sum_all, sum_squares, take)
+                     gradient_mismatch, normalize_rows, sum_all, sum_squares, take, tile_rows)
 
 
 def grad_of(build_loss, params):
@@ -484,7 +484,7 @@ class TestConvWindowGather:
         flat = T._col2im_index(key, 8)
         assert not flat.flags.writeable
         assert flat.size == 8 * T._window_index(*key).size
-        assert flat.max() == 8 * (2 * 9 * 7 + 1) - 1  # the last sample's padding bin
+        assert flat.max() == 8 * (2 * 9 * 7)  # every padding tap's one bin, after the last sample's
 
 
 class TestElementwise:
@@ -626,6 +626,11 @@ class TestCrossEntropy:
     def test_rejects_unnormalized_soft_targets(self):
         with pytest.raises(T.ShapeError):
             T.cross_entropy(T.Tensor(np.zeros((1, 3))), np.array([[0.5, 0.2, 0.2]]))
+        # a class index that is not an integer would be truncated: [0.5, 1.9]
+        # read as [0, 1], [True, False] as [1, 0]
+        for target, dtype in (([0.5, 1.9], "float64"), ([True, False], "bool")):
+            with pytest.raises(T.ShapeError, match=f"integer dtype, got {dtype}$"):
+                T.cross_entropy(T.Tensor(np.zeros((2, 3))), target)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -758,9 +763,9 @@ def _pool_read_twice(rng):
 
 
 def _conv_read_twice(rng):
-    # each conv's kernel gradient is a fresh kernel-shaped array: the shared
-    # kernel's first is kept and the second added into it; the input
-    # gradients are views of the bincount bins, so the first is copied
+    # each conv's kernel and input gradients are fresh arrays of the
+    # operand's shape: the shared kernel's first is kept and the second
+    # added into it, and so are the input's
     x = T.Tensor(rng.standard_normal((2, 2, 5, 5)), requires_grad=True)
     k = T.Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
     per_sample = T.Tensor(rng.standard_normal((2, 3, 2, 3, 3)), requires_grad=True)
@@ -803,7 +808,7 @@ class TestBackwardOwnership:
         (_, _, bwd), = tape.records
         got = dict(bwd(np.ones(out.shape)))
         assert got[k].base is None and got[k].shape == k.shape  # kept by backward
-        assert got[x].base is not None  # a view of the bincount bins: copied
+        assert got[x].base is None and got[x].shape == x.shape  # the bincount bins, resized: kept
 
 
 class TestStructuralOps:
@@ -830,12 +835,12 @@ class TestStructuralOps:
 
     def test_tile_rows_sums_gradient(self):
         a = T.Tensor([1.0, -1.0], requires_grad=True)
-        grads = grad_of(lambda: sum_all(T.tile_rows(a, 3)), (a,))
+        grads = grad_of(lambda: sum_all(tile_rows(a, 3)), (a,))
         assert np.array_equal(grads[a], [3.0, 3.0])
         batch = T.Tensor([[1.0, -1.0], [2.0, 0.5]], requires_grad=True)
-        tiled = T.tile_rows(batch, 3)
+        tiled = tile_rows(batch, 3)
         assert tiled.shape == (2, 3, 2) and np.all(tiled.data == batch.data[:, None, :])
-        grads = grad_of(lambda: sum_squares(T.tile_rows(batch, 3)), (batch,))
+        grads = grad_of(lambda: sum_squares(tile_rows(batch, 3)), (batch,))
         assert np.array_equal(grads[batch], 6.0 * batch.data)
 
     def test_normalize_rows_values_and_gradient(self):
@@ -843,7 +848,7 @@ class TestStructuralOps:
         x = T.Tensor(xv.copy(), requires_grad=True)
         tape = T.GradTape()
         with T.recording(tape):
-            out = T.normalize_rows(x, where=True)
+            out = normalize_rows(x, where=True)
             loss = sum_squares(out)
         np.testing.assert_allclose(out.data, [[0.25, 0.75], [0.5, 0.5]])
         grads = T.backward(loss)
@@ -853,8 +858,8 @@ class TestStructuralOps:
         # with ``where``, unselected rows pass through, values and gradient
         x = T.Tensor(xv.copy(), requires_grad=True)
         where = np.array([False, True])
-        grads = grad_of(lambda: sum_squares(T.normalize_rows(x, where=where)), (x,))
-        np.testing.assert_allclose(T.normalize_rows(x, where=where).data, [[1.0, 3.0], [0.5, 0.5]])
+        grads = grad_of(lambda: sum_squares(normalize_rows(x, where=where)), (x,))
+        np.testing.assert_allclose(normalize_rows(x, where=where).data, [[1.0, 3.0], [0.5, 0.5]])
 
         def loss_np(v):
             return np.sum(v[0] ** 2) + np.sum((v[1] / v[1].sum()) ** 2)
@@ -960,7 +965,7 @@ class TestUncheckedOps:
         x = T.Tensor([[big, -big, 0.0], [-big, -big, big], [-big, -big, -big]])
         with np.errstate(over="ignore"):  # softmax's shift overflows to -inf, whose exp is 0
             outs = [T.softmax(x, axis=1), T.softmax(x, axis=0), T.sigmoid(x),
-                    T.reshape(x, (9,)), take(x, 1), take(x, 2, axis=1), T.tile_rows(x, 2)]
+                    T.reshape(x, (9,)), take(x, 1), take(x, 2, axis=1), tile_rows(x, 2)]
         for out in outs:
             assert np.all(np.isfinite(out.data))
         for probs in outs[:3]:
@@ -1016,13 +1021,13 @@ class TestGradientSweep:
                 rect = T.reshape(T.conv2d(T.reshape(a, (2, 1, 1, 6)), unit, relu=True), (2, 6))
                 h = T.add(T.mul(rect, T.sigmoid(b)), T.scale(b, 0.25))
                 probs = T.softmax(h, axis=1)
-                tiled = T.tile_rows(take(probs, 1), 2)
-                picked = take(T.tile_rows(probs, 3), 2, axis=1)
-                normed = T.normalize_rows(T.add(T.add(tiled, picked), T.Tensor(np.full((2, 6), 0.5))),
+                tiled = tile_rows(take(probs, 1), 2)
+                picked = take(tile_rows(probs, 3), 2, axis=1)
+                normed = normalize_rows(T.add(T.add(tiled, picked), T.Tensor(np.full((2, 6), 0.5))),
                                           where=True)
                 flat = T.reshape(normed, (12,))
                 # the stack (flat, -0.5 * flat, a constant ramp), built from ops
-                rows = T.mul(T.tile_rows(flat, 3), T.Tensor(np.repeat([[1.0], [-0.5], [0.0]], 12, axis=1)))
+                rows = T.mul(tile_rows(flat, 3), T.Tensor(np.repeat([[1.0], [-0.5], [0.0]], 12, axis=1)))
                 ramp = np.zeros((3, 12))
                 ramp[2] = np.linspace(0, 1, 12)
                 blend = T.blend(T.reshape(w, (1, 3)), T.add(rows, T.Tensor(ramp)))

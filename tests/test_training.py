@@ -16,7 +16,8 @@ from kernelblend import tensor as T
 from kernelblend import training as TR
 from kernelblend.data import augment_batch
 
-from oracles import augment_reference, l2_chain, per_image_forward, train_step_per_tensor
+from oracles import (augment_reference, l2_chain, per_image_forward, to_one_hot, train_step_chain,
+                     train_step_per_tensor)
 from toys import run_training, toy_bank_spec, toy_dataset, toy_lm, toy_state
 
 
@@ -85,7 +86,7 @@ class TestTotalLoss:
         with T.recording(tape):
             loss, parts = TR.total_loss(final, initial, np.array([0, 1, 2, 3]), 2.5,
                                         TR.LossConfig(lm_weight=0.5, l2_weight=l2_weight))
-        assert len(tape.records) == (5 if l2_weight else 4)  # two CEs, the scale, one add per term
+        assert len(tape.records) == 1  # the loss is one op: both CEs, their weights and the L2 constant
         for out, *_ in tape.records:
             assert type(out.data) is np.ndarray and out.data.shape == ()
             assert out.data.dtype == np.float64 and out.data.flags.c_contiguous
@@ -130,8 +131,9 @@ class TestTotalLoss:
             assert state.vector.data.tobytes() == oracle.vector.data.tobytes()
 
     def test_l2_term_adds_no_gradient_record(self):
-        # the L2 value joins the loss as a constant: one add, whatever the
-        # parameter count, and no parameter on the tape or in the gradients
+        # the L2 value joins the loss op as a constant: no record of its own,
+        # whatever the parameter count, and no parameter on the tape or in
+        # the gradients
         final, initial = self.make_logits()
         final.requires_grad = initial.requires_grad = True
         y = np.array([0, 1, 2, 3])
@@ -149,7 +151,7 @@ class TestTotalLoss:
                 grads = T.backward(loss)
                 assert not any(p in grads for p in params)
             added.add(records[1] - records[0])
-        assert added == {1}
+        assert added == {0}
         # the value is still the per-tensor sums, added left to right
         reg = l2_chain(params)
         _, parts = TR.total_loss(final, initial, y, l2_sum, TR.LossConfig(l2_weight=1e-2))
@@ -332,6 +334,28 @@ class TestTrainStep:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TR.TrainingDiverged, match="step 0"):
                 TR.train_step(state, (x, y), s, TR.LossConfig())
+
+    def test_underflowed_dropout_row_raises_with_diagnostics(self):
+        # the coefficient head puts all of every row on basis 0 (the others'
+        # softmax terms underflow to 0), and the step's mask drops basis 0:
+        # no survivor is left to rescale, a diverged step that changes nothing
+        state = toy_state(n_bases=3, seed=7)
+        train, _ = toy_dataset(train_size=8, eval_size=8)
+        batch = (train.images[:2], train.labels[:2])
+        state, _ = TR.train_step(state, batch, sched(batch_size=2, optimizer="rmsprop"), TR.LossConfig())
+        bias = np.zeros(state.lm_params.coeff_b.shape)
+        bias[::3] = 900.0  # basis 0 of each row
+        state.lm_params.coeff_b.apply_update(bias)
+        s = sched(batch_size=2, optimizer="rmsprop", bmd_rate=0.5)
+        state.step = next(k for k in range(1, 100) if TR.sample_bmd_mask(3, 0.5, TR.step_rng(s, k, 2))[0])
+        vector, acc, step = state.vector.data.tobytes(), state.opt_state.tobytes(), state.step
+        with pytest.raises(TR.TrainingDiverged, match=(
+                rf"^training went non-finite at step {step} \(lr=0\.1\): basis dropout left a "
+                r"coefficient row whose survivors all underflowed to 0")):
+            TR.train_step(state, batch, s, TR.LossConfig())
+        assert state.vector.data.tobytes() == vector
+        assert state.opt_state.tobytes() == acc
+        assert state.step == step
 
     def test_overflowing_blend_refuses_the_step(self):
         # finite bases whose blend overflows (three sigmoid coefficients near
@@ -621,6 +645,67 @@ class TestVectorisedUpdate:
                 assert not np.any(slots["lm.coeff_head.w"]) and not np.any(slots["lm.coeff_head.b"])
 
 
+class TestStepEqualsPerOpChain:
+    """``train_step``, with its one-op coefficients, stabilizers and loss,
+    its fresh conv input gradients and its update written into the state's
+    buffers, against ``oracles.train_step_chain``, the step as a chain of
+    per-op records with a fresh array per temporary: each step's gradient
+    buffer, metrics, vector and accumulator byte for byte."""
+
+    CASES = {
+        "per_layer-eps-shared-l2-rmsprop": dict(decay=5, bmd_rate=0.4, l2=1e-5),
+        "per_layer-eps0-no_masks-l2_0-sgd": dict(optimizer="sgd", l2=0.0),
+        "per_layer-eps-per_sample-clip": dict(decay=5, bmd_rate=0.4, per_sample=True, clip=0.05, l2=1e-5),
+        "per_layer-mask_drops_nothing": dict(bmd_rate=0.01, l2=1e-5),
+        "per_model-eps-per_sample": dict(mode="per_model", decay=5, bmd_rate=0.4, per_sample=True, l2=1e-5),
+        "one_hot-masks_ignored": dict(mode="one_hot", decay=5, bmd_rate=0.4, l2=1e-5),
+        "selection_tail-l2": dict(decay=5, bmd_rate=0.4, l2=1e-5, finetune=3),
+        "selection_tail-l2_0-clip": dict(bmd_rate=0.4, l2=0.0, finetune=3, clip=0.05),
+        "sigmoid-shared_layer_1-eps-shared-clip": dict(activation="sigmoid", shared=(1,), decay=5, bmd_rate=0.4,
+                                                       clip=0.05, l2=1e-5),
+        "distill_both": dict(distill="both", decay=5, bmd_rate=0.4, l2=1e-5),
+        "distill_bases_only-selection_tail": dict(distill="bases_only", bmd_rate=0.4, finetune=3),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bitwise_equal_to_the_chain(self, case):
+        opt = self.CASES[case]
+        train, _ = toy_dataset(train_size=32, eval_size=8)
+        cfg = S.SynthesisConfig(activation=opt.get("activation", "softmax"), mode=opt.get("mode", "per_layer"))
+        s = sched(total_steps=6, finetune_steps=opt.get("finetune", 0), epsilon_decay_steps=opt.get("decay", 0),
+                  bmd_rate=opt.get("bmd_rate", 0.0), bmd_per_sample=opt.get("per_sample", False),
+                  clip_norm=opt.get("clip"), optimizer=opt.get("optimizer", "rmsprop"), batch_size=4,
+                  lr_base=0.05)
+        distill = None
+        if "distill" in opt:
+            spec = B.BackboneSpec((1, 12, 12), (B.LayerSpec(1, 4, 3, stride=2, padding=1),), 6)
+            distill = TR.DistillConfig(spec, B.build(spec, seed=0), policy=opt["distill"], soft_weight=0.5)
+        loss_cfg = TR.LossConfig(lm_weight=0.7, l2_weight=opt.get("l2", 0.0), distill=distill)
+        state, oracle = (toy_state(n_bases=4, seed=12, shared=opt.get("shared", (0,)), synth_cfg=cfg)
+                         for _ in range(2))
+        state.step = oracle.step = 3  # from epsilon 0.4 down to 0 in a decaying case
+        epsilons, drops = [], []
+        while state.step < s.total_steps + s.finetune_steps:
+            batch = TR.sample_batch(train, s, state.step)
+            if s.bmd_rate > 0.0:
+                drops.append(TR.sample_bmd_mask(4, s.bmd_rate, TR.step_rng(s, state.step, 2)).any())
+            state, got = TR.train_step(state, batch, s, loss_cfg)
+            oracle, want = train_step_chain(oracle, batch, s, loss_cfg)
+            epsilons.append(got["epsilon"])
+            assert {k: np.float64(v).tobytes() for k, v in got.items()} == {
+                k: np.float64(v).tobytes() for k, v in want.items()}
+            assert state.grad.tobytes() == oracle.grad.tobytes()
+            assert state.vector.data.tobytes() == oracle.vector.data.tobytes()
+            assert (state.opt_state is None) == (oracle.opt_state is None)
+            if state.opt_state is not None:
+                assert state.opt_state.tobytes() == oracle.opt_state.tobytes()
+        assert epsilons[0] == (0.4 if "decay" in opt else 0.0)
+        if s.bmd_rate == 0.01:
+            assert not any(drops)
+        elif s.bmd_rate > 0.0:
+            assert any(drops)
+
+
 class TestBatchedMatchesPerImage:
     """forward_training against the per-image oracle: logits bitwise, gradients to 1e-12."""
 
@@ -872,7 +957,7 @@ class TestCoefficientModes:
         raw = T.linear(feats, state.lm_params.coeff_w, state.lm_params.coeff_b)
         soft = S.coefficients_from_raw(raw, S.SynthesisConfig(), 2, 4)
         assert np.all(np.isin(alpha.data, (0.0, 1.0))) and np.all(alpha.data.sum(axis=-1) == 1.0)
-        assert np.array_equal(alpha.data, S.to_one_hot(soft).data)
+        assert np.array_equal(alpha.data, to_one_hot(soft).data)
 
     def test_sigmoid_coefficients_stay_unnormalized(self):
         cfg = S.SynthesisConfig(activation="sigmoid")
